@@ -1,104 +1,21 @@
-"""Ablation: parent-reconstruction strategies on realistic trace shapes.
+"""Parent reconstruction on a realistic 50k-span trace shape.
 
-Three rungs, two granularities:
-
-* raw containment queries — optimized interval tree vs a naive O(n^2)
-  scan (the original ablation), and
-* full ``reconstruct_parents`` on a 50k-span synthetic trace — the
-  sweep-line engine (hot path) vs the interval-tree reference engine,
-  with byte-identical parent-assignment verification and an asserted
-  >= 5x end-to-end speedup.
+Times ``reconstruct_parents`` (one sweep with per-level active-parent
+stacks) on a synthetic capture: one model span, sequential layers with a
+few nested sub-layers, and a dominant population of kernel-launch spans.
+That the sweep assigns exactly what per-orphan interval-tree queries
+would is fuzzed in tier-1 (``tests/tracing/test_sweepline.py``).
+``make_synthetic_trace`` is shared with ``bench_insights_engine.py``.
 """
 
 from __future__ import annotations
 
 import random
-import time
 
-import pytest
-
-from repro.tracing import Interval, IntervalTree, Level, Span, SpanKind, Trace
+from repro.tracing import Level, Span, SpanKind, Trace
 from repro.tracing.correlation import reconstruct_parents
 
-
-def make_intervals(n: int, seed: int = 7) -> list[Interval]:
-    rng = random.Random(seed)
-    intervals = []
-    cursor = 0
-    for i in range(n):
-        start = cursor
-        end = start + rng.randint(10, 500)
-        intervals.append(Interval(start, end, i))
-        cursor = end + rng.randint(0, 5)
-    return intervals
-
-
-def make_queries(intervals: list[Interval], per_parent: int = 3,
-                 seed: int = 11) -> list[Interval]:
-    rng = random.Random(seed)
-    queries = []
-    for iv in intervals:
-        for _ in range(per_parent):
-            if iv.end - iv.start < 3:
-                continue
-            a = rng.randint(iv.start, iv.end - 2)
-            b = rng.randint(a + 1, iv.end)
-            queries.append(Interval(a, b))
-    return queries
-
-
-N_PARENTS = 400
-
-
-def _tree_assign(intervals, queries):
-    tree = IntervalTree(intervals)
-    return [tree.tightest_containing(q) for q in queries]
-
-
-def _naive_assign(intervals, queries):
-    out = []
-    for q in queries:
-        best = None
-        for iv in intervals:
-            if iv.contains_interval(q):
-                if best is None or iv.length < best.length or (
-                    iv.length == best.length and iv.start < best.start
-                ):
-                    best = iv
-        out.append(best)
-    return out
-
-
-@pytest.fixture(scope="module")
-def workload():
-    intervals = make_intervals(N_PARENTS)
-    queries = make_queries(intervals)
-    return intervals, queries
-
-
-def test_interval_tree_assignment(benchmark, workload):
-    intervals, queries = workload
-    assigned = benchmark(_tree_assign, intervals, queries)
-    assert len(assigned) == len(queries)
-    assert all(a is not None for a in assigned)
-
-
-def test_naive_scan_assignment(benchmark, workload):
-    intervals, queries = workload
-    assigned = benchmark.pedantic(
-        _naive_assign, args=workload, rounds=1, iterations=1
-    )
-    # Oracle check: both strategies agree.
-    expected = _tree_assign(intervals, queries)
-    assert [(a.start, a.end) for a in assigned] == \
-        [(e.start, e.end) for e in expected]
-
-
-# -- full reconstruct_parents: sweep-line vs interval-tree reference --------
-
-#: Acceptance target for the end-to-end reconstruction speedup.
 N_SPANS = 50_000
-MIN_SPEEDUP = 5.0
 
 
 def make_synthetic_trace(n_spans: int = N_SPANS, seed: int = 3) -> Trace:
@@ -139,10 +56,6 @@ def make_synthetic_trace(n_spans: int = N_SPANS, seed: int = 3) -> Trace:
     return t
 
 
-def _parent_map(trace: Trace) -> dict[int, int | None]:
-    return {s.span_id: s.parent_id for s in trace.spans}
-
-
 def _fresh_trace_setup():
     """Each timed round reconstructs a fresh trace (assignment mutates it)."""
     return (make_synthetic_trace(),), {}
@@ -151,44 +64,7 @@ def _fresh_trace_setup():
 def test_sweepline_reconstruction_50k(benchmark):
     """The hot path: one sweep, per-level active-parent stacks."""
     result = benchmark.pedantic(
-        lambda tr: reconstruct_parents(tr, strict=False, engine="sweep"),
+        lambda tr: reconstruct_parents(tr, strict=False),
         setup=_fresh_trace_setup, rounds=3, iterations=1,
     )
     assert len(result.assigned) > N_SPANS * 0.9
-
-
-def test_tree_reconstruction_50k(benchmark):
-    """The reference path: per-orphan interval-tree containment queries."""
-    result = benchmark.pedantic(
-        lambda tr: reconstruct_parents(tr, strict=False, engine="tree"),
-        setup=_fresh_trace_setup, rounds=1, iterations=1,
-    )
-    assert len(result.assigned) > N_SPANS * 0.9
-
-
-def test_sweep_vs_tree_identical_and_faster():
-    """The ablation's oracle: byte-identical parent assignments, and the
-    sweep at least ``MIN_SPEEDUP``x faster end-to-end on 50k spans."""
-    tree_trace = make_synthetic_trace()
-    start = time.perf_counter()
-    tree_result = reconstruct_parents(tree_trace, strict=False, engine="tree")
-    tree_s = time.perf_counter() - start
-
-    sweep_s = float("inf")
-    for _ in range(3):  # best-of-3 guards against scheduler noise
-        sweep_trace = make_synthetic_trace()
-        start = time.perf_counter()
-        sweep_result = reconstruct_parents(
-            sweep_trace, strict=False, engine="sweep"
-        )
-        sweep_s = min(sweep_s, time.perf_counter() - start)
-
-    assert _parent_map(tree_trace) == _parent_map(sweep_trace)
-    assert tree_result.assigned == sweep_result.assigned
-    assert [s.span_id for s in tree_result.ambiguous] == \
-        [s.span_id for s in sweep_result.ambiguous]
-    speedup = tree_s / sweep_s
-    assert speedup >= MIN_SPEEDUP, (
-        f"sweep-line only {speedup:.1f}x faster than the interval-tree "
-        f"reference ({sweep_s * 1e3:.0f} ms vs {tree_s * 1e3:.0f} ms)"
-    )

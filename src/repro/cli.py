@@ -331,7 +331,14 @@ def _advise_from_trace(args: argparse.Namespace) -> int:
         print(f"error: --from-trace {args.from_trace!r}: {err}",
               file=sys.stderr)
         return 2
-    report = run_rules(profile_from_trace(trace), trace=trace)
+    profile = profile_from_trace(trace)
+    try:
+        profile.gpu  # the rules size everything against the capture's GPU
+    except KeyError as err:
+        print(f"error: --from-trace {args.from_trace!r}: {err.args[0]}",
+              file=sys.stderr)
+        return 2
+    report = run_rules(profile, trace=trace)
     _print_insight_report(report, args)
     return 0
 

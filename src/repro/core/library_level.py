@@ -6,7 +6,7 @@ that: it synthesizes LIBRARY-level spans from the runtime's launch
 records, grouping consecutive kernels of one library invocation within a
 layer into a single API-call span (``cudnnConvolutionForward``,
 ``cublasSgemm``, ...).  The spans slot between the layer and GPU-kernel
-levels, and the standard interval-tree reconstruction then parents
+levels, and the standard interval-containment reconstruction then parents
 kernels on API calls and API calls on layers — no changes to the
 framework or to the correlation machinery, demonstrating the design's
 extensibility.

@@ -13,7 +13,8 @@
    attached to the execution span as ``metric.*`` tags.
 
 Launch spans are published without parents; parent reconstruction happens
-offline via the interval tree (:func:`repro.tracing.correlation.reconstruct_parents`).
+offline by interval containment
+(:func:`repro.tracing.correlation.reconstruct_parents`).
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ A session binds a system (GPU), a framework, and a tracing server.  Each
    around each step,
 4. converts the framework profiler's native output and CUPTI's records
    into spans and publishes everything to the tracing server,
-5. reconstructs the across-stack hierarchy offline (interval tree +
-   launch/execution correlation) and, if parallel events made parentage
+5. reconstructs the across-stack hierarchy offline (interval containment
+   + launch/execution correlation) and, if parallel events made parentage
    ambiguous, automatically re-runs serialized — the paper's prescribed
    remedy.
 """

@@ -196,6 +196,7 @@ MX_TYPE_MAP: dict[str, str] = {
     "AvgPool": "Pooling",
     "Mean": "Pooling",
     "Dense": "FullyConnected",
+    "BiasAdd": "broadcast_add",
     "Softmax": "softmax",
     "Concat": "Concat",
     "Reshape": "Flatten",

@@ -32,7 +32,6 @@ from repro.insights.registry import (
     register,
     rule,
     rule_names,
-    rules_requiring,
     unregister,
 )
 from repro.insights.engine import (
@@ -71,7 +70,6 @@ __all__ = [
     "register",
     "rule",
     "rule_names",
-    "rules_requiring",
     "severity_label",
     "unregister",
 ]

@@ -17,7 +17,7 @@ the capture thread keeps appending under the server lock.
 ``AnalysisPipeline.advise_live`` / ``repro advise --live`` wire this to a
 worker thread running ``profile_application``; the monitor works equally
 on any open trace, including a raw single-run capture when
-``correlate=True`` re-runs the incremental correlation pass per refresh.
+``correlate=True`` re-runs the correlation passes per refresh.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from repro.insights.engine import (
     InsightReport,
 )
 from repro.tracing.correlation import (
-    LaunchExecutionState,
     correlate_launch_execution,
     reconstruct_parents,
 )
@@ -60,11 +59,14 @@ class LiveUpdate:
 class LiveMonitor:
     """Follow an open trace and keep an insight report current.
 
-    ``correlate=True`` additionally runs the incremental correlation pass
-    (``reconstruct_parents`` + ``correlate_launch_execution`` with a
-    rising ``since_row``) before each refresh — needed for raw captures
-    whose kernel spans arrive unparented; ``profile_application``
-    re-publishes pre-correlated rows, so its monitors leave it off.
+    ``correlate=True`` additionally runs ``reconstruct_parents`` and
+    ``correlate_launch_execution`` over the whole trace before each
+    refresh — needed for raw captures whose kernel spans arrive
+    unparented; ``profile_application`` re-publishes pre-correlated
+    rows, so its monitors leave it off.  Each refresh re-derives the
+    whole profile anyway, so the cold passes add no asymptotic cost, and
+    a child published before its parent is parented once the parent
+    lands.
     """
 
     def __init__(
@@ -78,8 +80,6 @@ class LiveMonitor:
         self._stream = server.stream(trace_id)
         self._engine = IncrementalInsightEngine(rules)
         self._correlate = correlate
-        self._corr_state = LaunchExecutionState()
-        self._corr_rows = 0
         self._finished = False
         self.report: InsightReport | None = None
 
@@ -139,20 +139,8 @@ class LiveMonitor:
 
         trace = self.trace
         if self._correlate:
-            # Pin the window [corr_rows, watermark) for this refresh:
-            # the capture may keep publishing mid-call, and rows beyond
-            # the snapshot must be left for the next increment.
-            watermark = trace.watermark
-            reconstruct_parents(
-                trace, strict=False, since_row=self._corr_rows
-            )
-            correlate_launch_execution(
-                trace,
-                since_row=self._corr_rows,
-                to_row=watermark,
-                state=self._corr_state,
-            )
-            self._corr_rows = watermark
+            reconstruct_parents(trace, strict=False)
+            correlate_launch_execution(trace)
         profile = profile_from_trace(trace)
         context = InsightContext.build(profile, trace=trace)
         self.report = self._engine.analyze(context)

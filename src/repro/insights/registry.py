@@ -112,24 +112,5 @@ def all_rules() -> list[Rule]:
     return [_REGISTRY[name] for name in sorted(_REGISTRY)]
 
 
-def rules_requiring(*ingredients: str) -> list[Rule]:
-    """Registered rules declaring any of ``ingredients``, in name order.
-
-    A registry query mirroring the incremental engine's selection rule
-    (which intersects each rule's ``requires`` with the changed
-    ingredients over *its own* rule list): when a context ingredient
-    changes — e.g. the trace watermark advanced — these are exactly the
-    registered rules that would be re-evaluated.  For tooling and
-    plugin introspection.
-    """
-    wanted = set(ingredients)
-    for ingredient in wanted:
-        if ingredient not in REQUIREMENTS:
-            raise ValueError(
-                f"unknown ingredient {ingredient!r}; valid: {REQUIREMENTS}"
-            )
-    return [r for r in all_rules() if wanted.intersection(r.requires)]
-
-
 def rule_names() -> list[str]:
     return sorted(_REGISTRY)

@@ -5,7 +5,8 @@ stack is turned into a *tracer*, every profiled event becomes a *span*
 tagged with its stack level, and a *tracing server* aggregates the spans
 published by all tracers into a single timeline trace.  Parent/child links
 that the profilers themselves cannot provide (GPU kernels -> layers) are
-reconstructed offline with an interval tree (:mod:`repro.tracing.correlation`).
+reconstructed offline by interval containment
+(:mod:`repro.tracing.correlation`).
 """
 
 from repro.tracing.span import (
@@ -22,11 +23,9 @@ from repro.tracing.table import SpanTable, SpanView
 from repro.tracing.tracer import BufferingTracer, NoopTracer, Tracer
 from repro.tracing.server import RowBatch, TraceStream, TracingServer
 from repro.tracing.trace import Trace
-from repro.tracing.interval_tree import Interval, IntervalTree
 from repro.tracing.correlation import (
     AmbiguousParentError,
     CorrelationResult,
-    LaunchExecutionState,
     correlate_launch_execution,
     reconstruct_parents,
 )
@@ -36,9 +35,6 @@ __all__ = [
     "BufferingTracer",
     "CorrelationResult",
     "Gap",
-    "Interval",
-    "IntervalTree",
-    "LaunchExecutionState",
     "Level",
     "LogEntry",
     "NoopTracer",

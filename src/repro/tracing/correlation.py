@@ -4,11 +4,12 @@ Two reconstruction problems are solved here, following paper Sec. III-A/B:
 
 1. **Parent-child reconstruction.**  Disjoint profilers cannot annotate
    children with their parents (e.g. GPU kernel spans with layer spans).
-   XSP builds an interval tree over candidate parent spans and assigns each
-   orphan span the *tightest* span at the next-higher stack level whose
-   interval contains it.  If several mutually-overlapping candidates
-   contain a span (parallel events), its parentage is *ambiguous* and a
-   serialized re-run (``CUDA_LAUNCH_BLOCKING=1``) is required.
+   XSP checks interval set inclusion over candidate parent spans and
+   assigns each orphan span the *tightest* span at the next-higher stack
+   level whose interval contains it.  If several mutually-overlapping
+   candidates contain a span (parallel events), its parentage is
+   *ambiguous* and a serialized re-run (``CUDA_LAUNCH_BLOCKING=1``) is
+   required.
 
 2. **Launch/execution correlation.**  Asynchronous GPU kernels appear as a
    host-side *launch span* and a device-side *execution span* carrying the
@@ -17,7 +18,7 @@ Two reconstruction problems are solved here, following paper Sec. III-A/B:
    complete after the layer returns) and its performance information from
    the execution span.
 
-Both engines consume the trace's columnar storage directly — row indices
+Both passes consume the trace's columnar storage directly — row indices
 over ``(start_ns, end_ns, level, kind, parent_id)`` columns snapshotted
 as plain lists — and write assignments back into the ``parent_id``
 column.  Span objects are materialized only at the error/reporting
@@ -26,12 +27,11 @@ boundary (:class:`AmbiguousParentError`, ``CorrelationResult.ambiguous``).
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, List
 
-from repro.tracing.interval_tree import Interval, IntervalTree
-from repro.tracing.span import Level, Span, SpanKind
+from repro.tracing.span import Level, SpanKind
 from repro.tracing.table import _KIND_CODE, NONE_ID, SpanTable, SpanView
 from repro.tracing.trace import Trace
 
@@ -99,94 +99,46 @@ class CorrelationResult:
         return bool(self.ambiguous)
 
 
-@dataclass
-class LaunchExecutionState:
-    """Carry-over pairing state for incremental launch/execution merging.
-
-    Holding one of these across :func:`correlate_launch_execution` calls
-    (with a rising ``since_row``) lets a growing capture be correlated in
-    amortized O(new rows): half-pairs seen in earlier increments wait
-    here for their counterparts, and cids already merged are never
-    re-emitted.
-    """
-
-    #: correlation_id -> row of a launch span still awaiting its pair.
-    launches: dict[int, int] = field(default_factory=dict)
-    #: correlation_id -> row of an execution span still awaiting its pair.
-    executions: dict[int, int] = field(default_factory=dict)
-    #: correlation ids already merged (evicted from the dicts above, so
-    #: the half-pair state stays bounded by the in-flight window, not
-    #: the capture length; also the duplicate check for merged cids).
-    merged: set[int] = field(default_factory=set)
-
-
-def correlate_launch_execution(
-    trace: Trace,
-    *,
-    since_row: int = 0,
-    to_row: int | None = None,
-    state: LaunchExecutionState | None = None,
-) -> list[MergedKernel]:
+def correlate_launch_execution(trace: Trace) -> list[MergedKernel]:
     """Pair launch/execution spans by ``correlation_id``.
 
     Execution spans inherit the launch span's parent, mirroring how XSP
     "uses the launch span's parent as the parent of the asynchronous
     function and uses the execution span to get the performance
-    information".  One pass over the correlation-id/kind columns; no
-    intermediate span lists.
-
-    ``since_row`` starts the scan at a row watermark and ``state``
-    carries the pairing dictionaries between calls, so correlating a
-    growing capture costs one pass over the *new* rows only.  The full
-    call (``since_row=0``, no state) returns every merged kernel sorted
-    by correlation id, exactly as before; an incremental call returns
-    only the pairs completed by the new rows.  ``to_row`` pins the
-    scan's upper bound: an incremental caller on a *live* trace must
-    pass the watermark snapshot it will record as the next
-    ``since_row``, or rows published mid-call would be scanned twice
-    (and trip the duplicate check) on the next increment.
+    information".  One pass over the correlation-id/kind columns up to
+    the trace's watermark; no intermediate span lists.  Returns every
+    merged kernel, sorted by correlation id.
     """
     table = trace.table
     corr = table.correlation_id
     kinds = table.kind
-    if state is None:
-        state = LaunchExecutionState()
-    launches = state.launches
-    executions = state.executions
-    new_cids: set[int] = set()
-    stop = table.watermark if to_row is None else to_row
-    for row in range(since_row, stop):
+    launches: dict[int, int] = {}
+    executions: dict[int, int] = {}
+    for row in range(table.watermark):
         cid = corr[row]
         if cid == NONE_ID:
             continue
         code = kinds[row]
         if code == _LAUNCH_CODE:
-            if cid in launches or cid in state.merged:
+            if cid in launches:
                 raise ValueError(
                     f"duplicate launch span for correlation_id={cid}"
                 )
             launches[cid] = row
-            new_cids.add(cid)
         elif code == _EXECUTION_CODE:
-            if cid in executions or cid in state.merged:
+            if cid in executions:
                 raise ValueError(
                     f"duplicate execution span for correlation_id={cid}"
                 )
             executions[cid] = row
-            new_cids.add(cid)
 
     parents = table.parent_id
     merged: list[MergedKernel] = []
-    for cid in sorted(new_cids):
-        launch_row = launches.get(cid)
-        execution_row = executions.get(cid)
-        if launch_row is None or execution_row is None:
-            # Half-pair so far: a lost activity record (CUPTI permits
-            # this) or a counterpart still to arrive in a later increment.
-            continue
-        del launches[cid]
-        del executions[cid]
-        state.merged.add(cid)
+    for cid in sorted(launches.keys() & executions.keys()):
+        # Half-pairs are skipped: a lost activity record (CUPTI permits
+        # this) or, on a live capture, a counterpart yet to be published.
+        launch_row = launches[cid]
+        execution_row = executions[cid]
         launch_parent = parents[launch_row]
         merged.append(
             MergedKernel(
@@ -213,13 +165,7 @@ def _parent_level_map(levels: list[Level]) -> dict[Level, Level | None]:
     return out
 
 
-def reconstruct_parents(
-    trace: Trace,
-    *,
-    strict: bool = True,
-    engine: str = "sweep",
-    since_row: int = 0,
-) -> CorrelationResult:
+def reconstruct_parents(trace: Trace, *, strict: bool = True) -> CorrelationResult:
     """Assign parents to orphan spans via interval containment.
 
     Only spans on the *host* timeline participate as children directly:
@@ -233,43 +179,13 @@ def reconstruct_parents(
     ambiguity; ``strict=False`` records ambiguous spans in the result so a
     caller can trigger the serialized re-run.
 
-    ``engine`` selects the containment strategy:
-
-    * ``"sweep"`` (default) — one O(n log n) sweep over start-sorted spans
-      with a per-level active-parent stack; the hot path.
-    * ``"tree"`` — the original per-orphan interval-tree queries; kept as
-      the reference implementation the ablation benchmark checks the
-      sweep against.
-
-    Both engines see identical candidate sets for every orphan (candidates
-    depend only on static interval data, not on assignment order), so
-    their parent assignments — including which span first trips
-    :class:`AmbiguousParentError` in strict mode — are identical.
-
-    ``since_row`` is the incremental watermark for a growing capture:
-    rows below it are treated as already correlated (their assignments —
-    or their legitimate rootlessness — are final and are not revisited),
-    while rows at/above it are the orphans of this increment.  All rows,
-    old and new, still serve as candidate parents.  Incremental calls
-    match a single cold correlation of the final capture whenever each
-    increment's parents arrive no later than the increment containing
-    their children — the publication order every batch-per-evaluation
-    converter in this codebase produces.  The underlying timeline
-    orderings come from the trace's incrementally-maintained index, so an
-    increment never pays a re-sort.
+    Spans that already have a parent keep it, so re-running the pass over
+    a grown capture assigns only the rows still orphaned — including a
+    child that arrived before its parent on an earlier pass.
     """
-    if engine not in ("sweep", "tree"):
-        raise ValueError(f"unknown correlation engine {engine!r}")
     result = CorrelationResult(trace=trace)
     try:
-        if engine == "tree":
-            _reconstruct_tree(
-                trace, strict=strict, result=result, since_row=since_row
-            )
-        else:
-            _reconstruct_sweep(
-                trace, strict=strict, result=result, since_row=since_row
-            )
+        _reconstruct_sweep(trace, strict=strict, result=result)
     finally:
         # parent_id fields changed (possibly partially, when strict mode
         # raised); drop the trace's parent-derived indexes either way.
@@ -277,73 +193,13 @@ def reconstruct_parents(
     return result
 
 
-def _reconstruct_tree(
-    trace: Trace,
-    *,
-    strict: bool,
-    result: CorrelationResult,
-    since_row: int = 0,
-) -> None:
-    """Reference engine: per-orphan containment queries on interval trees."""
-    index = trace.index
-    table = trace.table
-    levels = index.levels_present()
-    parent_of_level = _parent_level_map(levels)
-    starts = table.start_ns
-    ends = table.end_ns
-    kinds = table.kind
-    parents = table.parent_id
-    level_codes = table.level
-    span_ids = table.span_id
-
-    trees: dict[Level, IntervalTree[int]] = {}
-    for lvl in levels:
-        trees[lvl] = IntervalTree(
-            Interval(starts[row], ends[row], row)
-            for row in index.level_rows().get(lvl, ())
-        )
-    parent_code_of: dict[int, int | None] = {
-        int(lvl): (None if up is None else int(up))
-        for lvl, up in parent_of_level.items()
-    }
-    level_by_code = {int(lvl): lvl for lvl in levels}
-
-    for row in index.rows_sorted():
-        if row < since_row:
-            continue  # settled in an earlier increment
-        if parents[row] != NONE_ID:
-            continue
-        if kinds[row] == _EXECUTION_CODE:
-            continue  # handled by launch/execution correlation
-        target_code = parent_code_of.get(level_codes[row])
-        if target_code is None:
-            continue  # top-of-stack spans legitimately have no parent
-        candidates = [
-            iv.data
-            for iv in trees[level_by_code[target_code]].containing(
-                Interval(starts[row], ends[row])
-            )
-            if iv.data != row
-        ]
-        if not candidates:
-            continue
-        chosen = _choose_parent(
-            table, row, candidates, strict=strict, result=result
-        )
-        if chosen is not None:
-            chosen_id = span_ids[chosen]
-            parents[row] = chosen_id
-            result.assigned[span_ids[row]] = chosen_id
-
-
 def _reconstruct_sweep(
     trace: Trace,
     *,
     strict: bool,
     result: CorrelationResult,
-    since_row: int = 0,
 ) -> None:
-    """Hot-path engine: one sweep over start-sorted rows.
+    """One sweep over start-sorted rows.
 
     For each present level the sweep keeps an *active-parent stack*: the
     rows at that level whose interval is still open at the sweep
@@ -352,8 +208,8 @@ def _reconstruct_sweep(
     orphan has been admitted to that level's stack, expired entries
     (ending before the orphan starts) have been popped, and the orphan's
     candidate parents are exactly the stack entries whose end reaches the
-    orphan's end — the same containment set the interval tree computes,
-    without per-orphan tree queries or list churn.
+    orphan's end — the same containment set a per-orphan interval-tree
+    query returns, without the queries or their list churn.
 
     The stack is a deque expired from both ends: sequential same-level
     spans (the dominant layer pattern — ends increasing in push order)
@@ -402,8 +258,6 @@ def _reconstruct_sweep(
     }
 
     for row in index.rows_sorted():
-        if row < since_row:
-            continue  # settled in an earlier increment
         if parents[row] != NONE_ID:
             continue
         if kinds[row] == _EXECUTION_CODE:
@@ -491,18 +345,3 @@ def _choose_parent(
                 result.ambiguous.append(span)
                 return None
     return ordered[0]
-
-
-def build_hierarchy(trace: Trace, *, strict: bool = True) -> CorrelationResult:
-    """Full correlation pass: parents first, then launch/execution merging."""
-    result = reconstruct_parents(trace, strict=strict)
-    correlate_launch_execution(trace)
-    return result
-
-
-def kernels_by_parent(trace: Trace) -> dict[int | None, list[MergedKernel]]:
-    """Group merged kernels by their (layer) parent span id."""
-    grouped: dict[int | None, list[MergedKernel]] = defaultdict(list)
-    for mk in correlate_launch_execution(trace):
-        grouped[mk.parent_id].append(mk)
-    return dict(grouped)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.tracing.span import Span, new_trace_id
 from repro.tracing.table import SpanTable, SpanView
@@ -168,7 +168,6 @@ class TracingServer:
         #: keeps O(1) state per lifecycle instead of a growing id set.
         self._ended_watermark = 0
         self._active_trace_id: int | None = None
-        self._subscribers: list[Callable[[Span], None]] = []
 
     # -- trace lifecycle ----------------------------------------------------
     def begin_trace(self, **metadata: object) -> int:
@@ -201,29 +200,29 @@ class TracingServer:
         return self._active_trace_id
 
     # -- publication ----------------------------------------------------------
-    def publish(self, span: Span) -> None:
-        """Publish one span into the active trace (or its own ``trace_id``).
+    def _destination(self, span: Span) -> Trace | None:
+        """The open trace ``span`` belongs in; caller holds the lock.
 
-        Spans addressed to an already-ended trace are dropped: the caller
-        owns that timeline now, and re-creating it here would leak an
-        orphan trace no one can retrieve.
+        Spans addressed to an already-ended trace get ``None`` and are
+        dropped: the caller owns that timeline now, and re-creating it
+        here would leak an orphan trace no one can retrieve.  A trace is
+        constructed only when the span opens a new one.
         """
+        tid = span.trace_id or self._active_trace_id
+        if tid is None:
+            return self._traces[self.begin_trace()]
+        trace = self._traces.get(tid)
+        if trace is None and tid > self._ended_watermark:
+            trace = self._traces[tid] = Trace(trace_id=tid)
+        return trace
+
+    def publish(self, span: Span) -> None:
+        """Publish one span into the active trace (or its own ``trace_id``)."""
         with self._lock:
-            tid = span.trace_id or self._active_trace_id
-            if (
-                tid is not None
-                and tid <= self._ended_watermark
-                and tid not in self._traces
-            ):
-                return  # addressed to an ended trace
-            if tid is None:
-                tid = self.begin_trace()
-            trace = self._traces.setdefault(tid, Trace(trace_id=tid))
-            trace.add(span)
-            self._cond.notify_all()
-            subscribers = list(self._subscribers)
-        for fn in subscribers:
-            fn(span)
+            trace = self._destination(span)
+            if trace is not None:
+                trace.add(span)
+                self._cond.notify_all()
 
     def publish_many(self, spans: Iterable[Span]) -> None:
         """Publish a batch of spans under one lock acquisition.
@@ -234,29 +233,12 @@ class TracingServer:
         list is built or retained, and the lock is taken once per batch
         instead of once per span.
         """
-        subscribers: list[Callable[[Span], None]] = []
-        published: list[Span] = []
         with self._lock:
             for span in spans:
-                tid = span.trace_id or self._active_trace_id
-                if (
-                    tid is not None
-                    and tid <= self._ended_watermark
-                    and tid not in self._traces
-                ):
-                    continue  # addressed to an ended trace
-                if tid is None:
-                    tid = self.begin_trace()
-                trace = self._traces.setdefault(tid, Trace(trace_id=tid))
-                trace.add(span)
-                if self._subscribers:
-                    published.append(span)
+                trace = self._destination(span)
+                if trace is not None:
+                    trace.add(span)
             self._cond.notify_all()
-            if self._subscribers and published:
-                subscribers = list(self._subscribers)
-        for fn in subscribers:
-            for span in published:
-                fn(span)
 
     def publish_rows(
         self, trace_id: int, rows: Iterable[Mapping[str, Any]]
@@ -267,9 +249,8 @@ class TracingServer:
         whole batch lands under a single lock acquisition and no ``Span``
         object is ever constructed — the span-free streaming-ingest path
         (``profile_application`` re-publishes each finished evaluation
-        through it).  Row-level publication is visible to
-        :meth:`stream` cursors but not to span-object subscribers.
-        Raises ``KeyError`` for an unknown or already-ended trace.
+        through it).  Raises ``KeyError`` for an unknown or already-ended
+        trace.
         """
         count = 0
         with self._lock:
@@ -284,11 +265,6 @@ class TracingServer:
         """Merge metadata into an open trace, under the server lock."""
         with self._lock:
             self._traces[trace_id].metadata.update(metadata)
-
-    def subscribe(self, fn: Callable[[Span], None]) -> None:
-        """Register a callback invoked for every published span (for tooling)."""
-        with self._lock:
-            self._subscribers.append(fn)
 
     # -- streaming --------------------------------------------------------------
     def stream(self, trace_id: int | None = None) -> TraceStream:

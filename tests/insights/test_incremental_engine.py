@@ -10,8 +10,6 @@ from repro.insights import (
     InsightContext,
     InsightEngine,
     Rule,
-    registry,
-    rules_requiring,
 )
 from repro.tracing import Level, Span
 
@@ -146,16 +144,3 @@ def test_matches_plain_engine_on_builtin_rules():
         ] == [(i.rule, i.title, i.severity) for i in reference]
         assert live.skipped_rules == reference.skipped_rules
 
-
-def test_rules_requiring_selects_by_ingredient():
-    trace_rules = {r.name for r in rules_requiring("trace")}
-    assert "gpu-idle-bubbles" in trace_rules
-    assert all(
-        "trace" in registry.get_rule(name).requires for name in trace_rules
-    )
-    try:
-        rules_requiring("bogus")
-    except ValueError:
-        pass
-    else:  # pragma: no cover - assertion arm
-        raise AssertionError("expected ValueError for unknown ingredient")

@@ -7,7 +7,7 @@ import threading
 from factories import build_basic_profile, make_matching_trace
 
 from repro.insights import LiveMonitor
-from repro.tracing import Level, Span, TracingServer
+from repro.tracing import Level, Span, SpanKind, TracingServer
 
 
 def _capture_spans():
@@ -62,7 +62,7 @@ def test_monitor_refreshes_per_batch_and_finishes():
 
 def test_monitor_correlates_incrementally():
     """With correlate=True, kernels arriving unparented get resolved to
-    their layers across increments, matching the profile view."""
+    their layers on each refresh, matching the profile view."""
     server = TracingServer()
     tid = _begin(server)
     monitor = LiveMonitor(server, tid, correlate=True)
@@ -83,13 +83,43 @@ def test_monitor_correlates_incrementally():
     trace = monitor.trace
     # Every execution span ends up parented under some layer span.
     layer_set = set(layer_ids)
-    from repro.tracing.span import SpanKind
-
     executions = [
         s for s in trace.spans if s.kind is SpanKind.EXECUTION
     ]
     assert executions
     assert all(s.parent_id in layer_set for s in executions)
+
+
+def test_monitor_parents_kernels_published_before_their_layer():
+    """A layer that lands one increment after its kernels still becomes
+    their parent: each refresh re-correlates the whole capture."""
+    server = TracingServer()
+    tid = _begin(server)
+    monitor = LiveMonitor(server, tid, correlate=True)
+    kernels = []
+    for i in range(3):
+        start = 100 + 500 * i
+        kernels.append(
+            Span("k", start, start + 50, Level.GPU_KERNEL, span_id=20 + 2 * i,
+                 kind=SpanKind.LAUNCH, correlation_id=10 + i)
+        )
+        kernels.append(
+            Span("k", start + 25, start + 400, Level.GPU_KERNEL,
+                 span_id=21 + 2 * i, kind=SpanKind.EXECUTION,
+                 correlation_id=10 + i)
+        )
+    server.publish_many(kernels)
+    assert monitor.poll() is not None
+    server.publish(Span("conv", 0, 2_000, Level.LAYER, span_id=2,
+                        tags={"layer_index": 0, "layer_type": "Conv2D"}))
+    server.end_trace(tid)
+    final = monitor.poll()
+    assert final is not None and final.final
+    executions = [
+        s for s in monitor.trace.spans if s.kind is SpanKind.EXECUTION
+    ]
+    assert len(executions) == 3
+    assert all(s.parent_id == 2 for s in executions)
 
 
 def test_monitor_blocking_updates_with_producer_thread():

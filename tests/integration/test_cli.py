@@ -168,6 +168,26 @@ def test_advise_from_trace_rejects_non_trace(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_advise_from_trace_rejects_application_capture(tmp_path, capsys):
+    """An application capture names no system: one stderr line, exit 2."""
+    from repro.core import ProfilingConfig, XSPSession
+    from repro.models import get_model
+    from repro.tracing.export import save_trace
+
+    trace, _ = XSPSession().profile_application(
+        [(get_model(53).graph, 1)], config=ProfilingConfig(metrics=())
+    )
+    capture = tmp_path / "app.json"
+    save_trace(trace, str(capture))
+    assert main(["advise", "--from-trace", str(capture)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: --from-trace")
+    assert "unknown system 'unknown'" in lines[0]
+
+
 def test_advise_requires_model_or_trace(capsys):
     assert main(["advise", "--batch", "1"]) == 2
     assert "--model" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import AnalysisPipeline, XSPSession
 from repro.frameworks import TFSim
 from repro.models import MODEL_ZOO, get_model
 from repro.sim import CudaRuntime, VirtualClock, get_system
@@ -16,6 +17,21 @@ def test_model_runs_at_batch_one(model_id):
     assert result.latency_ms > 0.1
     assert rt.memory.live_bytes == 0
     assert rt.launch_records, "every model must launch GPU kernels"
+
+
+@pytest.mark.parametrize(
+    "model_id,name", [(16, "VGG16"), (17, "VGG19"), (32, "BVLC_AlexNet_Caffe")]
+)
+def test_explicit_bias_add_models_profile_under_mxnet(model_id, name):
+    """Graphs with explicit BiasAdd ops lower to MXNet's broadcast_add."""
+    entry = get_model(model_id)
+    assert entry.name == name
+    pipeline = AnalysisPipeline(
+        XSPSession("Tesla_V100", "mxnet_like"), runs_per_level=1
+    )
+    profile = pipeline.profile_model(entry.graph, 1)
+    assert profile.model_latency_ms > 0
+    assert "broadcast_add" in {layer.layer_type for layer in profile.layers}
 
 
 def test_online_latency_sanity_bands():

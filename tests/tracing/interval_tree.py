@@ -1,19 +1,17 @@
-"""Centered interval tree used for parent-child reconstruction.
+"""Interval-tree oracle for the sweep-line parent reconstruction.
 
 The paper (Sec. III-A) reconstructs missing parent-child relationships by
 building an interval tree over span start/end timestamps and checking
 interval set inclusion.  This module provides a classic centered interval
 tree supporting stabbing queries (all intervals containing a point) and
 containment queries (all intervals containing a query interval), both in
-O(log n + k).
+O(log n + k), plus :func:`tree_reconstruct_parents`, a per-orphan
+tree-query reparenting pass that the tests compare
+:func:`repro.tracing.correlation.reconstruct_parents` against.
 
-The implementation is self-contained (no third-party interval library).
-It remains the *reference* engine for parent reconstruction — the hot
-path uses the sweep-line correlator in :mod:`repro.tracing.correlation` —
-but it is tuned all the same: construction is iterative (no recursion
-depth limit on adversarial traces) and every node precomputes the
-endpoint arrays its queries bisect over, so queries allocate nothing
-beyond their result lists.
+Construction is iterative (no recursion depth limit on adversarial
+traces) and every node precomputes the endpoint arrays its queries
+bisect over.
 """
 
 from __future__ import annotations
@@ -21,6 +19,15 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from typing import Any, Generic, Iterable, Iterator, List, Optional, TypeVar
+
+from repro.tracing.correlation import (
+    _EXECUTION_CODE,
+    CorrelationResult,
+    _choose_parent,
+    _parent_level_map,
+)
+from repro.tracing.table import NONE_ID
+from repro.tracing.trace import Trace
 
 T = TypeVar("T")
 
@@ -208,3 +215,59 @@ class IntervalTree(Generic[T]):
         if not candidates:
             return None
         return min(candidates, key=lambda iv: (iv.length, iv.start))
+
+
+def tree_reconstruct_parents(
+    trace: Trace, *, strict: bool = True
+) -> CorrelationResult:
+    """``reconstruct_parents`` by per-orphan containment queries.
+
+    Candidates depend only on static interval data, not on assignment
+    order, so this pass and the sweep agree on every assignment —
+    including which span first trips ``AmbiguousParentError`` in strict
+    mode.
+    """
+    result = CorrelationResult(trace=trace)
+    index = trace.index
+    table = trace.table
+    levels = index.levels_present()
+    starts = table.start_ns
+    ends = table.end_ns
+    parents = table.parent_id
+    span_ids = table.span_id
+    trees = {
+        int(lvl): IntervalTree(
+            Interval(starts[row], ends[row], row)
+            for row in index.level_rows().get(lvl, ())
+        )
+        for lvl in levels
+    }
+    parent_code_of = {
+        int(lvl): (None if up is None else int(up))
+        for lvl, up in _parent_level_map(levels).items()
+    }
+    try:
+        for row in index.rows_sorted():
+            if parents[row] != NONE_ID or table.kind[row] == _EXECUTION_CODE:
+                continue
+            target = parent_code_of.get(table.level[row])
+            if target is None:
+                continue
+            candidates = [
+                iv.data
+                for iv in trees[target].containing(
+                    Interval(starts[row], ends[row])
+                )
+                if iv.data != row
+            ]
+            if not candidates:
+                continue
+            chosen = _choose_parent(
+                table, row, candidates, strict=strict, result=result
+            )
+            if chosen is not None:
+                parents[row] = span_ids[chosen]
+                result.assigned[span_ids[row]] = span_ids[chosen]
+    finally:
+        trace.touch_parents()
+    return result

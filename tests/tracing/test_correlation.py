@@ -13,7 +13,6 @@ from repro.tracing import (
     correlate_launch_execution,
     reconstruct_parents,
 )
-from repro.tracing.correlation import build_hierarchy, kernels_by_parent
 
 
 def _nested_trace():
@@ -62,20 +61,6 @@ def test_correlate_launch_execution_merges_and_propagates_parent():
     assert kernel_a.parent_id == 2  # from the launch span
     assert kernel_a.duration_ns == 200  # from the execution span
     assert t.by_id()[6].parent_id == 2  # propagated onto the exec span
-
-
-def test_kernels_by_parent_groups():
-    t = _nested_trace()
-    reconstruct_parents(t)
-    groups = kernels_by_parent(t)
-    assert {k for k in groups} == {2, 3}
-
-
-def test_build_hierarchy_runs_both_passes():
-    t = _nested_trace()
-    result = build_hierarchy(t)
-    assert not result.needs_serialized_rerun
-    assert len(result.assigned) == 4  # 2 layers + 2 launches
 
 
 def test_existing_parents_are_preserved():

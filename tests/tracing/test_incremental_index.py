@@ -5,8 +5,8 @@ PR 5's tentpole: appending spans to a trace must not invalidate its
 pending tail into the built structures.  These tests guard the contract
 directly (`k` appends followed by queries cost at most one cold build,
 ever) and check the maintained structures stay identical to a cold
-rebuild, including the gap folds and the incremental correlation
-watermarks layered on top.
+rebuild, including the gap folds and re-correlation of a growing
+capture layered on top.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import pytest
 
 import repro.tracing.index as index_mod
 from repro.tracing import (
-    LaunchExecutionState,
     Level,
     Span,
     SpanKind,
@@ -186,7 +185,7 @@ def test_pure_python_advance_matches_numpy(monkeypatch):
     assert fallback == accelerated
 
 
-# -- incremental correlation (the since_row watermark) ----------------------
+# -- re-correlating a growing capture ---------------------------------------
 
 
 def _layer_with_kernels(layer_id: int, start: int, n_kernels: int, sid: int):
@@ -238,20 +237,14 @@ def test_incremental_correlation_matches_cold():
     cold_result = reconstruct_parents(cold, strict=False)
     cold_kernels = correlate_launch_execution(cold)
 
-    # Incremental: correlate after every batch with rising watermarks.
+    # Live: a cold pass over the whole capture after every batch.
     live = Trace(trace_id=2)
-    state = LaunchExecutionState()
     assigned: dict[int, int] = {}
-    kernels = []
-    seen = 0
     for batch in batches:
         live.extend(batch)
-        result = reconstruct_parents(live, strict=False, since_row=seen)
+        result = reconstruct_parents(live, strict=False)
         assigned.update(result.assigned)
-        kernels.extend(
-            correlate_launch_execution(live, since_row=seen, state=state)
-        )
-        seen = live.watermark
+        kernels = correlate_launch_execution(live)
 
     assert assigned == cold_result.assigned
     assert [k.correlation_id for k in kernels] == [
@@ -265,60 +258,22 @@ def test_incremental_correlation_matches_cold():
 
 def test_incremental_correlation_pairs_across_increments():
     """A launch whose execution arrives in a later increment merges
-    exactly once, when the pair completes."""
+    once the pair completes."""
     trace = Trace(trace_id=1)
     trace.add(Span("k", 0, 10, Level.GPU_KERNEL, span_id=1,
                    kind=SpanKind.LAUNCH, correlation_id=7))
-    state = LaunchExecutionState()
-    first = correlate_launch_execution(trace, since_row=0, state=state)
-    assert first == []
-    watermark = trace.watermark
+    assert correlate_launch_execution(trace) == []
     trace.add(Span("k", 5, 40, Level.GPU_KERNEL, span_id=2,
                    kind=SpanKind.EXECUTION, correlation_id=7))
-    second = correlate_launch_execution(
-        trace, since_row=watermark, state=state
-    )
-    assert [k.correlation_id for k in second] == [7]
-    third = correlate_launch_execution(
-        trace, since_row=trace.watermark, state=state
-    )
-    assert third == []  # already merged, nothing new
-
-
-def test_to_row_pins_the_scan_window():
-    """Rows published after a caller snapshots the watermark must stay
-    out of the pinned window — and be picked up, once, next increment
-    (the LiveMonitor mid-refresh race)."""
-    trace = Trace(trace_id=1)
-    trace.add(Span("k", 0, 10, Level.GPU_KERNEL, span_id=1,
-                   kind=SpanKind.LAUNCH, correlation_id=1))
-    trace.add(Span("k", 5, 40, Level.GPU_KERNEL, span_id=2,
-                   kind=SpanKind.EXECUTION, correlation_id=1))
-    snapshot = trace.watermark
-    # "Mid-refresh" publication, after the snapshot was taken.
-    trace.add(Span("k", 50, 60, Level.GPU_KERNEL, span_id=3,
-                   kind=SpanKind.LAUNCH, correlation_id=2))
-    trace.add(Span("k", 55, 90, Level.GPU_KERNEL, span_id=4,
-                   kind=SpanKind.EXECUTION, correlation_id=2))
-    state = LaunchExecutionState()
-    first = correlate_launch_execution(
-        trace, since_row=0, to_row=snapshot, state=state
-    )
-    assert [k.correlation_id for k in first] == [1]
-    second = correlate_launch_execution(
-        trace, since_row=snapshot, to_row=trace.watermark, state=state
-    )
-    assert [k.correlation_id for k in second] == [2]
+    assert [k.correlation_id for k in correlate_launch_execution(trace)] == [7]
 
 
 def test_incremental_duplicate_launch_detected_across_increments():
     trace = Trace(trace_id=1)
     trace.add(Span("k", 0, 10, Level.GPU_KERNEL, span_id=1,
                    kind=SpanKind.LAUNCH, correlation_id=9))
-    state = LaunchExecutionState()
-    correlate_launch_execution(trace, since_row=0, state=state)
-    watermark = trace.watermark
+    correlate_launch_execution(trace)
     trace.add(Span("k", 20, 30, Level.GPU_KERNEL, span_id=2,
                    kind=SpanKind.LAUNCH, correlation_id=9))
     with pytest.raises(ValueError, match="duplicate launch"):
-        correlate_launch_execution(trace, since_row=watermark, state=state)
+        correlate_launch_execution(trace)

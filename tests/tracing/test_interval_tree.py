@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tracing import Interval, IntervalTree
+from interval_tree import Interval, IntervalTree
 
 
 def test_interval_rejects_inverted():

@@ -1,5 +1,6 @@
 """Unit tests for the tracing server."""
 
+import repro.tracing.server as server_mod
 from repro.tracing import Level, Span, TracingServer
 
 
@@ -40,26 +41,35 @@ def test_end_trace_deactivates():
     assert server.active_trace_id is None
 
 
-def test_subscribers_see_spans():
-    server = TracingServer()
-    seen = []
-    server.subscribe(seen.append)
-    server.begin_trace()
-    server.publish(_span("x"))
-    assert [s.name for s in seen] == ["x"]
-
-
 def test_publish_many_batches_into_columns():
     """The batch ingest path: one lock round, spans land in the active
-    trace's columnar table, subscribers still see every span."""
+    trace's columnar table."""
     server = TracingServer()
-    seen = []
-    server.subscribe(seen.append)
     tid = server.begin_trace()
     server.publish_many(_span(f"s{i}", i, i + 1) for i in range(5))
     trace = server.end_trace(tid)
     assert [s.name for s in trace.spans] == [f"s{i}" for i in range(5)]
-    assert [s.name for s in seen] == [f"s{i}" for i in range(5)]
+
+
+def test_publishing_to_an_open_trace_constructs_no_trace(monkeypatch):
+    """The destination lookup builds a ``Trace`` only on a miss, not a
+    throwaway one per published span."""
+    server = TracingServer()
+    tid = server.begin_trace()
+    constructed = []
+    real_trace = server_mod.Trace
+
+    def counting_trace(*args, **kwargs):
+        constructed.append(kwargs.get("trace_id"))
+        return real_trace(*args, **kwargs)
+
+    monkeypatch.setattr(server_mod, "Trace", counting_trace)
+    n = 50
+    server.publish_many(_span(f"s{i}", i, i + 1) for i in range(n))
+    for i in range(n):
+        server.publish(_span(f"p{i}", i, i + 1))
+    assert constructed == []
+    assert len(server.end_trace(tid)) == 2 * n
 
 
 def test_publish_many_drops_spans_for_ended_traces():

@@ -1,10 +1,11 @@
-"""Sweep-line correlator == interval-tree reference, on adversarial forests.
+"""Sweep-line correlator == interval-tree oracle, on adversarial forests.
 
-The sweep-line engine replaces the per-orphan interval-tree queries in
-``reconstruct_parents``; these tests pin its exact equivalence — parent
-assignments, ambiguity detection, and strict-mode raises — on randomly
-generated span forests that deliberately mix nesting, partial overlap,
-identical intervals, touching endpoints, and skipped levels.
+``reconstruct_parents`` is one sweep with per-level active-parent
+stacks; these tests pin its exact equivalence with per-orphan
+interval-tree queries (``interval_tree.tree_reconstruct_parents``) —
+parent assignments, ambiguity detection, and strict-mode raises — on
+randomly generated span forests that deliberately mix nesting, partial
+overlap, identical intervals, touching endpoints, and skipped levels.
 """
 
 import random
@@ -12,6 +13,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from interval_tree import tree_reconstruct_parents
 
 from repro.tracing import (
     AmbiguousParentError,
@@ -61,10 +63,10 @@ def _parents(trace: Trace) -> dict[int, int | None]:
     return {s.span_id: s.parent_id for s in trace.spans}
 
 
-def _run(trace: Trace, *, strict: bool, engine: str):
+def _run(reconstruct, trace: Trace, *, strict: bool):
     """(parents, assigned, ambiguous-ids, raised-span-id or None)."""
     try:
-        result = reconstruct_parents(trace, strict=strict, engine=engine)
+        result = reconstruct(trace, strict=strict)
     except AmbiguousParentError as err:
         return (
             _parents(trace),
@@ -88,8 +90,8 @@ def test_sweep_matches_tree_on_random_forests(seed, strict):
     forest_tree = _random_forest(random.Random(seed * 1009 + 1), n)
     forest_sweep = _random_forest(random.Random(seed * 1009 + 1), n)
     assert _parents(forest_tree) == _parents(forest_sweep)  # same input
-    out_tree = _run(forest_tree, strict=strict, engine="tree")
-    out_sweep = _run(forest_sweep, strict=strict, engine="sweep")
+    out_tree = _run(tree_reconstruct_parents, forest_tree, strict=strict)
+    out_sweep = _run(reconstruct_parents, forest_sweep, strict=strict)
     assert out_tree == out_sweep
 
 
@@ -113,9 +115,10 @@ def test_sweep_matches_tree_hypothesis(intervals):
             t.add(Span(f"s{i}", start, start + width, level, span_id=i))
         return t
 
-    t_tree, t_sweep = build(), build()
-    assert _run(t_tree, strict=False, engine="tree") == \
-        _run(t_sweep, strict=False, engine="sweep")
+    for strict in (False, True):
+        t_tree, t_sweep = build(), build()
+        assert _run(tree_reconstruct_parents, t_tree, strict=strict) == \
+            _run(reconstruct_parents, t_sweep, strict=strict)
 
 
 def test_sweep_detects_identical_interval_ambiguity():
@@ -124,7 +127,7 @@ def test_sweep_detects_identical_interval_ambiguity():
     t.add(Span("layerB", 0, 500, Level.LAYER, span_id=2))
     t.add(Span("launch", 100, 110, Level.GPU_KERNEL, span_id=3,
                kind=SpanKind.LAUNCH, correlation_id=1))
-    result = reconstruct_parents(t, strict=False, engine="sweep")
+    result = reconstruct_parents(t, strict=False)
     assert result.needs_serialized_rerun
     assert t.by_id()[3].parent_id is None
 
@@ -136,7 +139,7 @@ def test_sweep_strict_raises_on_partial_overlap():
     t.add(Span("launch", 200, 210, Level.GPU_KERNEL, span_id=3,
                kind=SpanKind.LAUNCH, correlation_id=1))
     with pytest.raises(AmbiguousParentError, match="CUDA_LAUNCH_BLOCKING"):
-        reconstruct_parents(t, strict=True, engine="sweep")
+        reconstruct_parents(t, strict=True)
 
 
 def test_sweep_picks_tightest_nested_parent():
@@ -145,7 +148,7 @@ def test_sweep_picks_tightest_nested_parent():
     t.add(Span("inner", 100, 900, Level.LAYER, span_id=2, parent_id=1))
     t.add(Span("launch", 200, 210, Level.GPU_KERNEL, span_id=3,
                kind=SpanKind.LAUNCH, correlation_id=1))
-    reconstruct_parents(t, engine="sweep")
+    reconstruct_parents(t)
     assert t.by_id()[3].parent_id == 2
 
 
@@ -168,12 +171,8 @@ def test_sweep_handles_sequential_layers_without_stack_growth():
         expected[launch_id] = sid
         cursor += 150
         sid += 2
-    reconstruct_parents(t, engine="sweep")
+    reconstruct_parents(t)
     by_id = t.by_id()
     for launch_id, layer_id in expected.items():
         assert by_id[launch_id].parent_id == layer_id
 
-
-def test_unknown_engine_rejected():
-    with pytest.raises(ValueError, match="unknown correlation engine"):
-        reconstruct_parents(Trace(trace_id=1), engine="quadtree")
