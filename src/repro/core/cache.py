@@ -220,7 +220,9 @@ class ProfileStore:
         )
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(document, fh)
+                # One dumps() call runs the C encoder; json.dump() streams
+                # through the pure-Python one.  The bytes are identical.
+                fh.write(json.dumps(document))
             os.replace(tmp, path)
         except BaseException:
             try:

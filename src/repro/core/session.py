@@ -306,18 +306,24 @@ class XSPSession:
             self.server.annotate_trace(trace_id, application=name)
         app_span_id = new_span_id()
         cursor = 0
+        # Every evaluation numbers its correlation ids from 1; shifting each
+        # past the ids already published keeps one launch per id.
+        correlation_base = 0
         for graph, batch in workload:
             run = self.profile(graph, batch, config)
             runs.append(run)
             lo, hi = run.trace.span_extent_ns()
             offset = cursor - lo
             cursor += (hi - lo) + 1_000  # 1 us gap between evaluations
+            table = run.trace.table
             self.server.publish_rows(
                 trace_id,
                 self._shifted_rows(
-                    run.trace.table, offset, app_span_id, graph.name
+                    table, offset, correlation_base, app_span_id, graph.name
                 ),
             )
+            # Rows without a correlation id hold NONE_ID (-1).
+            correlation_base += max(0, max(table.correlation_id, default=0))
         app_span = Span(
             name=name,
             start_ns=0,
@@ -333,13 +339,18 @@ class XSPSession:
 
     @staticmethod
     def _shifted_rows(
-        table, offset: int, app_span_id: int, model_name: str
+        table,
+        offset: int,
+        correlation_offset: int,
+        app_span_id: int,
+        model_name: str,
     ):
         """One finished evaluation's rows, time-shifted, as add_row fields.
 
         Streams straight from the run's columnar table — no intermediate
         span list; model-level roots are re-parented under the (pending)
-        application span.
+        application span, and correlation ids move up by
+        ``correlation_offset``.
         """
         model_code = int(Level.MODEL)
         levels = table.level
@@ -347,6 +358,9 @@ class XSPSession:
             parent_id = table.parent_id_of(row)
             if parent_id is None and levels[row] == model_code:
                 parent_id = app_span_id
+            correlation_id = table.correlation_id_of(row)
+            if correlation_id is not None:
+                correlation_id += correlation_offset
             yield dict(
                 name=table.name_of(row),
                 start_ns=table.start_ns[row] + offset,
@@ -355,7 +369,7 @@ class XSPSession:
                 span_id=table.span_id[row],
                 parent_id=parent_id,
                 kind=table.kind[row],
-                correlation_id=table.correlation_id_of(row),
+                correlation_id=correlation_id,
                 tags=dict(table.peek_tags(row), model=model_name),
             )
 

@@ -7,6 +7,14 @@ allocates the output tensor, launches the layer's kernels, and waits for
 the stream.  The difference between a layer's latency and its kernels'
 device time is the paper's "non-GPU latency" (Fig. 8).
 
+Leveled experimentation (Sec. III-C) runs the same compiled model on the
+same GPU and batch once per rung; only the attached profilers differ.
+Everything that does not depend on the profilers — each layer's output
+bytes, host cost and tagged kernel specs, and the kernels' clean
+durations per run index — is therefore computed once into an
+:class:`ExecutionPlan` cached on the :class:`CompiledModel`, and every
+:meth:`Framework.predict` replays that plan on the virtual clock.
+
 The built-in layer profiler mirrors the real frameworks': enabling it adds
 per-layer overhead to the prediction latency while the recorded per-layer
 latencies stay accurate (the basis of leveled experimentation, Fig. 2);
@@ -35,6 +43,8 @@ from repro.sim.calibration import (
     ProfilingCalibration,
 )
 from repro.sim.cuda import CudaRuntime
+from repro.sim.hardware import GPUSpec
+from repro.sim.kernels import KernelSpec, kernel_duration_ns
 from repro.sim.memory import Allocation
 
 
@@ -72,6 +82,53 @@ class PredictionResult:
         return self.latency_ns / 1e6
 
 
+@dataclass(frozen=True)
+class PlanStep:
+    """One layer of an :class:`ExecutionPlan`: all but the per-run state."""
+
+    layer: PlanLayer
+    out_shape: TensorShape
+    #: Output tensor bytes allocated for the layer (0: no allocation).
+    out_bytes: int
+    #: Host-side scheduling cost, already clamped to its floor.
+    host_us: float
+    #: The layer's kernels, tagged with its index and name; ``None`` for
+    #: the ``Data`` layer, which copies the input to the device instead.
+    #: Shared by every replay, so consumers must only read their tags.
+    kernels: tuple[KernelSpec, ...] | None
+    #: Inputs whose last consumer is this layer, freed once it finishes.
+    frees: tuple[str, ...]
+
+
+@dataclass
+class ExecutionPlan:
+    """One (compiled model, batch, GPU) execution, ready to replay."""
+
+    gpu: GPUSpec
+    steps: tuple[PlanStep, ...]
+    _durations: dict[int, tuple[tuple[int, ...], ...]] = field(
+        default_factory=dict
+    )
+
+    def clean_durations(self, run_index: int) -> tuple[tuple[int, ...], ...]:
+        """Per step, its kernels' clean device durations for one run.
+
+        The run-to-run jitter is seeded by ``run_index``, so durations are
+        cached per run index.
+        """
+        durations = self._durations.get(run_index)
+        if durations is None:
+            gpu = self.gpu
+            durations = self._durations[run_index] = tuple(
+                tuple(
+                    kernel_duration_ns(spec, gpu, run_index=run_index)
+                    for spec in step.kernels or ()
+                )
+                for step in self.steps
+            )
+        return durations
+
+
 @dataclass
 class CompiledModel:
     """A graph compiled for one framework."""
@@ -81,6 +138,9 @@ class CompiledModel:
     framework: str
     weight_bytes: int
     _shape_cache: dict[int, dict[str, TensorShape]] = field(default_factory=dict)
+    _execution_plans: dict[tuple[int, GPUSpec], ExecutionPlan] = field(
+        default_factory=dict
+    )
 
     def shapes(self, batch: int) -> dict[str, TensorShape]:
         if batch not in self._shape_cache:
@@ -180,31 +240,64 @@ class Framework(abc.ABC):
         clock = rt.clock
         profiling = self._profiling_active(options)
         shapes = model.shapes(batch)
+        plan = self.execution_plan(model, batch)
+
+        memory = rt.memory
 
         start_ns = clock.now()
         clock.advance_us(self.host.run_fixed_us + self.host.per_image_us * batch)
         weights: Allocation | None = None
         if model.weight_bytes:
-            weights = rt.memory.alloc(
+            weights = memory.alloc(
                 model.weight_bytes, tag="__weights__", timestamp_ns=clock.now()
             )
 
-        refcounts = self._consumer_counts(model.plan)
         live: dict[str, Allocation] = {}
         records: list[LayerRecord] = []
+        layer_us = self.profiling_calibration.framework_layer_us
+        durations = plan.clean_durations(rt.run_index)
 
-        for layer in model.plan:
-            out_shape = shapes[layer.source]
-            self._execute_layer(layer, out_shape, shapes, live, records, profiling)
-            self._release_dead_inputs(layer, refcounts, live)
+        for step, clean_ns in zip(plan.steps, durations):
+            layer = step.layer
+            layer_start = clock.now()
+            clock.advance_us(step.host_us)
+            if step.out_bytes:
+                live[layer.name] = memory.alloc(
+                    step.out_bytes, tag=layer.name, timestamp_ns=clock.now()
+                )
+            if step.kernels is None:
+                # Feeding the input: host-to-device copy of the input tensor.
+                rt.memcpy(step.out_shape.nbytes, kind="h2d")
+            else:
+                for spec, spec_ns in zip(step.kernels, clean_ns):
+                    rt.launch_kernel(spec, clean_ns=spec_ns)
+                rt.stream_synchronize()
+            if profiling:
+                records.append(
+                    LayerRecord(
+                        index=layer.index,
+                        name=layer.name,
+                        layer_type=layer.layer_type,
+                        shape=step.out_shape.dims,
+                        start_ns=layer_start,
+                        end_ns=clock.now(),
+                        alloc_bytes=step.out_bytes,
+                    )
+                )
+                # The profiler's own record-keeping cost lands *after* the
+                # measured region: layer latencies stay accurate while the
+                # prediction latency inflates (Fig. 2).
+                clock.advance_us(layer_us)
+            for name in step.frees:
+                memory.free(live.pop(name), timestamp_ns=clock.now())
 
         # Copy the model output(s) back to the host.
         for out in model.graph.outputs():
             rt.memcpy(shapes[out.name].nbytes, kind="d2h")
         for alloc in live.values():
-            rt.memory.free(alloc, timestamp_ns=clock.now())
+            memory.free(alloc, timestamp_ns=clock.now())
         if weights is not None:
-            rt.memory.free(weights, timestamp_ns=clock.now())
+            memory.free(weights, timestamp_ns=clock.now())
 
         end_ns = clock.now()
         return PredictionResult(
@@ -215,89 +308,70 @@ class Framework(abc.ABC):
                 out.name: shapes[out.name].dims for out in model.graph.outputs()
             },
             native_profile=self.serialize_profile(records) if profiling else None,
-            peak_device_memory_bytes=rt.memory.peak_bytes,
+            peak_device_memory_bytes=memory.peak_bytes,
         )
 
-    # -- internals ---------------------------------------------------------------------
-    def _execute_layer(
-        self,
-        layer: PlanLayer,
-        out_shape: TensorShape,
-        shapes: dict[str, TensorShape],
-        live: dict[str, Allocation],
-        records: list[LayerRecord],
-        profiling: bool,
-    ) -> None:
-        rt = self.runtime
-        clock = rt.clock
-        layer_start = clock.now()
-
-        out_bytes = 0 if layer.op in ("Reshape",) else out_shape.nbytes
-        extra_fixed, extra_per_mb, extra_per_image = self.HOST_EXTRA_US.get(
-            layer.op, (0.0, 0.0, 0.0)
-        )
-        out_mb = out_bytes / 1e6
-        host_us = (
-            self.host.layer_fixed_us
-            + self.host.layer_per_mb_us * out_mb
-            + extra_fixed
-            + extra_per_mb * out_mb
-            + extra_per_image * out_shape.batch
-        )
-        clock.advance_us(max(0.5, host_us))
-
-        if out_bytes:
-            live[layer.name] = rt.memory.alloc(
-                out_bytes, tag=layer.name, timestamp_ns=clock.now()
+    # -- execution plans ---------------------------------------------------------
+    def execution_plan(self, model: CompiledModel, batch: int) -> ExecutionPlan:
+        """The replayable plan of ``model`` at ``batch`` on this runtime's
+        GPU, built on first use and cached on the compiled model."""
+        gpu = self.runtime.gpu
+        key = (batch, gpu)
+        plan = model._execution_plans.get(key)
+        if plan is None:
+            plan = model._execution_plans[key] = ExecutionPlan(
+                gpu=gpu, steps=self._plan_steps(model, batch)
             )
+        return plan
 
-        if layer.op == "Data":
-            # Feeding the input: host-to-device copy of the input tensor.
-            rt.memcpy(out_shape.nbytes, kind="h2d")
-        else:
-            for spec in self.emit_kernels(layer, shapes):
-                rt.launch_kernel(
-                    spec.with_tags(layer_index=layer.index, layer_name=layer.name)
-                )
-            rt.stream_synchronize()
-
-        layer_end = clock.now()
-        if profiling:
-            records.append(
-                LayerRecord(
-                    index=layer.index,
-                    name=layer.name,
-                    layer_type=layer.layer_type,
-                    shape=out_shape.dims,
-                    start_ns=layer_start,
-                    end_ns=layer_end,
-                    alloc_bytes=out_bytes,
-                )
-            )
-            # The profiler's own record-keeping cost lands *after* the
-            # measured region: layer latencies stay accurate while the
-            # prediction latency inflates (Fig. 2).
-            clock.advance_us(self.profiling_calibration.framework_layer_us)
-
-    @staticmethod
-    def _consumer_counts(plan: list[PlanLayer]) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for layer in plan:
+    def _plan_steps(
+        self, model: CompiledModel, batch: int
+    ) -> tuple[PlanStep, ...]:
+        shapes = model.shapes(batch)
+        host = self.host
+        remaining: dict[str, int] = {}
+        for layer in model.plan:
             for inp in layer.inputs:
-                counts[inp] = counts.get(inp, 0) + 1
-        return counts
-
-    def _release_dead_inputs(
-        self,
-        layer: PlanLayer,
-        refcounts: dict[str, int],
-        live: dict[str, Allocation],
-    ) -> None:
-        for inp in layer.inputs:
-            if inp not in refcounts:
-                continue
-            refcounts[inp] -= 1
-            if refcounts[inp] == 0 and inp in live:
-                self.runtime.memory.free(
-                    live.pop(inp), timestamp_ns=self.runtime.clock.now()
+                remaining[inp] = remaining.get(inp, 0) + 1
+        allocated: set[str] = set()
+        steps = []
+        for layer in model.plan:
+            out_shape = shapes[layer.source]
+            out_bytes = 0 if layer.op == "Reshape" else out_shape.nbytes
+            extra_fixed, extra_per_mb, extra_per_image = self.HOST_EXTRA_US.get(
+                layer.op, (0.0, 0.0, 0.0)
+            )
+            out_mb = out_bytes / 1e6
+            host_us = (
+                host.layer_fixed_us
+                + host.layer_per_mb_us * out_mb
+                + extra_fixed
+                + extra_per_mb * out_mb
+                + extra_per_image * out_shape.batch
+            )
+            kernels = None
+            if layer.op != "Data":
+                kernels = tuple(
+                    spec.with_tags(layer_index=layer.index, layer_name=layer.name)
+                    for spec in self.emit_kernels(layer, shapes)
                 )
+            if out_bytes:
+                allocated.add(layer.name)
+            # Liveness-based freeing: an input dies with its last consumer.
+            frees = []
+            for inp in layer.inputs:
+                remaining[inp] -= 1
+                if remaining[inp] == 0 and inp in allocated:
+                    allocated.discard(inp)
+                    frees.append(inp)
+            steps.append(
+                PlanStep(
+                    layer=layer,
+                    out_shape=out_shape,
+                    out_bytes=out_bytes,
+                    host_us=max(0.5, host_us),
+                    kernels=kernels,
+                    frees=tuple(frees),
+                )
+            )
+        return tuple(steps)

@@ -129,14 +129,22 @@ class CudaRuntime:
         self._memcpy_callbacks.append(callback)
 
     # -- kernel launch -------------------------------------------------------
-    def launch_kernel(self, spec: KernelSpec, stream_id: int = 0) -> KernelLaunchRecord:
-        """Launch a kernel asynchronously; returns its combined record."""
+    def launch_kernel(
+        self, spec: KernelSpec, stream_id: int = 0, clean_ns: int | None = None
+    ) -> KernelLaunchRecord:
+        """Launch a kernel asynchronously; returns its combined record.
+
+        ``clean_ns`` is the kernel's single-pass device duration on this
+        GPU at this run index when the caller already knows it (a
+        framework replaying its execution plan); it is computed otherwise.
+        """
         stream = self.stream(stream_id)
         api_start = self.clock.now()
-        self.clock.advance(self.launch_overhead_ns + self.profiler_launch_overhead_ns)
-        api_end = self.clock.now()
-
-        clean_ns = kernel_duration_ns(spec, self.gpu, run_index=self.run_index)
+        api_end = self.clock.advance(
+            self.launch_overhead_ns + self.profiler_launch_overhead_ns
+        )
+        if clean_ns is None:
+            clean_ns = kernel_duration_ns(spec, self.gpu, run_index=self.run_index)
         busy_ns = (
             clean_ns * self.profiler_replay_passes
             + self.profiler_pass_overhead_ns * max(0, self.profiler_replay_passes - 1)

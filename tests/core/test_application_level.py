@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import ProfilingConfig, XSPSession
-from repro.tracing import Level
+from repro.tracing import Level, correlate_launch_execution
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +67,21 @@ def test_mixed_model_application(cnn_graph):
     )
     models = {s.tags.get("model") for s in trace.at_level(Level.LAYER)}
     assert models == {"small_cnn", "DeepLabv3_MobileNet_v2"}
+
+
+def test_application_capture_correlates(app):
+    """Each evaluation numbers its launches from 1; the capture keeps one
+    launch and one execution per correlation id."""
+    trace, runs = app
+    kernels = correlate_launch_execution(trace)
+    assert len(kernels) == sum(len(run.kernels) for run in runs)
+    ids = [mk.correlation_id for mk in kernels]
+    assert len(set(ids)) == len(ids)
+    predicts = [s for s in trace.at_level(Level.MODEL) if s.name == "predict"]
+    for mk in kernels:
+        assert mk.launch.correlation_id == mk.execution.correlation_id == \
+            mk.correlation_id
+        # Launch and execution come from the same evaluation.
+        (owner,) = [p for p in predicts if p.contains(mk.launch)]
+        assert owner.contains(mk.execution)
+

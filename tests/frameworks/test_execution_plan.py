@@ -1,0 +1,110 @@
+"""Execution-plan replay: each (compiled model, batch, GPU) is lowered to
+kernels once, and its clean kernel durations are computed once per run
+index, however many leveled runs replay it."""
+
+from __future__ import annotations
+
+import pytest
+
+import repro.frameworks.base as base
+import repro.sim.cuda as cuda
+from repro.core import AnalysisPipeline, ProfilingConfig, XSPSession
+from repro.core.session import FRAMEWORKS
+from repro.frameworks import MXSim, TFSim
+from repro.sim import CudaRuntime, VirtualClock, eigen, get_system
+
+
+@pytest.fixture()
+def counts(monkeypatch):
+    """Counters on kernel emission (per framework) and duration model."""
+    calls = {"emit": 0, "duration": 0}
+    for cls in (TFSim, MXSim):
+        original = cls.emit_kernels
+
+        def emit(self, layer, shapes, _original=original):
+            calls["emit"] += 1
+            return _original(self, layer, shapes)
+
+        monkeypatch.setattr(cls, "emit_kernels", emit)
+    duration = base.kernel_duration_ns
+
+    def counted_duration(spec, gpu, *, run_index=0):
+        calls["duration"] += 1
+        return duration(spec, gpu, run_index=run_index)
+
+    # Patched where it is looked up: plan building and direct launches.
+    monkeypatch.setattr(base, "kernel_duration_ns", counted_duration)
+    monkeypatch.setattr(cuda, "kernel_duration_ns", counted_duration)
+    return calls
+
+
+def _plan_size(framework: str, graph, batch: int) -> tuple[int, int]:
+    """(layers that emit kernels, kernels) of one execution plan."""
+    fw = FRAMEWORKS[framework](
+        CudaRuntime(get_system("Tesla_V100"), VirtualClock())
+    )
+    plan = fw.execution_plan(fw.load(graph), batch)
+    emitting = [step for step in plan.steps if step.kernels is not None]
+    return len(emitting), sum(len(step.kernels) for step in emitting)
+
+
+@pytest.mark.parametrize("framework", ["tensorflow_like", "mxnet_like"])
+def test_ladder_emits_each_layer_once(cnn_graph, framework, counts):
+    layers, kernels = _plan_size(framework, cnn_graph, 2)
+    counts.update(emit=0, duration=0)
+    session = XSPSession("Tesla_V100", framework)
+    AnalysisPipeline(session, runs_per_level=1).profile_model(cnn_graph, 2)
+    # Four ladder runs (M, M/L, M/L/G, M/L/G+metrics), one plan.
+    assert counts == {"emit": layers, "duration": kernels}
+
+
+def test_durations_computed_once_per_run_index(cnn_graph, counts):
+    layers, kernels = _plan_size("tensorflow_like", cnn_graph, 2)
+    counts.update(emit=0, duration=0)
+    session = XSPSession("Tesla_V100", "tensorflow_like")
+    AnalysisPipeline(session, runs_per_level=3).profile_model(cnn_graph, 2)
+    assert counts == {"emit": layers, "duration": 3 * kernels}
+
+
+def test_serialized_run_replays_the_same_plan(cnn_graph, counts):
+    layers, kernels = _plan_size("tensorflow_like", cnn_graph, 2)
+    counts.update(emit=0, duration=0)
+    session = XSPSession("Tesla_V100", "tensorflow_like")
+    plain = session.profile(cnn_graph, 2, ProfilingConfig(metrics=()))
+    retry = session.profile(
+        cnn_graph, 2, ProfilingConfig(metrics=(), serialized=True)
+    )
+    assert counts == {"emit": layers, "duration": kernels}
+    # CUDA_LAUNCH_BLOCKING changes the timeline, not the kernels.
+    assert [mk.name for mk in retry.kernels] == [mk.name for mk in plain.kernels]
+    assert [mk.duration_ns for mk in retry.kernels] == [
+        mk.duration_ns for mk in plain.kernels
+    ]
+
+
+def test_new_batch_or_gpu_builds_its_own_plan(cnn_graph, counts):
+    layers, _ = _plan_size("tensorflow_like", cnn_graph, 2)
+    counts.update(emit=0, duration=0)
+    v100 = TFSim(CudaRuntime(get_system("Tesla_V100"), VirtualClock()))
+    p100 = TFSim(CudaRuntime(get_system("Tesla_P100"), VirtualClock()))
+    model = v100.load(cnn_graph)
+    v100.predict(model, 2)
+    v100.predict(model, 2)
+    assert counts["emit"] == layers
+    v100.predict(model, 4)
+    assert counts["emit"] == 2 * layers
+    p100.predict(model, 2)
+    assert counts["emit"] == 3 * layers
+    plan = v100.execution_plan(model, 2)
+    assert v100.execution_plan(model, 2) is plan
+    assert p100.execution_plan(model, 2) is not plan
+    assert p100.execution_plan(model, 2).gpu.name == "Tesla_P100"
+
+
+def test_direct_launch_computes_its_duration(counts):
+    rt = CudaRuntime(get_system("Tesla_V100"), VirtualClock())
+    spec = eigen.max_kernel(1 << 20)
+    computed = rt.launch_kernel(spec)
+    given = rt.launch_kernel(spec, clean_ns=computed.duration_ns)
+    assert counts["duration"] == 1
+    assert given.duration_ns == computed.duration_ns
