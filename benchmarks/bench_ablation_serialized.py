@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import MLG, ProfilingConfig, XSPSession
+from repro.core.pipeline import profile_from_trace
 from repro.models import get_model
 
 BATCH = 16
@@ -42,11 +43,10 @@ def test_serialized_profiling_same_attribution(benchmark, session, graph):
         graph, BATCH, ProfilingConfig(levels=MLG, metrics=())
     )
     serialized_kernels = {
-        (k.name, layer) for layer, ks in run.kernels_by_layer().items()
-        for k in ks
+        (k.name, k.layer_index) for k in profile_from_trace(run.trace).kernels
     }
     async_kernels = {
-        (k.name, layer) for layer, ks in async_run.kernels_by_layer().items()
-        for k in ks
+        (k.name, k.layer_index)
+        for k in profile_from_trace(async_run.trace).kernels
     }
     assert serialized_kernels == async_kernels

@@ -17,9 +17,8 @@ latency when profilers up to level n+1 are enabled".
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
-from repro.core.levels import LADDER, ProfilingLevelSet
+from repro.core.levels import LADDER
 from repro.core.session import ProfiledRun, ProfilingConfig, XSPSession
 from repro.core.stats import Statistic, trimmed_mean
 from repro.frameworks.graph import Graph
@@ -83,16 +82,12 @@ class LeveledExperiment:
         *,
         runs_per_level: int = 3,
         statistic: Statistic = trimmed_mean,
-        metrics: Sequence[str] = SUPPORTED_METRICS,
-        ladder: Sequence[ProfilingLevelSet] = LADDER,
     ) -> None:
         if runs_per_level < 1:
             raise ValueError("runs_per_level must be >= 1")
         self.session = session
         self.runs_per_level = runs_per_level
         self.statistic = statistic
-        self.metrics = tuple(metrics)
-        self.ladder = tuple(ladder)
 
     def run(self, graph: Graph, batch: int) -> LeveledResult:
         result = LeveledResult(
@@ -106,7 +101,7 @@ class LeveledExperiment:
         # collection replays kernels (DRAM counters cost >20 passes) and
         # would swamp the overhead subtraction the ladder exists for.
         base = ProfilingConfig(metrics=())
-        for level_set in self.ladder:
+        for level_set in LADDER:
             config = replace(base, levels=level_set)
             runs = []
             for i in range(self.runs_per_level):
@@ -117,13 +112,12 @@ class LeveledExperiment:
         # Dedicated metric-collection runs (nvprof-style): wall time is
         # heavily inflated by replay, but CUPTI reports clean single-pass
         # kernel durations plus the requested counters.
-        if self.metrics:
-            deepest = self.ladder[-1]
-            config = ProfilingConfig(levels=deepest, metrics=self.metrics)
-            runs = []
-            for i in range(self.runs_per_level):
-                runs.append(
-                    self.session.profile(graph, batch, replace(config, run_index=i))
-                )
-            result.runs[deepest.label + "+metrics"] = runs
+        deepest = LADDER[-1]
+        config = ProfilingConfig(levels=deepest, metrics=SUPPORTED_METRICS)
+        runs = []
+        for i in range(self.runs_per_level):
+            runs.append(
+                self.session.profile(graph, batch, replace(config, run_index=i))
+            )
+        result.runs[deepest.label + "+metrics"] = runs
         return result

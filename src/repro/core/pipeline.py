@@ -13,15 +13,17 @@ from __future__ import annotations
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.leveled import LeveledExperiment, LeveledResult
-from repro.core.session import ProfiledRun, ProfilingConfig, XSPSession
+from repro.core.session import ProfilingConfig, XSPSession
 from repro.core.stats import Statistic, trimmed_mean
 from repro.frameworks.graph import Graph
 from repro.sim.hardware import GPUSpec, get_system
-from repro.tracing.span import seed_span_ids
+from repro.tracing.span import Level, SpanKind, seed_span_ids
+from repro.tracing.table import _KIND_CODE, NONE_ID
+from repro.tracing.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - cache imports pipeline, not vice versa
     from repro.core.cache import ProfileStore
@@ -209,6 +211,110 @@ class ModelProfile:
     def memory_bound(self) -> bool:
         """Paper's roofline rule applied to the whole model (A15)."""
         return self.arithmetic_intensity < self.gpu.ideal_arithmetic_intensity
+
+
+def profile_from_trace(trace: Trace) -> ModelProfile:
+    """A single-run profile view of one captured across-stack trace.
+
+    Layer spans supply the layer latencies; correlated execution spans
+    supply the kernels and their ``metric.*`` tags.
+    :meth:`AnalysisPipeline.merge` builds the accurate profile from one
+    such view per leveled run.
+
+    Accuracy note (paper Sec. III-C): a trace mixes levels captured in
+    one run, so layer latencies carry the GPU-profiling overhead the
+    leveled pipeline removes — good enough for diffing two traces
+    captured the same way, not a substitute for the merged profile.
+
+    Consumes the trace's columnar storage directly (row partitions from
+    the index, read-only tag access) — no span objects are materialized.
+    """
+    table = trace.table
+    index = trace.index
+    starts = table.start_ns
+    ends = table.end_ns
+    span_ids = table.span_id
+    parents = table.parent_id
+    level_rows = index.level_rows()
+
+    tagged_rows = sorted(
+        ((table.peek_tags(row), row) for row in level_rows.get(Level.LAYER, [])),
+        key=lambda pair: pair[0].get("layer_index", 0),
+    )
+    layers: list[LayerProfile] = []
+    by_layer_span: dict[int, LayerProfile] = {}
+    for tags, row in tagged_rows:
+        layer = LayerProfile(
+            index=int(tags.get("layer_index", len(layers))),
+            name=table.name_of(row),
+            layer_type=str(tags.get("layer_type", "unknown")),
+            shape=tuple(tags.get("shape", ())),
+            latency_ms=(ends[row] - starts[row]) / 1e6,
+            alloc_bytes=int(tags.get("alloc_bytes", 0)),
+        )
+        layers.append(layer)
+        by_layer_span[span_ids[row]] = layer
+    # Kernels hang off their layer span directly, or — when the library
+    # level was captured — via an intermediate cuDNN/cuBLAS API span, so
+    # resolve through the ancestor chain up to the enclosing layer.
+    row_by_id = index.row_by_id()
+
+    def enclosing_layer(row: int) -> LayerProfile | None:
+        seen: set[int] = set()
+        parent_id = parents[row]
+        while parent_id != NONE_ID and parent_id not in seen:
+            layer = by_layer_span.get(parent_id)
+            if layer is not None:
+                return layer
+            seen.add(parent_id)
+            parent_row = row_by_id.get(parent_id)
+            parent_id = parents[parent_row] if parent_row is not None else NONE_ID
+        return None
+
+    execution_code = _KIND_CODE[SpanKind.EXECUTION]
+    kinds = table.kind
+    for row in level_rows.get(Level.GPU_KERNEL, []):
+        if kinds[row] != execution_code:
+            continue
+        layer = enclosing_layer(row)
+        if layer is None:
+            continue  # kernel outside any layer span
+        tags = table.peek_tags(row)
+        layer.kernels.append(
+            KernelProfile(
+                name=table.name_of(row),
+                layer_index=layer.index,
+                position=len(layer.kernels),
+                latency_ms=(ends[row] - starts[row]) / 1e6,
+                flops=float(tags.get("metric.flop_count_sp", 0.0)),
+                dram_read_bytes=float(tags.get("metric.dram_read_bytes", 0.0)),
+                dram_write_bytes=float(
+                    tags.get("metric.dram_write_bytes", 0.0)
+                ),
+                achieved_occupancy=float(
+                    tags.get("metric.achieved_occupancy", 0.0)
+                ),
+                grid=tuple(tags.get("grid", (1, 1, 1))),
+                block=tuple(tags.get("block", (1, 1, 1))),
+            )
+        )
+    predict = trace.first_named("predict")
+    if predict is not None:
+        model_latency_ms = predict.duration_ms
+    else:
+        lo, hi = trace.span_extent_ns()
+        model_latency_ms = (hi - lo) / 1e6
+    meta = trace.metadata
+    return ModelProfile(
+        model_name=str(meta.get("model", f"trace-{trace.trace_id}")),
+        system=str(meta.get("system", "unknown")),
+        framework=str(meta.get("framework", "unknown")),
+        batch=int(meta.get("batch", 1)),
+        model_latency_ms=model_latency_ms,
+        layers=layers,
+        n_runs=1,
+        metadata={"source": "trace", "trace_id": trace.trace_id},
+    )
 
 
 def _statistic_name(statistic: Statistic) -> str:
@@ -471,20 +577,42 @@ class AnalysisPipeline:
     def merge(self, leveled: LeveledResult) -> ModelProfile:
         """Combine per-level runs into one accurate profile.
 
-        Layer latencies come from the M/L runs (trimmed mean across
-        repetitions); kernel-to-layer attribution and kernel data come
-        from the M/L/G runs; the model latency comes from the M runs.
+        Every run is first reduced to its single-run view
+        (:func:`profile_from_trace`); the statistic then merges the views
+        position by position.  Layer latencies come from the M/L runs,
+        kernel data and kernel latencies from the metric-collection runs
+        (matched by layer index and position within the layer), and the
+        model latency from the M runs.
         """
-        ml_runs = leveled.runs_at("M/L")
-        # Kernel data comes from the dedicated metric-collection runs when
-        # present (their CUPTI kernel durations are clean single-pass
-        # times); otherwise from the plain M/L/G rung.
-        try:
-            mlg_runs = leveled.runs_at("M/L/G+metrics")
-        except KeyError:
-            mlg_runs = leveled.runs_at("M/L/G")
-        layers = self._merge_layers(ml_runs)
-        self._attach_kernels(layers, mlg_runs)
+        views = [profile_from_trace(r.trace) for r in leveled.runs_at("M/L")]
+        layers = [
+            LayerProfile(
+                index=first.index,
+                name=first.name,
+                layer_type=first.layer_type,
+                shape=first.shape,
+                latency_ms=self.statistic(
+                    [v.layers[pos].latency_ms for v in views if pos < len(v.layers)]
+                ),
+                alloc_bytes=first.alloc_bytes,
+            )
+            for pos, first in enumerate(views[0].layers)
+        ]
+        # Metric runs report clean single-pass CUPTI kernel durations.
+        samples: dict[tuple[int, int], list[float]] = {}
+        reference: dict[tuple[int, int], KernelProfile] = {}
+        for run in leveled.runs_at("M/L/G+metrics"):
+            for kernel in profile_from_trace(run.trace).kernels:
+                key = (kernel.layer_index, kernel.position)
+                samples.setdefault(key, []).append(kernel.latency_ms)
+                reference.setdefault(key, kernel)
+        by_index = {layer.index: layer for layer in layers}
+        for key, kernel in sorted(reference.items()):
+            layer = by_index.get(key[0])
+            if layer is not None:
+                layer.kernels.append(
+                    replace(kernel, latency_ms=self.statistic(samples[key]))
+                )
         return ModelProfile(
             model_name=leveled.model_name,
             system=leveled.system,
@@ -493,84 +621,5 @@ class AnalysisPipeline:
             model_latency_ms=leveled.model_latency_ms,
             layers=layers,
             overheads=leveled.overhead_ladder(),
-            n_runs=len(ml_runs),
+            n_runs=len(views),
         )
-
-    def _merge_layers(self, ml_runs: list[ProfiledRun]) -> list[LayerProfile]:
-        # One layer_spans() call per run, hoisted out of the per-position
-        # loop (the seed recomputed the level scan L times per run).
-        spans_per_run = [run.layer_spans() for run in ml_runs]
-        reference = spans_per_run[0]
-        merged: list[LayerProfile] = []
-        for pos, span in enumerate(reference):
-            latencies = []
-            for spans in spans_per_run:
-                if pos < len(spans):
-                    latencies.append(spans[pos].duration_ms)
-            merged.append(
-                LayerProfile(
-                    index=span.tags["layer_index"],
-                    name=span.name,
-                    layer_type=span.tags["layer_type"],
-                    shape=tuple(span.tags["shape"]),
-                    latency_ms=self.statistic(latencies),
-                    alloc_bytes=span.tags["alloc_bytes"],
-                )
-            )
-        return merged
-
-    def _attach_kernels(
-        self, layers: list[LayerProfile], mlg_runs: list[ProfiledRun]
-    ) -> None:
-        by_index = {layer.index: layer for layer in layers}
-        # Kernel latency statistics across the M/L/G repetitions, matched by
-        # (layer_index, position-within-layer).
-        latency_samples: dict[tuple[int, int], list[float]] = {}
-        reference: dict[tuple[int, int], KernelProfile] = {}
-        for run in mlg_runs:
-            for layer_index, kernels in run.kernels_by_layer().items():
-                for pos, mk in enumerate(kernels):
-                    key = (layer_index, pos)
-                    exec_span = mk.execution
-                    latency_samples.setdefault(key, []).append(
-                        exec_span.duration_ms
-                    )
-                    if key not in reference:
-                        metrics = mk.metrics
-                        reference[key] = KernelProfile(
-                            name=mk.name,
-                            layer_index=layer_index,
-                            position=pos,
-                            latency_ms=0.0,  # filled below
-                            flops=float(metrics.get("metric.flop_count_sp", 0.0)),
-                            dram_read_bytes=float(
-                                metrics.get("metric.dram_read_bytes", 0.0)
-                            ),
-                            dram_write_bytes=float(
-                                metrics.get("metric.dram_write_bytes", 0.0)
-                            ),
-                            achieved_occupancy=float(
-                                metrics.get("metric.achieved_occupancy", 0.0)
-                            ),
-                            grid=tuple(exec_span.tags.get("grid", (1, 1, 1))),
-                            block=tuple(exec_span.tags.get("block", (1, 1, 1))),
-                        )
-        for key, proto in sorted(reference.items()):
-            layer = by_index.get(key[0])
-            if layer is None:
-                continue  # kernel outside any layer (should not happen)
-            latency = self.statistic(latency_samples[key])
-            layer.kernels.append(
-                KernelProfile(
-                    name=proto.name,
-                    layer_index=proto.layer_index,
-                    position=proto.position,
-                    latency_ms=latency,
-                    flops=proto.flops,
-                    dram_read_bytes=proto.dram_read_bytes,
-                    dram_write_bytes=proto.dram_write_bytes,
-                    achieved_occupancy=proto.achieved_occupancy,
-                    grid=proto.grid,
-                    block=proto.block,
-                )
-            )

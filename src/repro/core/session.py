@@ -97,14 +97,6 @@ class ProfiledRun:
     kernels: list[MergedKernel] = field(default_factory=list)
     #: True when this run is the serialized retry of an ambiguous run.
     was_serialized_retry: bool = False
-    # Memoized derived views; a run's trace is complete and correlated by
-    # the time the run is constructed, so these never need invalidation.
-    _layer_spans: list[Span] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _kernels_by_layer: dict[int, list[MergedKernel]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def model_latency_ms(self) -> float:
@@ -114,31 +106,6 @@ class ProfiledRun:
     def peak_device_memory_mb(self) -> float:
         """High-water device memory during the prediction (MB)."""
         return self.prediction.peak_device_memory_bytes / 1e6
-
-    def layer_spans(self) -> list[Span]:
-        if self._layer_spans is None:
-            spans = self.trace.at_level(Level.LAYER)
-            spans.sort(key=lambda s: s.tags.get("layer_index", 0))
-            self._layer_spans = spans
-        return list(self._layer_spans)
-
-    def kernels_by_layer(self) -> dict[int, list[MergedKernel]]:
-        """Merged kernels grouped by layer index (via reconstructed parents)."""
-        if self._kernels_by_layer is None:
-            by_row = self.trace.index.row_by_id()
-            table = self.trace.table
-            grouped: dict[int, list[MergedKernel]] = {}
-            for mk in self.kernels:
-                row = by_row.get(mk.parent_id) if mk.parent_id else None
-                idx = (
-                    table.peek_tags(row).get("layer_index", -1)
-                    if row is not None
-                    else -1
-                )
-                grouped.setdefault(idx, []).append(mk)
-            self._kernels_by_layer = grouped
-        # Copy the buckets too: callers may sort/extend them in place.
-        return {k: list(v) for k, v in self._kernels_by_layer.items()}
 
     def summary(self) -> dict[str, Any]:
         return {
@@ -300,10 +267,17 @@ class XSPSession:
             raise ValueError("application workload is empty")
         config = config or ProfilingConfig()
         runs: list[ProfiledRun] = []
+        # The capture names its system and framework so it analyses
+        # offline like any single-evaluation trace.
+        metadata = dict(
+            application=name,
+            system=self.gpu.name,
+            framework=self.framework_cls.name,
+        )
         if trace_id is None:
-            trace_id = self.server.begin_trace(application=name)
+            trace_id = self.server.begin_trace(**metadata)
         else:
-            self.server.annotate_trace(trace_id, application=name)
+            self.server.annotate_trace(trace_id, **metadata)
         app_span_id = new_span_id()
         cursor = 0
         # Every evaluation numbers its correlation ids from 1; shifting each

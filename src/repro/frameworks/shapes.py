@@ -67,13 +67,6 @@ class TensorShape:
         return "⟨" + ", ".join(str(d) for d in self.dims) + "⟩"
 
 
-def _same_pad(in_size: int, kernel: int, stride: int) -> int:
-    """Total padding for SAME semantics; returns per-side padding (floor)."""
-    out = math.ceil(in_size / stride)
-    total = max(0, (out - 1) * stride + kernel - in_size)
-    return total // 2
-
-
 def _conv_out(in_size: int, kernel: int, stride: int, padding: str) -> int:
     if padding == "same":
         return math.ceil(in_size / stride)

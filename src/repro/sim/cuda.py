@@ -85,7 +85,6 @@ class CudaRuntime:
         self.launch_overhead_ns = launch_overhead_ns
         self.memory = DeviceMemoryPool(capacity_bytes=int(gpu.dram_gb * 2**30))
         self._streams: dict[int, Stream] = {}
-        self._stream_counter = itertools.count(1)
         self._correlation = itertools.count(1)
         self.launch_records: list[KernelLaunchRecord] = []
         self.memcpy_records: list[MemcpyRecord] = []
@@ -105,16 +104,10 @@ class CudaRuntime:
         """True when CUDA_LAUNCH_BLOCKING=1 is set in the environment."""
         return self.environment.get("CUDA_LAUNCH_BLOCKING", "0") == "1"
 
-    def default_stream(self) -> Stream:
-        return self.stream(0)
-
     def stream(self, stream_id: int) -> Stream:
         if stream_id not in self._streams:
             self._streams[stream_id] = Stream(stream_id=stream_id)
         return self._streams[stream_id]
-
-    def create_stream(self) -> Stream:
-        return self.stream(next(self._stream_counter))
 
     @property
     def streams(self) -> list[Stream]:

@@ -117,10 +117,6 @@ class Cupti:
     def enabled(self) -> bool:
         return self._callbacks_enabled or self._activities_enabled or bool(self._metrics)
 
-    @property
-    def metrics_enabled(self) -> tuple[str, ...]:
-        return self._metrics
-
     def replay_passes(self) -> int:
         """Total kernel replay passes implied by the enabled metrics.
 

@@ -67,10 +67,6 @@ class GPUSpec:
         """peak FLOPS / memory bandwidth, in flops/byte (Table VII)."""
         return self.peak_flops / self.memory_bandwidth
 
-    @property
-    def max_resident_threads(self) -> int:
-        return self.sm_count * self.max_threads_per_sm
-
 
 #: The five evaluation systems (Table VII).  Keyed by the paper's names.
 SYSTEMS: dict[str, GPUSpec] = {

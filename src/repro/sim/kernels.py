@@ -49,15 +49,6 @@ class KernelClass(enum.Enum):
     def calibration(self) -> ClassCalibration:
         return CLASS_CALIBRATION[self.value]
 
-    @property
-    def is_conv(self) -> bool:
-        return self in (
-            KernelClass.CONV_IMPLICIT_GEMM,
-            KernelClass.CONV_PRECOMP_GEMM,
-            KernelClass.CONV_CGEMM,
-            KernelClass.CONV_DEPTHWISE,
-        )
-
 
 @dataclass(frozen=True)
 class KernelSpec:

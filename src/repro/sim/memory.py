@@ -94,10 +94,6 @@ class DeviceMemoryPool:
         for allocation in list(self._live.values()):
             self.free(allocation, timestamp_ns=timestamp_ns)
 
-    @property
-    def live_allocations(self) -> list[Allocation]:
-        return list(self._live.values())
-
     def allocated_bytes_by_tag(self) -> dict[str, int]:
         """Total bytes ever allocated, grouped by tag (layer name)."""
         totals: dict[str, int] = {}

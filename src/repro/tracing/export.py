@@ -19,31 +19,12 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.tracing.span import Level, LogEntry, Span, SpanKind
+from repro.tracing.span import Level, LogEntry, SpanKind
 from repro.tracing.table import NONE_ID, SpanTable
 from repro.tracing.trace import Trace
 
 #: Format marker for forward compatibility.
 FORMAT_VERSION = 1
-
-
-def span_to_dict(span: Span) -> dict[str, Any]:
-    """Serialize one span-like object (a ``Span`` or a table view)."""
-    return {
-        "name": span.name,
-        "start_ns": span.start_ns,
-        "end_ns": span.end_ns,
-        "level": span.level.name,
-        "span_id": span.span_id,
-        "trace_id": span.trace_id,
-        "parent_id": span.parent_id,
-        "kind": span.kind.value,
-        "correlation_id": span.correlation_id,
-        "tags": {k: _jsonable(v) for k, v in span.iter_tags()},
-        # Log fields take the same JSON-coercion path as tags: exotic
-        # values degrade to repr() instead of failing the whole export.
-        "logs": _logs_to_list(span.logs),
-    }
 
 
 def _row_to_dict(table: SpanTable, row: int) -> dict[str, Any]:
@@ -73,25 +54,6 @@ def _logs_to_list(logs: list[LogEntry]) -> list[dict[str, Any]]:
         }
         for entry in logs
     ]
-
-
-def span_from_dict(data: dict[str, Any]) -> Span:
-    return Span(
-        name=data["name"],
-        start_ns=data["start_ns"],
-        end_ns=data["end_ns"],
-        level=Level[data["level"]],
-        span_id=data["span_id"],
-        trace_id=data.get("trace_id", 0),
-        parent_id=data.get("parent_id"),
-        kind=SpanKind(data.get("kind", "internal")),
-        correlation_id=data.get("correlation_id"),
-        tags=dict(data.get("tags", {})),
-        logs=[
-            LogEntry(timestamp_ns=e["timestamp_ns"], fields=dict(e["fields"]))
-            for e in data.get("logs", [])
-        ],
-    )
 
 
 def trace_to_json(trace: Trace) -> str:

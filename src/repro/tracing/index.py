@@ -265,10 +265,6 @@ class TraceIndex:
         """Number of table rows this index currently describes."""
         return self._n
 
-    def fresh_for(self, table: SpanTable) -> bool:
-        """True while this index fully covers ``table``'s membership."""
-        return self.table is table and self._n == len(table)
-
     def invalidate_parents(self) -> None:
         """Drop the parent-derived indexes (children, roots)."""
         self._children_rows = None
@@ -512,9 +508,6 @@ class TraceIndex:
         ends = self.table.end_ns
         # Rows are timeline-sorted: the first start is the minimum.
         return starts[rows[0]], max(ends[r] for r in rows)
-
-    def level_kind_count(self, level: Level, kind: Optional[SpanKind] = None) -> int:
-        return len(self._level_kind_rows(level, kind))
 
     def _level_kind_rows(
         self, level: Level, kind: Optional[SpanKind]

@@ -300,9 +300,6 @@ class SpanTable:
         return None if cid == NONE_ID else cid
 
     # -- tags / logs ------------------------------------------------------
-    def has_tags(self, row: int) -> bool:
-        return row in self._tags or self.tag_set_id[row] != NONE_ID
-
     def peek_tags(self, row: int) -> Mapping[str, Any]:
         """Read-only view of a row's tags; never promotes packed tags.
 

@@ -10,6 +10,7 @@ from repro.analysis.diff import (
 )
 from repro.core import ProfileStore, ProfilingConfig
 from repro.core.cache import profile_to_dict
+from repro.tracing import Level
 from repro.tracing.export import save_trace
 
 
@@ -56,7 +57,7 @@ def test_profile_from_trace_uses_predict_span_latency(
         run.predict_span.duration_ms
     )
     # Layer latencies mirror the layer spans.
-    assert len(profile.layers) == len(run.layer_spans())
+    assert len(profile.layers) == len(run.trace.at_level(Level.LAYER))
 
 
 def test_trace_diffs_against_itself_cleanly(v100_session, cnn_graph):

@@ -71,3 +71,39 @@ def test_sweep_contains_all_batches(resnet50_sweep):
     assert sorted(resnet50_sweep) == [1, 4, 16, 32, 64, 256]
     for batch, profile in resnet50_sweep.items():
         assert profile.batch == batch
+
+
+def test_merge_applies_statistic_per_position(cnn_graph):
+    """Layer latencies merge M/L views, kernel latencies metric-run views."""
+    from repro.core import AnalysisPipeline, XSPSession
+    from repro.core.pipeline import profile_from_trace
+
+    pipeline = AnalysisPipeline(
+        XSPSession("Tesla_V100"), runs_per_level=3, statistic=max
+    )
+    leveled = pipeline.experiment.run(cnn_graph, 4)
+    profile = pipeline.merge(leveled)
+
+    layer_views = [
+        profile_from_trace(run.trace).layers for run in leveled.runs_at("M/L")
+    ]
+    assert len(layer_views) == 3
+    assert [l.name for l in profile.layers] == [l.name for l in layer_views[0]]
+    for pos, layer in enumerate(profile.layers):
+        assert layer.latency_ms == max(v[pos].latency_ms for v in layer_views)
+    # The repetitions jitter, so the statistic has something to choose.
+    assert any(
+        len({v[pos].latency_ms for v in layer_views}) > 1
+        for pos in range(len(profile.layers))
+    )
+
+    kernel_views = [
+        {(k.layer_index, k.position): k.latency_ms
+         for k in profile_from_trace(run.trace).kernels}
+        for run in leveled.runs_at("M/L/G+metrics")
+    ]
+    assert len(kernel_views) == 3
+    assert len(profile.kernels) == len(kernel_views[0])
+    for kernel in profile.kernels:
+        key = (kernel.layer_index, kernel.position)
+        assert kernel.latency_ms == max(v[key] for v in kernel_views)

@@ -100,18 +100,6 @@ def test_parallel_sweep_with_custom_gpu_spec(graph):
         assert len(a.layers) == len(b.layers)
 
 
-def test_kernels_by_layer_memo_is_caller_safe(graph):
-    """In-place mutation of a returned bucket must not leak into the memo."""
-    run = XSPSession("Tesla_V100").profile(graph, 2)
-    first = run.kernels_by_layer()
-    some_layer = next(iter(first))
-    before = [mk.name for mk in first[some_layer]]
-    first[some_layer].reverse()
-    first[some_layer].append(first[some_layer][0])
-    again = run.kernels_by_layer()
-    assert [mk.name for mk in again[some_layer]] == before
-
-
 def test_worker_span_id_ranges_are_disjoint():
     """Seeded workers draw span ids from namespace-disjoint ranges.
 

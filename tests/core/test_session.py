@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import M, ML, MLG, ProfilingConfig, XSPSession
+from repro.core.pipeline import profile_from_trace
 from repro.tracing import Level, SpanKind
 
 
@@ -37,14 +38,12 @@ def test_mlg_level_full_stack(v100_session, cnn_graph):
 
 def test_kernels_correlated_to_layers(v100_session, cnn_graph):
     run = _run(v100_session, cnn_graph)
-    by_layer = run.kernels_by_layer()
-    assert -1 not in by_layer  # every kernel found its layer
+    profile = profile_from_trace(run.trace)
+    # Every kernel found its layer.
+    assert len(profile.kernels) == len(run.kernels)
     # The first Conv2D layer owns at least one scudnn/implicit kernel.
-    layer_spans = {s.tags["layer_index"]: s for s in run.layer_spans()}
-    conv_idx = next(
-        i for i, s in layer_spans.items() if s.tags["layer_type"] == "Conv2D"
-    )
-    conv_kernel_names = [k.name for k in by_layer[conv_idx]]
+    conv = next(l for l in profile.layers if l.layer_type == "Conv2D")
+    conv_kernel_names = [k.name for k in conv.kernels]
     assert any("convolve" in n or "scudnn" in n for n in conv_kernel_names)
 
 
@@ -99,7 +98,7 @@ def test_framework_aliases():
 
 def test_mxnet_session_profiles(mx_session, cnn_graph):
     run = _run(mx_session, cnn_graph)
-    types = {s.tags["layer_type"] for s in run.layer_spans()}
+    types = {l.layer_type for l in profile_from_trace(run.trace).layers}
     assert "Convolution" in types
     assert "BatchNorm" in types
 

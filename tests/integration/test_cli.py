@@ -168,8 +168,39 @@ def test_advise_from_trace_rejects_non_trace(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_advise_from_application_capture(tmp_path, capsys):
+    """An application capture names its system, so advise reads it."""
+    from repro.analysis.diff.sources import profile_from_trace
+    from repro.core import ProfilingConfig, XSPSession
+    from repro.models import get_model
+    from repro.tracing.export import load_trace, save_trace
+
+    graph = get_model(53).graph
+    trace, _ = XSPSession().profile_application(
+        [(graph, 1), (graph, 1)], config=ProfilingConfig(metrics=())
+    )
+    capture = tmp_path / "app.json"
+    save_trace(trace, str(capture))
+    assert main(["advise", "--from-trace", str(capture), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["insights"]
+
+    loaded = load_trace(str(capture))
+    profile = profile_from_trace(loaded)
+    assert profile.system == "Tesla_V100"
+    span_ids = set(loaded.table.span_id)
+    layer_indices = {layer.index for layer in profile.layers}
+    kernel_names = {kernel.name for kernel in profile.kernels}
+    for insight in data["insights"]:
+        for ev in insight["evidence"]:
+            assert set(ev["span_ids"]) <= span_ids
+            assert set(ev["layer_indices"]) <= layer_indices
+            if ev["kind"] in ("kernel", "layer"):
+                assert set(ev["kernel_names"]) <= kernel_names
+
+
 def test_advise_from_trace_rejects_application_capture(tmp_path, capsys):
-    """An application capture names no system: one stderr line, exit 2."""
+    """A capture that names no system: one stderr line, exit 2."""
     from repro.core import ProfilingConfig, XSPSession
     from repro.models import get_model
     from repro.tracing.export import save_trace
@@ -177,6 +208,7 @@ def test_advise_from_trace_rejects_application_capture(tmp_path, capsys):
     trace, _ = XSPSession().profile_application(
         [(get_model(53).graph, 1)], config=ProfilingConfig(metrics=())
     )
+    del trace.metadata["system"]
     capture = tmp_path / "app.json"
     save_trace(trace, str(capture))
     assert main(["advise", "--from-trace", str(capture)]) == 2

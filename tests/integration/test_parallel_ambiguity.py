@@ -16,6 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import MLG, ProfilingConfig, XSPSession
+from repro.core.pipeline import profile_from_trace
 from repro.core.session import FRAMEWORKS
 from repro.frameworks import Graph
 from repro.frameworks.base import PredictionResult
@@ -118,9 +119,9 @@ def test_async_run_is_ambiguous_then_serialized(parallel_session, branch_graph):
     assert run.config.serialized
     assert not run.correlation.needs_serialized_rerun
     # After serialization every kernel resolves to exactly one layer.
-    by_layer = run.kernels_by_layer()
-    assert -1 not in by_layer
-    assert sorted(len(ks) for ks in by_layer.values()) == [1, 1]
+    profile = profile_from_trace(run.trace)
+    assert len(profile.kernels) == len(run.kernels)
+    assert sorted(len(l.kernels) for l in profile.layers if l.kernels) == [1, 1]
     names = {run.trace.by_id()[mk.launch.parent_id].name
              for mk in run.kernels}
     assert names == {"branch_a/Relu", "branch_b/Relu"}
