@@ -14,12 +14,11 @@ extensibility.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
-
 from repro.sim.cuda import KernelLaunchRecord
 from repro.sim.kernels import KernelClass
+from repro.tracing.server import TracingServer
 from repro.tracing.span import Level, Span
-from repro.tracing.tracer import BufferingTracer
+from repro.tracing.tracer import Tracer
 
 #: Library tag (KernelSpec.tags["library"]) + kernel class -> API name.
 _API_NAMES: dict[tuple[str, KernelClass], str] = {
@@ -49,17 +48,13 @@ def api_name_for(record: KernelLaunchRecord) -> str:
     return "launchGenericOp"
 
 
-class LibraryTracer(BufferingTracer):
+class LibraryTracer(Tracer):
     """Tracer synthesizing library-API spans from kernel launch records."""
 
-    def __init__(
-        self,
-        sink: Callable[[Span], None] | None = None,
-        batch_sink: Callable[[Iterable[Span]], None] | None = None,
-    ) -> None:
-        super().__init__("library_tracer", Level.LIBRARY, sink, batch_sink)
+    def __init__(self, server: TracingServer) -> None:
+        super().__init__("library_tracer", Level.LIBRARY, server)
 
-    def convert(self, launch_records: list[KernelLaunchRecord]) -> list[Span]:
+    def convert(self, launch_records: list[KernelLaunchRecord]) -> None:
         """One span per maximal run of launches belonging to the same API
         call within the same layer.
 
@@ -80,7 +75,7 @@ class LibraryTracer(BufferingTracer):
                     name=api,
                     start_ns=group[0].api_start_ns,
                     end_ns=group[-1].api_end_ns,
-                    level=Level.LIBRARY,
+                    level=self.level,
                     tags={
                         "library": str(group[0].spec.tags.get("library", "")),
                         "n_kernels": len(group),
@@ -100,4 +95,4 @@ class LibraryTracer(BufferingTracer):
                 group_key = key
             group.append(record)
         flush()
-        return self.publish_many(spans)
+        self.publish_many(spans)

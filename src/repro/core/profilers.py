@@ -19,40 +19,34 @@ offline by interval containment
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any
 
 from repro.frameworks.profiler_format import PARSERS
 from repro.sim.cupti import ActivityRecord, ApiRecord
+from repro.tracing.server import TracingServer
 from repro.tracing.span import Level, Span, SpanKind
-from repro.tracing.tracer import BufferingTracer
-
-_Sink = Callable[[Span], None]
-_BatchSink = Callable[[Iterable[Span]], None]
+from repro.tracing.tracer import Tracer
 
 
-class ModelTracer(BufferingTracer):
+class ModelTracer(Tracer):
     """Tracer for user-code (model-level) spans."""
 
-    def __init__(
-        self, sink: _Sink | None = None, batch_sink: _BatchSink | None = None
-    ) -> None:
-        super().__init__("model_tracer", Level.MODEL, sink, batch_sink)
+    def __init__(self, server: TracingServer) -> None:
+        super().__init__("model_tracer", Level.MODEL, server)
 
 
-class LayerTracer(BufferingTracer):
+class LayerTracer(Tracer):
     """Tracer converting framework-native layer profiles into spans."""
 
-    def __init__(
-        self, sink: _Sink | None = None, batch_sink: _BatchSink | None = None
-    ) -> None:
-        super().__init__("layer_tracer", Level.LAYER, sink, batch_sink)
+    def __init__(self, server: TracingServer) -> None:
+        super().__init__("layer_tracer", Level.LAYER, server)
 
     def convert(
         self,
         native_profile: dict[str, Any],
         framework_name: str,
         parent_span_id: int | None,
-    ) -> list[Span]:
+    ) -> None:
         """Parse a native profile and publish one span per layer.
 
         Layer spans are set as children of the model-prediction span, so
@@ -65,12 +59,12 @@ class LayerTracer(BufferingTracer):
                 f"no profile parser registered for framework {framework_name!r}; "
                 f"known: {sorted(PARSERS)}"
             ) from None
-        return self.publish_many(
+        self.publish_many(
             Span(
                 name=record.name,
                 start_ns=record.start_ns,
                 end_ns=record.end_ns,
-                level=Level.LAYER,
+                level=self.level,
                 parent_id=parent_span_id,
                 tags={
                     "layer_index": record.index,
@@ -83,19 +77,17 @@ class LayerTracer(BufferingTracer):
         )
 
 
-class GpuTracer(BufferingTracer):
+class GpuTracer(Tracer):
     """Tracer converting CUPTI callback/activity records into spans."""
 
-    def __init__(
-        self, sink: _Sink | None = None, batch_sink: _BatchSink | None = None
-    ) -> None:
-        super().__init__("gpu_tracer", Level.GPU_KERNEL, sink, batch_sink)
+    def __init__(self, server: TracingServer) -> None:
+        super().__init__("gpu_tracer", Level.GPU_KERNEL, server)
 
     def convert(
         self,
         api_records: list[ApiRecord],
         activity_records: list[ActivityRecord],
-    ) -> list[Span]:
+    ) -> None:
         """Publish a launch span per API record, an execution span per
         activity — the kernel-dominated bulk of a capture, delivered as
         one batch."""
@@ -112,7 +104,7 @@ class GpuTracer(BufferingTracer):
                     name=activity_names.get(api.correlation_id, api.name),
                     start_ns=api.start_ns,
                     end_ns=api.end_ns,
-                    level=Level.GPU_KERNEL,
+                    level=self.level,
                     kind=SpanKind.LAUNCH,
                     correlation_id=api.correlation_id,
                     tags={"api": api.name},
@@ -130,7 +122,7 @@ class GpuTracer(BufferingTracer):
                     name=act.name,
                     start_ns=act.start_ns,
                     end_ns=act.end_ns,
-                    level=Level.GPU_KERNEL,
+                    level=self.level,
                     # Memory copies are synchronous host-visible activities;
                     # kernels are the async launch/execution pairs.
                     kind=(SpanKind.EXECUTION if act.kind == "kernel"
@@ -140,4 +132,4 @@ class GpuTracer(BufferingTracer):
                     tags=tags,
                 )
 
-        return self.publish_many(spans())
+        self.publish_many(spans())

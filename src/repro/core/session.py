@@ -187,10 +187,7 @@ class XSPSession:
             batch=batch,
             levels=config.levels.label,
         )
-        publish_many = self.server.publish_many
-        model_tracer = ModelTracer(self.server.publish)
-        layer_tracer = LayerTracer(self.server.publish, publish_many)
-        gpu_tracer = GpuTracer(self.server.publish, publish_many)
+        model_tracer = ModelTracer(self.server)
 
         # -- the model-level evaluation pipeline -------------------------------
         pre = start_span(model_tracer, clock.now, "input_preprocess", batch=batch)
@@ -207,19 +204,16 @@ class XSPSession:
 
         # -- offline conversion of the other profilers' outputs -----------------
         if config.layer_profiling and prediction.native_profile is not None:
-            layer_tracer.convert(
+            LayerTracer(self.server).convert(
                 prediction.native_profile, framework.name, predict_span.span_id
             )
         if cupti is not None:
             api_records, activity_records = cupti.flush()
-            gpu_tracer.convert(api_records, activity_records)
+            GpuTracer(self.server).convert(api_records, activity_records)
         if Level.LIBRARY in config.levels:
             # Sec. III-E extension: cuDNN/cuBLAS API-call spans between the
             # layer and GPU-kernel levels, synthesized from launch records.
-            library_tracer = LibraryTracer(
-                self.server.publish, self.server.publish_many
-            )
-            library_tracer.convert(runtime.launch_records)
+            LibraryTracer(self.server).convert(runtime.launch_records)
 
         trace = self.server.end_trace(trace_id)
         correlation = reconstruct_parents(trace, strict=False)

@@ -15,14 +15,14 @@ events so XSP can disambiguate span parentage.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
 from repro.sim.clock import VirtualClock
 from repro.sim.hardware import GPUSpec
 from repro.sim.kernels import KernelSpec, kernel_duration_ns
 from repro.sim.memory import DeviceMemoryPool
-from repro.sim.stream import Stream, StreamRecord
+from repro.sim.stream import Stream
 
 #: Effective host<->device copy bandwidth (bytes/s). Frameworks use
 #: pinned, staged, overlapped transfers; the paper's Fig. 2 shows the
@@ -109,10 +109,6 @@ class CudaRuntime:
             self._streams[stream_id] = Stream(stream_id=stream_id)
         return self._streams[stream_id]
 
-    @property
-    def streams(self) -> list[Stream]:
-        return list(self._streams.values())
-
     def on_launch(self, callback: Callable[[KernelLaunchRecord], None]) -> None:
         """Register a profiler callback invoked after every kernel launch."""
         self._launch_callbacks.append(callback)
@@ -142,23 +138,20 @@ class CudaRuntime:
             clean_ns * self.profiler_replay_passes
             + self.profiler_pass_overhead_ns * max(0, self.profiler_replay_passes - 1)
         )
-        correlation_id = next(self._correlation)
-        stream_record: StreamRecord = stream.enqueue(
-            spec, correlation_id, enqueue_ns=api_end, duration_ns=busy_ns
-        )
+        device_start, device_busy_until = stream.enqueue(api_end, busy_ns)
         record = KernelLaunchRecord(
-            correlation_id=correlation_id,
+            correlation_id=next(self._correlation),
             spec=spec,
             stream_id=stream_id,
             api_start_ns=api_start,
             api_end_ns=api_end,
-            device_start_ns=stream_record.start_ns,
-            device_end_ns=stream_record.start_ns + clean_ns,
-            device_busy_until_ns=stream_record.end_ns,
+            device_start_ns=device_start,
+            device_end_ns=device_start + clean_ns,
+            device_busy_until_ns=device_busy_until,
         )
         self.launch_records.append(record)
         if self.launch_blocking:
-            self.clock.advance_to(stream_record.end_ns)
+            self.clock.advance_to(device_busy_until)
         for cb in self._launch_callbacks:
             cb(record)
         return record
@@ -202,16 +195,3 @@ class CudaRuntime:
         self.launch_records.clear()
         self.memcpy_records.clear()
         self.memory.free_all()
-
-    def gpu_busy_ns(self) -> int:
-        """Total device-occupied nanoseconds across streams."""
-        return sum(s.busy_ns for s in self._streams.values())
-
-    def summary(self) -> dict[str, Any]:
-        return {
-            "gpu": self.gpu.name,
-            "kernels": len(self.launch_records),
-            "memcpys": len(self.memcpy_records),
-            "gpu_busy_ms": self.gpu_busy_ns() / 1e6,
-            "host_now_ms": self.clock.now() / 1e6,
-        }

@@ -8,24 +8,7 @@ span pairs capture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.sim.kernels import KernelSpec
-
-
-@dataclass
-class StreamRecord:
-    """One executed work item on a stream."""
-
-    spec: KernelSpec
-    correlation_id: int
-    enqueue_ns: int
-    start_ns: int
-    end_ns: int
-
-    @property
-    def duration_ns(self) -> int:
-        return self.end_ns - self.start_ns
+from dataclasses import dataclass
 
 
 @dataclass
@@ -35,38 +18,12 @@ class Stream:
     stream_id: int
     #: Device time at which the stream next becomes free.
     next_free_ns: int = 0
-    records: list[StreamRecord] = field(default_factory=list)
 
-    def enqueue(
-        self,
-        spec: KernelSpec,
-        correlation_id: int,
-        enqueue_ns: int,
-        duration_ns: int,
-    ) -> StreamRecord:
-        """Schedule a kernel; returns its device-time record."""
+    def enqueue(self, enqueue_ns: int, duration_ns: int) -> tuple[int, int]:
+        """Schedule a work item; returns its device (start, end) times."""
         start = max(enqueue_ns, self.next_free_ns)
-        end = start + duration_ns
-        record = StreamRecord(
-            spec=spec,
-            correlation_id=correlation_id,
-            enqueue_ns=enqueue_ns,
-            start_ns=start,
-            end_ns=end,
-        )
-        self.records.append(record)
-        self.next_free_ns = end
-        return record
-
-    @property
-    def busy_ns(self) -> int:
-        """Total device time occupied by this stream's work."""
-        return sum(r.duration_ns for r in self.records)
-
-    def pending_after(self, timestamp_ns: int) -> list[StreamRecord]:
-        """Records still executing or queued at ``timestamp_ns``."""
-        return [r for r in self.records if r.end_ns > timestamp_ns]
+        self.next_free_ns = start + duration_ns
+        return start, self.next_free_ns
 
     def reset(self) -> None:
-        self.records.clear()
         self.next_free_ns = 0

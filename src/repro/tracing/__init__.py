@@ -20,7 +20,7 @@ from repro.tracing.span import (
 )
 from repro.tracing.index import Gap, TraceIndex
 from repro.tracing.table import SpanTable, SpanView
-from repro.tracing.tracer import BufferingTracer, NoopTracer, Tracer
+from repro.tracing.tracer import Tracer
 from repro.tracing.server import RowBatch, TraceStream, TracingServer
 from repro.tracing.trace import Trace
 from repro.tracing.correlation import (
@@ -32,12 +32,10 @@ from repro.tracing.correlation import (
 
 __all__ = [
     "AmbiguousParentError",
-    "BufferingTracer",
     "CorrelationResult",
     "Gap",
     "Level",
     "LogEntry",
-    "NoopTracer",
     "RowBatch",
     "Span",
     "SpanKind",

@@ -8,7 +8,7 @@ traces, not live runs).
 
 Both serializers stream straight from the trace's columnar
 :class:`~repro.tracing.table.SpanTable` — rows are read with the
-non-promoting tag/log accessors and no :class:`Span` objects (or view
+table's tag/log accessors and no :class:`Span` objects (or view
 flyweights) are materialized.  Deserialization is the mirror image: span
 dicts are ingested with :meth:`SpanTable.append_row`, never constructing
 intermediate spans.

@@ -23,27 +23,26 @@ stores the same data as parallel typed columns:
 (span ids are positive: they come from a process counter or a capture's
 own positive ids).
 
-Spans are still *created* as :class:`Span` objects by the tracers — the
-table is the storage they are ingested into.  Reading back out happens
-through :class:`SpanView`, a two-slot flyweight bound to (table, row)
-that exposes the full ``Span`` attribute surface.  Views compare equal
-to each other and to equivalent ``Span`` objects, and ``parent_id``
-assignment on a view writes through to the column — the offline
-correlation contract (`trace.touch_parents()`) is unchanged.
-
-Materialization rule: reading ``view.tags`` (or ``view.logs``)
-*promotes* the row — the packed tuple is expanded into a real dict that
-then lives in the side-store, so later reads see the same (mutable)
-mapping.  Read-only consumers (export, stats, the diff source) use
-:meth:`SpanTable.peek_tags`, which never promotes.  New consumers of
-trace data should follow the same no-object-churn rule: iterate rows and
-columns, and materialize views only at the API boundary.
+A span has one lifecycle: a tracer creates it as a :class:`Span`, and
+the tracing server ingests its fields into the columns.  From then on
+the row is the only copy and it is frozen, except ``parent_id``, which
+offline correlation fills in.  Reading back out happens through
+:class:`SpanView`, a two-slot flyweight bound to (table, row) that
+exposes the ``Span`` read surface.  Views compare equal to each other
+and to equivalent ``Span`` objects; assigning ``view.parent_id`` writes
+through to the column (callers then owe the trace a
+``trace.touch_parents()``).  ``view.tags`` is a read-only mapping and
+``view.logs`` a tuple, and reading either stores nothing.  New consumers
+of trace data should iterate rows and columns (``peek_tags``,
+``iter_tags``, ``peek_logs``) and materialize views only at the API
+boundary.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from types import MappingProxyType
 from typing import Any, Iterator, Mapping
 
 from repro.tracing.span import Level, LogEntry, Span, SpanKind
@@ -105,7 +104,7 @@ class SpanTable:
         self.level = array("b")
         self.kind = array("b")
         self.name_id = array("I")
-        # Packed-tag-set reference per row (NONE_ID when unset/promoted).
+        # Packed-tag-set reference per row (NONE_ID when empty/unpackable).
         self.tag_set_id = array("i")
         # Interned names: name_id column -> _names[name_id].
         self._names: list[str] = []
@@ -114,7 +113,7 @@ class SpanTable:
         # (the id map keys on (key, type, value) triples — see _store_tags).
         self._tag_pool: list[tuple[tuple[str, Any], ...]] = []
         self._tag_pool_ids: dict[tuple, int] = {}
-        # Sparse side-stores (materialized tags / structured logs).
+        # Sparse side-stores (unpackable tags / structured logs).
         self._tags: dict[int, dict[str, Any]] = {}
         self._logs: dict[int, list[LogEntry]] = {}
         # High-water mark of fully-appended rows (see `watermark`).
@@ -206,7 +205,9 @@ class SpanTable:
 
     # -- size -------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.span_id)
+        # The watermark, not a raw column length: a capture thread may be
+        # mid-append, with some columns one row longer than others.
+        return self._complete
 
     @property
     def watermark(self) -> int:
@@ -226,9 +227,9 @@ class SpanTable:
         """Estimated resident bytes of this table (columns + side-stores).
 
         A ``sys.getsizeof``-based estimate: typed column buffers, the
-        interned name and tag-set pools, and the sparse side-stores.
-        Promoted (materialized) tag dicts are counted — the number grows
-        as views materialize, exactly as resident memory does.
+        interned name and tag-set pools, and the sparse side-stores of
+        unpackable tags and logs.  It grows with ingested rows only;
+        reading rows back never changes it.
         """
         total = 0
         for column in (
@@ -301,11 +302,10 @@ class SpanTable:
 
     # -- tags / logs ------------------------------------------------------
     def peek_tags(self, row: int) -> Mapping[str, Any]:
-        """Read-only view of a row's tags; never promotes packed tags.
+        """A row's tags as a mapping.
 
-        Callers must not mutate the returned mapping (packed rows get a
-        fresh dict, materialized rows the live one) — mutation goes
-        through :meth:`tags_of` / ``SpanView.tags``.
+        Callers must not mutate it: packed rows get a fresh dict, rows
+        with unpackable tags the stored one.
         """
         tags = self._tags.get(row)
         if tags is not None:
@@ -316,7 +316,7 @@ class SpanTable:
         return {}
 
     def iter_tags(self, row: int) -> Iterator[tuple[str, Any]]:
-        """Iterate a row's tag items without promoting packed tags."""
+        """Iterate a row's tag items without building a dict."""
         tags = self._tags.get(row)
         if tags is not None:
             return iter(tags.items())
@@ -325,26 +325,8 @@ class SpanTable:
             return iter(self._tag_pool[pool_id])
         return iter(())
 
-    def tags_of(self, row: int) -> dict[str, Any]:
-        """The row's mutable tags dict (materializes packed tags)."""
-        tags = self._tags.get(row)
-        if tags is None:
-            pool_id = self.tag_set_id[row]
-            self.tag_set_id[row] = NONE_ID
-            tags = dict(self._tag_pool[pool_id]) if pool_id != NONE_ID else {}
-            self._tags[row] = tags
-        return tags
-
-    def logs_of(self, row: int) -> list[LogEntry]:
-        """The row's mutable log list (materializes an empty one)."""
-        logs = self._logs.get(row)
-        if logs is None:
-            logs = []
-            self._logs[row] = logs
-        return logs
-
     def peek_logs(self, row: int) -> list[LogEntry]:
-        """The row's logs without materializing an empty side-store entry."""
+        """The row's logs; callers must not mutate the list."""
         return self._logs.get(row, [])
 
     # -- views ------------------------------------------------------------
@@ -352,24 +334,8 @@ class SpanTable:
         return SpanView(self, row)
 
     def views(self) -> Iterator["SpanView"]:
-        for row in range(len(self.span_id)):
+        for row in range(self._complete):
             yield SpanView(self, row)
-
-    def to_span(self, row: int) -> Span:
-        """Materialize one row as a standalone (detached) :class:`Span`."""
-        return Span(
-            name=self.name_of(row),
-            start_ns=self.start_ns[row],
-            end_ns=self.end_ns[row],
-            level=self.level_of(row),
-            span_id=self.span_id[row],
-            trace_id=self.trace_id[row],
-            parent_id=self.parent_id_of(row),
-            kind=self.kind_of(row),
-            tags=dict(self.peek_tags(row)),
-            logs=list(self.peek_logs(row)),
-            correlation_id=self.correlation_id_of(row),
-        )
 
 
 class SpanView:
@@ -377,8 +343,8 @@ class SpanView:
 
     Reads go straight to the columns; assigning ``parent_id`` writes
     through (callers still owe the trace a ``touch_parents()``, as with
-    plain spans).  All other fields are read-only — a published span is
-    frozen, per the storage contract.
+    plain spans).  All other fields, tags and logs included, are
+    read-only: a published span is frozen.
     """
 
     __slots__ = ("_table", "_row")
@@ -429,12 +395,12 @@ class SpanView:
         self._table.set_parent_id(self._row, value)
 
     @property
-    def tags(self) -> dict[str, Any]:
-        return self._table.tags_of(self._row)
+    def tags(self) -> Mapping[str, Any]:
+        return MappingProxyType(self._table.peek_tags(self._row))
 
     @property
-    def logs(self) -> list[LogEntry]:
-        return self._table.logs_of(self._row)
+    def logs(self) -> tuple[LogEntry, ...]:
+        return tuple(self._table.peek_logs(self._row))
 
     # -- Span API parity --------------------------------------------------
     @property
@@ -455,14 +421,6 @@ class SpanView:
 
     def overlaps(self, other) -> bool:
         return self.start_ns < other.end_ns and other.start_ns < self.end_ns
-
-    def tag(self, key: str, value: Any) -> "SpanView":
-        self.tags[key] = value
-        return self
-
-    def log(self, timestamp_ns: int, **fields: Any) -> "SpanView":
-        self.logs.append(LogEntry(timestamp_ns=timestamp_ns, fields=dict(fields)))
-        return self
 
     def iter_tags(self) -> Iterator[tuple[str, Any]]:
         return self._table.iter_tags(self._row)

@@ -7,9 +7,13 @@ It provides level-based queries, child lookup, and export to the Chrome
 Storage is columnar: every published span is appended to the trace's
 :class:`~repro.tracing.table.SpanTable` (structure-of-arrays — see that
 module for the storage contract) and no per-span objects are retained.
-``trace.spans`` remains a list-like sequence for source compatibility; it
-yields lightweight :class:`~repro.tracing.table.SpanView` flyweights bound
-to the table's rows.
+Published rows are frozen; only ``parent_id`` writes through.
+``trace.spans`` is a read-only list-like sequence of lightweight
+:class:`~repro.tracing.table.SpanView` flyweights bound to the table's
+rows.  Spans enter a trace only through :meth:`Trace.add`,
+:meth:`Trace.extend` and :meth:`Trace.add_row`, which stamp the trace's
+id.  Every reader stops at the table's completed-row watermark, so a
+row another thread is still appending is never seen half-written.
 
 Queries are served by a lazily-built :class:`~repro.tracing.index.TraceIndex`
 (index once, query many): the first query pays one O(n log n) build,
@@ -33,12 +37,10 @@ from repro.tracing.table import SpanTable, SpanView
 
 
 class SpanSequence:
-    """List-like, append-able view of a trace's span table.
+    """Read-only, list-like view of a trace's span table.
 
-    Kept source-compatible with the former ``list[Span]`` field:
-    iteration, indexing, ``len``, and ``append``/``extend`` all work (the
-    latter two ingest into the columns; the index's length check picks
-    the change up, exactly as a direct list append did).
+    Iteration, indexing and ``len`` cover the rows below the table's
+    watermark.
     """
 
     __slots__ = ("_table",)
@@ -63,13 +65,6 @@ class SpanSequence:
 
     def __bool__(self) -> bool:
         return len(self._table) > 0
-
-    def append(self, span: Span) -> None:
-        self._table.append(span)
-
-    def extend(self, spans: Iterable[Span]) -> None:
-        for span in spans:
-            self._table.append(span)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SpanSequence(<{len(self._table)} spans>)"
@@ -151,8 +146,6 @@ class Trace:
         return SpanSequence(self.table)
 
     def __len__(self) -> int:
-        # The completed-append mark, not the raw column length: equal in
-        # every single-threaded flow, and the safe count mid-capture.
         return self.table.watermark
 
     def __iter__(self) -> Iterator[SpanView]:
@@ -174,13 +167,15 @@ class Trace:
     def first_named(self, name: str) -> SpanView | None:
         # Interning makes this a column scan for one small int, not a
         # per-span string comparison.
-        name_id = self.table.name_code(name)
+        table = self.table
+        name_id = table.name_code(name)
         if name_id is None:
             return None
-        for row, nid in enumerate(self.table.name_id):
-            if nid == name_id:
-                return SpanView(self.table, row)
-        return None
+        try:
+            row = table.name_id.index(name_id, 0, table.watermark)
+        except ValueError:
+            return None
+        return SpanView(table, row)
 
     def by_id(self) -> dict[int, SpanView]:
         return dict(self.index.by_id())

@@ -1,195 +1,43 @@
-"""Tracer interface.
+"""Tracers: "some code to create and publish spans" (paper Sec. III-A).
 
-Each profiler in the stack owns a :class:`Tracer` — "some code to create and
-publish spans" (paper Sec. III-A).  Tracers can be enabled or disabled at
-runtime, which is how XSP's leveled experimentation selects which stack
-levels are profiled in a given run.
+Each profiler in the stack owns a :class:`Tracer`.  A span has one
+lifecycle: its tracer creates it, stamps it with a ``tracer`` tag naming
+the tracer, and publishes it to the :class:`~repro.tracing.server.TracingServer`.
+The tracer keeps no copy; from then on the trace's columnar row is the
+only one.  Which stack levels are profiled in a run is chosen by the
+session's ``ProfilingConfig``, which decides which tracers publish at all.
 """
 
 from __future__ import annotations
 
-import abc
-import contextlib
-from typing import Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
-from repro.tracing.span import Level, Span, SpanKind
+from repro.tracing.span import Level, Span
+
+if TYPE_CHECKING:
+    from repro.tracing.server import TracingServer
 
 
-class Tracer(abc.ABC):
-    """Creates spans and publishes finished spans to a sink.
+class Tracer:
+    """Publishes finished spans of one stack level to a tracing server."""
 
-    The sink is a callable (usually :meth:`repro.tracing.server.TracingServer.publish`)
-    so that tracers do not depend on the server implementation — spans may
-    equally be buffered and converted offline, as the paper allows.  An
-    optional ``batch_sink`` (usually
-    :meth:`~repro.tracing.server.TracingServer.publish_many`) lets
-    offline-conversion tracers deliver a whole profiler dump in one
-    call — one server lock round per batch instead of one per span.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        level: Level,
-        sink: Callable[[Span], None] | None = None,
-        batch_sink: Callable[[Iterable[Span]], None] | None = None,
-    ) -> None:
+    def __init__(self, name: str, level: Level, server: TracingServer) -> None:
         self.name = name
         self.level = level
-        self._sink = sink
-        self._batch_sink = batch_sink
-        self._enabled = True
+        self.server = server
 
-    # -- enable/disable -------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
-
-    def enable(self) -> None:
-        self._enabled = True
-
-    def disable(self) -> None:
-        self._enabled = False
-
-    # -- span publication ------------------------------------------------
     def publish(self, span: Span) -> None:
-        """Publish a finished span if this tracer is enabled."""
-        if not self._enabled:
-            return
+        """Tag a finished span with this tracer's name and publish it."""
         span.tags.setdefault("tracer", self.name)
-        self.emit(span)
+        self.server.publish(span)
 
-    def publish_many(
-        self, spans: Iterable[Span], *, chunk_size: int | None = None
-    ) -> list[Span]:
-        """Publish a batch of finished spans; returns the published list.
+    def publish_many(self, spans: Iterable[Span]) -> None:
+        """Tag a batch of finished spans and publish it in one server call.
 
-        Tags each span like :meth:`publish` and delivers the batch
-        through :meth:`emit_many` (one ``batch_sink`` call when the
-        tracer has one).  ``chunk_size`` splits delivery into bounded
-        chunks — one server lock round each — so live stream cursors see
-        a long offline conversion land progressively instead of as one
-        giant burst.  A disabled tracer suppresses publication only: the
-        spans are still materialized and returned (untagged), exactly as
-        per-span :meth:`publish` loops behaved.
+        The batch is built before the call, so converting a profiler's
+        output stays timed apart from the server ingesting it.
         """
-        if not self._enabled:
-            return list(spans)
-        batch = []
-        pending = 0
-        for span in spans:
-            span.tags.setdefault("tracer", self.name)
-            batch.append(span)
-            pending += 1
-            if chunk_size is not None and pending >= chunk_size:
-                self.emit_many(batch[-pending:])
-                pending = 0
-        if pending:
-            self.emit_many(batch[-pending:] if chunk_size is not None else batch)
-        return batch
-
-    @abc.abstractmethod
-    def emit(self, span: Span) -> None:
-        """Deliver a span to the sink. Subclasses decide buffering policy."""
-
-    def emit_many(self, batch: list[Span]) -> None:
-        """Deliver a batch; defaults to per-span :meth:`emit`."""
+        batch = list(spans)
         for span in batch:
-            self.emit(span)
-
-    # -- convenience -----------------------------------------------------
-    def span(
-        self,
-        name: str,
-        start_ns: int,
-        end_ns: int,
-        *,
-        kind: SpanKind = SpanKind.INTERNAL,
-        parent_id: int | None = None,
-        correlation_id: int | None = None,
-        trace_id: int = 0,
-        **tags: Any,
-    ) -> Span:
-        """Create and publish a span in one call; returns the span."""
-        s = Span(
-            name=name,
-            start_ns=start_ns,
-            end_ns=end_ns,
-            level=self.level,
-            kind=kind,
-            parent_id=parent_id,
-            correlation_id=correlation_id,
-            trace_id=trace_id,
-            tags=dict(tags),
-        )
-        self.publish(s)
-        return s
-
-    @contextlib.contextmanager
-    def timed_span(
-        self,
-        name: str,
-        clock: Callable[[], int],
-        *,
-        parent_id: int | None = None,
-        **tags: Any,
-    ) -> Iterator[Span]:
-        """Context manager measuring a code region with ``clock`` (ns)."""
-        start = clock()
-        s = Span(
-            name=name,
-            start_ns=start,
-            end_ns=start,
-            level=self.level,
-            parent_id=parent_id,
-            tags=dict(tags),
-        )
-        try:
-            yield s
-        finally:
-            s.end_ns = clock()
-            self.publish(s)
-
-
-class BufferingTracer(Tracer):
-    """Tracer that forwards spans to the sink and keeps a local buffer.
-
-    The buffer supports the paper's offline-conversion mode: a profiler can
-    run to completion and have its buffered output converted to spans after
-    the fact with zero in-run overhead.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        level: Level,
-        sink: Callable[[Span], None] | None = None,
-        batch_sink: Callable[[Iterable[Span]], None] | None = None,
-    ) -> None:
-        super().__init__(name, level, sink, batch_sink)
-        self.buffer: list[Span] = []
-
-    def emit(self, span: Span) -> None:
-        self.buffer.append(span)
-        if self._sink is not None:
-            self._sink(span)
-
-    def emit_many(self, batch: list[Span]) -> None:
-        self.buffer.extend(batch)
-        if self._batch_sink is not None:
-            self._batch_sink(batch)
-        elif self._sink is not None:
-            for span in batch:
-                self._sink(span)
-
-    def drain(self) -> list[Span]:
-        """Return and clear the local buffer."""
-        out, self.buffer = self.buffer, []
-        return out
-
-
-class NoopTracer(Tracer):
-    """Tracer that drops all spans; used when a stack level is disabled."""
-
-    def emit(self, span: Span) -> None:  # noqa: D102 - interface impl
-        pass
+            span.tags.setdefault("tracer", self.name)
+        self.server.publish_many(batch)

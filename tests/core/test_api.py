@@ -3,12 +3,14 @@
 from repro.core.api import finish_span, start_span
 from repro.core.profilers import ModelTracer
 from repro.sim import VirtualClock
-from repro.tracing import Level
+from repro.tracing import Level, TracingServer
 
 
 def test_start_finish_measures_region():
     clock = VirtualClock()
-    tracer = ModelTracer()
+    server = TracingServer()
+    tid = server.begin_trace()
+    tracer = ModelTracer(server)
     scope = start_span(tracer, clock.now, "predict", batch=8)
     clock.advance_ms(5)
     span = finish_span(scope, status="ok")
@@ -16,12 +18,12 @@ def test_start_finish_measures_region():
     assert span.tags["batch"] == 8
     assert span.tags["status"] == "ok"
     assert span.level == Level.MODEL
-    assert tracer.buffer == [span]
+    assert server.end_trace(tid).spans[:] == [span]
 
 
 def test_nested_spans_via_parent_id():
     clock = VirtualClock()
-    tracer = ModelTracer()
+    tracer = ModelTracer(TracingServer())
     outer = start_span(tracer, clock.now, "evaluate")
     inner = start_span(tracer, clock.now, "predict",
                        parent_id=outer.span.span_id)

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.ext_library import library_call_table
 from repro.core import MLLibG, ProfilingConfig, XSPSession
 from repro.core.library_level import LibraryTracer, api_name_for
-from repro.tracing import Level, SpanKind
+from repro.tracing import Level, SpanKind, TracingServer
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +107,9 @@ def test_tracer_groups_by_layer_and_api():
         record(3, KernelClass.ELEMENTWISE_EIGEN, "eigen", 2, 30),
         record(4, KernelClass.CONV_PRECOMP_GEMM, "cudnn", 3, 50),
     ]
-    spans = LibraryTracer().convert(records)
+    server = TracingServer()
+    tid = server.begin_trace()
+    LibraryTracer(server).convert(records)
+    spans = server.end_trace(tid).spans
     assert [s.tags["n_kernels"] for s in spans] == [2, 1, 1]
     assert spans[0].name == spans[2].name == "cudnnConvolutionForward"

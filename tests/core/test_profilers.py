@@ -5,7 +5,15 @@ import pytest
 from repro.core.profilers import GpuTracer, LayerTracer
 from repro.frameworks.profiler_format import LayerRecord, mx_profile, tf_step_stats
 from repro.sim.cupti import ActivityRecord, ApiRecord
-from repro.tracing import Level, SpanKind
+from repro.tracing import Level, SpanKind, TracingServer
+
+
+def _published(tracer_cls, *args):
+    """Run ``tracer_cls(server).convert(*args)``; return the trace's spans."""
+    server = TracingServer()
+    tid = server.begin_trace()
+    tracer_cls(server).convert(*args)
+    return server.end_trace(tid).spans
 
 
 def _records():
@@ -16,8 +24,9 @@ def _records():
 
 
 def test_layer_tracer_parses_tf_format():
-    tracer = LayerTracer()
-    spans = tracer.convert(tf_step_stats(_records()), "tensorflow_like", 77)
+    spans = _published(
+        LayerTracer, tf_step_stats(_records()), "tensorflow_like", 77
+    )
     assert [s.name for s in spans] == ["conv1/Conv2D", "relu1/Relu"]
     assert all(s.parent_id == 77 for s in spans)
     assert all(s.level == Level.LAYER for s in spans)
@@ -26,15 +35,14 @@ def test_layer_tracer_parses_tf_format():
 
 
 def test_layer_tracer_parses_mx_format():
-    tracer = LayerTracer()
-    spans = tracer.convert(mx_profile(_records()), "mxnet_like", None)
+    spans = _published(LayerTracer, mx_profile(_records()), "mxnet_like", None)
     assert len(spans) == 2
     assert spans[1].tags["layer_index"] == 2
 
 
 def test_layer_tracer_unknown_framework():
     with pytest.raises(ValueError, match="no profile parser"):
-        LayerTracer().convert({}, "caffe2_like", None)
+        _published(LayerTracer, {}, "caffe2_like", None)
 
 
 def test_gpu_tracer_builds_launch_and_exec_spans():
@@ -42,7 +50,7 @@ def test_gpu_tracer_builds_launch_and_exec_spans():
     acts = [ActivityRecord("kernel", "volta_scudnn", 9, 0, 150, 400,
                            (10, 1, 1), (256, 1, 1),
                            metrics={"flop_count_sp": 5e9})]
-    spans = GpuTracer().convert(api, acts)
+    spans = _published(GpuTracer, api, acts)
     launch = next(s for s in spans if s.kind is SpanKind.LAUNCH)
     execution = next(s for s in spans if s.kind is SpanKind.EXECUTION)
     assert launch.correlation_id == execution.correlation_id == 9

@@ -8,6 +8,7 @@ from repro.tracing import (
     Span,
     SpanKind,
     Trace,
+    TracingServer,
     reconstruct_parents,
 )
 
@@ -57,5 +58,8 @@ def test_layer_tracer_roundtrip_preserves_order():
         LayerRecord(i, f"l{i}", "Relu", (1, 2), i * 100, i * 100 + 50, 8)
         for i in range(1, 6)
     ]
-    spans = LayerTracer().convert(tf_step_stats(records), "tensorflow_like", 1)
+    server = TracingServer()
+    tid = server.begin_trace()
+    LayerTracer(server).convert(tf_step_stats(records), "tensorflow_like", 1)
+    spans = server.end_trace(tid).spans
     assert [s.tags["layer_index"] for s in spans] == [1, 2, 3, 4, 5]

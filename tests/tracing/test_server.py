@@ -82,55 +82,33 @@ def test_publish_many_drops_spans_for_ended_traces():
     assert server.traces() == []
 
 
-def test_buffering_tracer_batch_sink_reaches_server():
-    """publish_many on a tracer with a batch sink lands the whole batch
-    in the active trace, tagged with the tracer's name."""
-    from repro.tracing import BufferingTracer
+def test_tracer_publish_many_reaches_server():
+    """publish_many on a tracer lands the whole batch in the active
+    trace, tagged with the tracer's name."""
+    from repro.tracing import Tracer
 
     server = TracingServer()
     tid = server.begin_trace()
-    tracer = BufferingTracer(
-        "gpu", Level.GPU_KERNEL, server.publish, server.publish_many
-    )
-    published = tracer.publish_many(
+    tracer = Tracer("gpu", Level.GPU_KERNEL, server)
+    tracer.publish_many(
         _span(f"k{i}", i, i + 1, Level.GPU_KERNEL) for i in range(3)
     )
-    assert [s.name for s in published] == ["k0", "k1", "k2"]
-    assert [s.name for s in tracer.buffer] == ["k0", "k1", "k2"]
     trace = server.end_trace(tid)
     assert [s.name for s in trace.spans] == ["k0", "k1", "k2"]
     assert all(s.tags["tracer"] == "gpu" for s in trace.spans)
 
 
-def test_disabled_tracer_suppresses_batch_publication_only():
-    """Like per-span publish: a disabled tracer still returns the
-    converted spans (untagged), it just publishes and buffers nothing."""
-    from repro.tracing import BufferingTracer
-
-    server = TracingServer()
-    tid = server.begin_trace()
-    tracer = BufferingTracer(
-        "gpu", Level.GPU_KERNEL, server.publish, server.publish_many
-    )
-    tracer.disable()
-    returned = tracer.publish_many([_span("suppressed")])
-    assert [s.name for s in returned] == ["suppressed"]
-    assert "tracer" not in returned[0].tags
-    assert tracer.buffer == []
-    assert len(server.end_trace(tid)) == 0
-
-
 def test_multiple_tracers_aggregate_into_one_timeline():
     """The core idea: spans from different tracers merge into one trace."""
-    from repro.tracing import BufferingTracer
+    from repro.tracing import Tracer
 
     server = TracingServer()
     tid = server.begin_trace()
-    model_tracer = BufferingTracer("model", Level.MODEL, server.publish)
-    layer_tracer = BufferingTracer("layer", Level.LAYER, server.publish)
-    model_tracer.span("predict", 0, 100)
-    layer_tracer.span("conv", 10, 60)
-    layer_tracer.span("relu", 60, 90)
+    model_tracer = Tracer("model", Level.MODEL, server)
+    layer_tracer = Tracer("layer", Level.LAYER, server)
+    model_tracer.publish(_span("predict", 0, 100))
+    layer_tracer.publish(_span("conv", 10, 60, Level.LAYER))
+    layer_tracer.publish(_span("relu", 60, 90, Level.LAYER))
     trace = server.end_trace(tid)
     assert len(trace) == 3
     assert {s.tags["tracer"] for s in trace} == {"model", "layer"}

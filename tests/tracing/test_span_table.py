@@ -1,11 +1,11 @@
-"""SpanTable unit tests: columns, interning, promotion, nbytes, fallback.
+"""SpanTable unit tests: columns, interning, frozen rows, nbytes, fallback.
 
 The storage contract (see ``src/repro/tracing/table.py``): spans ingest
 into typed columns with interned names and packed scalar tag-sets; views
-are flyweights that read columns and write ``parent_id`` through; reading
-``view.tags`` promotes (materializes) the row; read-only consumers peek
-without promoting.  The pure-Python index fallback must agree with the
-numpy-accelerated builders on every query family.
+are flyweights that read columns and write ``parent_id`` through; every
+other field of a published row is frozen, and reading it stores nothing.
+Readers stop at the table's watermark.  The pure-Python index fallback
+must agree with the numpy-accelerated builders on every query family.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.tracing import Level, Span, SpanKind, SpanTable, Trace
+from repro.tracing import Level, LogEntry, Span, SpanKind, SpanTable, Trace
 from repro.tracing.table import NONE_ID
 
 
@@ -103,15 +103,29 @@ def test_unpackable_tags_go_to_side_store():
     assert table.peek_tags(0) == {"shape": [8, 3, 4]}
 
 
-def test_tags_promotion_is_sticky_and_isolated():
+def test_view_tags_are_read_only():
     table = SpanTable()
     table.append(_span(1, tags={"tracer": "gpu"}))
-    table.append(_span(2, tags={"tracer": "gpu"}))
-    tags = table.tags_of(0)
-    tags["extra"] = 1
-    assert table.tags_of(0) is tags  # same dict on re-read
-    # The sibling sharing the packed set is unaffected.
-    assert dict(table.iter_tags(1)) == {"tracer": "gpu"}
+    table.append(
+        _span(2, tags={"shape": [8, 3]}, logs=[LogEntry(5, {"event": "x"})])
+    )
+    state = (table.tag_set_id.tolist(), dict(table._tags), dict(table._logs))
+    nbytes = table.nbytes
+    for row in range(len(table)):
+        view = table.view(row)
+        with pytest.raises(TypeError):
+            view.tags["extra"] = 1
+        with pytest.raises(AttributeError):
+            view.logs.append(None)
+        assert dict(view.tags) == dict(table.iter_tags(row))
+        assert view.logs == tuple(table.peek_logs(row))
+    assert not hasattr(table.view(0), "tag")
+    assert not hasattr(table.view(0), "log")
+    # Reads stored nothing: no promoted dict, no empty log list.
+    assert (
+        table.tag_set_id.tolist(), dict(table._tags), dict(table._logs)
+    ) == state
+    assert table.nbytes == nbytes
 
 
 def test_peek_does_not_promote():
@@ -122,16 +136,16 @@ def test_peek_does_not_promote():
     assert table.tag_set_id[0] != NONE_ID and 0 not in table._tags
 
 
-def test_nbytes_grows_with_rows_and_promotion():
+def test_nbytes_grows_with_rows_not_reads():
     table = SpanTable()
     empty = table.nbytes
     for i in range(1, 200):
         table.append(_span(i, tags={"tracer": "gpu"}))
     packed = table.nbytes
     assert packed > empty
-    for row in range(len(table)):
-        table.tags_of(row)
-    assert table.nbytes > packed  # materialized dicts are counted
+    for view in table.views():
+        view.tags, view.logs
+    assert table.nbytes == packed
 
 
 # -- views ------------------------------------------------------------------
@@ -170,16 +184,6 @@ def test_view_is_unhashable_like_span():
         hash(_span(2))
 
 
-def test_to_span_detaches():
-    trace = Trace(trace_id=1)
-    trace.add(_span(1, tags={"tracer": "gpu"}))
-    detached = trace.table.to_span(0)
-    detached.tags["x"] = 1
-    detached.parent_id = 99
-    assert dict(trace.table.iter_tags(0)) == {"tracer": "gpu"}
-    assert trace.table.parent_id_of(0) is None
-
-
 # -- the span sequence ------------------------------------------------------
 
 
@@ -197,13 +201,43 @@ def test_span_sequence_supports_list_protocol():
     assert not Trace(trace_id=2).spans
 
 
-def test_span_sequence_append_is_caught_by_index():
+def _append_columns_only(table: SpanTable, span: Span) -> None:
+    """The first steps of ``append_row``: every column up to ``name_id``
+    grows, but the tag column and the watermark do not (a capture thread
+    caught mid-append)."""
+    table.span_id.append(span.span_id)
+    table.start_ns.append(span.start_ns)
+    table.end_ns.append(span.end_ns)
+    table.parent_id.append(NONE_ID)
+    table.correlation_id.append(NONE_ID)
+    table.trace_id.append(span.trace_id)
+    table.level.append(int(span.level))
+    table.kind.append(0)
+    table._name_ids[span.name] = len(table._names)
+    table._names.append(span.name)
+    table.name_id.append(table._name_ids[span.name])
+
+
+def test_readers_stop_at_watermark():
     trace = Trace(trace_id=1)
-    trace.add(_span(1))
-    trace.sorted_spans()  # build index
-    trace.spans.append(_span(2, trace_id=42))  # raw append keeps trace_id
-    assert 2 in trace.by_id()
-    assert trace.by_id()[2].trace_id == 42
+    trace.add(_span(1, name="done", tags={"tracer": "gpu"}))
+    _append_columns_only(trace.table, _span(2, name="half"))
+    assert len(trace) == trace.watermark == 1
+    assert len(trace.spans) == 1 and bool(trace.spans)
+    assert len(trace.table) == 1
+    assert [s.span_id for s in trace] == [1]
+    assert [s.span_id for s in trace.spans] == [1]
+    assert [s.span_id for s in trace.spans[:]] == [1]
+    assert trace.spans[-1].span_id == 1
+    with pytest.raises(IndexError):
+        trace.spans[1]
+    assert [s.span_id for s in trace.find(lambda s: True)] == [1]
+    assert [dict(s.tags) for s in trace.find(lambda s: True)] == [
+        {"tracer": "gpu"}
+    ]
+    assert trace.first_named("half") is None
+    assert trace.first_named("done").span_id == 1
+    assert [s.span_id for s in trace.sorted_spans()] == [1]
 
 
 # -- numpy fallback parity --------------------------------------------------

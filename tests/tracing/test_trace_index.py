@@ -68,10 +68,10 @@ def test_add_invalidates_index():
     assert t.by_id()[999].name == "late"
 
 
-def test_direct_span_list_append_is_caught_by_length_check():
+def test_direct_table_append_is_caught_by_length_check():
     t = _random_trace()
     t.sorted_spans()  # build the index
-    t.spans.append(Span("sneaky", 0, 5, Level.MODEL, span_id=1000))
+    t.table.append(Span("sneaky", 0, 5, Level.MODEL, span_id=1000))
     assert 1000 in t.by_id()
 
 

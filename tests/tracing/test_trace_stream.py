@@ -203,30 +203,3 @@ def test_mid_capture_queries_advance_not_rebuild():
     )
     assert trace.index is index  # advanced in place, not rebuilt
     assert [s.span_id for s in trace.sorted_spans()] == list(range(1, 9))
-
-
-def test_chunked_publish_many_streams_progressively():
-    """Tracer.publish_many(chunk_size=...) delivers bounded chunks, so a
-    cursor polled between lock rounds can observe partial progress."""
-    from repro.tracing import BufferingTracer
-
-    server = TracingServer()
-    tid = server.begin_trace()
-    observed: list[int] = []
-
-    class Probe(BufferingTracer):
-        def emit_many(self, batch):
-            super().emit_many(batch)
-            observed.append(len(batch))
-
-    tracer = Probe("gpu", Level.GPU_KERNEL, server.publish,
-                   server.publish_many)
-    published = tracer.publish_many(
-        (_span(i, i, i + 1, Level.GPU_KERNEL) for i in range(1, 11)),
-        chunk_size=4,
-    )
-    assert len(published) == 10
-    assert observed == [4, 4, 2]
-    trace = server.end_trace(tid)
-    assert len(trace) == 10
-    assert all(s.tags["tracer"] == "gpu" for s in trace.spans)

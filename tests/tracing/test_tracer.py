@@ -1,60 +1,133 @@
-"""Unit tests for tracers."""
+"""Unit tests for tracers: create, tag, publish, keep nothing."""
 
-from repro.tracing import BufferingTracer, Level, NoopTracer, Span
+import pytest
+
+from repro.core.api import start_span
+from repro.core.library_level import LibraryTracer
+from repro.core.profilers import GpuTracer, LayerTracer, ModelTracer
+from repro.frameworks.profiler_format import LayerRecord, tf_step_stats
+from repro.sim import VirtualClock
+from repro.sim.cuda import KernelLaunchRecord
+from repro.sim.cupti import ActivityRecord, ApiRecord
+from repro.sim.kernels import KernelClass, KernelSpec
+from repro.tracing import Level, Span, Tracer, TracingServer
 
 
-def test_buffering_tracer_buffers_and_forwards():
-    sink_calls = []
-    t = BufferingTracer("t", Level.LAYER, sink_calls.append)
-    t.span("op", 0, 10)
-    assert len(t.buffer) == 1
-    assert len(sink_calls) == 1
-    assert sink_calls[0].name == "op"
+def _publish_model(server):
+    tracer = ModelTracer(server)
+    clock = VirtualClock()
+    for name in ("input_preprocess", "predict", "output_postprocess"):
+        scope = start_span(tracer, clock.now, name, batch=1)
+        clock.advance_us(10)
+        scope.finish()
+    return tracer, 3
+
+
+def _publish_layers(server):
+    tracer = LayerTracer(server)
+    records = [
+        LayerRecord(1, "conv1/Conv2D", "Conv2D", (4, 8, 8, 8), 0, 1000, 64),
+        LayerRecord(2, "relu1/Relu", "Relu", (4, 8, 8, 8), 1000, 1400, 64),
+    ]
+    tracer.convert(tf_step_stats(records), "tensorflow_like", None)
+    return tracer, 2
+
+
+def _publish_gpu(server):
+    tracer = GpuTracer(server)
+    api = [ApiRecord("cudaLaunchKernel", 9, 100, 110)]
+    acts = [
+        ActivityRecord("kernel", "volta_scudnn", 9, 0, 150, 400,
+                       (10, 1, 1), (256, 1, 1)),
+        ActivityRecord("memcpy", "memcpy_h2d", 10, 0, 20, 90,
+                       (1, 1, 1), (1, 1, 1)),
+    ]
+    tracer.convert(api, acts)
+    return tracer, 3
+
+
+def _publish_library(server):
+    tracer = LibraryTracer(server)
+
+    def record(cid, klass, library, layer, t0):
+        spec = KernelSpec(f"k{cid}", klass, 1.0, 1.0, 1.0, blocks=1,
+                          tags={"library": library, "layer_index": layer})
+        return KernelLaunchRecord(cid, spec, 0, t0, t0 + 5, t0 + 10,
+                                  t0 + 20, t0 + 20)
+
+    tracer.convert([
+        record(1, KernelClass.CONV_PRECOMP_GEMM, "cudnn", 1, 0),
+        record(2, KernelClass.CONV_PRECOMP_GEMM, "cudnn", 1, 10),
+        record(3, KernelClass.ELEMENTWISE_EIGEN, "eigen", 2, 30),
+    ])
+    return tracer, 2
+
+
+@pytest.mark.parametrize(
+    "publish", [_publish_model, _publish_layers, _publish_gpu, _publish_library]
+)
+def test_every_published_span_lands_once_with_its_tracer_tag(publish):
+    server = TracingServer()
+    tid = server.begin_trace()
+    tracer, expected = publish(server)
+    trace = server.end_trace(tid)
+    assert len(trace) == expected
+    span_ids = [s.span_id for s in trace]
+    assert len(set(span_ids)) == expected
+    for span in trace:
+        assert span.tags["tracer"] == tracer.name
+        assert span.level == tracer.level
+        assert span.trace_id == tid
+    # The row in the trace is the only copy: the tracer keeps no spans.
+    assert set(vars(tracer)) == {"name", "level", "server"}
 
 
 def test_tracer_tags_origin():
-    t = BufferingTracer("layer_tracer", Level.LAYER)
-    s = t.span("op", 0, 10)
-    assert s.tags["tracer"] == "layer_tracer"
+    server = TracingServer()
+    tid = server.begin_trace()
+    tracer = Tracer("layer_tracer", Level.LAYER, server)
+    span = Span("op", 0, 10, Level.LAYER)
+    tracer.publish(span)
+    assert span.tags["tracer"] == "layer_tracer"
+    assert server.end_trace(tid).spans[0].tags["tracer"] == "layer_tracer"
 
 
-def test_disabled_tracer_drops_spans():
-    t = BufferingTracer("t", Level.LAYER)
-    t.disable()
-    t.span("op", 0, 10)
-    assert t.buffer == []
-    t.enable()
-    t.span("op2", 0, 10)
-    assert len(t.buffer) == 1
-
-
-def test_noop_tracer_never_emits():
-    t = NoopTracer("noop", Level.MODEL)
-    t.span("op", 0, 10)
-    # NoopTracer has no buffer; publishing must simply not raise.
-    assert t.enabled
+def test_existing_tracer_tag_is_kept():
+    server = TracingServer()
+    tid = server.begin_trace()
+    tracer = Tracer("gpu", Level.GPU_KERNEL, server)
+    tracer.publish(Span("a", 0, 1, Level.GPU_KERNEL, tags={"tracer": "own"}))
+    tracer.publish_many(
+        [Span("b", 1, 2, Level.GPU_KERNEL, tags={"tracer": "own"})]
+    )
+    assert [s.tags["tracer"] for s in server.end_trace(tid)] == ["own", "own"]
 
 
 def test_span_level_comes_from_tracer():
-    t = BufferingTracer("t", Level.GPU_KERNEL)
-    s = t.span("kernel", 0, 5)
-    assert s.level == Level.GPU_KERNEL
+    """Converters build their spans at their tracer's level."""
+    server = TracingServer()
+    tid = server.begin_trace()
+    for publish in (_publish_layers, _publish_gpu, _publish_library):
+        publish(server)
+    levels = {s.tags["tracer"]: s.level for s in server.end_trace(tid)}
+    assert levels == {
+        "layer_tracer": Level.LAYER,
+        "gpu_tracer": Level.GPU_KERNEL,
+        "library_tracer": Level.LIBRARY,
+    }
 
 
-def test_timed_span_context_manager():
-    clock = {"now": 100}
-    t = BufferingTracer("t", Level.MODEL)
-    with t.timed_span("region", lambda: clock["now"]) as span:
-        clock["now"] = 400
-    assert span.start_ns == 100
-    assert span.end_ns == 400
-    assert t.buffer == [span]
+def test_publish_many_tags_the_batch_in_one_server_call():
+    """publish_many consumes any iterable, tags every span, and hands the
+    server the whole batch in a single call."""
+    calls = []
 
+    class Server:
+        def publish_many(self, spans):
+            calls.append([dict(span.tags) for span in spans])
 
-def test_drain_clears_buffer():
-    t = BufferingTracer("t", Level.LAYER)
-    t.span("a", 0, 1)
-    t.span("b", 1, 2)
-    drained = t.drain()
-    assert [s.name for s in drained] == ["a", "b"]
-    assert t.buffer == []
+    tracer = Tracer("gpu", Level.GPU_KERNEL, Server())
+    tracer.publish_many(
+        Span(f"k{i}", i, i + 1, Level.GPU_KERNEL) for i in range(3)
+    )
+    assert calls == [[{"tracer": "gpu"}] * 3]
