@@ -12,6 +12,10 @@ launch/execution kernel pairs — the shape ``repro trace`` produces):
 * the resident footprint of the capture is at least ``MIN_MEMORY_RATIO``x
   smaller (``SpanTable.nbytes`` vs a deep ``sys.getsizeof`` walk of the
   object list that counts every shared object once).
+
+The memory bound is also asserted on a real ``profile_application``
+capture of seven zoo models, whose rows carry tuple and ``metric.*``
+tags instead of the synthetic capture's scalar ones.
 """
 
 from __future__ import annotations
@@ -232,4 +236,31 @@ def test_columnar_vs_object_speed_and_memory():
     assert ratio >= MIN_MEMORY_RATIO, (
         f"columnar storage only {ratio:.2f}x smaller "
         f"({table_bytes / 1e6:.1f} MB vs {object_bytes / 1e6:.1f} MB)"
+    )
+
+
+def test_memory_ratio_on_a_real_application_capture():
+    """The memory bound on a real capture rather than synthetic scalar
+    tags: a ``profile_application`` timeline, whose rows carry tuple
+    ``grid``/``block``/``shape`` tags and ``metric.*`` values."""
+    from repro.core import XSPSession
+    from repro.models import get_model
+
+    session = XSPSession("Tesla_V100", "tensorflow_like")
+    trace, _ = session.profile_application(
+        [(get_model(m).graph, 1) for m in (7, 4, 48, 15, 9, 49, 20)]
+    )
+    spans = [
+        Span(v.name, v.start_ns, v.end_ns, v.level, span_id=v.span_id,
+             trace_id=v.trace_id, parent_id=v.parent_id, kind=v.kind,
+             correlation_id=v.correlation_id, tags=dict(v.tags))
+        for v in trace.spans
+    ]
+    table_bytes = trace.table.nbytes
+    object_bytes = object_list_nbytes(spans)
+    ratio = object_bytes / table_bytes
+    assert ratio >= MIN_MEMORY_RATIO, (
+        f"columnar storage of a {len(spans)}-span application capture only "
+        f"{ratio:.2f}x smaller ({table_bytes / len(spans):.0f} vs "
+        f"{object_bytes / len(spans):.0f} bytes per span)"
     )

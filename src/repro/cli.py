@@ -489,7 +489,11 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (KeyError, ValueError) as err:  # e.g. an unknown model
+        print(f"error: {err.args[0] if err.args else err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

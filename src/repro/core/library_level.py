@@ -2,8 +2,8 @@
 
 "One can also add a ML library profiling level between the layer- and GPU
 kernel-level to measure the cuDNN API calls."  This module does exactly
-that: it synthesizes LIBRARY-level spans from the runtime's launch
-records, grouping consecutive kernels of one library invocation within a
+that: it synthesizes LIBRARY-level spans from the runtime's kernel
+launches, grouping consecutive kernels of one library invocation within a
 layer into a single API-call span (``cudnnConvolutionForward``,
 ``cublasSgemm``, ...).  The spans slot between the layer and GPU-kernel
 levels, and the standard interval-containment reconstruction then parents
@@ -14,10 +14,11 @@ extensibility.
 
 from __future__ import annotations
 
-from repro.sim.cuda import KernelLaunchRecord
+from repro.sim.cuda import CudaRuntime, KernelLaunchRecord
 from repro.sim.kernels import KernelClass
 from repro.tracing.server import TracingServer
-from repro.tracing.span import Level, Span
+from repro.tracing.span import Level, SpanKind, new_span_id
+from repro.tracing.table import _KIND_CODE, NONE_ID
 from repro.tracing.tracer import Tracer
 
 #: Library tag (KernelSpec.tags["library"]) + kernel class -> API name.
@@ -31,6 +32,8 @@ _API_NAMES: dict[tuple[str, KernelClass], str] = {
     ("cudnn", KernelClass.REDUCTION): "cudnnSoftmaxForward",
     ("cublas", KernelClass.GEMM): "cublasSgemm",
 }
+
+_KEYS = ("library", "n_kernels", "layer_index", "tracer")
 
 
 def api_name_for(record: KernelLaunchRecord) -> str:
@@ -49,50 +52,45 @@ def api_name_for(record: KernelLaunchRecord) -> str:
 
 
 class LibraryTracer(Tracer):
-    """Tracer synthesizing library-API spans from kernel launch records."""
+    """Tracer folding the runtime's kernel launches (it subscribes, as
+    CUPTI does) into library-API calls, published as spans."""
 
-    def __init__(self, server: TracingServer) -> None:
+    def __init__(self, server: TracingServer, runtime: CudaRuntime) -> None:
         super().__init__("library_tracer", Level.LIBRARY, server)
+        # One entry per library call so far:
+        # [api, start_ns, end_ns, library, n_kernels, layer_index].
+        self._calls: list[list] = []
+        runtime.on_launch(self._on_launch)
 
-    def convert(self, launch_records: list[KernelLaunchRecord]) -> None:
-        """One span per maximal run of launches belonging to the same API
-        call within the same layer.
-
-        A library API call (e.g. cudnnConvolutionForward) may launch
-        several kernels back-to-back (ShuffleTensor + OffsetComp + the
-        GEMM); its host interval covers all their launch API calls.
+    def _on_launch(self, record: KernelLaunchRecord) -> None:
+        """Extend the open call, or open a new one: a library API call
+        (e.g. cudnnConvolutionForward) is a maximal run of launches of the
+        same API within the same layer (ShuffleTensor + OffsetComp + the
+        GEMM), and its host interval covers all their launch API calls.
         """
-        spans: list[Span] = []
-        group: list[KernelLaunchRecord] = []
-        group_key: tuple[str, object] | None = None
+        tags = record.spec.tags
+        api = api_name_for(record)
+        layer_index = tags.get("layer_index")
+        calls = self._calls
+        if calls and calls[-1][0] == api and calls[-1][5] == layer_index:
+            call = calls[-1]
+            call[2] = record.api_end_ns
+            call[4] += 1
+        else:
+            calls.append([
+                api, record.api_start_ns, record.api_end_ns,
+                str(tags.get("library", "")), 1, layer_index,
+            ])
 
-        def flush() -> None:
-            if not group:
-                return
-            api = api_name_for(group[0])
-            spans.append(
-                Span(
-                    name=api,
-                    start_ns=group[0].api_start_ns,
-                    end_ns=group[-1].api_end_ns,
-                    level=self.level,
-                    tags={
-                        "library": str(group[0].spec.tags.get("library", "")),
-                        "n_kernels": len(group),
-                        "layer_index": group[0].spec.tags.get("layer_index"),
-                    },
-                )
-            )
-
-        for record in launch_records:
-            key = (
-                api_name_for(record),
-                record.spec.tags.get("layer_index"),
-            )
-            if key != group_key:
-                flush()
-                group = []
-                group_key = key
-            group.append(record)
-        flush()
-        self.publish_many(spans)
+    def convert(self) -> None:
+        """Publish one span per library call seen so far."""
+        level = int(self.level)
+        kind = _KIND_CODE[SpanKind.INTERNAL]
+        tracer = self.name
+        rows = [
+            (api, start, end, level, kind, new_span_id(), NONE_ID, NONE_ID,
+             _KEYS, (library, n_kernels, layer_index, tracer))
+            for api, start, end, library, n_kernels, layer_index in self._calls
+        ]
+        self._calls = []
+        self.server.publish_many(rows)

@@ -237,65 +237,79 @@ def profile_from_trace(trace: Trace) -> ModelProfile:
     parents = table.parent_id
     level_rows = index.level_rows()
 
+    layer_rows = level_rows.get(Level.LAYER, [])
     tagged_rows = sorted(
-        ((table.peek_tags(row), row) for row in level_rows.get(Level.LAYER, [])),
-        key=lambda pair: pair[0].get("layer_index", 0),
+        zip(*table.tag_columns(
+            layer_rows,
+            ("layer_index", "layer_type", "shape", "alloc_bytes"),
+            (None, "unknown", (), 0),
+        ), layer_rows),
+        key=lambda layer: layer[0] or 0,
     )
     layers: list[LayerProfile] = []
     by_layer_span: dict[int, LayerProfile] = {}
-    for tags, row in tagged_rows:
+    for layer_index, layer_type, shape, alloc_bytes, row in tagged_rows:
         layer = LayerProfile(
-            index=int(tags.get("layer_index", len(layers))),
+            index=int(len(layers) if layer_index is None else layer_index),
             name=table.name_of(row),
-            layer_type=str(tags.get("layer_type", "unknown")),
-            shape=tuple(tags.get("shape", ())),
+            layer_type=str(layer_type),
+            shape=tuple(shape),
             latency_ms=(ends[row] - starts[row]) / 1e6,
-            alloc_bytes=int(tags.get("alloc_bytes", 0)),
+            alloc_bytes=int(alloc_bytes),
         )
         layers.append(layer)
         by_layer_span[span_ids[row]] = layer
     # Kernels hang off their layer span directly, or — when the library
     # level was captured — via an intermediate cuDNN/cuBLAS API span, so
-    # resolve through the ancestor chain up to the enclosing layer.
+    # resolve through the ancestor chain up to the enclosing layer, once
+    # per parent span.
     row_by_id = index.row_by_id()
+    layer_of: dict[int, LayerProfile | None] = {NONE_ID: None, **by_layer_span}
 
-    def enclosing_layer(row: int) -> LayerProfile | None:
-        seen: set[int] = set()
-        parent_id = parents[row]
-        while parent_id != NONE_ID and parent_id not in seen:
-            layer = by_layer_span.get(parent_id)
-            if layer is not None:
-                return layer
-            seen.add(parent_id)
+    def enclosing_layer(parent_id: int) -> LayerProfile | None:
+        chain = []
+        while parent_id not in layer_of and parent_id not in chain:
+            chain.append(parent_id)
             parent_row = row_by_id.get(parent_id)
-            parent_id = parents[parent_row] if parent_row is not None else NONE_ID
-        return None
+            parent_id = NONE_ID if parent_row is None else parents[parent_row]
+        layer = layer_of.get(parent_id)  # None on a parent cycle
+        for seen in chain:
+            layer_of[seen] = layer
+        return layer
 
     execution_code = _KIND_CODE[SpanKind.EXECUTION]
     kinds = table.kind
-    for row in level_rows.get(Level.GPU_KERNEL, []):
-        if kinds[row] != execution_code:
-            continue
-        layer = enclosing_layer(row)
+    executions = [
+        row for row in level_rows.get(Level.GPU_KERNEL, [])
+        if kinds[row] == execution_code
+    ]
+    for row, flops, dram_read, dram_write, occupancy, grid, block in zip(
+        executions,
+        *table.tag_columns(
+            executions,
+            ("metric.flop_count_sp", "metric.dram_read_bytes",
+             "metric.dram_write_bytes", "metric.achieved_occupancy",
+             "grid", "block"),
+            (0.0, 0.0, 0.0, 0.0, (1, 1, 1), (1, 1, 1)),
+        ),
+    ):
+        parent_id = parents[row]
+        layer = (layer_of[parent_id] if parent_id in layer_of
+                 else enclosing_layer(parent_id))
         if layer is None:
             continue  # kernel outside any layer span
-        tags = table.peek_tags(row)
         layer.kernels.append(
             KernelProfile(
                 name=table.name_of(row),
                 layer_index=layer.index,
                 position=len(layer.kernels),
                 latency_ms=(ends[row] - starts[row]) / 1e6,
-                flops=float(tags.get("metric.flop_count_sp", 0.0)),
-                dram_read_bytes=float(tags.get("metric.dram_read_bytes", 0.0)),
-                dram_write_bytes=float(
-                    tags.get("metric.dram_write_bytes", 0.0)
-                ),
-                achieved_occupancy=float(
-                    tags.get("metric.achieved_occupancy", 0.0)
-                ),
-                grid=tuple(tags.get("grid", (1, 1, 1))),
-                block=tuple(tags.get("block", (1, 1, 1))),
+                flops=float(flops),
+                dram_read_bytes=float(dram_read),
+                dram_write_bytes=float(dram_write),
+                achieved_occupancy=float(occupancy),
+                grid=tuple(grid),
+                block=tuple(block),
             )
         )
     predict = trace.first_named("predict")

@@ -15,6 +15,11 @@
 Launch spans are published without parents; parent reconstruction happens
 offline by interval containment
 (:func:`repro.tracing.correlation.reconstruct_parents`).
+
+The layer and GPU tracers convert into row tuples (``SpanTable.append_rows``
+order; no ``Span`` or tag dict per record) whose shared key tuples end
+with ``tracer``, and publish each batch with one
+:meth:`TracingServer.publish_many` call.
 """
 
 from __future__ import annotations
@@ -22,10 +27,19 @@ from __future__ import annotations
 from typing import Any
 
 from repro.frameworks.profiler_format import PARSERS
-from repro.sim.cupti import ActivityRecord, ApiRecord
+from repro.sim.cupti import LAUNCH_API, ActivityBuffer, CallbackBuffer
 from repro.tracing.server import TracingServer
-from repro.tracing.span import Level, Span, SpanKind
+from repro.tracing.span import Level, SpanKind, new_span_id
+from repro.tracing.table import _KIND_CODE, NONE_ID
 from repro.tracing.tracer import Tracer
+
+_INTERNAL = _KIND_CODE[SpanKind.INTERNAL]
+_LAUNCH = _KIND_CODE[SpanKind.LAUNCH]
+_EXECUTION = _KIND_CODE[SpanKind.EXECUTION]
+
+_LAYER_KEYS = ("layer_index", "layer_type", "shape", "alloc_bytes", "tracer")
+_LAUNCH_KEYS = ("api", "tracer")
+_ACTIVITY_KEYS = ("stream_id", "grid", "block", "activity_kind")
 
 
 class ModelTracer(Tracer):
@@ -59,77 +73,75 @@ class LayerTracer(Tracer):
                 f"no profile parser registered for framework {framework_name!r}; "
                 f"known: {sorted(PARSERS)}"
             ) from None
-        self.publish_many(
-            Span(
-                name=record.name,
-                start_ns=record.start_ns,
-                end_ns=record.end_ns,
-                level=self.level,
-                parent_id=parent_span_id,
-                tags={
-                    "layer_index": record.index,
-                    "layer_type": record.layer_type,
-                    "shape": record.shape,
-                    "alloc_bytes": record.alloc_bytes,
-                },
-            )
+        level = int(self.level)
+        parent = NONE_ID if parent_span_id is None else parent_span_id
+        tracer = self.name
+        rows = [
+            (record.name, record.start_ns, record.end_ns, level, _INTERNAL,
+             new_span_id(), parent, NONE_ID, _LAYER_KEYS,
+             (record.index, record.layer_type, record.shape,
+              record.alloc_bytes, tracer))
             for record in parser(native_profile)
-        )
+        ]
+        self.server.publish_many(rows)
 
 
 class GpuTracer(Tracer):
-    """Tracer converting CUPTI callback/activity records into spans."""
+    """Tracer converting CUPTI callback/activity buffers into spans."""
 
     def __init__(self, server: TracingServer) -> None:
         super().__init__("gpu_tracer", Level.GPU_KERNEL, server)
 
     def convert(
-        self,
-        api_records: list[ApiRecord],
-        activity_records: list[ActivityRecord],
+        self, callbacks: CallbackBuffer, activities: ActivityBuffer
     ) -> None:
-        """Publish a launch span per API record, an execution span per
+        """Publish a launch span per callback and an execution span per
         activity — the kernel-dominated bulk of a capture, delivered as
         one batch."""
-        activity_names = {
-            a.correlation_id: a.name
-            for a in activity_records
-            if a.kind == "kernel"
+        level = int(self.level)
+        tracer = self.name
+        kernel_names = {
+            correlation_id: name
+            for kind, correlation_id, name in zip(
+                activities.kind, activities.correlation_id, activities.name
+            )
+            if kind == "kernel"
         }
-
-        def spans():
-            for api in api_records:
-                yield Span(
-                    # Label the launch with the launched kernel when known.
-                    name=activity_names.get(api.correlation_id, api.name),
-                    start_ns=api.start_ns,
-                    end_ns=api.end_ns,
-                    level=self.level,
-                    kind=SpanKind.LAUNCH,
-                    correlation_id=api.correlation_id,
-                    tags={"api": api.name},
+        launch_values = (LAUNCH_API, tracer)
+        rows = [
+            # Label the launch with the launched kernel when known.
+            (kernel_names.get(correlation_id, LAUNCH_API), start, end, level,
+             _LAUNCH, new_span_id(), NONE_ID, correlation_id, _LAUNCH_KEYS,
+             launch_values)
+            for correlation_id, start, end in zip(
+                callbacks.correlation_id, callbacks.start_ns, callbacks.end_ns
+            )
+        ]
+        keys_by_metrics: dict[tuple[str, ...], tuple[str, ...]] = {}
+        metric_values = activities.metric_values
+        at = 0
+        for kind, name, correlation_id, stream_id, start, end, grid, block, \
+                metrics in zip(
+                    activities.kind, activities.name,
+                    activities.correlation_id, activities.stream_id,
+                    activities.start_ns, activities.end_ns, activities.grid,
+                    activities.block, activities.metric_names):
+            keys = keys_by_metrics.get(metrics)
+            if keys is None:
+                keys = keys_by_metrics[metrics] = (
+                    _ACTIVITY_KEYS
+                    + tuple(f"metric.{metric}" for metric in metrics)
+                    + ("tracer",)
                 )
-            for act in activity_records:
-                tags: dict[str, Any] = {
-                    "stream_id": act.stream_id,
-                    "grid": act.grid,
-                    "block": act.block,
-                    "activity_kind": act.kind,
-                }
-                for metric, value in act.metrics.items():
-                    tags[f"metric.{metric}"] = value
-                yield Span(
-                    name=act.name,
-                    start_ns=act.start_ns,
-                    end_ns=act.end_ns,
-                    level=self.level,
-                    # Memory copies are synchronous host-visible activities;
-                    # kernels are the async launch/execution pairs.
-                    kind=(SpanKind.EXECUTION if act.kind == "kernel"
-                          else SpanKind.INTERNAL),
-                    correlation_id=(act.correlation_id if act.kind == "kernel"
-                                    else None),
-                    tags=tags,
-                )
-
-        self.publish_many(spans())
+            stop = at + len(metrics)
+            values = (stream_id, grid, block, kind,
+                      *metric_values[at:stop], tracer)
+            at = stop
+            # Memory copies are synchronous host-visible activities;
+            # kernels are the async launch/execution pairs.
+            kernel = kind == "kernel"
+            rows.append((name, start, end, level,
+                         _EXECUTION if kernel else _INTERNAL, new_span_id(),
+                         NONE_ID, correlation_id if kernel else NONE_ID,
+                         keys, values))
+        self.server.publish_many(rows)

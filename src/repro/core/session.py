@@ -177,6 +177,11 @@ class XSPSession:
             if config.metrics:
                 cupti.enable_metrics(config.metrics)
 
+        # Sec. III-E extension: cuDNN/cuBLAS API-call spans between the
+        # layer and GPU-kernel levels, folded from the kernel launches.
+        library = (LibraryTracer(self.server, runtime)
+                   if Level.LIBRARY in config.levels else None)
+
         framework = self.framework_cls(runtime)
         model = self._compiled(framework, graph)
 
@@ -188,34 +193,34 @@ class XSPSession:
             levels=config.levels.label,
         )
         model_tracer = ModelTracer(self.server)
+        try:
+            # -- the model-level evaluation pipeline ---------------------------
+            pre = start_span(model_tracer, clock.now, "input_preprocess", batch=batch)
+            clock.advance_us(_PREPROCESS_US[0] + _PREPROCESS_US[1] * batch)
+            pre.finish()
 
-        # -- the model-level evaluation pipeline -------------------------------
-        pre = start_span(model_tracer, clock.now, "input_preprocess", batch=batch)
-        clock.advance_us(_PREPROCESS_US[0] + _PREPROCESS_US[1] * batch)
-        pre.finish()
+            scope = start_span(model_tracer, clock.now, "predict", batch=batch)
+            prediction = self._predict(framework, model, batch, config)
+            predict_span = scope.finish()
 
-        scope = start_span(model_tracer, clock.now, "predict", batch=batch)
-        prediction = self._predict(framework, model, batch, config)
-        predict_span = scope.finish()
+            post = start_span(model_tracer, clock.now, "output_postprocess", batch=batch)
+            clock.advance_us(_POSTPROCESS_US[0] + _POSTPROCESS_US[1] * batch)
+            post.finish()
 
-        post = start_span(model_tracer, clock.now, "output_postprocess", batch=batch)
-        clock.advance_us(_POSTPROCESS_US[0] + _POSTPROCESS_US[1] * batch)
-        post.finish()
-
-        # -- offline conversion of the other profilers' outputs -----------------
-        if config.layer_profiling and prediction.native_profile is not None:
-            LayerTracer(self.server).convert(
-                prediction.native_profile, framework.name, predict_span.span_id
-            )
-        if cupti is not None:
-            api_records, activity_records = cupti.flush()
-            GpuTracer(self.server).convert(api_records, activity_records)
-        if Level.LIBRARY in config.levels:
-            # Sec. III-E extension: cuDNN/cuBLAS API-call spans between the
-            # layer and GPU-kernel levels, synthesized from launch records.
-            LibraryTracer(self.server).convert(runtime.launch_records)
-
-        trace = self.server.end_trace(trace_id)
+            # -- offline conversion of the other profilers' outputs ---------
+            if config.layer_profiling and prediction.native_profile is not None:
+                LayerTracer(self.server).convert(
+                    prediction.native_profile, framework.name,
+                    predict_span.span_id,
+                )
+            if cupti is not None:
+                GpuTracer(self.server).convert(*cupti.flush())
+            if library is not None:
+                library.convert()
+        finally:
+            # Also when the run fails (e.g. out of device memory): the
+            # server keeps no open trace.
+            trace = self.server.end_trace(trace_id)
         correlation = reconstruct_parents(trace, strict=False)
         kernels = correlate_launch_execution(trace)
 
@@ -338,7 +343,7 @@ class XSPSession:
                 parent_id=parent_id,
                 kind=table.kind[row],
                 correlation_id=correlation_id,
-                tags=dict(table.peek_tags(row), model=model_name),
+                tags=dict(table.iter_tags(row), model=model_name),
             )
 
     def _predict(

@@ -248,9 +248,7 @@ class Framework(abc.ABC):
         clock.advance_us(self.host.run_fixed_us + self.host.per_image_us * batch)
         weights: Allocation | None = None
         if model.weight_bytes:
-            weights = memory.alloc(
-                model.weight_bytes, tag="__weights__", timestamp_ns=clock.now()
-            )
+            weights = memory.alloc(model.weight_bytes, tag="__weights__")
 
         live: dict[str, Allocation] = {}
         records: list[LayerRecord] = []
@@ -262,9 +260,7 @@ class Framework(abc.ABC):
             layer_start = clock.now()
             clock.advance_us(step.host_us)
             if step.out_bytes:
-                live[layer.name] = memory.alloc(
-                    step.out_bytes, tag=layer.name, timestamp_ns=clock.now()
-                )
+                live[layer.name] = memory.alloc(step.out_bytes, tag=layer.name)
             if step.kernels is None:
                 # Feeding the input: host-to-device copy of the input tensor.
                 rt.memcpy(step.out_shape.nbytes, kind="h2d")
@@ -289,15 +285,15 @@ class Framework(abc.ABC):
                 # prediction latency inflates (Fig. 2).
                 clock.advance_us(layer_us)
             for name in step.frees:
-                memory.free(live.pop(name), timestamp_ns=clock.now())
+                memory.free(live.pop(name))
 
         # Copy the model output(s) back to the host.
         for out in model.graph.outputs():
             rt.memcpy(shapes[out.name].nbytes, kind="d2h")
         for alloc in live.values():
-            memory.free(alloc, timestamp_ns=clock.now())
+            memory.free(alloc)
         if weights is not None:
-            memory.free(weights, timestamp_ns=clock.now())
+            memory.free(weights)
 
         end_ns = clock.now()
         return PredictionResult(

@@ -23,11 +23,9 @@ from repro.sim.kernels import KernelClass, KernelSpec, kernel_duration_ns, achie
 from repro.sim.stream import Stream
 from repro.sim.memory import DeviceMemoryPool
 from repro.sim.cuda import CudaRuntime, KernelLaunchRecord
-from repro.sim.cupti import Cupti, ActivityRecord, ApiRecord
+from repro.sim.cupti import Cupti
 
 __all__ = [
-    "ActivityRecord",
-    "ApiRecord",
     "Architecture",
     "Cupti",
     "CudaRuntime",

@@ -32,9 +32,6 @@ class VirtualClock:
     def advance_us(self, delta_us: float) -> int:
         return self.advance(delta_us * 1e3)
 
-    def advance_ms(self, delta_ms: float) -> int:
-        return self.advance(delta_ms * 1e6)
-
     def advance_to(self, timestamp_ns: int) -> int:
         """Move forward to ``timestamp_ns`` if it is in the future."""
         if timestamp_ns > self._now_ns:

@@ -86,9 +86,8 @@ class CudaRuntime:
         self.memory = DeviceMemoryPool(capacity_bytes=int(gpu.dram_gb * 2**30))
         self._streams: dict[int, Stream] = {}
         self._correlation = itertools.count(1)
-        self.launch_records: list[KernelLaunchRecord] = []
-        self.memcpy_records: list[MemcpyRecord] = []
-        # Profiler hooks (CUPTI subscribes here).
+        # Profiler hooks (CUPTI and the library tracer subscribe here);
+        # the runtime itself keeps no per-launch record.
         self._launch_callbacks: list[Callable[[KernelLaunchRecord], None]] = []
         self._memcpy_callbacks: list[Callable[[MemcpyRecord], None]] = []
         #: Extra host-side cost per launch added by an attached profiler.
@@ -149,7 +148,6 @@ class CudaRuntime:
             device_end_ns=device_start + clean_ns,
             device_busy_until_ns=device_busy_until,
         )
-        self.launch_records.append(record)
         if self.launch_blocking:
             self.clock.advance_to(device_busy_until)
         for cb in self._launch_callbacks:
@@ -161,11 +159,6 @@ class CudaRuntime:
         """Block the host until the stream drains; returns host time."""
         stream = self.stream(stream_id)
         return self.clock.advance_to(stream.next_free_ns)
-
-    def device_synchronize(self) -> int:
-        """Block the host until all streams drain."""
-        latest = max((s.next_free_ns for s in self._streams.values()), default=0)
-        return self.clock.advance_to(latest)
 
     # -- memory ------------------------------------------------------------
     def memcpy(self, nbytes: int, kind: str = "h2d") -> MemcpyRecord:
@@ -182,7 +175,6 @@ class CudaRuntime:
             start_ns=start,
             end_ns=self.clock.now(),
         )
-        self.memcpy_records.append(record)
         for cb in self._memcpy_callbacks:
             cb(record)
         return record
@@ -192,6 +184,4 @@ class CudaRuntime:
         """Clear all execution state, keeping configuration."""
         for s in self._streams.values():
             s.reset()
-        self.launch_records.clear()
-        self.memcpy_records.clear()
         self.memory.free_all()

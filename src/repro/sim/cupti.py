@@ -16,16 +16,22 @@ against the simulated runtime (paper Sec. III-B):
 
 Enabling any capture adds per-kernel host overhead, which is exactly the
 profiling overhead XSP's leveled experimentation quantifies (Fig. 2).
+
+Like the real activity API, which hands the profiler filled buffers
+rather than one object per kernel, captures land in column buffers:
+:class:`CallbackBuffer` and :class:`ActivityBuffer` hold one list per
+record field, and :meth:`Cupti.flush` returns the filled buffers for the
+GPU tracer to read directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Callable, Iterable
 
 from repro.sim.calibration import PROFILING_CALIBRATION, ProfilingCalibration
 from repro.sim.cuda import CudaRuntime, KernelLaunchRecord, MemcpyRecord
-from repro.sim.kernels import achieved_occupancy
+from repro.sim.hardware import GPUSpec
+from repro.sim.kernels import KernelSpec, achieved_occupancy
 
 #: Metrics XSP's analyses rely on (paper Sec. III-D3).
 SUPPORTED_METRICS = (
@@ -35,34 +41,49 @@ SUPPORTED_METRICS = (
     "achieved_occupancy",
 )
 
+_METRIC_VALUE: dict[str, Callable[[KernelSpec, GPUSpec], float]] = {
+    "flop_count_sp": lambda spec, gpu: float(spec.flops),
+    "dram_read_bytes": lambda spec, gpu: float(spec.dram_read_bytes),
+    "dram_write_bytes": lambda spec, gpu: float(spec.dram_write_bytes),
+    "achieved_occupancy": achieved_occupancy,
+}
 
-@dataclass(frozen=True)
-class ApiRecord:
-    """One intercepted CUDA API call (callback API)."""
-
-    name: str
-    correlation_id: int
-    start_ns: int
-    end_ns: int
+#: The one CUDA API call the callback domain intercepts.
+LAUNCH_API = "cudaLaunchKernel"
 
 
-@dataclass(frozen=True)
-class ActivityRecord:
-    """One device activity (activity API)."""
+class _Columns:
+    """A capture buffer: one list per record field (``__slots__``)."""
 
-    kind: str  # "kernel" | "memcpy"
-    name: str
-    correlation_id: int
-    stream_id: int
-    start_ns: int
-    end_ns: int
-    grid: tuple[int, int, int]
-    block: tuple[int, int, int]
-    metrics: dict[str, float] = field(default_factory=dict)
+    __slots__ = ()
 
-    @property
-    def duration_ns(self) -> int:
-        return self.end_ns - self.start_ns
+    def __init__(self) -> None:
+        for column in self.__slots__:
+            setattr(self, column, [])
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.__slots__[0]))
+
+
+class CallbackBuffer(_Columns):
+    """Intercepted ``cudaLaunchKernel`` calls (callback API), by column."""
+
+    __slots__ = ("correlation_id", "start_ns", "end_ns")
+
+
+class ActivityBuffer(_Columns):
+    """Device activities (activity API), by column.
+
+    ``kind`` is ``"kernel"`` or ``"memcpy"``.  Activity ``i`` carries the
+    metric names ``metric_names[i]`` (a shared tuple); their values are
+    the next ``len(metric_names[i])`` entries of the flat
+    ``metric_values`` list, in activity order.
+    """
+
+    __slots__ = (
+        "kind", "name", "correlation_id", "stream_id", "start_ns", "end_ns",
+        "grid", "block", "metric_names", "metric_values",
+    )
 
 
 class Cupti:
@@ -79,8 +100,8 @@ class Cupti:
     ) -> None:
         self.runtime = runtime
         self.calibration = calibration
-        self.api_records: list[ApiRecord] = []
-        self.activity_records: list[ActivityRecord] = []
+        self.callbacks = CallbackBuffer()
+        self.activities = ActivityBuffer()
         self._callbacks_enabled = False
         self._activities_enabled = False
         self._metrics: tuple[str, ...] = ()
@@ -113,10 +134,6 @@ class Cupti:
         self._metrics = ()
         self._refresh_runtime_overheads()
 
-    @property
-    def enabled(self) -> bool:
-        return self._callbacks_enabled or self._activities_enabled or bool(self._metrics)
-
     def replay_passes(self) -> int:
         """Total kernel replay passes implied by the enabled metrics.
 
@@ -143,65 +160,51 @@ class Cupti:
     # -- capture ---------------------------------------------------------------
     def _on_launch(self, record: KernelLaunchRecord) -> None:
         if self._callbacks_enabled:
-            self.api_records.append(
-                ApiRecord(
-                    name="cudaLaunchKernel",
-                    correlation_id=record.correlation_id,
-                    start_ns=record.api_start_ns,
-                    end_ns=record.api_end_ns,
-                )
-            )
+            callbacks = self.callbacks
+            callbacks.correlation_id.append(record.correlation_id)
+            callbacks.start_ns.append(record.api_start_ns)
+            callbacks.end_ns.append(record.api_end_ns)
         if self._activities_enabled:
-            metrics: dict[str, float] = {}
-            for m in self._metrics:
-                metrics[m] = self._metric_value(record, m)
-            self.activity_records.append(
-                ActivityRecord(
-                    kind="kernel",
-                    name=record.spec.name,
-                    correlation_id=record.correlation_id,
-                    stream_id=record.stream_id,
-                    start_ns=record.device_start_ns,
-                    end_ns=record.device_end_ns,
-                    grid=record.spec.grid,
-                    block=record.spec.block,
-                    metrics=metrics,
-                )
+            spec = record.spec
+            gpu = self.runtime.gpu
+            self._append_activity(
+                "kernel", spec.name, record.correlation_id, record.stream_id,
+                record.device_start_ns, record.device_end_ns,
+                spec.grid, spec.block, self._metrics,
+            )
+            self.activities.metric_values.extend(
+                [_METRIC_VALUE[m](spec, gpu) for m in self._metrics]
             )
 
     def _on_memcpy(self, record: MemcpyRecord) -> None:
         """Memory copies are device activities too (CUPTI_ACTIVITY_KIND_MEMCPY)."""
         if not self._activities_enabled:
             return
-        self.activity_records.append(
-            ActivityRecord(
-                kind="memcpy",
-                name=f"[CUDA memcpy {record.kind.upper()}]",
-                correlation_id=record.correlation_id,
-                stream_id=0,
-                start_ns=record.start_ns,
-                end_ns=record.end_ns,
-                grid=(1, 1, 1),
-                block=(1, 1, 1),
-                metrics={"bytes": float(record.nbytes)},
-            )
+        self._append_activity(
+            "memcpy", f"[CUDA memcpy {record.kind.upper()}]",
+            record.correlation_id, 0, record.start_ns, record.end_ns,
+            (1, 1, 1), (1, 1, 1), ("bytes",),
         )
+        self.activities.metric_values.append(float(record.nbytes))
 
-    def _metric_value(self, record: KernelLaunchRecord, metric: str) -> float:
-        spec = record.spec
-        if metric == "flop_count_sp":
-            return float(spec.flops)
-        if metric == "dram_read_bytes":
-            return float(spec.dram_read_bytes)
-        if metric == "dram_write_bytes":
-            return float(spec.dram_write_bytes)
-        if metric == "achieved_occupancy":
-            return achieved_occupancy(spec, self.runtime.gpu)
-        raise ValueError(f"unsupported metric {metric!r}")
+    def _append_activity(
+        self, kind, name, correlation_id, stream_id, start_ns, end_ns,
+        grid, block, metric_names,
+    ) -> None:
+        act = self.activities
+        act.kind.append(kind)
+        act.name.append(name)
+        act.correlation_id.append(correlation_id)
+        act.stream_id.append(stream_id)
+        act.start_ns.append(start_ns)
+        act.end_ns.append(end_ns)
+        act.grid.append(grid)
+        act.block.append(block)
+        act.metric_names.append(metric_names)
 
     # -- retrieval ----------------------------------------------------------------
-    def flush(self) -> tuple[list[ApiRecord], list[ActivityRecord]]:
-        """Return and clear all captured records."""
-        api, self.api_records = self.api_records, []
-        act, self.activity_records = self.activity_records, []
-        return api, act
+    def flush(self) -> tuple[CallbackBuffer, ActivityBuffer]:
+        """Return the filled buffers and start new, empty ones."""
+        callbacks, self.callbacks = self.callbacks, CallbackBuffer()
+        activities, self.activities = self.activities, ActivityBuffer()
+        return callbacks, activities

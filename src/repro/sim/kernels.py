@@ -172,14 +172,3 @@ def kernel_duration_ns(
     jitter = _deterministic_jitter(spec, gpu, run_index)
     return max(1, int(round((seconds * 1e9 + cal.fixed_ns) * jitter)))
 
-
-def effective_throughput_tflops(spec: KernelSpec, duration_ns: int) -> float:
-    """Arithmetic throughput achieved by one kernel execution (Tflops/s)."""
-    if duration_ns <= 0:
-        return 0.0
-    return spec.flops / (duration_ns / 1e9) / 1e12
-
-
-def is_memory_bound(spec: KernelSpec, gpu: GPUSpec) -> bool:
-    """Paper's roofline rule: AI below the device's ideal AI => memory-bound."""
-    return spec.arithmetic_intensity < gpu.ideal_arithmetic_intensity

@@ -2,7 +2,9 @@
 
 Frameworks allocate output tensors and workspaces per layer; the layer-level
 profile reports per-layer allocated memory (paper Table II's "Alloc Mem"
-column).  The pool tracks live bytes, peak usage, and an allocation log.
+column).  The pool tracks live allocations, live bytes and peak usage, and
+raises :class:`OutOfDeviceMemoryError` at the allocation that would exceed
+the device's capacity.
 """
 
 from __future__ import annotations
@@ -21,19 +23,6 @@ class Allocation:
     alloc_id: int
     nbytes: int
     tag: str
-    timestamp_ns: int
-
-
-@dataclass
-class AllocationEvent:
-    """Log entry for an allocation or free."""
-
-    kind: str  # "alloc" | "free"
-    alloc_id: int
-    nbytes: int
-    tag: str
-    timestamp_ns: int
-    live_bytes_after: int
 
 
 @dataclass
@@ -45,9 +34,8 @@ class DeviceMemoryPool:
     peak_bytes: int = 0
     _next_id: int = 1
     _live: dict[int, Allocation] = field(default_factory=dict)
-    log: list[AllocationEvent] = field(default_factory=list)
 
-    def alloc(self, nbytes: int, *, tag: str = "", timestamp_ns: int = 0) -> Allocation:
+    def alloc(self, nbytes: int, *, tag: str = "") -> Allocation:
         if nbytes < 0:
             raise ValueError(f"cannot allocate negative bytes ({nbytes})")
         if self.live_bytes + nbytes > self.capacity_bytes:
@@ -55,49 +43,19 @@ class DeviceMemoryPool:
                 f"allocation of {nbytes} bytes (tag={tag!r}) exceeds device "
                 f"capacity {self.capacity_bytes} (live={self.live_bytes})"
             )
-        allocation = Allocation(
-            alloc_id=self._next_id, nbytes=nbytes, tag=tag, timestamp_ns=timestamp_ns
-        )
+        allocation = Allocation(alloc_id=self._next_id, nbytes=nbytes, tag=tag)
         self._next_id += 1
         self._live[allocation.alloc_id] = allocation
         self.live_bytes += nbytes
         self.peak_bytes = max(self.peak_bytes, self.live_bytes)
-        self.log.append(
-            AllocationEvent(
-                kind="alloc",
-                alloc_id=allocation.alloc_id,
-                nbytes=nbytes,
-                tag=tag,
-                timestamp_ns=timestamp_ns,
-                live_bytes_after=self.live_bytes,
-            )
-        )
         return allocation
 
-    def free(self, allocation: Allocation, *, timestamp_ns: int = 0) -> None:
+    def free(self, allocation: Allocation) -> None:
         if allocation.alloc_id not in self._live:
             raise KeyError(f"allocation {allocation.alloc_id} is not live")
         del self._live[allocation.alloc_id]
         self.live_bytes -= allocation.nbytes
-        self.log.append(
-            AllocationEvent(
-                kind="free",
-                alloc_id=allocation.alloc_id,
-                nbytes=allocation.nbytes,
-                tag=allocation.tag,
-                timestamp_ns=timestamp_ns,
-                live_bytes_after=self.live_bytes,
-            )
-        )
 
-    def free_all(self, *, timestamp_ns: int = 0) -> None:
+    def free_all(self) -> None:
         for allocation in list(self._live.values()):
-            self.free(allocation, timestamp_ns=timestamp_ns)
-
-    def allocated_bytes_by_tag(self) -> dict[str, int]:
-        """Total bytes ever allocated, grouped by tag (layer name)."""
-        totals: dict[str, int] = {}
-        for ev in self.log:
-            if ev.kind == "alloc":
-                totals[ev.tag] = totals.get(ev.tag, 0) + ev.nbytes
-        return totals
+            self.free(allocation)

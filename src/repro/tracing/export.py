@@ -76,6 +76,8 @@ def trace_from_json(document: str) -> Trace:
 
 def trace_from_dict(data: dict[str, Any]) -> Trace:
     """Reconstruct a trace from an already-parsed JSON document."""
+    if not isinstance(data, dict):
+        raise ValueError("not a trace document (expected a JSON object)")
     version = data.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(

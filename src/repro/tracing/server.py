@@ -5,6 +5,11 @@ remote) which aggregates them into one application timeline trace.  This
 reproduction runs everything in one process, so the server is a thread-safe
 in-memory collector keyed by ``trace_id``.
 
+:meth:`TracingServer.publish` takes one :class:`Span`,
+:meth:`TracingServer.publish_many` a batch of plain row tuples (the
+converted captures of the stack tracers) and
+:meth:`TracingServer.publish_rows` ``add_row`` field mappings.
+
 Streaming consumption (live monitoring) rides on the same lock: every
 publication advances the destination trace's completed-row watermark and
 wakes a condition variable, and :meth:`TracingServer.stream` hands out
@@ -195,20 +200,17 @@ class TracingServer:
             self._cond.notify_all()
             return trace
 
-    @property
-    def active_trace_id(self) -> int | None:
-        return self._active_trace_id
-
     # -- publication ----------------------------------------------------------
-    def _destination(self, span: Span) -> Trace | None:
-        """The open trace ``span`` belongs in; caller holds the lock.
+    def _destination(self, trace_id: int) -> Trace | None:
+        """The open trace a publication addressed to ``trace_id`` (0: the
+        active trace) belongs in; caller holds the lock.
 
-        Spans addressed to an already-ended trace get ``None`` and are
-        dropped: the caller owns that timeline now, and re-creating it
-        here would leak an orphan trace no one can retrieve.  A trace is
-        constructed only when the span opens a new one.
+        Publications addressed to an already-ended trace get ``None`` and
+        are dropped: the caller owns that timeline now, and re-creating
+        it here would leak an orphan trace no one can retrieve.  A trace
+        is constructed only when the publication opens a new one.
         """
-        tid = span.trace_id or self._active_trace_id
+        tid = trace_id or self._active_trace_id
         if tid is None:
             return self._traces[self.begin_trace()]
         trace = self._traces.get(tid)
@@ -219,25 +221,25 @@ class TracingServer:
     def publish(self, span: Span) -> None:
         """Publish one span into the active trace (or its own ``trace_id``)."""
         with self._lock:
-            trace = self._destination(span)
+            trace = self._destination(span.trace_id)
             if trace is not None:
                 trace.add(span)
                 self._cond.notify_all()
 
-    def publish_many(self, spans: Iterable[Span]) -> None:
-        """Publish a batch of spans under one lock acquisition.
+    def publish_many(self, rows: Iterable[tuple]) -> None:
+        """Publish a batch of row tuples into the active trace.
 
-        The batch path exists for offline-converted profiler output
-        (hundreds of thousands of spans at once): each span is appended
-        straight into its trace's columnar table — no intermediate span
-        list is built or retained, and the lock is taken once per batch
-        instead of once per span.
+        The stack tracers' capture path: each row is a plain tuple in
+        ``SpanTable.append_rows`` field order, and the whole batch is
+        appended to the trace's columnar table in one call under one
+        lock acquisition.  Rows carry no trace id; they land in the
+        active trace, which is opened on demand (not for an empty batch).
         """
+        rows = list(rows)
         with self._lock:
-            for span in spans:
-                trace = self._destination(span)
-                if trace is not None:
-                    trace.add(span)
+            if rows:
+                # The active trace is never an ended one.
+                self._destination(0).add_rows(rows)
             self._cond.notify_all()
 
     def publish_rows(

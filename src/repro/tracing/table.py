@@ -12,38 +12,41 @@ stores the same data as parallel typed columns:
 * ``level`` / ``kind`` — ``array('b')`` (the enum's integer code),
 * ``name_id`` — ``array('I')`` indices into an interned name table
   (kernel names repeat thousands of times per capture),
-* tags — scalar-only tag dicts are *packed*: interned as a shared
-  ``(key, value)`` tuple in a pool (most spans carry one of a handful of
-  tag shapes, e.g. ``{"tracer": "gpu"}``) referenced by a 4-byte
-  ``tag_set_id`` column; anything unpackable (mutable or unhashable
-  values) lives in a sparse per-row side-store,
+* tags — ``tag_schema`` (``array('I')``) indexes an interned tuple of
+  tag keys (a *schema*), and ``tag_start`` (``array('q')``) is the offset
+  of the row's values, in key order, in one flat value list.  Values are
+  stored as given (tuples, lists, dicts) and not interned, so
+  ``True``/``1``/``1.0`` keep their types,
 * logs — a sparse per-row side-store of :class:`LogEntry` lists.
 
 ``None`` parent/correlation ids are encoded as the sentinel ``-1``
 (span ids are positive: they come from a process counter or a capture's
 own positive ids).
 
-A span has one lifecycle: a tracer creates it as a :class:`Span`, and
-the tracing server ingests its fields into the columns.  From then on
-the row is the only copy and it is frozen, except ``parent_id``, which
-offline correlation fills in.  Reading back out happens through
-:class:`SpanView`, a two-slot flyweight bound to (table, row) that
-exposes the ``Span`` read surface.  Views compare equal to each other
-and to equivalent ``Span`` objects; assigning ``view.parent_id`` writes
-through to the column (callers then owe the trace a
-``trace.touch_parents()``).  ``view.tags`` is a read-only mapping and
-``view.logs`` a tuple, and reading either stores nothing.  New consumers
-of trace data should iterate rows and columns (``peek_tags``,
-``iter_tags``, ``peek_logs``) and materialize views only at the API
-boundary.
+:meth:`SpanTable.append_row` ingests one span's fields with a tag
+mapping; :meth:`SpanTable.append_rows` a batch of plain row tuples, the
+stack tracers' capture path, which builds no ``Span`` and no tag dict
+per kernel.  From then on the row is the only copy and it is frozen, except
+``parent_id``, which offline correlation fills in.  Reading back out
+happens through :class:`SpanView`, a two-slot flyweight bound to
+(table, row) that exposes the ``Span`` read surface.  Views compare
+equal to each other and to equivalent ``Span`` objects; assigning
+``view.parent_id`` writes through to the column (callers then owe the
+trace a ``trace.touch_parents()``).  ``view.tags`` is a read-only
+mapping and ``view.logs`` a tuple, and reading either stores nothing.
+New consumers of trace data should iterate rows and columns
+(``tag_columns``, ``iter_tags``, ``peek_logs``) and materialize views
+only at the API boundary.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from itertools import accumulate, chain, islice
+from operator import lt
 from types import MappingProxyType
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.tracing.span import Level, LogEntry, Span, SpanKind
 
@@ -59,16 +62,21 @@ _LEVEL_BY_CODE: dict[int, Level] = {int(lv): lv for lv in Level}
 #: Column sentinel for "no parent" / "no correlation id".
 NONE_ID = -1
 
-#: Tag values that may participate in a packed (interned) tag-set.
-_PACKABLE = (str, int, float, bool, type(None))
 
+class _Pool(dict):
+    """An interning pool: maps each value to its code, adding unseen
+    values on lookup (``pool[value]``); ``get`` never adds."""
 
-def _packable(tags: Mapping[str, Any]) -> bool:
-    """True when every key is a str and every value an immutable scalar."""
-    for key, value in tags.items():
-        if type(key) is not str or not isinstance(value, _PACKABLE):
-            return False
-    return True
+    __slots__ = ("by_code",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.by_code: list = []
+
+    def __missing__(self, value) -> int:
+        code = self[value] = len(self.by_code)
+        self.by_code.append(value)
+        return code
 
 
 class SpanTable:
@@ -84,12 +92,11 @@ class SpanTable:
         "level",
         "kind",
         "name_id",
-        "tag_set_id",
+        "tag_schema",
+        "tag_start",
         "_names",
-        "_name_ids",
-        "_tag_pool",
-        "_tag_pool_ids",
-        "_tags",
+        "_schemas",
+        "_values",
         "_logs",
         "_complete",
     )
@@ -104,17 +111,14 @@ class SpanTable:
         self.level = array("b")
         self.kind = array("b")
         self.name_id = array("I")
-        # Packed-tag-set reference per row (NONE_ID when empty/unpackable).
-        self.tag_set_id = array("i")
-        # Interned names: name_id column -> _names[name_id].
-        self._names: list[str] = []
-        self._name_ids: dict[str, int] = {}
-        # Interned scalar tag-sets: tag_set_id column -> tuple of items
-        # (the id map keys on (key, type, value) triples — see _store_tags).
-        self._tag_pool: list[tuple[tuple[str, Any], ...]] = []
-        self._tag_pool_ids: dict[tuple, int] = {}
-        # Sparse side-stores (unpackable tags / structured logs).
-        self._tags: dict[int, dict[str, Any]] = {}
+        # Per row: its interned key tuple and the offset of its values.
+        self.tag_schema = array("I")
+        self.tag_start = array("q")
+        self._names = _Pool()
+        self._schemas = _Pool()
+        # Every row's tag values, back to back in schema order.
+        self._values: list[Any] = []
+        # Sparse side-store of structured logs.
         self._logs: dict[int, list[LogEntry]] = {}
         # High-water mark of fully-appended rows (see `watermark`).
         self._complete = 0
@@ -151,7 +155,7 @@ class SpanTable:
         tags: Mapping[str, Any] | None = None,
         logs: list[LogEntry] | None = None,
     ) -> int:
-        """Raw columnar ingest — the path that never builds a ``Span``."""
+        """Raw columnar ingest of one span's fields — no ``Span`` built."""
         if end_ns < start_ns:
             raise ValueError(
                 f"span {name!r}: end_ns ({end_ns}) precedes "
@@ -170,15 +174,11 @@ class SpanTable:
         self.kind.append(
             kind if isinstance(kind, int) else _KIND_CODE[kind]
         )
-        name_id = self._name_ids.get(name)
-        if name_id is None:
-            name_id = len(self._names)
-            self._name_ids[name] = name_id
-            self._names.append(name)
-        self.name_id.append(name_id)
-        self.tag_set_id.append(NONE_ID)
+        self.name_id.append(self._names[name])
+        self.tag_schema.append(self._schemas[tuple(tags) if tags else ()])
+        self.tag_start.append(len(self._values))
         if tags:
-            self._store_tags(row, tags)
+            self._values.extend(tags.values())
         if logs:
             self._logs[row] = list(logs)
         # Published last: a concurrent reader that observes the new
@@ -187,21 +187,52 @@ class SpanTable:
         self._complete = row + 1
         return row
 
-    def _store_tags(self, row: int, tags: Mapping[str, Any]) -> None:
-        if _packable(tags):
-            # The interning key carries each value's type: equal-but-
-            # differently-typed values (True/1/1.0) must not share a
-            # pooled tag-set or they would read back with the first
-            # value's type.
-            key = tuple((k, type(v), v) for k, v in tags.items())
-            pool_id = self._tag_pool_ids.get(key)
-            if pool_id is None:
-                pool_id = len(self._tag_pool)
-                self._tag_pool_ids[key] = pool_id
-                self._tag_pool.append(tuple(tags.items()))
-            self.tag_set_id[row] = pool_id
-        else:
-            self._tags[row] = dict(tags)
+    def append_rows(self, rows: Iterable[Sequence], trace_id: int) -> None:
+        """Ingest a batch of row tuples, each in the field order
+        ``(name, start_ns, end_ns, level, kind, span_id, parent_id,
+        correlation_id, keys, values)``: ``level`` and ``kind`` are column
+        codes, a missing parent or correlation id is :data:`NONE_ID`, and
+        ``values`` matches the tuple of tag ``keys``.
+
+        The batch is transposed and each column extended once.  Every
+        row is checked and every column converted before the first one
+        is extended, so a bad row leaves the table unchanged.
+        """
+        columns = list(zip(*rows))
+        if not columns:
+            return
+        names, starts, ends, levels, kinds, span_ids, parents, \
+            correlations, schemas, values = columns
+        if any(map(lt, ends, starts)):
+            row = next(i for i, (s, e) in enumerate(zip(starts, ends)) if e < s)
+            raise ValueError(
+                f"span {names[row]!r}: end_ns ({ends[row]}) precedes "
+                f"start_ns ({starts[row]})"
+            )
+        widths = list(map(len, schemas))
+        if widths != list(map(len, values)):
+            raise ValueError("a row's tag values do not match its keys")
+        n = len(names)
+        tails = (
+            (self.span_id, array("q", span_ids)),
+            (self.start_ns, array("q", starts)),
+            (self.end_ns, array("q", ends)),
+            (self.parent_id, array("q", parents)),
+            (self.correlation_id, array("q", correlations)),
+            (self.trace_id, array("q", (trace_id,)) * n),
+            (self.level, array("b", levels)),
+            (self.kind, array("b", kinds)),
+            (self.name_id, array("I", map(self._names.__getitem__, names))),
+            (self.tag_schema,
+             array("I", map(self._schemas.__getitem__, schemas))),
+            (self.tag_start, array(
+                "q", islice(accumulate(widths, initial=len(self._values)), n)
+            )),
+        )
+        for column, tail in tails:
+            column.extend(tail)
+        self._values.extend(chain.from_iterable(values))
+        self._complete = len(self.span_id)  # published last, as above
 
     # -- size -------------------------------------------------------------
     def __len__(self) -> int:
@@ -224,12 +255,13 @@ class SpanTable:
 
     @property
     def nbytes(self) -> int:
-        """Estimated resident bytes of this table (columns + side-stores).
+        """Estimated resident bytes of this table (columns + stores).
 
         A ``sys.getsizeof``-based estimate: typed column buffers, the
-        interned name and tag-set pools, and the sparse side-stores of
-        unpackable tags and logs.  It grows with ingested rows only;
-        reading rows back never changes it.
+        interned name and schema pools, the flat value list with each
+        distinct value object counted once, and the sparse log store.
+        It grows with ingested rows only; reading rows back never
+        changes it.
         """
         total = 0
         for column in (
@@ -242,38 +274,27 @@ class SpanTable:
             self.level,
             self.kind,
             self.name_id,
-            self.tag_set_id,
+            self.tag_schema,
+            self.tag_start,
         ):
             total += sys.getsizeof(column)
-        total += sys.getsizeof(self._names)
-        total += sum(sys.getsizeof(n) for n in self._names)
-        total += sys.getsizeof(self._name_ids)
-        total += sys.getsizeof(self._tag_pool)
-        for items in self._tag_pool:
-            total += sys.getsizeof(items)
-            for key, value in items:
-                total += sys.getsizeof(key) + sys.getsizeof(value)
-        total += sys.getsizeof(self._tag_pool_ids)
-        total += self._sidestore_nbytes(self._tags)
-        total += self._sidestore_nbytes(self._logs)
-        return total
-
-    @staticmethod
-    def _sidestore_nbytes(store: dict) -> int:
-        total = sys.getsizeof(store)
-        for value in store.values():
-            total += sys.getsizeof(value)
-            if isinstance(value, dict):
-                for k, v in value.items():
-                    total += sys.getsizeof(k) + sys.getsizeof(v)
-            else:  # log lists
-                for entry in value:
-                    total += sys.getsizeof(entry)
+        for pool in (self._names, self._schemas):
+            total += sys.getsizeof(pool) + sys.getsizeof(pool.by_code)
+            total += sum(map(sys.getsizeof, pool.by_code))
+        keys = {id(key): key for keys in self._schemas for key in keys}
+        total += sum(map(sys.getsizeof, keys.values()))
+        total += sys.getsizeof(self._values)
+        distinct = {id(value): value for value in self._values}
+        total += sum(map(sys.getsizeof, distinct.values()))
+        total += sys.getsizeof(self._logs)
+        for entries in self._logs.values():
+            total += sys.getsizeof(entries)
+            total += sum(map(sys.getsizeof, entries))
         return total
 
     # -- row accessors ----------------------------------------------------
     def name_of(self, row: int) -> str:
-        return self._names[self.name_id[row]]
+        return self._names.by_code[self.name_id[row]]
 
     def name_code(self, name: str) -> int | None:
         """The interned code for ``name``, or ``None`` if never ingested.
@@ -281,7 +302,7 @@ class SpanTable:
         Lets consumers turn a by-name scan into a column scan for one
         small int (compare against the ``name_id`` column).
         """
-        return self._name_ids.get(name)
+        return self._names.get(name)
 
     def level_of(self, row: int) -> Level:
         return _LEVEL_BY_CODE[self.level[row]]
@@ -301,29 +322,45 @@ class SpanTable:
         return None if cid == NONE_ID else cid
 
     # -- tags / logs ------------------------------------------------------
-    def peek_tags(self, row: int) -> Mapping[str, Any]:
-        """A row's tags as a mapping.
-
-        Callers must not mutate it: packed rows get a fresh dict, rows
-        with unpackable tags the stored one.
-        """
-        tags = self._tags.get(row)
-        if tags is not None:
-            return tags
-        pool_id = self.tag_set_id[row]
-        if pool_id != NONE_ID:
-            return dict(self._tag_pool[pool_id])
-        return {}
+    def peek_tags(self, row: int) -> dict[str, Any]:
+        """A row's tags as a fresh dict (keys in ingest order)."""
+        return dict(self.iter_tags(row))
 
     def iter_tags(self, row: int) -> Iterator[tuple[str, Any]]:
         """Iterate a row's tag items without building a dict."""
-        tags = self._tags.get(row)
-        if tags is not None:
-            return iter(tags.items())
-        pool_id = self.tag_set_id[row]
-        if pool_id != NONE_ID:
-            return iter(self._tag_pool[pool_id])
-        return iter(())
+        schema = self._schemas.by_code[self.tag_schema[row]]
+        start = self.tag_start[row]
+        return zip(schema, self._values[start:start + len(schema)])
+
+    def tag_columns(
+        self, rows: Sequence[int], keys: Sequence[str], defaults: Sequence[Any]
+    ) -> list[list]:
+        """For each of ``keys``, its value in each of ``rows``; a row
+        without the key reads as the key's default.
+
+        A key's position is resolved once per schema, and each column is
+        one pass over the rows' value offsets: no dict is built per row.
+        """
+        schemas, values = self._schemas.by_code, self._values
+        schema_col, start_col = self.tag_schema, self.tag_start
+        schema_ids = [schema_col[row] for row in rows]
+        starts = [start_col[row] for row in rows]
+        where = {
+            schema_id: {key: i for i, key in enumerate(schemas[schema_id])}
+            for schema_id in set(schema_ids)
+        }
+        columns = []
+        for key, default in zip(keys, defaults):
+            at = {sid: pos[key] for sid, pos in where.items() if key in pos}
+            if len(at) == len(where) == 1:
+                [i] = at.values()
+                columns.append([values[start + i] for start in starts])
+            else:
+                columns.append([
+                    values[start + at[sid]] if sid in at else default
+                    for sid, start in zip(schema_ids, starts)
+                ])
+        return columns
 
     def peek_logs(self, row: int) -> list[LogEntry]:
         """The row's logs; callers must not mutate the list."""

@@ -11,9 +11,10 @@ Published rows are frozen; only ``parent_id`` writes through.
 ``trace.spans`` is a read-only list-like sequence of lightweight
 :class:`~repro.tracing.table.SpanView` flyweights bound to the table's
 rows.  Spans enter a trace only through :meth:`Trace.add`,
-:meth:`Trace.extend` and :meth:`Trace.add_row`, which stamp the trace's
-id.  Every reader stops at the table's completed-row watermark, so a
-row another thread is still appending is never seen half-written.
+:meth:`Trace.extend`, :meth:`Trace.add_row` and :meth:`Trace.add_rows`,
+which stamp the trace's id.  Every reader stops at the table's
+completed-row watermark, so a row another thread is still appending is
+never seen half-written.
 
 Queries are served by a lazily-built :class:`~repro.tracing.index.TraceIndex`
 (index once, query many): the first query pays one O(n log n) build,
@@ -108,6 +109,10 @@ class Trace:
         """
         fields["trace_id"] = self.trace_id
         return self.table.append_row(**fields)
+
+    def add_rows(self, rows: Iterable[tuple]) -> None:
+        """Batch ingest of row tuples (:meth:`SpanTable.append_rows`)."""
+        self.table.append_rows(rows, self.trace_id)
 
     # -- index lifecycle --------------------------------------------------
     @property

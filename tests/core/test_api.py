@@ -12,7 +12,7 @@ def test_start_finish_measures_region():
     tid = server.begin_trace()
     tracer = ModelTracer(server)
     scope = start_span(tracer, clock.now, "predict", batch=8)
-    clock.advance_ms(5)
+    clock.advance_us(5_000)
     span = finish_span(scope, status="ok")
     assert span.duration_ms == 5.0
     assert span.tags["batch"] == 8
@@ -27,9 +27,9 @@ def test_nested_spans_via_parent_id():
     outer = start_span(tracer, clock.now, "evaluate")
     inner = start_span(tracer, clock.now, "predict",
                        parent_id=outer.span.span_id)
-    clock.advance_ms(1)
+    clock.advance_us(1_000)
     finish_span(inner)
-    clock.advance_ms(1)
+    clock.advance_us(1_000)
     finish_span(outer)
     assert inner.span.parent_id == outer.span.span_id
     assert outer.span.duration_ms == 2.0

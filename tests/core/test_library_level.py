@@ -101,15 +101,25 @@ def test_tracer_groups_by_layer_and_api():
         return KernelLaunchRecord(cid, spec, 0, t0, t0 + 5, t0 + 10,
                                   t0 + 20, t0 + 20)
 
-    records = [
+    class Runtime:
+        def on_launch(self, callback):
+            self.launch = callback
+
+    server = TracingServer()
+    tid = server.begin_trace()
+    runtime = Runtime()
+    tracer = LibraryTracer(server, runtime)
+    for launch in (
         record(1, KernelClass.CONV_PRECOMP_GEMM, "cudnn", 1, 0),
         record(2, KernelClass.CONV_PRECOMP_GEMM, "cudnn", 1, 10),
         record(3, KernelClass.ELEMENTWISE_EIGEN, "eigen", 2, 30),
         record(4, KernelClass.CONV_PRECOMP_GEMM, "cudnn", 3, 50),
-    ]
-    server = TracingServer()
-    tid = server.begin_trace()
-    LibraryTracer(server).convert(records)
+    ):
+        runtime.launch(launch)
+    tracer.convert()
     spans = server.end_trace(tid).spans
     assert [s.tags["n_kernels"] for s in spans] == [2, 1, 1]
+    assert [(s.start_ns, s.end_ns) for s in spans] == [
+        (0, 15), (30, 35), (50, 55)
+    ]
     assert spans[0].name == spans[2].name == "cudnnConvolutionForward"

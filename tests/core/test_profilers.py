@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.profilers import GpuTracer, LayerTracer
 from repro.frameworks.profiler_format import LayerRecord, mx_profile, tf_step_stats
-from repro.sim.cupti import ActivityRecord, ApiRecord
+from repro.sim.cupti import ActivityBuffer, CallbackBuffer
 from repro.tracing import Level, SpanKind, TracingServer
 
 
@@ -46,11 +46,19 @@ def test_layer_tracer_unknown_framework():
 
 
 def test_gpu_tracer_builds_launch_and_exec_spans():
-    api = [ApiRecord("cudaLaunchKernel", 9, 100, 110)]
-    acts = [ActivityRecord("kernel", "volta_scudnn", 9, 0, 150, 400,
-                           (10, 1, 1), (256, 1, 1),
-                           metrics={"flop_count_sp": 5e9})]
-    spans = _published(GpuTracer, api, acts)
+    callbacks = CallbackBuffer()
+    callbacks.correlation_id.append(9)
+    callbacks.start_ns.append(100)
+    callbacks.end_ns.append(110)
+    acts = ActivityBuffer()
+    for column, value in (
+        ("kind", "kernel"), ("name", "volta_scudnn"), ("correlation_id", 9),
+        ("stream_id", 0), ("start_ns", 150), ("end_ns", 400),
+        ("grid", (10, 1, 1)), ("block", (256, 1, 1)),
+        ("metric_names", ("flop_count_sp",)), ("metric_values", 5e9),
+    ):
+        getattr(acts, column).append(value)
+    spans = _published(GpuTracer, callbacks, acts)
     launch = next(s for s in spans if s.kind is SpanKind.LAUNCH)
     execution = next(s for s in spans if s.kind is SpanKind.EXECUTION)
     assert launch.correlation_id == execution.correlation_id == 9

@@ -108,3 +108,16 @@ def test_run_index_changes_latency_slightly(v100_session, cnn_graph):
     b = _run(v100_session, cnn_graph, levels=M, run_index=1)
     assert a.model_latency_ms != b.model_latency_ms
     assert abs(a.model_latency_ms - b.model_latency_ms) < 0.2 * a.model_latency_ms
+
+
+def test_failed_run_leaves_no_open_trace(cnn_graph):
+    """An out-of-memory point ends its trace: after it and a good point,
+    the server holds no open trace."""
+    from repro.models import get_model
+    from repro.sim.memory import OutOfDeviceMemoryError
+
+    session = XSPSession("Tesla_P4", "tensorflow_like")
+    with pytest.raises(OutOfDeviceMemoryError):
+        session.profile(get_model(16).graph, 4096)  # VGG16
+    session.profile(cnn_graph, 1)
+    assert session.server.traces() == []

@@ -12,6 +12,7 @@ import random
 
 from repro.core.pipeline import KernelProfile, LayerProfile, ModelProfile
 from repro.tracing import Level, Span, SpanKind, Trace
+from repro.tracing.table import _KIND_CODE, NONE_ID
 
 
 def make_kernel(
@@ -159,3 +160,16 @@ def build_basic_profile() -> ModelProfile:
         ]),
     ]
     return make_profile(layers)
+
+
+def span_rows(spans):
+    """Spans as ``TracingServer.publish_many`` row tuples, in
+    ``SpanTable.append_rows`` field order; ``publish_many`` takes rows
+    only."""
+    return [
+        (s.name, s.start_ns, s.end_ns, int(s.level), _KIND_CODE[s.kind],
+         s.span_id, NONE_ID if s.parent_id is None else s.parent_id,
+         NONE_ID if s.correlation_id is None else s.correlation_id,
+         tuple(s.tags or ()), tuple((s.tags or {}).values()))
+        for s in spans
+    ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import threading
 
-from factories import build_basic_profile, make_matching_trace
+from factories import build_basic_profile, make_matching_trace, span_rows
 
 from repro.insights import LiveMonitor
 from repro.tracing import Level, Span, SpanKind, TracingServer
@@ -36,7 +36,7 @@ def test_monitor_refreshes_per_batch_and_finishes():
     spans = _capture_spans()
     third = len(spans) // 3
 
-    server.publish_many(spans[:third])
+    server.publish_many(span_rows(spans[:third]))
     first = monitor.poll()
     assert first is not None and not first.final
     assert first.new_rows == third
@@ -47,7 +47,7 @@ def test_monitor_refreshes_per_batch_and_finishes():
     assert monitor.poll() is None
     assert monitor.engine.evaluations == evaluations
 
-    server.publish_many(spans[third:])
+    server.publish_many(span_rows(spans[third:]))
     server.end_trace(tid)
     second = monitor.poll()
     assert second is not None and second.final
@@ -73,10 +73,10 @@ def test_monitor_correlates_incrementally():
     cut = next(
         i for i, s in enumerate(spans) if s.span_id == layer_ids[1]
     ) + 1
-    server.publish_many(spans[:cut])
+    server.publish_many(span_rows(spans[:cut]))
     update = monitor.poll()
     assert update is not None
-    server.publish_many(spans[cut:])
+    server.publish_many(span_rows(spans[cut:]))
     server.end_trace(tid)
     final = monitor.poll()
     assert final is not None and final.final
@@ -108,7 +108,7 @@ def test_monitor_parents_kernels_published_before_their_layer():
                  span_id=21 + 2 * i, kind=SpanKind.EXECUTION,
                  correlation_id=10 + i)
         )
-    server.publish_many(kernels)
+    server.publish_many(span_rows(kernels))
     assert monitor.poll() is not None
     server.publish(Span("conv", 0, 2_000, Level.LAYER, span_id=2,
                         tags={"layer_index": 0, "layer_type": "Conv2D"}))
@@ -130,8 +130,8 @@ def test_monitor_blocking_updates_with_producer_thread():
 
     def produce():
         half = len(spans) // 2
-        server.publish_many(spans[:half])
-        server.publish_many(spans[half:])
+        server.publish_many(span_rows(spans[:half]))
+        server.publish_many(span_rows(spans[half:]))
         server.end_trace(tid)
 
     producer = threading.Thread(target=produce)

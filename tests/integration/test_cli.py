@@ -61,9 +61,29 @@ def test_experiments_single(capsys):
     assert "0 deviations" in out
 
 
-def test_unknown_model_errors():
-    with pytest.raises(KeyError):
-        main(["sweep", "--model", "999", "--batches", "1"])
+def test_unknown_model_errors(capsys):
+    assert main(["sweep", "--model", "999", "--batches", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: no model with paper ID 999 (valid: 1..55)\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--model", "9999"],
+    ["profile", "--model", "7", "--batch", "-3"],
+    ["trace", "--model", "7", "--batch", "0", "--stats"],
+    ["profile", "--model", "7", "--runs", "0"],
+    ["sweep", "--model", "7", "--batches", "x"],
+    ["advise", "--from-trace", "ARRAY_JSON"],
+])
+def test_bad_input_fails_in_one_line(argv, tmp_path, capsys):
+    array = tmp_path / "array.json"
+    array.write_text("[1,2]")
+    argv = [str(array) if arg == "ARRAY_JSON" else arg for arg in argv]
+    assert main(argv) != 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 # -- every subcommand smoke-tested through main(argv) ------------------------

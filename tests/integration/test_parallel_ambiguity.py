@@ -60,7 +60,8 @@ class InterOpParallelTFSim(TFSim):
                 rt.stream_synchronize(thread + 1)
             clock.advance_us(5.0)
             bounds.append((layer_start, clock.now()))
-        rt.device_synchronize()
+        for thread in range(len(branches)):
+            rt.stream_synchronize(thread + 1)
 
         la, lb = launches
         if serialized:

@@ -13,7 +13,7 @@ def test_advance():
     c = VirtualClock()
     assert c.advance(100) == 100
     assert c.advance_us(1.5) == 1600
-    assert c.advance_ms(0.001) == 2600
+    assert c.advance(1000.4) == 2600
 
 
 def test_advance_negative_rejected():

@@ -30,26 +30,32 @@ def test_disabled_cupti_captures_nothing():
     rt = CudaRuntime(V100)
     cupti = Cupti(rt)
     rt.launch_kernel(spec())
-    assert cupti.api_records == [] and cupti.activity_records == []
+    assert len(cupti.callbacks) == 0 and len(cupti.activities) == 0
 
 
 def test_callback_api_captures_cudaLaunchKernel():
     rt, cupti = make(activities=False)
     record = rt.launch_kernel(spec())
-    assert len(cupti.api_records) == 1
-    api = cupti.api_records[0]
-    assert api.name == "cudaLaunchKernel"
-    assert api.correlation_id == record.correlation_id
-    assert (api.start_ns, api.end_ns) == (record.api_start_ns, record.api_end_ns)
+    callbacks = cupti.callbacks
+    assert len(callbacks) == 1
+    assert callbacks.correlation_id == [record.correlation_id]
+    assert (callbacks.start_ns, callbacks.end_ns) == (
+        [record.api_start_ns], [record.api_end_ns]
+    )
+    assert len(cupti.activities) == 0
 
 
 def test_activity_api_captures_kernel_execution():
     rt, cupti = make(callbacks=False)
     record = rt.launch_kernel(spec())
-    act = cupti.activity_records[0]
-    assert act.name == spec().name
-    assert act.correlation_id == record.correlation_id
-    assert act.duration_ns == record.duration_ns
+    act = cupti.activities
+    assert act.kind == ["kernel"]
+    assert act.name == [spec().name]
+    assert act.correlation_id == [record.correlation_id]
+    assert (act.start_ns, act.end_ns) == (
+        [record.device_start_ns], [record.device_end_ns]
+    )
+    assert (act.grid, act.block) == ([spec().grid], [spec().block])
 
 
 def test_profiling_adds_per_kernel_host_overhead():
@@ -64,7 +70,9 @@ def test_profiling_adds_per_kernel_host_overhead():
 def test_metrics_attached_to_activities():
     rt, cupti = make(metrics=("flop_count_sp", "achieved_occupancy"))
     rt.launch_kernel(spec())
-    metrics = cupti.activity_records[0].metrics
+    act = cupti.activities
+    metrics = dict(zip(act.metric_names[0], act.metric_values))
+    assert list(metrics) == ["flop_count_sp", "achieved_occupancy"]
     assert metrics["flop_count_sp"] == 5e9
     assert 0 < metrics["achieved_occupancy"] <= 0.23
 
@@ -94,13 +102,15 @@ def test_replay_slowdown_visible_to_host_but_not_reported_duration():
     rt_fast.launch_kernel(spec())
     rt_fast.stream_synchronize()
     fast_wall = rt_fast.clock.now()
-    fast_dur = cupti_fast.activity_records[0].duration_ns
+    act = cupti_fast.activities
+    fast_dur = act.end_ns[0] - act.start_ns[0]
 
     rt_slow, cupti_slow = make(metrics=("dram_read_bytes", "dram_write_bytes"))
     rt_slow.launch_kernel(spec())
     rt_slow.stream_synchronize()
     slow_wall = rt_slow.clock.now()
-    slow_dur = cupti_slow.activity_records[0].duration_ns
+    act = cupti_slow.activities
+    slow_dur = act.end_ns[0] - act.start_ns[0]
 
     assert slow_wall > 10 * fast_wall  # wall time explodes
     assert slow_dur == pytest.approx(fast_dur, rel=0.02)  # report stays clean
@@ -112,12 +122,12 @@ def test_disable_removes_overheads():
     assert rt.profiler_replay_passes == 1
     assert rt.profiler_launch_overhead_ns == 0
     rt.launch_kernel(spec())
-    assert cupti.activity_records == []
+    assert len(cupti.activities) == 0
 
 
 def test_flush_returns_and_clears():
     rt, cupti = make()
     rt.launch_kernel(spec())
-    api, act = cupti.flush()
-    assert len(api) == 1 and len(act) == 1
-    assert cupti.api_records == [] and cupti.activity_records == []
+    callbacks, act = cupti.flush()
+    assert len(callbacks) == 1 and len(act) == 1
+    assert len(cupti.callbacks) == 0 and len(cupti.activities) == 0

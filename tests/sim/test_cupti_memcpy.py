@@ -9,11 +9,12 @@ def test_memcpy_activities_captured():
     cupti.enable_activities()
     rt.memcpy(1_000_000, kind="h2d")
     rt.memcpy(2_000, kind="d2h")
-    copies = [a for a in cupti.activity_records if a.kind == "memcpy"]
-    assert [c.name for c in copies] == ["[CUDA memcpy H2D]",
-                                        "[CUDA memcpy D2H]"]
-    assert copies[0].metrics["bytes"] == 1_000_000.0
-    assert copies[0].duration_ns > 0
+    act = cupti.activities
+    assert act.kind == ["memcpy", "memcpy"]
+    assert act.name == ["[CUDA memcpy H2D]", "[CUDA memcpy D2H]"]
+    assert act.metric_names == [("bytes",), ("bytes",)]
+    assert act.metric_values == [1_000_000.0, 2_000.0]
+    assert act.end_ns[0] > act.start_ns[0]
 
 
 def test_memcpy_not_captured_when_disabled():
@@ -21,7 +22,7 @@ def test_memcpy_not_captured_when_disabled():
     cupti = Cupti(rt)
     cupti.enable_callbacks()  # callbacks only, no activities
     rt.memcpy(1_000)
-    assert cupti.activity_records == []
+    assert len(cupti.activities) == 0
 
 
 def test_memcpy_spans_in_trace(v100_session, cnn_graph):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import KernelClass, KernelSpec, get_system, kernel_duration_ns
 from repro.sim.calibration import MAX_COMPUTE_EFFICIENCY
-from repro.sim.kernels import effective_throughput_tflops
 
 V100 = get_system("Tesla_V100")
 
@@ -27,7 +26,7 @@ def test_eff_scale_slows_kernel_proportionally():
 def test_compute_efficiency_capped():
     """Even a fully-saturating grid cannot exceed the Table III maximum."""
     duration = kernel_duration_ns(big_conv(), V100)
-    tflops = effective_throughput_tflops(big_conv(), duration)
+    tflops = big_conv().flops / duration / 1e3
     # allow the +-1% deterministic run jitter
     assert tflops <= MAX_COMPUTE_EFFICIENCY * V100.peak_tflops * 1.02
 

@@ -11,11 +11,7 @@ from repro.sim import (
     get_system,
     kernel_duration_ns,
 )
-from repro.sim.kernels import (
-    effective_throughput_tflops,
-    is_memory_bound,
-    utilization,
-)
+from repro.sim.kernels import utilization
 
 V100 = get_system("Tesla_V100")
 M60 = get_system("Tesla_M60")
@@ -85,16 +81,16 @@ def test_conv_kernel_near_peak_efficiency_when_saturated():
     """Table III: big conv kernels reach ~12.8-13 Tflops/s on V100."""
     spec = conv_spec(blocks=4000, flops=60e9)
     duration = kernel_duration_ns(spec, V100)
-    tflops = effective_throughput_tflops(spec, duration)
+    tflops = spec.flops / duration / 1e3
     assert 10.0 < tflops < V100.peak_tflops
 
 
 def test_eigen_kernel_is_memory_bound_and_slow():
     """Table IV: Eigen kernels ~0.25 flops/byte, ~0.1 Tflops/s."""
     spec = eigen_spec()
-    assert is_memory_bound(spec, V100)
+    assert spec.arithmetic_intensity < V100.ideal_arithmetic_intensity
     duration = kernel_duration_ns(spec, V100)
-    assert effective_throughput_tflops(spec, duration) < 0.5
+    assert spec.flops / duration / 1e3 < 0.5
 
 
 def test_occupancy_class_caps():
@@ -123,8 +119,8 @@ def test_slower_gpu_is_slower():
 def test_memory_bound_threshold_uses_device_ai():
     # AI of 20 is compute-bound on V100 (17.44) but memory-bound on M60 (30).
     spec = KernelSpec("k", KernelClass.GEMM, 20e9, 0.5e9, 0.5e9, blocks=100)
-    assert not is_memory_bound(spec, V100)
-    assert is_memory_bound(spec, M60)
+    assert spec.arithmetic_intensity >= V100.ideal_arithmetic_intensity
+    assert spec.arithmetic_intensity < M60.ideal_arithmetic_intensity
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,9 +8,11 @@ ones may degrade to ``repr``); identity and structure must be lossless.
 
 The same corpus fuzzes the storage stack itself: ingesting a ``Span``
 into the columnar ``SpanTable`` and reading it back through a view must
-be the identity, view materialization (promoting packed tags) must not
-change what the exporter sees, and a JSON round trip must reproduce the
-columns exactly.
+be the identity, reading views must not change what the exporter sees,
+and a JSON round trip must reproduce the columns exactly.  A second
+corpus of tuple, list, dict and typed-scalar tags, ingested through
+every path and captured by every converter, checks that ``peek_tags``,
+``iter_tags`` and ``view.tags`` agree.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ import dataclasses
 import random
 
 import pytest
+from rows import span_rows
 
-from repro.tracing import Level, Span, SpanKind, Trace
+from repro.tracing import Level, Span, SpanKind, Trace, TracingServer
 from repro.tracing.export import trace_from_json, trace_to_json
 
 _NAMES = (
@@ -238,3 +241,93 @@ def test_round_trip_preserves_hierarchy_queries(seed):
         assert {c.span_id for c in restored.children_of(restored_span)} == {
             c.span_id for c in original.children_of(span)
         }
+
+
+# -- one tag store for every ingest path ---------------------------------------
+
+#: Tag values the table must store as given: tuples, lists, dicts, nested
+#: lists, and equal-but-differently-typed scalars under one key.
+_TYPED_VALUES = (
+    True, 1, 1.0, (2, 1, 1), [8, 3, 4], [[1, 2], [3, [4]]],
+    {"k": [1, (2, 3)]}, "gpu", None,
+)
+
+
+def _typed_tags(rng: random.Random) -> dict:
+    keys = rng.sample(["x", "grid", "shape", "meta", "tracer"], rng.randint(0, 4))
+    return {key: rng.choice(_TYPED_VALUES) for key in keys}
+
+
+def _typed_trace(seed: int) -> Trace:
+    """Rows through all three ingest paths: ``Span``, ``add_row`` and
+    ``publish_many`` row tuples, with empty tags among them."""
+    rng = random.Random(seed)
+    server = TracingServer()
+    tid = server.begin_trace(model="typed")
+    trace = server.get_trace(tid)
+    spans = []
+    for i in range(rng.randint(3, 30)):
+        start = rng.randint(0, 10**6)
+        spans.append(Span(
+            rng.choice(_NAMES), start, start + rng.randint(0, 1000),
+            rng.choice(list(Level)), span_id=5000 + i,
+            kind=rng.choice(list(SpanKind)), tags=_typed_tags(rng),
+        ))
+    for span in spans:
+        path = rng.randrange(3)
+        if path == 0:
+            server.publish(span)
+        elif path == 1:
+            trace.add_row(name=span.name, start_ns=span.start_ns,
+                          end_ns=span.end_ns, level=span.level,
+                          span_id=span.span_id, kind=span.kind,
+                          tags=span.tags)
+        else:
+            server.publish_many(span_rows([span]))
+    return server.end_trace(tid)
+
+
+def _capture_with_every_converter() -> Trace:
+    """A real capture: model, layer, library and GPU tracer rows."""
+    from repro.core import MLLibG, ProfilingConfig, XSPSession
+    from repro.models import get_model
+
+    run = XSPSession("Tesla_V100", "tensorflow_like").profile(
+        get_model(53).graph, 2, ProfilingConfig(levels=MLLibG)
+    )
+    tracers = {v.tags["tracer"] for v in run.trace.spans}
+    assert tracers == {"model_tracer", "layer_tracer", "library_tracer",
+                       "gpu_tracer"}
+    return run.trace
+
+
+def _assert_tag_readers_agree(trace: Trace) -> None:
+    table = trace.table
+    for row, view in enumerate(trace.spans):
+        items = list(table.iter_tags(row))
+        for reading in (list(table.peek_tags(row).items()),
+                        list(view.tags.items())):
+            assert [k for k, _ in reading] == [k for k, _ in items]
+            for (_, a), (_, b) in zip(reading, items):
+                assert a is b  # same value object: same value and type
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_tag_readers_agree_on_typed_values(seed):
+    trace = _typed_trace(seed)
+    nbytes = trace.table.nbytes
+    _assert_tag_readers_agree(trace)
+    assert trace.table.nbytes == nbytes
+    once = trace_to_json(trace)
+    assert trace_to_json(trace_from_json(once)) == once
+    assert trace.table.nbytes == nbytes
+
+
+def test_tag_readers_agree_on_a_capture_from_every_converter():
+    trace = _capture_with_every_converter()
+    nbytes = trace.table.nbytes
+    _assert_tag_readers_agree(trace)
+    assert trace.table.nbytes == nbytes
+    once = trace_to_json(trace)
+    assert trace_to_json(trace_from_json(once)) == once
+    assert trace.table.nbytes == nbytes

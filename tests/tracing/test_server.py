@@ -1,5 +1,8 @@
 """Unit tests for the tracing server."""
 
+import pytest
+from rows import span_rows
+
 import repro.tracing.server as server_mod
 from repro.tracing import Level, Span, TracingServer
 
@@ -38,17 +41,26 @@ def test_end_trace_deactivates():
     server = TracingServer()
     tid = server.begin_trace()
     server.end_trace(tid)
-    assert server.active_trace_id is None
+    with pytest.raises(ValueError, match="no active trace"):
+        server.stream()
 
 
 def test_publish_many_batches_into_columns():
-    """The batch ingest path: one lock round, spans land in the active
+    """The batch ingest path: one lock round, rows land in the active
     trace's columnar table."""
     server = TracingServer()
     tid = server.begin_trace()
-    server.publish_many(_span(f"s{i}", i, i + 1) for i in range(5))
+    server.publish_many(
+        iter(span_rows(_span(f"s{i}", i, i + 1) for i in range(5)))
+    )
     trace = server.end_trace(tid)
     assert [s.name for s in trace.spans] == [f"s{i}" for i in range(5)]
+
+
+def test_empty_publish_many_opens_no_trace():
+    server = TracingServer()
+    server.publish_many(iter([]))
+    assert server.traces() == []
 
 
 def test_publishing_to_an_open_trace_constructs_no_trace(monkeypatch):
@@ -65,7 +77,7 @@ def test_publishing_to_an_open_trace_constructs_no_trace(monkeypatch):
 
     monkeypatch.setattr(server_mod, "Trace", counting_trace)
     n = 50
-    server.publish_many(_span(f"s{i}", i, i + 1) for i in range(n))
+    server.publish_many(span_rows(_span(f"s{i}", i, i + 1) for i in range(n)))
     for i in range(n):
         server.publish(_span(f"p{i}", i, i + 1))
     assert constructed == []
@@ -73,29 +85,17 @@ def test_publishing_to_an_open_trace_constructs_no_trace(monkeypatch):
 
 
 def test_publish_many_drops_spans_for_ended_traces():
+    """Rows carry no trace id: after the active trace ends, a batch opens
+    a new trace on demand and never revives the ended one."""
     server = TracingServer()
     tid = server.begin_trace()
-    server.end_trace(tid)
-    late = _span("late")
-    late.trace_id = tid
-    server.publish_many([late])
-    assert server.traces() == []
-
-
-def test_tracer_publish_many_reaches_server():
-    """publish_many on a tracer lands the whole batch in the active
-    trace, tagged with the tracer's name."""
-    from repro.tracing import Tracer
-
-    server = TracingServer()
-    tid = server.begin_trace()
-    tracer = Tracer("gpu", Level.GPU_KERNEL, server)
-    tracer.publish_many(
-        _span(f"k{i}", i, i + 1, Level.GPU_KERNEL) for i in range(3)
-    )
-    trace = server.end_trace(tid)
-    assert [s.name for s in trace.spans] == ["k0", "k1", "k2"]
-    assert all(s.tags["tracer"] == "gpu" for s in trace.spans)
+    server.publish(_span("on-time"))
+    ended = server.end_trace(tid)
+    server.publish_many(span_rows([_span("late")]))
+    [opened] = server.traces()
+    assert opened.trace_id != tid
+    assert [s.name for s in opened.spans] == ["late"]
+    assert [s.name for s in ended.spans] == ["on-time"]
 
 
 def test_multiple_tracers_aggregate_into_one_timeline():
@@ -157,7 +157,8 @@ def test_many_trace_lifecycles_leave_server_empty():
         trace = server.end_trace(tid)
         assert len(trace) == 1
     assert server.traces() == []
-    assert server.active_trace_id is None
+    with pytest.raises(ValueError, match="no active trace"):
+        server.stream()
 
 
 def test_publish_after_end_is_dropped_not_resurrected():

@@ -1,7 +1,8 @@
 """SpanTable unit tests: columns, interning, frozen rows, nbytes, fallback.
 
 The storage contract (see ``src/repro/tracing/table.py``): spans ingest
-into typed columns with interned names and packed scalar tag-sets; views
+into typed columns with interned names and interned tag-key schemas whose
+values sit in one flat value list; views
 are flyweights that read columns and write ``parent_id`` through; every
 other field of a published row is frozen, and reading it stores nothing.
 Readers stop at the table's watermark.  The pure-Python index fallback
@@ -13,6 +14,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from rows import span_rows
 
 from repro.tracing import Level, LogEntry, Span, SpanKind, SpanTable, Trace
 from repro.tracing.table import NONE_ID
@@ -78,9 +80,11 @@ def test_scalar_tag_sets_are_shared():
     table = SpanTable()
     for i in range(1, 50):
         table.append(_span(i, tags={"tracer": "gpu", "idx": 7}))
-    # One pooled tag-set serves all 49 rows.
-    assert len(table._tag_pool) == 1
-    assert len(table._tags) == 0
+    # One interned key schema serves all 49 rows; values sit back to back.
+    assert table._schemas.by_code == [("tracer", "idx")]
+    assert set(table.tag_schema) == {0}
+    assert list(table.tag_start) == list(range(0, 98, 2))
+    assert len(table._values) == 98
     assert dict(table.iter_tags(13)) == {"tracer": "gpu", "idx": 7}
 
 
@@ -96,11 +100,82 @@ def test_equal_but_differently_typed_tag_values_do_not_conflate():
     assert [type(v) for v in values] == [bool, int, float]
 
 
-def test_unpackable_tags_go_to_side_store():
+def _row(i: int, keys=(), values=(), start=0, end=5) -> tuple:
+    return (f"op{i}", start, end, int(Level.GPU_KERNEL), 0, i, NONE_ID,
+            NONE_ID, keys, values)
+
+
+def test_append_rows_matches_append_row():
+    """A batch of row tuples lands exactly like the same spans one by one:
+    same columns, same interned names and schemas, same tag values."""
+    tags = [{}, {"x": True}, {"x": 1}, {"x": 1.0}, {"grid": (2, 1, 1),
+            "shape": [1, [2]], "meta": {"a": (1,)}}, {"x": 1}]
+    by_row, batched = SpanTable(), SpanTable()
+    for i, t in enumerate(tags, 1):
+        by_row.append(_span(i, tags=t))
+    batched.append_rows(
+        [(f"op{i % 3}", 10 * i, 10 * i + 5, int(Level.GPU_KERNEL), 0, i,
+          NONE_ID, NONE_ID, tuple(t), tuple(t.values()))
+         for i, t in enumerate(tags, 1)],
+        trace_id=0,
+    )
+    for column in ("span_id", "start_ns", "end_ns", "parent_id",
+                   "correlation_id", "trace_id", "level", "kind", "name_id",
+                   "tag_schema", "tag_start"):
+        assert getattr(batched, column) == getattr(by_row, column), column
+    assert batched._values == by_row._values
+    assert len(batched) == batched.watermark == len(tags)
+    for row in range(len(tags)):
+        assert list(batched.iter_tags(row)) == list(tags[row].items())
+        assert [type(v) for _, v in batched.iter_tags(row)] == [
+            type(v) for v in tags[row].values()
+        ]
+
+
+def test_bad_batch_leaves_table_unchanged():
     table = SpanTable()
-    table.append(_span(1, tags={"shape": [8, 3, 4]}))  # list: not packable
-    assert table.tag_set_id[0] == NONE_ID
-    assert table.peek_tags(0) == {"shape": [8, 3, 4]}
+    table.append_rows([_row(1, ("x",), (1,))], trace_id=3)
+    state = [list(getattr(table, c)) for c in ("span_id", "tag_start")]
+    state.append(list(table._values))
+    for bad in (
+        [_row(2), _row(3, start=9, end=1)],   # end precedes start
+        [_row(2, ("x", "y"), (1,))],          # values do not match keys
+        [_row(2)[:6] + (None,) + _row(2)[7:]],  # None instead of NONE_ID
+    ):
+        with pytest.raises((ValueError, TypeError)):
+            table.append_rows(bad, trace_id=3)
+        assert [list(getattr(table, c)) for c in ("span_id", "tag_start")] \
+            + [list(table._values)] == state
+        assert len(table) == 1
+
+
+def test_tag_columns_read_by_position_with_defaults():
+    table = SpanTable()
+    table.append_rows([
+        _row(1, ("a", "b", "tracer"), (1, (2, 2), "gpu")),
+        _row(2, ("b",), ([3],)),
+        _row(3),
+        _row(4, ("a", "b", "tracer"), (5, (6,), "gpu")),
+    ], trace_id=0)
+    assert table.tag_columns([0, 1, 2, 3], ("b", "a"), ("B", "A")) == [
+        [(2, 2), [3], "B", (6,)], [1, "A", "A", 5],
+    ]
+    # One schema: each column is one pass over the rows' offsets.
+    assert table.tag_columns([3, 0], ("a", "c"), (0, "C")) == [
+        [5, 1], ["C", "C"],
+    ]
+    assert table.tag_columns([], ("a",), (0,)) == [[]]
+
+
+def test_any_tag_value_is_stored_in_the_value_list():
+    """Tuples, lists and dicts are stored as given, next to scalars."""
+    table = SpanTable()
+    shape, meta = [8, 3, 4], {"a": (1, 2)}
+    table.append(_span(1, tags={"shape": shape, "grid": (2, 1, 1)}))
+    table.append(_span(2, tags={"meta": meta}))
+    assert table.peek_tags(0) == {"shape": [8, 3, 4], "grid": (2, 1, 1)}
+    assert table.peek_tags(1) == {"meta": {"a": (1, 2)}}
+    assert table._values[0] is shape and table._values[2] is meta
 
 
 def test_view_tags_are_read_only():
@@ -109,7 +184,10 @@ def test_view_tags_are_read_only():
     table.append(
         _span(2, tags={"shape": [8, 3]}, logs=[LogEntry(5, {"event": "x"})])
     )
-    state = (table.tag_set_id.tolist(), dict(table._tags), dict(table._logs))
+    state = (
+        table.tag_schema.tolist(), table.tag_start.tolist(),
+        list(table._values), dict(table._logs),
+    )
     nbytes = table.nbytes
     for row in range(len(table)):
         view = table.view(row)
@@ -123,7 +201,8 @@ def test_view_tags_are_read_only():
     assert not hasattr(table.view(0), "log")
     # Reads stored nothing: no promoted dict, no empty log list.
     assert (
-        table.tag_set_id.tolist(), dict(table._tags), dict(table._logs)
+        table.tag_schema.tolist(), table.tag_start.tolist(),
+        list(table._values), dict(table._logs),
     ) == state
     assert table.nbytes == nbytes
 
@@ -131,9 +210,10 @@ def test_view_tags_are_read_only():
 def test_peek_does_not_promote():
     table = SpanTable()
     table.append(_span(1, tags={"tracer": "gpu"}))
-    table.peek_tags(0)
-    table.iter_tags(0)
-    assert table.tag_set_id[0] != NONE_ID and 0 not in table._tags
+    table.peek_tags(0)["tracer"] = "changed"
+    list(table.iter_tags(0))
+    assert table._values == ["gpu"]
+    assert dict(table.iter_tags(0)) == {"tracer": "gpu"}
 
 
 def test_nbytes_grows_with_rows_not_reads():
@@ -213,9 +293,7 @@ def _append_columns_only(table: SpanTable, span: Span) -> None:
     table.trace_id.append(span.trace_id)
     table.level.append(int(span.level))
     table.kind.append(0)
-    table._name_ids[span.name] = len(table._names)
-    table._names.append(span.name)
-    table.name_id.append(table._name_ids[span.name])
+    table.name_id.append(table._names[span.name])
 
 
 def test_readers_stop_at_watermark():
@@ -370,9 +448,9 @@ def _fuzz_incremental_maintenance(seed: int) -> None:
                 correlation_id=span.correlation_id,
             )
         elif op == 2:
-            server.publish_many(
+            server.publish_many(span_rows(
                 random_span() for _ in range(rng.randint(1, 12))
-            )
+            ))
         elif op == 3 and len(trace) > 0:
             # Query a random family to force structures live mid-growth.
             rng.choice(

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import threading
 
+from rows import span_rows
+
 from repro.tracing import Level, Span, TracingServer
 
 
@@ -16,7 +18,7 @@ def test_poll_yields_contiguous_batches():
     tid = server.begin_trace()
     stream = server.stream(tid)
     assert stream.poll() is None
-    server.publish_many(_span(i, i, i + 1) for i in range(1, 4))
+    server.publish_many(span_rows(_span(i, i, i + 1) for i in range(1, 4)))
     batch = stream.poll()
     assert (batch.start, batch.stop) == (0, 3)
     assert list(batch) == [0, 1, 2]
@@ -32,7 +34,7 @@ def test_poll_max_rows_windows():
     server = TracingServer()
     tid = server.begin_trace()
     stream = server.stream(tid)
-    server.publish_many(_span(i, i, i + 1) for i in range(1, 8))
+    server.publish_many(span_rows(_span(i, i, i + 1) for i in range(1, 8)))
     sizes = []
     while True:
         batch = stream.poll(max_rows=3)
@@ -65,7 +67,7 @@ def test_at_end_after_end_trace():
 def test_iteration_terminates_when_trace_ends():
     server = TracingServer()
     tid = server.begin_trace()
-    server.publish_many(_span(i, i, i + 1) for i in range(1, 6))
+    server.publish_many(span_rows(_span(i, i, i + 1) for i in range(1, 6)))
     stream = server.stream(tid)
     server.end_trace(tid)
     rows = [row for batch in stream for row in batch]
@@ -162,7 +164,7 @@ def test_stream_survives_trace_end_eviction():
     server = TracingServer()
     tid = server.begin_trace()
     stream = server.stream(tid)
-    server.publish_many(_span(i, i, i + 1) for i in range(1, 4))
+    server.publish_many(span_rows(_span(i, i, i + 1) for i in range(1, 4)))
     server.end_trace(tid)
     assert server.traces() == []
     assert len(stream.read()) == 3
@@ -193,13 +195,13 @@ def test_mid_capture_queries_advance_not_rebuild():
     server = TracingServer()
     tid = server.begin_trace()
     trace = server.get_trace(tid)
-    server.publish_many(
+    server.publish_many(span_rows(
         _span(i, 100 * i, 100 * i + 50, Level.GPU_KERNEL) for i in range(1, 5)
-    )
+    ))
     index = trace.index
     assert len(trace.sorted_spans()) == 4
-    server.publish_many(
+    server.publish_many(span_rows(
         _span(i, 100 * i, 100 * i + 50, Level.GPU_KERNEL) for i in range(5, 9)
-    )
+    ))
     assert trace.index is index  # advanced in place, not rebuilt
     assert [s.span_id for s in trace.sorted_spans()] == list(range(1, 9))

@@ -7,10 +7,18 @@ from repro.core.library_level import LibraryTracer
 from repro.core.profilers import GpuTracer, LayerTracer, ModelTracer
 from repro.frameworks.profiler_format import LayerRecord, tf_step_stats
 from repro.sim import VirtualClock
+from repro.sim import CudaRuntime, get_system
 from repro.sim.cuda import KernelLaunchRecord
-from repro.sim.cupti import ActivityRecord, ApiRecord
+from repro.sim.cupti import Cupti
 from repro.sim.kernels import KernelClass, KernelSpec
 from repro.tracing import Level, Span, Tracer, TracingServer
+
+
+class _Runtime:
+    """Stands in for CudaRuntime.on_launch: keeps the subscribed hook."""
+
+    def on_launch(self, callback):
+        self.launch = callback
 
 
 def _publish_model(server):
@@ -35,19 +43,22 @@ def _publish_layers(server):
 
 def _publish_gpu(server):
     tracer = GpuTracer(server)
-    api = [ApiRecord("cudaLaunchKernel", 9, 100, 110)]
-    acts = [
-        ActivityRecord("kernel", "volta_scudnn", 9, 0, 150, 400,
-                       (10, 1, 1), (256, 1, 1)),
-        ActivityRecord("memcpy", "memcpy_h2d", 10, 0, 20, 90,
-                       (1, 1, 1), (1, 1, 1)),
-    ]
-    tracer.convert(api, acts)
+    runtime = CudaRuntime(get_system("Tesla_V100"))
+    cupti = Cupti(runtime)
+    cupti.enable_callbacks()
+    cupti.enable_activities()
+    runtime.launch_kernel(
+        KernelSpec("volta_scudnn", KernelClass.CONV_PRECOMP_GEMM, 1e6, 1e4,
+                   1e4, blocks=10)
+    )
+    runtime.memcpy(1_000)
+    tracer.convert(*cupti.flush())
     return tracer, 3
 
 
 def _publish_library(server):
-    tracer = LibraryTracer(server)
+    runtime = _Runtime()
+    tracer = LibraryTracer(server, runtime)
 
     def record(cid, klass, library, layer, t0):
         spec = KernelSpec(f"k{cid}", klass, 1.0, 1.0, 1.0, blocks=1,
@@ -55,11 +66,13 @@ def _publish_library(server):
         return KernelLaunchRecord(cid, spec, 0, t0, t0 + 5, t0 + 10,
                                   t0 + 20, t0 + 20)
 
-    tracer.convert([
+    for launch in (
         record(1, KernelClass.CONV_PRECOMP_GEMM, "cudnn", 1, 0),
         record(2, KernelClass.CONV_PRECOMP_GEMM, "cudnn", 1, 10),
         record(3, KernelClass.ELEMENTWISE_EIGEN, "eigen", 2, 30),
-    ])
+    ):
+        runtime.launch(launch)
+    tracer.convert()
     return tracer, 2
 
 
@@ -78,8 +91,11 @@ def test_every_published_span_lands_once_with_its_tracer_tag(publish):
         assert span.tags["tracer"] == tracer.name
         assert span.level == tracer.level
         assert span.trace_id == tid
-    # The row in the trace is the only copy: the tracer keeps no spans.
-    assert set(vars(tracer)) == {"name", "level", "server"}
+    # The row in the trace is the only copy: the tracer keeps no spans
+    # (the library tracer's pending calls are handed over on convert).
+    assert {k: v for k, v in vars(tracer).items() if v} == {
+        "name": tracer.name, "level": tracer.level, "server": server,
+    }
 
 
 def test_tracer_tags_origin():
@@ -97,10 +113,7 @@ def test_existing_tracer_tag_is_kept():
     tid = server.begin_trace()
     tracer = Tracer("gpu", Level.GPU_KERNEL, server)
     tracer.publish(Span("a", 0, 1, Level.GPU_KERNEL, tags={"tracer": "own"}))
-    tracer.publish_many(
-        [Span("b", 1, 2, Level.GPU_KERNEL, tags={"tracer": "own"})]
-    )
-    assert [s.tags["tracer"] for s in server.end_trace(tid)] == ["own", "own"]
+    assert [s.tags["tracer"] for s in server.end_trace(tid)] == ["own"]
 
 
 def test_span_level_comes_from_tracer():
@@ -118,16 +131,23 @@ def test_span_level_comes_from_tracer():
 
 
 def test_publish_many_tags_the_batch_in_one_server_call():
-    """publish_many consumes any iterable, tags every span, and hands the
-    server the whole batch in a single call."""
+    """A converter hands the server its whole batch in a single call:
+    plain row tuples whose key tuple ends with the tracer tag."""
     calls = []
 
     class Server:
-        def publish_many(self, spans):
-            calls.append([dict(span.tags) for span in spans])
+        def publish_many(self, rows):
+            calls.append(list(rows))
 
-    tracer = Tracer("gpu", Level.GPU_KERNEL, Server())
-    tracer.publish_many(
-        Span(f"k{i}", i, i + 1, Level.GPU_KERNEL) for i in range(3)
-    )
-    assert calls == [[{"tracer": "gpu"}] * 3]
+    records = [
+        LayerRecord(i, f"l{i}", "Relu", (1,), 10 * i, 10 * i + 5, 4)
+        for i in range(3)
+    ]
+    tracer = LayerTracer(Server())
+    tracer.convert(tf_step_stats(records), "tensorflow_like", None)
+    [batch] = calls
+    assert [type(row) for row in batch] == [tuple] * 3
+    for row in batch:
+        keys, values = row[-2:]
+        assert dict(zip(keys, values))["tracer"] == "layer_tracer"
+        assert keys[-1] == "tracer"
