@@ -47,9 +47,9 @@ def load_profile_json(path: str) -> ModelProfile:
         raise ValueError(f"{path}: not valid JSON ({err})") from err
     if not isinstance(document, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    if "spans" in document and "format_version" in document:
-        return profile_from_trace(trace_from_dict(document))
     try:
+        if "format_version" in document:  # a trace file, v1 or v2
+            return profile_from_trace(trace_from_dict(document))
         return profile_from_document(document)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from err

@@ -40,30 +40,6 @@ def table_to_json(table: Table) -> str:
     )
 
 
-def table_from_json(document: str) -> Table:
-    """Rebuild a Table (string-format columns) from table_to_json output."""
-    from repro.analysis.tables import Column
-
-    data = json.loads(document)
-    columns = [Column(c["key"], c["header"]) for c in data["columns"]]
-    table = Table(title=data["title"], columns=columns)
-    table.extend(data["rows"])
-    return table
-
-
-def save_table(table: Table, path: str) -> None:
-    """Write CSV or JSON depending on the file extension."""
-    if path.endswith(".json"):
-        payload = table_to_json(table)
-    elif path.endswith(".csv"):
-        payload = table_to_csv(table)
-    else:
-        raise ValueError(f"unsupported table format for {path!r} "
-                         "(use .csv or .json)")
-    with open(path, "w") as fh:
-        fh.write(payload)
-
-
 def _csv_value(value: Any) -> Any:
     if isinstance(value, bool):
         return "yes" if value else "no"

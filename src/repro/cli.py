@@ -305,11 +305,17 @@ def _sweep_batches(spec: str, batch: int) -> list[int]:
     return [int(b) for b in spec.split(",")]
 
 
+def _print_json(document: dict) -> None:
+    """One compact JSON line, so the C encoder runs (``indent`` would
+    force the pure-Python one; ``python -m json.tool`` pretty-prints).
+    The document is a fresh tree of plain values, so the encoder's cycle
+    check is skipped."""
+    print(json.dumps(document, check_circular=False))
+
+
 def _print_insight_report(report, args: argparse.Namespace) -> None:
     if args.as_json:
-        print(json.dumps(
-            report.to_dict(min_severity=args.min_severity), indent=2
-        ))
+        _print_json(report.to_dict(min_severity=args.min_severity))
     else:
         print(report.render(min_severity=args.min_severity))
 
@@ -457,9 +463,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
         return 2
     diff = diff_profiles(baseline, candidate)
     if args.as_json:
-        print(json.dumps(
-            diff.to_dict(min_severity=args.min_severity), indent=2
-        ))
+        _print_json(diff.to_dict(min_severity=args.min_severity))
     else:
         print(diff.render(min_severity=args.min_severity))
     if (

@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro.core.pipeline import KernelProfile, LayerProfile, ModelProfile
+from repro.tracing.table import jsonable
 
 #: Bump on any change to the serialized profile shape or semantics.
 SCHEMA_VERSION = 1
@@ -34,16 +35,6 @@ _SAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
 def _slug(value: object) -> str:
     return _SAFE.sub("_", str(value))
-
-
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return repr(value)
 
 
 # -- (de)serialization ------------------------------------------------------
@@ -114,7 +105,7 @@ def profile_to_dict(profile: ModelProfile) -> dict[str, Any]:
         "layers": [layer_to_dict(layer) for layer in profile.layers],
         "overheads": dict(profile.overheads),
         "n_runs": profile.n_runs,
-        "metadata": {k: _jsonable(v) for k, v in profile.metadata.items()},
+        "metadata": {k: jsonable(v) for k, v in profile.metadata.items()},
     }
 
 

@@ -224,8 +224,6 @@ class TraceIndex:
         "_root_rows",
         "_sorted_views",
         "_by_level_views",
-        "_by_level_sorted_views",
-        "_by_kind_views",
         "_by_id_views",
         "_children_views",
         "_roots_views",
@@ -253,8 +251,6 @@ class TraceIndex:
         # view-level caches (materialized lazily from the row level)
         self._sorted_views: Optional[List[SpanView]] = None
         self._by_level_views: Optional[Dict[Level, List[SpanView]]] = None
-        self._by_level_sorted_views: Dict[Level, List[SpanView]] = {}
-        self._by_kind_views: Optional[Dict[SpanKind, List[SpanView]]] = None
         self._by_id_views: Optional[Dict[int, SpanView]] = None
         self._children_views: Optional[Dict[Optional[int], List[SpanView]]] = None
         self._roots_views: Optional[List[SpanView]] = None
@@ -358,8 +354,6 @@ class TraceIndex:
         self.invalidate_parents()
         self._sorted_views = None
         self._by_level_views = None
-        self._by_level_sorted_views.clear()
-        self._by_kind_views = None
         self._by_id_views = None
         self._n = new_n
         return new_n - old_n
@@ -593,22 +587,6 @@ class TraceIndex:
                 for level, rows in self.level_rows().items()
             }
         return self._by_level_views
-
-    def level_sorted(self, level: Level) -> List[SpanView]:
-        """Spans at ``level`` in timeline order."""
-        cached = self._by_level_sorted_views.get(level)
-        if cached is None:
-            cached = self._views(self.level_rows_sorted(level))
-            self._by_level_sorted_views[level] = cached
-        return cached
-
-    def by_kind(self) -> Dict[SpanKind, List[SpanView]]:
-        if self._by_kind_views is None:
-            self._by_kind_views = {
-                kind: self._views(rows)
-                for kind, rows in self.kind_rows().items()
-            }
-        return self._by_kind_views
 
     def by_id(self) -> Dict[int, SpanView]:
         if self._by_id_views is None:

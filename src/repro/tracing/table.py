@@ -35,8 +35,14 @@ equal to each other and to equivalent ``Span`` objects; assigning
 trace a ``trace.touch_parents()``).  ``view.tags`` is a read-only
 mapping and ``view.logs`` a tuple, and reading either stores nothing.
 New consumers of trace data should iterate rows and columns
-(``tag_columns``, ``iter_tags``, ``peek_logs``) and materialize views
-only at the API boundary.
+(``tag_columns``, ``iter_tags``, ``peek_logs``, ``iter_rows``) and
+materialize views only at the API boundary.
+
+The table also owns its on-disk layout, the trace file's format v2
+(see :mod:`repro.tracing.export`): :meth:`SpanTable.to_columns` writes
+each stored column as a plain list next to the pools, the value list
+and the logs, and :meth:`SpanTable.extend_columns` checks such a
+document whole and then extends every column once.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from array import array
 from itertools import accumulate, chain, islice
 from operator import lt
 from types import MappingProxyType
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.tracing.span import Level, LogEntry, Span, SpanKind
 
@@ -61,6 +67,74 @@ _LEVEL_BY_CODE: dict[int, Level] = {int(lv): lv for lv in Level}
 
 #: Column sentinel for "no parent" / "no correlation id".
 NONE_ID = -1
+
+#: The typed columns a trace file stores, in file order, with their
+#: ``array`` typecodes (``tag_start`` is rebuilt from schema widths).
+_STORED_COLUMNS: tuple[tuple[str, str], ...] = (
+    ("span_id", "q"),
+    ("start_ns", "q"),
+    ("end_ns", "q"),
+    ("parent_id", "q"),
+    ("correlation_id", "q"),
+    ("trace_id", "q"),
+    ("level", "b"),
+    ("kind", "b"),
+    ("name_id", "I"),
+    ("tag_schema", "I"),
+)
+
+#: Value types JSON encodes as they are; others go through `jsonable`.
+JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def jsonable(value: Any) -> Any:
+    """``value`` in a JSON-encodable form: scalars as they are, tuples and
+    lists as lists, dicts with string keys, anything else as its repr."""
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    if isinstance(value, (list, tuple)):
+        return [v if type(v) in JSON_SCALARS else jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {
+            str(k): v if type(v) in JSON_SCALARS else jsonable(v)
+            for k, v in value.items()
+        }
+    return repr(value)
+
+
+def _check_order(starts: Sequence[int], ends: Sequence[int],
+                 name_of: Callable[[int], str]) -> None:
+    """Raise ``ValueError`` for the first row that ends before it starts."""
+    if any(map(lt, ends, starts)):
+        row = next(i for i, (s, e) in enumerate(zip(starts, ends)) if e < s)
+        raise ValueError(
+            f"span {name_of(row)!r}: end_ns ({ends[row]}) precedes "
+            f"start_ns ({starts[row]})"
+        )
+
+
+def _logs_to_list(entries: list[LogEntry]) -> list[list]:
+    return [
+        [entry.timestamp_ns,
+         {str(k): jsonable(v) for k, v in entry.fields.items()}]
+        for entry in entries
+    ]
+
+
+def _logs_from_pair(item: Any, n: int) -> tuple[int, list[LogEntry]]:
+    """One stored ``[row, [[timestamp_ns, fields], ...]]`` log pair."""
+    try:
+        row, entries = item
+        if type(row) is not int or not 0 <= row < n:
+            raise ValueError
+        logs = []
+        for timestamp_ns, fields in entries:
+            if type(timestamp_ns) is not int or not isinstance(fields, dict):
+                raise ValueError
+            logs.append(LogEntry(timestamp_ns=timestamp_ns, fields=fields))
+    except (TypeError, ValueError):
+        raise ValueError(f"malformed log entry {item!r:.80}") from None
+    return row, logs
 
 
 class _Pool(dict):
@@ -187,12 +261,18 @@ class SpanTable:
         self._complete = row + 1
         return row
 
-    def append_rows(self, rows: Iterable[Sequence], trace_id: int) -> None:
+    def append_rows(
+        self,
+        rows: Iterable[Sequence],
+        trace_id: int,
+        logs: Mapping[int, list[LogEntry]] | None = None,
+    ) -> None:
         """Ingest a batch of row tuples, each in the field order
         ``(name, start_ns, end_ns, level, kind, span_id, parent_id,
         correlation_id, keys, values)``: ``level`` and ``kind`` are column
         codes, a missing parent or correlation id is :data:`NONE_ID`, and
-        ``values`` matches the tuple of tag ``keys``.
+        ``values`` matches the tuple of tag ``keys``.  ``logs`` maps a
+        row's position in the batch to its log entries.
 
         The batch is transposed and each column extended once.  Every
         row is checked and every column converted before the first one
@@ -203,12 +283,7 @@ class SpanTable:
             return
         names, starts, ends, levels, kinds, span_ids, parents, \
             correlations, schemas, values = columns
-        if any(map(lt, ends, starts)):
-            row = next(i for i, (s, e) in enumerate(zip(starts, ends)) if e < s)
-            raise ValueError(
-                f"span {names[row]!r}: end_ns ({ends[row]}) precedes "
-                f"start_ns ({starts[row]})"
-            )
+        _check_order(starts, ends, names.__getitem__)
         widths = list(map(len, schemas))
         if widths != list(map(len, values)):
             raise ValueError("a row's tag values do not match its keys")
@@ -229,10 +304,143 @@ class SpanTable:
                 "q", islice(accumulate(widths, initial=len(self._values)), n)
             )),
         )
+        base = len(self.span_id)
         for column, tail in tails:
             column.extend(tail)
         self._values.extend(chain.from_iterable(values))
+        if logs:
+            for row, entries in logs.items():
+                self._logs[base + row] = list(entries)
         self._complete = len(self.span_id)  # published last, as above
+
+    # -- on-disk layout ---------------------------------------------------
+    def to_columns(self) -> dict[str, list]:
+        """The rows below the watermark as JSON-ready columns.
+
+        Each stored column is a plain list (``-1`` means none; ``level``
+        and ``kind`` are column codes), next to the ``names`` and
+        ``schemas`` pools, the flat ``values`` list (values that are not
+        JSON scalars pass through :func:`jsonable`) and the sparse
+        ``logs`` as ``[row, [[timestamp_ns, fields], ...]]`` pairs.  The
+        pools stop at the highest code a row uses, so a row still being
+        appended leaves nothing behind.
+        """
+        n = self._complete
+        document = {
+            name: getattr(self, name)[:n].tolist()
+            for name, _ in _STORED_COLUMNS
+        }
+        schemas = self._schemas.by_code[
+            :max(document["tag_schema"], default=-1) + 1
+        ]
+        end = (
+            self.tag_start[n - 1] + len(schemas[self.tag_schema[n - 1]])
+            if n else 0
+        )
+        document["names"] = self._names.by_code[
+            :max(document["name_id"], default=-1) + 1
+        ]
+        document["schemas"] = [[str(key) for key in keys] for keys in schemas]
+        document["values"] = [
+            value if type(value) in JSON_SCALARS else jsonable(value)
+            for value in self._values[:end]
+        ]
+        document["logs"] = [
+            [row, _logs_to_list(entries)]
+            for row, entries in sorted(self._logs.items()) if row < n
+        ]
+        return document
+
+    def extend_columns(self, document: Mapping[str, Any]) -> None:
+        """Append the rows of a :meth:`to_columns` document.
+
+        The whole document is checked before the first column is
+        extended: any fault raises one ``ValueError`` and leaves the
+        table unchanged.  ``tag_start`` is rebuilt from the schema
+        widths, and name and schema codes are re-interned, so a
+        non-empty table can be extended too.
+        """
+        if not isinstance(document, Mapping):
+            raise ValueError("trace table is not a JSON object")
+        columns = {}
+        for name, typecode in _STORED_COLUMNS:
+            if name not in document:
+                raise ValueError(f"trace table has no {name!r} column")
+            try:
+                columns[name] = array(typecode, document[name])
+            except (TypeError, OverflowError) as err:
+                raise ValueError(f"trace column {name!r}: {err}") from None
+        n = len(columns["span_id"])
+        if any(len(column) != n for column in columns.values()):
+            raise ValueError("trace columns differ in length")
+        if not _LEVEL_BY_CODE.keys() >= set(columns["level"]):
+            raise ValueError("trace column 'level' holds an unknown level code")
+        kinds = columns["kind"]
+        if n and not 0 <= min(kinds) <= max(kinds) < len(KINDS):
+            raise ValueError("trace column 'kind' holds an unknown kind code")
+        names = document.get("names")
+        if not isinstance(names, list) or any(type(x) is not str for x in names):
+            raise ValueError("trace 'names' is not a list of strings")
+        schemas = document.get("schemas")
+        if not isinstance(schemas, list) or not all(
+            isinstance(keys, list) and all(type(k) is str for k in keys)
+            for keys in schemas
+        ):
+            raise ValueError("trace 'schemas' is not a list of key lists")
+        if n and max(columns["name_id"]) >= len(names):
+            raise ValueError("trace column 'name_id' is out of range")
+        if n and max(columns["tag_schema"]) >= len(schemas):
+            raise ValueError("trace column 'tag_schema' is out of range")
+        values = document.get("values")
+        widths = list(map(len, schemas))
+        row_widths = [widths[code] for code in columns["tag_schema"]]
+        if not isinstance(values, list) or sum(row_widths) != len(values):
+            raise ValueError("trace 'values' do not match the schema widths")
+        _check_order(columns["start_ns"], columns["end_ns"],
+                     lambda row: names[columns["name_id"][row]])
+        span_ids = set(columns["span_id"])
+        if len(span_ids) != n or not span_ids.isdisjoint(
+            self.span_id[:self._complete]
+        ):
+            raise ValueError("trace holds a duplicated span id")
+        logs = document.get("logs")
+        if not isinstance(logs, list):
+            raise ValueError("trace 'logs' is not a list")
+        logs = dict(_logs_from_pair(item, n) for item in logs)
+        # Checked; from here on nothing can fail.
+        name_codes = [self._names[name] for name in names]
+        schema_codes = [self._schemas[tuple(keys)] for keys in schemas]
+        for name, codes in (("name_id", name_codes),
+                            ("tag_schema", schema_codes)):
+            if codes != list(range(len(codes))):
+                columns[name] = array("I", map(codes.__getitem__, columns[name]))
+        base = len(self.span_id)
+        for name, column in columns.items():
+            getattr(self, name).extend(column)
+        self.tag_start.extend(
+            islice(accumulate(row_widths, initial=len(self._values)), n)
+        )
+        self._values.extend(values)
+        for row, entries in logs.items():
+            self._logs[base + row] = entries
+        self._complete = len(self.span_id)  # published last, as above
+
+    def iter_rows(self) -> Iterator[tuple]:
+        """The rows below the watermark as :meth:`append_rows` tuples,
+        with ``values`` a list (each row's slice of the value list)."""
+        n = self._complete
+        names, schemas = self._names.by_code, self._schemas.by_code
+        values = self._values
+        for name_id, start, end, level, kind, span_id, parent_id, \
+                correlation_id, schema_id, offset in zip(
+                    self.name_id[:n], self.start_ns[:n], self.end_ns[:n],
+                    self.level[:n], self.kind[:n], self.span_id[:n],
+                    self.parent_id[:n], self.correlation_id[:n],
+                    self.tag_schema[:n], self.tag_start[:n]):
+            keys = schemas[schema_id]
+            yield (names[name_id], start, end, level, kind, span_id,
+                   parent_id, correlation_id, keys,
+                   values[offset:offset + len(keys)])
 
     # -- size -------------------------------------------------------------
     def __len__(self) -> int:

@@ -163,9 +163,6 @@ class Trace:
     def at_level(self, level: Level) -> list[SpanView]:
         return list(self.index.by_level().get(level, ()))
 
-    def of_kind(self, kind: SpanKind) -> list[SpanView]:
-        return list(self.index.by_kind().get(kind, ()))
-
     def find(self, predicate: Callable[[SpanView], bool]) -> list[SpanView]:
         return [s for s in self.table.views() if predicate(s)]
 

@@ -1,5 +1,7 @@
 """Comparison and export module tests."""
 
+import json
+
 import pytest
 
 from repro.analysis.compare import (
@@ -9,12 +11,7 @@ from repro.analysis.compare import (
     comparison_table,
     speedup_summary,
 )
-from repro.analysis.export import (
-    save_table,
-    table_from_json,
-    table_to_csv,
-    table_to_json,
-)
+from repro.analysis.export import table_to_csv, table_to_json
 from repro.analysis.tables import Column, Table
 from repro.core import AnalysisPipeline, XSPSession
 
@@ -100,18 +97,8 @@ def test_csv_export():
 
 
 def test_json_round_trip():
-    restored = table_from_json(table_to_json(sample_table()))
-    assert restored.title == "t"
-    assert restored.rows[0]["name"] == "a"
-    assert restored.rows[0]["ok"] is True
-    assert len(restored.columns) == 3
-
-
-def test_save_table_dispatch(tmp_path):
-    table = sample_table()
-    save_table(table, str(tmp_path / "t.csv"))
-    save_table(table, str(tmp_path / "t.json"))
-    assert (tmp_path / "t.csv").read_text().startswith("Name,")
-    assert '"title": "t"' in (tmp_path / "t.json").read_text()
-    with pytest.raises(ValueError, match="unsupported"):
-        save_table(table, str(tmp_path / "t.xlsx"))
+    document = json.loads(table_to_json(sample_table()))
+    assert document["title"] == "t"
+    assert document["rows"][0]["name"] == "a"
+    assert document["rows"][0]["ok"] is True
+    assert len(document["columns"]) == 3

@@ -1,6 +1,8 @@
 """CLI smoke tests."""
 
+import gzip
 import json
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +86,88 @@ def test_bad_input_fails_in_one_line(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+#: The v1 capture of model 7 written before format v2 (tests/tracing/data).
+V1_FIXTURE = (Path(__file__).resolve().parents[1] / "tracing" / "data"
+              / "model7_library_level_v1.json.gz")
+
+
+def _v1_span(doc, key, value):
+    doc["spans"][3][key] = value
+
+
+def _v2_column(doc, key, row, value):
+    doc["table"][key][row] = value
+
+
+#: (format, fault) -> an edit of a good trace document that breaks it.
+MALFORMED_TRACES = {
+    ("v1", "string start_ns"): lambda d: _v1_span(d, "start_ns", "5"),
+    ("v1", "spans an object"): lambda d: d.update(spans={"a": 1}),
+    ("v1", "span a list"): lambda d: d["spans"].__setitem__(3, [1, 2]),
+    ("v1", "tags a list"): lambda d: _v1_span(d, "tags", ["x"]),
+    ("v1", "parent_id beyond int64"):
+        lambda d: _v1_span(d, "parent_id", 10**30),
+    ("v1", "metadata a list"): lambda d: d.update(metadata=[1]),
+    ("v1", "duplicated span id"):
+        lambda d: _v1_span(d, "span_id", d["spans"][2]["span_id"]),
+    ("v2", "unequal column lengths"): lambda d: d["table"]["kind"].pop(),
+    ("v2", "unknown level code"): lambda d: _v2_column(d, "level", 3, 7),
+    ("v2", "unknown kind code"): lambda d: _v2_column(d, "kind", 3, 5),
+    ("v2", "name id out of range"):
+        lambda d: _v2_column(d, "name_id", 3, 10**6),
+    ("v2", "schema id out of range"):
+        lambda d: _v2_column(d, "tag_schema", 3, 10**6),
+    ("v2", "values do not fit the schemas"):
+        lambda d: d["table"]["values"].pop(),
+    ("v2", "end before start"): lambda d: _v2_column(d, "end_ns", 3, -1),
+    ("v2", "integer beyond int64"):
+        lambda d: _v2_column(d, "correlation_id", 3, 10**30),
+    ("v2", "duplicated span id"):
+        lambda d: _v2_column(d, "span_id", 3, d["table"]["span_id"][2]),
+}
+
+
+@pytest.mark.parametrize("command", ["advise", "diff"])
+@pytest.mark.parametrize("version,fault", sorted(MALFORMED_TRACES))
+def test_malformed_trace_fails_in_one_line(version, fault, command,
+                                           tmp_path, capsys):
+    """advise --from-trace and diff reject a broken trace file, v1 or v2,
+    with exit 2 and one stderr line."""
+    text = gzip.decompress(V1_FIXTURE.read_bytes()).decode()
+    if version == "v2":
+        from repro.tracing.export import trace_from_json, trace_to_json
+
+        text = trace_to_json(trace_from_json(text))
+    document = json.loads(text)
+    MALFORMED_TRACES[version, fault](document)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(document))
+    argv = (["advise", "--from-trace", str(path)] if command == "advise"
+            else ["diff", str(path), str(path)])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("version", ["v1", "v2"])
+def test_advise_and_diff_accept_both_trace_versions(version, tmp_path,
+                                                    capsys):
+    text = gzip.decompress(V1_FIXTURE.read_bytes()).decode()
+    if version == "v2":
+        from repro.tracing.export import trace_from_json, trace_to_json
+
+        text = trace_to_json(trace_from_json(text))
+    path = tmp_path / "capture.json"
+    path.write_text(text)
+    assert main(["advise", "--from-trace", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["insights"]
+    assert main(["diff", str(path), str(path), "--json",
+                 "--max-regression", "0.0"]) == 0
+    assert json.loads(capsys.readouterr().out)["regression_fraction"] == 0
 
 
 # -- every subcommand smoke-tested through main(argv) ------------------------

@@ -3,9 +3,16 @@
 Each capture runs in a fresh interpreter, so span ids start from the
 same counter value and the files are byte-for-byte reproducible.  A
 change to how spans are captured, stored or exported that moves a single
-byte of the v1 JSON or the Chrome trace fails here.
+byte of the trace file or the Chrome trace fails here.
+
+The trace file format moved from v1 (one JSON object per span) to v2
+(one JSON list per column).  ``tests/tracing/data`` holds the v1
+``repro trace --model 7 --library-level --output`` file written before
+that move; it must still load to the same Chrome trace, and re-save to
+exactly the bytes a fresh capture writes.
 """
 
+import gzip
 import hashlib
 import os
 import subprocess
@@ -14,7 +21,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.tracing.export import trace_from_json, trace_to_chrome, trace_to_json
+
 SRC = Path(__file__).resolve().parents[2] / "src"
+V1_FIXTURE = (Path(__file__).resolve().parents[1] / "tracing" / "data"
+              / "model7_library_level_v1.json.gz")
+V1_SHA256 = "ca0c922490da60d3ea169f0fe8a1a2b90dba1fad35b6728675ac2331930bff0c"
+CHROME_SHA256 = (
+    "79cd36871c185d685b98f5034da9a51036a993056c5e6d814099bb593910d1ea"
+)
 
 
 def _trace(tmp_path, *args):
@@ -26,20 +41,31 @@ def _trace(tmp_path, *args):
     )
 
 
-def _sha256(path):
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize("framework,files", [
     ("tensorflow_like", {
-        "t.json": "ca0c922490da60d3ea169f0fe8a1a2b90dba1fad35b6728675ac2331930bff0c",
-        "chrome.json": "79cd36871c185d685b98f5034da9a51036a993056c5e6d814099bb593910d1ea",
+        "t.json": "8b0a87481b356f004b68452d9bc61dcf07926033244cdcac88f8816ab92d8ea3",
+        "chrome.json": CHROME_SHA256,
     }),
     ("mxnet_like", {
-        "t.json": "31606bb869f7d3b42acac7d1bdbb1abea0c523a2153ac405802f318ddf4eecb4",
+        "t.json": "0dc0700f8059c05ba2a21856c3658c702cf7a947c5db94d1fe55676a280e6a2f",
     }),
 ])
 def test_trace_export_bytes_are_pinned(tmp_path, framework, files):
     chrome = ["--chrome", "chrome.json"] if "chrome.json" in files else []
     _trace(tmp_path, "--framework", framework, "--output", "t.json", *chrome)
-    assert {name: _sha256(tmp_path / name) for name in files} == files
+    assert {
+        name: _sha256((tmp_path / name).read_bytes()) for name in files
+    } == files
+
+
+def test_v1_capture_migrates_to_the_bytes_of_a_fresh_capture(tmp_path):
+    v1 = gzip.decompress(V1_FIXTURE.read_bytes())
+    assert _sha256(v1) == V1_SHA256
+    trace = trace_from_json(v1.decode())
+    assert _sha256(trace_to_chrome(trace).encode()) == CHROME_SHA256
+    _trace(tmp_path, "--output", "t.json")
+    assert trace_to_json(trace) == (tmp_path / "t.json").read_text()

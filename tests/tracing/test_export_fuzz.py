@@ -13,18 +13,31 @@ and a JSON round trip must reproduce the columns exactly.  A second
 corpus of tuple, list, dict and typed-scalar tags, ingested through
 every path and captured by every converter, checks that ``peek_tags``,
 ``iter_tags`` and ``view.tags`` agree.
+
+The file format (v2, the table's columns) must round-trip to a fixpoint,
+a v1 document (one object per span) must load to the columns of its v2
+export, and a malformed v2 table must raise and leave the table as it
+was.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 
 import pytest
 from rows import span_rows
 
 from repro.tracing import Level, Span, SpanKind, Trace, TracingServer
-from repro.tracing.export import trace_from_json, trace_to_json
+from repro.tracing.export import (
+    trace_from_dict,
+    trace_from_json,
+    trace_to_chrome,
+    trace_to_json,
+)
+from repro.tracing.span import LogEntry
+from repro.tracing.table import jsonable
 
 _NAMES = (
     "predict",
@@ -331,3 +344,165 @@ def test_tag_readers_agree_on_a_capture_from_every_converter():
     once = trace_to_json(trace)
     assert trace_to_json(trace_from_json(once)) == once
     assert trace.table.nbytes == nbytes
+
+
+# -- format v2: the table's columns on disk; v1 still loads -----------------
+
+
+def _v1_document(trace: Trace) -> dict:
+    """``trace`` as a format-v1 document: one JSON object per span."""
+    table = trace.table
+    return {
+        "format_version": 1,
+        "trace_id": trace.trace_id,
+        "metadata": {k: jsonable(v) for k, v in trace.metadata.items()},
+        "spans": [
+            {
+                "name": view.name,
+                "start_ns": view.start_ns,
+                "end_ns": view.end_ns,
+                "level": view.level.name,
+                "span_id": view.span_id,
+                "trace_id": view.trace_id,
+                "parent_id": view.parent_id,
+                "kind": view.kind.value,
+                "correlation_id": view.correlation_id,
+                "tags": {k: jsonable(v) for k, v in view.iter_tags()},
+                "logs": [
+                    {"timestamp_ns": entry.timestamp_ns,
+                     "fields": {str(k): jsonable(v)
+                                for k, v in entry.fields.items()}}
+                    for entry in table.peek_logs(row)
+                ],
+            }
+            for row, view in enumerate(trace.spans)
+        ],
+    }
+
+
+def _typed_columns(trace: Trace) -> dict:
+    """`_columns` plus per-row trace ids, with each tag value's type."""
+    columns = _columns(trace)
+    columns["trace_id"] = trace.table.trace_id.tolist()
+    columns["tag_types"] = [
+        [(k, type(v)) for k, v in tags.items()] for tags in columns["tags"]
+    ]
+    return columns
+
+
+def _mixed_trace(seed: int) -> Trace:
+    """A fuzz trace plus rows that keep trace ids of their own."""
+    trace = _random_trace(seed)
+    for i, row_trace_id in enumerate((0, 7, 7, trace.trace_id + 1)):
+        trace.table.append_row(
+            name=f"foreign{i}", start_ns=i, end_ns=i + 1, level=Level.LAYER,
+            span_id=10**6 + i, trace_id=row_trace_id,
+            tags={"shape": (1, i), "meta": {"k": [i, (i,)]}},
+        )
+    return trace
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_v2_round_trip_is_a_column_fixpoint(seed):
+    once = trace_to_json(_mixed_trace(seed))
+    restored = trace_from_json(once)
+    assert restored.table.to_columns() == json.loads(once)["table"]
+    assert trace_to_json(restored) == once
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_v1_document_loads_to_the_columns_of_its_v2_export(seed):
+    trace = _mixed_trace(seed)
+    from_v1 = trace_from_dict(json.loads(json.dumps(_v1_document(trace))))
+    from_v2 = trace_from_json(trace_to_json(trace))
+    assert _typed_columns(from_v1) == _typed_columns(from_v2)
+    assert from_v1.metadata == from_v2.metadata
+    assert trace_to_json(from_v1) == trace_to_json(from_v2)
+
+
+def test_empty_traces_round_trip():
+    empty = Trace(trace_id=3, metadata={"model": "none"})
+    restored = trace_from_json(trace_to_json(empty))
+    assert len(restored) == 0 and restored.metadata == {"model": "none"}
+    assert trace_to_json(restored) == trace_to_json(empty)
+    assert len(trace_from_dict(_v1_document(empty))) == 0
+    assert json.loads(trace_to_chrome(restored))["traceEvents"][0]["ph"] == "M"
+
+
+def test_container_values_survive_as_json():
+    values = {"tuple": (1, 2), "list": [3, "x"], "dict": {"a": (4, None)},
+              "nested": [(1, [2, (3,)]), {"b": {"c": (5, 6.5)}}]}
+    trace = Trace(trace_id=1)
+    trace.add(Span("s", 0, 1, Level.LAYER, span_id=1, tags=values))
+    restored = trace_from_json(trace_to_json(trace))
+    assert restored.table.peek_tags(0) == {
+        "tuple": [1, 2], "list": [3, "x"], "dict": {"a": [4, None]},
+        "nested": [[1, [2, [3]]], {"b": {"c": [5, 6.5]}}],
+    }
+
+
+def test_export_stops_at_the_watermark_of_a_half_appended_row():
+    """Every column, the pools, the value list and the log store hold a
+    row whose watermark is not yet published: no export shows it."""
+    trace = _random_trace(3)
+    before, chrome = trace_to_json(trace), trace_to_chrome(trace)
+    table = trace.table
+    for column, value in ((table.span_id, 99), (table.start_ns, 0),
+                          (table.end_ns, 1), (table.parent_id, -1),
+                          (table.correlation_id, -1), (table.trace_id, 1),
+                          (table.level, 1), (table.kind, 0),
+                          (table.name_id, table._names["half-written"]),
+                          (table.tag_schema, table._schemas[("half",)]),
+                          (table.tag_start, len(table._values))):
+        column.append(value)
+    table._values.append("half")
+    table._logs[len(table.span_id) - 1] = [LogEntry(0, {"half": True})]
+    assert trace_to_json(trace) == before
+    assert trace_to_chrome(trace) == chrome
+
+
+def _v2_table() -> dict:
+    trace = Trace(trace_id=1)
+    trace.add(Span("a", 0, 5, Level.MODEL, span_id=1, tags={"x": 1}))
+    trace.add(Span("b", 1, 2, Level.LAYER, span_id=2, parent_id=1))
+    return json.loads(trace_to_json(trace))["table"]
+
+
+#: Each fault a v2 ``table`` object can have, as an edit of a good one.
+V2_FAULTS = {
+    "unequal column lengths": lambda t: t["end_ns"].pop(),
+    "missing column": lambda t: t.pop("kind"),
+    "unknown level code": lambda t: t["level"].__setitem__(0, 9),
+    "unknown kind code": lambda t: t["kind"].__setitem__(0, 3),
+    "name id out of range": lambda t: t["name_id"].__setitem__(1, 2),
+    "schema id out of range": lambda t: t["tag_schema"].__setitem__(1, 5),
+    "values do not fit the schemas": lambda t: t["values"].append(2),
+    "end before start": lambda t: t["end_ns"].__setitem__(1, 0),
+    "integer beyond int64": lambda t: t["parent_id"].__setitem__(1, 10**30),
+    "string timestamp": lambda t: t["start_ns"].__setitem__(0, "0"),
+    "duplicated span id": lambda t: t["span_id"].__setitem__(1, 1),
+    "names not strings": lambda t: t["names"].__setitem__(0, 7),
+    "malformed log": lambda t: t["logs"].append([0, "x"]),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(V2_FAULTS))
+def test_a_malformed_v2_table_raises_and_leaves_the_table_unchanged(fault):
+    document = _v2_table()
+    V2_FAULTS[fault](document)
+    trace = _random_trace(1)
+    before = (trace_to_json(trace), trace.table.nbytes,
+              len(trace.table.span_id), len(trace.table.tag_start))
+    with pytest.raises(ValueError):
+        trace.table.extend_columns(document)
+    assert (trace_to_json(trace), trace.table.nbytes,
+            len(trace.table.span_id), len(trace.table.tag_start)) == before
+
+
+def test_extend_columns_appends_to_a_non_empty_table():
+    trace = _random_trace(2)
+    n = len(trace)
+    trace.table.extend_columns(_v2_table())
+    assert [trace.spans[r].name for r in (n, n + 1)] == ["a", "b"]
+    assert trace.table.peek_tags(n) == {"x": 1}
+    assert trace.spans[n + 1].parent_id == 1

@@ -330,7 +330,8 @@ def _query_snapshot(trace: Trace):
             for lvl, spans in ((l, trace.at_level(l)) for l in Level)
         },
         "by_kind": {
-            k.value: [s.span_id for s in trace.of_kind(k)] for k in SpanKind
+            k.value: [trace.table.span_id[r] for r in rows]
+            for k, rows in trace.index.kind_rows().items()
         },
         "extent": trace.span_extent_ns(),
         "roots": [s.span_id for s in trace.roots()],

@@ -29,7 +29,9 @@ def test_indexed_queries_match_naive_scans():
     for level in Level:
         assert t.at_level(level) == [s for s in spans if s.level == level]
     for kind in SpanKind:
-        assert t.of_kind(kind) == [s for s in spans if s.kind == kind]
+        assert [t.spans[r] for r in t.index.kind_rows().get(kind, [])] == [
+            s for s in spans if s.kind == kind
+        ]
     assert t.by_id() == {s.span_id: s for s in spans}
     assert t.levels_present() == sorted({s.level for s in spans})
     assert t.span_extent_ns() == (
