@@ -1,4 +1,4 @@
-"""Comparison reports: models, frameworks, and systems side by side.
+"""Comparison reports: frameworks and systems side by side.
 
 "The consistent profiling and automated analysis workflows in XSP enable
 systematic comparisons of models, frameworks, and hardware" (paper
@@ -55,16 +55,6 @@ def comparison_table(
     return table
 
 
-def compare_models(profiles: Sequence[ModelProfile]) -> Table:
-    """Model-vs-model at matching (system, framework, batch)."""
-    _require_uniform(profiles, ("system", "framework"))
-    return comparison_table(
-        {p.model_name: p for p in profiles},
-        title=f"Model comparison on {profiles[0].system} "
-        f"({profiles[0].framework})",
-    )
-
-
 def compare_frameworks(profiles: Sequence[ModelProfile]) -> Table:
     """Framework-vs-framework for one model (paper Sec. IV-B)."""
     _require_uniform(profiles, ("system", "model_name", "batch"))
@@ -83,21 +73,6 @@ def compare_systems(profiles: Sequence[ModelProfile]) -> Table:
         title=f"System comparison: {profiles[0].model_name} "
         f"(batch {profiles[0].batch})",
     )
-
-
-def speedup_summary(
-    baseline: ModelProfile, candidate: ModelProfile
-) -> dict[str, float]:
-    """Headline ratios candidate/baseline (latency inverse = speedup)."""
-    return {
-        "speedup": baseline.model_latency_ms / candidate.model_latency_ms,
-        "throughput_ratio": candidate.throughput / baseline.throughput,
-        "gpu_time_ratio": (candidate.kernel_latency_ms
-                           / baseline.kernel_latency_ms
-                           if baseline.kernel_latency_ms else float("nan")),
-        "dram_ratio": (candidate.dram_bytes / baseline.dram_bytes
-                       if baseline.dram_bytes else float("nan")),
-    }
 
 
 def _require_uniform(

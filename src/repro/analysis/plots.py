@@ -1,4 +1,4 @@
-"""Terminal plots: ASCII roofline scatter and series charts.
+"""Terminal plots: an ASCII roofline scatter.
 
 The paper's figures are matplotlib plots; this reproduction renders the
 same data as terminal graphics so reports and examples remain
@@ -77,35 +77,4 @@ def ascii_roofline(
     lines.append(" " + "".join(axis) + " (ridge)")
     lines.append(f"  x: {x_min:.2g} .. {x_max:.2g} flops/byte (log) | "
                  f"y: {y_min:.2g} .. {y_max:.2g} Tflops/s (log)")
-    return "\n".join(lines)
-
-
-def ascii_series(
-    series: Sequence[tuple[int, float]],
-    *,
-    title: str = "",
-    width: int = 72,
-    height: int = 12,
-    marker: str = "#",
-) -> str:
-    """Bar-style chart of an (index, value) series (A3/A4/A12 figures)."""
-    if not series:
-        raise ValueError("empty series")
-    values = [v for _, v in series]
-    v_max = max(values) or 1.0
-    # Downsample columns to fit the width.
-    n = len(series)
-    buckets: list[float] = []
-    for col in range(min(width, n)):
-        lo = col * n // min(width, n)
-        hi = max(lo + 1, (col + 1) * n // min(width, n))
-        buckets.append(max(values[lo:hi]))
-    lines = [title] if title else []
-    for row in range(height, 0, -1):
-        threshold = v_max * row / height
-        lines.append(
-            "|" + "".join(marker if v >= threshold else " " for v in buckets)
-        )
-    lines.append("+" + "-" * len(buckets))
-    lines.append(f"  max {v_max:.3g} over {n} layers")
     return "\n".join(lines)

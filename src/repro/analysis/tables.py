@@ -106,6 +106,3 @@ class Table:
         if max_rows is not None and len(self.rows) > max_rows:
             lines.append(f"... ({len(self.rows) - max_rows} more rows)")
         return "\n".join(lines)
-
-    def to_dicts(self) -> list[dict[str, Any]]:
-        return [dict(r) for r in self.rows]

@@ -34,9 +34,6 @@ class ProfilingLevelSet:
             lvl.short_name for lvl in sorted(self.levels)
         )
 
-    def with_level(self, level: Level) -> "ProfilingLevelSet":
-        return ProfilingLevelSet(self.levels | {level})
-
     @staticmethod
     def parse(label: str) -> "ProfilingLevelSet":
         """Parse a "M/L/G"-style label."""

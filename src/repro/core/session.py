@@ -318,7 +318,8 @@ class XSPSession:
         app_span_id: int,
         model_name: str,
     ):
-        """One finished evaluation's rows, time-shifted, as add_row fields.
+        """One finished evaluation's rows, time-shifted, as publish_rows
+        mappings.
 
         Streams straight from the run's columnar table — no intermediate
         span list; model-level roots are re-parented under the (pending)

@@ -60,9 +60,6 @@ class TensorShape:
     def per_image_elems(self) -> int:
         return self.elems // self.batch
 
-    def with_batch(self, batch: int) -> "TensorShape":
-        return TensorShape((batch, *self.dims[1:]))
-
     def __str__(self) -> str:
         return "⟨" + ", ".join(str(d) for d in self.dims) + "⟩"
 

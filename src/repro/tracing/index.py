@@ -7,20 +7,15 @@ builds each index a single time over the trace's columnar
 :class:`~repro.tracing.table.SpanTable` and serves all subsequent queries
 from it.
 
-Two layers of indexes exist:
-
-* **row-level** (the hot path): timeline orderings, level/kind
-  partitions, the id map, extents, and the gap index are all built from —
-  and answered as — row indices into the table's columns.  The sweep-line
-  correlator, the gap rules, and the exporters consume these directly and
-  never materialize span objects.  When numpy is importable the orderings
-  and partitions are computed with zero-copy ``frombuffer`` views over
-  the columns (``lexsort``/``nonzero``); the pure-Python fallback is
-  identical in output.
-* **view-level** (the compatible public surface): ``sorted_spans()``,
-  ``by_level()``, ``by_id()``, ... materialize
-  :class:`~repro.tracing.table.SpanView` flyweights from the row indexes,
-  lazily and cached per family.
+Every index is built from — and answered as — row indices into the
+table's columns: timeline orderings, level/kind partitions, the id map,
+extents, the gap index and the parent-derived children/roots.  The
+sweep-line correlator, the gap rules, and the exporters consume these
+directly; :class:`~repro.tracing.trace.Trace`'s query methods wrap rows
+in :class:`~repro.tracing.table.SpanView` flyweights at the API
+boundary, and the index keeps no views.  Orderings and partitions are
+computed with numpy (``lexsort``/``nonzero``) over copies of the
+columns; numpy is a runtime dependency.
 
 Maintenance model (high-water mark, not invalidation)
 -----------------------------------------------------
@@ -43,7 +38,7 @@ resolve a previously dangling parent).  Code that mutates
 ``span.parent_id`` by hand after querying a trace must call
 ``touch_parents`` as before.
 
-Cold builders read bounded snapshot copies of the columns (``col[:n]``)
+Builders read bounded snapshot copies of the columns (``col[:n]``)
 rather than zero-copy buffer exports: a live (still-growing) table may be
 appended to by the capture thread while a monitor advances the index, and
 holding a buffer export across that append would raise ``BufferError`` in
@@ -55,15 +50,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.tracing.span import Level, SpanKind
-from repro.tracing.table import KINDS, NONE_ID, SpanTable, SpanView, _KIND_CODE
-
-try:  # optional acceleration; storage stays stdlib-array either way
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the fallback tests
-    _np = None
+from repro.tracing.table import KINDS, NONE_ID, SpanTable, _KIND_CODE
 
 
 @dataclass(frozen=True)
@@ -133,34 +125,35 @@ def _fold_gaps(
 
 def _timeline_rows(
     table: SpanTable,
-    rows: List[int] | None = None,
+    rows: Sequence[int] | None = None,
     *,
     n: int | None = None,
 ) -> List[int]:
     """Row indices by (start, -duration) — parents before children.
 
-    Two stable passes (end desc, then start asc) over C-level keys: equal
-    starts keep the end-descending order, which is exactly
-    duration-descending; full ties keep row (publication) order.  ``n``
-    bounds the build to the table's first ``n`` rows (the covered prefix
-    of a still-growing capture).
+    One stable ``lexsort`` by start ascending, then end descending:
+    equal starts come out duration-descending and full ties keep their
+    given (publication) order.  ``rows`` is a ``range`` of rows (an
+    advance's tail) or a list of rows below ``n``; by default it is the
+    table's first ``n`` rows (the covered prefix of a still-growing
+    capture).
     """
     if rows is None:
-        count = len(table) if n is None else n
-        if _np is not None and count > 64:
-            # Bounded snapshot copies, not zero-copy exports: see the
-            # module docstring's live-table note.
-            starts = _np.frombuffer(table.start_ns[:count], dtype=_np.int64)
-            ends = _np.frombuffer(table.end_ns[:count], dtype=_np.int64)
-            # lexsort is stable and sorts by the *last* key first.
-            return _np.lexsort((-ends, starts)).tolist()
-        rows = list(range(count))
-        out = rows
+        rows = range(len(table) if n is None else n)
+    if len(rows) < 2:  # already in order; skips numpy's per-call cost
+        return list(rows)
+    if isinstance(rows, range):
+        lo, hi, pick = rows.start, rows.stop, None
     else:
-        out = list(rows)
-    out.sort(key=table.end_ns.__getitem__, reverse=True)
-    out.sort(key=table.start_ns.__getitem__)
-    return out
+        lo, hi, pick = 0, n, np.array(rows, dtype=np.intp)
+    # Bounded snapshot copies, not zero-copy exports: see the module
+    # docstring's live-table note.
+    starts = np.frombuffer(table.start_ns[lo:hi], dtype=np.int64)
+    ends = np.frombuffer(table.end_ns[lo:hi], dtype=np.int64)
+    if pick is None:
+        # lexsort is stable and sorts by the *last* key first.
+        return (np.lexsort((-ends, starts)) + lo).tolist()
+    return pick[np.lexsort((-ends[pick], starts[pick]))].tolist()
 
 
 def _merge_timeline(
@@ -204,8 +197,8 @@ class TraceIndex:
     grows, :meth:`advance` merges the new tail into every structure
     already built instead of discarding anything (see the module
     docstring).  The containers returned by accessors are the internal
-    ones — :class:`Trace` copies them before handing them to callers so
-    the cached state can never be corrupted from outside.
+    ones: callers must not mutate them (:class:`Trace` hands its callers
+    new lists of views).
     """
 
     __slots__ = (
@@ -217,29 +210,21 @@ class TraceIndex:
         "_kind_rows",
         "_row_by_id",
         "_extent",
-        "_levels",
         "_gaps",
         "_gap_state",
         "_children_rows",
         "_root_rows",
-        "_sorted_views",
-        "_by_level_views",
-        "_by_id_views",
-        "_children_views",
-        "_roots_views",
     )
 
     def __init__(self, table: SpanTable, n: int | None = None) -> None:
         self.table = table
         self._n = len(table) if n is None else n
-        # row-level caches
         self._rows_sorted: Optional[List[int]] = None
         self._level_rows: Optional[Dict[Level, List[int]]] = None
         self._level_rows_sorted: Dict[Level, List[int]] = {}
         self._kind_rows: Optional[Dict[SpanKind, List[int]]] = None
         self._row_by_id: Optional[Dict[int, int]] = None
         self._extent: Optional[Tuple[int, int]] = None
-        self._levels: Optional[List[Level]] = None
         self._gaps: Dict[Tuple[Level, Optional[SpanKind]], List[Gap]] = {}
         # Per-(level, kind) fold continuation: (last sort key, frontier
         # row) of the rows already folded into the cached gap list.
@@ -248,12 +233,6 @@ class TraceIndex:
         ] = {}
         self._children_rows: Optional[Dict[Optional[int], List[int]]] = None
         self._root_rows: Optional[List[int]] = None
-        # view-level caches (materialized lazily from the row level)
-        self._sorted_views: Optional[List[SpanView]] = None
-        self._by_level_views: Optional[Dict[Level, List[SpanView]]] = None
-        self._by_id_views: Optional[Dict[int, SpanView]] = None
-        self._children_views: Optional[Dict[Optional[int], List[SpanView]]] = None
-        self._roots_views: Optional[List[SpanView]] = None
 
     # -- cache validity ---------------------------------------------------
     @property
@@ -265,8 +244,6 @@ class TraceIndex:
         """Drop the parent-derived indexes (children, roots)."""
         self._children_rows = None
         self._root_rows = None
-        self._children_views = None
-        self._roots_views = None
 
     def advance(self, to_n: int | None = None) -> int:
         """Merge rows ``[covered, to_n)`` into every built structure.
@@ -277,10 +254,8 @@ class TraceIndex:
         folded into the gap caches — each result identical to a cold
         rebuild over the grown prefix.  Structures that were never built
         stay unbuilt (they build lazily over the full prefix later).
-        Parent-derived indexes and the materialized view caches are
-        dropped: a new span id can resolve a dangling parent, and view
-        lists re-materialize cheaply from the maintained row lists.
-        Returns the number of rows absorbed.
+        Parent-derived indexes are dropped: a new span id can resolve a
+        dangling parent.  Returns the number of rows absorbed.
         """
         table = self.table
         new_n = len(table) if to_n is None else to_n
@@ -322,10 +297,6 @@ class TraceIndex:
             else:
                 cur_lo, cur_hi = self._extent
                 self._extent = (min(cur_lo, lo), max(cur_hi, hi))
-        if self._levels is not None:
-            fresh = {Level(levels_col[r]) for r in tail}
-            if not fresh.issubset(self._levels):
-                self._levels = sorted(fresh.union(self._levels))
 
         # Timeline orderings and gap folds share one sorted tail.
         if (
@@ -333,7 +304,7 @@ class TraceIndex:
             or self._level_rows_sorted
             or self._gaps
         ):
-            tail_sorted = _timeline_rows(table, list(tail))
+            tail_sorted = _timeline_rows(table, tail)
             if self._rows_sorted is not None:
                 _merge_timeline(table, self._rows_sorted, tail_sorted)
             level_tails: Dict[Level, List[int]] = {}
@@ -350,11 +321,8 @@ class TraceIndex:
             self._advance_gaps(level_tails)
 
         # A new span id can turn an existing "root" into a child, so the
-        # parent-derived indexes (and all view materializations) reset.
+        # parent-derived indexes reset.
         self.invalidate_parents()
-        self._sorted_views = None
-        self._by_level_views = None
-        self._by_id_views = None
         self._n = new_n
         return new_n - old_n
 
@@ -399,7 +367,7 @@ class TraceIndex:
                 frontier,
             )
 
-    # -- row-level indexes (the hot path) ---------------------------------
+    # -- indexes --------------------------------------------------------
     def rows_sorted(self) -> List[int]:
         """Row indices in timeline order (start asc, duration desc)."""
         if self._rows_sorted is None:
@@ -409,52 +377,30 @@ class TraceIndex:
     def level_rows(self) -> Dict[Level, List[int]]:
         """Level -> row indices at that level, in publication order."""
         if self._level_rows is None:
-            table = self.table
-            buckets: Dict[Level, List[int]] = {}
-            if _np is not None and self._n > 64:
-                codes = _np.frombuffer(
-                    table.level[: self._n], dtype=_np.int8
-                )
-                for code in _np.unique(codes).tolist():
-                    buckets[Level(code)] = _np.nonzero(codes == code)[
-                        0
-                    ].tolist()
-            else:
-                for row, code in enumerate(table.level[: self._n]):
-                    level = Level(code)
-                    try:
-                        buckets[level].append(row)
-                    except KeyError:
-                        buckets[level] = [row]
-            self._level_rows = buckets
+            codes = np.frombuffer(self.table.level[: self._n], dtype=np.int8)
+            self._level_rows = {
+                Level(code): np.flatnonzero(codes == code).tolist()
+                for code in np.unique(codes).tolist()
+            }
         return self._level_rows
 
     def level_rows_sorted(self, level: Level) -> List[int]:
         """Rows at ``level`` in timeline order (the sweep-line's view)."""
         cached = self._level_rows_sorted.get(level)
         if cached is None:
-            cached = _timeline_rows(self.table, self.level_rows().get(level, []))
+            cached = _timeline_rows(
+                self.table, self.level_rows().get(level, []), n=self._n
+            )
             self._level_rows_sorted[level] = cached
         return cached
 
     def kind_rows(self) -> Dict[SpanKind, List[int]]:
         if self._kind_rows is None:
-            table = self.table
-            buckets: Dict[SpanKind, List[int]] = {}
-            if _np is not None and self._n > 64:
-                codes = _np.frombuffer(table.kind[: self._n], dtype=_np.int8)
-                for code in _np.unique(codes).tolist():
-                    buckets[KINDS[code]] = _np.nonzero(codes == code)[
-                        0
-                    ].tolist()
-            else:
-                for row in range(self._n):
-                    kind = table.kind_of(row)
-                    try:
-                        buckets[kind].append(row)
-                    except KeyError:
-                        buckets[kind] = [row]
-            self._kind_rows = buckets
+            codes = np.frombuffer(self.table.kind[: self._n], dtype=np.int8)
+            self._kind_rows = {
+                KINDS[code]: np.flatnonzero(codes == code).tolist()
+                for code in np.unique(codes).tolist()
+            }
         return self._kind_rows
 
     def row_by_id(self) -> Dict[int, int]:
@@ -466,28 +412,21 @@ class TraceIndex:
         return self._row_by_id
 
     def levels_present(self) -> List[Level]:
-        if self._levels is None:
-            self._levels = sorted(self.level_rows())
-        return self._levels
+        return sorted(self.level_rows())
 
     def extent_ns(self) -> Tuple[int, int]:
         """(min start, max end) across all spans; (0, 0) when empty."""
         if self._extent is None:
             if self._n == 0:
                 self._extent = (0, 0)
-            elif _np is not None and self._n > 64:
-                starts = _np.frombuffer(
-                    self.table.start_ns[: self._n], dtype=_np.int64
+            else:
+                starts = np.frombuffer(
+                    self.table.start_ns[: self._n], dtype=np.int64
                 )
-                ends = _np.frombuffer(
-                    self.table.end_ns[: self._n], dtype=_np.int64
+                ends = np.frombuffer(
+                    self.table.end_ns[: self._n], dtype=np.int64
                 )
                 self._extent = (int(starts.min()), int(ends.max()))
-            else:
-                self._extent = (
-                    min(self.table.start_ns[: self._n]),
-                    max(self.table.end_ns[: self._n]),
-                )
         return self._extent
 
     def level_extent_ns(
@@ -567,50 +506,3 @@ class TraceIndex:
                 if parents[row] == NONE_ID or parents[row] not in ids
             ]
         return self._root_rows
-
-    # -- view-level indexes (compatible public surface) -------------------
-    def _views(self, rows: List[int]) -> List[SpanView]:
-        table = self.table
-        return [SpanView(table, row) for row in rows]
-
-    def sorted_spans(self) -> List[SpanView]:
-        """Spans in timeline order (start asc, duration desc; stable)."""
-        if self._sorted_views is None:
-            self._sorted_views = self._views(self.rows_sorted())
-        return self._sorted_views
-
-    def by_level(self) -> Dict[Level, List[SpanView]]:
-        """Level -> spans at that level, in publication order."""
-        if self._by_level_views is None:
-            self._by_level_views = {
-                level: self._views(rows)
-                for level, rows in self.level_rows().items()
-            }
-        return self._by_level_views
-
-    def by_id(self) -> Dict[int, SpanView]:
-        if self._by_id_views is None:
-            table = self.table
-            self._by_id_views = {
-                span_id: SpanView(table, row)
-                for span_id, row in self.row_by_id().items()
-            }
-        return self._by_id_views
-
-    def children_index(self) -> Dict[Optional[int], List[SpanView]]:
-        """Parent span id -> children, each bucket in start order."""
-        if self._children_views is None:
-            self._children_views = {
-                parent: self._views(rows)
-                for parent, rows in self.children_rows().items()
-            }
-        return self._children_views
-
-    def children_of(self, span_id: int) -> List[SpanView]:
-        return self.children_index().get(span_id, [])
-
-    def roots(self) -> List[SpanView]:
-        """Spans with no (known) parent, in publication order."""
-        if self._roots_views is None:
-            self._roots_views = self._views(self.root_rows())
-        return self._roots_views

@@ -8,7 +8,10 @@ in-memory collector keyed by ``trace_id``.
 :meth:`TracingServer.publish` takes one :class:`Span`,
 :meth:`TracingServer.publish_many` a batch of plain row tuples (the
 converted captures of the stack tracers) and
-:meth:`TracingServer.publish_rows` ``add_row`` field mappings.
+:meth:`TracingServer.publish_rows` a batch of field mappings.  Each
+lands in its trace with one
+:meth:`~repro.tracing.table.SpanTable.append_rows` call under the
+server lock, so a batch is published whole or not at all.
 
 Streaming consumption (live monitoring) rides on the same lock: every
 publication advances the destination trace's completed-row watermark and
@@ -25,7 +28,7 @@ import time
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.tracing.span import Span, new_trace_id
-from repro.tracing.table import SpanTable, SpanView
+from repro.tracing.table import SpanTable, SpanView, row_of
 from repro.tracing.trace import Trace
 
 
@@ -247,21 +250,20 @@ class TracingServer:
     ) -> int:
         """Columnar batch publication into one *open* trace.
 
-        Each mapping is a set of :meth:`Trace.add_row` keywords; the
-        whole batch lands under a single lock acquisition and no ``Span``
-        object is ever constructed — the span-free streaming-ingest path
-        (``profile_application`` re-publishes each finished evaluation
-        through it).  Raises ``KeyError`` for an unknown or already-ended
-        trace.
+        Each mapping holds :func:`~repro.tracing.table.row_of` keywords.
+        The mappings become row tuples before the lock is taken, and the
+        batch lands with one :meth:`Trace.add_rows` call: whole or not
+        at all, and no ``Span`` object is ever constructed — the
+        span-free streaming-ingest path (``profile_application``
+        re-publishes each finished evaluation through it).  Returns the
+        number of rows; raises ``KeyError`` for an unknown or
+        already-ended trace.
         """
-        count = 0
+        batch = [row_of(**fields) for fields in rows]
         with self._lock:
-            trace = self._traces[trace_id]
-            for fields in rows:
-                trace.add_row(**fields)
-                count += 1
+            self._traces[trace_id].add_rows(batch)
             self._cond.notify_all()
-        return count
+        return len(batch)
 
     def annotate_trace(self, trace_id: int, **metadata: object) -> None:
         """Merge metadata into an open trace, under the server lock."""

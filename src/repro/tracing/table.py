@@ -23,18 +23,22 @@ stores the same data as parallel typed columns:
 (span ids are positive: they come from a process counter or a capture's
 own positive ids).
 
-:meth:`SpanTable.append_row` ingests one span's fields with a tag
-mapping; :meth:`SpanTable.append_rows` a batch of plain row tuples, the
-stack tracers' capture path, which builds no ``Span`` and no tag dict
-per kernel.  From then on the row is the only copy and it is frozen, except
-``parent_id``, which offline correlation fills in.  Reading back out
-happens through :class:`SpanView`, a two-slot flyweight bound to
-(table, row) that exposes the ``Span`` read surface.  Views compare
-equal to each other and to equivalent ``Span`` objects; assigning
-``view.parent_id`` writes through to the column (callers then owe the
-trace a ``trace.touch_parents()``).  ``view.tags`` is a read-only
-mapping and ``view.logs`` a tuple, and reading either stores nothing.
-New consumers of trace data should iterate rows and columns
+Every row enters through :meth:`SpanTable.append_rows`, which takes a
+batch of plain row tuples (the stack tracers' capture path builds no
+``Span`` and no tag dict per kernel; :func:`row_of` and
+:func:`span_row` make a tuple from keyword fields or from a ``Span``),
+or through :meth:`SpanTable.extend_columns`, which reads a trace file's
+columns.  A bad row in either call raises and leaves the table
+unchanged, so a batch lands whole or not at all.  From then on the row is
+the only copy and it is frozen, except ``parent_id``, which offline
+correlation fills in.  Reading back out happens through
+:class:`SpanView`, a two-slot flyweight bound to (table, row) that
+exposes the ``Span`` read surface.  Views compare equal to each other
+and to equivalent ``Span`` objects; assigning ``view.parent_id`` writes
+through to the column (callers then owe the trace a
+``trace.touch_parents()``).  ``view.tags`` is a read-only mapping and
+``view.logs`` a tuple, and reading either stores nothing.  New
+consumers of trace data should iterate rows and columns
 (``tag_columns``, ``iter_tags``, ``peek_logs``, ``iter_rows``) and
 materialize views only at the API boundary.
 
@@ -137,6 +141,37 @@ def _logs_from_pair(item: Any, n: int) -> tuple[int, list[LogEntry]]:
     return row, logs
 
 
+def row_of(
+    name: str,
+    start_ns: int,
+    end_ns: int,
+    level: Level | int,
+    span_id: int,
+    parent_id: int | None = None,
+    kind: SpanKind | int = SpanKind.INTERNAL,
+    correlation_id: int | None = None,
+    tags: Mapping[str, Any] | None = None,
+) -> tuple:
+    """One span's fields as a :meth:`SpanTable.append_rows` tuple."""
+    tags = tags or {}
+    return (
+        name, start_ns, end_ns, int(level),
+        kind if isinstance(kind, int) else _KIND_CODE[kind],
+        span_id,
+        NONE_ID if parent_id is None else parent_id,
+        NONE_ID if correlation_id is None else correlation_id,
+        tuple(tags), tuple(tags.values()),
+    )
+
+
+def span_row(span: Span) -> tuple:
+    """A :class:`Span` as a :meth:`SpanTable.append_rows` tuple (its
+    trace id and logs travel beside the row)."""
+    return row_of(span.name, span.start_ns, span.end_ns, span.level,
+                  span.span_id, span.parent_id, span.kind,
+                  span.correlation_id, span.tags)
+
+
 class _Pool(dict):
     """An interning pool: maps each value to its code, adding unseen
     values on lookup (``pool[value]``); ``get`` never adds."""
@@ -200,66 +235,9 @@ class SpanTable:
     # -- ingest -----------------------------------------------------------
     def append(self, span: Span) -> int:
         """Ingest one finished :class:`Span`; returns its row index."""
-        return self.append_row(
-            name=span.name,
-            start_ns=span.start_ns,
-            end_ns=span.end_ns,
-            level=span.level,
-            span_id=span.span_id,
-            trace_id=span.trace_id,
-            parent_id=span.parent_id,
-            kind=span.kind,
-            correlation_id=span.correlation_id,
-            tags=span.tags,
-            logs=span.logs,
-        )
-
-    def append_row(
-        self,
-        *,
-        name: str,
-        start_ns: int,
-        end_ns: int,
-        level: Level | int,
-        span_id: int,
-        trace_id: int = 0,
-        parent_id: int | None = None,
-        kind: SpanKind | int = SpanKind.INTERNAL,
-        correlation_id: int | None = None,
-        tags: Mapping[str, Any] | None = None,
-        logs: list[LogEntry] | None = None,
-    ) -> int:
-        """Raw columnar ingest of one span's fields — no ``Span`` built."""
-        if end_ns < start_ns:
-            raise ValueError(
-                f"span {name!r}: end_ns ({end_ns}) precedes "
-                f"start_ns ({start_ns})"
-            )
-        row = len(self.span_id)
-        self.span_id.append(span_id)
-        self.start_ns.append(start_ns)
-        self.end_ns.append(end_ns)
-        self.parent_id.append(NONE_ID if parent_id is None else parent_id)
-        self.correlation_id.append(
-            NONE_ID if correlation_id is None else correlation_id
-        )
-        self.trace_id.append(trace_id)
-        self.level.append(int(level))
-        self.kind.append(
-            kind if isinstance(kind, int) else _KIND_CODE[kind]
-        )
-        self.name_id.append(self._names[name])
-        self.tag_schema.append(self._schemas[tuple(tags) if tags else ()])
-        self.tag_start.append(len(self._values))
-        if tags:
-            self._values.extend(tags.values())
-        if logs:
-            self._logs[row] = list(logs)
-        # Published last: a concurrent reader that observes the new
-        # watermark is guaranteed every column (and side-store) of the
-        # row is in place.
-        self._complete = row + 1
-        return row
+        self.append_rows([span_row(span)], span.trace_id,
+                         {0: span.logs} if span.logs else None)
+        return self._complete - 1
 
     def append_rows(
         self,
@@ -275,8 +253,10 @@ class SpanTable:
         row's position in the batch to its log entries.
 
         The batch is transposed and each column extended once.  Every
-        row is checked and every column converted before the first one
-        is extended, so a bad row leaves the table unchanged.
+        row's interval and tag width is checked before the first column
+        grows, and a value its column cannot hold rolls every column back
+        before the watermark moves, so a bad row leaves the table
+        unchanged.
         """
         columns = list(zip(*rows))
         if not columns:
@@ -288,30 +268,36 @@ class SpanTable:
         if widths != list(map(len, values)):
             raise ValueError("a row's tag values do not match its keys")
         n = len(names)
-        tails = (
-            (self.span_id, array("q", span_ids)),
-            (self.start_ns, array("q", starts)),
-            (self.end_ns, array("q", ends)),
-            (self.parent_id, array("q", parents)),
-            (self.correlation_id, array("q", correlations)),
-            (self.trace_id, array("q", (trace_id,)) * n),
-            (self.level, array("b", levels)),
-            (self.kind, array("b", kinds)),
-            (self.name_id, array("I", map(self._names.__getitem__, names))),
-            (self.tag_schema,
-             array("I", map(self._schemas.__getitem__, schemas))),
-            (self.tag_start, array(
-                "q", islice(accumulate(widths, initial=len(self._values)), n)
-            )),
-        )
         base = len(self.span_id)
-        for column, tail in tails:
-            column.extend(tail)
+        tails = (
+            (self.span_id, span_ids),
+            (self.start_ns, starts),
+            (self.end_ns, ends),
+            (self.parent_id, parents),
+            (self.correlation_id, correlations),
+            (self.trace_id, (trace_id,) * n),
+            (self.level, levels),
+            (self.kind, kinds),
+            (self.name_id, map(self._names.__getitem__, names)),
+            (self.tag_schema, map(self._schemas.__getitem__, schemas)),
+            (self.tag_start,
+             islice(accumulate(widths, initial=len(self._values)), n)),
+        )
+        try:
+            for column, tail in tails:
+                column.extend(tail)
+        except (TypeError, OverflowError):
+            for column, _ in tails:
+                del column[base:]
+            raise
         self._values.extend(chain.from_iterable(values))
         if logs:
             for row, entries in logs.items():
                 self._logs[base + row] = list(entries)
-        self._complete = len(self.span_id)  # published last, as above
+        # Published last: a concurrent reader that observes the new
+        # watermark is guaranteed every column (and side-store) of the
+        # batch is in place.
+        self._complete = len(self.span_id)
 
     # -- on-disk layout ---------------------------------------------------
     def to_columns(self) -> dict[str, list]:
@@ -423,7 +409,7 @@ class SpanTable:
         self._values.extend(values)
         for row, entries in logs.items():
             self._logs[base + row] = entries
-        self._complete = len(self.span_id)  # published last, as above
+        self._complete = len(self.span_id)  # published last (append_rows)
 
     def iter_rows(self) -> Iterator[tuple]:
         """The rows below the watermark as :meth:`append_rows` tuples,
@@ -452,7 +438,7 @@ class SpanTable:
     def watermark(self) -> int:
         """Count of fully-appended rows — the streaming-read bound.
 
-        Bumped as the last step of every ``append_row``, so rows below
+        Bumped as the last step of every append, so rows below
         the watermark are complete across all columns and side-stores
         even while another thread is mid-append (appends themselves are
         serialized by the tracing server's lock).  Index maintenance and
@@ -575,9 +561,6 @@ class SpanTable:
         return self._logs.get(row, [])
 
     # -- views ------------------------------------------------------------
-    def view(self, row: int) -> "SpanView":
-        return SpanView(self, row)
-
     def views(self) -> Iterator["SpanView"]:
         for row in range(self._complete):
             yield SpanView(self, row)

@@ -11,19 +11,22 @@ Published rows are frozen; only ``parent_id`` writes through.
 ``trace.spans`` is a read-only list-like sequence of lightweight
 :class:`~repro.tracing.table.SpanView` flyweights bound to the table's
 rows.  Spans enter a trace only through :meth:`Trace.add`,
-:meth:`Trace.extend`, :meth:`Trace.add_row` and :meth:`Trace.add_rows`,
-which stamp the trace's id.  Every reader stops at the table's
-completed-row watermark, so a row another thread is still appending is
-never seen half-written.
+:meth:`Trace.extend` and :meth:`Trace.add_rows`, which stamp the
+trace's id; each is one :meth:`~repro.tracing.table.SpanTable.append_rows`
+call, so a batch lands whole or not at all.  Every reader stops at the
+table's completed-row watermark, so a row another thread is still
+appending is never seen half-written.
 
 Queries are served by a lazily-built :class:`~repro.tracing.index.TraceIndex`
 (index once, query many): the first query pays one O(n log n) build,
-every later query is a lookup.  Appending spans does **not** invalidate
-the index — the next query *advances* it, merge-sorting the pending tail
-of new rows into the built structures (the no-rebuild-on-append rule;
-see the index module's maintenance model).  The advance target is the
-table's :attr:`~repro.tracing.table.SpanTable.watermark` of completed
-rows, which is what makes an open, still-growing capture queryable
+every later query is a lookup.  The index holds row numbers; the query
+methods here wrap them in views for each caller.  Appending spans does
+**not** invalidate the index — the next query *advances* it,
+merge-sorting the pending tail of new rows into the built structures
+(the no-rebuild-on-append rule; see the index module's maintenance
+model).  The advance target is the table's
+:attr:`~repro.tracing.table.SpanTable.watermark` of completed rows,
+which is what makes an open, still-growing capture queryable
 mid-flight.  Code that assigns ``span.parent_id`` by hand after querying
 must still call :meth:`Trace.touch_parents`.
 """
@@ -34,7 +37,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from repro.tracing.index import Gap, TraceIndex
 from repro.tracing.span import Level, Span, SpanKind
-from repro.tracing.table import SpanTable, SpanView
+from repro.tracing.table import SpanTable, SpanView, span_row
 
 
 class SpanSequence:
@@ -98,17 +101,16 @@ class Trace:
         self.table.append(span)
 
     def extend(self, spans: Iterable[Span]) -> None:
-        for s in spans:
-            self.add(s)
-
-    def add_row(self, **fields: Any) -> int:
-        """Columnar ingest of one span's fields (no ``Span`` constructed).
-
-        Accepts :meth:`SpanTable.append_row` keywords; the row is stamped
-        with this trace's id.  Returns the new row index.
-        """
-        fields["trace_id"] = self.trace_id
-        return self.table.append_row(**fields)
+        """Stamp ``spans`` with this trace's id and ingest them as one
+        batch."""
+        spans = list(spans)
+        for span in spans:
+            span.trace_id = self.trace_id
+        self.table.append_rows(
+            map(span_row, spans),
+            self.trace_id,
+            {i: span.logs for i, span in enumerate(spans) if span.logs},
+        )
 
     def add_rows(self, rows: Iterable[tuple]) -> None:
         """Batch ingest of row tuples (:meth:`SpanTable.append_rows`)."""
@@ -156,12 +158,16 @@ class Trace:
     def __iter__(self) -> Iterator[SpanView]:
         return self.table.views()
 
+    def _views(self, rows: Iterable[int]) -> list[SpanView]:
+        table = self.table
+        return [SpanView(table, row) for row in rows]
+
     def sorted_spans(self) -> list[SpanView]:
         """Spans sorted by (start, -duration) — parents before children."""
-        return list(self.index.sorted_spans())
+        return self._views(self.index.rows_sorted())
 
     def at_level(self, level: Level) -> list[SpanView]:
-        return list(self.index.by_level().get(level, ()))
+        return self._views(self.index.level_rows().get(level, ()))
 
     def find(self, predicate: Callable[[SpanView], bool]) -> list[SpanView]:
         return [s for s in self.table.views() if predicate(s)]
@@ -180,20 +186,25 @@ class Trace:
         return SpanView(table, row)
 
     def by_id(self) -> dict[int, SpanView]:
-        return dict(self.index.by_id())
+        rows = self.index.row_by_id()
+        table = self.table
+        return {span_id: SpanView(table, row) for span_id, row in rows.items()}
 
     def children_of(self, span) -> list[SpanView]:
-        return list(self.index.children_of(span.span_id))
+        return self._views(self.index.children_rows().get(span.span_id, ()))
 
     def children_index(self) -> dict[int | None, list[SpanView]]:
         """Map parent span id -> children, in start order."""
-        return {k: list(v) for k, v in self.index.children_index().items()}
+        return {
+            parent: self._views(rows)
+            for parent, rows in self.index.children_rows().items()
+        }
 
     def roots(self) -> list[SpanView]:
-        return list(self.index.roots())
+        return self._views(self.index.root_rows())
 
     def levels_present(self) -> list[Level]:
-        return list(self.index.levels_present())
+        return self.index.levels_present()
 
     def span_extent_ns(self) -> tuple[int, int]:
         """(min start, max end) across all spans; (0, 0) when empty."""

@@ -99,25 +99,3 @@ def throughput_curve(
         framework=session.framework_cls.name,
         latencies_ms=latencies,
     )
-
-
-def extend_curve_to_optimum(
-    session: XSPSession,
-    graph: Graph,
-    curve: ThroughputCurve,
-    *,
-    max_batch: int = 512,
-    runs: int = 3,
-) -> ThroughputCurve:
-    """Keep doubling the largest batch until the optimal-batch rule fires.
-
-    Guarantees the reported optimum is interior to the measured range
-    (or capped at ``max_batch``).
-    """
-    while True:
-        batches = sorted(curve.latencies_ms)
-        top = batches[-1]
-        if curve.optimal_batch < top or top >= max_batch:
-            return curve
-        nxt = top * 2
-        curve.latencies_ms[nxt] = measure_latency(session, graph, nxt, runs=runs)

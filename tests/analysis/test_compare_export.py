@@ -1,18 +1,12 @@
-"""Comparison and export module tests."""
-
-import json
+"""Comparison module tests."""
 
 import pytest
 
 from repro.analysis.compare import (
     compare_frameworks,
-    compare_models,
     compare_systems,
     comparison_table,
-    speedup_summary,
 )
-from repro.analysis.export import table_to_csv, table_to_json
-from repro.analysis.tables import Column, Table
 from repro.core import AnalysisPipeline, XSPSession
 
 
@@ -49,7 +43,7 @@ def test_compare_rejects_mixed_dimensions(two_framework_profiles, cnn_graph):
     with pytest.raises(ValueError, match="differ in batch"):
         compare_frameworks([two_framework_profiles[0], other_batch])
     with pytest.raises(ValueError, match="differ in framework"):
-        compare_models(two_framework_profiles)
+        compare_systems(two_framework_profiles)
 
 
 def test_compare_systems(cnn_graph):
@@ -63,42 +57,6 @@ def test_compare_systems(cnn_graph):
     assert rows["Tesla_V100"]["latency_ms"] < rows["Tesla_M60"]["latency_ms"]
 
 
-def test_speedup_summary(two_framework_profiles):
-    tf, mx = two_framework_profiles
-    summary = speedup_summary(baseline=mx, candidate=tf)
-    assert summary["speedup"] == pytest.approx(
-        mx.model_latency_ms / tf.model_latency_ms
-    )
-    assert summary["throughput_ratio"] > 0
-
-
 def test_empty_comparison_rejected():
     with pytest.raises(ValueError):
         comparison_table({})
-
-
-# -- export ----------------------------------------------------------------
-
-
-def sample_table():
-    t = Table("t", [Column("name", "Name"), Column("ok", "OK?"),
-                    Column("value", "Value", ".2f")])
-    t.add(name="a", ok=True, value=1.5)
-    t.add(name="b", ok=False, value=None)
-    return t
-
-
-def test_csv_export():
-    csv_text = table_to_csv(sample_table())
-    lines = csv_text.strip().splitlines()
-    assert lines[0] == "Name,OK?,Value"
-    assert lines[1] == "a,yes,1.5"
-    assert lines[2] == "b,no,"
-
-
-def test_json_round_trip():
-    document = json.loads(table_to_json(sample_table()))
-    assert document["title"] == "t"
-    assert document["rows"][0]["name"] == "a"
-    assert document["rows"][0]["ok"] is True
-    assert len(document["columns"]) == 3

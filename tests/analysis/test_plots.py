@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.plots import ascii_roofline, ascii_series
+from repro.analysis.plots import ascii_roofline
 from repro.analysis.roofline import RooflinePoint
 from repro.sim import get_system
 
@@ -28,24 +28,8 @@ def test_roofline_rejects_empty():
         ascii_roofline([RooflinePoint("z", 0.0, 0.0)], V100)
 
 
-def test_series_chart_shape():
-    series = [(i, float(i % 7)) for i in range(1, 200)]
-    art = ascii_series(series, title="demo", width=50, height=8)
-    lines = art.splitlines()
-    assert lines[0] == "demo"
-    assert len([l for l in lines if l.startswith("|")]) == 8
-    assert "over 199 layers" in art
-
-
-def test_series_rejects_empty():
-    with pytest.raises(ValueError):
-        ascii_series([])
-
-
 def test_plots_from_real_profile(cnn_profile):
-    from repro.analysis import kernel_roofline, layer_latency_series
+    from repro.analysis import kernel_roofline
 
     art = ascii_roofline(kernel_roofline(cnn_profile), cnn_profile.gpu)
     assert "o" in art
-    art2 = ascii_series(layer_latency_series(cnn_profile))
-    assert "#" in art2

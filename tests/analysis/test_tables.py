@@ -39,7 +39,6 @@ def test_max_rows_ellipsis():
     assert "more rows" in t.render(max_rows=1)
 
 
-def test_column_accessor_and_to_dicts():
+def test_column_accessor():
     t = make()
     assert t.column("name") == ["b", "a", "c"]
-    assert isinstance(t.to_dicts()[0], dict)

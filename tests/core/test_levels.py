@@ -30,10 +30,6 @@ def test_parse_round_trip():
         ProfilingLevelSet.parse("M/X")
 
 
-def test_with_level():
-    assert M.with_level(Level.LAYER) == ML
-
-
 def test_ladder_is_cumulative():
     for shallow, deep in zip(LADDER, LADDER[1:]):
         assert shallow.levels < deep.levels

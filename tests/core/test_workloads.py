@@ -6,7 +6,6 @@ from repro.models import ModelBuilder
 from repro.sim.memory import OutOfDeviceMemoryError
 from repro.workloads import (
     ThroughputCurve,
-    extend_curve_to_optimum,
     measure_latency,
     throughput_curve,
 )
@@ -57,11 +56,3 @@ def test_oom_at_batch_one_raises():
     x = b.classifier(x, 10)
     with pytest.raises(OutOfDeviceMemoryError):
         throughput_curve(session, b.build(), [1], runs=1)
-
-
-def test_extend_curve_to_optimum(v100_session, cnn_graph):
-    curve = throughput_curve(v100_session, cnn_graph, [1, 2], runs=1)
-    extended = extend_curve_to_optimum(v100_session, cnn_graph, curve,
-                                       max_batch=64, runs=1)
-    top = max(extended.latencies_ms)
-    assert extended.optimal_batch < top or top >= 64

@@ -4,14 +4,8 @@
 that build their capture as ``Span`` objects convert it here.
 """
 
-from repro.tracing.table import _KIND_CODE, NONE_ID
+from repro.tracing.table import span_row
 
 
 def span_rows(spans):
-    return [
-        (s.name, s.start_ns, s.end_ns, int(s.level), _KIND_CODE[s.kind],
-         s.span_id, NONE_ID if s.parent_id is None else s.parent_id,
-         NONE_ID if s.correlation_id is None else s.correlation_id,
-         tuple(s.tags or ()), tuple((s.tags or {}).values()))
-        for s in spans
-    ]
+    return [span_row(s) for s in spans]

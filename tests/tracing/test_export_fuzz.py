@@ -272,8 +272,9 @@ def _typed_tags(rng: random.Random) -> dict:
 
 
 def _typed_trace(seed: int) -> Trace:
-    """Rows through all three ingest paths: ``Span``, ``add_row`` and
-    ``publish_many`` row tuples, with empty tags among them."""
+    """Rows through all three ingest paths: ``Span``, ``publish_rows``
+    mappings and ``publish_many`` row tuples, with empty tags among
+    them."""
     rng = random.Random(seed)
     server = TracingServer()
     tid = server.begin_trace(model="typed")
@@ -291,10 +292,11 @@ def _typed_trace(seed: int) -> Trace:
         if path == 0:
             server.publish(span)
         elif path == 1:
-            trace.add_row(name=span.name, start_ns=span.start_ns,
-                          end_ns=span.end_ns, level=span.level,
-                          span_id=span.span_id, kind=span.kind,
-                          tags=span.tags)
+            server.publish_rows(tid, [dict(
+                name=span.name, start_ns=span.start_ns, end_ns=span.end_ns,
+                level=span.level, span_id=span.span_id, kind=span.kind,
+                tags=span.tags,
+            )])
         else:
             server.publish_many(span_rows([span]))
     return server.end_trace(tid)
@@ -394,11 +396,11 @@ def _mixed_trace(seed: int) -> Trace:
     """A fuzz trace plus rows that keep trace ids of their own."""
     trace = _random_trace(seed)
     for i, row_trace_id in enumerate((0, 7, 7, trace.trace_id + 1)):
-        trace.table.append_row(
-            name=f"foreign{i}", start_ns=i, end_ns=i + 1, level=Level.LAYER,
-            span_id=10**6 + i, trace_id=row_trace_id,
+        trace.table.append(Span(
+            f"foreign{i}", i, i + 1, Level.LAYER, span_id=10**6 + i,
+            trace_id=row_trace_id,
             tags={"shape": (1, i), "meta": {"k": [i, (i,)]}},
-        )
+        ))
     return trace
 
 

@@ -24,6 +24,7 @@ from repro.tracing import (
     correlate_launch_execution,
     reconstruct_parents,
 )
+from repro.tracing.table import row_of
 
 
 def _span(i: int, start: int, end: int, level=Level.GPU_KERNEL, **kwargs):
@@ -149,40 +150,84 @@ def test_watermark_tracks_completed_appends():
     assert trace.watermark == 0
     trace.add(_span(1, 0, 5))
     assert trace.watermark == 1 == len(trace)
-    trace.add_row(name="r", start_ns=5, end_ns=9, level=Level.MODEL, span_id=2)
+    trace.add_rows([row_of("r", 5, 9, Level.MODEL, 2)])
     assert trace.watermark == 2
     assert trace.index.covered == 2
 
 
-def test_pure_python_advance_matches_numpy(monkeypatch):
-    """The advance path is index-representation agnostic: grow two
-    traces identically, one with numpy cold builds and one without."""
-    rng = random.Random(17)
-    spans = []
-    for i in range(1, 301):
-        start = rng.randint(0, 30_000)
-        spans.append(
-            _span(i, start, start + rng.randint(1, 900),
-                  rng.choice(list(Level)), kind=rng.choice(list(SpanKind)))
-        )
+def _python_timeline(trace: Trace, rows):
+    """Two stable Python sorts: end descending, then start ascending."""
+    table = trace.table
+    rows = sorted(rows, key=table.end_ns.__getitem__, reverse=True)
+    return sorted(rows, key=table.start_ns.__getitem__)
 
-    def grow(trace):
-        out = []
-        for i, s in enumerate(spans):
-            trace.add(
-                Span(s.name, s.start_ns, s.end_ns, s.level,
-                     span_id=s.span_id, kind=s.kind)
+
+def test_numpy_builds_match_python_references():
+    """The numpy builds (cold, per-level subset, advanced tail) agree
+    with plain Python: stable sorts for the orderings, loops for the
+    partitions and the extent, ties included."""
+    rng = random.Random(3)
+    levels = (Level.LAYER, Level.GPU_KERNEL)
+
+    def spans(ids):
+        for i in ids:
+            start = rng.randint(0, 20)
+            yield _span(i, start, start + rng.randint(0, 3),
+                        rng.choice(levels), kind=rng.choice(list(SpanKind)))
+
+    trace = Trace(trace_id=1)
+    trace.extend(spans(range(1, 300)))
+    for _ in range(2):  # cold, then advanced over a tail
+        index, table = trace.index, trace.table
+        rows = range(len(trace))
+        assert index.rows_sorted() == _python_timeline(trace, rows)
+        for level in levels:
+            members = [r for r in rows if table.level_of(r) == level]
+            assert index.level_rows()[level] == members
+            assert index.level_rows_sorted(level) == _python_timeline(
+                trace, members
             )
-            if i % 41 == 0:
-                out.append([v.span_id for v in trace.sorted_spans()])
-        out.append([v.span_id for v in trace.sorted_spans()])
-        out.append(trace.span_extent_ns())
-        return out
+        assert index.kind_rows() == {
+            kind: [r for r in rows if table.kind_of(r) == kind]
+            for kind in {table.kind_of(r) for r in rows}
+        }
+        assert index.extent_ns() == (min(table.start_ns), max(table.end_ns))
+        trace.extend(spans(range(300, 340)))
 
-    accelerated = grow(Trace(trace_id=1))
-    monkeypatch.setattr(index_mod, "_np", None)
-    fallback = grow(Trace(trace_id=2))
-    assert fallback == accelerated
+
+def test_levels_present_follows_appends():
+    trace = Trace(trace_id=1)
+    assert trace.levels_present() == []
+    trace.add(_span(1, 0, 5, Level.GPU_KERNEL))
+    assert trace.levels_present() == [Level.GPU_KERNEL]
+    trace.add(_span(2, 0, 9, Level.MODEL))
+    assert trace.levels_present() == [Level.MODEL, Level.GPU_KERNEL]
+
+
+def test_empty_trace_answers_every_query():
+    trace = Trace(trace_id=1)
+    assert trace.sorted_spans() == []
+    assert trace.at_level(Level.LAYER) == []
+    assert trace.by_id() == {} and trace.roots() == []
+    assert trace.index.kind_rows() == {}
+    assert trace.span_extent_ns() == (0, 0)
+    assert trace.index.level_extent_ns(Level.LAYER) is None
+
+
+def test_query_results_are_new_lists_of_views():
+    """Callers get fresh containers; emptying them leaves the index
+    intact."""
+    trace = Trace(trace_id=1)
+    trace.extend([_span(1, 0, 100, Level.LAYER), _span(2, 10, 20)])
+    trace.spans[1].parent_id = 1
+    trace.touch_parents()
+    for query in (trace.sorted_spans, trace.roots, trace.by_id,
+                  trace.children_index, lambda: trace.at_level(Level.LAYER),
+                  lambda: trace.children_of(trace.spans[0])):
+        first = query()
+        first.clear()
+        assert query() and query() is not first
+    assert [s.span_id for s in trace.children_of(trace.spans[0])] == [2]
 
 
 # -- re-correlating a growing capture ---------------------------------------

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import threading
 
+import pytest
+
 from rows import span_rows
 
 from repro.tracing import Level, Span, TracingServer
@@ -156,6 +158,44 @@ def test_publish_rows_to_ended_trace_raises():
         pass
     else:  # pragma: no cover - assertion arm
         raise AssertionError("expected KeyError for ended trace")
+
+
+def _row_mapping(i: int, start: int = 0, end: int = 10) -> dict:
+    return dict(name=f"r{i}", start_ns=start, end_ns=end,
+                level=Level.GPU_KERNEL, span_id=100 + i)
+
+
+def test_publish_rows_bad_row_lands_nothing():
+    """A row ending before it starts fails the whole batch: the rows
+    before it do not land either."""
+    server = TracingServer()
+    tid = server.begin_trace()
+    server.publish_rows(tid, [_row_mapping(0)])
+    trace = server.get_trace(tid)
+    before = (trace.watermark, trace.table.to_columns())
+    batch = [_row_mapping(1), _row_mapping(2, 20, 5), _row_mapping(3)]
+    with pytest.raises(ValueError, match="precedes"):
+        server.publish_rows(tid, batch)
+    assert (trace.watermark, trace.table.to_columns()) == before
+
+
+def test_poll_inside_publish_rows_sees_none_of_the_batch():
+    """A cursor polled while publish_rows is still reading its rows sees
+    none of that batch; the next poll sees all of it."""
+    server = TracingServer()
+    tid = server.begin_trace()
+    stream = server.stream(tid)
+    seen = []
+
+    def mappings():
+        for i in range(4):
+            batch = stream.poll()
+            seen.append(0 if batch is None else len(batch))
+            yield _row_mapping(i, i, i + 1)
+
+    assert server.publish_rows(tid, mappings()) == 4
+    assert seen == [0, 0, 0, 0]
+    assert len(stream.poll()) == 4
 
 
 def test_stream_survives_trace_end_eviction():
