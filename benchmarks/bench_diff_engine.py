@@ -59,7 +59,7 @@ def make_perturbed_candidate(
                 shape=layer.shape,
                 latency_ms=layer.latency_ms * factor,
                 alloc_bytes=layer.alloc_bytes,
-                kernels=kernels,
+                kernels=tuple(kernels),
             )
         )
         if rng.random() < 0.02:  # inserted layers
@@ -71,7 +71,7 @@ def make_perturbed_candidate(
                     shape=(1,),
                     latency_ms=0.01,
                     alloc_bytes=1 << 12,
-                    kernels=[],
+                    kernels=(),
                 )
             )
     total = sum(l.latency_ms for l in layers)
@@ -81,7 +81,7 @@ def make_perturbed_candidate(
         framework=baseline.framework,
         batch=baseline.batch,
         model_latency_ms=total * 1.1,
-        layers=layers,
+        layers=tuple(layers),
     )
 
 

@@ -59,7 +59,7 @@ def make_synthetic_profile(n_layers: int = 2000, seed: int = 5) -> ModelProfile:
                 shape=(64, 56, 56),
                 latency_ms=kernel_ms * rng.uniform(1.0, 1.5),
                 alloc_bytes=rng.randint(1 << 16, 1 << 26),
-                kernels=kernels,
+                kernels=tuple(kernels),
             )
         )
     total = sum(layer.latency_ms for layer in layers)
@@ -69,7 +69,7 @@ def make_synthetic_profile(n_layers: int = 2000, seed: int = 5) -> ModelProfile:
         framework="tensorflow_like",
         batch=64,
         model_latency_ms=total * 1.1,
-        layers=layers,
+        layers=tuple(layers),
     )
 
 

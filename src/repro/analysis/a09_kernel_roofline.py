@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis.roofline import RooflinePoint
+from repro.analysis.roofline import RooflinePoint, classify
 from repro.core.pipeline import ModelProfile
 
 
@@ -25,6 +25,5 @@ def bound_counts(profile: ModelProfile) -> dict[str, int]:
     gpu = profile.gpu
     out = {"memory-bound": 0, "compute-bound": 0}
     for point in kernel_roofline(profile):
-        key = "memory-bound" if point.memory_bound(gpu) else "compute-bound"
-        out[key] += 1
+        out[classify(point, gpu)] += 1
     return out

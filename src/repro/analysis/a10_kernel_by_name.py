@@ -1,25 +1,20 @@
 """A10 — GPU kernel information aggregated by name (paper Table IV).
 
-Latency/flops/DRAM are summed over all instances of a kernel name; the
-achieved occupancy is the latency-weighted mean; arithmetic intensity and
-throughput are recomputed from the aggregated totals — exactly the
-aggregation rules of Sec. III-D3.
+Each row is the :func:`~repro.core.pipeline.kernels_by_name` aggregate
+of one kernel name: latency/flops/DRAM summed over its instances, the
+latency-weighted occupancy, and arithmetic intensity and throughput
+recomputed from those totals — the aggregation rules of Sec. III-D3.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-
+from repro.analysis.roofline import aggregate_columns
 from repro.analysis.tables import Column, Table
-from repro.core.pipeline import KernelProfile, ModelProfile
+from repro.core.pipeline import ModelProfile, kernels_by_name
 
 
 def kernel_by_name_table(profile: ModelProfile) -> Table:
     gpu = profile.gpu
-    groups: dict[str, list[KernelProfile]] = defaultdict(list)
-    for kernel in profile.kernels:
-        groups[kernel.name].append(kernel)
-    total_latency = profile.kernel_latency_ms
     model_latency = profile.model_latency_ms
 
     table = Table(
@@ -39,29 +34,13 @@ def kernel_by_name_table(profile: ModelProfile) -> Table:
             Column("memory_bound", "Memory Bound?"),
         ],
     )
-    for name, kernels in groups.items():
-        latency = sum(k.latency_ms for k in kernels)
-        flops = sum(k.flops for k in kernels)
-        reads = sum(k.dram_read_bytes for k in kernels)
-        writes = sum(k.dram_write_bytes for k in kernels)
-        occupancy = (
-            sum(k.achieved_occupancy * k.latency_ms for k in kernels) / latency
-            if latency
-            else 0.0
-        )
-        intensity = flops / (reads + writes) if reads + writes else 0.0
+    for name, group in kernels_by_name(profile.kernels).items():
         table.add(
             name=name,
-            count=len(kernels),
-            latency_ms=latency,
-            latency_pct=100.0 * latency / model_latency if model_latency else 0.0,
-            gflops=flops / 1e9,
-            dram_read_mb=reads / 1e6,
-            dram_write_mb=writes / 1e6,
-            occupancy_pct=100.0 * occupancy,
-            arithmetic_intensity=intensity,
-            throughput_tflops=flops / (latency / 1e3) / 1e12 if latency else 0.0,
-            memory_bound=intensity < gpu.ideal_arithmetic_intensity,
+            count=group.count,
+            latency_ms=group.latency_ms,
+            latency_pct=(100.0 * group.latency_ms / model_latency
+                         if model_latency else 0.0),
+            **aggregate_columns(group, gpu),
         )
-    del total_latency
     return table.sorted_by("latency_ms", reverse=True)

@@ -7,6 +7,7 @@ corresponding values of all the kernels invoked by that layer."
 
 from __future__ import annotations
 
+from repro.analysis.roofline import aggregate_columns
 from repro.analysis.tables import Column, Table
 from repro.core.pipeline import ModelProfile
 
@@ -36,13 +37,7 @@ def kernel_by_layer_table(profile: ModelProfile) -> Table:
             index=layer.index,
             latency_ms=layer.latency_ms,
             kernel_latency_ms=layer.kernel_latency_ms,
-            gflops=layer.flops / 1e9,
-            dram_read_mb=layer.dram_read_bytes / 1e6,
-            dram_write_mb=layer.dram_write_bytes / 1e6,
-            occupancy_pct=100.0 * layer.achieved_occupancy,
-            arithmetic_intensity=layer.arithmetic_intensity,
-            throughput_tflops=layer.arithmetic_throughput_tflops,
-            memory_bound=layer.memory_bound(gpu),
+            **aggregate_columns(layer.totals, gpu),
         )
     return table
 

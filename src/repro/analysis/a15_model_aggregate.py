@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.analysis.roofline import RooflinePoint
+from repro.analysis.roofline import RooflinePoint, aggregate_columns
 from repro.analysis.tables import Column, Table
 from repro.core.pipeline import ModelProfile
 
@@ -19,13 +19,7 @@ def model_aggregate_row(profile: ModelProfile) -> dict[str, object]:
         "batch": profile.batch,
         "model_latency_ms": profile.model_latency_ms,
         "kernel_latency_ms": profile.kernel_latency_ms,
-        "gflops": profile.flops / 1e9,
-        "dram_read_mb": profile.dram_read_bytes / 1e6,
-        "dram_write_mb": profile.dram_write_bytes / 1e6,
-        "occupancy_pct": 100.0 * profile.achieved_occupancy,
-        "arithmetic_intensity": profile.arithmetic_intensity,
-        "throughput_tflops": profile.arithmetic_throughput_tflops,
-        "memory_bound": profile.memory_bound,
+        **aggregate_columns(profile.totals, profile.gpu),
     }
 
 

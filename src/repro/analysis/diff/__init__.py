@@ -22,7 +22,6 @@ from repro.analysis.diff.align import (
     LayerAlignment,
     LayerMatch,
     align_layers,
-    group_kernels,
 )
 from repro.analysis.diff.campaign import CampaignDiff, diff_campaigns
 from repro.analysis.diff.engine import classify, diff_profiles
@@ -52,7 +51,6 @@ __all__ = [
     "classify",
     "diff_campaigns",
     "diff_profiles",
-    "group_kernels",
     "load_profile_json",
     "profile_from_document",
     "profile_from_trace",

@@ -17,8 +17,9 @@ an unchanged layer.  Alignment therefore works like a sequence diff:
    ``added`` (candidate-only) rather than force-matched.
 
 Kernels are matched *within* an aligned layer pair by kernel name; same
--named launches aggregate per side so algorithm switches that change
-launch counts still line up.
+-named launches aggregate per side
+(:func:`~repro.core.pipeline.kernels_by_name`) so algorithm switches that
+change launch counts still line up.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from difflib import SequenceMatcher
 
-from repro.core.pipeline import KernelProfile, LayerProfile
+from repro.core.pipeline import LayerProfile
 
 
 @dataclass(frozen=True)
@@ -107,40 +108,3 @@ def align_layers(
         else:  # insert
             alignment.added.extend(candidate[c_lo:c_hi])
     return alignment
-
-
-@dataclass(frozen=True)
-class KernelGroup:
-    """Aggregate view of all same-named kernel launches in one layer."""
-
-    name: str
-    count: int
-    latency_ms: float
-    flops: float
-    dram_bytes: float
-    occupancy: float  #: latency-weighted achieved occupancy
-
-    @classmethod
-    def of(cls, name: str, kernels: list[KernelProfile]) -> "KernelGroup":
-        latency = sum(k.latency_ms for k in kernels)
-        occupancy = (
-            sum(k.achieved_occupancy * k.latency_ms for k in kernels) / latency
-            if latency > 0
-            else 0.0
-        )
-        return cls(
-            name=name,
-            count=len(kernels),
-            latency_ms=latency,
-            flops=sum(k.flops for k in kernels),
-            dram_bytes=sum(k.dram_bytes for k in kernels),
-            occupancy=occupancy,
-        )
-
-
-def group_kernels(kernels: list[KernelProfile]) -> dict[str, KernelGroup]:
-    """Kernels aggregated by name, in first-seen order."""
-    buckets: dict[str, list[KernelProfile]] = {}
-    for k in kernels:
-        buckets.setdefault(k.name, []).append(k)
-    return {name: KernelGroup.of(name, ks) for name, ks in buckets.items()}

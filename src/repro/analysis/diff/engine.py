@@ -17,14 +17,7 @@ findings are *observational* (like insight rules) and ``--min-severity``
 
 from __future__ import annotations
 
-from collections import defaultdict
-
-from repro.analysis.diff.align import (
-    KernelGroup,
-    LayerAlignment,
-    align_layers,
-    group_kernels,
-)
+from repro.analysis.diff.align import LayerAlignment, align_layers
 from repro.analysis.diff.model import (
     Delta,
     DiffFinding,
@@ -32,7 +25,13 @@ from repro.analysis.diff.model import (
     LayerDelta,
     ProfileDiff,
 )
-from repro.core.pipeline import LayerProfile, ModelProfile
+from repro.core.pipeline import (
+    KernelAggregate,
+    LayerProfile,
+    ModelProfile,
+    aggregate_kernels,
+    kernels_by_name,
+)
 from repro.insights.model import Evidence, ramp
 
 #: Fractional model-latency change at which a regression/improvement
@@ -57,9 +56,8 @@ TOP_CONTRIBUTORS = 3
 #: Independent new-hotspot findings emitted at most.
 MAX_HOTSPOT_FINDINGS = 3
 
-_EMPTY = KernelGroup(
-    name="", count=0, latency_ms=0.0, flops=0.0, dram_bytes=0.0, occupancy=0.0
-)
+#: The missing side of an added or removed kernel.
+_EMPTY = aggregate_kernels(())
 
 
 def _identity(profile: ModelProfile) -> dict[str, object]:
@@ -76,8 +74,8 @@ def _identity(profile: ModelProfile) -> dict[str, object]:
 def _kernel_deltas(
     baseline: list, candidate: list
 ) -> tuple[KernelDelta, ...]:
-    base = group_kernels(baseline)
-    cand = group_kernels(candidate)
+    base = kernels_by_name(baseline)
+    cand = kernels_by_name(candidate)
     deltas: list[KernelDelta] = []
     for name, b in base.items():
         c = cand.get(name, _EMPTY)
@@ -88,8 +86,14 @@ def _kernel_deltas(
     return tuple(deltas)
 
 
+def _dram_bytes(group: KernelAggregate) -> float:
+    # Each kernel's reads + writes, summed: not the group's summed reads
+    # plus summed writes, which can differ in the last bit.
+    return sum((k.dram_bytes for k in group.kernels), 0.0)
+
+
 def _kernel_delta(
-    name: str, b: KernelGroup, c: KernelGroup, status: str
+    name: str, b: KernelAggregate, c: KernelAggregate, status: str
 ) -> KernelDelta:
     return KernelDelta(
         name=name,
@@ -97,8 +101,8 @@ def _kernel_delta(
         count=Delta(b.count, c.count),
         latency_ms=Delta(b.latency_ms, c.latency_ms),
         flops=Delta(b.flops, c.flops),
-        dram_bytes=Delta(b.dram_bytes, c.dram_bytes),
-        occupancy=Delta(b.occupancy, c.occupancy),
+        dram_bytes=Delta(_dram_bytes(b), _dram_bytes(c)),
+        occupancy=Delta(b.achieved_occupancy, c.achieved_occupancy),
     )
 
 
@@ -149,11 +153,7 @@ def _totals(baseline: ModelProfile, candidate: ModelProfile) -> dict[str, Delta]
     return {
         "model_latency_ms": metric(lambda p: p.model_latency_ms),
         "kernel_latency_ms": metric(lambda p: p.kernel_latency_ms),
-        # Guard the degenerate zero-latency profile a malformed JSON or
-        # empty trace can produce (ModelProfile.throughput divides by it).
-        "throughput": metric(
-            lambda p: p.throughput if p.model_latency_ms > 0 else 0.0
-        ),
+        "throughput": metric(lambda p: p.throughput),
         "flops": metric(lambda p: p.flops),
         "dram_bytes": metric(lambda p: p.dram_bytes),
         "achieved_occupancy": metric(lambda p: p.achieved_occupancy),
@@ -168,9 +168,7 @@ def _totals(baseline: ModelProfile, candidate: ModelProfile) -> dict[str, Delta]
 
 
 def _model_evidence(profile: ModelProfile, threshold: dict) -> Evidence:
-    throughput = (
-        profile.throughput if profile.model_latency_ms > 0 else 0.0
-    )
+    throughput = profile.throughput
     return Evidence(
         kind="model",
         summary=(
@@ -275,44 +273,32 @@ def _latency_finding(
 
 
 class _KernelView:
-    """One side's kernel statistics, computed once per diff.
-
-    ``ModelProfile.kernels`` walks every layer on each access, so the
-    finding classifiers share this snapshot instead of re-deriving
-    shares/name-sets per finding.
-    """
+    """One side's kernel-time shares by name, computed once per diff."""
 
     def __init__(self, profile: ModelProfile) -> None:
-        self.kernels = profile.kernels
-        self.total_ms = sum(k.latency_ms for k in self.kernels)
-        shares: dict[str, float] = defaultdict(float)
-        if self.total_ms > 0:
-            for k in self.kernels:
-                shares[k.name] += k.latency_ms / self.total_ms
-        self.shares: dict[str, float] = dict(shares)
-        self.names = frozenset(k.name for k in self.kernels)
-
-    def layers_of(self, name: str) -> tuple[int, ...]:
-        seen: dict[int, None] = {}
-        for k in self.kernels:
-            if k.name == name and k.layer_index not in seen:
-                seen[k.layer_index] = None
-                if len(seen) >= 10:
-                    break
-        return tuple(seen)
+        kernels = profile.kernels
+        # Flat over the kernels, and each kernel's fraction added up: the
+        # model's layer-by-layer total, or a group's latency divided by
+        # the total, can differ in the last bit.
+        self.total_ms = sum(k.latency_ms for k in kernels)
+        self.groups = kernels_by_name(kernels)
+        self.shares: dict[str, float] = {
+            name: sum(k.latency_ms / self.total_ms for k in group.kernels)
+            for name, group in self.groups.items()
+        } if self.total_ms > 0 else {}
 
 
 def _kernel_side_evidence(
     view: _KernelView, name: str, share: float, threshold: dict
 ) -> Evidence:
-    if name in view.names:
+    if name in view.groups:
         return Evidence(
             kind="kernel",
             summary=(
                 f"{name}: {100 * share:.1f}% of GPU kernel time"
             ),
             kernel_names=(name,),
-            layer_indices=view.layers_of(name),
+            layer_indices=view.groups[name].layer_indices(),
             measured={"share": share},
             threshold=threshold,
         )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.pipeline import KernelAggregate, is_memory_bound
 from repro.sim.hardware import GPUSpec
 
 
@@ -23,7 +24,7 @@ class RooflinePoint:
     latency_ms: float = 0.0
 
     def memory_bound(self, gpu: GPUSpec) -> bool:
-        return self.arithmetic_intensity < gpu.ideal_arithmetic_intensity
+        return is_memory_bound(self.arithmetic_intensity, gpu)
 
     def attainable_tflops(self, gpu: GPUSpec) -> float:
         """Roofline ceiling at this point's arithmetic intensity."""
@@ -52,3 +53,16 @@ def roofline_curve(
         (ai, min(gpu.peak_tflops, ai * gpu.memory_bandwidth / 1e12))
         for ai in intensities
     ]
+
+
+def aggregate_columns(totals: KernelAggregate, gpu: GPUSpec) -> dict[str, object]:
+    """The columns Tables IV-VI (A10, A11, A15) show for one aggregate."""
+    return {
+        "gflops": totals.flops / 1e9,
+        "dram_read_mb": totals.dram_read_bytes / 1e6,
+        "dram_write_mb": totals.dram_write_bytes / 1e6,
+        "occupancy_pct": 100.0 * totals.achieved_occupancy,
+        "arithmetic_intensity": totals.arithmetic_intensity,
+        "throughput_tflops": totals.arithmetic_throughput_tflops,
+        "memory_bound": totals.memory_bound(gpu),
+    }

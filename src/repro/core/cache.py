@@ -21,6 +21,7 @@ import json
 import os
 import re
 import tempfile
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -40,87 +41,99 @@ def _slug(value: object) -> str:
 # -- (de)serialization ------------------------------------------------------
 
 
-def kernel_to_dict(kernel: KernelProfile) -> dict[str, Any]:
-    return {
-        "name": kernel.name,
-        "layer_index": kernel.layer_index,
-        "position": kernel.position,
-        "latency_ms": kernel.latency_ms,
-        "flops": kernel.flops,
-        "dram_read_bytes": kernel.dram_read_bytes,
-        "dram_write_bytes": kernel.dram_write_bytes,
-        "achieved_occupancy": kernel.achieved_occupancy,
-        "grid": list(kernel.grid),
-        "block": list(kernel.block),
-    }
+class _Schema:
+    """One stored object's fields, in constructor order, with the exact
+    JSON type(s) each must have, as ``json.load`` makes them (so a bool
+    is no number)."""
+
+    def __init__(self, **kinds: Any) -> None:
+        self.names = tuple(kinds)
+        self.kinds = tuple(kinds.items())
+        self.attrs = attrgetter(*kinds)
+        self.items = itemgetter(*kinds)
+
+    def to_dict(self, obj: object) -> dict[str, Any]:
+        return dict(zip(self.names, self.attrs(obj)))
+
+    def values(self, data: Any, where: str) -> tuple[Any, ...]:
+        """``data``'s values of the fields; a missing or mistyped field
+        raises one ValueError naming it (after the path ``where``)."""
+        try:
+            values = self.items(data)
+        except KeyError as err:
+            raise ValueError(f"{where}{err.args[0]}: missing") from None
+        except TypeError:
+            raise ValueError(f"{where.rstrip('.') or 'profile'}: expected "
+                             f"an object, got {data!r:.40}") from None
+        for (key, kind), value in zip(self.kinds, values):
+            if type(value) not in kind:
+                raise ValueError(f"{where}{key}: expected {_TYPE_NAMES[kind]}"
+                                 f", got {value!r:.40}")
+        return values
 
 
-def kernel_from_dict(data: dict[str, Any]) -> KernelProfile:
-    return KernelProfile(
-        name=data["name"],
-        layer_index=data["layer_index"],
-        position=data["position"],
-        latency_ms=data["latency_ms"],
-        flops=data["flops"],
-        dram_read_bytes=data["dram_read_bytes"],
-        dram_write_bytes=data["dram_write_bytes"],
-        achieved_occupancy=data["achieved_occupancy"],
-        grid=tuple(data["grid"]),
-        block=tuple(data["block"]),
-    )
-
-
-def layer_to_dict(layer: LayerProfile) -> dict[str, Any]:
-    return {
-        "index": layer.index,
-        "name": layer.name,
-        "layer_type": layer.layer_type,
-        "shape": list(layer.shape),
-        "latency_ms": layer.latency_ms,
-        "alloc_bytes": layer.alloc_bytes,
-        "kernels": [kernel_to_dict(k) for k in layer.kernels],
-    }
-
-
-def layer_from_dict(data: dict[str, Any]) -> LayerProfile:
-    return LayerProfile(
-        index=data["index"],
-        name=data["name"],
-        layer_type=data["layer_type"],
-        shape=tuple(data["shape"]),
-        latency_ms=data["latency_ms"],
-        alloc_bytes=data["alloc_bytes"],
-        kernels=[kernel_from_dict(k) for k in data["kernels"]],
-    )
+_STR, _INT, _LIST, _DICT = (str,), (int,), (list,), (dict,)
+_NUMBER = (int, float)
+_TYPE_NAMES = {_STR: "a string", _INT: "an integer", _NUMBER: "a number",
+               _LIST: "a list", _DICT: "an object"}
+_KERNEL = _Schema(
+    name=_STR, layer_index=_INT, position=_INT, latency_ms=_NUMBER,
+    flops=_NUMBER, dram_read_bytes=_NUMBER, dram_write_bytes=_NUMBER,
+    achieved_occupancy=_NUMBER, grid=_LIST, block=_LIST,
+)
+_LAYER = _Schema(
+    index=_INT, name=_STR, layer_type=_STR, shape=_LIST, latency_ms=_NUMBER,
+    alloc_bytes=_INT, kernels=_LIST,
+)
+_PROFILE = _Schema(
+    model_name=_STR, system=_STR, framework=_STR, batch=_INT,
+    model_latency_ms=_NUMBER, layers=_LIST, overheads=_DICT, n_runs=_INT,
+)
 
 
 def profile_to_dict(profile: ModelProfile) -> dict[str, Any]:
     """Lossless JSON form of a merged profile (floats via repr round-trip)."""
     return {
-        "model_name": profile.model_name,
-        "system": profile.system,
-        "framework": profile.framework,
-        "batch": profile.batch,
-        "model_latency_ms": profile.model_latency_ms,
-        "layers": [layer_to_dict(layer) for layer in profile.layers],
+        **_PROFILE.to_dict(profile),
+        "layers": [
+            {**_LAYER.to_dict(layer),
+             "kernels": [_KERNEL.to_dict(k) for k in layer.kernels]}
+            for layer in profile.layers
+        ],
         "overheads": dict(profile.overheads),
-        "n_runs": profile.n_runs,
         "metadata": {k: jsonable(v) for k, v in profile.metadata.items()},
     }
 
 
-def profile_from_dict(data: dict[str, Any]) -> ModelProfile:
-    return ModelProfile(
-        model_name=data["model_name"],
-        system=data["system"],
-        framework=data["framework"],
-        batch=data["batch"],
-        model_latency_ms=data["model_latency_ms"],
-        layers=[layer_from_dict(layer) for layer in data["layers"]],
-        overheads=dict(data["overheads"]),
-        n_runs=data["n_runs"],
-        metadata=dict(data.get("metadata", {})),
+def _kernel_from_dict(data: Any, where: str) -> KernelProfile:
+    *scalars, grid, block = _KERNEL.values(data, where)
+    return KernelProfile(*scalars, tuple(grid), tuple(block))
+
+
+def _layer_from_dict(data: Any, where: str) -> LayerProfile:
+    *scalars, shape, latency_ms, alloc_bytes, kernels = _LAYER.values(
+        data, where
     )
+    return LayerProfile(*scalars, tuple(shape), latency_ms, alloc_bytes, tuple(
+        _kernel_from_dict(kernel, f"{where}kernels[{i}].")
+        for i, kernel in enumerate(kernels)
+    ))
+
+
+def profile_from_dict(data: Any) -> ModelProfile:
+    """The profile :func:`profile_to_dict` wrote.
+
+    A missing or mistyped field raises one :class:`ValueError` that
+    names it, e.g. ``layers[2].kernels[0].flops: expected a number``.
+    """
+    *scalars, layers, overheads, n_runs = _PROFILE.values(data, "")
+    metadata = data.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ValueError(f"metadata: expected an object, got {metadata!r:.40}")
+    return ModelProfile(*scalars, tuple(
+        _layer_from_dict(layer, f"layers[{i}].")
+        for i, layer in enumerate(layers)
+    ), dict(overheads), n_runs, dict(metadata))
 
 
 # -- the store --------------------------------------------------------------
@@ -178,7 +191,8 @@ class ProfileStore:
                 document = json.load(fh)
         except (OSError, json.JSONDecodeError):
             return None
-        if document.get("schema_version") != SCHEMA_VERSION:
+        if (not isinstance(document, dict)
+                or document.get("schema_version") != SCHEMA_VERSION):
             return None  # stale schema: recompute rather than misread
         if document.get("key") != self.key(
             model, system, framework, batch, runs_per_level, statistic
@@ -186,7 +200,7 @@ class ProfileStore:
             return None
         try:
             return profile_from_dict(document["profile"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, ValueError):
             return None
 
     def put(

@@ -6,6 +6,11 @@ measurements with a trimmed mean (paper Sec. III-D).  Its output is a
 :class:`ModelProfile` — the accurate, merged, across-stack view of one
 (model, system, framework, batch) combination — which all 15 analyses in
 :mod:`repro.analysis` consume.
+
+Profiles are frozen.  Each layer and model computes its kernel totals
+(:class:`KernelAggregate`, the rule of Sec. III-D3) once, on first
+read; :func:`kernels_by_name` groups same-named kernels for A10, the
+diff and the insight rules.
 """
 
 from __future__ import annotations
@@ -14,7 +19,9 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Sequence
+from functools import cached_property
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.leveled import LeveledExperiment, LeveledResult
 from repro.core.session import ProfilingConfig, XSPSession
@@ -30,8 +37,39 @@ if TYPE_CHECKING:  # pragma: no cover - cache imports pipeline, not vice versa
     from repro.insights.engine import InsightReport
 
 
+def is_memory_bound(arithmetic_intensity: float, gpu: GPUSpec) -> bool:
+    """The paper's roofline rule: below the GPU's ideal intensity."""
+    return arithmetic_intensity < gpu.ideal_arithmetic_intensity
+
+
+class _Roofline:
+    """What ``latency_ms``, ``flops`` and DRAM reads/writes imply, the
+    same way for one kernel and for an aggregate of kernels."""
+
+    @property
+    def dram_bytes(self) -> float:
+        return self.dram_read_bytes + self.dram_write_bytes
+
+    @property
+    def arithmetic_intensity(self) -> float:
+        """Flops per DRAM byte; ``inf`` for compute with no DRAM traffic."""
+        dram_bytes = self.dram_bytes
+        if dram_bytes == 0:
+            return float("inf") if self.flops > 0 else 0.0
+        return self.flops / dram_bytes
+
+    @property
+    def arithmetic_throughput_tflops(self) -> float:
+        if self.latency_ms <= 0:
+            return 0.0
+        return self.flops / (self.latency_ms / 1e3) / 1e12
+
+    def memory_bound(self, gpu: GPUSpec) -> bool:
+        return is_memory_bound(self.arithmetic_intensity, gpu)
+
+
 @dataclass(frozen=True)
-class KernelProfile:
+class KernelProfile(_Roofline):
     """One GPU kernel invocation, merged across runs and correlated to its layer."""
 
     name: str
@@ -45,28 +83,80 @@ class KernelProfile:
     grid: tuple[int, int, int]
     block: tuple[int, int, int]
 
-    @property
-    def dram_bytes(self) -> float:
-        return self.dram_read_bytes + self.dram_write_bytes
+
+@dataclass(frozen=True)
+class KernelAggregate(_Roofline):
+    """Totals over a sequence of kernels (paper Sec. III-D3)."""
+
+    kernels: tuple[KernelProfile, ...] = field(repr=False)
+    latency_ms: float
+    flops: float
+    dram_read_bytes: float
+    dram_write_bytes: float
+    occupancy_weight: float  #: occupancy times latency, added up
 
     @property
-    def arithmetic_intensity(self) -> float:
-        if self.dram_bytes == 0:
-            return float("inf") if self.flops > 0 else 0.0
-        return self.flops / self.dram_bytes
+    def achieved_occupancy(self) -> float:
+        """Latency-weighted occupancy."""
+        return self.occupancy_weight / self.latency_ms if self.latency_ms else 0.0
 
     @property
-    def arithmetic_throughput_tflops(self) -> float:
-        if self.latency_ms <= 0:
-            return 0.0
-        return self.flops / (self.latency_ms / 1e3) / 1e12
+    def count(self) -> int:
+        return len(self.kernels)
 
-    def memory_bound(self, gpu: GPUSpec) -> bool:
-        return self.arithmetic_intensity < gpu.ideal_arithmetic_intensity
+    def layer_indices(self) -> tuple[int, ...]:
+        """The first ten distinct layers hosting the kernels, in order."""
+        seen: dict[int, None] = {}
+        for kernel in self.kernels:
+            if kernel.layer_index not in seen:
+                seen[kernel.layer_index] = None
+                if len(seen) == 10:
+                    break
+        return tuple(seen)
 
 
-@dataclass
-class LayerProfile:
+def aggregate_kernels(kernels: Sequence[KernelProfile]) -> KernelAggregate:
+    """The one aggregation rule of A10, A11 and A15: latency, flops and
+    DRAM bytes add up, occupancy is weighted by latency."""
+    kernels = tuple(kernels)
+    latency = flops = reads = writes = 0.0
+    weight = 0
+    for kernel in kernels:
+        latency += kernel.latency_ms
+        flops += kernel.flops
+        reads += kernel.dram_read_bytes
+        writes += kernel.dram_write_bytes
+        weight += kernel.achieved_occupancy * kernel.latency_ms
+    return KernelAggregate(kernels, latency, flops, reads, writes, weight)
+
+
+def kernels_by_name(kernels: Iterable[KernelProfile]) -> dict[str, KernelAggregate]:
+    """Same-named kernels aggregated together, in first-seen name order."""
+    groups: dict[str, list[KernelProfile]] = {}
+    for kernel in kernels:
+        groups.setdefault(kernel.name, []).append(kernel)
+    return {name: aggregate_kernels(group) for name, group in groups.items()}
+
+
+class _KernelTotals:
+    """A layer's or model's kernel totals, read from the one
+    :class:`KernelAggregate` (``totals``) it computes on first use."""
+
+    kernel_latency_ms = property(attrgetter("totals.latency_ms"))
+    flops = property(attrgetter("totals.flops"))
+    dram_read_bytes = property(attrgetter("totals.dram_read_bytes"))
+    dram_write_bytes = property(attrgetter("totals.dram_write_bytes"))
+    dram_bytes = property(attrgetter("totals.dram_bytes"))
+    #: Latency-weighted occupancy of the kernels (paper A11).
+    achieved_occupancy = property(attrgetter("totals.achieved_occupancy"))
+    arithmetic_intensity = property(attrgetter("totals.arithmetic_intensity"))
+    arithmetic_throughput_tflops = property(
+        attrgetter("totals.arithmetic_throughput_tflops")
+    )
+
+
+@dataclass(frozen=True, init=False)
+class LayerProfile(_KernelTotals):
     """One executed layer with accurate latency and correlated kernels."""
 
     index: int
@@ -75,63 +165,40 @@ class LayerProfile:
     shape: tuple[int, ...]
     latency_ms: float
     alloc_bytes: int
-    kernels: list[KernelProfile] = field(default_factory=list)
+    kernels: tuple[KernelProfile, ...] = ()
+
+    def __init__(
+        self, index: int, name: str, layer_type: str,
+        shape: tuple[int, ...], latency_ms: float, alloc_bytes: int,
+        kernels: tuple[KernelProfile, ...] = (),
+    ) -> None:
+        # One dict update instead of the generated frozen __init__'s
+        # object.__setattr__ per field (about twice as slow): merge builds
+        # every layer three times, and each live refresh rebuilds them all.
+        self.__dict__.update(
+            index=index, name=name, layer_type=layer_type, shape=shape,
+            latency_ms=latency_ms, alloc_bytes=alloc_bytes, kernels=kernels,
+        )
+
+    @cached_property
+    def totals(self) -> KernelAggregate:
+        return aggregate_kernels(self.kernels)
 
     @property
     def alloc_mb(self) -> float:
         return self.alloc_bytes / 1e6
 
     @property
-    def kernel_latency_ms(self) -> float:
-        return sum(k.latency_ms for k in self.kernels)
-
-    @property
     def non_gpu_latency_ms(self) -> float:
         """A13: layer latency minus its kernels' device time."""
         return max(0.0, self.latency_ms - self.kernel_latency_ms)
 
-    @property
-    def flops(self) -> float:
-        return sum(k.flops for k in self.kernels)
-
-    @property
-    def dram_read_bytes(self) -> float:
-        return sum(k.dram_read_bytes for k in self.kernels)
-
-    @property
-    def dram_write_bytes(self) -> float:
-        return sum(k.dram_write_bytes for k in self.kernels)
-
-    @property
-    def dram_bytes(self) -> float:
-        return self.dram_read_bytes + self.dram_write_bytes
-
-    @property
-    def achieved_occupancy(self) -> float:
-        """Latency-weighted occupancy of the layer's kernels (paper A11)."""
-        total = self.kernel_latency_ms
-        if total == 0:
-            return 0.0
-        return sum(k.achieved_occupancy * k.latency_ms for k in self.kernels) / total
-
-    @property
-    def arithmetic_intensity(self) -> float:
-        if self.dram_bytes == 0:
-            return float("inf") if self.flops > 0 else 0.0
-        return self.flops / self.dram_bytes
-
-    @property
-    def arithmetic_throughput_tflops(self) -> float:
-        if self.kernel_latency_ms <= 0:
-            return 0.0
-        return self.flops / (self.kernel_latency_ms / 1e3) / 1e12
-
     def memory_bound(self, gpu: GPUSpec) -> bool:
-        return self.arithmetic_intensity < gpu.ideal_arithmetic_intensity
+        return self.totals.memory_bound(gpu)
 
 
-@dataclass
-class ModelProfile:
+@dataclass(frozen=True)
+class ModelProfile(_KernelTotals):
     """Accurate across-stack profile of one (model, system, framework, batch)."""
 
     model_name: str
@@ -139,7 +206,7 @@ class ModelProfile:
     framework: str
     batch: int
     model_latency_ms: float
-    layers: list[LayerProfile]
+    layers: tuple[LayerProfile, ...]
     #: Per-rung profiling overhead in ms, e.g. {"M/L": ..., "M/L/G": ...}.
     overheads: dict[str, float] = field(default_factory=dict)
     n_runs: int = 1
@@ -148,6 +215,9 @@ class ModelProfile:
     # -- model-level -----------------------------------------------------------
     @property
     def throughput(self) -> float:
+        """Inputs per second; 0.0 when the profile has no model latency."""
+        if self.model_latency_ms <= 0:
+            return 0.0
         return self.batch / (self.model_latency_ms / 1e3)
 
     @property
@@ -155,13 +225,24 @@ class ModelProfile:
         return get_system(self.system)
 
     # -- aggregates over kernels (paper A15) ------------------------------------
-    @property
-    def kernels(self) -> list[KernelProfile]:
-        return [k for layer in self.layers for k in layer.kernels]
+    @cached_property
+    def kernels(self) -> tuple[KernelProfile, ...]:
+        return tuple(k for layer in self.layers for k in layer.kernels)
 
-    @property
-    def kernel_latency_ms(self) -> float:
-        return sum(layer.kernel_latency_ms for layer in self.layers)
+    @cached_property
+    def totals(self) -> KernelAggregate:
+        """Latency, flops and DRAM add up the layer totals; the occupancy
+        weight adds up every kernel.  Both orders keep the model's
+        numbers bit-identical to what they have always been."""
+        layers = [layer.totals for layer in self.layers]
+        return KernelAggregate(
+            self.kernels,
+            sum(t.latency_ms for t in layers),
+            sum(t.flops for t in layers),
+            sum(t.dram_read_bytes for t in layers),
+            sum(t.dram_write_bytes for t in layers),
+            sum(k.achieved_occupancy * k.latency_ms for k in self.kernels),
+        )
 
     @property
     def gpu_latency_percentage(self) -> float:
@@ -171,46 +252,9 @@ class ModelProfile:
         return 100.0 * self.kernel_latency_ms / self.model_latency_ms
 
     @property
-    def flops(self) -> float:
-        return sum(layer.flops for layer in self.layers)
-
-    @property
-    def dram_read_bytes(self) -> float:
-        return sum(layer.dram_read_bytes for layer in self.layers)
-
-    @property
-    def dram_write_bytes(self) -> float:
-        return sum(layer.dram_write_bytes for layer in self.layers)
-
-    @property
-    def dram_bytes(self) -> float:
-        return self.dram_read_bytes + self.dram_write_bytes
-
-    @property
-    def achieved_occupancy(self) -> float:
-        total = self.kernel_latency_ms
-        if total == 0:
-            return 0.0
-        return sum(
-            k.achieved_occupancy * k.latency_ms for k in self.kernels
-        ) / total
-
-    @property
-    def arithmetic_intensity(self) -> float:
-        if self.dram_bytes == 0:
-            return float("inf") if self.flops > 0 else 0.0
-        return self.flops / self.dram_bytes
-
-    @property
-    def arithmetic_throughput_tflops(self) -> float:
-        if self.kernel_latency_ms <= 0:
-            return 0.0
-        return self.flops / (self.kernel_latency_ms / 1e3) / 1e12
-
-    @property
     def memory_bound(self) -> bool:
         """Paper's roofline rule applied to the whole model (A15)."""
-        return self.arithmetic_intensity < self.gpu.ideal_arithmetic_intensity
+        return self.totals.memory_bound(self.gpu)
 
 
 def profile_from_trace(trace: Trace) -> ModelProfile:
@@ -246,36 +290,28 @@ def profile_from_trace(trace: Trace) -> ModelProfile:
         ), layer_rows),
         key=lambda layer: layer[0] or 0,
     )
-    layers: list[LayerProfile] = []
-    by_layer_span: dict[int, LayerProfile] = {}
-    for layer_index, layer_type, shape, alloc_bytes, row in tagged_rows:
-        layer = LayerProfile(
-            index=int(len(layers) if layer_index is None else layer_index),
-            name=table.name_of(row),
-            layer_type=str(layer_type),
-            shape=tuple(shape),
-            latency_ms=(ends[row] - starts[row]) / 1e6,
-            alloc_bytes=int(alloc_bytes),
-        )
-        layers.append(layer)
-        by_layer_span[span_ids[row]] = layer
+    # A layer's index is its tag, or else its position.
+    indices = [int(slot if layer[0] is None else layer[0])
+               for slot, layer in enumerate(tagged_rows)]
     # Kernels hang off their layer span directly, or — when the library
     # level was captured — via an intermediate cuDNN/cuBLAS API span, so
-    # resolve through the ancestor chain up to the enclosing layer, once
-    # per parent span.
+    # resolve through the ancestor chain up to the enclosing layer (its
+    # position in ``tagged_rows``), once per parent span.
     row_by_id = index.row_by_id()
-    layer_of: dict[int, LayerProfile | None] = {NONE_ID: None, **by_layer_span}
+    layer_of: dict[int, int | None] = {NONE_ID: None}
+    for slot, layer in enumerate(tagged_rows):
+        layer_of[span_ids[layer[-1]]] = slot
 
-    def enclosing_layer(parent_id: int) -> LayerProfile | None:
+    def enclosing_layer(parent_id: int) -> int | None:
         chain = []
         while parent_id not in layer_of and parent_id not in chain:
             chain.append(parent_id)
             parent_row = row_by_id.get(parent_id)
             parent_id = NONE_ID if parent_row is None else parents[parent_row]
-        layer = layer_of.get(parent_id)  # None on a parent cycle
+        slot = layer_of.get(parent_id)  # None on a parent cycle
         for seen in chain:
-            layer_of[seen] = layer
-        return layer
+            layer_of[seen] = slot
+        return slot
 
     execution_code = _KIND_CODE[SpanKind.EXECUTION]
     kinds = table.kind
@@ -283,6 +319,7 @@ def profile_from_trace(trace: Trace) -> ModelProfile:
         row for row in level_rows.get(Level.GPU_KERNEL, [])
         if kinds[row] == execution_code
     ]
+    kernels: list[list[KernelProfile]] = [[] for _ in tagged_rows]
     for row, flops, dram_read, dram_write, occupancy, grid, block in zip(
         executions,
         *table.tag_columns(
@@ -294,15 +331,16 @@ def profile_from_trace(trace: Trace) -> ModelProfile:
         ),
     ):
         parent_id = parents[row]
-        layer = (layer_of[parent_id] if parent_id in layer_of
-                 else enclosing_layer(parent_id))
-        if layer is None:
+        slot = (layer_of[parent_id] if parent_id in layer_of
+                else enclosing_layer(parent_id))
+        if slot is None:
             continue  # kernel outside any layer span
-        layer.kernels.append(
+        own = kernels[slot]
+        own.append(
             KernelProfile(
                 name=table.name_of(row),
-                layer_index=layer.index,
-                position=len(layer.kernels),
+                layer_index=indices[slot],
+                position=len(own),
                 latency_ms=(ends[row] - starts[row]) / 1e6,
                 flops=float(flops),
                 dram_read_bytes=float(dram_read),
@@ -325,7 +363,13 @@ def profile_from_trace(trace: Trace) -> ModelProfile:
         framework=str(meta.get("framework", "unknown")),
         batch=int(meta.get("batch", 1)),
         model_latency_ms=model_latency_ms,
-        layers=layers,
+        layers=tuple(
+            LayerProfile(index, table.name_of(row), str(layer_type),
+                         tuple(shape), (ends[row] - starts[row]) / 1e6,
+                         int(alloc_bytes), tuple(own))
+            for index, own, (_, layer_type, shape, alloc_bytes, row)
+            in zip(indices, kernels, tagged_rows)
+        ),
         n_runs=1,
         metadata={"source": "trace", "trace_id": trace.trace_id},
     )
@@ -599,7 +643,25 @@ class AnalysisPipeline:
         model latency from the M runs.
         """
         views = [profile_from_trace(r.trace) for r in leveled.runs_at("M/L")]
-        layers = [
+        firsts = views[0].layers
+        # Metric runs report clean single-pass CUPTI kernel durations.
+        samples: dict[tuple[int, int], list[float]] = {}
+        reference: dict[tuple[int, int], KernelProfile] = {}
+        for run in leveled.runs_at("M/L/G+metrics"):
+            for kernel in profile_from_trace(run.trace).kernels:
+                key = (kernel.layer_index, kernel.position)
+                samples.setdefault(key, []).append(kernel.latency_ms)
+                reference.setdefault(key, kernel)
+        # A kernel joins the (last) layer with its layer index.
+        slot_of = {first.index: slot for slot, first in enumerate(firsts)}
+        kernels: list[list[KernelProfile]] = [[] for _ in firsts]
+        for key, kernel in sorted(reference.items()):
+            slot = slot_of.get(key[0])
+            if slot is not None:
+                kernels[slot].append(
+                    replace(kernel, latency_ms=self.statistic(samples[key]))
+                )
+        layers = tuple(
             LayerProfile(
                 index=first.index,
                 name=first.name,
@@ -609,24 +671,10 @@ class AnalysisPipeline:
                     [v.layers[pos].latency_ms for v in views if pos < len(v.layers)]
                 ),
                 alloc_bytes=first.alloc_bytes,
+                kernels=tuple(own),
             )
-            for pos, first in enumerate(views[0].layers)
-        ]
-        # Metric runs report clean single-pass CUPTI kernel durations.
-        samples: dict[tuple[int, int], list[float]] = {}
-        reference: dict[tuple[int, int], KernelProfile] = {}
-        for run in leveled.runs_at("M/L/G+metrics"):
-            for kernel in profile_from_trace(run.trace).kernels:
-                key = (kernel.layer_index, kernel.position)
-                samples.setdefault(key, []).append(kernel.latency_ms)
-                reference.setdefault(key, kernel)
-        by_index = {layer.index: layer for layer in layers}
-        for key, kernel in sorted(reference.items()):
-            layer = by_index.get(key[0])
-            if layer is not None:
-                layer.kernels.append(
-                    replace(kernel, latency_ms=self.statistic(samples[key]))
-                )
+            for pos, (first, own) in enumerate(zip(firsts, kernels))
+        )
         return ModelProfile(
             model_name=leveled.model_name,
             system=leveled.system,

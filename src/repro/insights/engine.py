@@ -211,10 +211,14 @@ class IncrementalInsightEngine(InsightEngine):
         *content*, so a re-derived but identical profile correctly reads
         as unchanged; traces compare by identity plus the row watermark.
         Keeping the reference alive until the next analyze() is what
-        makes the comparison sound.
+        makes the comparison sound.  The layer count leads the profile
+        fingerprint: a profile's layers are a tuple, and tuples compare
+        element by element before they compare lengths.
         """
         if requirement == "profile":
-            return (context.profile, context.peak_device_memory_bytes)
+            profile = context.profile
+            return (len(profile.layers), profile,
+                    context.peak_device_memory_bytes)
         if requirement == "trace":
             trace = context.trace
             return None if trace is None else (trace, trace.watermark)

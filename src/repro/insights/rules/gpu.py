@@ -7,9 +7,7 @@ directly onto the paper's kernel-level analyses (A8-A11).
 
 from __future__ import annotations
 
-from collections import defaultdict
-
-from repro.core.pipeline import KernelProfile
+from repro.core.pipeline import kernels_by_name
 from repro.insights.engine import InsightContext
 from repro.insights.model import Evidence, Insight, ramp
 from repro.insights.registry import rule
@@ -36,17 +34,6 @@ OCCUPANCY_WARN = 0.60
 OCCUPANCY_FLOOR = 0.15
 LOW_OCCUPANCY_KERNEL = 0.40
 TOP_KERNELS = 5
-
-
-def _kernel_layers(kernels: list[KernelProfile], limit: int = 10) -> tuple[int, ...]:
-    """Distinct layer indices hosting ``kernels``, in first-seen order."""
-    seen: dict[int, None] = {}
-    for k in kernels:
-        if k.layer_index not in seen:
-            seen[k.layer_index] = None
-            if len(seen) >= limit:
-                break
-    return tuple(seen)
 
 
 @rule(
@@ -135,34 +122,31 @@ def kernel_hotspot(ctx: InsightContext) -> list[Insight]:
     total = profile.kernel_latency_ms
     if not kernels or total <= 0:
         return []
-    groups: dict[str, list[KernelProfile]] = defaultdict(list)
-    for k in kernels:
-        groups[k.name].append(k)
     ranked = sorted(
-        groups.items(), key=lambda kv: -sum(k.latency_ms for k in kv[1])
+        kernels_by_name(kernels).items(), key=lambda kv: -kv[1].latency_ms
     )
     evidence = []
     for name, group in ranked[:3]:
-        latency = sum(k.latency_ms for k in group)
+        latency = group.latency_ms
         evidence.append(
             Evidence(
                 kind="kernel",
                 summary=(
-                    f"{name}: {latency:.3f} ms over {len(group)} launches "
+                    f"{name}: {latency:.3f} ms over {group.count} launches "
                     f"({100 * latency / total:.1f}% of kernel time)"
                 ),
                 kernel_names=(name,),
-                layer_indices=_kernel_layers(group),
+                layer_indices=group.layer_indices(),
                 measured={
                     "latency_ms": latency,
                     "share": latency / total,
-                    "count": float(len(group)),
+                    "count": float(group.count),
                 },
                 threshold={"share": HOTSPOT_WARN_SHARE},
             )
         )
     top_name, top_group = ranked[0]
-    top_share = sum(k.latency_ms for k in top_group) / total
+    top_share = top_group.latency_ms / total
     return [
         Insight(
             rule="kernel-hotspot",
@@ -197,16 +181,13 @@ def library_kernel_mix(ctx: InsightContext) -> list[Insight]:
     total = profile.kernel_latency_ms
     if not profile.kernels or total <= 0:
         return []
-    custom: dict[str, float] = defaultdict(float)
-    custom_layers: dict[str, list[KernelProfile]] = defaultdict(list)
-    custom_ms = 0.0
-    for k in profile.kernels:
-        if not _is_library_kernel(k.name):
-            custom[k.name] += k.latency_ms
-            custom_layers[k.name].append(k)
-            custom_ms += k.latency_ms
+    custom_kernels = [
+        k for k in profile.kernels if not _is_library_kernel(k.name)
+    ]
+    custom = kernels_by_name(custom_kernels)
+    custom_ms = sum((k.latency_ms for k in custom_kernels), 0.0)
     share = custom_ms / total
-    top = sorted(custom.items(), key=lambda kv: -kv[1])[:3]
+    top = sorted(custom.items(), key=lambda kv: -kv[1].latency_ms)[:3]
     # Aggregate evidence leads so the insight is never evidence-free
     # (an all-library profile has no per-kernel entries to quote).
     evidence = [
@@ -225,15 +206,18 @@ def library_kernel_mix(ctx: InsightContext) -> list[Insight]:
         Evidence(
             kind="kernel",
             summary=(
-                f"{name}: {latency:.3f} ms outside cuDNN/cuBLAS "
-                f"({100 * latency / total:.1f}% of kernel time)"
+                f"{name}: {group.latency_ms:.3f} ms outside cuDNN/cuBLAS "
+                f"({100 * group.latency_ms / total:.1f}% of kernel time)"
             ),
             kernel_names=(name,),
-            layer_indices=_kernel_layers(custom_layers[name]),
-            measured={"latency_ms": latency, "share": latency / total},
+            layer_indices=group.layer_indices(),
+            measured={
+                "latency_ms": group.latency_ms,
+                "share": group.latency_ms / total,
+            },
             threshold={"custom_share": CUSTOM_WARN_SHARE},
         )
-        for name, latency in top
+        for name, group in top
     )
     return [
         Insight(

@@ -8,7 +8,7 @@ the shapes the alignment and classification logic must tolerate.
 
 from __future__ import annotations
 
-import copy
+from dataclasses import replace
 
 from repro.core.pipeline import KernelProfile, LayerProfile, ModelProfile
 
@@ -58,7 +58,7 @@ def make_layer(
         shape=(64, 32, 32),
         latency_ms=latency_ms if latency_ms is not None else kernel_ms * 1.1,
         alloc_bytes=alloc_bytes,
-        kernels=kernels,
+        kernels=tuple(kernels),
     )
 
 
@@ -80,7 +80,7 @@ def make_profile(
         model_latency_ms=(
             model_latency_ms if model_latency_ms is not None else total * 1.05
         ),
-        layers=layers,
+        layers=tuple(layers),
         n_runs=1,
     )
 
@@ -114,19 +114,27 @@ def build_baseline() -> ModelProfile:
 
 def scaled(profile: ModelProfile, factor: float) -> ModelProfile:
     """The same profile with every latency multiplied by ``factor``."""
-    clone = copy.deepcopy(profile)
-    clone.model_latency_ms *= factor
-    for layer in clone.layers:
-        layer.latency_ms *= factor
-        layer.kernels = [
-            KernelProfile(
-                name=k.name, layer_index=k.layer_index, position=k.position,
-                latency_ms=k.latency_ms * factor, flops=k.flops,
-                dram_read_bytes=k.dram_read_bytes,
-                dram_write_bytes=k.dram_write_bytes,
-                achieved_occupancy=k.achieved_occupancy,
-                grid=k.grid, block=k.block,
+    return replace(
+        profile,
+        model_latency_ms=profile.model_latency_ms * factor,
+        layers=tuple(
+            replace(
+                layer,
+                latency_ms=layer.latency_ms * factor,
+                kernels=tuple(
+                    replace(k, latency_ms=k.latency_ms * factor)
+                    for k in layer.kernels
+                ),
             )
-            for k in layer.kernels
-        ]
-    return clone
+            for layer in profile.layers
+        ),
+    )
+
+
+def with_kernels(
+    profile: ModelProfile, position: int, kernels: list[KernelProfile]
+) -> ModelProfile:
+    """The same profile with the layer at ``position`` running ``kernels``."""
+    layers = list(profile.layers)
+    layers[position] = replace(layers[position], kernels=tuple(kernels))
+    return replace(profile, layers=tuple(layers))

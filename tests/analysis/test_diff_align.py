@@ -1,8 +1,8 @@
 """Layer/kernel alignment: the index/name/type tolerance ladder."""
 
-from diff_factories import build_baseline, make_kernel, make_layer
+from diff_factories import build_baseline, make_layer
 
-from repro.analysis.diff.align import align_layers, group_kernels
+from repro.analysis.diff.align import align_layers
 
 
 def test_identical_sequences_match_fully_by_name():
@@ -71,23 +71,3 @@ def test_alignment_is_insert_shift_tolerant():
     alignment = align_layers(base, cand)
     assert len(alignment.matched) == len(base)
     assert all(m.via == "name" for m in alignment.matched)
-
-
-def test_group_kernels_aggregates_same_named_launches():
-    kernels = [
-        make_kernel("sgemm", 0, 0, latency_ms=1.0, flops=1e9, occupancy=0.4),
-        make_kernel("sgemm", 0, 1, latency_ms=3.0, flops=3e9, occupancy=0.8),
-        make_kernel("relu", 0, 2, latency_ms=0.5),
-    ]
-    groups = group_kernels(kernels)
-    assert set(groups) == {"sgemm", "relu"}
-    sgemm = groups["sgemm"]
-    assert sgemm.count == 2
-    assert sgemm.latency_ms == 4.0
-    assert sgemm.flops == 4e9
-    # Latency-weighted occupancy: (0.4*1 + 0.8*3) / 4.
-    assert abs(sgemm.occupancy - 0.7) < 1e-12
-
-
-def test_group_kernels_empty():
-    assert group_kernels([]) == {}

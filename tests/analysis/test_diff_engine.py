@@ -1,7 +1,7 @@
 """diff_profiles: deltas, rollups, and finding classification."""
 
-import copy
 import json
+from dataclasses import replace
 
 import pytest
 from diff_factories import (
@@ -10,6 +10,7 @@ from diff_factories import (
     make_layer,
     make_profile,
     scaled,
+    with_kernels,
 )
 
 from repro.analysis.diff import Delta, diff_profiles
@@ -82,9 +83,10 @@ def test_uniform_speedup_classified_as_improvement():
 
 def test_regression_evidence_names_the_contributing_layers():
     base = build_baseline()
-    cand = copy.deepcopy(base)
-    cand.layers[3].latency_ms *= 3  # one layer regresses hard
-    cand.model_latency_ms = sum(l.latency_ms for l in cand.layers) * 1.05
+    layers = list(base.layers)
+    # One layer regresses hard.
+    layers[3] = replace(layers[3], latency_ms=layers[3].latency_ms * 3)
+    cand = make_profile(layers)
     diff = diff_profiles(base, cand)
     finding = next(f for f in diff.findings if f.kind == "regression")
     cited = {
@@ -98,10 +100,9 @@ def test_regression_evidence_names_the_contributing_layers():
 
 def test_new_kernel_dominating_gpu_time_is_a_new_hotspot():
     base = build_baseline()
-    cand = copy.deepcopy(base)
-    cand.layers[4].kernels = [
+    cand = with_kernels(base, 4, [
         make_kernel("wgrad_winograd_surprise", 4, latency_ms=4.0)
-    ]
+    ])
     diff = diff_profiles(base, cand)
     hotspots = [f for f in diff.findings if f.kind == "new-hotspot"]
     assert hotspots, [f.title for f in diff.findings]
@@ -120,13 +121,14 @@ def test_new_kernel_dominating_gpu_time_is_a_new_hotspot():
 
 def test_kernel_mix_shift_scores_with_distribution_distance():
     base = build_baseline()
-    cand = copy.deepcopy(base)
     # Swap every Eigen kernel for library ones: a big mix move.
-    for layer in cand.layers:
-        layer.kernels = [
+    cand = replace(base, layers=tuple(
+        replace(layer, kernels=(
             make_kernel("volta_sgemm_128x64_nn", layer.index,
-                        latency_ms=sum(k.latency_ms for k in layer.kernels))
-        ]
+                        latency_ms=sum(k.latency_ms for k in layer.kernels)),
+        ))
+        for layer in base.layers
+    ))
     diff = diff_profiles(base, cand)
     mix = next(f for f in diff.findings if f.kind == "kernel-mix-shift")
     assert mix.severity > 0.3
@@ -153,10 +155,9 @@ def _resolve(evidence, profile):
 @pytest.mark.parametrize("factor", [0.6, 1.0, 1.8])
 def test_every_finding_resolves_per_side(factor):
     base = build_baseline()
-    cand = scaled(base, factor)
-    cand.layers[0].kernels = [
+    cand = with_kernels(scaled(base, factor), 0, [
         make_kernel("brand_new_kernel", 0, latency_ms=5.0)
-    ]
+    ])
     diff = diff_profiles(base, cand)
     for finding in diff.findings:
         assert finding.kind in FINDING_KINDS
@@ -170,7 +171,7 @@ def test_every_finding_resolves_per_side(factor):
 
 def test_added_and_removed_layers_read_as_zero_on_the_missing_side():
     base = build_baseline()
-    cand_layers = list(copy.deepcopy(base).layers)
+    cand_layers = list(base.layers)
     del cand_layers[1]
     cand_layers.append(make_layer(9, "Softmax"))
     cand = make_profile(cand_layers)
@@ -187,10 +188,9 @@ def test_added_and_removed_layers_read_as_zero_on_the_missing_side():
 
 def test_kernel_swap_within_matched_layer():
     base = build_baseline()
-    cand = copy.deepcopy(base)
-    cand.layers[0].kernels = [
+    cand = with_kernels(base, 0, [
         make_kernel("volta_scudnn_winograd_128x128", 0, latency_ms=2.0)
-    ]
+    ])
     diff = diff_profiles(base, cand)
     layer0 = diff.layers[0]
     by_status = {k.status: k for k in layer0.kernels}
@@ -254,3 +254,17 @@ def test_zero_latency_baseline_is_an_infinite_regression():
     assert diff.regression_fraction == float("inf")
     assert diff.speedup == 0.0
     assert "slower" in diff.render()
+
+
+def test_zero_latency_profile_reports_and_diffs():
+    """A bare JSON or an empty trace can carry no model latency: its
+    throughput reads 0.0, so the report and the diff both run."""
+    from repro.analysis.report import full_report
+
+    profile = make_profile([make_layer(0, "Conv2D")], model_latency_ms=0.0)
+    assert profile.throughput == 0.0
+    assert "throughput 0.0 inputs/s" in full_report(profile)
+    diff = diff_profiles(profile, profile)
+    assert diff.totals["throughput"].to_dict()["baseline"] == 0.0
+    assert diff.regression_fraction == 0.0
+    assert "0.0 inputs/s" in diff.render()

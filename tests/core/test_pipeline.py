@@ -107,3 +107,211 @@ def test_merge_applies_statistic_per_position(cnn_graph):
     for kernel in profile.kernels:
         key = (kernel.layer_index, kernel.position)
         assert kernel.latency_ms == max(v[key] for v in kernel_views)
+
+
+# -- the one kernel aggregate -------------------------------------------------
+
+
+def _kernel(name="k", layer_index=0, position=0, *, latency_ms=1.0,
+            flops=1e9, dram_read=1e6, dram_write=1e6, occupancy=0.5):
+    from repro.core.pipeline import KernelProfile
+
+    return KernelProfile(name, layer_index, position, latency_ms, flops,
+                         dram_read, dram_write, occupancy, (1, 1, 1),
+                         (128, 1, 1))
+
+
+def _roofline(latency, flops, reads, writes, occupancy):
+    """The derived quantities, as each profile class once computed them."""
+    dram = reads + writes
+    if dram == 0:
+        intensity = float("inf") if flops > 0 else 0.0
+    else:
+        intensity = flops / dram
+    throughput = 0.0 if latency <= 0 else flops / (latency / 1e3) / 1e12
+    return (latency, flops, reads, writes, dram, occupancy, intensity,
+            throughput)
+
+
+def _reference_layer(layer):
+    """A layer's totals by the former per-access formulas: flat sums."""
+    kernels = layer.kernels
+    latency = sum(k.latency_ms for k in kernels)
+    weighted = sum(k.achieved_occupancy * k.latency_ms for k in kernels)
+    return _roofline(
+        latency,
+        sum(k.flops for k in kernels),
+        sum(k.dram_read_bytes for k in kernels),
+        sum(k.dram_write_bytes for k in kernels),
+        0.0 if latency == 0 else weighted / latency,
+    )
+
+
+def _reference_model(profile):
+    """A model's totals by the former formulas: layer totals summed, the
+    occupancy numerator flat over every kernel."""
+    layers = [_reference_layer(layer) for layer in profile.layers]
+    latency = sum(t[0] for t in layers)
+    weighted = sum(k.achieved_occupancy * k.latency_ms
+                   for layer in profile.layers for k in layer.kernels)
+    return _roofline(
+        latency,
+        sum(t[1] for t in layers),
+        sum(t[2] for t in layers),
+        sum(t[3] for t in layers),
+        0.0 if latency == 0 else weighted / latency,
+    )
+
+
+def _observed(obj):
+    return (obj.kernel_latency_ms, obj.flops, obj.dram_read_bytes,
+            obj.dram_write_bytes, obj.dram_bytes, obj.achieved_occupancy,
+            obj.arithmetic_intensity, obj.arithmetic_throughput_tflops)
+
+
+def _bits(values):
+    return [float(value).hex() for value in values]
+
+
+@pytest.mark.parametrize("model,framework,batch,system", [
+    (7, "tensorflow_like", 1, "Tesla_V100"),
+    (7, "mxnet_like", 1, "Tesla_V100"),
+    (15, "tensorflow_like", 1, "Tesla_V100"),
+    # Flat and per-layer occupancy numerators differ in the last bit here.
+    (29, "mxnet_like", 1, "Tesla_V100"),
+    (51, "tensorflow_like", 1, "Tesla_V100"),
+    (44, "tensorflow_like", 1, "Tesla_V100"),
+    (48, "mxnet_like", 1, "Tesla_V100"),
+    (53, "tensorflow_like", 1, "Tesla_V100"),
+    (53, "mxnet_like", 2, "Tesla_P100"),
+    (15, "tensorflow_like", 4, "Quadro_RTX"),
+])
+def test_aggregates_match_the_per_access_formulas(model, framework, batch,
+                                                  system):
+    """Every layer and model total is bit-identical to the sums the
+    profile classes used to recompute on each read, in the same order."""
+    from repro.core import AnalysisPipeline, XSPSession
+    from repro.models import get_model
+
+    profile = AnalysisPipeline(
+        XSPSession(system, framework), runs_per_level=1
+    ).profile_model(get_model(model).graph, batch)
+    gpu = profile.gpu
+    for layer in profile.layers:
+        reference = _reference_layer(layer)
+        assert _bits(_observed(layer)) == _bits(reference), layer.name
+        assert layer.memory_bound(gpu) == (
+            reference[6] < gpu.ideal_arithmetic_intensity
+        )
+    reference = _reference_model(profile)
+    assert _bits(_observed(profile)) == _bits(reference)
+    assert profile.memory_bound == (
+        reference[6] < gpu.ideal_arithmetic_intensity
+    )
+    assert profile.kernels == tuple(
+        k for layer in profile.layers for k in layer.kernels
+    )
+    assert profile.totals.count == len(profile.kernels)
+
+
+def _layer(kernels, index=0):
+    from repro.core.pipeline import LayerProfile
+
+    return LayerProfile(index, f"layer{index}", "Conv2D", (1,), 1.0, 0,
+                        kernels)
+
+
+def _model(layers, latency_ms=1.0):
+    from repro.core.pipeline import ModelProfile
+
+    return ModelProfile("m", "Tesla_V100", "tensorflow_like", 1, latency_ms,
+                        layers)
+
+
+def test_aggregate_of_no_kernels():
+    from repro.sim.hardware import get_system
+
+    layer = _layer(())
+    profile = _model((layer, _layer((), 1)))
+    for obj in (layer, profile):
+        assert _observed(obj) == (0.0,) * 8
+        assert obj.totals.count == 0
+    assert layer.memory_bound(get_system("Tesla_V100"))
+    assert _model(()).kernels == ()
+    assert _observed(_model(())) == (0.0,) * 8
+
+
+def test_aggregate_with_zero_kernel_latency():
+    layer = _layer((_kernel(latency_ms=0.0), _kernel(latency_ms=0.0)))
+    profile = _model((layer,))
+    for obj in (layer, profile):
+        assert obj.kernel_latency_ms == 0.0
+        assert obj.achieved_occupancy == 0.0
+        assert obj.arithmetic_throughput_tflops == 0.0
+        assert obj.flops == 2e9
+
+
+def test_zero_dram_traffic_with_flops_has_infinite_intensity():
+    """Compute without DRAM traffic is compute-bound everywhere: kernel,
+    by-name group, layer, model and the A10 table agree on ``inf``."""
+    from repro.analysis import kernel_by_name_table
+    from repro.core.pipeline import kernels_by_name
+
+    kernel = _kernel("gemm", dram_read=0.0, dram_write=0.0)
+    profile = _model((_layer((kernel,)),))
+    group = kernels_by_name(profile.kernels)["gemm"]
+    gpu = profile.gpu
+    for obj in (kernel, group, profile.layers[0], profile.totals):
+        assert obj.arithmetic_intensity == float("inf")
+        assert not obj.memory_bound(gpu)
+    assert profile.arithmetic_intensity == float("inf")
+    assert not profile.memory_bound
+    (row,) = kernel_by_name_table(profile).rows
+    assert row["arithmetic_intensity"] == float("inf")
+    assert row["memory_bound"] is False
+
+
+def test_profiles_are_frozen():
+    from dataclasses import FrozenInstanceError
+
+    layer = _layer((_kernel(),))
+    profile = _model((layer,))
+    with pytest.raises(FrozenInstanceError):
+        layer.kernels = ()
+    with pytest.raises(FrozenInstanceError):
+        profile.layers = ()
+    with pytest.raises(FrozenInstanceError):
+        profile.model_latency_ms = 2.0
+
+
+def test_aggregates_are_computed_once():
+    profile = _model((_layer((_kernel(),)), _layer((_kernel(), _kernel()), 1)))
+    assert profile.totals is profile.totals
+    assert profile.kernels is profile.kernels
+    assert profile.layers[1].totals is profile.layers[1].totals
+    assert profile.totals.count == 3
+
+
+def test_kernels_by_name_aggregates_same_named_launches():
+    from repro.core.pipeline import kernels_by_name
+
+    kernels = [
+        _kernel("sgemm", 0, 0, latency_ms=1.0, flops=1e9, occupancy=0.4),
+        _kernel("sgemm", 0, 1, latency_ms=3.0, flops=3e9, occupancy=0.8),
+        _kernel("relu", 0, 2, latency_ms=0.5),
+    ]
+    groups = kernels_by_name(kernels)
+    assert list(groups) == ["sgemm", "relu"]
+    sgemm = groups["sgemm"]
+    assert sgemm.count == 2
+    assert sgemm.latency_ms == 4.0
+    assert sgemm.flops == 4e9
+    # Latency-weighted occupancy: (0.4*1 + 0.8*3) / 4.
+    assert abs(sgemm.achieved_occupancy - 0.7) < 1e-12
+    assert sgemm.layer_indices() == (0,)
+
+
+def test_kernels_by_name_empty():
+    from repro.core.pipeline import kernels_by_name
+
+    assert kernels_by_name([]) == {}

@@ -59,7 +59,7 @@ def make_layer(
         shape=(64, 32, 32),
         latency_ms=latency_ms if latency_ms is not None else kernel_ms * 1.1,
         alloc_bytes=alloc_bytes,
-        kernels=kernels,
+        kernels=tuple(kernels),
     )
 
 
@@ -79,7 +79,7 @@ def make_profile(
         model_latency_ms=(
             model_latency_ms if model_latency_ms is not None else total * 1.05
         ),
-        layers=layers,
+        layers=tuple(layers),
         n_runs=1,
     )
 

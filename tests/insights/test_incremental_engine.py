@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from factories import build_basic_profile, make_matching_trace
 
 from repro.insights import (
@@ -95,8 +97,8 @@ def test_profile_replacement_refreshes_profile_dependents():
     engine.analyze(_context(trace=trace, sweep={1: 5.0, 2: 8.0}))
     assert counter == {"p-only": 1, "t-rule": 1, "s-rule": 1}
     # ... while an actual content change re-runs every profile consumer.
-    changed = build_basic_profile()
-    changed.model_latency_ms *= 2
+    basic = build_basic_profile()
+    changed = replace(basic, model_latency_ms=basic.model_latency_ms * 2)
     engine.analyze(
         _context(changed, trace=trace, sweep={1: 5.0, 2: 8.0})
     )

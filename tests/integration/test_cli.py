@@ -153,6 +153,46 @@ def test_malformed_trace_fails_in_one_line(version, fault, command,
     assert "Traceback" not in captured.err
 
 
+def _first_kernel(doc):
+    return next(layer for layer in doc["layers"] if layer["kernels"])[
+        "kernels"][0]
+
+
+#: fault -> (an edit of a good bare profile JSON, the field it breaks).
+MALFORMED_PROFILES = {
+    "string batch": (lambda d: d.update(batch="4"), "batch"),
+    "string kernel flops":
+        (lambda d: _first_kernel(d).update(flops="x"), "flops"),
+    "null kernel latency":
+        (lambda d: _first_kernel(d).update(latency_ms=None), "latency_ms"),
+    "kernels a number":
+        (lambda d: d["layers"][0].update(kernels=5), "layers[0].kernels"),
+    "layer a number": (lambda d: d["layers"].__setitem__(1, 1), "layers[1]"),
+    "null shape": (lambda d: d["layers"][0].update(shape=None), "shape"),
+    "overheads a list": (lambda d: d.update(overheads=[1, 2]), "overheads"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MALFORMED_PROFILES))
+def test_malformed_profile_json_fails_in_one_line(fault, cnn_profile,
+                                                  tmp_path, capsys):
+    """diff rejects a broken bare profile JSON with exit 2 and one stderr
+    line that names the file and the field."""
+    from repro.core.cache import profile_to_dict
+
+    document = json.loads(json.dumps(profile_to_dict(cnn_profile)))
+    edit, field = MALFORMED_PROFILES[fault]
+    edit(document)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(document))
+    assert main(["diff", str(path), str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {path}: ")
+    assert field in captured.err
+
+
 @pytest.mark.parametrize("version", ["v1", "v2"])
 def test_advise_and_diff_accept_both_trace_versions(version, tmp_path,
                                                     capsys):
