@@ -1,14 +1,19 @@
-"""Trace file load time and size: format v2 (columns) against v1 (objects).
+"""Trace export cost: the file formats and the Chrome export.
 
 The capture is the seven-model ``profile_application`` timeline that
 ``bench_span_table.py`` measures (models 7, 4, 48, 15, 9, 49, 20 at
 batch 1).  Format v2 stores the trace's ``SpanTable`` columns, one JSON
 list each; format v1 stored one JSON object per span, and is still
-readable.  Asserted, on the same capture:
+readable.  The Chrome export encodes each column once and writes events
+from templates; the reference here builds one dict per event and passes
+them all to ``json.dumps``, as the export once did.  Asserted, on the
+same capture:
 
 * loading the v2 file (``json.loads`` plus ingest) is at least
-  ``MIN_LOAD_SPEEDUP``x faster than loading the v1 file, and
-* the v2 file is at least ``MIN_SIZE_RATIO``x smaller.
+  ``MIN_LOAD_SPEEDUP``x faster than loading the v1 file,
+* the v2 file is at least ``MIN_SIZE_RATIO``x smaller, and
+* the Chrome export equals the dict-per-event reference byte for byte
+  and is at least ``MIN_CHROME_SPEEDUP``x faster.
 """
 
 from __future__ import annotations
@@ -19,12 +24,13 @@ import time
 
 import pytest
 
-from repro.tracing import Trace
-from repro.tracing.export import trace_from_json, trace_to_json
-from repro.tracing.table import jsonable
+from repro.tracing import Level, SpanKind, Trace
+from repro.tracing.export import trace_from_json, trace_to_chrome, trace_to_json
+from repro.tracing.table import JSON_SCALARS, KINDS, NONE_ID, jsonable
 
 MIN_LOAD_SPEEDUP = 3.0
 MIN_SIZE_RATIO = 2.0
+MIN_CHROME_SPEEDUP = 2.0
 
 
 def _v1_json(trace: Trace) -> str:
@@ -58,27 +64,76 @@ def _v1_json(trace: Trace) -> str:
     })
 
 
+def _dict_chrome(trace: Trace) -> str:
+    """``trace`` as a Chrome trace, one dict per event."""
+    pid, table = trace.trace_id, trace.table
+    name = (trace.metadata.get("model") or trace.metadata.get("application")
+            or f"trace {pid}")
+    events = [{"name": "process_name", "ph": "M", "pid": pid,
+               "args": {"name": str(name)}}]
+    for code in sorted(set(table.level[:len(table)])):
+        events.append({"name": "thread_name", "ph": "M", "pid": pid,
+                       "tid": code,
+                       "args": {"name": f"L{code} {Level(code).name}"}})
+        events.append({"name": "thread_sort_index", "ph": "M", "pid": pid,
+                       "tid": code, "args": {"sort_index": code}})
+    level_names = {int(level): level.name for level in Level}
+    kind_values = [kind.value for kind in KINDS]
+    launch, execution = (KINDS.index(SpanKind.LAUNCH),
+                         KINDS.index(SpanKind.EXECUTION))
+    for name, start, end, level, kind, span_id, parent_id, correlation_id, \
+            keys, values in table.iter_rows():
+        args = {
+            "span_id": span_id,
+            "parent_id": None if parent_id == NONE_ID else parent_id,
+            "kind": kind_values[kind],
+            "correlation_id": (
+                None if correlation_id == NONE_ID else correlation_id
+            ),
+        }
+        args.update(zip(keys, [
+            value if type(value) in JSON_SCALARS else jsonable(value)
+            for value in values
+        ]))
+        events.append({"name": name, "cat": level_names[level], "ph": "X",
+                       "ts": start / 1e3, "dur": (end - start) / 1e3,
+                       "pid": pid, "tid": level, "args": args})
+        if correlation_id != NONE_ID and kind in (launch, execution):
+            flow = {"name": "launch->execution", "cat": "correlation",
+                    "id": correlation_id, "pid": pid, "tid": level,
+                    "ts": start / 1e3}
+            events.append({**flow, "ph": "s"} if kind == launch
+                          else {**flow, "ph": "f", "bp": "e"})
+    return json.dumps({"traceEvents": events, "displayTimeUnit": "ms"},
+                      check_circular=False)
+
+
 @pytest.fixture(scope="module")
-def documents() -> tuple[str, str]:
+def capture() -> Trace:
     from repro.core import XSPSession
     from repro.models import get_model
 
     trace, _ = XSPSession("Tesla_V100", "tensorflow_like").profile_application(
         [(get_model(m).graph, 1) for m in (7, 4, 48, 15, 9, 49, 20)]
     )
-    return _v1_json(trace), trace_to_json(trace)
+    return trace
 
 
-def _best_load_s(texts: tuple[str, ...], rounds: int = 7) -> list[float]:
-    """Best load time of each document.  The loads alternate round by
-    round, so every document sees the same machine, and each starts
-    after a full collection, so none pays for another's garbage."""
-    best = [float("inf")] * len(texts)
+@pytest.fixture(scope="module")
+def documents(capture) -> tuple[str, str]:
+    return _v1_json(capture), trace_to_json(capture)
+
+
+def _best_s(calls, rounds: int = 7) -> list[float]:
+    """Best time of each call.  The calls alternate round by round, so
+    every one sees the same machine, and each starts after a full
+    collection, so none pays for another's garbage."""
+    best = [float("inf")] * len(calls)
     for _ in range(rounds):
-        for i, text in enumerate(texts):
+        for i, call in enumerate(calls):
             gc.collect()
             start = time.perf_counter()
-            trace_from_json(text)
+            call()
             best[i] = min(best[i], time.perf_counter() - start)
     return best
 
@@ -98,7 +153,8 @@ def test_load_v1_application_capture(benchmark, documents):
 
 def test_v2_loads_faster_and_is_smaller_than_v1(documents):
     v1, v2 = documents
-    v1_s, v2_s = _best_load_s((v1, v2))
+    v1_s, v2_s = _best_s([lambda: trace_from_json(v1),
+                          lambda: trace_from_json(v2)])
     speedup = v1_s / v2_s
     assert speedup >= MIN_LOAD_SPEEDUP, (
         f"a v2 load is only {speedup:.2f}x faster than a v1 load "
@@ -108,4 +164,20 @@ def test_v2_loads_faster_and_is_smaller_than_v1(documents):
     assert ratio >= MIN_SIZE_RATIO, (
         f"the v2 file is only {ratio:.2f}x smaller "
         f"({len(v2) / 1e6:.2f} MB vs {len(v1) / 1e6:.2f} MB)"
+    )
+
+
+def test_chrome_export_application_capture(benchmark, capture):
+    text = benchmark(trace_to_chrome, capture)
+    assert text == _dict_chrome(capture)
+
+
+def test_chrome_export_is_faster_than_a_dict_per_event(capture):
+    assert trace_to_chrome(capture) == _dict_chrome(capture)
+    dict_s, column_s = _best_s([lambda: _dict_chrome(capture),
+                                lambda: trace_to_chrome(capture)])
+    speedup = dict_s / column_s
+    assert speedup >= MIN_CHROME_SPEEDUP, (
+        f"the Chrome export is only {speedup:.2f}x faster than a dict per "
+        f"event ({column_s * 1e3:.0f} ms vs {dict_s * 1e3:.0f} ms)"
     )

@@ -369,7 +369,10 @@ def _mix_shift_finding(
     cand_shares = cand_view.shares
     if not base_shares and not cand_shares:
         return None
-    names = set(base_shares) | set(cand_shares)
+    # First-seen order (baseline, then candidate-only), not a set's:
+    # the sum and the movers' ties must not depend on string hashing.
+    names = [*base_shares,
+             *(n for n in cand_shares if n not in base_shares)]
     distance = 0.5 * sum(
         abs(base_shares.get(n, 0.0) - cand_shares.get(n, 0.0)) for n in names
     )

@@ -495,6 +495,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except OSError as err:  # e.g. an output path that cannot be written
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     except (KeyError, ValueError) as err:  # e.g. an unknown model
         print(f"error: {err.args[0] if err.args else err}", file=sys.stderr)
         return 2

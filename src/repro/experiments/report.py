@@ -152,6 +152,18 @@ def comparison_section(
 
 
 def generate(output_path: str = "EXPERIMENTS.md") -> str:
+    """Run every experiment and write the record to ``output_path``.
+
+    The file is opened before the run, so a path that cannot be written
+    fails at once rather than after it.
+    """
+    with open(output_path, "w") as fh:
+        text = _record()
+        fh.write(text)
+    return text
+
+
+def _record() -> str:
     start = time.time()
     results = run_all()
     lines = [_HEADER]
@@ -186,10 +198,7 @@ def generate(output_path: str = "EXPERIMENTS.md") -> str:
         f"(generated in {elapsed:.0f} s of wall time; all latencies are "
         "deterministic virtual time).\n"
     )
-    text = "\n".join(lines)
-    with open(output_path, "w") as fh:
-        fh.write(text)
-    return text
+    return "\n".join(lines)
 
 
 def _fmt(values: dict) -> str:

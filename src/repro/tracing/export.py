@@ -16,24 +16,26 @@ document.  Version 1 files, one JSON object per span, still load: they
 go through :meth:`SpanTable.append_rows` in bounded batches.  Any
 malformed file raises one ``ValueError``.
 
-The Chrome ``trace_event`` export reads the table's rows straight from
-its columns; no ``Span`` or view is built.
+The Chrome ``trace_event`` export writes exactly the bytes ``json.dumps``
+would write for one dict per event, without building those dicts: it
+encodes each column once (names per pool entry, levels and kinds per
+code, times and ids over the column slices, tags per (schema, key)
+column), writes each event from one template, and joins the events into
+the one document-sized string it allocates.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import groupby
-from operator import itemgetter
-from typing import Any
+from itertools import chain, groupby, repeat
+from math import isfinite
+from operator import itemgetter, sub, truediv
+from typing import Any, Sequence
+
+import numpy as np
 
 from repro.tracing.span import Level, LogEntry, SpanKind
-from repro.tracing.table import (
-    JSON_SCALARS,
-    KINDS,
-    NONE_ID,
-    jsonable,
-)
+from repro.tracing.table import KINDS, NONE_ID, SpanTable, jsonable
 from repro.tracing.trace import Trace
 
 #: The version every trace file is written in.
@@ -46,6 +48,13 @@ _LEVEL_CODES = {level.name: int(level) for level in Level}
 _KIND_CODES = {kind.value: code for code, kind in enumerate(KINDS)}
 _LAUNCH = _KIND_CODES[SpanKind.LAUNCH.value]
 _EXECUTION = _KIND_CODES[SpanKind.EXECUTION.value]
+
+#: One value as JSON text, exactly as ``json.dumps`` writes it inside a
+#: document (ASCII-escaped, default separators).
+_encode = json.JSONEncoder(check_circular=False).encode
+
+#: The fields every complete event's ``args`` opens with, in order.
+_ARGS = ("span_id", "parent_id", "kind", "correlation_id")
 
 
 def trace_to_json(trace: Trace) -> str:
@@ -146,91 +155,146 @@ def trace_to_chrome(trace: Trace) -> str:
     ``chrome://tracing`` renders the stack levels in order; launch /
     execution span pairs are joined by flow ("s"/"f") arrows keyed on
     their ``correlation_id`` — the across-stack picture, visually.
+
+    The text is exactly what ``json.dumps`` writes for the document, but
+    no dict is built per event: each column is encoded once (see
+    :func:`_complete_events`), and the only document-sized string is the
+    final join.
     """
-    pid = trace.trace_id
-    events: list[dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "args": {
-                "name": str(
-                    trace.metadata.get("model")
-                    or trace.metadata.get("application")
-                    or f"trace {pid}"
-                )
-            },
-        }
+    pid, table = trace.trace_id, trace.table
+    n = len(table)
+    name = str(trace.metadata.get("model")
+               or trace.metadata.get("application") or f"trace {pid}")
+    meta = [{"name": "process_name", "ph": "M", "pid": pid,
+             "args": {"name": name}}]
+    for code in sorted(set(table.level[:n])):
+        meta += (
+            {"name": "thread_name", "ph": "M", "pid": pid, "tid": code,
+             "args": {"name": f"L{code} {Level(code).name}"}},
+            {"name": "thread_sort_index", "ph": "M", "pid": pid,
+             "tid": code, "args": {"sort_index": code}},
+        )
+    pieces = ['{"traceEvents": [' + ", ".join(map(_encode, meta))]
+    if n:
+        pieces += _complete_events(table, n, _encode(pid))
+    pieces[-1] += '], "displayTimeUnit": "ms"}'
+    return ", ".join(pieces)
+
+
+def _complete_events(table: SpanTable, n: int, pid: str) -> list[str]:
+    """The first ``n`` rows' "X" events, one string per row, each
+    followed by the row's flow event if it has one.
+
+    Every part of an event is encoded once per column, never per field:
+    names once per pool entry, ``cat``/``tid`` once per level and
+    ``kind`` once per kind code, each distinct duration once, start times
+    with ``float.__repr__`` and ids with ``int.__repr__`` over the column,
+    and tags one (schema, key) column at a time (:func:`_encoded`).  One
+    fixed template then writes each event (``pid`` is the encoded
+    process id).
+    """
+    names, schemas = table.pools()
+    name_ids, levels, kinds = table.name_id[:n], table.level[:n], table.kind[:n]
+    starts, correlations = table.start_ns[:n], table.correlation_id[:n]
+    names = [_encode(name) for name in names[:max(name_ids) + 1]]
+    cats = {code: _encode(Level(code).name) for code in set(levels)}
+    tids = list(map({code: repr(code) for code in cats}.__getitem__, levels))
+    ts = list(map(float.__repr__, map(truediv, starts, repeat(1e3))))
+    # Python ints: end - start can pass the int64 range.
+    durations = list(map(sub, table.end_ns[:n], starts))
+    durs = {ns: repr(ns / 1e3) for ns in set(durations)}
+    args = [
+        list(map(int.__repr__, table.span_id[:n])),
+        _ids(table.parent_id[:n]),
+        list(map([_encode(kind.value) for kind in KINDS].__getitem__, kinds)),
+        _ids(correlations),
     ]
-    table = trace.table
-    for code in sorted(set(table.level[:len(table)])):
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": code,
-                "args": {"name": f"L{code} {Level(code).name}"},
-            }
+    # Flow events read the raw correlation ids: a tag below may replace
+    # the one in ``args``.
+    flows = [""] * n
+    kind_codes = np.frombuffer(kinds, dtype=np.int8)
+    linked = np.frombuffer(correlations, dtype=np.int64) != NONE_ID
+    cids = args[3]
+    for code, phase in ((_LAUNCH, '"ph": "s"'),
+                        (_EXECUTION, '"ph": "f", "bp": "e"')):
+        rows = np.flatnonzero((kind_codes == code) & linked).tolist()
+        for row, text in zip(rows, [
+            f', {{"name": "launch->execution", "cat": "correlation", '
+            f'"id": {cids[r]}, "pid": {pid}, "tid": {tids[r]}, '
+            f'"ts": {ts[r]}, {phase}}}'
+            for r in rows
+        ]):
+            flows[row] = text
+    tags = [""] * n
+    codes = np.frombuffer(table.tag_schema[:n], dtype=np.uint32)
+    order = np.argsort(codes, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(codes[order])) + 1):
+        rows = rows.tolist()
+        keys = schemas[codes[rows[0]]]
+        if not keys:
+            continue
+        # Where each tag lands in ``args``: a key equal to a fixed field
+        # replaces its value in place, and a repeated key keeps its first
+        # place and its last value, as a dict update would.
+        slot = dict.fromkeys(_ARGS)
+        slot.update((key, i) for i, key in enumerate(keys))
+        values = table.tag_columns(rows, keys, [None] * len(keys))
+        for column, field in zip(args, _ARGS):
+            if slot[field] is not None:
+                for row, text in zip(rows, _encoded(values[slot[field]])):
+                    column[row] = text
+        # `{key: 0}` as JSON, less the brace and the 0, is the key as
+        # json writes it, colon included.
+        texts = [
+            _encoded(values[i], ", " + _encode({key: 0})[1:-2])
+            for key, i in list(slot.items())[len(_ARGS):]
+        ]
+        for row, text in zip(rows, map("".join, zip(*texts))):
+            tags[row] = text
+    return [
+        f'{{"name": {name}, "cat": {cat}, "ph": "X", "ts": {start}, '
+        f'"dur": {dur}, "pid": {pid}, "tid": {tid}, "args": {{"span_id": '
+        f'{span_id}, "parent_id": {parent_id}, "kind": {kind}, '
+        f'"correlation_id": {correlation_id}{tag}}}}}{flow}'
+        for name, cat, start, dur, tid, span_id, parent_id, kind,
+        correlation_id, tag, flow in zip(
+            map(names.__getitem__, name_ids), map(cats.__getitem__, levels),
+            ts, map(durs.__getitem__, durations), tids, *args, tags, flows,
         )
-        events.append(
-            {
-                "name": "thread_sort_index",
-                "ph": "M",
-                "pid": pid,
-                "tid": code,
-                "args": {"sort_index": code},
-            }
-        )
-    level_names = {int(level): level.name for level in Level}
-    kind_values = [kind.value for kind in KINDS]
-    append = events.append
-    for name, start_ns, end_ns, level, kind, span_id, parent_id, \
-            correlation_id, keys, values in table.iter_rows():
-        ts_us = start_ns / 1e3  # chrome uses microseconds
-        args = {
-            "span_id": span_id,
-            "parent_id": None if parent_id == NONE_ID else parent_id,
-            "kind": kind_values[kind],
-            "correlation_id": (
-                None if correlation_id == NONE_ID else correlation_id
-            ),
-        }
-        if keys:
-            args.update(zip(keys, [
-                value if type(value) in JSON_SCALARS else jsonable(value)
-                for value in values
-            ]))
-        append(
-            {
-                "name": name,
-                "cat": level_names[level],
-                "ph": "X",
-                "ts": ts_us,
-                "dur": (end_ns - start_ns) / 1e3,
-                "pid": pid,
-                "tid": level,
-                "args": args,
-            }
-        )
-        if correlation_id != NONE_ID and kind in (_LAUNCH, _EXECUTION):
-            flow = {
-                "name": "launch->execution",
-                "cat": "correlation",
-                "id": correlation_id,
-                "pid": pid,
-                "tid": level,
-                "ts": ts_us,
-            }
-            if kind == _LAUNCH:
-                append({**flow, "ph": "s"})
-            else:
-                append({**flow, "ph": "f", "bp": "e"})
-    # Every value is a scalar or went through `jsonable`, so nothing can
-    # be circular: skipping the encoder's cycle check saves ~8%.
-    return json.dumps(
-        {"traceEvents": events, "displayTimeUnit": "ms"}, check_circular=False
-    )
+    ]
+
+
+def _ids(column: Sequence[int]) -> list[str]:
+    """An id column as JSON text, ``null`` for :data:`NONE_ID`."""
+    return ["null" if i == NONE_ID else repr(i) for i in column]
+
+
+def _encoded(values: list, head: str = "") -> list[str]:
+    """One tag column as JSON text, each value after ``head``.
+
+    Each distinct value of a column of ``str``s, of ``int``s, or of lists
+    of ``int``s is encoded once.  A column of finite floats is written
+    with ``float.__repr__``, value by value (``-0.0 == 0.0``, so equal
+    floats may differ in text).  Any other value goes through the json
+    encoder after :func:`jsonable`.  Types are matched exactly, so a bool
+    or a float never shares the text of an equal int.
+    """
+    types = set(map(type, values))
+    if types == {float} and all(map(isfinite, values)):
+        return list(map(head.__add__, map(float.__repr__, values)))
+    if types == {int}:
+        keys, encode = values, int.__repr__
+    elif types == {str}:
+        keys, encode = values, _encode
+    elif types <= {list, tuple} and set(
+        map(type, chain.from_iterable(values))
+    ) <= {int}:
+        # A list of ints prints as its JSON text.
+        keys, encode = list(map(tuple, values)), lambda key: str(list(key))
+    else:
+        return [head + _encode(jsonable(value)) for value in values]
+    text = {key: head + encode(key) for key in set(keys)}
+    return list(map(text.__getitem__, keys))
 
 
 def save_trace(trace: Trace, path: str) -> None:

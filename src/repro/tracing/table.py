@@ -498,6 +498,11 @@ class SpanTable:
         """
         return self._names.get(name)
 
+    def pools(self) -> tuple[list, list[tuple]]:
+        """The interned names and tag schemas, indexed by the ``name_id``
+        and ``tag_schema`` codes; callers must not mutate them."""
+        return self._names.by_code, self._schemas.by_code
+
     def level_of(self, row: int) -> Level:
         return _LEVEL_BY_CODE[self.level[row]]
 

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from output_digests import DIGEST_FILE, HASH_SEED, points
+from output_digests import DIGEST_FILE, points
 
 import repro
 
@@ -19,14 +19,14 @@ EXPECTED = json.loads(DIGEST_FILE.read_text())
 
 @pytest.fixture(scope="module")
 def digests() -> dict[str, dict[str, str]]:
-    """Every point's digests, from one run of the script under its fixed
-    hash seed."""
+    """Every point's digests, from one run of the script in a fresh
+    interpreter."""
     src = str(Path(repro.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, str(Path(__file__).with_name("output_digests.py")),
          "--print"],
-        env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": HASH_SEED},
+        env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout)

@@ -412,3 +412,30 @@ def test_trace_both_formats(tmp_path):
 def test_trace_without_any_output_errors(capsys):
     assert main(["trace", "--model", "53", "--batch", "1"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    return err
+
+
+@pytest.mark.parametrize("flag", ["--output", "--chrome"])
+def test_trace_write_failure_fails_in_one_line(flag, tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert main(["trace", "--model", "53", "--batch", "1",
+                 flag, str(target)]) == 2
+    assert str(target) in _one_error_line(capsys)
+
+
+def test_experiments_write_failure_fails_before_the_run(tmp_path, capsys,
+                                                        monkeypatch):
+    import repro.experiments.report as report
+
+    def run_all(*args):
+        raise AssertionError("the experiments ran before --output opened")
+
+    monkeypatch.setattr(report, "run_all", run_all)
+    target = tmp_path / "missing" / "EXPERIMENTS.md"
+    assert main(["experiments", "--output", str(target)]) == 2
+    assert str(target) in _one_error_line(capsys)

@@ -1,7 +1,12 @@
 """`repro diff` CLI: coordinate/file sides, JSON output, the CI gate."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import repro
 from repro.cli import main
 
 SIDE = "model=53,batch=1"
@@ -117,3 +122,21 @@ def test_json_output_is_strict_json_even_with_one_sided_layers(capsys):
     json.loads(out, parse_constant=lambda c: (_ for _ in ()).throw(
         AssertionError(f"non-strict JSON constant {c!r} in --json output")
     ))
+
+
+def test_json_output_does_not_depend_on_string_hashing():
+    """The kernel-mix finding sums and ranks kernel names in first-seen
+    order, so two processes with different hash seeds print the same
+    bytes (model 7's mix distance used to differ in the last bit)."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "repro", "diff", "model=7,batch=1",
+            "model=7,batch=1,framework=mxnet_like", "--json", "--runs", "1"]
+    outputs = [
+        subprocess.run(argv, env={**os.environ, "PYTHONPATH": src,
+                                  "PYTHONHASHSEED": seed},
+                       capture_output=True, text=True, check=True).stdout
+        for seed in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1]
+    assert any(finding["kind"] == "kernel-mix-shift"
+               for finding in json.loads(outputs[0])["findings"])
