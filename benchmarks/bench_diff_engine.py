@@ -1,24 +1,44 @@
 """Diff-engine benchmark: aligning and classifying two 2k-layer profiles.
 
-Alongside the timing, two contracts are asserted:
+Alongside the timing, three contracts are asserted:
 
 * a self-diff is clean (zero findings above severity 0) even at this
-  scale, and
+  scale,
 * a perturbed candidate (scaled latencies + renamed and inserted layers
   + a swapped kernel mix) still aligns nearly every layer — the
-  alignment ladder, not positional luck, carries the matching.
+  alignment ladder, not positional luck, carries the matching, and
+* the diff's JSON document (``ProfileDiff.to_json``, written from the
+  diff table by templates) equals the reference here byte for byte and
+  is at least ``MIN_JSON_SPEEDUP``x faster.  The reference builds one
+  dict per compared number, as ``ProfileDiff.to_dict`` once did, and
+  passes the tree to ``json.dumps``.  Both time the whole diff, engine
+  included.
 """
 
 from __future__ import annotations
 
+import gc
+import json
 import random
+import time
 
 from bench_insights_engine import make_synthetic_profile
 
-from repro.analysis.diff import diff_profiles
+from repro.analysis.diff import (
+    Delta,
+    KernelDelta,
+    LayerDelta,
+    ProfileDiff,
+    diff_profiles,
+)
+from repro.analysis.diff.model import _json_number
 from repro.core.pipeline import KernelProfile, LayerProfile, ModelProfile
 
 N_LAYERS = 2000
+#: Measured 2.05-2.15x on a 2-vCPU host (Python 3.11).  Every number of
+#: this pair is a fresh random draw, so formatting each distinct value
+#: once saves little here; the bound leaves room for a shared runner.
+MIN_JSON_SPEEDUP = 1.8
 
 
 def make_perturbed_candidate(
@@ -104,3 +124,87 @@ def test_diff_engine_self_diff_2k_layers(benchmark):
     diff = benchmark(lambda: diff_profiles(profile, profile))
     assert diff.findings_above(1e-9) == []
     assert diff.speedup == 1.0
+
+
+# -- the JSON document ------------------------------------------------------
+
+
+def _delta_dict(delta: Delta) -> dict:
+    return {
+        "baseline": delta.baseline,
+        "candidate": delta.candidate,
+        "delta": delta.delta,
+        "ratio": _json_number(delta.ratio),
+    }
+
+
+def _kernel_dict(kernel: KernelDelta) -> dict:
+    return {
+        "name": kernel.name,
+        "status": kernel.status,
+        "count": _delta_dict(kernel.count),
+        "latency_ms": _delta_dict(kernel.latency_ms),
+        "flops": _delta_dict(kernel.flops),
+        "dram_bytes": _delta_dict(kernel.dram_bytes),
+        "occupancy": _delta_dict(kernel.occupancy),
+    }
+
+
+def _layer_dict(layer: LayerDelta) -> dict:
+    return {
+        "name": layer.name,
+        "layer_type": layer.layer_type,
+        "status": layer.status,
+        "via": layer.via,
+        "baseline_index": layer.baseline_index,
+        "candidate_index": layer.candidate_index,
+        "latency_ms": _delta_dict(layer.latency_ms),
+        "flops": _delta_dict(layer.flops),
+        "dram_bytes": _delta_dict(layer.dram_bytes),
+        "occupancy": _delta_dict(layer.occupancy),
+        "alloc_bytes": _delta_dict(layer.alloc_bytes),
+        "kernels": [_kernel_dict(k) for k in layer.kernels],
+    }
+
+
+def _dict_json(diff: ProfileDiff) -> str:
+    """``diff`` as ``json.dumps`` writes a dict per compared number."""
+    return json.dumps({
+        "baseline": dict(diff.baseline),
+        "candidate": dict(diff.candidate),
+        "speedup": _json_number(diff.speedup),
+        "regression_fraction": _json_number(diff.regression_fraction),
+        "totals": {k: _delta_dict(d) for k, d in diff.totals.items()},
+        "layers": [_layer_dict(layer) for layer in diff.layers],
+        "findings": [f.to_dict() for f in diff.findings],
+    }, check_circular=False)
+
+
+def _best_s(calls, rounds: int = 7) -> list[float]:
+    """Best time of each call, alternating round by round, each after a
+    full collection."""
+    best = [float("inf")] * len(calls)
+    for _ in range(rounds):
+        for i, call in enumerate(calls):
+            gc.collect()
+            start = time.perf_counter()
+            call()
+            best[i] = min(best[i], time.perf_counter() - start)
+    return best
+
+
+def test_diff_json_2k_layers(benchmark):
+    """The whole diff as JSON: engine plus template writer."""
+    baseline = make_synthetic_profile(N_LAYERS)
+    candidate = make_perturbed_candidate(baseline)
+    text = benchmark(lambda: diff_profiles(baseline, candidate).to_json())
+    assert text == _dict_json(diff_profiles(baseline, candidate))
+    dict_s, column_s = _best_s([
+        lambda: _dict_json(diff_profiles(baseline, candidate)),
+        lambda: diff_profiles(baseline, candidate).to_json(),
+    ])
+    speedup = dict_s / column_s
+    assert speedup >= MIN_JSON_SPEEDUP, (
+        f"the diff's JSON is only {speedup:.2f}x faster than a dict per "
+        f"number ({column_s * 1e3:.0f} ms vs {dict_s * 1e3:.0f} ms)"
+    )

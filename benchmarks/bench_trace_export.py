@@ -21,16 +21,39 @@ from __future__ import annotations
 import gc
 import json
 import time
+from typing import Iterator
 
 import pytest
 
 from repro.tracing import Level, SpanKind, Trace
 from repro.tracing.export import trace_from_json, trace_to_chrome, trace_to_json
-from repro.tracing.table import JSON_SCALARS, KINDS, NONE_ID, jsonable
+from repro.tracing.table import (
+    JSON_SCALARS,
+    KINDS,
+    NONE_ID,
+    SpanTable,
+    jsonable,
+)
 
 MIN_LOAD_SPEEDUP = 3.0
 MIN_SIZE_RATIO = 2.0
 MIN_CHROME_SPEEDUP = 2.0
+
+
+def iter_rows(table: SpanTable) -> Iterator[tuple]:
+    """The rows below the watermark as ``SpanTable.append_rows`` tuples,
+    with ``values`` a list (each row's tag values, in key order)."""
+    n = len(table)
+    names, schemas = table.pools()
+    for row, (name_id, start, end, level, kind, span_id, parent_id,
+              correlation_id, schema_id) in enumerate(zip(
+                  table.name_id[:n], table.start_ns[:n], table.end_ns[:n],
+                  table.level[:n], table.kind[:n], table.span_id[:n],
+                  table.parent_id[:n], table.correlation_id[:n],
+                  table.tag_schema[:n])):
+        yield (names[name_id], start, end, level, kind, span_id, parent_id,
+               correlation_id, schemas[schema_id],
+               [value for _, value in table.iter_tags(row)])
 
 
 def _v1_json(trace: Trace) -> str:
@@ -82,7 +105,7 @@ def _dict_chrome(trace: Trace) -> str:
     launch, execution = (KINDS.index(SpanKind.LAUNCH),
                          KINDS.index(SpanKind.EXECUTION))
     for name, start, end, level, kind, span_id, parent_id, correlation_id, \
-            keys, values in table.iter_rows():
+            keys, values in iter_rows(table):
         args = {
             "span_id": span_id,
             "parent_id": None if parent_id == NONE_ID else parent_id,

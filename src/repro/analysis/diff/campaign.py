@@ -112,13 +112,6 @@ class CampaignDiff:
             if d.regression_fraction > beyond
         }
 
-    def improved(self, *, beyond: float = 0.0) -> dict[str, ProfileDiff]:
-        return {
-            label: d
-            for label, d in self.diffs.items()
-            if d.speedup > 1.0 + beyond
-        }
-
     def to_dict(self, *, min_severity: float = 0.0) -> dict[str, Any]:
         return {
             "axis": {k: list(v) for k, v in self.axis.items()},

@@ -1,9 +1,12 @@
-"""The diff engine: align two profiles, measure deltas, classify findings.
+"""The diff engine: align two profiles, tabulate what changed, classify.
 
 :func:`diff_profiles` is the subsystem's entry point.  It aligns the two
-layer sequences (:mod:`repro.analysis.diff.align`), emits per-layer and
-per-kernel :class:`~repro.analysis.diff.model.Delta` records plus
-model-level rollups, then classifies ranked
+layer sequences (:mod:`repro.analysis.diff.align`), then fills one
+:class:`~repro.analysis.diff.model.DiffTable`: a row per aligned layer
+pair and a row per (layer pair, kernel name) group, with a baseline and
+a candidate column per compared metric.  Group totals are summed in the
+order :func:`~repro.core.pipeline.kernels_by_name` sums them.  It then
+adds model-level rollups and classifies ranked
 :class:`~repro.analysis.diff.model.DiffFinding`\\ s using the insight
 engine's severity conventions (:func:`repro.insights.model.ramp`, the
 info/warning/critical bands) and :class:`~repro.insights.model.Evidence`
@@ -17,19 +20,25 @@ findings are *observational* (like insight rules) and ``--min-severity``
 
 from __future__ import annotations
 
-from repro.analysis.diff.align import LayerAlignment, align_layers
+from itertools import repeat
+from typing import Sequence
+
+from repro.analysis.diff.align import align_layers
 from repro.analysis.diff.model import (
+    KERNEL_LABELS,
+    KERNEL_METRICS,
+    LAYER_LABELS,
+    LAYER_METRICS,
     Delta,
     DiffFinding,
-    KernelDelta,
+    DiffRows,
+    DiffTable,
     LayerDelta,
     ProfileDiff,
 )
 from repro.core.pipeline import (
-    KernelAggregate,
     LayerProfile,
     ModelProfile,
-    aggregate_kernels,
     kernels_by_name,
 )
 from repro.insights.model import Evidence, ramp
@@ -56,8 +65,9 @@ TOP_CONTRIBUTORS = 3
 #: Independent new-hotspot findings emitted at most.
 MAX_HOTSPOT_FINDINGS = 3
 
-#: The missing side of an added or removed kernel.
-_EMPTY = aggregate_kernels(())
+#: The metrics of a side a layer or kernel group is missing from.
+_NO_LAYER = (0.0,) * len(LAYER_METRICS)
+_NO_GROUP = (0, 0.0, 0.0, (), 0)
 
 
 def _identity(profile: ModelProfile) -> dict[str, object]:
@@ -71,78 +81,112 @@ def _identity(profile: ModelProfile) -> dict[str, object]:
     }
 
 
-def _kernel_deltas(
-    baseline: list, candidate: list
-) -> tuple[KernelDelta, ...]:
-    base = kernels_by_name(baseline)
-    cand = kernels_by_name(candidate)
-    deltas: list[KernelDelta] = []
-    for name, b in base.items():
-        c = cand.get(name, _EMPTY)
-        deltas.append(_kernel_delta(name, b, c, "matched" if name in cand else "removed"))
-    for name, c in cand.items():
-        if name not in base:
-            deltas.append(_kernel_delta(name, _EMPTY, c, "added"))
-    return tuple(deltas)
+def _layer_values(layer: LayerProfile | None) -> tuple:
+    """A layer's LAYER_METRICS."""
+    if layer is None:
+        return _NO_LAYER
+    totals = layer.totals
+    return (float(layer.latency_ms), float(totals.flops),
+            float(totals.dram_bytes), float(totals.achieved_occupancy),
+            float(layer.alloc_bytes))
 
 
-def _dram_bytes(group: KernelAggregate) -> float:
-    # Each kernel's reads + writes, summed: not the group's summed reads
-    # plus summed writes, which can differ in the last bit.
-    return sum((k.dram_bytes for k in group.kernels), 0.0)
+def _groups(layer: LayerProfile | None) -> dict[str, list]:
+    """The same-named kernel groups of a layer, in first-seen name order
+    (the groups of :func:`kernels_by_name`): each group's launch count,
+    latency and flops sums, its kernels' DRAM bytes, and its occupancy
+    weight sum.  Sums run in launch order, as :func:`aggregate_kernels`
+    adds them up."""
+    if layer is None:
+        return {}
+    sums: dict[str, list] = {}
+    for kernel in layer.kernels:
+        latency = kernel.latency_ms
+        dram_bytes = kernel.dram_read_bytes + kernel.dram_write_bytes
+        weight = kernel.achieved_occupancy * latency
+        group = sums.get(kernel.name)
+        if group is None:  # each sum starts as aggregate_kernels' does
+            sums[kernel.name] = [1, 0.0 + latency, 0.0 + kernel.flops,
+                                 [dram_bytes], 0 + weight]
+        else:
+            group[0] += 1
+            group[1] += latency
+            group[2] += kernel.flops
+            group[3].append(dram_bytes)
+            group[4] += weight
+    return sums
 
 
-def _kernel_delta(
-    name: str, b: KernelAggregate, c: KernelAggregate, status: str
-) -> KernelDelta:
-    return KernelDelta(
-        name=name,
-        status=status,
-        count=Delta(b.count, c.count),
-        latency_ms=Delta(b.latency_ms, c.latency_ms),
-        flops=Delta(b.flops, c.flops),
-        dram_bytes=Delta(_dram_bytes(b), _dram_bytes(c)),
-        occupancy=Delta(b.achieved_occupancy, c.achieved_occupancy),
-    )
+def _group_columns(groups: list) -> list[Sequence]:
+    """The KERNEL_METRICS columns of :func:`_groups` entries."""
+    count, latency, flops, dram_bytes, weight = _transpose(groups, 5)
+    return [
+        count, latency, flops,
+        # Each kernel's reads + writes, summed: not the summed reads plus
+        # the summed writes, which can differ in the last bit.
+        list(map(sum, dram_bytes, repeat(0.0))),
+        [w / t if t else 0.0 for w, t in zip(weight, latency)],
+    ]
 
 
-def _layer_delta(
-    baseline: LayerProfile | None,
-    candidate: LayerProfile | None,
-    *,
-    via: str | None = None,
-) -> LayerDelta:
-    reference = candidate if candidate is not None else baseline
-    assert reference is not None
+def _transpose(rows: list, width: int) -> list[Sequence]:
+    return list(zip(*rows)) or [()] * width
 
-    def metric(attr: str) -> Delta:
-        return Delta(
-            float(getattr(baseline, attr)) if baseline is not None else 0.0,
-            float(getattr(candidate, attr)) if candidate is not None else 0.0,
-        )
 
-    if baseline is not None and candidate is not None:
-        status = "matched"
-    elif candidate is not None:
-        status = "added"
-    else:
-        status = "removed"
-    return LayerDelta(
-        name=reference.name,
-        layer_type=reference.layer_type,
-        status=status,
-        via=via,
-        baseline_index=baseline.index if baseline is not None else None,
-        candidate_index=candidate.index if candidate is not None else None,
-        latency_ms=metric("latency_ms"),
-        flops=metric("flops"),
-        dram_bytes=metric("dram_bytes"),
-        occupancy=metric("achieved_occupancy"),
-        alloc_bytes=metric("alloc_bytes"),
-        kernels=_kernel_deltas(
-            baseline.kernels if baseline is not None else [],
-            candidate.kernels if candidate is not None else [],
+def _table(
+    pairs: list[tuple[LayerProfile | None, LayerProfile | None, str | None]],
+) -> DiffTable:
+    """The table of aligned ``(baseline, candidate, via)`` layer pairs."""
+    labels: list[tuple] = []
+    baseline_rows: list[tuple] = []
+    candidate_rows: list[tuple] = []
+    kernel_labels: list[tuple[str, str]] = []
+    baseline_groups: list = []
+    candidate_groups: list = []
+    kernel_start = [0]
+    for baseline, candidate, via in pairs:
+        if baseline is None:
+            reference, status = candidate, "added"
+        else:
+            reference = baseline if candidate is None else candidate
+            status = "removed" if candidate is None else "matched"
+        labels.append((
+            reference.name, reference.layer_type, status, via,
+            None if baseline is None else baseline.index,
+            None if candidate is None else candidate.index,
+        ))
+        baseline_rows.append(_layer_values(baseline))
+        candidate_rows.append(_layer_values(candidate))
+        base = _groups(baseline)
+        cand = _groups(candidate)
+        for name, sums in base.items():
+            other = cand.get(name)
+            kernel_labels.append(
+                (name, "removed" if other is None else "matched"))
+            baseline_groups.append(sums)
+            candidate_groups.append(_NO_GROUP if other is None else other)
+        for name, sums in cand.items():
+            if name not in base:
+                kernel_labels.append((name, "added"))
+                baseline_groups.append(_NO_GROUP)
+                candidate_groups.append(sums)
+        kernel_start.append(len(kernel_labels))
+    return DiffTable(
+        DiffRows(
+            dict(zip(LAYER_LABELS, _transpose(labels, len(LAYER_LABELS)))),
+            dict(zip(LAYER_METRICS, zip(
+                _transpose(baseline_rows, len(LAYER_METRICS)),
+                _transpose(candidate_rows, len(LAYER_METRICS)),
+            ))),
         ),
+        DiffRows(
+            dict(zip(KERNEL_LABELS, _transpose(kernel_labels, 2))),
+            dict(zip(KERNEL_METRICS, zip(
+                _group_columns(baseline_groups),
+                _group_columns(candidate_groups),
+            ))),
+        ),
+        kernel_start,
     )
 
 
@@ -212,7 +256,7 @@ def _layer_side_evidence(
 def _latency_finding(
     baseline: ModelProfile,
     candidate: ModelProfile,
-    layers: list[LayerDelta],
+    table: DiffTable,
     totals: dict[str, Delta],
 ) -> DiffFinding:
     latency = totals["model_latency_ms"]
@@ -232,11 +276,12 @@ def _latency_finding(
     cand_ev = [_model_evidence(candidate, threshold)]
     # The layers that moved the needle, in the finding's direction.
     sign = 1.0 if regressed else -1.0
+    deltas = table.layers.delta("latency_ms")
     contributors = sorted(
-        (l for l in layers if sign * l.latency_ms.delta > 0),
-        key=lambda l: -sign * l.latency_ms.delta,
+        (row for row, delta in enumerate(deltas) if sign * delta > 0),
+        key=lambda row: -sign * deltas[row],
     )[:TOP_CONTRIBUTORS]
-    for layer in contributors:
+    for layer in (LayerDelta(table, row) for row in contributors):
         for side, bucket in (("baseline", base_ev), ("candidate", cand_ev)):
             ev = _layer_side_evidence(layer, side)
             if ev is not None:
@@ -433,13 +478,13 @@ def _mix_shift_finding(
 def classify(
     baseline: ModelProfile,
     candidate: ModelProfile,
-    layers: list[LayerDelta],
+    table: DiffTable,
     totals: dict[str, Delta],
 ) -> list[DiffFinding]:
     """Ranked findings for an aligned profile pair."""
     base_view = _KernelView(baseline)
     cand_view = _KernelView(candidate)
-    findings = [_latency_finding(baseline, candidate, layers, totals)]
+    findings = [_latency_finding(baseline, candidate, table, totals)]
     findings.extend(_hotspot_findings(base_view, cand_view))
     mix = _mix_shift_finding(base_view, cand_view)
     if mix is not None:
@@ -452,18 +497,17 @@ def diff_profiles(
     baseline: ModelProfile, candidate: ModelProfile
 ) -> ProfileDiff:
     """Align ``baseline`` and ``candidate`` and explain what changed."""
-    alignment: LayerAlignment = align_layers(baseline.layers, candidate.layers)
-    layers: list[LayerDelta] = [
-        _layer_delta(m.baseline, m.candidate, via=m.via)
-        for m in alignment.matched
-    ]
-    layers.extend(_layer_delta(l, None) for l in alignment.removed)
-    layers.extend(_layer_delta(None, l) for l in alignment.added)
+    alignment = align_layers(baseline.layers, candidate.layers)
+    table = _table([
+        *((m.baseline, m.candidate, m.via) for m in alignment.matched),
+        *((layer, None, None) for layer in alignment.removed),
+        *((None, layer, None) for layer in alignment.added),
+    ])
     totals = _totals(baseline, candidate)
     return ProfileDiff(
         baseline=_identity(baseline),
         candidate=_identity(candidate),
         totals=totals,
-        layers=layers,
-        findings=classify(baseline, candidate, layers, totals),
+        table=table,
+        findings=classify(baseline, candidate, table, totals),
     )

@@ -463,7 +463,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
         return 2
     diff = diff_profiles(baseline, candidate)
     if args.as_json:
-        _print_json(diff.to_dict(min_severity=args.min_severity))
+        print(diff.to_json(min_severity=args.min_severity))
     else:
         print(diff.render(min_severity=args.min_severity))
     if (

@@ -102,11 +102,6 @@ class ProfiledRun:
     def model_latency_ms(self) -> float:
         return self.predict_span.duration_ms
 
-    @property
-    def peak_device_memory_mb(self) -> float:
-        """High-water device memory during the prediction (MB)."""
-        return self.prediction.peak_device_memory_bytes / 1e6
-
     def summary(self) -> dict[str, Any]:
         return {
             "system": self.system,

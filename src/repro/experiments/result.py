@@ -35,10 +35,6 @@ class ExperimentResult:
         self.checks.append(Check(claim=claim, passed=bool(passed), detail=detail))
 
     @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
     def n_passed(self) -> int:
         return sum(1 for c in self.checks if c.passed)
 

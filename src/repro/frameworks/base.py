@@ -151,12 +151,6 @@ class CompiledModel:
     def n_layers(self) -> int:
         return len(self.plan)
 
-    def layer_types(self) -> dict[str, int]:
-        hist: dict[str, int] = {}
-        for layer in self.plan:
-            hist[layer.layer_type] = hist.get(layer.layer_type, 0) + 1
-        return hist
-
 
 class Framework(abc.ABC):
     """Base class for the TensorFlow-like and MXNet-like simulators."""

@@ -95,9 +95,6 @@ class InsightReport:
     def __iter__(self):
         return iter(self.insights)
 
-    def by_rule(self, name: str) -> list[Insight]:
-        return [i for i in self.insights if i.rule == name]
-
     @property
     def rules_fired(self) -> list[str]:
         return sorted({i.rule for i in self.insights})

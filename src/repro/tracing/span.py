@@ -136,16 +136,9 @@ class Span:
     def duration_ms(self) -> float:
         return self.duration_ns / 1e6
 
-    @property
-    def duration_us(self) -> float:
-        return self.duration_ns / 1e3
-
     def contains(self, other: "Span") -> bool:
         """Interval set inclusion: does this span's interval contain *other*'s?"""
         return self.start_ns <= other.start_ns and other.end_ns <= self.end_ns
-
-    def overlaps(self, other: "Span") -> bool:
-        return self.start_ns < other.end_ns and other.start_ns < self.end_ns
 
     def tag(self, key: str, value: Any) -> "Span":
         """Attach a key-value tag; returns self for chaining."""

@@ -39,7 +39,7 @@ through to the column (callers then owe the trace a
 ``trace.touch_parents()``).  ``view.tags`` is a read-only mapping and
 ``view.logs`` a tuple, and reading either stores nothing.  New
 consumers of trace data should iterate rows and columns
-(``tag_columns``, ``iter_tags``, ``peek_logs``, ``iter_rows``) and
+(``tag_columns``, ``iter_tags``, ``peek_logs``, ``pools``) and
 materialize views only at the API boundary.
 
 The table also owns its on-disk layout, the trace file's format v2
@@ -411,23 +411,6 @@ class SpanTable:
             self._logs[base + row] = entries
         self._complete = len(self.span_id)  # published last (append_rows)
 
-    def iter_rows(self) -> Iterator[tuple]:
-        """The rows below the watermark as :meth:`append_rows` tuples,
-        with ``values`` a list (each row's slice of the value list)."""
-        n = self._complete
-        names, schemas = self._names.by_code, self._schemas.by_code
-        values = self._values
-        for name_id, start, end, level, kind, span_id, parent_id, \
-                correlation_id, schema_id, offset in zip(
-                    self.name_id[:n], self.start_ns[:n], self.end_ns[:n],
-                    self.level[:n], self.kind[:n], self.span_id[:n],
-                    self.parent_id[:n], self.correlation_id[:n],
-                    self.tag_schema[:n], self.tag_start[:n]):
-            keys = schemas[schema_id]
-            yield (names[name_id], start, end, level, kind, span_id,
-                   parent_id, correlation_id, keys,
-                   values[offset:offset + len(keys)])
-
     # -- size -------------------------------------------------------------
     def __len__(self) -> int:
         # The watermark, not a raw column length: a capture thread may be
@@ -645,15 +628,8 @@ class SpanView:
     def duration_ms(self) -> float:
         return self.duration_ns / 1e6
 
-    @property
-    def duration_us(self) -> float:
-        return self.duration_ns / 1e3
-
     def contains(self, other) -> bool:
         return self.start_ns <= other.start_ns and other.end_ns <= self.end_ns
-
-    def overlaps(self, other) -> bool:
-        return self.start_ns < other.end_ns and other.start_ns < self.end_ns
 
     def iter_tags(self) -> Iterator[tuple[str, Any]]:
         return self._table.iter_tags(self._row)

@@ -38,7 +38,6 @@ def test_framework_axis_detected_and_points_matched():
     assert diff.max_regression_fraction == pytest.approx(0.2)
     assert diff.mean_speedup == pytest.approx(1 / 1.2)
     assert len(diff.regressed(beyond=0.1)) == 2
-    assert diff.improved() == {}
 
 
 def test_non_identical_point_sets_reported_not_dropped():
@@ -83,7 +82,6 @@ def test_same_coordinates_keep_full_key():
     assert diff.axis == {}
     assert len(diff.diffs) == 2
     assert all(d.speedup == pytest.approx(1.25) for d in diff.diffs.values())
-    assert len(diff.improved(beyond=0.1)) == 2
 
 
 def test_empty_side_rejected():

@@ -265,6 +265,6 @@ def test_zero_latency_profile_reports_and_diffs():
     assert profile.throughput == 0.0
     assert "throughput 0.0 inputs/s" in full_report(profile)
     diff = diff_profiles(profile, profile)
-    assert diff.totals["throughput"].to_dict()["baseline"] == 0.0
+    assert diff.to_dict()["totals"]["throughput"]["baseline"] == 0.0
     assert diff.regression_fraction == 0.0
     assert "0.0 inputs/s" in diff.render()

@@ -33,13 +33,15 @@ def test_latency_target_on_measured_curve(v100_session, cnn_graph):
 def test_peak_device_memory_reported(v100_session, cnn_graph):
     run = v100_session.profile(cnn_graph, 8, ProfilingConfig(levels=M,
                                                              metrics=()))
-    assert run.peak_device_memory_mb > 0
+    assert run.prediction.peak_device_memory_bytes > 0
     bigger = v100_session.profile(cnn_graph, 64, ProfilingConfig(levels=M,
                                                                  metrics=()))
-    assert bigger.peak_device_memory_mb > run.peak_device_memory_mb
+    assert (bigger.prediction.peak_device_memory_bytes
+            > run.prediction.peak_device_memory_bytes)
 
 
 def test_peak_memory_below_device_capacity(v100_session, cnn_graph):
     run = v100_session.profile(cnn_graph, 8, ProfilingConfig(levels=M,
                                                              metrics=()))
-    assert run.peak_device_memory_mb < v100_session.gpu.dram_gb * 1024
+    assert (run.prediction.peak_device_memory_bytes
+            < v100_session.gpu.dram_gb * 1024 * 1e6)

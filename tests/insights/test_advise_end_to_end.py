@@ -60,7 +60,7 @@ def test_evidence_resolves_against_sources(advise_report):
 
 
 def test_knee_uses_the_sweep(advise_report):
-    knee = advise_report.by_rule("batch-scaling-knee")
+    knee = [i for i in advise_report if i.rule == "batch-scaling-knee"]
     assert len(knee) == 1
     sweep_ev = knee[0].evidence[0]
     assert sweep_ev.kind == "sweep"
@@ -77,6 +77,6 @@ def test_oom_sweep_batches_are_dropped():
     report = pipeline.advise(
         get_model(46).graph, 1, sweep_batches=[1, 2, 64, 128]
     )
-    knee = report.by_rule("batch-scaling-knee")
+    knee = [i for i in report if i.rule == "batch-scaling-knee"]
     assert knee, "knee rule should still fire on the feasible prefix"
     assert set(knee[0].evidence[0].measured) == {"1", "2"}

@@ -90,7 +90,7 @@ def test_custom_rule_set(basic_profile):
     report = engine.analyze(InsightContext.build(basic_profile))
     assert calls == ["synthetic"]
     assert report.rules_fired == ["custom"]
-    assert report.by_rule("custom")[0].title == "hello"
+    assert [i.title for i in report if i.rule == "custom"] == ["hello"]
 
 
 def test_report_filters_and_serialization(basic_profile):

@@ -1,5 +1,7 @@
 """Architecture-specific structure tests."""
 
+from collections import Counter
+
 import pytest
 
 from repro.frameworks import TFSim
@@ -25,7 +27,7 @@ def test_resnet50_tf_layer_count_near_paper():
     """Paper: 234 executed layers for MLPerf_ResNet50_v1.5."""
     model = _tf_plan(mlperf_resnet50_v15())
     assert 225 <= model.n_layers <= 240
-    types = model.layer_types()
+    types = Counter(layer.layer_type for layer in model.plan)
     assert types["Conv2D"] == 53
     assert types["Mul"] == 53  # one per decomposed BN
     assert types["AddN"] == 16  # one per residual block

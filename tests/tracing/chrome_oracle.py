@@ -1,8 +1,9 @@
 """The dict-per-event Chrome ``trace_event`` writer, kept as a test oracle.
 
 ``repro.tracing.export.trace_to_chrome`` writes the document one column
-at a time; this is the writer it replaced, unchanged: two dicts per span
-and one per flow event, all passed to ``json.dumps``.  The export must
+at a time; this is the writer it replaced, unchanged but for reading the
+rows through :func:`iter_rows`: two dicts per span and one per flow
+event, all passed to ``json.dumps``.  The export must
 equal it byte for byte (``test_chrome_oracle.py``).  Imported by the
 tests as a plain ``chrome_oracle`` module, not from ``repro``.
 """
@@ -10,15 +11,37 @@ tests as a plain ``chrome_oracle`` module, not from ``repro``.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Iterator
 
 from repro.tracing.span import Level, SpanKind
-from repro.tracing.table import JSON_SCALARS, KINDS, NONE_ID, jsonable
+from repro.tracing.table import (
+    JSON_SCALARS,
+    KINDS,
+    NONE_ID,
+    SpanTable,
+    jsonable,
+)
 from repro.tracing.trace import Trace
 
 _KIND_CODES = {kind.value: code for code, kind in enumerate(KINDS)}
 _LAUNCH = _KIND_CODES[SpanKind.LAUNCH.value]
 _EXECUTION = _KIND_CODES[SpanKind.EXECUTION.value]
+
+
+def iter_rows(table: SpanTable) -> Iterator[tuple]:
+    """The rows below the watermark as ``SpanTable.append_rows`` tuples,
+    with ``values`` a list (each row's tag values, in key order)."""
+    n = len(table)
+    names, schemas = table.pools()
+    for row, (name_id, start, end, level, kind, span_id, parent_id,
+              correlation_id, schema_id) in enumerate(zip(
+                  table.name_id[:n], table.start_ns[:n], table.end_ns[:n],
+                  table.level[:n], table.kind[:n], table.span_id[:n],
+                  table.parent_id[:n], table.correlation_id[:n],
+                  table.tag_schema[:n])):
+        yield (names[name_id], start, end, level, kind, span_id, parent_id,
+               correlation_id, schemas[schema_id],
+               [value for _, value in table.iter_tags(row)])
 
 
 def oracle_trace_to_chrome(trace: Trace) -> str:
@@ -69,7 +92,7 @@ def oracle_trace_to_chrome(trace: Trace) -> str:
     kind_values = [kind.value for kind in KINDS]
     append = events.append
     for name, start_ns, end_ns, level, kind, span_id, parent_id, \
-            correlation_id, keys, values in table.iter_rows():
+            correlation_id, keys, values in iter_rows(table):
         ts_us = start_ns / 1e3  # chrome uses microseconds
         args = {
             "span_id": span_id,

@@ -17,7 +17,6 @@ def test_trace_ids_unique():
 def test_span_duration():
     s = Span("op", 1_000, 4_000, Level.MODEL)
     assert s.duration_ns == 3_000
-    assert s.duration_us == pytest.approx(3.0)
     assert s.duration_ms == pytest.approx(0.003)
 
 
@@ -43,14 +42,6 @@ def test_containment_strict():
     inner = Span("inner", 10, 90, Level.GPU_KERNEL)
     assert outer.contains(inner)
     assert not inner.contains(outer)
-
-
-def test_overlap():
-    a = Span("a", 0, 50, Level.LAYER)
-    b = Span("b", 40, 90, Level.LAYER)
-    c = Span("c", 60, 70, Level.LAYER)
-    assert a.overlaps(b)
-    assert not a.overlaps(c)
 
 
 def test_tags_and_logs_chain():
