@@ -29,6 +29,7 @@ _SYNTHETIC_MODULES = {
     "bench_diff_engine",
     "bench_incremental_index",
     "bench_insights_engine",
+    "bench_plan_replay",
     "bench_span_table",
     "bench_trace_export",
 }

@@ -2,9 +2,10 @@
 
 "One can also add a ML library profiling level between the layer- and GPU
 kernel-level to measure the cuDNN API calls."  This module does exactly
-that: it synthesizes LIBRARY-level spans from the runtime's kernel
-launches, grouping consecutive kernels of one library invocation within a
-layer into a single API-call span (``cudnnConvolutionForward``,
+that: it synthesizes LIBRARY-level spans from the runtime's launch log
+(read at conversion, as CUPTI reads it at flush), grouping consecutive
+kernels of one library invocation within a layer into a single API-call
+span (``cudnnConvolutionForward``,
 ``cublasSgemm``, ...).  The spans slot between the layer and GPU-kernel
 levels, and the standard interval-containment reconstruction then parents
 kernels on API calls and API calls on layers — no changes to the
@@ -52,45 +53,44 @@ def api_name_for(record: KernelLaunchRecord) -> str:
 
 
 class LibraryTracer(Tracer):
-    """Tracer folding the runtime's kernel launches (it subscribes, as
-    CUPTI does) into library-API calls, published as spans."""
+    """Tracer folding the runtime's kernel launches (it reads the launch
+    log, as CUPTI does) into library-API calls, published as spans."""
 
     def __init__(self, server: TracingServer, runtime: CudaRuntime) -> None:
         super().__init__("library_tracer", Level.LIBRARY, server)
-        # One entry per library call so far:
-        # [api, start_ns, end_ns, library, n_kernels, layer_index].
-        self._calls: list[list] = []
-        runtime.on_launch(self._on_launch)
-
-    def _on_launch(self, record: KernelLaunchRecord) -> None:
-        """Extend the open call, or open a new one: a library API call
-        (e.g. cudnnConvolutionForward) is a maximal run of launches of the
-        same API within the same layer (ShuffleTensor + OffsetComp + the
-        GEMM), and its host interval covers all their launch API calls.
-        """
-        tags = record.spec.tags
-        api = api_name_for(record)
-        layer_index = tags.get("layer_index")
-        calls = self._calls
-        if calls and calls[-1][0] == api and calls[-1][5] == layer_index:
-            call = calls[-1]
-            call[2] = record.api_end_ns
-            call[4] += 1
-        else:
-            calls.append([
-                api, record.api_start_ns, record.api_end_ns,
-                str(tags.get("library", "")), 1, layer_index,
-            ])
+        self._read_launches = runtime.launch_reader()
 
     def convert(self) -> None:
-        """Publish one span per library call seen so far."""
+        """Publish one span per library call launched since the last
+        conversion.
+
+        A library API call (e.g. cudnnConvolutionForward) is a maximal
+        run of launches of the same API within the same layer (ShuffleTensor
+        + OffsetComp + the GEMM), and its host interval covers all their
+        launch API calls.
+        """
+        # One entry per call: [api, start_ns, end_ns, library, n_kernels,
+        # layer_index].
+        calls: list[list] = []
+        for record in self._read_launches():
+            tags = record.spec.tags
+            api = api_name_for(record)
+            layer_index = tags.get("layer_index")
+            if calls and calls[-1][0] == api and calls[-1][5] == layer_index:
+                call = calls[-1]
+                call[2] = record.api_end_ns
+                call[4] += 1
+            else:
+                calls.append([
+                    api, record.api_start_ns, record.api_end_ns,
+                    str(tags.get("library", "")), 1, layer_index,
+                ])
         level = int(self.level)
         kind = _KIND_CODE[SpanKind.INTERNAL]
         tracer = self.name
         rows = [
             (api, start, end, level, kind, new_span_id(), NONE_ID, NONE_ID,
              _KEYS, (library, n_kernels, layer_index, tracer))
-            for api, start, end, library, n_kernels, layer_index in self._calls
+            for api, start, end, library, n_kernels, layer_index in calls
         ]
-        self._calls = []
         self.server.publish_many(rows)

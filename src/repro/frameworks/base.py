@@ -3,17 +3,20 @@
 A framework compiles a model graph into a layer plan (framework-specific
 rewrites, see :mod:`repro.frameworks.optimizer`) and executes it against
 the simulated CUDA runtime: per layer, it pays host-side scheduling cost,
-allocates the output tensor, launches the layer's kernels, and waits for
-the stream.  The difference between a layer's latency and its kernels'
-device time is the paper's "non-GPU latency" (Fig. 8).
+holds the output tensor until its last consumer, launches the layer's
+kernels, and waits for the stream.  The difference between a layer's
+latency and its kernels' device time is the paper's "non-GPU latency"
+(Fig. 8).
 
 Leveled experimentation (Sec. III-C) runs the same compiled model on the
 same GPU and batch once per rung; only the attached profilers differ.
 Everything that does not depend on the profilers — each layer's output
-bytes, host cost and tagged kernel specs, and the kernels' clean
-durations per run index — is therefore computed once into an
-:class:`ExecutionPlan` cached on the :class:`CompiledModel`, and every
-:meth:`Framework.predict` replays that plan on the virtual clock.
+bytes, host cost in integer nanoseconds and tagged kernel specs, the
+prediction's peak device memory, and the kernels' clean durations per run
+index — is therefore computed once into an :class:`ExecutionPlan` cached
+on the :class:`CompiledModel`, and every :meth:`Framework.predict`
+replays that plan: one memory-pool replay, then the layers on the
+virtual clock.
 
 The built-in layer profiler mirrors the real frameworks': enabling it adds
 per-layer overhead to the prediction latency while the recorded per-layer
@@ -25,8 +28,9 @@ output is produced in each framework's *native* format
 from __future__ import annotations
 
 import abc
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator, NamedTuple
 
 from repro.frameworks.graph import Graph
 from repro.frameworks.optimizer import PlanLayer, RewriteRules, build_plan
@@ -45,7 +49,6 @@ from repro.sim.calibration import (
 from repro.sim.cuda import CudaRuntime
 from repro.sim.hardware import GPUSpec
 from repro.sim.kernels import KernelSpec, kernel_duration_ns
-from repro.sim.memory import Allocation
 
 
 @dataclass
@@ -82,22 +85,19 @@ class PredictionResult:
         return self.latency_ns / 1e6
 
 
-@dataclass(frozen=True)
-class PlanStep:
+class PlanStep(NamedTuple):
     """One layer of an :class:`ExecutionPlan`: all but the per-run state."""
 
     layer: PlanLayer
     out_shape: TensorShape
     #: Output tensor bytes allocated for the layer (0: no allocation).
     out_bytes: int
-    #: Host-side scheduling cost, already clamped to its floor.
-    host_us: float
+    #: Host-side scheduling cost in whole nanoseconds (floor applied).
+    host_ns: int
     #: The layer's kernels, tagged with its index and name; ``None`` for
     #: the ``Data`` layer, which copies the input to the device instead.
     #: Shared by every replay, so consumers must only read their tags.
     kernels: tuple[KernelSpec, ...] | None
-    #: Inputs whose last consumer is this layer, freed once it finishes.
-    frees: tuple[str, ...]
 
 
 @dataclass
@@ -106,9 +106,40 @@ class ExecutionPlan:
 
     gpu: GPUSpec
     steps: tuple[PlanStep, ...]
+    #: Model weights, allocated before the first layer, freed at the end.
+    weight_bytes: int
+    #: Highest live device bytes over :meth:`allocations`.
+    peak_memory_bytes: int = field(init=False)
     _durations: dict[int, tuple[tuple[int, ...], ...]] = field(
         default_factory=dict
     )
+
+    def __post_init__(self) -> None:
+        self.peak_memory_bytes = max(
+            (live + nbytes for live, nbytes, _ in self.allocations()), default=0
+        )
+
+    def allocations(self) -> Iterator[tuple[int, int, str]]:
+        """The prediction's allocations, weights first, as ``(live_before,
+        nbytes, tag)`` for ``DeviceMemoryPool.replay``: an output dies with
+        its last consumer, the rest at the end.  Walked, not stored."""
+        live = self.weight_bytes
+        if live:
+            yield 0, live, "__weights__"
+        remaining = Counter(
+            inp for step in self.steps for inp in step.layer.inputs
+        )
+        allocated: dict[str, int] = {}
+        for step in self.steps:
+            layer = step.layer
+            if step.out_bytes:
+                yield live, step.out_bytes, layer.name
+                allocated[layer.name] = step.out_bytes
+                live += step.out_bytes
+            for inp in layer.inputs:
+                remaining[inp] -= 1
+                if remaining[inp] == 0 and inp in allocated:
+                    live -= allocated.pop(inp)
 
     def clean_durations(self, run_index: int) -> tuple[tuple[int, ...], ...]:
         """Per step, its kernels' clean device durations for one run.
@@ -236,25 +267,17 @@ class Framework(abc.ABC):
         shapes = model.shapes(batch)
         plan = self.execution_plan(model, batch)
 
-        memory = rt.memory
-
         start_ns = clock.now()
         clock.advance_us(self.host.run_fixed_us + self.host.per_image_us * batch)
-        weights: Allocation | None = None
-        if model.weight_bytes:
-            weights = memory.alloc(model.weight_bytes, tag="__weights__")
+        rt.memory.replay(plan.allocations(), plan.peak_memory_bytes)
 
-        live: dict[str, Allocation] = {}
         records: list[LayerRecord] = []
-        layer_us = self.profiling_calibration.framework_layer_us
+        layer_ns = int(round(self.profiling_calibration.framework_layer_us * 1e3))
         durations = plan.clean_durations(rt.run_index)
 
         for step, clean_ns in zip(plan.steps, durations):
-            layer = step.layer
-            layer_start = clock.now()
-            clock.advance_us(step.host_us)
-            if step.out_bytes:
-                live[layer.name] = memory.alloc(step.out_bytes, tag=layer.name)
+            layer_start = clock.now_ns
+            clock.now_ns += step.host_ns
             if step.kernels is None:
                 # Feeding the input: host-to-device copy of the input tensor.
                 rt.memcpy(step.out_shape.nbytes, kind="h2d")
@@ -263,31 +286,20 @@ class Framework(abc.ABC):
                     rt.launch_kernel(spec, clean_ns=spec_ns)
                 rt.stream_synchronize()
             if profiling:
-                records.append(
-                    LayerRecord(
-                        index=layer.index,
-                        name=layer.name,
-                        layer_type=layer.layer_type,
-                        shape=step.out_shape.dims,
-                        start_ns=layer_start,
-                        end_ns=clock.now(),
-                        alloc_bytes=step.out_bytes,
-                    )
-                )
+                layer = step.layer
+                records.append(LayerRecord(
+                    layer.index, layer.name, layer.layer_type,
+                    step.out_shape.dims, layer_start, clock.now_ns,
+                    step.out_bytes,
+                ))
                 # The profiler's own record-keeping cost lands *after* the
                 # measured region: layer latencies stay accurate while the
                 # prediction latency inflates (Fig. 2).
-                clock.advance_us(layer_us)
-            for name in step.frees:
-                memory.free(live.pop(name))
+                clock.now_ns += layer_ns
 
         # Copy the model output(s) back to the host.
         for out in model.graph.outputs():
             rt.memcpy(shapes[out.name].nbytes, kind="d2h")
-        for alloc in live.values():
-            memory.free(alloc)
-        if weights is not None:
-            memory.free(weights)
 
         end_ns = clock.now()
         return PredictionResult(
@@ -298,7 +310,7 @@ class Framework(abc.ABC):
                 out.name: shapes[out.name].dims for out in model.graph.outputs()
             },
             native_profile=self.serialize_profile(records) if profiling else None,
-            peak_device_memory_bytes=memory.peak_bytes,
+            peak_device_memory_bytes=rt.memory.peak_bytes,
         )
 
     # -- execution plans ---------------------------------------------------------
@@ -310,7 +322,9 @@ class Framework(abc.ABC):
         plan = model._execution_plans.get(key)
         if plan is None:
             plan = model._execution_plans[key] = ExecutionPlan(
-                gpu=gpu, steps=self._plan_steps(model, batch)
+                gpu=gpu,
+                steps=self._plan_steps(model, batch),
+                weight_bytes=model.weight_bytes,
             )
         return plan
 
@@ -319,11 +333,6 @@ class Framework(abc.ABC):
     ) -> tuple[PlanStep, ...]:
         shapes = model.shapes(batch)
         host = self.host
-        remaining: dict[str, int] = {}
-        for layer in model.plan:
-            for inp in layer.inputs:
-                remaining[inp] = remaining.get(inp, 0) + 1
-        allocated: set[str] = set()
         steps = []
         for layer in model.plan:
             out_shape = shapes[layer.source]
@@ -345,23 +354,8 @@ class Framework(abc.ABC):
                     spec.with_tags(layer_index=layer.index, layer_name=layer.name)
                     for spec in self.emit_kernels(layer, shapes)
                 )
-            if out_bytes:
-                allocated.add(layer.name)
-            # Liveness-based freeing: an input dies with its last consumer.
-            frees = []
-            for inp in layer.inputs:
-                remaining[inp] -= 1
-                if remaining[inp] == 0 and inp in allocated:
-                    allocated.discard(inp)
-                    frees.append(inp)
-            steps.append(
-                PlanStep(
-                    layer=layer,
-                    out_shape=out_shape,
-                    out_bytes=out_bytes,
-                    host_us=max(0.5, host_us),
-                    kernels=kernels,
-                    frees=tuple(frees),
-                )
-            )
+            steps.append(PlanStep(
+                layer, out_shape, out_bytes,
+                int(round(max(0.5, host_us) * 1e3)), kernels,
+            ))
         return tuple(steps)

@@ -11,12 +11,10 @@ shared in-memory shortcut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 
-@dataclass(frozen=True)
-class LayerRecord:
+class LayerRecord(NamedTuple):
     """Normalized layer-level profile record (XSP's internal view)."""
 
     index: int
@@ -48,15 +46,16 @@ def tf_step_stats(records: list[LayerRecord]) -> dict[str, Any]:
                     "device": "/job:localhost/replica:0/task:0/device:GPU:0",
                     "node_stats": [
                         {
-                            "node_name": r.name,
-                            "op": r.layer_type,
-                            "all_start_micros": r.start_ns / 1e3,
-                            "op_end_rel_micros": r.duration_ns / 1e3,
-                            "output_shape": list(r.shape),
-                            "memory": [{"allocated_bytes": r.alloc_bytes}],
-                            "exec_index": r.index,
+                            "node_name": name,
+                            "op": layer_type,
+                            "all_start_micros": start_ns / 1e3,
+                            "op_end_rel_micros": (end_ns - start_ns) / 1e3,
+                            "output_shape": list(shape),
+                            "memory": [{"allocated_bytes": alloc_bytes}],
+                            "exec_index": index,
                         }
-                        for r in records
+                        for index, name, layer_type, shape, start_ns, end_ns,
+                        alloc_bytes in records
                     ],
                 }
             ]
@@ -96,15 +95,16 @@ def mx_profile(records: list[LayerRecord]) -> dict[str, Any]:
         "profile_version": "mxsim-1",
         "events": [
             {
-                "name": r.name,
-                "operator": r.layer_type,
-                "ts_us": r.start_ns / 1e3,
-                "dur_us": r.duration_ns / 1e3,
-                "shape": "x".join(str(d) for d in r.shape),
-                "memory_bytes": r.alloc_bytes,
-                "seq": r.index,
+                "name": name,
+                "operator": layer_type,
+                "ts_us": start_ns / 1e3,
+                "dur_us": (end_ns - start_ns) / 1e3,
+                "shape": "x".join(map(str, shape)),
+                "memory_bytes": alloc_bytes,
+                "seq": index,
             }
-            for r in records
+            for index, name, layer_type, shape, start_ns, end_ns, alloc_bytes
+            in records
         ],
     }
 
@@ -114,7 +114,7 @@ def parse_mx_profile(profile: dict[str, Any]) -> list[LayerRecord]:
     records: list[LayerRecord] = []
     for ev in profile["events"]:
         start_ns = int(round(ev["ts_us"] * 1e3))
-        shape = tuple(int(d) for d in ev["shape"].split("x")) if ev["shape"] else ()
+        shape = tuple(map(int, ev["shape"].split("x"))) if ev["shape"] else ()
         records.append(
             LayerRecord(
                 index=int(ev["seq"]),

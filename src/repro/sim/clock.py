@@ -13,30 +13,32 @@ from __future__ import annotations
 class VirtualClock:
     """Monotonic virtual clock with nanosecond resolution."""
 
-    __slots__ = ("_now_ns",)
+    __slots__ = ("now_ns",)
 
     def __init__(self, start_ns: int = 0) -> None:
-        self._now_ns = int(start_ns)
+        #: Current virtual time.  Kernel launches and plan replay move it
+        #: directly, forward only and by whole nanoseconds.
+        self.now_ns = int(start_ns)
 
     def now(self) -> int:
         """Current virtual time in nanoseconds."""
-        return self._now_ns
+        return self.now_ns
 
     def advance(self, delta_ns: float) -> int:
         """Advance by ``delta_ns`` (>= 0) nanoseconds; returns the new time."""
         if delta_ns < 0:
             raise ValueError(f"cannot advance clock by negative delta {delta_ns}")
-        self._now_ns += int(round(delta_ns))
-        return self._now_ns
+        self.now_ns += int(round(delta_ns))
+        return self.now_ns
 
     def advance_us(self, delta_us: float) -> int:
         return self.advance(delta_us * 1e3)
 
     def advance_to(self, timestamp_ns: int) -> int:
         """Move forward to ``timestamp_ns`` if it is in the future."""
-        if timestamp_ns > self._now_ns:
-            self._now_ns = int(timestamp_ns)
-        return self._now_ns
+        if timestamp_ns > self.now_ns:
+            self.now_ns = int(timestamp_ns)
+        return self.now_ns
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VirtualClock(now={self._now_ns} ns)"
+        return f"VirtualClock(now={self.now_ns} ns)"

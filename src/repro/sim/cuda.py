@@ -10,13 +10,16 @@ points advance the host clock to the device completion time.
 the paper does "by specifying environment variables without modifications
 to the application" — makes every launch synchronous, serializing parallel
 events so XSP can disambiguate span parentage.
+
+A launch is timeline arithmetic plus, once a profiler has subscribed
+(:meth:`CudaRuntime.launch_reader`), one append to a launch log that
+profilers read when they flush, as CUPTI hands over records in buffers.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from repro.sim.clock import VirtualClock
 from repro.sim.hardware import GPUSpec
@@ -33,8 +36,7 @@ _MEMCPY_FIXED_NS = 9_000
 _DEFAULT_LAUNCH_NS = 2_600
 
 
-@dataclass
-class KernelLaunchRecord:
+class KernelLaunchRecord(NamedTuple):
     """Everything known about one kernel launch + execution."""
 
     correlation_id: int
@@ -81,36 +83,61 @@ class CudaRuntime:
         self.gpu = gpu
         self.clock = clock if clock is not None else VirtualClock()
         self.environment = dict(environment or {})
+        #: True when CUDA_LAUNCH_BLOCKING=1 is set in the environment.
+        self.launch_blocking = (
+            self.environment.get("CUDA_LAUNCH_BLOCKING", "0") == "1"
+        )
         self.run_index = run_index
         self.launch_overhead_ns = launch_overhead_ns
         self.memory = DeviceMemoryPool(capacity_bytes=int(gpu.dram_gb * 2**30))
         self._streams: dict[int, Stream] = {}
-        self._correlation = itertools.count(1)
-        # Profiler hooks (CUPTI and the library tracer subscribe here);
-        # the runtime itself keeps no per-launch record.
-        self._launch_callbacks: list[Callable[[KernelLaunchRecord], None]] = []
+        #: Last correlation id handed out (launches and memcpys share them).
+        self._correlation_id = 0
+        # The launch log (None until a reader subscribes) and, per reader,
+        # the log index of the first launch it has not read.
+        self._launch_log: list[KernelLaunchRecord] | None = None
+        self._log_cursors: list[int] = []
         self._memcpy_callbacks: list[Callable[[MemcpyRecord], None]] = []
-        #: Extra host-side cost per launch added by an attached profiler.
-        self.profiler_launch_overhead_ns: int = 0
-        #: Kernel replay passes required by metric collection (1 = no replay).
-        self.profiler_replay_passes: int = 1
-        #: Fixed per-pass device cost added by metric collection.
-        self.profiler_pass_overhead_ns: int = 0
+        self.set_profiler_costs()
 
     # -- configuration ------------------------------------------------------
-    @property
-    def launch_blocking(self) -> bool:
-        """True when CUDA_LAUNCH_BLOCKING=1 is set in the environment."""
-        return self.environment.get("CUDA_LAUNCH_BLOCKING", "0") == "1"
+    def set_profiler_costs(
+        self, launch_ns: int = 0, replay_passes: int = 1, pass_overhead_ns: int = 0
+    ) -> None:
+        """Per-kernel costs of an attached profiler: host time per launch,
+        replay passes for metric collection and device time per extra pass."""
+        self.profiler_launch_overhead_ns = launch_ns
+        self.profiler_replay_passes = replay_passes
+        self.profiler_pass_overhead_ns = pass_overhead_ns
+        self._launch_ns = int(round(self.launch_overhead_ns + launch_ns))
+        self._replay_extra_ns = pass_overhead_ns * max(0, replay_passes - 1)
 
     def stream(self, stream_id: int) -> Stream:
-        if stream_id not in self._streams:
-            self._streams[stream_id] = Stream(stream_id=stream_id)
-        return self._streams[stream_id]
+        stream = self._streams.get(stream_id)
+        if stream is None:
+            stream = self._streams[stream_id] = Stream(stream_id=stream_id)
+        return stream
 
-    def on_launch(self, callback: Callable[[KernelLaunchRecord], None]) -> None:
-        """Register a profiler callback invoked after every kernel launch."""
-        self._launch_callbacks.append(callback)
+    def launch_reader(self) -> Callable[[], list[KernelLaunchRecord]]:
+        """Subscribe to the launch log; returns a function giving the
+        launches made since its previous call (or the subscription).  The
+        log is emptied once every reader has read it."""
+        if self._launch_log is None:
+            self._launch_log = []
+        log = self._launch_log
+        cursors = self._log_cursors
+        reader = len(cursors)
+        cursors.append(len(log))
+
+        def read() -> list[KernelLaunchRecord]:
+            records = log[cursors[reader]:]
+            cursors[reader] = len(log)
+            if min(cursors) == len(log):
+                log.clear()
+                cursors[:] = [0] * len(cursors)
+            return records
+
+        return read
 
     def on_memcpy(self, callback: Callable[[MemcpyRecord], None]) -> None:
         """Register a profiler callback invoked after every memcpy."""
@@ -127,38 +154,37 @@ class CudaRuntime:
         framework replaying its execution plan); it is computed otherwise.
         """
         stream = self.stream(stream_id)
-        api_start = self.clock.now()
-        api_end = self.clock.advance(
-            self.launch_overhead_ns + self.profiler_launch_overhead_ns
-        )
+        clock = self.clock
+        api_start = clock.now_ns
+        api_end = clock.now_ns = api_start + self._launch_ns
         if clean_ns is None:
             clean_ns = kernel_duration_ns(spec, self.gpu, run_index=self.run_index)
-        busy_ns = (
-            clean_ns * self.profiler_replay_passes
-            + self.profiler_pass_overhead_ns * max(0, self.profiler_replay_passes - 1)
+        start = stream.next_free_ns
+        if start < api_end:
+            start = api_end
+        busy_until = stream.next_free_ns = (
+            start + clean_ns * self.profiler_replay_passes + self._replay_extra_ns
         )
-        device_start, device_busy_until = stream.enqueue(api_end, busy_ns)
-        record = KernelLaunchRecord(
-            correlation_id=next(self._correlation),
-            spec=spec,
-            stream_id=stream_id,
-            api_start_ns=api_start,
-            api_end_ns=api_end,
-            device_start_ns=device_start,
-            device_end_ns=device_start + clean_ns,
-            device_busy_until_ns=device_busy_until,
-        )
-        if self.launch_blocking:
-            self.clock.advance_to(device_busy_until)
-        for cb in self._launch_callbacks:
-            cb(record)
+        correlation_id = self._correlation_id = self._correlation_id + 1
+        # tuple.__new__ skips the NamedTuple's generated (Python) __new__.
+        record = tuple.__new__(KernelLaunchRecord, (
+            correlation_id, spec, stream_id, api_start, api_end, start,
+            start + clean_ns, busy_until,
+        ))
+        if self.launch_blocking and busy_until > api_end:
+            clock.now_ns = busy_until
+        if self._launch_log is not None:
+            self._launch_log.append(record)
         return record
 
     # -- synchronization ----------------------------------------------------
     def stream_synchronize(self, stream_id: int = 0) -> int:
         """Block the host until the stream drains; returns host time."""
-        stream = self.stream(stream_id)
-        return self.clock.advance_to(stream.next_free_ns)
+        clock = self.clock
+        free_ns = self.stream(stream_id).next_free_ns
+        if free_ns > clock.now_ns:
+            clock.now_ns = free_ns
+        return clock.now_ns
 
     # -- memory ------------------------------------------------------------
     def memcpy(self, nbytes: int, kind: str = "h2d") -> MemcpyRecord:
@@ -168,8 +194,9 @@ class CudaRuntime:
         bandwidth = self.gpu.memory_bandwidth if kind == "d2d" else _PCIE_BANDWIDTH
         start = self.clock.now()
         self.clock.advance(_MEMCPY_FIXED_NS + nbytes / bandwidth * 1e9)
+        self._correlation_id += 1
         record = MemcpyRecord(
-            correlation_id=next(self._correlation),
+            correlation_id=self._correlation_id,
             kind=kind,
             nbytes=nbytes,
             start_ns=start,

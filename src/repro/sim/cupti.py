@@ -17,15 +17,21 @@ against the simulated runtime (paper Sec. III-B):
 Enabling any capture adds per-kernel host overhead, which is exactly the
 profiling overhead XSP's leveled experimentation quantifies (Fig. 2).
 
-Like the real activity API, which hands the profiler filled buffers
-rather than one object per kernel, captures land in column buffers:
-:class:`CallbackBuffer` and :class:`ActivityBuffer` hold one list per
-record field, and :meth:`Cupti.flush` returns the filled buffers for the
-GPU tracer to read directly.
+Like the real activity API, which hands over filled buffers at
+``cuptiActivityFlushAll`` rather than one call per kernel, :class:`Cupti`
+reads the runtime's launch log when it flushes (and when a capture domain
+changes, so a domain records exactly the launches made while it was on).
+Captures land in column buffers — :class:`CallbackBuffer` and
+:class:`ActivityBuffer`, one list per record field — which
+:meth:`Cupti.flush` returns for the GPU tracer to read directly.  Memory
+copies (a few per prediction) still arrive by callback and are merged
+back among the kernels by correlation id.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from repro.sim.calibration import PROFILING_CALIBRATION, ProfilingCalibration
@@ -50,6 +56,10 @@ _METRIC_VALUE: dict[str, Callable[[KernelSpec, GPUSpec], float]] = {
 
 #: The one CUDA API call the callback domain intercepts.
 LAUNCH_API = "cudaLaunchKernel"
+
+#: Fields of a logged ``KernelLaunchRecord``, by position.
+(_CORRELATION_ID, _STREAM_ID, _API_START, _API_END, _DEVICE_START,
+ _DEVICE_END) = map(itemgetter, (0, 2, 3, 4, 5, 6))
 
 
 class _Columns:
@@ -90,7 +100,9 @@ class Cupti:
     """Profiler attached to a :class:`CudaRuntime`.
 
     Capture domains are opt-in, mirroring how one specifies with nvprof or
-    Nsight which CUDA APIs, activities, or metrics to record.
+    Nsight which CUDA APIs, activities, or metrics to record.  Reading
+    :attr:`callbacks` or :attr:`activities` first moves the launches
+    logged since the last read into the buffers.
     """
 
     def __init__(
@@ -100,20 +112,34 @@ class Cupti:
     ) -> None:
         self.runtime = runtime
         self.calibration = calibration
-        self.callbacks = CallbackBuffer()
-        self.activities = ActivityBuffer()
+        self._callbacks = CallbackBuffer()
+        self._activities = ActivityBuffer()
         self._callbacks_enabled = False
         self._activities_enabled = False
         self._metrics: tuple[str, ...] = ()
-        runtime.on_launch(self._on_launch)
+        #: Memcpy activities not yet merged among the kernel activities.
+        self._memcpys: list[tuple] = []
+        self._read_launches = runtime.launch_reader()
         runtime.on_memcpy(self._on_memcpy)
+
+    @property
+    def callbacks(self) -> CallbackBuffer:
+        self._drain()
+        return self._callbacks
+
+    @property
+    def activities(self) -> ActivityBuffer:
+        self._drain()
+        return self._activities
 
     # -- enable/disable -------------------------------------------------------
     def enable_callbacks(self) -> None:
+        self._drain()
         self._callbacks_enabled = True
         self._refresh_runtime_overheads()
 
     def enable_activities(self) -> None:
+        self._drain()
         self._activities_enabled = True
         self._refresh_runtime_overheads()
 
@@ -124,11 +150,13 @@ class Cupti:
             raise ValueError(
                 f"unsupported GPU metrics {unknown}; supported: {SUPPORTED_METRICS}"
             )
+        self._drain()
         self._metrics = metrics
         self._refresh_runtime_overheads()
 
     def disable(self) -> None:
         """Turn off all capture domains and remove runtime overheads."""
+        self._drain()
         self._callbacks_enabled = False
         self._activities_enabled = False
         self._metrics = ()
@@ -151,60 +179,72 @@ class Cupti:
             per_kernel_ns += int(self.calibration.cupti_kernel_us * 500)
         if self._activities_enabled:
             per_kernel_ns += int(self.calibration.cupti_kernel_us * 500)
-        self.runtime.profiler_launch_overhead_ns = per_kernel_ns
-        self.runtime.profiler_replay_passes = self.replay_passes()
-        self.runtime.profiler_pass_overhead_ns = int(
-            self.calibration.metric_pass_us * 1e3
+        self.runtime.set_profiler_costs(
+            per_kernel_ns,
+            self.replay_passes(),
+            int(self.calibration.metric_pass_us * 1e3),
         )
 
     # -- capture ---------------------------------------------------------------
-    def _on_launch(self, record: KernelLaunchRecord) -> None:
-        if self._callbacks_enabled:
-            callbacks = self.callbacks
-            callbacks.correlation_id.append(record.correlation_id)
-            callbacks.start_ns.append(record.api_start_ns)
-            callbacks.end_ns.append(record.api_end_ns)
-        if self._activities_enabled:
-            spec = record.spec
-            gpu = self.runtime.gpu
-            self._append_activity(
-                "kernel", spec.name, record.correlation_id, record.stream_id,
-                record.device_start_ns, record.device_end_ns,
-                spec.grid, spec.block, self._metrics,
-            )
-            self.activities.metric_values.extend(
-                [_METRIC_VALUE[m](spec, gpu) for m in self._metrics]
-            )
-
     def _on_memcpy(self, record: MemcpyRecord) -> None:
-        """Memory copies are device activities too (CUPTI_ACTIVITY_KIND_MEMCPY)."""
+        """Memory copies are device activities too (CUPTI_ACTIVITY_KIND_MEMCPY);
+        held as one value per ``ActivityBuffer`` column."""
+        if self._activities_enabled:
+            self._memcpys.append((
+                "memcpy", f"[CUDA memcpy {record.kind.upper()}]",
+                record.correlation_id, 0, record.start_ns, record.end_ns,
+                (1, 1, 1), (1, 1, 1), ("bytes",), float(record.nbytes),
+            ))
+
+    def _drain(self) -> None:
+        """Capture the launches logged since the last drain under the
+        domains enabled now, which were enabled while they ran."""
+        records = self._read_launches()
+        memcpys, self._memcpys = self._memcpys, []
+        if records and self._callbacks_enabled:
+            callbacks = self._callbacks
+            callbacks.correlation_id.extend(map(_CORRELATION_ID, records))
+            callbacks.start_ns.extend(map(_API_START, records))
+            callbacks.end_ns.extend(map(_API_END, records))
         if not self._activities_enabled:
             return
-        self._append_activity(
-            "memcpy", f"[CUDA memcpy {record.kind.upper()}]",
-            record.correlation_id, 0, record.start_ns, record.end_ns,
-            (1, 1, 1), (1, 1, 1), ("bytes",),
-        )
-        self.activities.metric_values.append(float(record.nbytes))
+        # Activities stay in correlation-id order: each memcpy goes
+        # between the kernels launched before and after it.
+        at = 0
+        for memcpy in memcpys:
+            cut = bisect_left(records, memcpy[2], at, key=_CORRELATION_ID)
+            self._append_kernels(records[at:cut])
+            at = cut
+            for column, value in zip(ActivityBuffer.__slots__, memcpy):
+                getattr(self._activities, column).append(value)
+        self._append_kernels(records[at:])
 
-    def _append_activity(
-        self, kind, name, correlation_id, stream_id, start_ns, end_ns,
-        grid, block, metric_names,
-    ) -> None:
-        act = self.activities
-        act.kind.append(kind)
-        act.name.append(name)
-        act.correlation_id.append(correlation_id)
-        act.stream_id.append(stream_id)
-        act.start_ns.append(start_ns)
-        act.end_ns.append(end_ns)
-        act.grid.append(grid)
-        act.block.append(block)
-        act.metric_names.append(metric_names)
+    def _append_kernels(self, records: list[KernelLaunchRecord]) -> None:
+        if not records:
+            return
+        act = self._activities
+        metrics = self._metrics
+        specs = [record[1] for record in records]
+        act.kind.extend(["kernel"] * len(records))
+        act.name.extend([spec.name for spec in specs])
+        act.correlation_id.extend(map(_CORRELATION_ID, records))
+        act.stream_id.extend(map(_STREAM_ID, records))
+        act.start_ns.extend(map(_DEVICE_START, records))
+        act.end_ns.extend(map(_DEVICE_END, records))
+        act.grid.extend([spec.grid for spec in specs])
+        act.block.extend([spec.block for spec in specs])
+        act.metric_names.extend([metrics] * len(records))
+        if metrics:
+            gpu = self.runtime.gpu
+            values = [_METRIC_VALUE[m] for m in metrics]
+            act.metric_values.extend(
+                [value(spec, gpu) for spec in specs for value in values]
+            )
 
     # -- retrieval ----------------------------------------------------------------
     def flush(self) -> tuple[CallbackBuffer, ActivityBuffer]:
         """Return the filled buffers and start new, empty ones."""
-        callbacks, self.callbacks = self.callbacks, CallbackBuffer()
-        activities, self.activities = self.activities, ActivityBuffer()
+        self._drain()
+        callbacks, self._callbacks = self._callbacks, CallbackBuffer()
+        activities, self._activities = self._activities, ActivityBuffer()
         return callbacks, activities

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from repro.sim.calibration import (
@@ -84,9 +84,14 @@ class KernelSpec:
         return self.flops / self.dram_bytes
 
     def with_tags(self, **tags: Any) -> "KernelSpec":
-        merged = dict(self.tags)
-        merged.update(tags)
-        return replace(self, tags=merged)
+        """A copy with ``tags`` merged in, set field by field as the
+        generated ``__init__`` does (a copied ``__dict__`` costs ~40% more
+        memory per spec) but without re-validating the fields."""
+        clone = object.__new__(type(self))
+        for name in _FIELDS:
+            object.__setattr__(clone, name, getattr(self, name))
+        object.__setattr__(clone, "tags", {**self.tags, **tags})
+        return clone
 
     @property
     def grid(self) -> tuple[int, int, int]:
@@ -97,14 +102,16 @@ class KernelSpec:
         return (self.threads_per_block, 1, 1)
 
 
-def _waves(spec: KernelSpec, gpu: GPUSpec) -> float:
+_FIELDS = tuple(f.name for f in fields(KernelSpec) if f.name != "tags")
+
+
+def _waves(spec: KernelSpec, gpu: GPUSpec, cal: ClassCalibration) -> float:
     """CTA waves: launched CTAs / concurrently resident CTA capacity.
 
     Residency is occupancy-limited: fat CTAs (registers/shared memory caps
     modelled by the class's ``occ_cap``) allow fewer concurrent CTAs per
     SM, so a modest grid can already constitute several waves.
     """
-    cal = spec.klass.calibration
     ctas_per_sm = max(
         1.0, cal.occ_cap * gpu.max_threads_per_sm / spec.threads_per_block
     )
@@ -113,8 +120,11 @@ def _waves(spec: KernelSpec, gpu: GPUSpec) -> float:
 
 def utilization(spec: KernelSpec, gpu: GPUSpec) -> float:
     """Saturating utilization in (0, 1]: max(floor, w / (w + w_half))."""
-    cal = spec.klass.calibration
-    w = _waves(spec, gpu)
+    return _utilization(spec, gpu, spec.klass.calibration)
+
+
+def _utilization(spec: KernelSpec, gpu: GPUSpec, cal: ClassCalibration) -> float:
+    w = _waves(spec, gpu, cal)
     return max(cal.util_floor, w / (w + cal.waves_half))
 
 
@@ -128,7 +138,7 @@ def achieved_occupancy(spec: KernelSpec, gpu: GPUSpec) -> float:
     tiny grids retain.
     """
     cal = spec.klass.calibration
-    w = _waves(spec, gpu)
+    w = _waves(spec, gpu, cal)
     ramp = max(0.30, w / (w + 0.45))
     occ = cal.occ_cap * ramp
     return max(0.005, min(occ, cal.occ_cap))
@@ -152,19 +162,20 @@ def kernel_duration_ns(
 ) -> int:
     """Roofline-derived kernel duration in virtual nanoseconds."""
     cal = spec.klass.calibration
-    u = utilization(spec, gpu)
+    u = _utilization(spec, gpu, cal)
     t_compute = 0.0
     if spec.flops > 0:
         eff = min(cal.eff_compute * u, MAX_COMPUTE_EFFICIENCY) * spec.eff_scale
         t_compute = spec.flops / (gpu.peak_flops * eff)
     t_memory = 0.0
-    if spec.dram_bytes > 0:
+    dram_bytes = spec.dram_bytes
+    if dram_bytes > 0:
         # Small transfers never reach streaming bandwidth (DRAM page
         # overheads, kernel ramp-up): effectiveness scales in with the
         # transfer size, floored so sub-megabyte kernels stay O(fixed).
         # This is part of what caps tiny models' throughput.
-        size_eff = max(0.30, spec.dram_bytes / (spec.dram_bytes + 0.35e6))
-        t_memory = spec.dram_bytes / (
+        size_eff = max(0.30, dram_bytes / (dram_bytes + 0.35e6))
+        t_memory = dram_bytes / (
             gpu.memory_bandwidth * cal.eff_memory * size_eff * u
         )
     # GEMM-style kernels hide (most of) their DRAM time behind compute.

@@ -102,20 +102,23 @@ def test_tracer_groups_by_layer_and_api():
                                   t0 + 20, t0 + 20)
 
     class Runtime:
-        def on_launch(self, callback):
-            self.launch = callback
+        """Stands in for CudaRuntime's launch log."""
+
+        log: list = []
+
+        def launch_reader(self):
+            return lambda: self.log
 
     server = TracingServer()
     tid = server.begin_trace()
     runtime = Runtime()
     tracer = LibraryTracer(server, runtime)
-    for launch in (
+    runtime.log = [
         record(1, KernelClass.CONV_PRECOMP_GEMM, "cudnn", 1, 0),
         record(2, KernelClass.CONV_PRECOMP_GEMM, "cudnn", 1, 10),
         record(3, KernelClass.ELEMENTWISE_EIGEN, "eigen", 2, 30),
         record(4, KernelClass.CONV_PRECOMP_GEMM, "cudnn", 3, 50),
-    ):
-        runtime.launch(launch)
+    ]
     tracer.convert()
     spans = server.end_trace(tid).spans
     assert [s.tags["n_kernels"] for s in spans] == [2, 1, 1]

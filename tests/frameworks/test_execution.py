@@ -97,9 +97,9 @@ def test_latency_grows_with_batch(cnn_graph):
 def test_kernels_tagged_with_layer(cnn_graph):
     rt, fw = make()
     model = fw.load(cnn_graph)
-    launches = []
-    rt.on_launch(launches.append)
+    read_launches = rt.launch_reader()
     fw.predict(model, 4)
+    launches = read_launches()
     assert launches
     assert all("layer_index" in r.spec.tags for r in launches)
     assert all("layer_name" in r.spec.tags for r in launches)
@@ -117,17 +117,15 @@ def test_data_layer_does_h2d_copy(cnn_graph):
 
 def test_tf_eigen_vs_mx_mshadow_kernels(cnn_graph):
     rt_tf, tf = make()
-    tf_launches = []
-    rt_tf.on_launch(tf_launches.append)
+    tf_launches = rt_tf.launch_reader()
     tf.predict(tf.load(cnn_graph), 4)
-    tf_names = {r.spec.name for r in tf_launches}
+    tf_names = {r.spec.name for r in tf_launches()}
     assert any("Eigen::" in n for n in tf_names)
 
     rt_mx, mx = make(MXSim)
-    mx_launches = []
-    rt_mx.on_launch(mx_launches.append)
+    mx_launches = rt_mx.launch_reader()
     mx.predict(mx.load(cnn_graph), 4)
-    mx_names = {r.spec.name for r in mx_launches}
+    mx_names = {r.spec.name for r in mx_launches()}
     assert any("mxnet::" in n for n in mx_names)
     assert not any("Eigen::" in n for n in mx_names)
 

@@ -8,7 +8,12 @@ import pytest
 
 import repro.frameworks.base as base
 import repro.sim.cuda as cuda
-from repro.core import AnalysisPipeline, ProfilingConfig, XSPSession
+from repro.core import (
+    AnalysisPipeline,
+    LeveledExperiment,
+    ProfilingConfig,
+    XSPSession,
+)
 from repro.core.session import FRAMEWORKS
 from repro.frameworks import MXSim, TFSim
 from repro.sim import CudaRuntime, VirtualClock, eigen, get_system
@@ -56,6 +61,28 @@ def test_ladder_emits_each_layer_once(cnn_graph, framework, counts):
     AnalysisPipeline(session, runs_per_level=1).profile_model(cnn_graph, 2)
     # Four ladder runs (M, M/L, M/L/G, M/L/G+metrics), one plan.
     assert counts == {"emit": layers, "duration": kernels}
+
+
+@pytest.mark.parametrize("framework", ["tensorflow_like", "mxnet_like"])
+def test_ladder_launches_each_plan_kernel_once_per_rung(
+    cnn_graph, framework, monkeypatch
+):
+    """``CudaRuntime.launch_kernel`` runs once per plan kernel per rung:
+    perfbench's ``sim.kernel_launches`` counts exactly these calls."""
+    _, kernels = _plan_size(framework, cnn_graph, 2)
+    launched = []
+    launch = CudaRuntime.launch_kernel
+
+    def counted(self, spec, stream_id=0, clean_ns=None):
+        launched.append(spec)
+        return launch(self, spec, stream_id, clean_ns)
+
+    monkeypatch.setattr(CudaRuntime, "launch_kernel", counted)
+    session = XSPSession("Tesla_V100", framework)
+    result = LeveledExperiment(session, runs_per_level=1).run(cnn_graph, 2)
+    runs = [run for rung in result.runs.values() for run in rung]
+    assert len(runs) == 4 and not any(r.was_serialized_retry for r in runs)
+    assert len(launched) == 4 * kernels
 
 
 def test_durations_computed_once_per_run_index(cnn_graph, counts):

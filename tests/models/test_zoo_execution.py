@@ -13,12 +13,11 @@ def test_model_runs_at_batch_one(model_id):
     entry = get_model(model_id)
     rt = CudaRuntime(get_system("Tesla_V100"), VirtualClock())
     fw = TFSim(rt)
-    launches = []
-    rt.on_launch(launches.append)
+    launches = rt.launch_reader()
     result = fw.predict(fw.load(entry.graph), 1)
     assert result.latency_ms > 0.1
     assert rt.memory.live_bytes == 0
-    assert launches, "every model must launch GPU kernels"
+    assert launches(), "every model must launch GPU kernels"
 
 
 @pytest.mark.parametrize(

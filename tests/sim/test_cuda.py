@@ -58,17 +58,37 @@ def test_memcpy_blocks_and_records():
 
 
 def test_launch_callbacks_invoked():
+    """Profilers see launches through the launch log, each reader from
+    the launch after its subscription."""
     rt = CudaRuntime(V100)
-    seen = []
-    rt.on_launch(seen.append)
-    rt.launch_kernel(spec())
-    assert len(seen) == 1
-    assert seen[0].spec.name == "k"
+    rt.launch_kernel(spec())  # no reader yet: not logged
+    first = rt.launch_reader()
+    record = rt.launch_kernel(spec())
+    second = rt.launch_reader()
+    later = rt.launch_kernel(spec())
+    assert first() == [record, later]
+    assert first() == []
+    assert second() == [later]
+    assert record.spec.name == "k"
+
+
+def test_launch_log_trimmed_once_every_reader_has_read():
+    rt = CudaRuntime(V100)
+    assert rt._launch_log is None  # no profiler asked: no log
+    first, second = rt.launch_reader(), rt.launch_reader()
+    records = [rt.launch_kernel(spec()) for _ in range(3)]
+    assert first() == records
+    assert len(rt._launch_log) == 3  # the second reader is behind
+    assert second() == records
+    assert rt._launch_log == []
+    record = rt.launch_kernel(spec())
+    assert second() == [record] and first() == [record]
+    assert rt._launch_log == []
 
 
 def test_profiler_replay_inflates_busy_not_reported_duration():
     rt = CudaRuntime(V100, VirtualClock())
-    rt.profiler_replay_passes = 10
+    rt.set_profiler_costs(replay_passes=10)
     record = rt.launch_kernel(spec())
     clean = record.device_end_ns - record.device_start_ns
     busy = record.device_busy_until_ns - record.device_start_ns

@@ -15,10 +15,12 @@ from repro.tracing import Level, Span, Tracer, TracingServer
 
 
 class _Runtime:
-    """Stands in for CudaRuntime.on_launch: keeps the subscribed hook."""
+    """Stands in for CudaRuntime's launch log."""
 
-    def on_launch(self, callback):
-        self.launch = callback
+    log: list = []
+
+    def launch_reader(self):
+        return lambda: self.log
 
 
 def _publish_model(server):
@@ -66,12 +68,11 @@ def _publish_library(server):
         return KernelLaunchRecord(cid, spec, 0, t0, t0 + 5, t0 + 10,
                                   t0 + 20, t0 + 20)
 
-    for launch in (
+    runtime.log = [
         record(1, KernelClass.CONV_PRECOMP_GEMM, "cudnn", 1, 0),
         record(2, KernelClass.CONV_PRECOMP_GEMM, "cudnn", 1, 10),
         record(3, KernelClass.ELEMENTWISE_EIGEN, "eigen", 2, 30),
-    ):
-        runtime.launch(launch)
+    ]
     tracer.convert()
     return tracer, 2
 
@@ -92,8 +93,10 @@ def test_every_published_span_lands_once_with_its_tracer_tag(publish):
         assert span.level == tracer.level
         assert span.trace_id == tid
     # The row in the trace is the only copy: the tracer keeps no spans
-    # (the library tracer's pending calls are handed over on convert).
-    assert {k: v for k, v in vars(tracer).items() if v} == {
+    # (the library tracer keeps only its reader of the launch log).
+    kept = {k: v for k, v in vars(tracer).items() if v}
+    kept.pop("_read_launches", None)
+    assert kept == {
         "name": tracer.name, "level": tracer.level, "server": server,
     }
 
