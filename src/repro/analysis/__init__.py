@@ -28,7 +28,11 @@ from repro.analysis.a06_latency_by_type import (
 )
 from repro.analysis.a07_memory_by_type import memory_by_type
 from repro.analysis.a08_kernel_info import kernel_information_table, top_kernels
-from repro.analysis.a09_kernel_roofline import bound_counts, kernel_roofline
+from repro.analysis.a09_kernel_roofline import (
+    bound_counts,
+    kernel_coordinates,
+    kernel_roofline,
+)
 from repro.analysis.a10_kernel_by_name import kernel_by_name_table
 from repro.analysis.a11_kernel_by_layer import (
     kernel_by_layer_table,
@@ -117,6 +121,7 @@ __all__ = [
     "kernel_by_layer_table",
     "kernel_by_name_table",
     "kernel_information_table",
+    "kernel_coordinates",
     "kernel_roofline",
     "latency_by_type",
     "latency_stage",

@@ -7,11 +7,18 @@ time-consuming layers of MLPerf_ResNet50_v1.5).
 
 from __future__ import annotations
 
+from heapq import nlargest
+from operator import attrgetter
+from typing import Iterable
+
 from repro.analysis.tables import Column, Table
-from repro.core.pipeline import ModelProfile
+from repro.core.pipeline import LayerProfile, ModelProfile
 
 
-def layer_information_table(profile: ModelProfile) -> Table:
+def layer_information_table(
+    profile: ModelProfile, layers: Iterable[LayerProfile] | None = None
+) -> Table:
+    """One row per layer of ``layers`` (default: all of the profile's)."""
     table = Table(
         title=f"A2 layer information: {profile.model_name} "
         f"(batch {profile.batch}) on {profile.system}",
@@ -24,7 +31,7 @@ def layer_information_table(profile: ModelProfile) -> Table:
             Column("alloc_mb", "Alloc Mem (MB)", ".1f"),
         ],
     )
-    for layer in profile.layers:
+    for layer in profile.layers if layers is None else layers:
         table.add(
             index=layer.index,
             name=layer.name,
@@ -37,5 +44,8 @@ def layer_information_table(profile: ModelProfile) -> Table:
 
 
 def top_layers(profile: ModelProfile, n: int = 5) -> Table:
-    """The paper's Table II: top-N most time-consuming layers."""
-    return layer_information_table(profile).sorted_by("latency_ms", reverse=True).head(n)
+    """The paper's Table II: top-N most time-consuming layers (ties in
+    execution order); only the N rows shown are built."""
+    return layer_information_table(
+        profile, nlargest(n, profile.layers, key=attrgetter("latency_ms"))
+    )

@@ -7,11 +7,17 @@ memory-boundedness.
 
 from __future__ import annotations
 
+from heapq import nlargest
+from typing import Iterable
+
 from repro.analysis.tables import Column, Table
-from repro.core.pipeline import ModelProfile
+from repro.core.pipeline import KernelProfile, ModelProfile
 
 
-def kernel_information_table(profile: ModelProfile) -> Table:
+def kernel_information_table(
+    profile: ModelProfile, kernels: Iterable[KernelProfile] | None = None
+) -> Table:
+    """One row per kernel of ``kernels`` (default: all of the profile's)."""
     gpu = profile.gpu
     table = Table(
         title=f"A8 GPU kernel information: {profile.model_name} "
@@ -29,7 +35,7 @@ def kernel_information_table(profile: ModelProfile) -> Table:
             Column("memory_bound", "Memory Bound?"),
         ],
     )
-    for kernel in profile.kernels:
+    for kernel in profile.kernels if kernels is None else kernels:
         table.add(
             name=kernel.name,
             layer_index=kernel.layer_index,
@@ -46,9 +52,10 @@ def kernel_information_table(profile: ModelProfile) -> Table:
 
 
 def top_kernels(profile: ModelProfile, n: int = 5) -> Table:
-    """The paper's Table III: top-N most time-consuming kernel calls."""
-    return (
-        kernel_information_table(profile)
-        .sorted_by("latency_ms", reverse=True)
-        .head(n)
-    )
+    """The paper's Table III: top-N most time-consuming kernel calls
+    (ties in launch order), ranked on the latency column; only the N
+    rows shown become kernel objects."""
+    kernels = profile.kernel_table
+    latency = kernels.latency_ms
+    top = nlargest(n, range(len(latency)), key=latency.__getitem__)
+    return kernel_information_table(profile, map(kernels.row, top))

@@ -2,28 +2,47 @@
 
 from __future__ import annotations
 
-from repro.analysis.roofline import RooflinePoint, classify
-from repro.core.pipeline import ModelProfile
+from operator import add
+
+from repro.analysis.roofline import RooflinePoint
+from repro.core.pipeline import ModelProfile, is_memory_bound
+
+
+def kernel_coordinates(
+    profile: ModelProfile,
+) -> tuple[list[int], list[float], list[float]]:
+    """The kernel table rows with DRAM traffic, and each one's arithmetic
+    intensity and throughput (Tflops/s), computed as a
+    :class:`~repro.core.pipeline.KernelProfile` computes them."""
+    table = profile.kernel_table
+    coordinates = [
+        (row, flops / dram, 0.0 if latency <= 0
+         else flops / (latency / 1e3) / 1e12)
+        for row, (flops, dram, latency) in enumerate(zip(
+            table.flops, map(add, table.dram_read_bytes,
+                             table.dram_write_bytes), table.latency_ms))
+        if dram > 0
+    ]
+    return tuple(map(list, zip(*coordinates))) or ([], [], [])
 
 
 def kernel_roofline(profile: ModelProfile) -> list[RooflinePoint]:
     """One roofline point per kernel invocation."""
+    table = profile.kernel_table
     return [
-        RooflinePoint(
-            label=kernel.name,
-            arithmetic_intensity=kernel.arithmetic_intensity,
-            arithmetic_throughput_tflops=kernel.arithmetic_throughput_tflops,
-            latency_ms=kernel.latency_ms,
-        )
-        for kernel in profile.kernels
-        if kernel.dram_bytes > 0
+        RooflinePoint(table.name[row], intensity, throughput,
+                      table.latency_ms[row])
+        for row, intensity, throughput in zip(*kernel_coordinates(profile))
     ]
 
 
-def bound_counts(profile: ModelProfile) -> dict[str, int]:
-    """How many kernels fall on each side of the roofline ridge."""
+def bound_counts(
+    profile: ModelProfile, intensities: list[float] | None = None
+) -> dict[str, int]:
+    """How many kernels fall on each side of the roofline ridge
+    (``intensities`` from :func:`kernel_coordinates`, if already read)."""
+    if intensities is None:
+        intensities = kernel_coordinates(profile)[1]
     gpu = profile.gpu
-    out = {"memory-bound": 0, "compute-bound": 0}
-    for point in kernel_roofline(profile):
-        out[classify(point, gpu)] += 1
-    return out
+    memory = sum(is_memory_bound(ai, gpu) for ai in intensities)
+    return {"memory-bound": memory, "compute-bound": len(intensities) - memory}

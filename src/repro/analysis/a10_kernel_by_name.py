@@ -34,7 +34,7 @@ def kernel_by_name_table(profile: ModelProfile) -> Table:
             Column("memory_bound", "Memory Bound?"),
         ],
     )
-    for name, group in kernels_by_name(profile.kernels).items():
+    for name, group in kernels_by_name(profile.kernel_table).items():
         table.add(
             name=name,
             count=group.count,

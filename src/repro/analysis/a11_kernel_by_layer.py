@@ -7,12 +7,20 @@ corresponding values of all the kernels invoked by that layer."
 
 from __future__ import annotations
 
+from heapq import nlargest
+from operator import attrgetter
+from typing import Iterable
+
 from repro.analysis.roofline import aggregate_columns
 from repro.analysis.tables import Column, Table
-from repro.core.pipeline import ModelProfile
+from repro.core.pipeline import LayerProfile, ModelProfile
 
 
-def kernel_by_layer_table(profile: ModelProfile) -> Table:
+def kernel_by_layer_table(
+    profile: ModelProfile, layers: Iterable[LayerProfile] | None = None
+) -> Table:
+    """One row per layer of ``layers`` (default: all of the profile's)
+    that launched kernels."""
     gpu = profile.gpu
     table = Table(
         title=f"A11 GPU kernels aggregated by layer: {profile.model_name} "
@@ -30,8 +38,8 @@ def kernel_by_layer_table(profile: ModelProfile) -> Table:
             Column("memory_bound", "Memory Bound?"),
         ],
     )
-    for layer in profile.layers:
-        if not layer.kernels:
+    for layer in profile.layers if layers is None else layers:
+        if not layer.kernel_rows:
             continue
         table.add(
             index=layer.index,
@@ -43,5 +51,9 @@ def kernel_by_layer_table(profile: ModelProfile) -> Table:
 
 
 def top_layers_by_kernels(profile: ModelProfile, n: int = 5) -> Table:
-    """The paper's Table V: kernel aggregates for the top-N layers."""
-    return kernel_by_layer_table(profile).sorted_by("latency_ms", reverse=True).head(n)
+    """The paper's Table V: kernel aggregates for the top-N layers (ties
+    in execution order); only the N rows shown are built."""
+    return kernel_by_layer_table(profile, nlargest(
+        n, (layer for layer in profile.layers if layer.kernel_rows),
+        key=attrgetter("latency_ms"),
+    ))

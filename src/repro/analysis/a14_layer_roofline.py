@@ -19,7 +19,7 @@ def layer_roofline(profile: ModelProfile) -> list[RooflinePoint]:
             latency_ms=layer.latency_ms,
         )
         for layer in profile.layers
-        if layer.kernels and layer.dram_bytes > 0
+        if layer.kernel_rows and layer.dram_bytes > 0
     ]
 
 
@@ -28,7 +28,7 @@ def bound_by_layer_type(profile: ModelProfile) -> dict[str, str]:
     gpu = profile.gpu
     votes: dict[str, list[bool]] = {}
     for layer in profile.layers:
-        if not layer.kernels or layer.dram_bytes == 0:
+        if not layer.kernel_rows or layer.dram_bytes == 0:
             continue
         votes.setdefault(layer.layer_type, []).append(layer.memory_bound(gpu))
     return {

@@ -93,28 +93,19 @@ def _layer_values(layer: LayerProfile | None) -> tuple:
 
 def _groups(layer: LayerProfile | None) -> dict[str, list]:
     """The same-named kernel groups of a layer, in first-seen name order
-    (the groups of :func:`kernels_by_name`): each group's launch count,
-    latency and flops sums, its kernels' DRAM bytes, and its occupancy
-    weight sum.  Sums run in launch order, as :func:`aggregate_kernels`
-    adds them up."""
+    (:meth:`~repro.core.pipeline.KernelTable.by_name` of its rows): each
+    group's launch count, latency and flops sums, its kernels' DRAM
+    bytes, and its occupancy weight sum."""
     if layer is None:
         return {}
-    sums: dict[str, list] = {}
-    for kernel in layer.kernels:
-        latency = kernel.latency_ms
-        dram_bytes = kernel.dram_read_bytes + kernel.dram_write_bytes
-        weight = kernel.achieved_occupancy * latency
-        group = sums.get(kernel.name)
-        if group is None:  # each sum starts as aggregate_kernels' does
-            sums[kernel.name] = [1, 0.0 + latency, 0.0 + kernel.flops,
-                                 [dram_bytes], 0 + weight]
-        else:
-            group[0] += 1
-            group[1] += latency
-            group[2] += kernel.flops
-            group[3].append(dram_bytes)
-            group[4] += weight
-    return sums
+    table = layer.kernel_table
+    reads, writes = table.dram_read_bytes, table.dram_write_bytes
+    return {
+        name: [group.count, group.latency_ms, group.flops,
+               [reads[i] + writes[i] for i in group.rows],
+               group.occupancy_weight]
+        for name, group in table.by_name(layer.kernel_rows).items()
+    }
 
 
 def _group_columns(groups: list) -> list[Sequence]:
@@ -204,7 +195,7 @@ def _totals(baseline: ModelProfile, candidate: ModelProfile) -> dict[str, Delta]
         "alloc_bytes": metric(
             lambda p: sum(layer.alloc_bytes for layer in p.layers)
         ),
-        "n_kernels": metric(lambda p: len(p.kernels)),
+        "n_kernels": metric(lambda p: len(p.kernel_table)),
     }
 
 
@@ -321,16 +312,17 @@ class _KernelView:
     """One side's kernel-time shares by name, computed once per diff."""
 
     def __init__(self, profile: ModelProfile) -> None:
-        kernels = profile.kernels
+        kernels = profile.kernel_table
+        latency = kernels.latency_ms
         # Flat over the kernels, and each kernel's fraction added up: the
         # model's layer-by-layer total, or a group's latency divided by
         # the total, can differ in the last bit.
-        self.total_ms = sum(k.latency_ms for k in kernels)
+        self.total_ms = total = sum(latency)
         self.groups = kernels_by_name(kernels)
         self.shares: dict[str, float] = {
-            name: sum(k.latency_ms / self.total_ms for k in group.kernels)
+            name: sum(latency[i] / total for i in group.rows)
             for name, group in self.groups.items()
-        } if self.total_ms > 0 else {}
+        } if total > 0 else {}
 
 
 def _kernel_side_evidence(

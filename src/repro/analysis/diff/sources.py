@@ -6,7 +6,8 @@
   :class:`~repro.core.cache.ProfileStore` (the PR 1 cache becomes A/B
   infrastructure: every cached entry is a comparable artifact),
 * **a saved profile JSON** — a store document (``schema_version`` +
-  ``key`` + ``profile``) or a bare :func:`profile_to_dict` payload,
+  ``key`` + ``profile``) or a bare profile payload, by column (store
+  v2) or one object per layer and kernel (:func:`profile_to_dict`),
 * **a saved trace JSON** — a ``repro trace --output`` capture, converted
   to a single-run :class:`~repro.core.pipeline.ModelProfile` via
   :func:`profile_from_trace` (layer spans supply latencies, correlated
@@ -25,16 +26,19 @@ from repro.tracing.export import trace_from_dict
 def profile_from_document(document: dict[str, Any]) -> ModelProfile:
     """A profile from an already-parsed JSON document (store or bare)."""
     # Imported here: cache imports pipeline; keep this module light to load.
-    from repro.core.cache import profile_from_dict
+    from repro.core.cache import profile_from_columns, profile_from_dict
 
     if "profile" in document and "schema_version" in document:
-        return profile_from_dict(document["profile"])
-    if "layers" in document and "model_name" in document:
-        return profile_from_dict(document)
-    raise ValueError(
-        "JSON document is neither a profile-store entry, a bare profile, "
-        "nor a trace"
-    )
+        document = document["profile"]
+    elif "layers" not in document or "model_name" not in document:
+        raise ValueError(
+            "JSON document is neither a profile-store entry, a bare "
+            "profile, nor a trace"
+        )
+    # Layers by column (store schema v2) or one object each (v1).
+    if isinstance(document, dict) and type(document.get("layers")) is dict:
+        return profile_from_columns(document)
+    return profile_from_dict(document)
 
 
 def load_profile_json(path: str) -> ModelProfile:

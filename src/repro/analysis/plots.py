@@ -10,12 +10,12 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from repro.analysis.roofline import RooflinePoint
 from repro.sim.hardware import GPUSpec
 
 
 def ascii_roofline(
-    points: Sequence[RooflinePoint],
+    intensities: Sequence[float],
+    throughputs: Sequence[float],
     gpu: GPUSpec,
     *,
     width: int = 72,
@@ -25,21 +25,19 @@ def ascii_roofline(
     """Log-log roofline scatter with the device ceiling drawn in.
 
     X: arithmetic intensity (flops/byte); Y: arithmetic throughput
-    (Tflops/s).  The bandwidth slope and compute roof appear as ``/`` and
-    ``-``; the ridge (ideal arithmetic intensity) as ``^`` on the axis.
+    (Tflops/s), one point per (intensity, throughput) pair.  The
+    bandwidth slope and compute roof appear as ``/`` and ``-``; the ridge
+    (ideal arithmetic intensity) as ``^`` on the axis.
     """
-    finite = [p for p in points
-              if p.arithmetic_intensity > 0
-              and math.isfinite(p.arithmetic_intensity)
-              and p.arithmetic_throughput_tflops > 0]
+    finite = [(x, y) for x, y in zip(intensities, throughputs)
+              if x > 0 and math.isfinite(x) and y > 0]
     if not finite:
         raise ValueError("no plottable roofline points")
-    x_min = min(min(p.arithmetic_intensity for p in finite) / 2, 0.1)
-    x_max = max(max(p.arithmetic_intensity for p in finite) * 2,
-                gpu.ideal_arithmetic_intensity * 4)
+    xs, ys = zip(*finite)
+    x_min = min(min(xs) / 2, 0.1)
+    x_max = max(max(xs) * 2, gpu.ideal_arithmetic_intensity * 4)
     y_max = gpu.peak_tflops * 2
-    y_min = min(min(p.arithmetic_throughput_tflops for p in finite) / 2,
-                y_max / 1e4)
+    y_min = min(min(ys) / 2, y_max / 1e4)
 
     def to_col(x: float) -> int:
         frac = (math.log10(x) - math.log10(x_min)) / (
@@ -62,11 +60,10 @@ def ascii_roofline(
         row = to_row(ceiling)
         char = "-" if ceiling >= gpu.peak_tflops * 0.999 else "/"
         grid[row][col] = char
-    # Scatter the points (drawn after the roof so they stay visible).
-    for point in finite:
-        grid[to_row(point.arithmetic_throughput_tflops)][
-            to_col(point.arithmetic_intensity)
-        ] = marker
+    # Scatter the points (drawn after the roof so they stay visible), each
+    # distinct one once: they all draw the same marker.
+    for x, y in set(finite):
+        grid[to_row(y)][to_col(x)] = marker
 
     lines = [f"roofline: {gpu.name} (peak {gpu.peak_tflops} TFLOPS, "
              f"ridge {gpu.ideal_arithmetic_intensity:.2f} flops/byte)"]

@@ -12,6 +12,7 @@ from typing import Mapping
 
 from repro.analysis import (
     bound_counts,
+    kernel_coordinates,
     convolution_latency_percentage,
     gpu_vs_nongpu_series,
     kernel_by_name_table,
@@ -26,6 +27,7 @@ from repro.analysis import (
     top_layers,
     top_layers_by_kernels,
 )
+from repro.analysis.plots import ascii_roofline
 from repro.core.pipeline import ModelProfile
 
 
@@ -78,17 +80,15 @@ def full_report(
     sections.append(kernel_by_name_table(profile).head(top_n).render())
     sections.append(top_layers_by_kernels(profile, top_n).render())
 
-    counts = bound_counts(profile)
+    _, intensities, throughputs = kernel_coordinates(profile)
+    counts = bound_counts(profile, intensities)
     sections.append(
         f"A9 kernel roofline: {counts['compute-bound']} compute-bound, "
         f"{counts['memory-bound']} memory-bound kernels "
         f"(ideal AI {profile.gpu.ideal_arithmetic_intensity:.2f} flops/byte)"
     )
     try:
-        from repro.analysis.plots import ascii_roofline
-        from repro.analysis import kernel_roofline
-
-        sections.append(ascii_roofline(kernel_roofline(profile), profile.gpu))
+        sections.append(ascii_roofline(intensities, throughputs, profile.gpu))
     except ValueError:
         pass  # nothing plottable (e.g. zero-traffic kernels only)
 

@@ -8,11 +8,13 @@ later pipeline/CLI/benchmark invocation with the same coordinates —
 (model, system, framework, batch, runs-per-level) — is served from the
 store instead of re-running the leveled experiment ladder.
 
-The schema is versioned: bump :data:`SCHEMA_VERSION` whenever the
-serialized shape (or the semantics of any stored number) changes and
-every stale entry silently misses, forcing a recompute.  Entries also
-self-describe their key; a lookup whose stored key disagrees with the
-requested one (e.g. after a filename collision) is treated as a miss.
+An entry (schema v2) stores the profile by column
+(:func:`profile_to_columns`).  The schema is versioned: bump
+:data:`SCHEMA_VERSION` whenever the serialized shape (or the semantics
+of any stored number) changes and every stale entry silently misses,
+forcing a recompute.  Entries also self-describe their key; a lookup
+whose stored key disagrees with the requested one (e.g. after a filename
+collision) is treated as a miss.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.core.pipeline import KernelProfile, LayerProfile, ModelProfile
+from repro.core.pipeline import (KERNEL_FIELDS, KernelProfile, KernelTable,
+                                 LayerProfile, ModelProfile)
 from repro.tracing.table import jsonable
 
 #: Bump on any change to the serialized profile shape or semantics.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _SAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
@@ -55,9 +58,13 @@ class _Schema:
     def to_dict(self, obj: object) -> dict[str, Any]:
         return dict(zip(self.names, self.attrs(obj)))
 
-    def values(self, data: Any, where: str) -> tuple[Any, ...]:
+    def values(
+        self, data: Any, where: str, *, columns: bool = False
+    ) -> tuple[Any, ...]:
         """``data``'s values of the fields; a missing or mistyped field
-        raises one ValueError naming it (after the path ``where``)."""
+        raises one ValueError naming it (after the path ``where``).  With
+        ``columns``, each value is a list of the field's type, and all
+        have the first one's length."""
         try:
             values = self.items(data)
         except KeyError as err:
@@ -66,6 +73,17 @@ class _Schema:
             raise ValueError(f"{where.rstrip('.') or 'profile'}: expected "
                              f"an object, got {data!r:.40}") from None
         for (key, kind), value in zip(self.kinds, values):
+            if columns and type(value) is list:
+                if len(value) != len(values[0]):
+                    raise ValueError(f"{where}{key}: {len(value)} entries, "
+                                     f"expected {len(values[0])}")
+                if set(map(type, value)) <= set(kind):
+                    continue
+                at, value = next((at, cell) for at, cell in enumerate(value)
+                                 if type(cell) not in kind)
+                key = f"{key}[{at}]"
+            elif columns:
+                kind = _LIST
             if type(value) not in kind:
                 raise ValueError(f"{where}{key}: expected {_TYPE_NAMES[kind]}"
                                  f", got {value!r:.40}")
@@ -120,6 +138,13 @@ def _layer_from_dict(data: Any, where: str) -> LayerProfile:
     ))
 
 
+def _metadata(data: dict) -> dict:
+    metadata = data.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ValueError(f"metadata: expected an object, got {metadata!r:.40}")
+    return dict(metadata)
+
+
 def profile_from_dict(data: Any) -> ModelProfile:
     """The profile :func:`profile_to_dict` wrote.
 
@@ -127,13 +152,61 @@ def profile_from_dict(data: Any) -> ModelProfile:
     names it, e.g. ``layers[2].kernels[0].flops: expected a number``.
     """
     *scalars, layers, overheads, n_runs = _PROFILE.values(data, "")
-    metadata = data.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise ValueError(f"metadata: expected an object, got {metadata!r:.40}")
     return ModelProfile(*scalars, tuple(
         _layer_from_dict(layer, f"layers[{i}].")
         for i, layer in enumerate(layers)
-    ), dict(overheads), n_runs, dict(metadata))
+    ), dict(overheads), n_runs, _metadata(data))
+
+
+_LAYER_COLUMNS = _Schema(**dict(_LAYER.kinds[:-1]), kernel_start=_INT)
+_COLUMNS_PROFILE = _Schema(**{**dict(_PROFILE.kinds), "layers": _DICT},
+                           kernels=_DICT)
+
+
+def profile_to_columns(profile: ModelProfile) -> dict[str, Any]:
+    """The v2 entry payload: the profile's scalars, one list per layer
+    field (``kernel_start`` is each layer's first kernel row) and one per
+    :data:`~repro.core.pipeline.KERNEL_FIELDS` column."""
+    table = profile.kernel_table
+    layers = profile.layers
+    return {
+        **_PROFILE.to_dict(profile),
+        "layers": {
+            **{key: [getattr(layer, key) for layer in layers]
+               for key in _LAYER.names[:-1]},
+            "kernel_start": table.starts[:-1],
+        },
+        "kernels": dict(zip(KERNEL_FIELDS, table.columns)),
+        "overheads": dict(profile.overheads),
+        "metadata": {k: jsonable(v) for k, v in profile.metadata.items()},
+    }
+
+
+def profile_from_columns(data: Any) -> ModelProfile:
+    """The profile :func:`profile_to_columns` wrote.
+
+    The whole document is checked before anything is built: a missing
+    column, a column of the wrong length, a cell of the wrong JSON type or
+    an offset out of order or range raises one :class:`ValueError`
+    naming its path.
+    """
+    *scalars, layers, overheads, n_runs, kernels = _COLUMNS_PROFILE.values(
+        data, "")
+    *layer_columns, kernel_start = _LAYER_COLUMNS.values(
+        layers, "layers.", columns=True)
+    columns = list(_KERNEL.values(kernels, "kernels.", columns=True))
+    starts = [*kernel_start, len(columns[0])]
+    if starts[0] != 0 or starts != sorted(starts):
+        raise ValueError(f"layers.kernel_start: expected offsets rising from "
+                         f"0 to the kernel count, {starts[-1]}")
+    columns[-2:] = [list(map(tuple, column)) for column in columns[-2:]]
+    table = KernelTable(columns, starts)
+    return ModelProfile(*scalars, tuple(
+        LayerProfile(index, name, layer_type, tuple(shape), latency_ms,
+                     alloc_bytes, kernel_table=table, slot=slot)
+        for slot, (index, name, layer_type, shape, latency_ms, alloc_bytes)
+        in enumerate(zip(*layer_columns))
+    ), dict(overheads), n_runs, _metadata(data))
 
 
 # -- the store --------------------------------------------------------------
@@ -199,7 +272,7 @@ class ProfileStore:
         ):
             return None
         try:
-            return profile_from_dict(document["profile"])
+            return profile_from_columns(document["profile"])
         except (KeyError, ValueError):
             return None
 
@@ -218,7 +291,7 @@ class ProfileStore:
                 profile.model_name, profile.system, profile.framework,
                 profile.batch, runs_per_level, statistic,
             ),
-            "profile": profile_to_dict(profile),
+            "profile": profile_to_columns(profile),
         }
         fd, tmp = tempfile.mkstemp(
             dir=self.root, prefix=path.name, suffix=".tmp"

@@ -18,9 +18,10 @@ from __future__ import annotations
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter
+from itertools import accumulate
+from operator import attrgetter, mul
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.leveled import LeveledExperiment, LeveledResult
@@ -84,11 +85,96 @@ class KernelProfile(_Roofline):
     block: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class KernelAggregate(_Roofline):
-    """Totals over a sequence of kernels (paper Sec. III-D3)."""
+#: A kernel's fields in :class:`KernelProfile` order: one table column each.
+KERNEL_FIELDS = ("name", "layer_index", "position", "latency_ms", "flops",
+                 "dram_read_bytes", "dram_write_bytes", "achieved_occupancy",
+                 "grid", "block")
+_kernel_fields = attrgetter(*KERNEL_FIELDS)
 
-    kernels: tuple[KernelProfile, ...] = field(repr=False)
+
+class KernelTable:
+    """A profile's kernels, one list per :data:`KERNEL_FIELDS` column and
+    contiguous by layer: the layer in slot ``s`` owns rows
+    ``starts[s]:starts[s + 1]``.  It is the only store of kernel data;
+    :attr:`kernels` builds :class:`KernelProfile` objects on first read."""
+
+    def __init__(self, columns: Sequence[list], starts: list[int]) -> None:
+        (self.name, self.layer_index, self.position, self.latency_ms,
+         self.flops, self.dram_read_bytes, self.dram_write_bytes,
+         self.achieved_occupancy, self.grid, self.block) = columns
+        self.starts = starts
+
+    @classmethod
+    def from_kernels(
+        cls, layers: Iterable[Sequence[KernelProfile]]
+    ) -> "KernelTable":
+        """The table of kernel objects given one sequence per layer."""
+        layers = [tuple(kernels) for kernels in layers]
+        rows = [kernel for kernels in layers for kernel in kernels]
+        columns = [list(c) for c in zip(*map(_kernel_fields, rows))]
+        table = cls(columns or [[] for _ in KERNEL_FIELDS],
+                    [0, *accumulate(map(len, layers))])
+        table.__dict__["kernels"] = tuple(rows)
+        return table
+
+    @property
+    def columns(self) -> tuple[list, ...]:
+        return _kernel_fields(self)
+
+    def __len__(self) -> int:
+        return len(self.name)
+
+    @cached_property
+    def kernels(self) -> tuple[KernelProfile, ...]:
+        return tuple(map(KernelProfile, *self.columns))
+
+    def row(self, i: int) -> KernelProfile:
+        """Row ``i`` as an object, without building the others."""
+        return KernelProfile(*(column[i] for column in self.columns))
+
+    def aggregate(self, rows: Sequence[int]) -> KernelAggregate:
+        """The one aggregation rule of A10, A11 and A15 over ``rows``:
+        latency, flops and DRAM bytes add up, occupancy is weighted by
+        latency.  The sums run left to right, in row order."""
+        latencies, flops_of = self.latency_ms, self.flops
+        reads_of, writes_of = self.dram_read_bytes, self.dram_write_bytes
+        occupancies = self.achieved_occupancy
+        latency = flops = reads = writes = 0.0
+        weight = 0
+        for i in rows:
+            kernel_latency = latencies[i]
+            latency += kernel_latency
+            flops += flops_of[i]
+            reads += reads_of[i]
+            writes += writes_of[i]
+            weight += occupancies[i] * kernel_latency
+        # As LayerProfile: one dict update beats the frozen __init__.
+        totals = KernelAggregate.__new__(KernelAggregate)
+        totals.__dict__.update(
+            table=self, rows=rows, latency_ms=latency, flops=flops,
+            dram_read_bytes=reads, dram_write_bytes=writes,
+            occupancy_weight=weight,
+        )
+        return totals
+
+    def by_name(
+        self, rows: Iterable[int] | None = None
+    ) -> dict[str, KernelAggregate]:
+        """Same-named kernels of ``rows`` (default: all) aggregated
+        together, in first-seen name order."""
+        names = self.name
+        groups: dict[str, list[int]] = {}
+        for i in range(len(names)) if rows is None else rows:
+            groups.setdefault(names[i], []).append(i)
+        return {name: self.aggregate(group) for name, group in groups.items()}
+
+
+@dataclass(frozen=True, eq=False)
+class KernelAggregate(_Roofline):
+    """Totals over some rows of a :class:`KernelTable` (paper Sec. III-D3)."""
+
+    table: KernelTable = field(repr=False)
+    rows: Sequence[int] = field(repr=False)
     latency_ms: float
     flops: float
     dram_read_bytes: float
@@ -102,40 +188,25 @@ class KernelAggregate(_Roofline):
 
     @property
     def count(self) -> int:
-        return len(self.kernels)
+        return len(self.rows)
+
+    @cached_property
+    def kernels(self) -> tuple[KernelProfile, ...]:
+        return tuple(map(self.table.kernels.__getitem__, self.rows))
 
     def layer_indices(self) -> tuple[int, ...]:
         """The first ten distinct layers hosting the kernels, in order."""
-        seen: dict[int, None] = {}
-        for kernel in self.kernels:
-            if kernel.layer_index not in seen:
-                seen[kernel.layer_index] = None
-                if len(seen) == 10:
-                    break
-        return tuple(seen)
+        layer_index = self.table.layer_index
+        return tuple(dict.fromkeys(map(layer_index.__getitem__, self.rows)))[:10]
 
 
-def aggregate_kernels(kernels: Sequence[KernelProfile]) -> KernelAggregate:
-    """The one aggregation rule of A10, A11 and A15: latency, flops and
-    DRAM bytes add up, occupancy is weighted by latency."""
-    kernels = tuple(kernels)
-    latency = flops = reads = writes = 0.0
-    weight = 0
-    for kernel in kernels:
-        latency += kernel.latency_ms
-        flops += kernel.flops
-        reads += kernel.dram_read_bytes
-        writes += kernel.dram_write_bytes
-        weight += kernel.achieved_occupancy * kernel.latency_ms
-    return KernelAggregate(kernels, latency, flops, reads, writes, weight)
-
-
-def kernels_by_name(kernels: Iterable[KernelProfile]) -> dict[str, KernelAggregate]:
+def kernels_by_name(
+    kernels: KernelTable | Iterable[KernelProfile],
+) -> dict[str, KernelAggregate]:
     """Same-named kernels aggregated together, in first-seen name order."""
-    groups: dict[str, list[KernelProfile]] = {}
-    for kernel in kernels:
-        groups.setdefault(kernel.name, []).append(kernel)
-    return {name: aggregate_kernels(group) for name, group in groups.items()}
+    if not isinstance(kernels, KernelTable):
+        kernels = KernelTable.from_kernels([tuple(kernels)])
+    return kernels.by_name()
 
 
 class _KernelTotals:
@@ -155,9 +226,12 @@ class _KernelTotals:
     )
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class LayerProfile(_KernelTotals):
-    """One executed layer with accurate latency and correlated kernels."""
+    """One executed layer with accurate latency and correlated kernels:
+    rows ``kernel_rows`` of its profile's ``kernel_table``.  A layer built
+    from ``kernels`` gets a one-layer table; ``kernel_table`` and
+    ``slot`` place it in an existing one instead."""
 
     index: int
     name: str
@@ -165,24 +239,49 @@ class LayerProfile(_KernelTotals):
     shape: tuple[int, ...]
     latency_ms: float
     alloc_bytes: int
-    kernels: tuple[KernelProfile, ...] = ()
+    kernels: tuple[KernelProfile, ...]
 
     def __init__(
         self, index: int, name: str, layer_type: str,
         shape: tuple[int, ...], latency_ms: float, alloc_bytes: int,
-        kernels: tuple[KernelProfile, ...] = (),
+        kernels: Sequence[KernelProfile] = (), *,
+        kernel_table: KernelTable | None = None, slot: int = 0,
     ) -> None:
         # One dict update instead of the generated frozen __init__'s
-        # object.__setattr__ per field (about twice as slow): merge builds
-        # every layer three times, and each live refresh rebuilds them all.
+        # object.__setattr__ per field (about twice as slow): each live
+        # refresh rebuilds every layer.
         self.__dict__.update(
             index=index, name=name, layer_type=layer_type, shape=shape,
-            latency_ms=latency_ms, alloc_bytes=alloc_bytes, kernels=kernels,
+            latency_ms=latency_ms, alloc_bytes=alloc_bytes, slot=slot,
+            kernel_table=KernelTable.from_kernels([kernels])
+            if kernel_table is None else kernel_table,
         )
+
+    @property
+    def kernel_rows(self) -> range:
+        starts = self.kernel_table.starts
+        return range(starts[self.slot], starts[self.slot + 1])
+
+    @cached_property
+    def kernels(self) -> tuple[KernelProfile, ...]:
+        rows = self.kernel_rows
+        return self.kernel_table.kernels[rows.start:rows.stop]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine, theirs = self.kernel_rows, other.kernel_rows
+        return _layer_fields(self) == _layer_fields(other) and all(
+            a[mine.start:mine.stop] == b[theirs.start:theirs.stop]
+            for a, b in zip(self.kernel_table.columns,
+                            other.kernel_table.columns))
+
+    def __hash__(self) -> int:
+        return hash(_layer_fields(self))
 
     @cached_property
     def totals(self) -> KernelAggregate:
-        return aggregate_kernels(self.kernels)
+        return self.kernel_table.aggregate(self.kernel_rows)
 
     @property
     def alloc_mb(self) -> float:
@@ -197,9 +296,19 @@ class LayerProfile(_KernelTotals):
         return self.totals.memory_bound(gpu)
 
 
-@dataclass(frozen=True)
+_layer_fields = attrgetter(
+    "index", "name", "layer_type", "shape", "latency_ms", "alloc_bytes")
+_profile_fields = attrgetter(
+    "model_name", "system", "framework", "batch", "model_latency_ms",
+    "overheads", "n_runs", "metadata")
+
+
+@dataclass(frozen=True, eq=False)
 class ModelProfile(_KernelTotals):
-    """Accurate across-stack profile of one (model, system, framework, batch)."""
+    """Accurate across-stack profile of one (model, system, framework, batch).
+
+    Its layers slice its one ``kernel_table``; layers that do not slice
+    one table in order are copied into a new one on construction."""
 
     model_name: str
     system: str
@@ -211,6 +320,33 @@ class ModelProfile(_KernelTotals):
     overheads: dict[str, float] = field(default_factory=dict)
     n_runs: int = 1
     metadata: dict[str, object] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        layers = self.layers
+        table = layers[0].kernel_table if layers else None
+        if table is None or len(table.starts) != len(layers) + 1 or any(
+            layer.kernel_table is not table or layer.slot != slot
+            for slot, layer in enumerate(layers)
+        ):
+            table = KernelTable.from_kernels(layer.kernels for layer in layers)
+            object.__setattr__(self, "layers", tuple(
+                LayerProfile(layer.index, layer.name, layer.layer_type,
+                             layer.shape, layer.latency_ms, layer.alloc_bytes,
+                             kernel_table=table, slot=slot)
+                for slot, layer in enumerate(layers)
+            ))
+        self.__dict__["kernel_table"] = table
+
+    def __eq__(self, other: object) -> bool:
+        """Equal fields, layers and kernels, compared a column at a time."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine, theirs = self.kernel_table, other.kernel_table
+        return (_profile_fields(self) == _profile_fields(other)
+                and list(map(_layer_fields, self.layers))
+                == list(map(_layer_fields, other.layers))
+                and mine.starts == theirs.starts
+                and mine.columns == theirs.columns)
 
     # -- model-level -----------------------------------------------------------
     @property
@@ -225,9 +361,9 @@ class ModelProfile(_KernelTotals):
         return get_system(self.system)
 
     # -- aggregates over kernels (paper A15) ------------------------------------
-    @cached_property
+    @property
     def kernels(self) -> tuple[KernelProfile, ...]:
-        return tuple(k for layer in self.layers for k in layer.kernels)
+        return self.kernel_table.kernels
 
     @cached_property
     def totals(self) -> KernelAggregate:
@@ -235,13 +371,15 @@ class ModelProfile(_KernelTotals):
         weight adds up every kernel.  Both orders keep the model's
         numbers bit-identical to what they have always been."""
         layers = [layer.totals for layer in self.layers]
+        table = self.kernel_table
         return KernelAggregate(
-            self.kernels,
+            table,
+            range(len(table)),
             sum(t.latency_ms for t in layers),
             sum(t.flops for t in layers),
             sum(t.dram_read_bytes for t in layers),
             sum(t.dram_write_bytes for t in layers),
-            sum(k.achieved_occupancy * k.latency_ms for k in self.kernels),
+            sum(map(mul, table.achieved_occupancy, table.latency_ms)),
         )
 
     @property
@@ -271,8 +409,35 @@ def profile_from_trace(trace: Trace) -> ModelProfile:
     captured the same way, not a substitute for the merged profile.
 
     Consumes the trace's columnar storage directly (row partitions from
-    the index, read-only tag access) — no span objects are materialized.
+    the index, read-only tag access) and fills the profile's kernel
+    table column by column — no span or kernel objects are built.
     """
+    layers, kernels = _layers_and_kernels(trace)
+    predict = trace.first_named("predict")
+    if predict is not None:
+        model_latency_ms = predict.duration_ms
+    else:
+        lo, hi = trace.span_extent_ns()
+        model_latency_ms = (hi - lo) / 1e6
+    meta = trace.metadata
+    return ModelProfile(
+        model_name=str(meta.get("model", f"trace-{trace.trace_id}")),
+        system=str(meta.get("system", "unknown")),
+        framework=str(meta.get("framework", "unknown")),
+        batch=int(meta.get("batch", 1)),
+        model_latency_ms=model_latency_ms,
+        layers=tuple(
+            LayerProfile(*layer, kernel_table=kernels, slot=slot)
+            for slot, layer in enumerate(layers)
+        ),
+        n_runs=1,
+        metadata={"source": "trace", "trace_id": trace.trace_id},
+    )
+
+
+def _layers_and_kernels(trace: Trace) -> tuple[list[tuple], KernelTable]:
+    """A trace's layers, as ``(index, name, layer_type, shape, latency_ms,
+    alloc_bytes)`` tuples ordered by index, and its kernel table."""
     table = trace.table
     index = trace.index
     starts = table.start_ns
@@ -315,64 +480,41 @@ def profile_from_trace(trace: Trace) -> ModelProfile:
 
     execution_code = _KIND_CODE[SpanKind.EXECUTION]
     kinds = table.kind
-    executions = [
-        row for row in level_rows.get(Level.GPU_KERNEL, [])
-        if kinds[row] == execution_code
-    ]
-    kernels: list[list[KernelProfile]] = [[] for _ in tagged_rows]
-    for row, flops, dram_read, dram_write, occupancy, grid, block in zip(
-        executions,
-        *table.tag_columns(
-            executions,
-            ("metric.flop_count_sp", "metric.dram_read_bytes",
-             "metric.dram_write_bytes", "metric.achieved_occupancy",
-             "grid", "block"),
-            (0.0, 0.0, 0.0, 0.0, (1, 1, 1), (1, 1, 1)),
-        ),
-    ):
+    owned: list[list[int]] = [[] for _ in tagged_rows]
+    for row in level_rows.get(Level.GPU_KERNEL, []):
+        if kinds[row] != execution_code:
+            continue
         parent_id = parents[row]
         slot = (layer_of[parent_id] if parent_id in layer_of
                 else enclosing_layer(parent_id))
-        if slot is None:
-            continue  # kernel outside any layer span
-        own = kernels[slot]
-        own.append(
-            KernelProfile(
-                name=table.name_of(row),
-                layer_index=indices[slot],
-                position=len(own),
-                latency_ms=(ends[row] - starts[row]) / 1e6,
-                flops=float(flops),
-                dram_read_bytes=float(dram_read),
-                dram_write_bytes=float(dram_write),
-                achieved_occupancy=float(occupancy),
-                grid=tuple(grid),
-                block=tuple(block),
-            )
-        )
-    predict = trace.first_named("predict")
-    if predict is not None:
-        model_latency_ms = predict.duration_ms
-    else:
-        lo, hi = trace.span_extent_ns()
-        model_latency_ms = (hi - lo) / 1e6
-    meta = trace.metadata
-    return ModelProfile(
-        model_name=str(meta.get("model", f"trace-{trace.trace_id}")),
-        system=str(meta.get("system", "unknown")),
-        framework=str(meta.get("framework", "unknown")),
-        batch=int(meta.get("batch", 1)),
-        model_latency_ms=model_latency_ms,
-        layers=tuple(
-            LayerProfile(index, table.name_of(row), str(layer_type),
-                         tuple(shape), (ends[row] - starts[row]) / 1e6,
-                         int(alloc_bytes), tuple(own))
-            for index, own, (_, layer_type, shape, alloc_bytes, row)
-            in zip(indices, kernels, tagged_rows)
-        ),
-        n_runs=1,
-        metadata={"source": "trace", "trace_id": trace.trace_id},
+        if slot is not None:  # else a kernel outside any layer span
+            owned[slot].append(row)
+    rows = [row for own in owned for row in own]
+    flops, reads, writes, occupancy, grid, block = table.tag_columns(
+        rows,
+        ("metric.flop_count_sp", "metric.dram_read_bytes",
+         "metric.dram_write_bytes", "metric.achieved_occupancy",
+         "grid", "block"),
+        (0.0, 0.0, 0.0, 0.0, (1, 1, 1), (1, 1, 1)),
     )
+    kernels = KernelTable((
+        list(map(table.name_of, rows)),
+        [i for i, own in zip(indices, owned) for _ in own],
+        [position for own in owned for position in range(len(own))],
+        [(ends[row] - starts[row]) / 1e6 for row in rows],
+        list(map(float, flops)),
+        list(map(float, reads)),
+        list(map(float, writes)),
+        list(map(float, occupancy)),
+        list(map(tuple, grid)),
+        list(map(tuple, block)),
+    ), [0, *accumulate(map(len, owned))])
+    return [
+        (index, table.name_of(row), str(layer_type), tuple(shape),
+         (ends[row] - starts[row]) / 1e6, int(alloc_bytes))
+        for index, (_, layer_type, shape, alloc_bytes, row)
+        in zip(indices, tagged_rows)
+    ], kernels
 
 
 def _statistic_name(statistic: Statistic) -> str:
@@ -635,45 +777,40 @@ class AnalysisPipeline:
     def merge(self, leveled: LeveledResult) -> ModelProfile:
         """Combine per-level runs into one accurate profile.
 
-        Every run is first reduced to its single-run view
-        (:func:`profile_from_trace`); the statistic then merges the views
-        position by position.  Layer latencies come from the M/L runs,
-        kernel data and kernel latencies from the metric-collection runs
-        (matched by layer index and position within the layer), and the
-        model latency from the M runs.
+        Every run is first reduced to its single-run view (the layers
+        and kernel table :func:`profile_from_trace` reads).  Layer
+        latencies are the statistic of the M/L views' latencies, position
+        by position.  The kernel table is the first metric-collection
+        view's, with each latency replaced by the statistic of that
+        (layer index, position) across the metric runs, whose kernels
+        must match.  The model latency comes from the M runs.
         """
-        views = [profile_from_trace(r.trace) for r in leveled.runs_at("M/L")]
-        firsts = views[0].layers
+        views = [_layers_and_kernels(r.trace)[0]
+                 for r in leveled.runs_at("M/L")]
+        firsts = views[0]
         # Metric runs report clean single-pass CUPTI kernel durations.
-        samples: dict[tuple[int, int], list[float]] = {}
-        reference: dict[tuple[int, int], KernelProfile] = {}
-        for run in leveled.runs_at("M/L/G+metrics"):
-            for kernel in profile_from_trace(run.trace).kernels:
-                key = (kernel.layer_index, kernel.position)
-                samples.setdefault(key, []).append(kernel.latency_ms)
-                reference.setdefault(key, kernel)
-        # A kernel joins the (last) layer with its layer index.
-        slot_of = {first.index: slot for slot, first in enumerate(firsts)}
-        kernels: list[list[KernelProfile]] = [[] for _ in firsts]
-        for key, kernel in sorted(reference.items()):
-            slot = slot_of.get(key[0])
-            if slot is not None:
-                kernels[slot].append(
-                    replace(kernel, latency_ms=self.statistic(samples[key]))
-                )
+        metric_views = [_layers_and_kernels(run.trace)
+                        for run in leveled.runs_at("M/L/G+metrics")]
+        tables = [view[1] for view in metric_views]
+        first = tables[0]
+        if [layer[0] for layer in metric_views[0][0]] != [
+                layer[0] for layer in firsts] or any(
+                t.layer_index != first.layer_index
+                or t.position != first.position for t in tables):
+            raise ValueError("the leveled runs disagree on the kernels "
+                             "each layer launched")
+        latency = [self.statistic(list(samples))
+                   for samples in zip(*(t.latency_ms for t in tables))]
+        kernels = KernelTable(
+            (*first.columns[:3], latency, *first.columns[4:]), first.starts
+        )
         layers = tuple(
             LayerProfile(
-                index=first.index,
-                name=first.name,
-                layer_type=first.layer_type,
-                shape=first.shape,
-                latency_ms=self.statistic(
-                    [v.layers[pos].latency_ms for v in views if pos < len(v.layers)]
-                ),
-                alloc_bytes=first.alloc_bytes,
-                kernels=tuple(own),
+                *layer[:4],
+                self.statistic([v[slot][4] for v in views if slot < len(v)]),
+                layer[5], kernel_table=kernels, slot=slot,
             )
-            for pos, (first, own) in enumerate(zip(firsts, kernels))
+            for slot, layer in enumerate(firsts)
         )
         return ModelProfile(
             model_name=leveled.model_name,

@@ -145,17 +145,30 @@ class ExecutionPlan:
         """Per step, its kernels' clean device durations for one run.
 
         The run-to-run jitter is seeded by ``run_index``, so durations are
-        cached per run index.
+        cached per run index.  Within a run, each distinct duration is
+        computed once: most kernels repeat another's inputs exactly.  The
+        key is every input :func:`kernel_duration_ns` reads, with flops
+        and DRAM bytes as the jitter formats them (``-0.0`` and ``0.0``
+        are equal keys but different jitter seeds).
         """
         durations = self._durations.get(run_index)
         if durations is None:
             gpu = self.gpu
+            computed: dict[tuple, int] = {}
+
+            def duration(spec: KernelSpec) -> int:
+                key = (spec.name, spec.klass, f"{spec.flops}",
+                       f"{spec.dram_bytes}", spec.blocks,
+                       spec.threads_per_block, spec.eff_scale)
+                ns = computed.get(key)
+                if ns is None:
+                    ns = computed[key] = kernel_duration_ns(
+                        spec, gpu, run_index=run_index
+                    )
+                return ns
+
             durations = self._durations[run_index] = tuple(
-                tuple(
-                    kernel_duration_ns(spec, gpu, run_index=run_index)
-                    for spec in step.kernels or ()
-                )
-                for step in self.steps
+                tuple(map(duration, step.kernels or ())) for step in self.steps
             )
         return durations
 

@@ -118,9 +118,9 @@ def gpu_idle_bubbles(ctx: InsightContext) -> list[Insight]:
 )
 def kernel_hotspot(ctx: InsightContext) -> list[Insight]:
     profile = ctx.profile
-    kernels = profile.kernels
+    kernels = profile.kernel_table
     total = profile.kernel_latency_ms
-    if not kernels or total <= 0:
+    if not len(kernels) or total <= 0:
         return []
     ranked = sorted(
         kernels_by_name(kernels).items(), key=lambda kv: -kv[1].latency_ms
@@ -178,14 +178,14 @@ def _is_library_kernel(name: str) -> bool:
 )
 def library_kernel_mix(ctx: InsightContext) -> list[Insight]:
     profile = ctx.profile
+    kernels = profile.kernel_table
     total = profile.kernel_latency_ms
-    if not profile.kernels or total <= 0:
+    if not len(kernels) or total <= 0:
         return []
-    custom_kernels = [
-        k for k in profile.kernels if not _is_library_kernel(k.name)
-    ]
-    custom = kernels_by_name(custom_kernels)
-    custom_ms = sum((k.latency_ms for k in custom_kernels), 0.0)
+    custom_rows = [i for i, name in enumerate(kernels.name)
+                   if not _is_library_kernel(name)]
+    custom = kernels.by_name(custom_rows)
+    custom_ms = sum((kernels.latency_ms[i] for i in custom_rows), 0.0)
     share = custom_ms / total
     top = sorted(custom.items(), key=lambda kv: -kv[1].latency_ms)[:3]
     # Aggregate evidence leads so the insight is never evidence-free
@@ -244,14 +244,17 @@ def library_kernel_mix(ctx: InsightContext) -> list[Insight]:
 )
 def low_occupancy_kernels(ctx: InsightContext) -> list[Insight]:
     profile = ctx.profile
-    if not profile.kernels or profile.kernel_latency_ms <= 0:
+    kernels = profile.kernel_table
+    if not len(kernels) or profile.kernel_latency_ms <= 0:
         return []
     weighted = profile.achieved_occupancy
     severity = ramp(OCCUPANCY_WARN - weighted, 0.0, OCCUPANCY_WARN - OCCUPANCY_FLOOR)
-    worst = sorted(
-        (k for k in profile.kernels if k.achieved_occupancy < LOW_OCCUPANCY_KERNEL),
-        key=lambda k: -k.latency_ms,
-    )[:TOP_KERNELS]
+    latency = kernels.latency_ms
+    worst = map(kernels.row, sorted(
+        (i for i, occupancy in enumerate(kernels.achieved_occupancy)
+         if occupancy < LOW_OCCUPANCY_KERNEL),
+        key=lambda i: -latency[i],
+    )[:TOP_KERNELS])
     evidence = [
         Evidence(
             kind="kernel",

@@ -58,7 +58,7 @@ def memory_bound_layers(ctx: InsightContext) -> list[Insight]:
     classified = [
         layer
         for layer in profile.layers
-        if layer.kernels and layer.dram_bytes > 0
+        if layer.kernel_rows and layer.dram_bytes > 0
     ]
     total_ms = sum(layer.kernel_latency_ms for layer in classified)
     if not classified or total_ms <= 0:
@@ -135,7 +135,7 @@ def _fusion_runs(layers: list[LayerProfile]) -> list[list[LayerProfile]]:
     runs: list[list[LayerProfile]] = []
     current: list[LayerProfile] = []
     for layer in layers:
-        if layer.layer_type in ELEMENTWISE_TYPES and layer.kernels:
+        if layer.layer_type in ELEMENTWISE_TYPES and layer.kernel_rows:
             current.append(layer)
         else:
             if len(current) >= 2:
@@ -159,7 +159,7 @@ def layer_fusion_candidates(ctx: InsightContext) -> list[Insight]:
     run_ms = sum(sum(l.latency_ms for l in run) for run in runs)
     share = run_ms / profile.model_latency_ms
     n_layers = sum(len(run) for run in runs)
-    n_launches = sum(len(l.kernels) for run in runs for l in run)
+    n_launches = sum(len(l.kernel_rows) for run in runs for l in run)
 
     top = sorted(
         runs, key=lambda run: -sum(l.latency_ms for l in run)
@@ -172,12 +172,12 @@ def layer_fusion_candidates(ctx: InsightContext) -> list[Insight]:
                 kind="layer",
                 summary=(
                     f"{chain}: {sum(l.latency_ms for l in run):.3f} ms, "
-                    f"{sum(len(l.kernels) for l in run)} kernel launches"
+                    f"{sum(len(l.kernel_rows) for l in run)} kernel launches"
                 ),
                 layer_indices=tuple(l.index for l in run),
                 measured={
                     "run_latency_ms": sum(l.latency_ms for l in run),
-                    "n_launches": float(sum(len(l.kernels) for l in run)),
+                    "n_launches": float(sum(len(l.kernel_rows) for l in run)),
                 },
                 threshold={"min_run_length": 2.0},
             )

@@ -93,10 +93,11 @@ class CudaRuntime:
         self._streams: dict[int, Stream] = {}
         #: Last correlation id handed out (launches and memcpys share them).
         self._correlation_id = 0
-        # The launch log (None until a reader subscribes) and, per reader,
-        # the log index of the first launch it has not read.
+        # The launch log (None while no reader listens) and, per reader,
+        # the log index of the first launch it has not read (None while
+        # it does not listen).
         self._launch_log: list[KernelLaunchRecord] | None = None
-        self._log_cursors: list[int] = []
+        self._log_cursors: list[int | None] = []
         self._memcpy_callbacks: list[Callable[[MemcpyRecord], None]] = []
         self.set_profiler_costs()
 
@@ -118,25 +119,34 @@ class CudaRuntime:
             stream = self._streams[stream_id] = Stream(stream_id=stream_id)
         return stream
 
-    def launch_reader(self) -> Callable[[], list[KernelLaunchRecord]]:
-        """Subscribe to the launch log; returns a function giving the
-        launches made since its previous call (or the subscription).  The
-        log is emptied once every reader has read it."""
-        if self._launch_log is None:
-            self._launch_log = []
-        log = self._launch_log
+    def launch_reader(
+        self, listen: bool = True
+    ) -> Callable[[bool], list[KernelLaunchRecord]]:
+        """Subscribe to the launch log.  Returns ``read(listen=True)``,
+        which gives the launches made since the reader's previous read
+        while it listened, and says whether it listens until its next
+        read.  Launches are logged only while some reader listens, and
+        the log is emptied once every listening reader has read it."""
         cursors = self._log_cursors
         reader = len(cursors)
-        cursors.append(len(log))
+        cursors.append(None)
 
-        def read() -> list[KernelLaunchRecord]:
-            records = log[cursors[reader]:]
-            cursors[reader] = len(log)
-            if min(cursors) == len(log):
+        def read(listen: bool = True) -> list[KernelLaunchRecord]:
+            log = self._launch_log
+            at = cursors[reader]
+            records = [] if at is None else log[at:]
+            if listen and log is None:
+                log = self._launch_log = []
+            cursors[reader] = len(log) if listen else None
+            listening = [c for c in cursors if c is not None]
+            if not listening:
+                self._launch_log = None
+            elif min(listening) == len(log):
                 log.clear()
-                cursors[:] = [0] * len(cursors)
+                cursors[:] = [None if c is None else 0 for c in cursors]
             return records
 
+        read(listen)
         return read
 
     def on_memcpy(self, callback: Callable[[MemcpyRecord], None]) -> None:

@@ -21,6 +21,8 @@ Like the real activity API, which hands over filled buffers at
 ``cuptiActivityFlushAll`` rather than one call per kernel, :class:`Cupti`
 reads the runtime's launch log when it flushes (and when a capture domain
 changes, so a domain records exactly the launches made while it was on).
+It listens to the log only while a domain is on: an idle :class:`Cupti`
+leaves no launch in it.
 Captures land in column buffers — :class:`CallbackBuffer` and
 :class:`ActivityBuffer`, one list per record field — which
 :meth:`Cupti.flush` returns for the GPU tracer to read directly.  Memory
@@ -119,7 +121,7 @@ class Cupti:
         self._metrics: tuple[str, ...] = ()
         #: Memcpy activities not yet merged among the kernel activities.
         self._memcpys: list[tuple] = []
-        self._read_launches = runtime.launch_reader()
+        self._read_launches = runtime.launch_reader(listen=False)
         runtime.on_memcpy(self._on_memcpy)
 
     @property
@@ -184,6 +186,9 @@ class Cupti:
             self.replay_passes(),
             int(self.calibration.metric_pass_us * 1e3),
         )
+        # Nothing new to capture (the caller drained first): this sets
+        # whether the log keeps launches for us under the new domains.
+        self._drain()
 
     # -- capture ---------------------------------------------------------------
     def _on_memcpy(self, record: MemcpyRecord) -> None:
@@ -198,8 +203,11 @@ class Cupti:
 
     def _drain(self) -> None:
         """Capture the launches logged since the last drain under the
-        domains enabled now, which were enabled while they ran."""
-        records = self._read_launches()
+        domains enabled now, which were enabled while they ran, and listen
+        for more while one of them is on."""
+        records = self._read_launches(
+            self._callbacks_enabled or self._activities_enabled
+        )
         memcpys, self._memcpys = self._memcpys, []
         if records and self._callbacks_enabled:
             callbacks = self._callbacks

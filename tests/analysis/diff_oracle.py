@@ -19,9 +19,9 @@ from repro.analysis.diff.align import LayerAlignment, align_layers
 from repro.analysis.diff.model import ROLLUP_METRICS, DiffFinding, _json_number
 from repro.core.pipeline import (
     KernelAggregate,
+    KernelTable,
     LayerProfile,
     ModelProfile,
-    aggregate_kernels,
     kernels_by_name,
 )
 from repro.insights.model import Evidence, ramp
@@ -281,7 +281,7 @@ TOP_CONTRIBUTORS = 3
 MAX_HOTSPOT_FINDINGS = 3
 
 #: The missing side of an added or removed kernel.
-_EMPTY = aggregate_kernels(())
+_EMPTY = KernelTable.from_kernels([()]).aggregate(())
 
 
 def _identity(profile: ModelProfile) -> dict[str, object]:

@@ -3,18 +3,15 @@
 import pytest
 
 from repro.analysis.plots import ascii_roofline
-from repro.analysis.roofline import RooflinePoint
 from repro.sim import get_system
 
 V100 = get_system("Tesla_V100")
 
 
 def test_roofline_plot_contains_roof_and_points():
-    points = [
-        RooflinePoint("mem", 0.25, 0.1),
-        RooflinePoint("cmp", 200.0, 12.0),
-    ]
-    art = ascii_roofline(points, V100, width=40, height=10)
+    # A memory-bound and a compute-bound point.
+    art = ascii_roofline([0.25, 200.0], [0.1, 12.0], V100, width=40,
+                         height=10)
     assert "ridge 17.44" in art
     assert "/" in art and "-" in art and "o" in art
     lines = art.splitlines()
@@ -23,13 +20,14 @@ def test_roofline_plot_contains_roof_and_points():
 
 def test_roofline_rejects_empty():
     with pytest.raises(ValueError):
-        ascii_roofline([], V100)
+        ascii_roofline([], [], V100)
     with pytest.raises(ValueError):
-        ascii_roofline([RooflinePoint("z", 0.0, 0.0)], V100)
+        ascii_roofline([0.0], [0.0], V100)
 
 
 def test_plots_from_real_profile(cnn_profile):
-    from repro.analysis import kernel_roofline
+    from repro.analysis import kernel_coordinates
 
-    art = ascii_roofline(kernel_roofline(cnn_profile), cnn_profile.gpu)
+    _, intensities, throughputs = kernel_coordinates(cnn_profile)
+    art = ascii_roofline(intensities, throughputs, cnn_profile.gpu)
     assert "o" in art

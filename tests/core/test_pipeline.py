@@ -315,3 +315,106 @@ def test_kernels_by_name_empty():
     from repro.core.pipeline import kernels_by_name
 
     assert kernels_by_name([]) == {}
+
+
+# -- the kernel table ---------------------------------------------------------
+
+
+def test_cold_point_builds_kernel_objects_only_for_the_printed_rows(
+    monkeypatch, tmp_path
+):
+    """Profiling, storing and reporting a cold point reads and writes the
+    kernel table by column: the only KernelProfile objects built are the
+    top-N rows A8 prints."""
+    from repro.analysis.report import full_report
+    from repro.core import AnalysisPipeline, ProfileStore, XSPSession
+    from repro.core.pipeline import KernelProfile
+    from repro.models import get_model
+
+    built = []
+    init = KernelProfile.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs["name"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(KernelProfile, "__init__", counted)
+    pipeline = AnalysisPipeline(XSPSession("Tesla_V100", "mxnet_like"),
+                                runs_per_level=2,
+                                store=ProfileStore(tmp_path))
+    profile = pipeline.profile_model(get_model(7).graph, 2)
+    assert built == [] and len(profile.kernel_table) > 5
+    text = full_report(profile, top_n=5)
+    assert len(built) == 5
+    assert all(name in text for name in built)
+
+
+def test_kernel_table_is_contiguous_by_layer():
+    from repro.core.pipeline import KernelTable
+
+    layers = (_layer((_kernel("a"), _kernel("b", position=1))),
+              _layer((), 1), _layer((_kernel("c", 2),), 2))
+    profile = _model(layers)
+    table = profile.kernel_table
+    assert isinstance(table, KernelTable)
+    assert table.starts == [0, 2, 2, 3]
+    assert table.name == ["a", "b", "c"]
+    assert [layer.kernel_rows for layer in profile.layers] == [
+        range(0, 2), range(2, 2), range(2, 3)]
+    assert all(layer.kernel_table is table for layer in profile.layers)
+    assert [table.name[i] for i in profile.layers[0].kernel_rows] == ["a", "b"]
+    assert profile.kernels == (*layers[0].kernels, *layers[2].kernels)
+    assert table.row(2) == layers[2].kernels[0]
+
+
+def test_profile_equality_is_by_content():
+    """Profiles built different ways from equal data compare equal, and a
+    single changed kernel value makes them differ."""
+    import json
+    from dataclasses import replace
+
+    from repro.analysis.diff.sources import profile_from_document
+    from repro.core.cache import profile_to_columns
+
+    profile = _model((_layer((_kernel(), _kernel(position=1))),
+                      _layer((_kernel("r", 1),), 1)))
+    copy = profile_from_document(json.loads(json.dumps(
+        profile_to_columns(profile))))
+    assert copy == profile and copy.layers[1] == profile.layers[1]
+    assert hash(copy.layers[0]) == hash(profile.layers[0])
+    assert replace(profile, model_latency_ms=1.0) == profile
+    faster = replace(profile, layers=(
+        profile.layers[0],
+        replace(profile.layers[1], kernels=(
+            replace(profile.layers[1].kernels[0], latency_ms=0.5),)),
+    ))
+    assert faster != profile
+    assert faster.layers[0] == profile.layers[0]
+    assert faster.kernel_table is not profile.kernel_table
+    assert faster.kernel_table.latency_ms == [1.0, 1.0, 0.5]
+
+
+def test_leveled_runs_with_different_kernels_do_not_merge(monkeypatch):
+    """Merge matches metric runs by (layer index, position); runs that
+    launched different kernels are an error, not a silent mismatch."""
+    import repro.core.pipeline as pipeline_mod
+    from repro.core import AnalysisPipeline, LeveledExperiment, XSPSession
+    from repro.models import get_model
+
+    session = XSPSession("Tesla_V100")
+    leveled = LeveledExperiment(session, runs_per_level=2).run(
+        get_model(53).graph, 1)
+    pipeline = AnalysisPipeline(session, runs_per_level=2)
+    calls = []
+    read = pipeline_mod._layers_and_kernels
+
+    def drop_a_kernel(trace):
+        layers, kernels = read(trace)
+        calls.append(trace)
+        if len(calls) == 4:  # the second metric run
+            kernels.position[-1] += 1
+        return layers, kernels
+
+    monkeypatch.setattr(pipeline_mod, "_layers_and_kernels", drop_a_kernel)
+    with pytest.raises(ValueError, match="disagree"):
+        pipeline.merge(leveled)

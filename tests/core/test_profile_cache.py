@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.analysis.diff.sources import profile_from_document
 from repro.core import AnalysisPipeline, LeveledExperiment, ProfileStore, XSPSession
 from repro.core import cache as cache_mod
 from repro.models import get_model
@@ -214,3 +215,92 @@ def test_get_ignores_orphaned_tmp_files(graph, store):
                      BATCH, RUNS)
     assert warm is not None
     assert warm.model_latency_ms == profile.model_latency_ms
+
+
+# -- store schema v2: the profile by column ----------------------------------
+
+
+def _entry_path(store, profile, runs=RUNS):
+    return store.path_for(profile.model_name, profile.system,
+                          profile.framework, profile.batch, runs)
+
+
+def _get(store, profile, runs=RUNS):
+    return store.get(profile.model_name, profile.system, profile.framework,
+                     profile.batch, runs)
+
+
+def test_entry_stores_the_profile_by_column(graph, store):
+    profile = _pipeline(store).profile_model(graph, BATCH)
+    document = json.loads(_entry_path(store, profile).read_text())
+    assert document["schema_version"] == cache_mod.SCHEMA_VERSION == 2
+    stored = document["profile"]
+    kernels = profile.kernel_table
+    assert stored["kernels"]["latency_ms"] == kernels.latency_ms
+    assert stored["kernels"]["grid"] == [list(g) for g in kernels.grid]
+    assert stored["layers"]["kernel_start"] == kernels.starts[:-1]
+    assert stored["layers"]["name"] == [layer.name for layer in profile.layers]
+
+
+def test_v1_entry_is_a_miss(graph, store):
+    """An entry of the object-per-kernel schema is recomputed, not read."""
+    profile = _pipeline(store).profile_model(graph, BATCH)
+    path = _entry_path(store, profile)
+    document = json.loads(path.read_text())
+    document.update(schema_version=1,
+                    profile=cache_mod.profile_to_dict(profile))
+    path.write_text(json.dumps(document))
+    assert _get(store, profile) is None
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: p["kernels"]["flops"].pop(),
+    lambda p: p["kernels"]["latency_ms"].__setitem__(0, "1.0"),
+    lambda p: p["layers"]["kernel_start"].__setitem__(-1, 10**6),
+    lambda p: p["layers"].pop("shape"),
+    lambda p: p.update(kernels=None),
+], ids=["short column", "string latency", "offset out of range",
+        "missing column", "kernels null"])
+def test_corrupt_v2_entry_is_a_miss(graph, store, edit):
+    profile = _pipeline(store).profile_model(graph, BATCH)
+    path = _entry_path(store, profile)
+    document = json.loads(path.read_text())
+    edit(document["profile"])
+    path.write_text(json.dumps(document))
+    assert _get(store, profile) is None
+
+
+@pytest.mark.parametrize("model,framework,batch,system", [
+    (7, "tensorflow_like", 1, "Tesla_V100"),
+    (7, "mxnet_like", 2, "Tesla_V100"),
+    (15, "tensorflow_like", 1, "Tesla_V100"),
+    (29, "mxnet_like", 1, "Tesla_V100"),
+    (44, "tensorflow_like", 1, "Tesla_V100"),
+    (48, "mxnet_like", 1, "Tesla_V100"),
+    (51, "tensorflow_like", 4, "Tesla_V100"),
+    (53, "tensorflow_like", 8, "Tesla_P100"),
+    (53, "mxnet_like", 2, "Quadro_RTX"),
+    (15, "mxnet_like", 4, "Tesla_P100"),
+])
+def test_v2_round_trip_keeps_the_canonical_profile(model, framework, batch,
+                                                   system, store):
+    """Read back from a v2 entry, a merged profile has the object-per-
+    kernel form the zoo digests hash, and compares equal."""
+    profile = AnalysisPipeline(
+        XSPSession(system, framework), runs_per_level=1, store=store
+    ).profile_model(get_model(model).graph, batch)
+    restored = _get(store, profile, runs=1)
+    assert restored is not None and restored is not profile
+    assert cache_mod.profile_to_dict(restored) == cache_mod.profile_to_dict(
+        profile)
+    assert restored == profile
+    assert [layer.totals.latency_ms for layer in restored.layers] == [
+        layer.totals.latency_ms for layer in profile.layers]
+
+
+def test_v1_payload_still_loads(cnn_profile):
+    """A bare object-per-kernel payload reads back into the same profile."""
+    payload = json.loads(json.dumps(cache_mod.profile_to_dict(cnn_profile)))
+    assert profile_from_document(payload) == cnn_profile
+    columns = json.loads(json.dumps(cache_mod.profile_to_columns(cnn_profile)))
+    assert profile_from_document(columns) == cnn_profile

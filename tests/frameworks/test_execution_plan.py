@@ -1,6 +1,6 @@
 """Execution-plan replay: each (compiled model, batch, GPU) is lowered to
 kernels once, and its clean kernel durations are computed once per run
-index, however many leveled runs replay it."""
+index and distinct duration input, however many leveled runs replay it."""
 
 from __future__ import annotations
 
@@ -43,24 +43,34 @@ def counts(monkeypatch):
     return calls
 
 
-def _plan_size(framework: str, graph, batch: int) -> tuple[int, int]:
-    """(layers that emit kernels, kernels) of one execution plan."""
+def _duration_inputs(spec) -> tuple:
+    """What ``kernel_duration_ns`` reads of a spec, flops and DRAM bytes
+    as its jitter key formats them."""
+    return (spec.name, spec.klass, f"{spec.flops}", f"{spec.dram_bytes}",
+            spec.blocks, spec.threads_per_block, spec.eff_scale)
+
+
+def _plan_size(framework: str, graph, batch: int) -> tuple[int, int, int]:
+    """(layers that emit kernels, kernels, distinct duration inputs) of
+    one execution plan."""
     fw = FRAMEWORKS[framework](
         CudaRuntime(get_system("Tesla_V100"), VirtualClock())
     )
     plan = fw.execution_plan(fw.load(graph), batch)
     emitting = [step for step in plan.steps if step.kernels is not None]
-    return len(emitting), sum(len(step.kernels) for step in emitting)
+    specs = [spec for step in emitting for spec in step.kernels]
+    return len(emitting), len(specs), len(set(map(_duration_inputs, specs)))
 
 
 @pytest.mark.parametrize("framework", ["tensorflow_like", "mxnet_like"])
 def test_ladder_emits_each_layer_once(cnn_graph, framework, counts):
-    layers, kernels = _plan_size(framework, cnn_graph, 2)
+    layers, kernels, distinct = _plan_size(framework, cnn_graph, 2)
+    assert distinct < kernels  # the graph repeats kernels
     counts.update(emit=0, duration=0)
     session = XSPSession("Tesla_V100", framework)
     AnalysisPipeline(session, runs_per_level=1).profile_model(cnn_graph, 2)
     # Four ladder runs (M, M/L, M/L/G, M/L/G+metrics), one plan.
-    assert counts == {"emit": layers, "duration": kernels}
+    assert counts == {"emit": layers, "duration": distinct}
 
 
 @pytest.mark.parametrize("framework", ["tensorflow_like", "mxnet_like"])
@@ -69,7 +79,7 @@ def test_ladder_launches_each_plan_kernel_once_per_rung(
 ):
     """``CudaRuntime.launch_kernel`` runs once per plan kernel per rung:
     perfbench's ``sim.kernel_launches`` counts exactly these calls."""
-    _, kernels = _plan_size(framework, cnn_graph, 2)
+    _, kernels, _ = _plan_size(framework, cnn_graph, 2)
     launched = []
     launch = CudaRuntime.launch_kernel
 
@@ -86,22 +96,54 @@ def test_ladder_launches_each_plan_kernel_once_per_rung(
 
 
 def test_durations_computed_once_per_run_index(cnn_graph, counts):
-    layers, kernels = _plan_size("tensorflow_like", cnn_graph, 2)
+    layers, _, distinct = _plan_size("tensorflow_like", cnn_graph, 2)
     counts.update(emit=0, duration=0)
     session = XSPSession("Tesla_V100", "tensorflow_like")
     AnalysisPipeline(session, runs_per_level=3).profile_model(cnn_graph, 2)
-    assert counts == {"emit": layers, "duration": 3 * kernels}
+    assert counts == {"emit": layers, "duration": 3 * distinct}
+
+
+@pytest.mark.parametrize("run_index", [0, 1, 5])
+def test_shared_durations_equal_each_kernel_computed_alone(cnn_graph,
+                                                           run_index):
+    fw = TFSim(CudaRuntime(get_system("Tesla_V100"), VirtualClock()))
+    plan = fw.execution_plan(fw.load(cnn_graph), 2)
+    assert plan.clean_durations(run_index) == tuple(
+        tuple(base.kernel_duration_ns(spec, plan.gpu, run_index=run_index)
+              for spec in step.kernels or ())
+        for step in plan.steps
+    )
+
+
+def test_negative_zero_work_is_its_own_duration(cnn_graph, counts):
+    """``-0.0`` and ``0.0`` flops are equal but seed different jitter, so
+    they are computed apart and each equals its own direct computation."""
+    from dataclasses import replace
+
+    fw = TFSim(CudaRuntime(get_system("Tesla_V100"), VirtualClock()))
+    plan = fw.execution_plan(fw.load(cnn_graph), 2)
+    gpu = plan.gpu
+    spec = eigen.max_kernel(1 << 20)
+    plain, negative = replace(spec, flops=0.0), replace(spec, flops=-0.0)
+    step = next(s for s in plan.steps if s.kernels)
+    counts.update(duration=0)
+    (durations,) = base.ExecutionPlan(
+        gpu, (step._replace(kernels=(plain, negative, plain)),), 0
+    ).clean_durations(3)
+    assert counts["duration"] == 2
+    assert durations == tuple(base.kernel_duration_ns(s, gpu, run_index=3)
+                              for s in (plain, negative, plain))
 
 
 def test_serialized_run_replays_the_same_plan(cnn_graph, counts):
-    layers, kernels = _plan_size("tensorflow_like", cnn_graph, 2)
+    layers, _, distinct = _plan_size("tensorflow_like", cnn_graph, 2)
     counts.update(emit=0, duration=0)
     session = XSPSession("Tesla_V100", "tensorflow_like")
     plain = session.profile(cnn_graph, 2, ProfilingConfig(metrics=()))
     retry = session.profile(
         cnn_graph, 2, ProfilingConfig(metrics=(), serialized=True)
     )
-    assert counts == {"emit": layers, "duration": kernels}
+    assert counts == {"emit": layers, "duration": distinct}
     # CUDA_LAUNCH_BLOCKING changes the timeline, not the kernels.
     assert [mk.name for mk in retry.kernels] == [mk.name for mk in plain.kernels]
     assert [mk.duration_ns for mk in retry.kernels] == [
@@ -110,7 +152,7 @@ def test_serialized_run_replays_the_same_plan(cnn_graph, counts):
 
 
 def test_new_batch_or_gpu_builds_its_own_plan(cnn_graph, counts):
-    layers, _ = _plan_size("tensorflow_like", cnn_graph, 2)
+    layers, _, _ = _plan_size("tensorflow_like", cnn_graph, 2)
     counts.update(emit=0, duration=0)
     v100 = TFSim(CudaRuntime(get_system("Tesla_V100"), VirtualClock()))
     p100 = TFSim(CudaRuntime(get_system("Tesla_P100"), VirtualClock()))

@@ -158,8 +158,27 @@ def _first_kernel(doc):
         "kernels"][0]
 
 
+def _kernel_count(doc):
+    return len(doc["kernels"]["name"])
+
+
 #: fault -> (an edit of a good bare profile JSON, the field it breaks).
+#: Faults named "v2 ..." edit the column form (store schema v2), the
+#: others the object-per-kernel form.
 MALFORMED_PROFILES = {
+    "v2 short column":
+        (lambda d: d["kernels"]["latency_ms"].pop(), "kernels.latency_ms"),
+    "v2 bool in a number column":
+        (lambda d: d["kernels"]["flops"].__setitem__(1, True),
+         "kernels.flops[1]"),
+    "v2 offsets out of range":
+        (lambda d: d["layers"]["kernel_start"].__setitem__(
+            -1, _kernel_count(d) + 1), "layers.kernel_start"),
+    "v2 offsets out of order":
+        (lambda d: d["layers"]["kernel_start"].__setitem__(0, 1),
+         "layers.kernel_start"),
+    "v2 missing column": (lambda d: d["kernels"].pop("grid"), "kernels.grid"),
+    "v2 kernels a list": (lambda d: d.update(kernels=[1]), "kernels"),
     "string batch": (lambda d: d.update(batch="4"), "batch"),
     "string kernel flops":
         (lambda d: _first_kernel(d).update(flops="x"), "flops"),
@@ -176,11 +195,12 @@ MALFORMED_PROFILES = {
 @pytest.mark.parametrize("fault", sorted(MALFORMED_PROFILES))
 def test_malformed_profile_json_fails_in_one_line(fault, cnn_profile,
                                                   tmp_path, capsys):
-    """diff rejects a broken bare profile JSON with exit 2 and one stderr
-    line that names the file and the field."""
-    from repro.core.cache import profile_to_dict
+    """diff rejects a broken bare profile JSON, either form, with exit 2
+    and one stderr line that names the file and the field."""
+    from repro.core.cache import profile_to_columns, profile_to_dict
 
-    document = json.loads(json.dumps(profile_to_dict(cnn_profile)))
+    write = profile_to_columns if fault.startswith("v2 ") else profile_to_dict
+    document = json.loads(json.dumps(write(cnn_profile)))
     edit, field = MALFORMED_PROFILES[fault]
     edit(document)
     path = tmp_path / "broken.json"

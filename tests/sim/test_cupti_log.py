@@ -51,3 +51,41 @@ def test_flushed_launches_leave_the_log():
     assert len(rt._launch_log) == 3
     cupti.flush()
     assert rt._launch_log == []
+
+
+def test_idle_cupti_leaves_no_launch_in_the_log():
+    """Launches made while every domain is off are never captured, so an
+    idle Cupti does not hold them: the log stays empty however many."""
+    rt = CudaRuntime(V100, VirtualClock())
+    cupti = Cupti(rt)
+    for _ in range(10_000):
+        rt.launch_kernel(spec())
+    assert not rt._launch_log
+    cupti.enable_callbacks()
+    on = rt.launch_kernel(spec("on"))
+    cupti.disable()
+    for _ in range(100):
+        rt.launch_kernel(spec("off"))
+    assert not rt._launch_log  # read at disable, none logged since
+    callbacks, activities = cupti.flush()
+    assert callbacks.correlation_id == [on.correlation_id]
+    assert len(activities) == 0
+
+
+def test_idle_cupti_does_not_cut_another_readers_launches():
+    """A listening reader (the library tracer's) still reads every launch
+    while a Cupti on the same runtime is idle or switches domains."""
+    rt = CudaRuntime(V100, VirtualClock())
+    read = rt.launch_reader()
+    cupti = Cupti(rt)
+    first = [rt.launch_kernel(spec()) for _ in range(3)]
+    cupti.enable_activities()
+    second = [rt.launch_kernel(spec()) for _ in range(2)]
+    cupti.disable()
+    assert read() == first + second
+    assert cupti.flush()[1].correlation_id == [
+        r.correlation_id for r in second
+    ]
+    third = rt.launch_kernel(spec())
+    assert read() == [third]
+    assert not rt._launch_log
