@@ -29,6 +29,7 @@ _SYNTHETIC_MODULES = {
     "bench_diff_engine",
     "bench_incremental_index",
     "bench_insights_engine",
+    "bench_live_refresh",
     "bench_plan_replay",
     "bench_profile_table",
     "bench_span_table",

@@ -25,12 +25,10 @@ def layer_roofline(profile: ModelProfile) -> list[RooflinePoint]:
 
 def bound_by_layer_type(profile: ModelProfile) -> dict[str, str]:
     """Majority roofline classification per layer type."""
-    gpu = profile.gpu
+    layer_type = profile.layer_table.layer_type
     votes: dict[str, list[bool]] = {}
-    for layer in profile.layers:
-        if not layer.kernel_rows or layer.dram_bytes == 0:
-            continue
-        votes.setdefault(layer.layer_type, []).append(layer.memory_bound(gpu))
+    for slot, bound in profile.layer_table.roofline(profile.gpu):
+        votes.setdefault(layer_type[slot], []).append(bound)
     return {
         layer_type: (
             "memory-bound"

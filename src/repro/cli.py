@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -491,8 +492,19 @@ _COMMANDS = {
 }
 
 
+#: Number options argparse cannot bound: (attribute, lowest, highest).
+#: NaN lies in no range, so a filter or gate cannot silently turn off.
+_BOUNDS = (("min_severity", 0.0, 1.0), ("max_regression", 0.0, math.inf))
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    for name, lo, hi in _BOUNDS:
+        value = getattr(args, name, None)
+        if value is not None and not lo <= value <= hi:
+            print(f"error: --{name.replace('_', '-')} must be in "
+                  f"[{lo}, {hi}], got {value}", file=sys.stderr)
+            return 2
     try:
         return _COMMANDS[args.command](args)
     except OSError as err:  # e.g. an output path that cannot be written

@@ -27,8 +27,9 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.core.pipeline import (KERNEL_FIELDS, KernelProfile, KernelTable,
-                                 LayerProfile, ModelProfile)
+from repro.core.pipeline import (KERNEL_FIELDS, LAYER_FIELDS, KernelProfile,
+                                 KernelTable, LayerProfile, LayerTable,
+                                 ModelProfile)
 from repro.tracing.table import jsonable
 
 #: Bump on any change to the serialized profile shape or semantics.
@@ -168,14 +169,10 @@ def profile_to_columns(profile: ModelProfile) -> dict[str, Any]:
     field (``kernel_start`` is each layer's first kernel row) and one per
     :data:`~repro.core.pipeline.KERNEL_FIELDS` column."""
     table = profile.kernel_table
-    layers = profile.layers
     return {
         **_PROFILE.to_dict(profile),
-        "layers": {
-            **{key: [getattr(layer, key) for layer in layers]
-               for key in _LAYER.names[:-1]},
-            "kernel_start": table.starts[:-1],
-        },
+        "layers": {**dict(zip(LAYER_FIELDS, profile.layer_table.columns)),
+                   "kernel_start": table.starts[:-1]},
         "kernels": dict(zip(KERNEL_FIELDS, table.columns)),
         "overheads": dict(profile.overheads),
         "metadata": {k: jsonable(v) for k, v in profile.metadata.items()},
@@ -200,13 +197,10 @@ def profile_from_columns(data: Any) -> ModelProfile:
         raise ValueError(f"layers.kernel_start: expected offsets rising from "
                          f"0 to the kernel count, {starts[-1]}")
     columns[-2:] = [list(map(tuple, column)) for column in columns[-2:]]
-    table = KernelTable(columns, starts)
-    return ModelProfile(*scalars, tuple(
-        LayerProfile(index, name, layer_type, tuple(shape), latency_ms,
-                     alloc_bytes, kernel_table=table, slot=slot)
-        for slot, (index, name, layer_type, shape, latency_ms, alloc_bytes)
-        in enumerate(zip(*layer_columns))
-    ), dict(overheads), n_runs, _metadata(data))
+    layer_columns[3] = list(map(tuple, layer_columns[3]))  # shapes
+    return ModelProfile(*scalars, (), dict(overheads), n_runs, _metadata(data),
+                        layer_table=LayerTable(layer_columns,
+                                               KernelTable(columns, starts)))
 
 
 # -- the store --------------------------------------------------------------

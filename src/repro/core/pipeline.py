@@ -7,30 +7,36 @@ measurements with a trimmed mean (paper Sec. III-D).  Its output is a
 (model, system, framework, batch) combination — which all 15 analyses in
 :mod:`repro.analysis` consume.
 
-Profiles are frozen.  Each layer and model computes its kernel totals
-(:class:`KernelAggregate`, the rule of Sec. III-D3) once, on first
-read; :func:`kernels_by_name` groups same-named kernels for A10, the
-diff and the insight rules.
+Profiles are frozen.  A profile keeps its layers in one
+:class:`LayerTable` and its kernels in one :class:`KernelTable`, a list
+per field; layer and kernel objects are views built on first read.
+Kernel totals (the rule of Sec. III-D3) are folded once per layer, in
+row order; :func:`kernels_by_name` groups same-named kernels for A10,
+the diff and the insight rules.  :func:`profile_from_trace` derives a
+single-run profile from a trace through its :class:`ProfileBuilder`,
+which advances over appended rows the way the trace index does.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from operator import attrgetter, mul
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from repro.core.leveled import LeveledExperiment, LeveledResult
 from repro.core.session import ProfilingConfig, XSPSession
 from repro.core.stats import Statistic, trimmed_mean
 from repro.frameworks.graph import Graph
 from repro.sim.hardware import GPUSpec, get_system
+from repro.tracing.index import TraceIndex
 from repro.tracing.span import Level, SpanKind, seed_span_ids
-from repro.tracing.table import _KIND_CODE, NONE_ID
+from repro.tracing.table import _KIND_CODE, NONE_ID, SpanTable
 from repro.tracing.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - cache imports pipeline, not vice versa
@@ -132,15 +138,17 @@ class KernelTable:
         """Row ``i`` as an object, without building the others."""
         return KernelProfile(*(column[i] for column in self.columns))
 
-    def aggregate(self, rows: Sequence[int]) -> KernelAggregate:
-        """The one aggregation rule of A10, A11 and A15 over ``rows``:
-        latency, flops and DRAM bytes add up, occupancy is weighted by
-        latency.  The sums run left to right, in row order."""
+    def fold(
+        self, rows: Iterable[int], totals: tuple = (0.0, 0.0, 0.0, 0.0, 0)
+    ) -> tuple:
+        """The one aggregation rule of A10, A11 and A15, continued from
+        ``totals`` over ``rows``: latency, flops and DRAM reads/writes add
+        up, and so does occupancy times latency.  The sums run left to
+        right, in row order."""
         latencies, flops_of = self.latency_ms, self.flops
         reads_of, writes_of = self.dram_read_bytes, self.dram_write_bytes
         occupancies = self.achieved_occupancy
-        latency = flops = reads = writes = 0.0
-        weight = 0
+        latency, flops, reads, writes, weight = totals
         for i in rows:
             kernel_latency = latencies[i]
             latency += kernel_latency
@@ -148,6 +156,14 @@ class KernelTable:
             reads += reads_of[i]
             writes += writes_of[i]
             weight += occupancies[i] * kernel_latency
+        return latency, flops, reads, writes, weight
+
+    def aggregate(self, rows: Sequence[int],
+                  totals: Sequence[float] | None = None) -> KernelAggregate:
+        """:meth:`fold` over ``rows`` (unless their ``totals`` are known)
+        as one :class:`KernelAggregate`."""
+        latency, flops, reads, writes, weight = (
+            self.fold(rows) if totals is None else totals)
         # As LayerProfile: one dict update beats the frozen __init__.
         totals = KernelAggregate.__new__(KernelAggregate)
         totals.__dict__.update(
@@ -160,13 +176,20 @@ class KernelTable:
     def by_name(
         self, rows: Iterable[int] | None = None
     ) -> dict[str, KernelAggregate]:
-        """Same-named kernels of ``rows`` (default: all) aggregated
-        together, in first-seen name order."""
+        """Same-named kernels of ``rows`` aggregated together, in
+        first-seen name order.  The grouping of all rows (the default) is
+        computed once per table; callers must not change it."""
+        if rows is None:
+            return self.groups
         names = self.name
         groups: dict[str, list[int]] = {}
-        for i in range(len(names)) if rows is None else rows:
+        for i in rows:
             groups.setdefault(names[i], []).append(i)
         return {name: self.aggregate(group) for name, group in groups.items()}
+
+    @cached_property
+    def groups(self) -> dict[str, KernelAggregate]:
+        return self.by_name(range(len(self)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,7 +254,8 @@ class LayerProfile(_KernelTotals):
     """One executed layer with accurate latency and correlated kernels:
     rows ``kernel_rows`` of its profile's ``kernel_table``.  A layer built
     from ``kernels`` gets a one-layer table; ``kernel_table`` and
-    ``slot`` place it in an existing one instead."""
+    ``slot`` place it in an existing one instead, and a row of a
+    ``layer_table`` reads its totals from there."""
 
     index: int
     name: str
@@ -246,15 +270,19 @@ class LayerProfile(_KernelTotals):
         shape: tuple[int, ...], latency_ms: float, alloc_bytes: int,
         kernels: Sequence[KernelProfile] = (), *,
         kernel_table: KernelTable | None = None, slot: int = 0,
+        layer_table: LayerTable | None = None,
     ) -> None:
+        if layer_table is not None:
+            kernel_table = layer_table.kernels
+        elif kernel_table is None:
+            kernel_table = KernelTable.from_kernels([kernels])
         # One dict update instead of the generated frozen __init__'s
-        # object.__setattr__ per field (about twice as slow): each live
-        # refresh rebuilds every layer.
+        # object.__setattr__ per field (about twice as slow): the first
+        # read of a profile's layers builds every one.
         self.__dict__.update(
             index=index, name=name, layer_type=layer_type, shape=shape,
             latency_ms=latency_ms, alloc_bytes=alloc_bytes, slot=slot,
-            kernel_table=KernelTable.from_kernels([kernels])
-            if kernel_table is None else kernel_table,
+            layer_table=layer_table, kernel_table=kernel_table,
         )
 
     @property
@@ -281,7 +309,9 @@ class LayerProfile(_KernelTotals):
 
     @cached_property
     def totals(self) -> KernelAggregate:
-        return self.kernel_table.aggregate(self.kernel_rows)
+        table = self.layer_table
+        known = None if table is None else table.slot_totals(self.slot)
+        return self.kernel_table.aggregate(self.kernel_rows, known)
 
     @property
     def alloc_mb(self) -> float:
@@ -296,19 +326,92 @@ class LayerProfile(_KernelTotals):
         return self.totals.memory_bound(gpu)
 
 
-_layer_fields = attrgetter(
-    "index", "name", "layer_type", "shape", "latency_ms", "alloc_bytes")
+#: A layer's fields in :class:`LayerProfile` order: one table column each.
+LAYER_FIELDS = ("index", "name", "layer_type", "shape", "latency_ms",
+                "alloc_bytes")
+_layer_fields = attrgetter(*LAYER_FIELDS)
 _profile_fields = attrgetter(
     "model_name", "system", "framework", "batch", "model_latency_ms",
     "overheads", "n_runs", "metadata")
 
 
-@dataclass(frozen=True, eq=False)
+class LayerTotals(NamedTuple):
+    """Each layer's kernel totals (:meth:`KernelTable.fold`), by slot."""
+
+    kernel_latency_ms: list[float]
+    flops: list[float]
+    dram_read_bytes: list[float]
+    dram_write_bytes: list[float]
+    occupancy_weight: list[float]
+
+
+class LayerTable:
+    """A profile's layers, one list per :data:`LAYER_FIELDS` column; the
+    layer in slot ``s`` owns rows ``starts[s]:starts[s + 1]`` of the
+    kernel table ``kernels``.  :attr:`totals` folds each layer's kernels
+    on first read unless the builder hands them in."""
+
+    def __init__(self, columns: Sequence[list], kernels: KernelTable,
+                 totals: LayerTotals | None = None) -> None:
+        (self.index, self.name, self.layer_type, self.shape,
+         self.latency_ms, self.alloc_bytes) = columns
+        self.kernels = kernels
+        if totals is not None:
+            self.__dict__["totals"] = totals
+
+    @property
+    def columns(self) -> tuple[list, ...]:
+        return _layer_fields(self)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    @cached_property
+    def totals(self) -> LayerTotals:
+        folded = self.folded
+        return LayerTotals(*map(list, zip(*folded))) if folded else \
+            LayerTotals([], [], [], [], [])
+
+    @cached_property
+    def folded(self) -> list[tuple]:
+        """:attr:`totals` by slot: one :meth:`KernelTable.fold` each."""
+        fold, starts = self.kernels.fold, self.kernels.starts
+        return [fold(range(lo, hi)) for lo, hi in zip(starts, starts[1:])]
+
+    def slot_totals(self, slot: int) -> Sequence[float]:
+        """Slot ``slot``'s totals, read from whichever form is at hand."""
+        if "totals" in self.__dict__ and "folded" not in self.__dict__:
+            return [column[slot] for column in self.totals]
+        return self.folded[slot]
+
+    def row(self, slot: int) -> LayerProfile:
+        """Slot ``slot`` as a :class:`LayerProfile`, without the others."""
+        return LayerProfile(*(column[slot] for column in self.columns),
+                            layer_table=self, slot=slot)
+
+    def roofline(self, gpu: GPUSpec) -> list[tuple[int, bool]]:
+        """``(slot, memory-bound)`` of each layer the roofline classifies
+        (A14): those with kernels and DRAM traffic."""
+        ideal, starts, totals = (gpu.ideal_arithmetic_intensity,
+                                 self.kernels.starts, self.totals)
+        return [
+            (slot, flops / (reads + writes) < ideal)
+            for slot, (lo, hi, flops, reads, writes) in enumerate(zip(
+                starts, starts[1:], totals.flops, totals.dram_read_bytes,
+                totals.dram_write_bytes))
+            if hi > lo and reads + writes > 0
+        ]
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class ModelProfile(_KernelTotals):
     """Accurate across-stack profile of one (model, system, framework, batch).
 
-    Its layers slice its one ``kernel_table``; layers that do not slice
-    one table in order are copied into a new one on construction."""
+    Its layers are the rows of one ``layer_table`` over one
+    ``kernel_table``; :attr:`layers` builds a :class:`LayerProfile` per
+    row on first read.  A profile built from ``layers`` copies them into
+    new tables.
+    """
 
     model_name: str
     system: str
@@ -317,36 +420,48 @@ class ModelProfile(_KernelTotals):
     model_latency_ms: float
     layers: tuple[LayerProfile, ...]
     #: Per-rung profiling overhead in ms, e.g. {"M/L": ..., "M/L/G": ...}.
-    overheads: dict[str, float] = field(default_factory=dict)
-    n_runs: int = 1
-    metadata: dict[str, object] = field(default_factory=dict)
+    overheads: dict[str, float]
+    n_runs: int
+    metadata: dict[str, object]
 
-    def __post_init__(self) -> None:
-        layers = self.layers
-        table = layers[0].kernel_table if layers else None
-        if table is None or len(table.starts) != len(layers) + 1 or any(
-            layer.kernel_table is not table or layer.slot != slot
-            for slot, layer in enumerate(layers)
-        ):
-            table = KernelTable.from_kernels(layer.kernels for layer in layers)
-            object.__setattr__(self, "layers", tuple(
-                LayerProfile(layer.index, layer.name, layer.layer_type,
-                             layer.shape, layer.latency_ms, layer.alloc_bytes,
-                             kernel_table=table, slot=slot)
-                for slot, layer in enumerate(layers)
-            ))
-        self.__dict__["kernel_table"] = table
+    def __init__(
+        self, model_name: str, system: str, framework: str, batch: int,
+        model_latency_ms: float, layers: Sequence[LayerProfile] = (),
+        overheads: dict[str, float] | None = None, n_runs: int = 1,
+        metadata: dict[str, object] | None = None, *,
+        layer_table: LayerTable | None = None,
+    ) -> None:
+        if layer_table is None:  # copy the layers' data into new tables
+            layers = tuple(layers)
+            layer_table = LayerTable(
+                [list(column) for column in zip(*map(_layer_fields, layers))]
+                or [[] for _ in LAYER_FIELDS],
+                KernelTable.from_kernels(layer.kernels for layer in layers))
+        self.__dict__.update(
+            model_name=model_name, system=system, framework=framework,
+            batch=batch, model_latency_ms=model_latency_ms,
+            overheads={} if overheads is None else overheads, n_runs=n_runs,
+            metadata={} if metadata is None else metadata,
+            layer_table=layer_table, kernel_table=layer_table.kernels,
+        )
+
+    @cached_property
+    def layers(self) -> tuple[LayerProfile, ...]:
+        table = self.layer_table
+        return tuple(
+            LayerProfile(*fields, layer_table=table, slot=slot)
+            for slot, fields in enumerate(zip(*table.columns))
+        )
 
     def __eq__(self, other: object) -> bool:
         """Equal fields, layers and kernels, compared a column at a time."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        mine, theirs = self.kernel_table, other.kernel_table
+        mine, theirs = self.layer_table, other.layer_table
         return (_profile_fields(self) == _profile_fields(other)
-                and list(map(_layer_fields, self.layers))
-                == list(map(_layer_fields, other.layers))
-                and mine.starts == theirs.starts
-                and mine.columns == theirs.columns)
+                and mine.columns == theirs.columns
+                and mine.kernels.starts == theirs.kernels.starts
+                and mine.kernels.columns == theirs.kernels.columns)
 
     # -- model-level -----------------------------------------------------------
     @property
@@ -370,15 +485,15 @@ class ModelProfile(_KernelTotals):
         """Latency, flops and DRAM add up the layer totals; the occupancy
         weight adds up every kernel.  Both orders keep the model's
         numbers bit-identical to what they have always been."""
-        layers = [layer.totals for layer in self.layers]
+        layers = self.layer_table.totals
         table = self.kernel_table
         return KernelAggregate(
             table,
             range(len(table)),
-            sum(t.latency_ms for t in layers),
-            sum(t.flops for t in layers),
-            sum(t.dram_read_bytes for t in layers),
-            sum(t.dram_write_bytes for t in layers),
+            sum(layers.kernel_latency_ms),
+            sum(layers.flops),
+            sum(layers.dram_read_bytes),
+            sum(layers.dram_write_bytes),
             sum(map(mul, table.achieved_occupancy, table.latency_ms)),
         )
 
@@ -408,11 +523,10 @@ def profile_from_trace(trace: Trace) -> ModelProfile:
     leveled pipeline removes — good enough for diffing two traces
     captured the same way, not a substitute for the merged profile.
 
-    Consumes the trace's columnar storage directly (row partitions from
-    the index, read-only tag access) and fills the profile's kernel
-    table column by column — no span or kernel objects are built.
+    The trace's :class:`ProfileBuilder` derives the layer and kernel
+    tables from its columns, advanced over the rows appended since the
+    previous call; no span, layer or kernel objects are built.
     """
-    layers, kernels = _layers_and_kernels(trace)
     predict = trace.first_named("predict")
     if predict is not None:
         model_latency_ms = predict.duration_ms
@@ -426,95 +540,226 @@ def profile_from_trace(trace: Trace) -> ModelProfile:
         framework=str(meta.get("framework", "unknown")),
         batch=int(meta.get("batch", 1)),
         model_latency_ms=model_latency_ms,
-        layers=tuple(
-            LayerProfile(*layer, kernel_table=kernels, slot=slot)
-            for slot, layer in enumerate(layers)
-        ),
         n_runs=1,
         metadata={"source": "trace", "trace_id": trace.trace_id},
+        layer_table=_layer_table(trace),
     )
 
 
-def _layers_and_kernels(trace: Trace) -> tuple[list[tuple], KernelTable]:
-    """A trace's layers, as ``(index, name, layer_type, shape, latency_ms,
-    alloc_bytes)`` tuples ordered by index, and its kernel table."""
-    table = trace.table
-    index = trace.index
-    starts = table.start_ns
-    ends = table.end_ns
-    span_ids = table.span_id
-    parents = table.parent_id
-    level_rows = index.level_rows()
+def _layer_table(trace: Trace) -> LayerTable:
+    """The trace's layer table: its builder advanced to the watermark."""
+    builder = trace.builder
+    if builder is None or builder.table is not trace.table or builder.cold:
+        builder = trace.builder = ProfileBuilder(trace.table)
+    return builder.advance(trace.index)
 
-    layer_rows = level_rows.get(Level.LAYER, [])
-    tagged_rows = sorted(
-        zip(*table.tag_columns(
-            layer_rows,
-            ("layer_index", "layer_type", "shape", "alloc_bytes"),
-            (None, "unknown", (), 0),
-        ), layer_rows),
-        key=lambda layer: layer[0] or 0,
-    )
-    # A layer's index is its tag, or else its position.
-    indices = [int(slot if layer[0] is None else layer[0])
-               for slot, layer in enumerate(tagged_rows)]
-    # Kernels hang off their layer span directly, or — when the library
-    # level was captured — via an intermediate cuDNN/cuBLAS API span, so
-    # resolve through the ancestor chain up to the enclosing layer (its
-    # position in ``tagged_rows``), once per parent span.
-    row_by_id = index.row_by_id()
-    layer_of: dict[int, int | None] = {NONE_ID: None}
-    for slot, layer in enumerate(tagged_rows):
-        layer_of[span_ids[layer[-1]]] = slot
 
-    def enclosing_layer(parent_id: int) -> int | None:
-        chain = []
+def _splice(old: list, edits: list[tuple], new: list) -> list:
+    """``old`` with ``old[lo:hi]`` replaced by ``new[a:b]`` for each
+    ``(lo, hi, a, b)`` of the ascending ``edits``, which cover ``new``
+    in order, as a new list."""
+    if not edits:
+        return old
+    if edits[0][0] == len(old):  # all append, as in a cold derivation
+        return old + new
+    out, done = [], 0
+    for lo, hi, a, b in edits:
+        out += old[done:lo]
+        out += new[a:b]
+        done = hi
+    out += old[done:]
+    return out
+
+
+class ProfileBuilder:
+    """The one trace-to-profile derivation, advanced like the trace index.
+
+    :meth:`advance` reads the rows appended since its previous call and
+    returns a new :class:`LayerTable`; like the index, it is advanced
+    from one thread at a time.  Layers take their slot by a stable sort
+    on the ``layer_index`` tag (``None`` sorts as 0 and takes its slot as
+    its index).  A kernel execution row attaches through its ancestor
+    chain to the enclosing layer, in row order within it; a chain
+    through a span id not in the trace yet waits in ``pending``.  Each
+    layer's totals fold left to right as its kernels arrive, and a
+    kernel that lands ahead of held ones re-folds its layer.  Published
+    lists are never changed, so a returned profile never changes.  A
+    duplicated span id makes the builder ``cold``: ids then resolve
+    last-write-wins, so it derives from row 0 on every call.
+    """
+
+    def __init__(self, table: SpanTable) -> None:
+        self.table, self.covered, self.cold = table, 0, False
+        # Per slot: sort key, span row and kernel count, then the
+        # LAYER_FIELDS columns (the index is None while untagged).
+        self.keys, self.layer_rows, self.counts = [], [], []
+        self.layers: list[list] = [[] for _ in LAYER_FIELDS]
+        self.untagged = 0
+        self.totals: LayerTotals | None = None  # folded on first need
+        # The KERNEL_FIELDS columns and each kernel's span row.
+        self.kernels: list[list] = [[] for _ in KERNEL_FIELDS]
+        self.kernel_rows: list[int] = []
+        # span id -> row of the enclosing layer span (None: no layer);
+        # a missing ancestor's span id -> the kernel rows waiting for it.
+        self.layer_of: dict[int, int | None] = {NONE_ID: None}
+        self.pending: dict[int, list[int]] = {}
+        self.last: LayerTable | None = None
+
+    def advance(self, index: TraceIndex) -> LayerTable:
+        """The layer table over the first ``index.covered`` rows."""
+        n = index.covered
+        row_by_id = index.row_by_id()
+        if len(row_by_id) != n:
+            if self.covered:
+                self.__init__(self.table)  # start over from row 0
+            self.cold = True
+        lo = self.covered
+        if lo == n and self.last is not None:
+            return self.last
+        if self.totals is None and self.last is not None:
+            self.totals = self.last.totals
+        level_rows = index.level_rows()
+        layer_rows = level_rows.get(Level.LAYER, [])
+        self._add_layers(layer_rows[bisect_left(layer_rows, lo):])
+        kernel_rows = level_rows.get(Level.GPU_KERNEL, [])
+        kinds, execution = self.table.kind, _KIND_CODE[SpanKind.EXECUTION]
+        waiting = sorted(chain.from_iterable(map(
+            self.pending.pop, self.pending.keys() & self.table.span_id[lo:n]
+        ))) if self.pending else []
+        waiting += [row for row in kernel_rows[bisect_left(kernel_rows, lo):]
+                    if kinds[row] == execution]
+        self._add_kernels(waiting, row_by_id)
+        self.covered = n
+
+        counts, columns = self.counts, self.layers
+        kernels = KernelTable(self.kernels, [0, *accumulate(counts)])
+        if self.untagged:  # indices follow the slots, which moved
+            columns = [[slot if i is None else i
+                        for slot, i in enumerate(columns[0])], *columns[1:]]
+            kernels.layer_index = list(
+                chain.from_iterable(map(repeat, columns[0], counts)))
+        self.last = LayerTable(columns, kernels, self.totals)
+        return self.last
+
+    def _add_layers(self, rows: list[int]) -> None:
+        """Insert new layer rows at their stable-sort slots."""
+        if not rows:
+            return
+        table, m = self.table, len(rows)
+        starts, ends, span_ids = table.start_ns, table.end_ns, table.span_id
+        new = sorted(zip(*table.tag_columns(
+            rows, ("layer_index", "layer_type", "shape", "alloc_bytes"),
+            (None, "unknown", (), 0)), rows), key=lambda layer: layer[0] or 0)
+        rows = [layer[-1] for layer in new]
+        self.layer_of.update(zip(map(span_ids.__getitem__, rows), rows))
+        tags = [None if layer[0] is None else int(layer[0]) for layer in new]
+        self.untagged += tags.count(None)
+        keys = [layer[0] or 0 for layer in new]
+        old = self.keys
+        if not old or keys[0] >= old[-1]:  # all after the old slots
+            edits = [(len(old), len(old), 0, m)]
+        else:  # each run of new layers that goes before the same old slot
+            at = [bisect_right(old, key) for key in keys]
+            runs = [a for a in range(m) if not a or at[a] != at[a - 1]]
+            edits = [(at[a], at[a], a, b)
+                     for a, b in zip(runs, [*runs[1:], m])]
+        zeros = [0.0] * m
+        spliced = [
+            _splice(old, edits, values) for old, values in zip(
+                (self.keys, self.layer_rows, self.counts, *self.layers,
+                 *(self.totals or ())),
+                (keys, rows, [0] * m, tags, list(map(table.name_of, rows)),
+                 [str(layer[1]) for layer in new],
+                 [tuple(layer[2]) for layer in new],
+                 [(ends[row] - starts[row]) / 1e6 for row in rows],
+                 [int(layer[3]) for layer in new],
+                 zeros, zeros, zeros, zeros, [0] * m))]
+        self.keys, self.layer_rows, self.counts = spliced[:3]
+        self.layers = spliced[3:9]
+        if self.totals is not None:
+            self.totals = LayerTotals(*spliced[9:])
+
+    def _add_kernels(self, rows: list[int], row_by_id: dict[int, int]) -> None:
+        """Attach kernel rows (ascending) to their layers, each layer's in
+        row order."""
+        layer_of, parents = self.layer_of, self.table.parent_id
+        slot_of = dict(zip(self.layer_rows, range(len(self.layer_rows))))
+        slot_of[None] = None  # outside any layer, or pending
+        owned: dict[int, list[int]] = {}
+        for row in rows:
+            parent_id = parents[row]
+            slot = slot_of[layer_of[parent_id] if parent_id in layer_of
+                           else self._enclosing(parent_id, row, row_by_id)]
+            if slot is not None:
+                owned.setdefault(slot, []).append(row)
+        if not owned:
+            return
+        held, counts, index = self.kernel_rows, self.counts, self.layers[0]
+        starts = [0, *accumulate(counts)]
+        slots, edits, rows, positions, layer_index = sorted(owned), [], [], [], []
+        a = 0
+        for slot in slots:
+            new, lo, hi = owned[slot], starts[slot], starts[slot + 1]
+            if lo < hi and new[0] < held[hi - 1]:
+                # Ahead of kernels the layer holds: re-read it.
+                new, keep = sorted(held[lo:hi] + new), lo
+            else:
+                keep = hi
+            b = a + len(new)
+            edits.append((keep, hi, a, b))
+            rows += new
+            counts[slot] = count = keep - lo + b - a
+            positions += range(keep - lo, count)
+            layer_index += repeat(index[slot], b - a)
+            a = b
+        table = self.table
+        ends, begins = table.end_ns, table.start_ns
+        flops, reads, writes, occupancy, grid, block = table.tag_columns(
+            rows,
+            ("metric.flop_count_sp", "metric.dram_read_bytes",
+             "metric.dram_write_bytes", "metric.achieved_occupancy",
+             "grid", "block"),
+            (0.0, 0.0, 0.0, 0.0, (1, 1, 1), (1, 1, 1)),
+        )
+        added = KernelTable((
+            list(map(table.name_of, rows)), layer_index, positions,
+            [(ends[row] - begins[row]) / 1e6 for row in rows],
+            list(map(float, flops)), list(map(float, reads)),
+            list(map(float, writes)), list(map(float, occupancy)),
+            list(map(tuple, grid)), list(map(tuple, block))), [])
+        self.kernels = [_splice(old, edits, values)
+                        for old, values in zip(self.kernels, added.columns)]
+        self.kernel_rows = _splice(held, edits, rows)
+        if self.totals is not None:
+            totals = [column[:] for column in self.totals]
+            for slot, (keep, hi, a, b) in zip(slots, edits):
+                # An appended run continues the layer's fold; a re-read
+                # layer folds from zero.
+                folded = added.fold(range(a, b), (0.0, 0.0, 0.0, 0.0, 0)
+                                    if keep < hi else
+                                    tuple(column[slot] for column in totals))
+                for column, value in zip(totals, folded):
+                    column[slot] = value
+            self.totals = LayerTotals(*totals)
+
+    def _enclosing(self, parent_id: int, row: int,
+                   row_by_id: dict[int, int]) -> int | None:
+        """The layer row that ``row``'s ancestor chain from ``parent_id``
+        reaches; ``None`` when none does, or while the chain meets a span
+        id not in the trace yet (``row`` then waits for it)."""
+        layer_of, parents = self.layer_of, self.table.parent_id
+        chain: list[int] = []
         while parent_id not in layer_of and parent_id not in chain:
-            chain.append(parent_id)
             parent_row = row_by_id.get(parent_id)
-            parent_id = NONE_ID if parent_row is None else parents[parent_row]
-        slot = layer_of.get(parent_id)  # None on a parent cycle
+            if parent_row is None:
+                self.pending.setdefault(parent_id, []).append(row)
+                return None
+            chain.append(parent_id)
+            parent_id = parents[parent_row]
+        owner = layer_of.get(parent_id)  # None on a parent cycle
         for seen in chain:
-            layer_of[seen] = slot
-        return slot
-
-    execution_code = _KIND_CODE[SpanKind.EXECUTION]
-    kinds = table.kind
-    owned: list[list[int]] = [[] for _ in tagged_rows]
-    for row in level_rows.get(Level.GPU_KERNEL, []):
-        if kinds[row] != execution_code:
-            continue
-        parent_id = parents[row]
-        slot = (layer_of[parent_id] if parent_id in layer_of
-                else enclosing_layer(parent_id))
-        if slot is not None:  # else a kernel outside any layer span
-            owned[slot].append(row)
-    rows = [row for own in owned for row in own]
-    flops, reads, writes, occupancy, grid, block = table.tag_columns(
-        rows,
-        ("metric.flop_count_sp", "metric.dram_read_bytes",
-         "metric.dram_write_bytes", "metric.achieved_occupancy",
-         "grid", "block"),
-        (0.0, 0.0, 0.0, 0.0, (1, 1, 1), (1, 1, 1)),
-    )
-    kernels = KernelTable((
-        list(map(table.name_of, rows)),
-        [i for i, own in zip(indices, owned) for _ in own],
-        [position for own in owned for position in range(len(own))],
-        [(ends[row] - starts[row]) / 1e6 for row in rows],
-        list(map(float, flops)),
-        list(map(float, reads)),
-        list(map(float, writes)),
-        list(map(float, occupancy)),
-        list(map(tuple, grid)),
-        list(map(tuple, block)),
-    ), [0, *accumulate(map(len, owned))])
-    return [
-        (index, table.name_of(row), str(layer_type), tuple(shape),
-         (ends[row] - starts[row]) / 1e6, int(alloc_bytes))
-        for index, (_, layer_type, shape, alloc_bytes, row)
-        in zip(indices, tagged_rows)
-    ], kernels
+            layer_of[seen] = owner
+        return owner
 
 
 def _statistic_name(statistic: Statistic) -> str:
@@ -785,16 +1030,14 @@ class AnalysisPipeline:
         (layer index, position) across the metric runs, whose kernels
         must match.  The model latency comes from the M runs.
         """
-        views = [_layers_and_kernels(r.trace)[0]
-                 for r in leveled.runs_at("M/L")]
+        views = [_layer_table(run.trace) for run in leveled.runs_at("M/L")]
         firsts = views[0]
         # Metric runs report clean single-pass CUPTI kernel durations.
-        metric_views = [_layers_and_kernels(run.trace)
+        metric_views = [_layer_table(run.trace)
                         for run in leveled.runs_at("M/L/G+metrics")]
-        tables = [view[1] for view in metric_views]
+        tables = [view.kernels for view in metric_views]
         first = tables[0]
-        if [layer[0] for layer in metric_views[0][0]] != [
-                layer[0] for layer in firsts] or any(
+        if metric_views[0].index != firsts.index or any(
                 t.layer_index != first.layer_index
                 or t.position != first.position for t in tables):
             raise ValueError("the leveled runs disagree on the kernels "
@@ -804,21 +1047,19 @@ class AnalysisPipeline:
         kernels = KernelTable(
             (*first.columns[:3], latency, *first.columns[4:]), first.starts
         )
-        layers = tuple(
-            LayerProfile(
-                *layer[:4],
-                self.statistic([v[slot][4] for v in views if slot < len(v)]),
-                layer[5], kernel_table=kernels, slot=slot,
-            )
-            for slot, layer in enumerate(firsts)
-        )
+        layer_latency = [
+            self.statistic([v.latency_ms[slot] for v in views if slot < len(v)])
+            for slot in range(len(firsts))
+        ]
         return ModelProfile(
             model_name=leveled.model_name,
             system=leveled.system,
             framework=leveled.framework,
             batch=leveled.batch,
             model_latency_ms=leveled.model_latency_ms,
-            layers=layers,
             overheads=leveled.overhead_ladder(),
             n_runs=len(views),
+            layer_table=LayerTable(
+                (*firsts.columns[:4], layer_latency, firsts.alloc_bytes),
+                kernels),
         )

@@ -209,12 +209,12 @@ class IncrementalInsightEngine(InsightEngine):
         as unchanged; traces compare by identity plus the row watermark.
         Keeping the reference alive until the next analyze() is what
         makes the comparison sound.  The layer count leads the profile
-        fingerprint: a profile's layers are a tuple, and tuples compare
-        element by element before they compare lengths.
+        fingerprint, so a grown profile differs before any column is
+        compared; neither reads ``profile.layers``.
         """
         if requirement == "profile":
             profile = context.profile
-            return (len(profile.layers), profile,
+            return (len(profile.layer_table), profile,
                     context.peak_device_memory_bytes)
         if requirement == "trace":
             trace = context.trace

@@ -3,8 +3,9 @@
 SysOM-AI-style during-the-run diagnosis for this stack: a
 :class:`LiveMonitor` attaches a :meth:`~repro.tracing.server.TracingServer.stream`
 cursor to an open trace, consumes row batches as tracers publish them,
-derives a single-run profile view of the partial capture
-(:func:`~repro.analysis.diff.sources.profile_from_trace`), and re-runs the
+advances the single-run profile view of the partial capture over them
+(:func:`~repro.analysis.diff.sources.profile_from_trace`, backed by the
+trace's :class:`~repro.core.pipeline.ProfileBuilder`), and re-runs the
 :class:`~repro.insights.engine.IncrementalInsightEngine` — so only rules
 whose ingredients changed since the last watermark are re-evaluated, and
 a quiet capture costs nothing.
@@ -63,8 +64,8 @@ class LiveMonitor:
     ``correlate_launch_execution`` over the whole trace before each
     refresh — needed for raw captures whose kernel spans arrive
     unparented; ``profile_application`` re-publishes pre-correlated
-    rows, so its monitors leave it off.  Each refresh re-derives the
-    whole profile anyway, so the cold passes add no asymptotic cost, and
+    rows, so its monitors leave it off.  The passes write parent ids,
+    so the profile builder starts over from row 0 on every such refresh;
     a child published before its parent is parented once the parent
     lands.
     """

@@ -7,6 +7,9 @@ directly onto the paper's kernel-level analyses (A8-A11).
 
 from __future__ import annotations
 
+from heapq import nlargest
+from operator import attrgetter, sub
+
 from repro.core.pipeline import kernels_by_name
 from repro.insights.engine import InsightContext
 from repro.insights.model import Evidence, Insight, ramp
@@ -36,6 +39,9 @@ LOW_OCCUPANCY_KERNEL = 0.40
 TOP_KERNELS = 5
 
 
+_gap_start, _gap_end = attrgetter("start_ns"), attrgetter("end_ns")
+
+
 @rule(
     "gpu-idle-bubbles",
     description="device-idle gaps between GPU kernel executions "
@@ -57,11 +63,12 @@ def gpu_idle_bubbles(ctx: InsightContext) -> list[Insight]:
         extent = index.level_extent_ns(Level.GPU_KERNEL, kind)
     if extent is None:
         return []
-    gaps = trace.gaps(Level.GPU_KERNEL, kind)
+    gaps = index.gaps(Level.GPU_KERNEL, kind)
     extent_ns = extent[1] - extent[0]
     if extent_ns <= 0:
         return []
-    idle_ns = sum(g.duration_ns for g in gaps)
+    durations = list(map(sub, map(_gap_end, gaps), map(_gap_start, gaps)))
+    idle_ns = sum(durations)
     idle_fraction = idle_ns / extent_ns
     severity = ramp(idle_fraction, IDLE_WARN_FRACTION / 2, IDLE_SATURATION)
 
@@ -82,7 +89,8 @@ def gpu_idle_bubbles(ctx: InsightContext) -> list[Insight]:
             threshold={"idle_fraction": IDLE_WARN_FRACTION},
         )
     ]
-    for gap in sorted(gaps, key=lambda g: -g.duration_ns)[:TOP_GAPS]:
+    for i in nlargest(TOP_GAPS, range(len(gaps)), key=durations.__getitem__):
+        gap = gaps[i]
         evidence.append(
             Evidence(
                 kind="gpu_gap",
@@ -182,10 +190,15 @@ def library_kernel_mix(ctx: InsightContext) -> list[Insight]:
     total = profile.kernel_latency_ms
     if not len(kernels) or total <= 0:
         return []
-    custom_rows = [i for i, name in enumerate(kernels.name)
-                   if not _is_library_kernel(name)]
-    custom = kernels.by_name(custom_rows)
-    custom_ms = sum((kernels.latency_ms[i] for i in custom_rows), 0.0)
+    # Each distinct name is tested once.  A name's group is all of its
+    # kernels, so the custom groups are those of the whole table.
+    custom_names = {name for name in set(kernels.name)
+                    if not _is_library_kernel(name)}
+    custom = {name: group for name, group in kernels.by_name().items()
+              if name in custom_names}
+    custom_ms = sum((latency for latency, name
+                     in zip(kernels.latency_ms, kernels.name)
+                     if name in custom_names), 0.0)
     share = custom_ms / total
     top = sorted(custom.items(), key=lambda kv: -kv[1].latency_ms)[:3]
     # Aggregate evidence leads so the insight is never evidence-free
@@ -250,11 +263,12 @@ def low_occupancy_kernels(ctx: InsightContext) -> list[Insight]:
     weighted = profile.achieved_occupancy
     severity = ramp(OCCUPANCY_WARN - weighted, 0.0, OCCUPANCY_WARN - OCCUPANCY_FLOOR)
     latency = kernels.latency_ms
-    worst = map(kernels.row, sorted(
-        (i for i, occupancy in enumerate(kernels.achieved_occupancy)
-         if occupancy < LOW_OCCUPANCY_KERNEL),
-        key=lambda i: -latency[i],
-    )[:TOP_KERNELS])
+    worst = map(kernels.row, nlargest(
+        TOP_KERNELS,
+        [i for i, occupancy in enumerate(kernels.achieved_occupancy)
+         if occupancy < LOW_OCCUPANCY_KERNEL],
+        key=latency.__getitem__,
+    ))
     evidence = [
         Evidence(
             kind="kernel",

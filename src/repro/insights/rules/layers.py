@@ -7,9 +7,12 @@ memory-bound classification (A14) and the GPU-vs-non-GPU decomposition
 
 from __future__ import annotations
 
+from heapq import nlargest
+from itertools import groupby
+
 from repro.analysis.a13_gpu_vs_nongpu import model_non_gpu_latency_ms
 from repro.analysis.a14_layer_roofline import bound_by_layer_type
-from repro.core.pipeline import LayerProfile
+from repro.core.pipeline import LayerTable
 from repro.insights.engine import InsightContext
 from repro.insights.model import Evidence, Insight, ramp
 from repro.insights.registry import rule
@@ -55,21 +58,20 @@ TOP_LAYERS = 5
 def memory_bound_layers(ctx: InsightContext) -> list[Insight]:
     profile = ctx.profile
     gpu = ctx.gpu
-    classified = [
-        layer
-        for layer in profile.layers
-        if layer.kernel_rows and layer.dram_bytes > 0
-    ]
-    total_ms = sum(layer.kernel_latency_ms for layer in classified)
+    layers = profile.layer_table
+    latency = layers.totals.kernel_latency_ms
+    classified = layers.roofline(gpu)
+    total_ms = sum(latency[slot] for slot, _ in classified)
     if not classified or total_ms <= 0:
         return []
-    memory_bound = [l for l in classified if l.memory_bound(gpu)]
-    mem_ms = sum(l.kernel_latency_ms for l in memory_bound)
+    memory_bound = [slot for slot, bound in classified if bound]
+    mem_ms = sum(latency[slot] for slot in memory_bound)
     share = mem_ms / total_ms
 
     per_type = bound_by_layer_type(profile)
     mem_types = sorted(t for t, b in per_type.items() if b == "memory-bound")
-    top_mem = sorted(memory_bound, key=lambda l: -l.kernel_latency_ms)[:TOP_LAYERS]
+    top_mem = [layers.row(slot) for slot in nlargest(
+        TOP_LAYERS, memory_bound, key=latency.__getitem__)]
     evidence = [
         Evidence(
             kind="layer",
@@ -130,20 +132,15 @@ def memory_bound_layers(ctx: InsightContext) -> list[Insight]:
     ]
 
 
-def _fusion_runs(layers: list[LayerProfile]) -> list[list[LayerProfile]]:
-    """Maximal runs of >= 2 adjacent element-wise layers with kernels."""
-    runs: list[list[LayerProfile]] = []
-    current: list[LayerProfile] = []
-    for layer in layers:
-        if layer.layer_type in ELEMENTWISE_TYPES and layer.kernel_rows:
-            current.append(layer)
-        else:
-            if len(current) >= 2:
-                runs.append(current)
-            current = []
-    if len(current) >= 2:
-        runs.append(current)
-    return runs
+def _fusion_runs(layers: LayerTable) -> list[list[int]]:
+    """Maximal runs of >= 2 adjacent element-wise layers with kernels,
+    as slots."""
+    starts = layers.kernels.starts
+    fusable = [hi > lo and layer_type in ELEMENTWISE_TYPES for layer_type, lo, hi
+               in zip(layers.layer_type, starts, starts[1:])]
+    runs = (list(run) for is_fusable, run
+            in groupby(range(len(fusable)), fusable.__getitem__) if is_fusable)
+    return [run for run in runs if len(run) >= 2]
 
 
 @rule(
@@ -153,31 +150,33 @@ def _fusion_runs(layers: list[LayerProfile]) -> list[list[LayerProfile]]:
 )
 def layer_fusion_candidates(ctx: InsightContext) -> list[Insight]:
     profile = ctx.profile
-    runs = _fusion_runs(profile.layers)
+    layers = profile.layer_table
+    runs = _fusion_runs(layers)
     if not runs or profile.model_latency_ms <= 0:
         return []
-    run_ms = sum(sum(l.latency_ms for l in run) for run in runs)
-    share = run_ms / profile.model_latency_ms
+    latency, starts = layers.latency_ms, layers.kernels.starts
+    run_ms = [sum(latency[slot] for slot in run) for run in runs]
+    launches = [starts[run[-1] + 1] - starts[run[0]] for run in runs]
+    share = sum(run_ms) / profile.model_latency_ms
     n_layers = sum(len(run) for run in runs)
-    n_launches = sum(len(l.kernel_rows) for run in runs for l in run)
+    n_launches = sum(launches)
 
-    top = sorted(
-        runs, key=lambda run: -sum(l.latency_ms for l in run)
-    )[:TOP_RUNS]
     evidence = []
-    for run in top:
-        chain = " -> ".join(f"{l.layer_type}[{l.index}]" for l in run)
+    for i in nlargest(TOP_RUNS, range(len(runs)), key=run_ms.__getitem__):
+        run = runs[i]
+        chain = " -> ".join(
+            f"{layers.layer_type[slot]}[{layers.index[slot]}]" for slot in run)
         evidence.append(
             Evidence(
                 kind="layer",
                 summary=(
-                    f"{chain}: {sum(l.latency_ms for l in run):.3f} ms, "
-                    f"{sum(len(l.kernel_rows) for l in run)} kernel launches"
+                    f"{chain}: {run_ms[i]:.3f} ms, "
+                    f"{launches[i]} kernel launches"
                 ),
-                layer_indices=tuple(l.index for l in run),
+                layer_indices=tuple(layers.index[slot] for slot in run),
                 measured={
-                    "run_latency_ms": sum(l.latency_ms for l in run),
-                    "n_launches": float(sum(len(l.kernel_rows) for l in run)),
+                    "run_latency_ms": run_ms[i],
+                    "n_launches": float(launches[i]),
                 },
                 threshold={"min_run_length": 2.0},
             )
@@ -210,10 +209,14 @@ def host_gpu_imbalance(ctx: InsightContext) -> list[Insight]:
         return []
     non_gpu_ms = model_non_gpu_latency_ms(profile)
     share = non_gpu_ms / profile.model_latency_ms
-    worst = sorted(
-        (l for l in profile.layers if l.latency_ms > 0),
-        key=lambda l: -l.non_gpu_latency_ms,
-    )[:TOP_LAYERS]
+    layers = profile.layer_table
+    latency = layers.latency_ms
+    # LayerProfile.non_gpu_latency_ms, by column: max(0.0, a - b).
+    non_gpu = [ms - gpu_ms if ms > gpu_ms else 0.0
+               for ms, gpu_ms in zip(latency, layers.totals.kernel_latency_ms)]
+    worst = [layers.row(slot) for slot in nlargest(
+        TOP_LAYERS, [slot for slot, ms in enumerate(latency) if ms > 0],
+        key=non_gpu.__getitem__)]
     evidence = [
         Evidence(
             kind="layer",

@@ -9,6 +9,8 @@ territory.
 
 from __future__ import annotations
 
+from heapq import nlargest
+
 from repro.analysis.a01_model_info import optimal_batch_size, throughputs
 from repro.insights.engine import InsightContext
 from repro.insights.model import Evidence, Insight, ramp
@@ -128,10 +130,13 @@ def memory_pressure(ctx: InsightContext) -> list[Insight]:
         # Upper bound from the layer-level profile: weights + activations
         # allocated across the run (liveness-based freeing makes the true
         # peak lower, so this only over-warns, never under-warns).
-        peak = sum(layer.alloc_bytes for layer in profile.layers)
+        peak = sum(profile.layer_table.alloc_bytes)
         source = "sum of per-layer allocations (upper bound)"
     usage = peak / capacity
-    top = sorted(profile.layers, key=lambda l: -l.alloc_bytes)[:TOP_ALLOC_LAYERS]
+    layers = profile.layer_table
+    alloc = layers.alloc_bytes
+    top = [layers.row(slot) for slot in nlargest(
+        TOP_ALLOC_LAYERS, range(len(alloc)), key=alloc.__getitem__)]
     evidence = [
         Evidence(
             kind="memory",

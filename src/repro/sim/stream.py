@@ -19,11 +19,5 @@ class Stream:
     #: Device time at which the stream next becomes free.
     next_free_ns: int = 0
 
-    def enqueue(self, enqueue_ns: int, duration_ns: int) -> tuple[int, int]:
-        """Schedule a work item; returns its device (start, end) times."""
-        start = max(enqueue_ns, self.next_free_ns)
-        self.next_free_ns = start + duration_ns
-        return start, self.next_free_ns
-
     def reset(self) -> None:
         self.next_free_ns = 0

@@ -286,10 +286,6 @@ class TracingServer:
             return TraceStream(self, self._traces[tid])
 
     # -- retrieval --------------------------------------------------------------
-    def get_trace(self, trace_id: int) -> Trace:
-        with self._lock:
-            return self._traces[trace_id]
-
     def traces(self) -> list[Trace]:
         with self._lock:
             return list(self._traces.values())

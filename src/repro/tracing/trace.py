@@ -77,7 +77,8 @@ class SpanSequence:
 class Trace:
     """An ordered collection of spans sharing a ``trace_id``."""
 
-    __slots__ = ("trace_id", "table", "metadata", "closed", "_index")
+    __slots__ = ("trace_id", "table", "metadata", "closed", "_index",
+                 "builder")
 
     def __init__(
         self,
@@ -92,6 +93,9 @@ class Trace:
         #: cursors use it to know no further rows will arrive.
         self.closed = False
         self._index: TraceIndex | None = None
+        #: The :class:`~repro.core.pipeline.ProfileBuilder` that
+        #: ``profile_from_trace`` advances, like the index, over appends.
+        self.builder = None
         if spans is not None:
             self.extend(spans)
 
@@ -139,13 +143,17 @@ class Trace:
         Not needed for appends (the index advances itself); kept as the
         escape hatch for out-of-band table surgery and as the reference
         path the incremental-maintenance fuzz tests compare against.
+        Drops the profile builder too.
         """
         self._index = None
+        self.builder = None
 
     def touch_parents(self) -> None:
-        """Signal that ``parent_id`` fields changed (children/roots stale)."""
+        """Signal that ``parent_id`` fields changed: children/roots are
+        stale and the profile builder starts over from row 0."""
         if self._index is not None:
             self._index.invalidate_parents()
+        self.builder = None
 
     # -- queries ------------------------------------------------------------
     @property
@@ -192,13 +200,6 @@ class Trace:
 
     def children_of(self, span) -> list[SpanView]:
         return self._views(self.index.children_rows().get(span.span_id, ()))
-
-    def children_index(self) -> dict[int | None, list[SpanView]]:
-        """Map parent span id -> children, in start order."""
-        return {
-            parent: self._views(rows)
-            for parent, rows in self.index.children_rows().items()
-        }
 
     def roots(self) -> list[SpanView]:
         return self._views(self.index.root_rows())

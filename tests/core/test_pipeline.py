@@ -406,15 +406,18 @@ def test_leveled_runs_with_different_kernels_do_not_merge(monkeypatch):
         get_model(53).graph, 1)
     pipeline = AnalysisPipeline(session, runs_per_level=2)
     calls = []
-    read = pipeline_mod._layers_and_kernels
+    read = pipeline_mod._layer_table
 
     def drop_a_kernel(trace):
-        layers, kernels = read(trace)
+        layers = read(trace)
         calls.append(trace)
         if len(calls) == 4:  # the second metric run
-            kernels.position[-1] += 1
-        return layers, kernels
+            columns = list(layers.kernels.columns)
+            columns[2] = [*columns[2][:-1], columns[2][-1] + 1]
+            layers = pipeline_mod.LayerTable(layers.columns, pipeline_mod.KernelTable(
+                columns, layers.kernels.starts))
+        return layers
 
-    monkeypatch.setattr(pipeline_mod, "_layers_and_kernels", drop_a_kernel)
+    monkeypatch.setattr(pipeline_mod, "_layer_table", drop_a_kernel)
     with pytest.raises(ValueError, match="disagree"):
         pipeline.merge(leveled)

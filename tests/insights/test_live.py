@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import importlib.util
+import itertools
+import random
 import threading
+from pathlib import Path
+
+import pytest
 
 from factories import build_basic_profile, make_matching_trace, span_rows
 
@@ -151,3 +157,111 @@ def test_monitor_empty_closed_trace_yields_nothing():
     server.end_trace(tid)
     assert monitor.poll() is None
     assert monitor.done
+
+
+# -- live equals cold, at every update -----------------------------------------
+
+_ORACLE = Path(__file__).parents[1] / "core" / "profile_oracle.py"
+_spec = importlib.util.spec_from_file_location("profile_oracle", _ORACLE)
+profile_oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(profile_oracle)
+
+#: Three pool models, as the live benchmark publishes them:
+#: (model, batch, system, framework).
+_POOL = ((53, 2, "Tesla_V100", "tensorflow_like"),
+         (15, 1, "Quadro_RTX", "mxnet_like"),
+         (27, 4, "Tesla_P100", "tensorflow_like"))
+
+
+def _templates(levels) -> list[list[dict]]:
+    """Each pool model's evaluation as ``publish_rows`` mappings."""
+    from repro.core import ProfilingConfig, XSPSession
+    from repro.models import get_model
+
+    templates = []
+    for model, batch, system, framework in _POOL:
+        run = XSPSession(system, framework).profile(
+            get_model(model).graph, batch,
+            ProfilingConfig(levels=levels, metrics=()))
+        table = run.trace.table
+        templates.append([
+            dict(name=table.name_of(row), start_ns=table.start_ns[row],
+                 end_ns=table.end_ns[row], level=table.level[row],
+                 span_id=table.span_id[row],
+                 parent_id=table.parent_id_of(row), kind=table.kind[row],
+                 correlation_id=table.correlation_id_of(row),
+                 tags=table.peek_tags(row))
+            for row in range(len(table))
+        ])
+    return templates
+
+
+def _remapped(template: list[dict], ids, offset_ns: int) -> list[dict]:
+    """One republication: fresh span, parent and correlation ids."""
+    span_ids = {row["span_id"]: next(ids) for row in template}
+    correlations = {row["correlation_id"]: next(ids) for row in template
+                    if row["correlation_id"] is not None}
+    return [
+        {**row, "start_ns": row["start_ns"] + offset_ns,
+         "end_ns": row["end_ns"] + offset_ns,
+         "span_id": span_ids[row["span_id"]],
+         "parent_id": span_ids.get(row["parent_id"]),
+         "correlation_id": correlations.get(row["correlation_id"])}
+        for row in template
+    ]
+
+
+def _prefix(trace, n: int):
+    """A fresh trace holding the first ``n`` rows of ``trace``."""
+    from repro.tracing.trace import Trace
+
+    table = trace.table
+    prefix = Trace(trace.trace_id, metadata=dict(trace.metadata))
+    prefix.add_rows([
+        (table.name_of(row), table.start_ns[row], table.end_ns[row],
+         table.level[row], table.kind[row], table.span_id[row],
+         table.parent_id[row], table.correlation_id[row],
+         tuple(table.peek_tags(row)), tuple(table.peek_tags(row).values()))
+        for row in range(n)
+    ])
+    return prefix
+
+
+@pytest.mark.parametrize("library_level", [False, True])
+def test_every_live_update_equals_a_cold_advise(library_level):
+    """A multi-model capture with full metadata and remapped ids, cut into
+    random chunks: every update's report equals advising the oracle
+    profile of the rows it covers."""
+    from repro.core import MLG, MLLibG
+    from repro.insights import advise
+
+    rng = random.Random(11 + library_level)
+    templates = _templates(MLLibG if library_level else MLG)
+    ids = itertools.count(1 << 40)
+    rows, offset = [], 0
+    for evaluation in (0, 1, 2, 0):
+        template = _remapped(templates[evaluation], ids, offset)
+        rows += template
+        offset = max(row["end_ns"] for row in template) + 1_000
+    server = TracingServer()
+    model, batch, system, framework = _POOL[0]
+    tid = server.begin_trace(model=model, system=system,
+                             framework=framework, batch=batch)
+    monitor = LiveMonitor(server, tid)
+    updates, at = [], 0
+    while at < len(rows):
+        chunk = rows[at:at + rng.randint(1, 400)]
+        at += len(chunk)
+        server.publish_rows(tid, chunk)
+        if at == len(rows):
+            server.end_trace(tid)
+        update = monitor.poll(timeout=0)
+        assert update is not None
+        updates.append(update)
+    assert updates[-1].final and updates[-1].n_spans == len(rows)
+    assert len(updates) > 5
+    trace = monitor.trace
+    for update in updates:
+        prefix = _prefix(trace, update.n_spans)
+        cold = advise(profile_oracle.oracle_profile(prefix), trace=prefix)
+        assert update.report.to_dict() == cold.to_dict()

@@ -1,0 +1,129 @@
+"""Every CLI subcommand, given an input it cannot use, exits non-zero
+with exactly one stderr line and no traceback.
+
+The table names each subcommand's failing inputs: a missing file,
+malformed JSON, a document of another format and an out-of-range
+number, wherever the subcommand takes that kind of input.  A subcommand
+missing from the table, or an option that takes a value with no case
+(and no reason to have none), fails the test."""
+
+from __future__ import annotations
+
+import argparse
+
+import pytest
+
+from repro.cli import build_parser, main
+
+#: Placeholders the test replaces with files under its ``tmp_path``.
+MISSING, MALFORMED, FOREIGN, A_FILE, NO_DIR = (
+    "<missing.json>", "<malformed.json>", "<foreign.json>", "<a-file>",
+    "<no-dir>/out.json")
+
+CASES: dict[str, list[list[str]]] = {
+    # Reads no file and takes no number; argparse checks --task.
+    "list-models": [],
+    "profile": [
+        ["--model", "999"],
+        ["--model", "53", "--batch", "0"],
+        ["--model", "53", "--runs", "0"],
+        ["--model", "53", "--cache-dir", A_FILE],
+    ],
+    "sweep": [
+        ["--model", "999"],
+        ["--model", "53", "--batches", "0,1"],
+        ["--model", "53", "--batches", "one"],
+    ],
+    "experiments": [
+        ["--only", "fig99"],
+        ["--only", "fig10", "--output", NO_DIR],
+    ],
+    "trace": [
+        ["--model", "999", "--stats"],
+        ["--model", "53", "--batch", "0", "--stats"],
+        ["--model", "53", "--output", NO_DIR],
+        ["--model", "53", "--chrome", NO_DIR],
+    ],
+    "advise": [
+        ["--from-trace", MISSING],
+        ["--from-trace", MALFORMED],
+        ["--from-trace", FOREIGN],
+        ["--model", "999"],
+        ["--model", "53", "--batch", "0"],
+        ["--model", "53", "--runs", "0"],
+        ["--model", "53", "--sweep", "0,1"],
+        ["--model", "53", "--min-severity", "1.5"],
+        ["--model", "53", "--min-severity", "nan"],
+        ["--model", "53", "--cache-dir", A_FILE],
+        ["--model", "53", "--live", "--evaluations", "0"],
+    ],
+    "diff": [
+        [MISSING, "model=53"],
+        ["model=53", MALFORMED],
+        [FOREIGN, "model=53"],
+        ["model=53,batch=0", "model=53"],
+        ["model=53", "model=53", "--runs", "0"],
+        ["model=53", "model=53", "--min-severity", "-0.5"],
+        ["model=53", "model=53", "--max-regression", "nan"],
+        ["model=53", "model=53", "--max-regression", "-1"],
+        ["model=53", "model=53", "--cache-dir", A_FILE],
+    ],
+}
+
+#: Options that take a value but need no case: argparse checks them.
+CHOICES_ONLY = {"--task", "--system", "--framework"}
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    (action,) = (a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    return dict(action.choices)
+
+
+def test_every_subcommand_has_a_row():
+    assert set(CASES) == set(_subcommands())
+
+
+@pytest.mark.parametrize("command", sorted(CASES))
+def test_every_value_option_has_a_case(command):
+    """Each option that takes a value, and each positional, appears in
+    one of its subcommand's cases."""
+    parser = _subcommands()[command]
+    used = {arg for argv in CASES[command] for arg in argv}
+    for action in parser._actions:
+        if action.nargs == 0 or action.dest == "help":
+            continue
+        if not action.option_strings:  # a positional: any case feeds it
+            assert CASES[command], f"{command} {action.dest}: no case"
+            continue
+        names = set(action.option_strings)
+        assert names & (used | CHOICES_ONLY), f"{command} {names}: no case"
+
+
+def _materialize(arg: str, tmp_path) -> str:
+    files = {
+        MALFORMED: '{"format_version": 2, "spans": ',
+        FOREIGN: '{"traceEvents": [], "displayTimeUnit": "ms"}',
+        A_FILE: "not a directory",
+    }
+    if arg in files:
+        path = tmp_path / arg.strip("<>")
+        path.write_text(files[arg])
+        return str(path)
+    if arg in (MISSING, NO_DIR):
+        return str(tmp_path / arg.replace("<", "").replace(">", ""))
+    return arg
+
+
+@pytest.mark.parametrize("command,args", [
+    pytest.param(command, args, id=" ".join([command, *args]))
+    for command, rows in sorted(CASES.items()) for args in rows
+])
+def test_bad_input_exits_non_zero_in_one_line(command, args, tmp_path,
+                                              capsys):
+    argv = [command, *(_materialize(arg, tmp_path) for arg in args)]
+    assert main(argv) != 0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error: ") and "Traceback" not in err

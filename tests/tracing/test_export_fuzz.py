@@ -278,7 +278,7 @@ def _typed_trace(seed: int) -> Trace:
     rng = random.Random(seed)
     server = TracingServer()
     tid = server.begin_trace(model="typed")
-    trace = server.get_trace(tid)
+    trace = server.stream(tid).trace
     spans = []
     for i in range(rng.randint(3, 30)):
         start = rng.randint(0, 10**6)

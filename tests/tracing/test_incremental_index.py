@@ -222,7 +222,7 @@ def test_query_results_are_new_lists_of_views():
     trace.spans[1].parent_id = 1
     trace.touch_parents()
     for query in (trace.sorted_spans, trace.roots, trace.by_id,
-                  trace.children_index, lambda: trace.at_level(Level.LAYER),
+                  lambda: trace.at_level(Level.LAYER),
                   lambda: trace.children_of(trace.spans[0])):
         first = query()
         first.clear()

@@ -27,8 +27,8 @@ def test_publish_to_explicit_trace_id():
     span = _span("explicit")
     span.trace_id = t1
     server.publish(span)
-    assert len(server.get_trace(t1)) == 1
-    assert len(server.get_trace(t2)) == 0
+    assert len(server.stream(t1).trace) == 1
+    assert len(server.stream(t2).trace) == 0
 
 
 def test_publish_without_trace_creates_one():
@@ -132,19 +132,19 @@ def test_end_trace_evicts_finished_trace():
     assert [s.name for s in trace.spans] == ["a"]  # caller owns the result
     assert server.traces() == []  # server no longer holds it
     try:
-        server.get_trace(tid)
+        server.stream(tid)
     except KeyError:
         pass
     else:  # pragma: no cover - regression guard
         raise AssertionError("ended trace still retrievable")
 
 
-def test_get_trace_still_serves_open_traces():
+def test_stream_still_serves_open_traces():
     server = TracingServer()
     t1 = server.begin_trace()
     t2 = server.begin_trace()
     server.end_trace(t2)
-    assert server.get_trace(t1) is not None  # open trace unaffected
+    assert server.stream(t1).trace.trace_id == t1  # open trace unaffected
     assert [t.trace_id for t in server.traces()] == [t1]
 
 

@@ -404,7 +404,7 @@ def _fuzz_incremental_maintenance(seed: int) -> None:
     rng = random.Random(seed)
     server = TracingServer()
     tid = server.begin_trace()
-    trace = server.get_trace(tid)
+    trace = server.stream(tid).trace
     next_id = 1
 
     def random_span():

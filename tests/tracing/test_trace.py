@@ -26,11 +26,11 @@ def test_sorted_spans_parents_first():
     assert ordered[0].name == "predict"
 
 
-def test_children_index():
+def test_children_rows():
     t = _trace()
-    index = t.children_index()
-    assert [s.name for s in index[1]] == ["conv", "relu"]
-    assert [s.name for s in index[2]] == ["kernel"]
+    children = t.index.children_rows()
+    assert [t.table.name_of(row) for row in children[1]] == ["conv", "relu"]
+    assert [t.table.name_of(row) for row in children[2]] == ["kernel"]
 
 
 def test_roots():

@@ -171,7 +171,7 @@ def test_publish_rows_bad_row_lands_nothing():
     server = TracingServer()
     tid = server.begin_trace()
     server.publish_rows(tid, [_row_mapping(0)])
-    trace = server.get_trace(tid)
+    trace = server.stream(tid).trace
     before = (trace.watermark, trace.table.to_columns())
     batch = [_row_mapping(1), _row_mapping(2, 20, 5), _row_mapping(3)]
     with pytest.raises(ValueError, match="precedes"):
@@ -234,7 +234,7 @@ def test_mid_capture_queries_advance_not_rebuild():
     advances over each published batch (the PR 5 'live trace' contract)."""
     server = TracingServer()
     tid = server.begin_trace()
-    trace = server.get_trace(tid)
+    trace = server.stream(tid).trace
     server.publish_many(span_rows(
         _span(i, 100 * i, 100 * i + 50, Level.GPU_KERNEL) for i in range(1, 5)
     ))
