@@ -1,6 +1,6 @@
 """Diff-engine benchmark: aligning and classifying two 2k-layer profiles.
 
-Alongside the timing, three contracts are asserted:
+Alongside the timing, four contracts are asserted:
 
 * a self-diff is clean (zero findings above severity 0) even at this
   scale,
@@ -12,15 +12,24 @@ Alongside the timing, three contracts are asserted:
   is at least ``MIN_JSON_SPEEDUP``x faster.  The reference builds one
   dict per compared number, as ``ProfileDiff.to_dict`` once did, and
   passes the tree to ``json.dumps``.  Both time the whole diff, engine
-  included.
+  included, and
+* the diff table filled from the two profiles' layer and kernel columns
+  (slot alignment plus one fold per kernel group) equals, as JSON
+  pieces, the table built from aligned layer objects and one aggregate
+  per group (the oracle in ``tests/analysis/diff_oracle.py``), and is
+  at least ``MIN_TABLE_SPEEDUP``x faster.  Both start from profiles
+  whose layer objects and per-layer totals are not built yet.
 """
 
 from __future__ import annotations
 
 import gc
+import importlib.util
 import json
 import random
+import sys
 import time
+from pathlib import Path
 
 from bench_insights_engine import make_synthetic_profile
 
@@ -31,14 +40,32 @@ from repro.analysis.diff import (
     ProfileDiff,
     diff_profiles,
 )
-from repro.analysis.diff.model import _json_number
-from repro.core.pipeline import KernelProfile, LayerProfile, ModelProfile
+from repro.analysis.diff.align import align_layers
+from repro.analysis.diff.engine import _table
+from repro.analysis.diff.model import DiffTable, _json_number
+from repro.core.pipeline import (
+    KernelProfile,
+    KernelTable,
+    LayerProfile,
+    LayerTable,
+    ModelProfile,
+)
+
+_ORACLE = Path(__file__).parents[1] / "tests" / "analysis" / "diff_oracle.py"
+_spec = importlib.util.spec_from_file_location("diff_oracle", _ORACLE)
+diff_oracle = importlib.util.module_from_spec(_spec)
+sys.modules["diff_oracle"] = diff_oracle  # its dataclasses look it up
+_spec.loader.exec_module(diff_oracle)
 
 N_LAYERS = 2000
 #: Measured 2.05-2.15x on a 2-vCPU host (Python 3.11).  Every number of
 #: this pair is a fresh random draw, so formatting each distinct value
 #: once saves little here; the bound leaves room for a shared runner.
 MIN_JSON_SPEEDUP = 1.8
+#: The column table against the object one on the perturbed pair:
+#: measured 2.2-2.3x on a 2-vCPU host (Python 3.11).  Both run the same
+#: SequenceMatcher, about a third of the column table's time here.
+MIN_TABLE_SPEEDUP = 2.0
 
 
 def make_perturbed_candidate(
@@ -207,4 +234,54 @@ def test_diff_json_2k_layers(benchmark):
     assert speedup >= MIN_JSON_SPEEDUP, (
         f"the diff's JSON is only {speedup:.2f}x faster than a dict per "
         f"number ({column_s * 1e3:.0f} ms vs {dict_s * 1e3:.0f} ms)"
+    )
+
+
+# -- the table --------------------------------------------------------------
+
+
+def _unbuilt(profile: ModelProfile) -> ModelProfile:
+    """``profile`` over the same columns, with no layer objects or
+    per-layer totals built yet (as the store and trace loaders make it)."""
+    layers, kernels = profile.layer_table, profile.kernel_table
+    return ModelProfile(
+        profile.model_name, profile.system, profile.framework, profile.batch,
+        profile.model_latency_ms,
+        layer_table=LayerTable(layers.columns,
+                               KernelTable(kernels.columns, kernels.starts)),
+    )
+
+
+def _column_table(baseline: ModelProfile, candidate: ModelProfile) -> DiffTable:
+    layers, other = baseline.layer_table, candidate.layer_table
+    return _table(layers, other, align_layers(layers, other))
+
+
+def _best_unbuilt_s(calls, profiles, rounds: int = 7) -> list[float]:
+    """:func:`_best_s` of ``call(*profiles)``, each on unbuilt copies."""
+    best = [float("inf")] * len(calls)
+    for _ in range(rounds):
+        for i, call in enumerate(calls):
+            args = [_unbuilt(profile) for profile in profiles]
+            gc.collect()
+            start = time.perf_counter()
+            call(*args)
+            best[i] = min(best[i], time.perf_counter() - start)
+    return best
+
+
+def test_diff_table_from_columns_2k_layers(benchmark):
+    """The diff table from the columns: equal to the object table, and
+    faster."""
+    baseline = make_synthetic_profile(N_LAYERS)
+    candidate = make_perturbed_candidate(baseline)
+    table = benchmark(lambda: _column_table(baseline, candidate))
+    assert table.json_pieces() == diff_oracle.object_table(
+        _unbuilt(baseline), _unbuilt(candidate)).json_pieces()
+    object_s, column_s = _best_unbuilt_s(
+        [diff_oracle.object_table, _column_table], (baseline, candidate))
+    speedup = object_s / column_s
+    assert speedup >= MIN_TABLE_SPEEDUP, (
+        f"the column table is only {speedup:.2f}x faster than the object "
+        f"table ({column_s * 1e3:.1f} ms vs {object_s * 1e3:.1f} ms)"
     )

@@ -8,7 +8,6 @@ time-consuming layers of MLPerf_ResNet50_v1.5).
 from __future__ import annotations
 
 from heapq import nlargest
-from operator import attrgetter
 from typing import Iterable
 
 from repro.analysis.tables import Column, Table
@@ -46,6 +45,6 @@ def layer_information_table(
 def top_layers(profile: ModelProfile, n: int = 5) -> Table:
     """The paper's Table II: top-N most time-consuming layers (ties in
     execution order); only the N rows shown are built."""
-    return layer_information_table(
-        profile, nlargest(n, profile.layers, key=attrgetter("latency_ms"))
-    )
+    table = profile.layer_table
+    top = nlargest(n, range(len(table)), key=table.latency_ms.__getitem__)
+    return layer_information_table(profile, map(table.row, top))

@@ -8,9 +8,10 @@ from repro.core.pipeline import ModelProfile
 
 def layer_latency_series(profile: ModelProfile) -> list[tuple[int, float]]:
     """(layer index, latency ms) in execution order."""
-    return [(layer.index, layer.latency_ms) for layer in profile.layers]
+    table = profile.layer_table
+    return list(zip(table.index, table.latency_ms))
 
 
 def latency_stage(profile: ModelProfile) -> str:
     """Which execution interval (beginning/middle/end) dominates latency."""
-    return dominant_stage(profile, lambda layer: layer.latency_ms)
+    return dominant_stage(profile, profile.layer_table.latency_ms)

@@ -8,9 +8,10 @@ from repro.core.pipeline import ModelProfile
 
 def layer_memory_series(profile: ModelProfile) -> list[tuple[int, float]]:
     """(layer index, allocated MB) in execution order."""
-    return [(layer.index, layer.alloc_mb) for layer in profile.layers]
+    table = profile.layer_table
+    return list(zip(table.index, table.alloc_mb))
 
 
 def memory_stage(profile: ModelProfile) -> str:
     """Which execution interval dominates memory allocation."""
-    return dominant_stage(profile, lambda layer: layer.alloc_mb)
+    return dominant_stage(profile, profile.layer_table.alloc_mb)

@@ -9,7 +9,7 @@ from repro.core.pipeline import ModelProfile
 
 
 def layer_type_distribution(profile: ModelProfile) -> Table:
-    counts = Counter(layer.layer_type for layer in profile.layers)
+    counts = Counter(profile.layer_table.layer_type)
     total = sum(counts.values())
     table = Table(
         title=f"A5 layer type distribution: {profile.model_name}",

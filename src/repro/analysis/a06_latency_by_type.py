@@ -17,9 +17,10 @@ CONV_TYPES = ("Conv2D", "DepthwiseConv2dNative", "Convolution")
 
 
 def latency_by_type(profile: ModelProfile) -> Table:
+    layers = profile.layer_table
     totals: dict[str, float] = defaultdict(float)
-    for layer in profile.layers:
-        totals[layer.layer_type] += layer.latency_ms
+    for layer_type, latency in zip(layers.layer_type, layers.latency_ms):
+        totals[layer_type] += latency
     grand = sum(totals.values())
     table = Table(
         title=f"A6 layer latency by type: {profile.model_name}",
@@ -40,10 +41,11 @@ def latency_by_type(profile: ModelProfile) -> Table:
 
 def convolution_latency_percentage(profile: ModelProfile) -> float:
     """Table VIII last column: convolution share of total layer latency."""
+    table = profile.layer_table
     conv = sum(
-        layer.latency_ms
-        for layer in profile.layers
-        if layer.layer_type in CONV_TYPES
+        latency
+        for layer_type, latency in zip(table.layer_type, table.latency_ms)
+        if layer_type in CONV_TYPES
     )
-    total = sum(layer.latency_ms for layer in profile.layers)
+    total = sum(table.latency_ms)
     return 100.0 * conv / total if total else 0.0

@@ -9,9 +9,10 @@ from repro.core.pipeline import ModelProfile
 
 
 def memory_by_type(profile: ModelProfile) -> Table:
+    layers = profile.layer_table
     totals: dict[str, float] = defaultdict(float)
-    for layer in profile.layers:
-        totals[layer.layer_type] += layer.alloc_mb
+    for layer_type, alloc in zip(layers.layer_type, layers.alloc_mb):
+        totals[layer_type] += alloc
     grand = sum(totals.values())
     table = Table(
         title=f"A7 layer memory allocation by type: {profile.model_name}",

@@ -8,7 +8,6 @@ corresponding values of all the kernels invoked by that layer."
 from __future__ import annotations
 
 from heapq import nlargest
-from operator import attrgetter
 from typing import Iterable
 
 from repro.analysis.roofline import aggregate_columns
@@ -53,7 +52,9 @@ def kernel_by_layer_table(
 def top_layers_by_kernels(profile: ModelProfile, n: int = 5) -> Table:
     """The paper's Table V: kernel aggregates for the top-N layers (ties
     in execution order); only the N rows shown are built."""
-    return kernel_by_layer_table(profile, nlargest(
-        n, (layer for layer in profile.layers if layer.kernel_rows),
-        key=attrgetter("latency_ms"),
-    ))
+    table = profile.layer_table
+    starts = table.kernels.starts
+    top = nlargest(n, (slot for slot in range(len(table))
+                       if starts[slot + 1] > starts[slot]),
+                   key=table.latency_ms.__getitem__)
+    return kernel_by_layer_table(profile, map(table.row, top))

@@ -15,13 +15,15 @@ def gpu_vs_nongpu_series(
     profile: ModelProfile,
 ) -> list[tuple[int, float, float]]:
     """(layer index, normalized GPU share, normalized non-GPU share)."""
+    table = profile.layer_table
     out = []
-    for layer in profile.layers:
-        if layer.latency_ms <= 0:
-            out.append((layer.index, 0.0, 0.0))
+    for index, latency, kernel_latency in zip(
+            table.index, table.latency_ms, table.totals.kernel_latency_ms):
+        if latency <= 0:
+            out.append((index, 0.0, 0.0))
             continue
-        gpu_share = min(1.0, layer.kernel_latency_ms / layer.latency_ms)
-        out.append((layer.index, gpu_share, 1.0 - gpu_share))
+        gpu_share = min(1.0, kernel_latency / latency)
+        out.append((index, gpu_share, 1.0 - gpu_share))
     return out
 
 

@@ -18,11 +18,7 @@ systems or frameworks and explain the gap.  This package automates that:
   ``--max-regression`` exit-code gate for CI use.
 """
 
-from repro.analysis.diff.align import (
-    LayerAlignment,
-    LayerMatch,
-    align_layers,
-)
+from repro.analysis.diff.align import align_layers
 from repro.analysis.diff.campaign import CampaignDiff, diff_campaigns
 from repro.analysis.diff.engine import classify, diff_profiles
 from repro.analysis.diff.model import (
@@ -43,9 +39,7 @@ __all__ = [
     "Delta",
     "DiffFinding",
     "KernelDelta",
-    "LayerAlignment",
     "LayerDelta",
-    "LayerMatch",
     "ProfileDiff",
     "align_layers",
     "classify",

@@ -4,7 +4,8 @@ Two profiles of the *same* model usually have identical layer sequences,
 but the comparisons XSP cares about break that: a different framework
 names (and sometimes fuses) layers differently, a model revision inserts
 or removes blocks, a cuDNN heuristic switch changes the kernel mix under
-an unchanged layer.  Alignment therefore works like a sequence diff:
+an unchanged layer.  Alignment therefore works like a sequence diff over
+the two :class:`~repro.core.pipeline.LayerTable`\\ s' slots:
 
 1. layers are compared as a (name, type) sequence with
    :class:`difflib.SequenceMatcher`; ``equal`` runs pair directly
@@ -17,94 +18,60 @@ an unchanged layer.  Alignment therefore works like a sequence diff:
    ``added`` (candidate-only) rather than force-matched.
 
 Kernels are matched *within* an aligned layer pair by kernel name; same
--named launches aggregate per side
-(:func:`~repro.core.pipeline.kernels_by_name`) so algorithm switches that
-change launch counts still line up.
+-named launches aggregate per side (the diff engine's kernel groups) so
+algorithm switches that change launch counts still line up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from difflib import SequenceMatcher
+from itertools import repeat, zip_longest
 
-from repro.core.pipeline import LayerProfile
+from repro.core.pipeline import LayerTable
 
-
-@dataclass(frozen=True)
-class LayerMatch:
-    """One baseline layer paired with one candidate layer."""
-
-    baseline: LayerProfile
-    candidate: LayerProfile
-    via: str  #: "name" | "type" | "index"
+#: One aligned pair: the baseline slot, the candidate slot (``None`` on
+#: the side the layer is missing from) and the rung that paired them
+#: (``"name"`` | ``"type"`` | ``"index"``; ``None`` unless matched).
+Pair = tuple[int | None, int | None, str | None]
 
 
-@dataclass
-class LayerAlignment:
-    """The full pairing of two layer sequences."""
-
-    matched: list[LayerMatch]
-    removed: list[LayerProfile]  #: baseline-only
-    added: list[LayerProfile]  #: candidate-only
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.matched) + len(self.removed) + len(self.added)
-
-
-def _signature(layer: LayerProfile) -> tuple[str, str]:
-    return (layer.name, layer.layer_type)
-
-
-def _pair_replaced(
-    base: list[LayerProfile],
-    cand: list[LayerProfile],
-    alignment: LayerAlignment,
-) -> None:
-    """Pair a replaced run positionally via the name/type/index ladder."""
-    for offset in range(max(len(base), len(cand))):
-        if offset >= len(base):
-            alignment.added.append(cand[offset])
-            continue
-        if offset >= len(cand):
-            alignment.removed.append(base[offset])
-            continue
-        b, c = base[offset], cand[offset]
-        if b.name == c.name:
-            via = "name"
-        elif b.layer_type == c.layer_type:
-            via = "type"
-        elif b.index == c.index:
-            via = "index"
-        else:
-            alignment.removed.append(b)
-            alignment.added.append(c)
-            continue
-        alignment.matched.append(LayerMatch(b, c, via))
-
-
-def align_layers(
-    baseline: list[LayerProfile], candidate: list[LayerProfile]
-) -> LayerAlignment:
-    """Pair the two layer sequences, tolerating inserts and renames."""
-    alignment = LayerAlignment(matched=[], removed=[], added=[])
-    matcher = SequenceMatcher(
-        a=[_signature(l) for l in baseline],
-        b=[_signature(l) for l in candidate],
-        autojunk=False,
-    )
-    for op, b_lo, b_hi, c_lo, c_hi in matcher.get_opcodes():
+def align_layers(baseline: LayerTable, candidate: LayerTable) -> list[Pair]:
+    """Pair the two tables' slots, tolerating inserts and renames: the
+    matched pairs in sequence order, then the removed, then the added."""
+    base = list(zip(baseline.name, baseline.layer_type))
+    cand = list(zip(candidate.name, candidate.layer_type))
+    matched: list[Pair] = []
+    removed: list[Pair] = []
+    added: list[Pair] = []
+    # Identical sequences (every self-diff) are one equal run; the matcher
+    # would find it, at a cost.
+    opcodes = ([("equal", 0, len(base), 0, len(cand))] if base == cand else
+               SequenceMatcher(a=base, b=cand, autojunk=False).get_opcodes())
+    for op, b_lo, b_hi, c_lo, c_hi in opcodes:
         if op == "equal":
-            alignment.matched.extend(
-                LayerMatch(b, c, "name")
-                for b, c in zip(baseline[b_lo:b_hi], candidate[c_lo:c_hi])
-            )
-        elif op == "replace":
-            _pair_replaced(
-                baseline[b_lo:b_hi], candidate[c_lo:c_hi], alignment
-            )
+            matched.extend(zip(range(b_lo, b_hi), range(c_lo, c_hi),
+                               repeat("name")))
         elif op == "delete":
-            alignment.removed.extend(baseline[b_lo:b_hi])
-        else:  # insert
-            alignment.added.extend(candidate[c_lo:c_hi])
-    return alignment
+            removed.extend((b, None, None) for b in range(b_lo, b_hi))
+        elif op == "insert":
+            added.extend((None, c, None) for c in range(c_lo, c_hi))
+        else:  # replace: pair positionally via the name/type/index ladder
+            for b, c in zip_longest(range(b_lo, b_hi), range(c_lo, c_hi)):
+                if b is None or c is None:
+                    via = None
+                elif base[b][0] == cand[c][0]:
+                    via = "name"
+                elif base[b][1] == cand[c][1]:
+                    via = "type"
+                elif baseline.index[b] == candidate.index[c]:
+                    via = "index"
+                else:
+                    via = None
+                if via is not None:
+                    matched.append((b, c, via))
+                    continue
+                if b is not None:
+                    removed.append((b, None, None))
+                if c is not None:
+                    added.append((None, c, None))
+    return matched + removed + added

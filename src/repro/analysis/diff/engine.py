@@ -1,8 +1,9 @@
 """The diff engine: align two profiles, tabulate what changed, classify.
 
-:func:`diff_profiles` is the subsystem's entry point.  It aligns the two
-layer sequences (:mod:`repro.analysis.diff.align`), then fills one
-:class:`~repro.analysis.diff.model.DiffTable`: a row per aligned layer
+:func:`diff_profiles` is the subsystem's entry point.  It aligns the
+slots of the two layer tables (:mod:`repro.analysis.diff.align`), then
+fills one :class:`~repro.analysis.diff.model.DiffTable` from the layer
+and kernel columns, building no layer object: a row per aligned layer
 pair and a row per (layer pair, kernel name) group, with a baseline and
 a candidate column per compared metric.  Group totals are summed in the
 order :func:`~repro.core.pipeline.kernels_by_name` sums them.  It then
@@ -20,10 +21,9 @@ findings are *observational* (like insight rules) and ``--min-severity``
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Sequence
 
-from repro.analysis.diff.align import align_layers
+from repro.analysis.diff.align import Pair, align_layers
 from repro.analysis.diff.model import (
     KERNEL_LABELS,
     KERNEL_METRICS,
@@ -37,7 +37,8 @@ from repro.analysis.diff.model import (
     ProfileDiff,
 )
 from repro.core.pipeline import (
-    LayerProfile,
+    KernelTable,
+    LayerTable,
     ModelProfile,
     kernels_by_name,
 )
@@ -65,9 +66,8 @@ TOP_CONTRIBUTORS = 3
 #: Independent new-hotspot findings emitted at most.
 MAX_HOTSPOT_FINDINGS = 3
 
-#: The metrics of a side a layer or kernel group is missing from.
-_NO_LAYER = (0.0,) * len(LAYER_METRICS)
-_NO_GROUP = (0, 0.0, 0.0, (), 0)
+#: The KERNEL_METRICS of the side a kernel group is missing from.
+_NO_GROUP = (0, 0.0, 0.0, 0.0, 0.0)
 
 
 def _identity(profile: ModelProfile) -> dict[str, object]:
@@ -81,75 +81,78 @@ def _identity(profile: ModelProfile) -> dict[str, object]:
     }
 
 
-def _layer_values(layer: LayerProfile | None) -> tuple:
-    """A layer's LAYER_METRICS."""
-    if layer is None:
-        return _NO_LAYER
-    totals = layer.totals
-    return (float(layer.latency_ms), float(totals.flops),
-            float(totals.dram_bytes), float(totals.achieved_occupancy),
-            float(layer.alloc_bytes))
+def _layer_metrics(table: LayerTable) -> list[list[float]]:
+    """Each slot's LAYER_METRICS, read from the layer columns and kernel
+    totals, then a zero for the side a layer is missing from (slot -1)."""
+    totals = table.totals
+    columns = (
+        table.latency_ms,
+        totals.flops,
+        totals.dram_bytes,
+        [weight / latency if latency else 0.0 for weight, latency in zip(
+            totals.occupancy_weight, totals.kernel_latency_ms)],
+        table.alloc_bytes,
+    )
+    return [[*map(float, column), 0.0] for column in columns]
 
 
-def _groups(layer: LayerProfile | None) -> dict[str, list]:
-    """The same-named kernel groups of a layer, in first-seen name order
-    (:meth:`~repro.core.pipeline.KernelTable.by_name` of its rows): each
-    group's launch count, latency and flops sums, its kernels' DRAM
-    bytes, and its occupancy weight sum."""
-    if layer is None:
+def _groups(kernels: KernelTable, slot: int | None) -> dict[str, tuple]:
+    """The KERNEL_METRICS of the same-named kernels of slot ``slot``, in
+    first-seen name order.  Each group folds its rows left to right from
+    :meth:`~repro.core.pipeline.KernelTable.fold`'s zeros."""
+    if slot is None:
         return {}
-    table = layer.kernel_table
-    reads, writes = table.dram_read_bytes, table.dram_write_bytes
-    return {
-        name: [group.count, group.latency_ms, group.flops,
-               [reads[i] + writes[i] for i in group.rows],
-               group.occupancy_weight]
-        for name, group in table.by_name(layer.kernel_rows).items()
-    }
-
-
-def _group_columns(groups: list) -> list[Sequence]:
-    """The KERNEL_METRICS columns of :func:`_groups` entries."""
-    count, latency, flops, dram_bytes, weight = _transpose(groups, 5)
-    return [
-        count, latency, flops,
-        # Each kernel's reads + writes, summed: not the summed reads plus
-        # the summed writes, which can differ in the last bit.
-        list(map(sum, dram_bytes, repeat(0.0))),
-        [w / t if t else 0.0 for w, t in zip(weight, latency)],
-    ]
+    names, latencies, flops = kernels.name, kernels.latency_ms, kernels.flops
+    reads, writes = kernels.dram_read_bytes, kernels.dram_write_bytes
+    occupancies = kernels.achieved_occupancy
+    lo, hi = kernels.starts[slot], kernels.starts[slot + 1]
+    if hi - lo == 1:  # most layers: the fold of one row, -0.0 made 0.0
+        latency = 0.0 + latencies[lo]
+        weight = 0 + occupancies[lo] * latencies[lo]
+        return {names[lo]: (1, latency, 0.0 + flops[lo],
+                            0.0 + (reads[lo] + writes[lo]),
+                            weight / latency if latency else 0.0)}
+    groups: dict[str, list] = {}
+    for i in range(lo, hi):
+        group = groups.get(names[i])
+        if group is None:
+            group = groups[names[i]] = [0, 0.0, 0.0, [], 0]
+        latency = latencies[i]
+        group[0] += 1
+        group[1] += latency
+        group[2] += flops[i]
+        group[3].append(reads[i] + writes[i])
+        group[4] += occupancies[i] * latency
+    # Each kernel's reads + writes, summed: not the summed reads plus the
+    # summed writes, which can differ in the last bit.
+    return {name: (count, latency, flops, sum(dram, 0.0),
+                   weight / latency if latency else 0.0)
+            for name, (count, latency, flops, dram, weight) in groups.items()}
 
 
 def _transpose(rows: list, width: int) -> list[Sequence]:
     return list(zip(*rows)) or [()] * width
 
 
-def _table(
-    pairs: list[tuple[LayerProfile | None, LayerProfile | None, str | None]],
-) -> DiffTable:
-    """The table of aligned ``(baseline, candidate, via)`` layer pairs."""
+def _table(baseline: LayerTable, candidate: LayerTable,
+           pairs: list[Pair]) -> DiffTable:
+    """The table of aligned ``(baseline, candidate, via)`` slot pairs."""
     labels: list[tuple] = []
-    baseline_rows: list[tuple] = []
-    candidate_rows: list[tuple] = []
     kernel_labels: list[tuple[str, str]] = []
-    baseline_groups: list = []
-    candidate_groups: list = []
+    baseline_groups: list[tuple] = []
+    candidate_groups: list[tuple] = []
     kernel_start = [0]
-    for baseline, candidate, via in pairs:
-        if baseline is None:
-            reference, status = candidate, "added"
-        else:
-            reference = baseline if candidate is None else candidate
-            status = "removed" if candidate is None else "matched"
+    for b, c, via in pairs:
+        reference, slot = (baseline, b) if c is None else (candidate, c)
         labels.append((
-            reference.name, reference.layer_type, status, via,
-            None if baseline is None else baseline.index,
-            None if candidate is None else candidate.index,
+            reference.name[slot], reference.layer_type[slot],
+            "added" if b is None else "removed" if c is None else "matched",
+            via,
+            None if b is None else baseline.index[b],
+            None if c is None else candidate.index[c],
         ))
-        baseline_rows.append(_layer_values(baseline))
-        candidate_rows.append(_layer_values(candidate))
-        base = _groups(baseline)
-        cand = _groups(candidate)
+        base = _groups(baseline.kernels, b)
+        cand = _groups(candidate.kernels, c)
         for name, sums in base.items():
             other = cand.get(name)
             kernel_labels.append(
@@ -162,19 +165,22 @@ def _table(
                 baseline_groups.append(_NO_GROUP)
                 candidate_groups.append(sums)
         kernel_start.append(len(kernel_labels))
+    base_slots = [-1 if b is None else b for b, _, _ in pairs]
+    cand_slots = [-1 if c is None else c for _, c, _ in pairs]
     return DiffTable(
         DiffRows(
             dict(zip(LAYER_LABELS, _transpose(labels, len(LAYER_LABELS)))),
-            dict(zip(LAYER_METRICS, zip(
-                _transpose(baseline_rows, len(LAYER_METRICS)),
-                _transpose(candidate_rows, len(LAYER_METRICS)),
-            ))),
+            {metric: (list(map(base.__getitem__, base_slots)),
+                      list(map(cand.__getitem__, cand_slots)))
+             for metric, base, cand in zip(LAYER_METRICS,
+                                           _layer_metrics(baseline),
+                                           _layer_metrics(candidate))},
         ),
         DiffRows(
             dict(zip(KERNEL_LABELS, _transpose(kernel_labels, 2))),
             dict(zip(KERNEL_METRICS, zip(
-                _group_columns(baseline_groups),
-                _group_columns(candidate_groups),
+                _transpose(baseline_groups, len(KERNEL_METRICS)),
+                _transpose(candidate_groups, len(KERNEL_METRICS)),
             ))),
         ),
         kernel_start,
@@ -192,9 +198,7 @@ def _totals(baseline: ModelProfile, candidate: ModelProfile) -> dict[str, Delta]
         "flops": metric(lambda p: p.flops),
         "dram_bytes": metric(lambda p: p.dram_bytes),
         "achieved_occupancy": metric(lambda p: p.achieved_occupancy),
-        "alloc_bytes": metric(
-            lambda p: sum(layer.alloc_bytes for layer in p.layers)
-        ),
+        "alloc_bytes": metric(lambda p: sum(p.layer_table.alloc_bytes)),
         "n_kernels": metric(lambda p: len(p.kernel_table)),
     }
 
@@ -489,12 +493,8 @@ def diff_profiles(
     baseline: ModelProfile, candidate: ModelProfile
 ) -> ProfileDiff:
     """Align ``baseline`` and ``candidate`` and explain what changed."""
-    alignment = align_layers(baseline.layers, candidate.layers)
-    table = _table([
-        *((m.baseline, m.candidate, m.via) for m in alignment.matched),
-        *((layer, None, None) for layer in alignment.removed),
-        *((None, layer, None) for layer in alignment.added),
-    ])
+    layers, other = baseline.layer_table, candidate.layer_table
+    table = _table(layers, other, align_layers(layers, other))
     totals = _totals(baseline, candidate)
     return ProfileDiff(
         baseline=_identity(baseline),

@@ -8,7 +8,7 @@ accesses within each interval and identify which interval dominates."
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.core.pipeline import LayerProfile, ModelProfile
 
@@ -27,19 +27,23 @@ def stage_of(position: int, total: int) -> str:
     return "E"
 
 
-def stage_totals(
-    profile: ModelProfile, value: Callable[[LayerProfile], float]
-) -> dict[str, float]:
+#: A per-layer quantity: a function of a layer, or a column of the
+#: profile's layer table (one value per slot).
+LayerValue = Callable[[LayerProfile], float] | Sequence[float]
+
+
+def stage_totals(profile: ModelProfile, value: LayerValue) -> dict[str, float]:
+    """Each stage's total of ``value``, summed in slot order."""
+    if callable(value):
+        value = list(map(value, profile.layers))
     totals = {stage: 0.0 for stage in STAGES}
-    n = len(profile.layers)
-    for position, layer in enumerate(profile.layers):
-        totals[stage_of(position, n)] += value(layer)
+    n = len(profile.layer_table)
+    for position, v in enumerate(value):
+        totals[stage_of(position, n)] += v
     return totals
 
 
-def dominant_stage(
-    profile: ModelProfile, value: Callable[[LayerProfile], float]
-) -> str:
+def dominant_stage(profile: ModelProfile, value: LayerValue) -> str:
     """The interval with the largest total of ``value`` ("B", "M" or "E")."""
     totals = stage_totals(profile, value)
     return max(STAGES, key=lambda stage: totals[stage])
@@ -47,9 +51,11 @@ def dominant_stage(
 
 def stage_summary(profile: ModelProfile) -> dict[str, str]:
     """Table IX's four stage columns for one model profile."""
+    table = profile.layer_table
+    totals = table.totals
     return {
-        "latency": dominant_stage(profile, lambda l: l.latency_ms),
-        "memory": dominant_stage(profile, lambda l: l.alloc_mb),
-        "flops": dominant_stage(profile, lambda l: l.flops),
-        "access": dominant_stage(profile, lambda l: l.dram_bytes),
+        "latency": dominant_stage(profile, table.latency_ms),
+        "memory": dominant_stage(profile, table.alloc_mb),
+        "flops": dominant_stage(profile, totals.flops),
+        "access": dominant_stage(profile, totals.dram_bytes),
     }

@@ -170,7 +170,9 @@ def profile_to_columns(profile: ModelProfile) -> dict[str, Any]:
     :data:`~repro.core.pipeline.KERNEL_FIELDS` column."""
     table = profile.kernel_table
     return {
-        **_PROFILE.to_dict(profile),
+        # The scalars in field order; reading ``layers`` would build them.
+        **{name: None if name == "layers" else getattr(profile, name)
+           for name in _PROFILE.names},
         "layers": {**dict(zip(LAYER_FIELDS, profile.layer_table.columns)),
                    "kernel_start": table.starts[:-1]},
         "kernels": dict(zip(KERNEL_FIELDS, table.columns)),

@@ -26,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from operator import attrgetter, mul
+from operator import add, attrgetter, mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from repro.core.leveled import LeveledExperiment, LeveledResult
@@ -344,6 +344,11 @@ class LayerTotals(NamedTuple):
     dram_write_bytes: list[float]
     occupancy_weight: list[float]
 
+    @property
+    def dram_bytes(self) -> list[float]:
+        """Each slot's DRAM reads + writes."""
+        return list(map(add, self.dram_read_bytes, self.dram_write_bytes))
+
 
 class LayerTable:
     """A profile's layers, one list per :data:`LAYER_FIELDS` column; the
@@ -365,6 +370,11 @@ class LayerTable:
 
     def __len__(self) -> int:
         return len(self.index)
+
+    @property
+    def alloc_mb(self) -> list[float]:
+        """Each slot's allocation in MB, as :attr:`LayerProfile.alloc_mb`."""
+        return [alloc / 1e6 for alloc in self.alloc_bytes]
 
     @cached_property
     def totals(self) -> LayerTotals:

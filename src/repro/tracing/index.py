@@ -226,10 +226,12 @@ class TraceIndex:
         self._row_by_id: Optional[Dict[int, int]] = None
         self._extent: Optional[Tuple[int, int]] = None
         self._gaps: Dict[Tuple[Level, Optional[SpanKind]], List[Gap]] = {}
-        # Per-(level, kind) fold continuation: (last sort key, frontier
-        # row) of the rows already folded into the cached gap list.
+        # Per-(level, kind) fold continuation: (first start, last sort
+        # key, frontier row) of the rows already folded into the cached
+        # gap list.
         self._gap_state: Dict[
-            Tuple[Level, Optional[SpanKind]], Tuple[Tuple[int, int], int]
+            Tuple[Level, Optional[SpanKind]],
+            Tuple[int, Tuple[int, int], int],
         ] = {}
         self._children_rows: Optional[Dict[Optional[int], List[int]]] = None
         self._root_rows: Optional[List[int]] = None
@@ -351,8 +353,9 @@ class TraceIndex:
                 continue
             state = self._gap_state.get(gap_key)
             frontier: Optional[int] = None
+            first_start = starts[lk_tail[0]]
             if state is not None:
-                last_key, frontier = state
+                first_start, last_key, frontier = state
                 first = lk_tail[0]
                 if (starts[first], -ends[first]) < last_key:
                     del self._gaps[gap_key]
@@ -363,6 +366,7 @@ class TraceIndex:
             )
             tail_last = lk_tail[-1]
             self._gap_state[gap_key] = (
+                first_start,
                 (starts[tail_last], -ends[tail_last]),
                 frontier,
             )
@@ -433,14 +437,14 @@ class TraceIndex:
         self, level: Level, kind: Optional[SpanKind] = None
     ) -> Optional[Tuple[int, int]]:
         """(min start, max end) of one level's (optionally one kind's)
-        timeline; ``None`` when no such spans exist."""
-        rows = self._level_kind_rows(level, kind)
-        if not rows:
+        timeline; ``None`` when no such spans exist.  Read from the gap
+        fold: its first row's start and its frontier row's end."""
+        self.gaps(level, kind)
+        state = self._gap_state.get((level, kind))
+        if state is None:
             return None
-        starts = self.table.start_ns
-        ends = self.table.end_ns
-        # Rows are timeline-sorted: the first start is the minimum.
-        return starts[rows[0]], max(ends[r] for r in rows)
+        first_start, _, frontier = state
+        return first_start, self.table.end_ns[frontier]
 
     def _level_kind_rows(
         self, level: Level, kind: Optional[SpanKind]
@@ -470,6 +474,7 @@ class TraceIndex:
                 last = rows[-1]
                 table = self.table
                 self._gap_state[key] = (
+                    table.start_ns[rows[0]],
                     (table.start_ns[last], -table.end_ns[last]),
                     frontier,
                 )

@@ -1,22 +1,42 @@
 """The diff engine and ``ProfileDiff`` writer that the column engine replaced.
 
-``repro.analysis.diff`` computes a diff as one table and writes its JSON
-from templates.  This module keeps the engine it replaced, unchanged: one
-frozen ``Delta`` per compared number, ``KernelDelta`` and ``LayerDelta``
-objects per row, and ``to_dict`` trees that ``json.dumps`` serializes.
-``test_diff_oracle.py`` asserts that the two agree byte for byte, and
-``benchmarks/bench_diff_engine.py`` times the new writer against this one.
-Imported by the tests as a plain ``diff_oracle`` module.
+``repro.analysis.diff`` aligns the slots of two layer tables, computes a
+diff as one table from the layer and kernel columns and writes its JSON
+from templates.  This module keeps what it replaced, unchanged:
+
+* the engine and writer: one frozen ``Delta`` per compared number,
+  ``KernelDelta`` and ``LayerDelta`` objects per row, and ``to_dict``
+  trees that ``json.dumps`` serializes;
+* the object alignment (:func:`align_layers` over ``LayerProfile``
+  lists, into :class:`LayerMatch` / :class:`LayerAlignment`);
+* the table built from layer objects and one kernel aggregate per group
+  (:func:`object_table`).
+
+``test_diff_oracle.py`` asserts that the engines agree byte for byte,
+``test_diff_align.py`` fuzzes the slot alignment against the object one,
+and ``benchmarks/bench_diff_engine.py`` times the new writer and table
+against these.  Imported by the tests as a plain ``diff_oracle`` module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from difflib import SequenceMatcher
+from itertools import repeat
+from typing import Any, Sequence
 
-from repro.analysis.diff.align import LayerAlignment, align_layers
-from repro.analysis.diff.model import ROLLUP_METRICS, DiffFinding, _json_number
+from repro.analysis.diff.model import (
+    KERNEL_LABELS,
+    KERNEL_METRICS,
+    LAYER_LABELS,
+    LAYER_METRICS,
+    ROLLUP_METRICS,
+    DiffFinding,
+    DiffRows,
+    DiffTable,
+    _json_number,
+)
 from repro.core.pipeline import (
     KernelAggregate,
     KernelTable,
@@ -282,6 +302,206 @@ MAX_HOTSPOT_FINDINGS = 3
 
 #: The missing side of an added or removed kernel.
 _EMPTY = KernelTable.from_kernels([()]).aggregate(())
+
+
+# -- the object alignment -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LayerMatch:
+    """One baseline layer paired with one candidate layer."""
+
+    baseline: LayerProfile
+    candidate: LayerProfile
+    via: str  #: "name" | "type" | "index"
+
+
+@dataclass
+class LayerAlignment:
+    """The full pairing of two layer sequences."""
+
+    matched: list[LayerMatch]
+    removed: list[LayerProfile]  #: baseline-only
+    added: list[LayerProfile]  #: candidate-only
+
+    @property
+    def n_layers(self) -> int:
+        return len(self.matched) + len(self.removed) + len(self.added)
+
+
+def _signature(layer: LayerProfile) -> tuple[str, str]:
+    return (layer.name, layer.layer_type)
+
+
+def _pair_replaced(
+    base: list[LayerProfile],
+    cand: list[LayerProfile],
+    alignment: LayerAlignment,
+) -> None:
+    """Pair a replaced run positionally via the name/type/index ladder."""
+    for offset in range(max(len(base), len(cand))):
+        if offset >= len(base):
+            alignment.added.append(cand[offset])
+            continue
+        if offset >= len(cand):
+            alignment.removed.append(base[offset])
+            continue
+        b, c = base[offset], cand[offset]
+        if b.name == c.name:
+            via = "name"
+        elif b.layer_type == c.layer_type:
+            via = "type"
+        elif b.index == c.index:
+            via = "index"
+        else:
+            alignment.removed.append(b)
+            alignment.added.append(c)
+            continue
+        alignment.matched.append(LayerMatch(b, c, via))
+
+
+def align_layers(
+    baseline: list[LayerProfile], candidate: list[LayerProfile]
+) -> LayerAlignment:
+    """Pair the two layer sequences, tolerating inserts and renames."""
+    alignment = LayerAlignment(matched=[], removed=[], added=[])
+    matcher = SequenceMatcher(
+        a=[_signature(l) for l in baseline],
+        b=[_signature(l) for l in candidate],
+        autojunk=False,
+    )
+    for op, b_lo, b_hi, c_lo, c_hi in matcher.get_opcodes():
+        if op == "equal":
+            alignment.matched.extend(
+                LayerMatch(b, c, "name")
+                for b, c in zip(baseline[b_lo:b_hi], candidate[c_lo:c_hi])
+            )
+        elif op == "replace":
+            _pair_replaced(
+                baseline[b_lo:b_hi], candidate[c_lo:c_hi], alignment
+            )
+        elif op == "delete":
+            alignment.removed.extend(baseline[b_lo:b_hi])
+        else:  # insert
+            alignment.added.extend(candidate[c_lo:c_hi])
+    return alignment
+
+
+# -- the table from layer objects ---------------------------------------------
+
+#: The metrics of a side a layer or kernel group is missing from.
+_NO_LAYER = (0.0,) * len(LAYER_METRICS)
+_NO_GROUP = (0, 0.0, 0.0, (), 0)
+
+
+def _layer_values(layer: LayerProfile | None) -> tuple:
+    """A layer's LAYER_METRICS."""
+    if layer is None:
+        return _NO_LAYER
+    totals = layer.totals
+    return (float(layer.latency_ms), float(totals.flops),
+            float(totals.dram_bytes), float(totals.achieved_occupancy),
+            float(layer.alloc_bytes))
+
+
+def _groups(layer: LayerProfile | None) -> dict[str, list]:
+    """The same-named kernel groups of a layer, in first-seen name order
+    (:meth:`~repro.core.pipeline.KernelTable.by_name` of its rows): each
+    group's launch count, latency and flops sums, its kernels' DRAM
+    bytes, and its occupancy weight sum."""
+    if layer is None:
+        return {}
+    table = layer.kernel_table
+    reads, writes = table.dram_read_bytes, table.dram_write_bytes
+    return {
+        name: [group.count, group.latency_ms, group.flops,
+               [reads[i] + writes[i] for i in group.rows],
+               group.occupancy_weight]
+        for name, group in table.by_name(layer.kernel_rows).items()
+    }
+
+
+def _group_columns(groups: list) -> list[Sequence]:
+    """The KERNEL_METRICS columns of :func:`_groups` entries."""
+    count, latency, flops, dram_bytes, weight = _transpose(groups, 5)
+    return [
+        count, latency, flops,
+        # Each kernel's reads + writes, summed: not the summed reads plus
+        # the summed writes, which can differ in the last bit.
+        list(map(sum, dram_bytes, repeat(0.0))),
+        [w / t if t else 0.0 for w, t in zip(weight, latency)],
+    ]
+
+
+def _transpose(rows: list, width: int) -> list[Sequence]:
+    return list(zip(*rows)) or [()] * width
+
+
+def _table(
+    pairs: list[tuple[LayerProfile | None, LayerProfile | None, str | None]],
+) -> DiffTable:
+    """The table of aligned ``(baseline, candidate, via)`` layer pairs."""
+    labels: list[tuple] = []
+    baseline_rows: list[tuple] = []
+    candidate_rows: list[tuple] = []
+    kernel_labels: list[tuple[str, str]] = []
+    baseline_groups: list = []
+    candidate_groups: list = []
+    kernel_start = [0]
+    for baseline, candidate, via in pairs:
+        if baseline is None:
+            reference, status = candidate, "added"
+        else:
+            reference = baseline if candidate is None else candidate
+            status = "removed" if candidate is None else "matched"
+        labels.append((
+            reference.name, reference.layer_type, status, via,
+            None if baseline is None else baseline.index,
+            None if candidate is None else candidate.index,
+        ))
+        baseline_rows.append(_layer_values(baseline))
+        candidate_rows.append(_layer_values(candidate))
+        base = _groups(baseline)
+        cand = _groups(candidate)
+        for name, sums in base.items():
+            other = cand.get(name)
+            kernel_labels.append(
+                (name, "removed" if other is None else "matched"))
+            baseline_groups.append(sums)
+            candidate_groups.append(_NO_GROUP if other is None else other)
+        for name, sums in cand.items():
+            if name not in base:
+                kernel_labels.append((name, "added"))
+                baseline_groups.append(_NO_GROUP)
+                candidate_groups.append(sums)
+        kernel_start.append(len(kernel_labels))
+    return DiffTable(
+        DiffRows(
+            dict(zip(LAYER_LABELS, _transpose(labels, len(LAYER_LABELS)))),
+            dict(zip(LAYER_METRICS, zip(
+                _transpose(baseline_rows, len(LAYER_METRICS)),
+                _transpose(candidate_rows, len(LAYER_METRICS)),
+            ))),
+        ),
+        DiffRows(
+            dict(zip(KERNEL_LABELS, _transpose(kernel_labels, 2))),
+            dict(zip(KERNEL_METRICS, zip(
+                _group_columns(baseline_groups),
+                _group_columns(candidate_groups),
+            ))),
+        ),
+        kernel_start,
+    )
+
+
+def object_table(baseline: ModelProfile, candidate: ModelProfile) -> DiffTable:
+    """The diff table of two profiles, from their aligned layer objects."""
+    alignment = align_layers(baseline.layers, candidate.layers)
+    return _table([
+        *((m.baseline, m.candidate, m.via) for m in alignment.matched),
+        *((layer, None, None) for layer in alignment.removed),
+        *((None, layer, None) for layer in alignment.added),
+    ])
 
 
 def _identity(profile: ModelProfile) -> dict[str, object]:

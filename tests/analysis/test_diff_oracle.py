@@ -8,7 +8,8 @@ the rendered text, for:
 
 * the ``diff_factories`` shapes the engine tests use;
 * seeded random pairs with added, removed, renamed and retyped layers,
-  kernel-mix churn, repeated kernel names and empty layers;
+  kernel-mix churn, repeated kernel names, empty layers and one-kernel
+  layers whose latency, flops or occupancy is ``-0.0``;
 * the zoo points of ``output_digests.py``, each diffed both ways and
   against itself;
 * the cases where a template could drift from what ``json.dumps``
@@ -170,9 +171,19 @@ def _random_kernels(rng, index, pool, names=KERNEL_NAMES):
     ]
 
 
+def _signed_zero_kernel(rng, index, pool):
+    """One kernel with ``-0.0`` in one of the fields a group folds."""
+    values = {"latency_ms": _value(rng, pool), "flops": _value(rng, pool),
+              "occupancy": rng.random()}
+    values[rng.choice(list(values))] = -0.0
+    return make_kernel(rng.choice(KERNEL_NAMES), index, **values)
+
+
 def _random_layer(rng, index, pool, *, name=None, layer_type=None):
     layer_type = layer_type or rng.choice(LAYER_TYPES)
     kernels = _random_kernels(rng, index, pool)
+    if rng.random() < 0.15:
+        kernels = [_signed_zero_kernel(rng, index, pool)]
     return make_layer(
         index, layer_type,
         name=name if name is not None else f"block{index % 7}/{layer_type}",
@@ -242,8 +253,10 @@ def test_random_pairs_match_oracle(seed):
 
 def test_random_corpus_covers_the_shapes():
     """The corpus has what it claims: every layer status, empty layers,
-    repeated kernel names within a layer, and signed zeros."""
+    repeated kernel names within a layer, signed zeros, and one-kernel
+    layers with a signed zero in each folded field."""
     statuses, empty, repeated, negative_zero = set(), 0, 0, 0
+    one_kernel_zeros = set()
     for seed in range(220):
         baseline, candidate = _random_pair(seed)
         diff = diff_profiles(baseline, candidate)
@@ -254,8 +267,15 @@ def test_random_corpus_covers_the_shapes():
             repeated += len(names) != len(set(names))
             negative_zero += any(
                 math.copysign(1.0, k.latency_ms) < 0 for k in layer.kernels)
+            if len(layer.kernels) == 1:
+                one_kernel_zeros.update(
+                    field for field in ("latency_ms", "flops",
+                                        "achieved_occupancy")
+                    if math.copysign(1.0, getattr(layer.kernels[0], field))
+                    < 0)
     assert statuses == {"matched", "added", "removed"}
     assert empty and repeated and negative_zero
+    assert one_kernel_zeros == {"latency_ms", "flops", "achieved_occupancy"}
 
 
 # -- zoo points ---------------------------------------------------------------

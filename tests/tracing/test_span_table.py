@@ -394,11 +394,26 @@ def _live_snapshot(trace: Trace):
     }
 
 
-def _fuzz_incremental_maintenance(seed: int) -> None:
+def _cold_level_extent(trace: Trace, level: Level, kind) -> tuple | None:
+    """(min start, max end) of ``level``'s (and ``kind``'s) rows, by a
+    scan of the columns."""
+    table = trace.table
+    rows = [r for r in range(len(table)) if table.level_of(r) == level
+            and (kind is None or table.kind_of(r) == kind)]
+    if not rows:
+        return None
+    return (min(table.start_ns[r] for r in rows),
+            max(table.end_ns[r] for r in rows))
+
+
+def _fuzz_incremental_maintenance(seed: int, *,
+                                  check_extents: bool = False) -> None:
     """Random interleavings of add / publish_rows / publish_many /
     queries / touch_parents; after every mutation burst the live
     (incrementally advanced) index must answer every query family
-    exactly like a cold rebuild of the same trace."""
+    exactly like a cold rebuild of the same trace.  With
+    ``check_extents``, every level's and kind's extent is compared with
+    a scan of the columns after every step."""
     from repro.tracing import TracingServer
 
     rng = random.Random(seed)
@@ -460,6 +475,12 @@ def _fuzz_incremental_maintenance(seed: int) -> None:
             view = trace.spans[row]
             view.parent_id = rng.choice([None, rng.randint(1, 60)])
             trace.touch_parents()
+        if check_extents:
+            for level in Level:
+                for kind in (None, *SpanKind):
+                    assert trace.index.level_extent_ns(level, kind) == \
+                        _cold_level_extent(trace, level, kind), (
+                            f"extent at seed={seed} step={step}")
         if step % 13 == 0 and len(trace) > 0:
             live = _live_snapshot(trace)
             trace.invalidate_index()
@@ -474,3 +495,10 @@ def _fuzz_incremental_maintenance(seed: int) -> None:
 @pytest.mark.parametrize("seed", range(10))
 def test_incremental_maintenance_equals_cold_rebuild(seed):
     _fuzz_incremental_maintenance(seed)
+
+
+@pytest.mark.parametrize("seed", range(10, 16))
+def test_level_extent_follows_every_append(seed):
+    """The extent read from the gap fold equals a scan after every
+    interleaved append, ``touch_parents`` and out-of-order span."""
+    _fuzz_incremental_maintenance(seed, check_extents=True)
