@@ -63,8 +63,9 @@ N_LAYERS = 2000
 #: once saves little here; the bound leaves room for a shared runner.
 MIN_JSON_SPEEDUP = 1.8
 #: The column table against the object one on the perturbed pair:
-#: measured 2.2-2.3x on a 2-vCPU host (Python 3.11).  Both run the same
-#: SequenceMatcher, about a third of the column table's time here.
+#: measured 2.05-2.15x on a 2-vCPU host (Python 3.11), one
+#: ``KernelTable.fold`` per kernel group.  Both run the same
+#: SequenceMatcher, about a quarter of the column table's time here.
 MIN_TABLE_SPEEDUP = 2.0
 
 

@@ -43,11 +43,8 @@ def align_layers(baseline: LayerTable, candidate: LayerTable) -> list[Pair]:
     matched: list[Pair] = []
     removed: list[Pair] = []
     added: list[Pair] = []
-    # Identical sequences (every self-diff) are one equal run; the matcher
-    # would find it, at a cost.
-    opcodes = ([("equal", 0, len(base), 0, len(cand))] if base == cand else
-               SequenceMatcher(a=base, b=cand, autojunk=False).get_opcodes())
-    for op, b_lo, b_hi, c_lo, c_hi in opcodes:
+    for op, b_lo, b_hi, c_lo, c_hi in SequenceMatcher(
+            a=base, b=cand, autojunk=False).get_opcodes():
         if op == "equal":
             matched.extend(zip(range(b_lo, b_hi), range(c_lo, c_hi),
                                repeat("name")))

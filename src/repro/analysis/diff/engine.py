@@ -98,36 +98,24 @@ def _layer_metrics(table: LayerTable) -> list[list[float]]:
 
 def _groups(kernels: KernelTable, slot: int | None) -> dict[str, tuple]:
     """The KERNEL_METRICS of the same-named kernels of slot ``slot``, in
-    first-seen name order.  Each group folds its rows left to right from
-    :meth:`~repro.core.pipeline.KernelTable.fold`'s zeros."""
+    first-seen name order: one :meth:`~repro.core.pipeline.KernelTable.fold`
+    per group."""
     if slot is None:
         return {}
-    names, latencies, flops = kernels.name, kernels.latency_ms, kernels.flops
-    reads, writes = kernels.dram_read_bytes, kernels.dram_write_bytes
-    occupancies = kernels.achieved_occupancy
-    lo, hi = kernels.starts[slot], kernels.starts[slot + 1]
-    if hi - lo == 1:  # most layers: the fold of one row, -0.0 made 0.0
-        latency = 0.0 + latencies[lo]
-        weight = 0 + occupancies[lo] * latencies[lo]
-        return {names[lo]: (1, latency, 0.0 + flops[lo],
-                            0.0 + (reads[lo] + writes[lo]),
-                            weight / latency if latency else 0.0)}
-    groups: dict[str, list] = {}
-    for i in range(lo, hi):
-        group = groups.get(names[i])
-        if group is None:
-            group = groups[names[i]] = [0, 0.0, 0.0, [], 0]
-        latency = latencies[i]
-        group[0] += 1
-        group[1] += latency
-        group[2] += flops[i]
-        group[3].append(reads[i] + writes[i])
-        group[4] += occupancies[i] * latency
-    # Each kernel's reads + writes, summed: not the summed reads plus the
-    # summed writes, which can differ in the last bit.
-    return {name: (count, latency, flops, sum(dram, 0.0),
-                   weight / latency if latency else 0.0)
-            for name, (count, latency, flops, dram, weight) in groups.items()}
+    names, reads, writes = (kernels.name, kernels.dram_read_bytes,
+                            kernels.dram_write_bytes)
+    rows_by_name: dict[str, list[int]] = {}
+    for i in range(kernels.starts[slot], kernels.starts[slot + 1]):
+        rows_by_name.setdefault(names[i], []).append(i)
+    groups = {}
+    for name, rows in rows_by_name.items():
+        latency, flops, _, _, weight = kernels.fold(rows)
+        # Each kernel's reads + writes, summed: not the summed reads plus
+        # the summed writes, which can differ in the last bit.
+        groups[name] = (len(rows), latency, flops,
+                        sum([reads[i] + writes[i] for i in rows], 0.0),
+                        weight / latency if latency else 0.0)
+    return groups
 
 
 def _transpose(rows: list, width: int) -> list[Sequence]:

@@ -171,19 +171,9 @@ def _random_kernels(rng, index, pool, names=KERNEL_NAMES):
     ]
 
 
-def _signed_zero_kernel(rng, index, pool):
-    """One kernel with ``-0.0`` in one of the fields a group folds."""
-    values = {"latency_ms": _value(rng, pool), "flops": _value(rng, pool),
-              "occupancy": rng.random()}
-    values[rng.choice(list(values))] = -0.0
-    return make_kernel(rng.choice(KERNEL_NAMES), index, **values)
-
-
 def _random_layer(rng, index, pool, *, name=None, layer_type=None):
     layer_type = layer_type or rng.choice(LAYER_TYPES)
     kernels = _random_kernels(rng, index, pool)
-    if rng.random() < 0.15:
-        kernels = [_signed_zero_kernel(rng, index, pool)]
     return make_layer(
         index, layer_type,
         name=name if name is not None else f"block{index % 7}/{layer_type}",
@@ -242,6 +232,34 @@ def _random_pair(seed: int) -> tuple[ModelProfile, ModelProfile]:
     return baseline, _perturbed(rng, baseline, pool)
 
 
+def _signed_zero_layer(rng, index, pool):
+    """A layer of one kernel with ``-0.0`` in one of the fields a group
+    folds."""
+    values = {"latency_ms": _value(rng, pool), "flops": _value(rng, pool),
+              "occupancy": rng.random()}
+    values[rng.choice(list(values))] = -0.0
+    layer_type = rng.choice(LAYER_TYPES)
+    return make_layer(
+        index, layer_type, name=f"block{index % 7}/{layer_type}",
+        latency_ms=None if rng.random() < 0.5 else _value(rng, pool),
+        kernels=[make_kernel(rng.choice(KERNEL_NAMES), index, **values)],
+    )
+
+
+def _signed_zero_pair(seed: int) -> tuple[ModelProfile, ModelProfile]:
+    """Random layers mixed with signed-zero one-kernel layers, then the
+    usual churn.  Its own random stream leaves ``_random_pair``'s draws
+    as they were."""
+    rng = random.Random(f"signed-zero/{seed}")
+    pool: list[float] = []
+    baseline = make_profile([
+        _signed_zero_layer(rng, i, pool) if rng.random() < 0.6
+        else _random_layer(rng, i, pool)
+        for i in range(rng.choice((1, 2, 5, 12)))
+    ])
+    return baseline, _perturbed(rng, baseline, pool)
+
+
 @pytest.mark.parametrize("seed", range(220))
 def test_random_pairs_match_oracle(seed):
     baseline, candidate = _random_pair(seed)
@@ -251,12 +269,18 @@ def test_random_pairs_match_oracle(seed):
         _assert_matches_oracle(candidate, candidate)
 
 
+@pytest.mark.parametrize("seed", range(60))
+def test_signed_zero_one_kernel_pairs_match_oracle(seed):
+    baseline, candidate = _signed_zero_pair(seed)
+    _assert_matches_oracle(baseline, candidate)
+    _assert_matches_oracle(candidate, baseline)
+    _assert_matches_oracle(candidate, candidate)
+
+
 def test_random_corpus_covers_the_shapes():
     """The corpus has what it claims: every layer status, empty layers,
-    repeated kernel names within a layer, signed zeros, and one-kernel
-    layers with a signed zero in each folded field."""
+    repeated kernel names within a layer, and signed zeros."""
     statuses, empty, repeated, negative_zero = set(), 0, 0, 0
-    one_kernel_zeros = set()
     for seed in range(220):
         baseline, candidate = _random_pair(seed)
         diff = diff_profiles(baseline, candidate)
@@ -267,15 +291,29 @@ def test_random_corpus_covers_the_shapes():
             repeated += len(names) != len(set(names))
             negative_zero += any(
                 math.copysign(1.0, k.latency_ms) < 0 for k in layer.kernels)
-            if len(layer.kernels) == 1:
-                one_kernel_zeros.update(
-                    field for field in ("latency_ms", "flops",
-                                        "achieved_occupancy")
-                    if math.copysign(1.0, getattr(layer.kernels[0], field))
-                    < 0)
     assert statuses == {"matched", "added", "removed"}
     assert empty and repeated and negative_zero
-    assert one_kernel_zeros == {"latency_ms", "flops", "achieved_occupancy"}
+
+
+def test_signed_zero_corpus_covers_each_folded_field():
+    """Matched one-kernel layers carry a ``-0.0`` in each folded field."""
+    fields = set()
+    for seed in range(60):
+        baseline, candidate = _signed_zero_pair(seed)
+        by_index = [{layer.index: layer for layer in profile.layers}
+                    for profile in (baseline, candidate)]
+        for layer in diff_profiles(baseline, candidate).layers:
+            if layer.status != "matched":
+                continue
+            for layers, index in zip(by_index, (layer.baseline_index,
+                                                layer.candidate_index)):
+                kernels = layers[index].kernels
+                if len(kernels) == 1:
+                    fields.update(
+                        field for field in ("latency_ms", "flops",
+                                            "achieved_occupancy")
+                        if math.copysign(1.0, getattr(kernels[0], field)) < 0)
+    assert fields == {"latency_ms", "flops", "achieved_occupancy"}
 
 
 # -- zoo points ---------------------------------------------------------------
