@@ -2,16 +2,19 @@
 
 The capture is the seven-model ``profile_application`` timeline that
 ``bench_span_table.py`` measures (models 7, 4, 48, 15, 9, 49, 20 at
-batch 1).  Format v2 stores the trace's ``SpanTable`` columns, one JSON
-list each; format v1 stored one JSON object per span, and is still
-readable.  The Chrome export encodes each column once and writes events
-from templates; the reference here builds one dict per event and passes
-them all to ``json.dumps``, as the export once did.  Asserted, on the
-same capture:
+batch 1).  Format v3 stores the trace's ``SpanTable`` integer columns as
+base64 of their bytes and the tag values as one pool of distinct values
+plus a code per value; format v2 stored each column and every tag value
+as JSON lists (its writer is ``tests/tracing/trace_v2_oracle.py``), and
+format v1 one JSON object per span.  Both still load.  The Chrome export
+encodes each column once and writes events from templates; the
+reference here builds one dict per event and passes them all to
+``json.dumps``, as the export once did.  Asserted, on the same capture:
 
-* loading the v2 file (``json.loads`` plus ingest) is at least
-  ``MIN_LOAD_SPEEDUP``x faster than loading the v1 file,
-* the v2 file is at least ``MIN_SIZE_RATIO``x smaller, and
+* loading the v3 file (``json.loads`` plus ingest) is at least
+  ``MIN_LOAD_SPEEDUP``x faster than loading the v2 file,
+* the v3 file is at least ``MIN_SIZE_CUT`` smaller than the v2 file,
+* writing the v3 file is no slower than writing the v2 file, and
 * the Chrome export equals the dict-per-event reference byte for byte
   and is at least ``MIN_CHROME_SPEEDUP``x faster.
 """
@@ -19,8 +22,10 @@ same capture:
 from __future__ import annotations
 
 import gc
+import importlib.util
 import json
 import time
+from pathlib import Path
 from typing import Iterator
 
 import pytest
@@ -35,9 +40,14 @@ from repro.tracing.table import (
     jsonable,
 )
 
-MIN_LOAD_SPEEDUP = 3.0
-MIN_SIZE_RATIO = 2.0
+MIN_LOAD_SPEEDUP = 2.0
+MIN_SIZE_CUT = 0.15
 MIN_CHROME_SPEEDUP = 2.0
+
+_ORACLE = Path(__file__).parents[1] / "tests" / "tracing" / "trace_v2_oracle.py"
+_spec = importlib.util.spec_from_file_location("trace_v2_oracle", _ORACLE)
+trace_v2_oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(trace_v2_oracle)
 
 
 def iter_rows(table: SpanTable) -> Iterator[tuple]:
@@ -143,8 +153,9 @@ def capture() -> Trace:
 
 
 @pytest.fixture(scope="module")
-def documents(capture) -> tuple[str, str]:
-    return _v1_json(capture), trace_to_json(capture)
+def documents(capture) -> tuple[str, str, str]:
+    return (_v1_json(capture), trace_v2_oracle.trace_to_json(capture),
+            trace_to_json(capture))
 
 
 def _best_s(calls, rounds: int = 7) -> list[float]:
@@ -161,32 +172,47 @@ def _best_s(calls, rounds: int = 7) -> list[float]:
     return best
 
 
+def test_load_v3_application_capture(benchmark, documents):
+    _, _, v3 = documents
+    trace = benchmark(trace_from_json, v3)
+    assert trace_to_json(trace) == v3
+
+
 def test_load_v2_application_capture(benchmark, documents):
-    _, v2 = documents
+    _, v2, v3 = documents
     trace = benchmark(trace_from_json, v2)
-    assert trace_to_json(trace) == v2
+    assert trace_to_json(trace) == v3
 
 
 def test_load_v1_application_capture(benchmark, documents):
-    v1, v2 = documents
+    v1, _, v3 = documents
     trace = benchmark.pedantic(trace_from_json, args=(v1,), rounds=3,
                                iterations=1)
-    assert trace_to_json(trace) == v2
+    assert trace_to_json(trace) == v3
 
 
-def test_v2_loads_faster_and_is_smaller_than_v1(documents):
-    v1, v2 = documents
-    v1_s, v2_s = _best_s([lambda: trace_from_json(v1),
-                          lambda: trace_from_json(v2)])
-    speedup = v1_s / v2_s
+def test_v3_loads_faster_and_is_smaller_than_v2(documents):
+    _, v2, v3 = documents
+    v2_s, v3_s = _best_s([lambda: trace_from_json(v2),
+                          lambda: trace_from_json(v3)])
+    speedup = v2_s / v3_s
     assert speedup >= MIN_LOAD_SPEEDUP, (
-        f"a v2 load is only {speedup:.2f}x faster than a v1 load "
-        f"({v2_s * 1e3:.0f} ms vs {v1_s * 1e3:.0f} ms)"
+        f"a v3 load is only {speedup:.2f}x faster than a v2 load "
+        f"({v3_s * 1e3:.0f} ms vs {v2_s * 1e3:.0f} ms)"
     )
-    ratio = len(v1) / len(v2)
-    assert ratio >= MIN_SIZE_RATIO, (
-        f"the v2 file is only {ratio:.2f}x smaller "
-        f"({len(v2) / 1e6:.2f} MB vs {len(v1) / 1e6:.2f} MB)"
+    cut = 1 - len(v3) / len(v2)
+    assert cut >= MIN_SIZE_CUT, (
+        f"the v3 file is only {cut:.1%} smaller "
+        f"({len(v3) / 1e6:.2f} MB vs {len(v2) / 1e6:.2f} MB)"
+    )
+
+
+def test_v3_writer_is_no_slower_than_v2(capture):
+    v2_s, v3_s = _best_s([lambda: trace_v2_oracle.trace_to_json(capture),
+                          lambda: trace_to_json(capture)])
+    assert v3_s <= v2_s, (
+        f"writing v3 takes {v3_s * 1e3:.0f} ms, writing v2 "
+        f"{v2_s * 1e3:.0f} ms"
     )
 
 

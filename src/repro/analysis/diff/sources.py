@@ -52,7 +52,7 @@ def load_profile_json(path: str) -> ModelProfile:
     if not isinstance(document, dict):
         raise ValueError(f"{path}: expected a JSON object")
     try:
-        if "format_version" in document:  # a trace file, v1 or v2
+        if "format_version" in document:  # a trace file, of any version
             return profile_from_trace(trace_from_dict(document))
         return profile_from_document(document)
     except ValueError as err:

@@ -34,11 +34,5 @@ class VirtualClock:
     def advance_us(self, delta_us: float) -> int:
         return self.advance(delta_us * 1e3)
 
-    def advance_to(self, timestamp_ns: int) -> int:
-        """Move forward to ``timestamp_ns`` if it is in the future."""
-        if timestamp_ns > self.now_ns:
-            self.now_ns = int(timestamp_ns)
-        return self.now_ns
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VirtualClock(now={self.now_ns} ns)"

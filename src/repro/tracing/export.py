@@ -6,15 +6,19 @@ equivalent durability: a lossless JSON round-trip for traces so profiles
 can be archived and re-analyzed offline (the analysis pipeline consumes
 traces, not live runs).
 
-A trace file (format v2) is a copy of the trace's columnar
-:class:`~repro.tracing.table.SpanTable`: one JSON list per column, the
-name and tag-key pools, one flat list of tag values and the sparse logs
-(:meth:`SpanTable.to_columns`), inside an envelope holding the format
-version, the trace id and the metadata.  Loading extends every column
-once (:meth:`SpanTable.extend_columns`), after checking the whole
-document.  Version 1 files, one JSON object per span, still load: they
-go through :meth:`SpanTable.append_rows` in bounded batches.  Any
-malformed file raises one ``ValueError``.
+A trace file (format v3) is a copy of the trace's columnar
+:class:`~repro.tracing.table.SpanTable` (:meth:`SpanTable.to_columns`),
+inside an envelope holding the format version, the trace id and the
+metadata: each integer column as ``{typecode, length, data}`` with
+``data`` the base64 of its little-endian bytes, the name and tag-key
+pools, the tag values as a ``value_pool`` of distinct values plus one
+packed ``value_codes`` column, and the sparse logs.  Loading decodes the
+columns, checks the whole document and extends every column once
+(:meth:`SpanTable.extend_columns`).  Version 2 files (the same columns
+as JSON lists, and a flat list of tag values) load through the same
+checks, and version 1 files, one JSON object per span, through
+:meth:`SpanTable.append_rows` in bounded batches.  Any malformed file
+raises one ``ValueError``.
 
 The Chrome ``trace_event`` export writes exactly the bytes ``json.dumps``
 would write for one dict per event, without building those dicts: it
@@ -27,19 +31,16 @@ the one document-sized string it allocates.
 from __future__ import annotations
 
 import json
-from itertools import chain, groupby, repeat
-from math import isfinite
+from itertools import groupby, repeat
 from operator import itemgetter, sub, truediv
 from typing import Any, Sequence
 
 import numpy as np
 
 from repro.tracing.span import Level, LogEntry, SpanKind
-from repro.tracing.table import KINDS, NONE_ID, SpanTable, jsonable
+from repro.tracing.table import (FORMAT_VERSION, KINDS, NONE_ID, SpanTable,
+                                 json_text, json_texts, jsonable)
 from repro.tracing.trace import Trace
-
-#: The version every trace file is written in.
-FORMAT_VERSION = 2
 
 #: Rows per `SpanTable.append_rows` batch when loading a v1 file.
 _V1_BATCH = 4096
@@ -48,10 +49,6 @@ _LEVEL_CODES = {level.name: int(level) for level in Level}
 _KIND_CODES = {kind.value: code for code, kind in enumerate(KINDS)}
 _LAUNCH = _KIND_CODES[SpanKind.LAUNCH.value]
 _EXECUTION = _KIND_CODES[SpanKind.EXECUTION.value]
-
-#: One value as JSON text, exactly as ``json.dumps`` writes it inside a
-#: document (ASCII-escaped, default separators).
-_encode = json.JSONEncoder(check_circular=False).encode
 
 #: The fields every complete event's ``args`` opens with, in order.
 _ARGS = ("span_id", "parent_id", "kind", "correlation_id")
@@ -79,10 +76,10 @@ def trace_from_dict(data: dict[str, Any]) -> Trace:
     if not isinstance(data, dict):
         raise ValueError("not a trace document (expected a JSON object)")
     version = data.get("format_version")
-    if version not in (1, FORMAT_VERSION):
+    if version not in (1, 2, FORMAT_VERSION):
         raise ValueError(
             f"unsupported trace format version {version!r} "
-            f"(expected 1 or {FORMAT_VERSION})"
+            f"(this reader reads 1, 2 and {FORMAT_VERSION})"
         )
     trace_id, metadata = data.get("trace_id"), data.get("metadata", {})
     if type(trace_id) is not int:
@@ -93,7 +90,7 @@ def trace_from_dict(data: dict[str, Any]) -> Trace:
     if version == 1:
         _trace_from_v1(data.get("spans"), trace)
     else:
-        trace.table.extend_columns(data.get("table"))
+        trace.table.extend_columns(data.get("table"), version)
     return trace
 
 
@@ -174,9 +171,9 @@ def trace_to_chrome(trace: Trace) -> str:
             {"name": "thread_sort_index", "ph": "M", "pid": pid,
              "tid": code, "args": {"sort_index": code}},
         )
-    pieces = ['{"traceEvents": [' + ", ".join(map(_encode, meta))]
+    pieces = ['{"traceEvents": [' + ", ".join(map(json_text, meta))]
     if n:
-        pieces += _complete_events(table, n, _encode(pid))
+        pieces += _complete_events(table, n, json_text(pid))
     pieces[-1] += '], "displayTimeUnit": "ms"}'
     return ", ".join(pieces)
 
@@ -189,15 +186,15 @@ def _complete_events(table: SpanTable, n: int, pid: str) -> list[str]:
     names once per pool entry, ``cat``/``tid`` once per level and
     ``kind`` once per kind code, each distinct duration once, start times
     with ``float.__repr__`` and ids with ``int.__repr__`` over the column,
-    and tags one (schema, key) column at a time (:func:`_encoded`).  One
-    fixed template then writes each event (``pid`` is the encoded
-    process id).
+    and tags one (schema, key) column at a time
+    (:func:`~repro.tracing.table.json_texts`).  One fixed template then
+    writes each event (``pid`` is the encoded process id).
     """
-    names, schemas = table.pools()
+    names = table.pools()[0]
     name_ids, levels, kinds = table.name_id[:n], table.level[:n], table.kind[:n]
     starts, correlations = table.start_ns[:n], table.correlation_id[:n]
-    names = [_encode(name) for name in names[:max(name_ids) + 1]]
-    cats = {code: _encode(Level(code).name) for code in set(levels)}
+    names = [json_text(name) for name in names[:max(name_ids) + 1]]
+    cats = {code: json_text(Level(code).name) for code in set(levels)}
     tids = list(map({code: repr(code) for code in cats}.__getitem__, levels))
     ts = list(map(float.__repr__, map(truediv, starts, repeat(1e3))))
     # Python ints: end - start can pass the int64 range.
@@ -206,7 +203,7 @@ def _complete_events(table: SpanTable, n: int, pid: str) -> list[str]:
     args = [
         list(map(int.__repr__, table.span_id[:n])),
         _ids(table.parent_id[:n]),
-        list(map([_encode(kind.value) for kind in KINDS].__getitem__, kinds)),
+        list(map([json_text(kind.value) for kind in KINDS].__getitem__, kinds)),
         _ids(correlations),
     ]
     # Flow events read the raw correlation ids: a tag below may replace
@@ -226,13 +223,7 @@ def _complete_events(table: SpanTable, n: int, pid: str) -> list[str]:
         ]):
             flows[row] = text
     tags = [""] * n
-    codes = np.frombuffer(table.tag_schema[:n], dtype=np.uint32)
-    order = np.argsort(codes, kind="stable")
-    for rows in np.split(order, np.flatnonzero(np.diff(codes[order])) + 1):
-        rows = rows.tolist()
-        keys = schemas[codes[rows[0]]]
-        if not keys:
-            continue
+    for keys, rows in table.schema_groups(n):
         # Where each tag lands in ``args``: a key equal to a fixed field
         # replaces its value in place, and a repeated key keeps its first
         # place and its last value, as a dict update would.
@@ -241,12 +232,12 @@ def _complete_events(table: SpanTable, n: int, pid: str) -> list[str]:
         values = table.tag_columns(rows, keys, [None] * len(keys))
         for column, field in zip(args, _ARGS):
             if slot[field] is not None:
-                for row, text in zip(rows, _encoded(values[slot[field]])):
+                for row, text in zip(rows, json_texts(values[slot[field]])):
                     column[row] = text
         # `{key: 0}` as JSON, less the brace and the 0, is the key as
         # json writes it, colon included.
         texts = [
-            _encoded(values[i], ", " + _encode({key: 0})[1:-2])
+            json_texts(values[i], ", " + json_text({key: 0})[1:-2])
             for key, i in list(slot.items())[len(_ARGS):]
         ]
         for row, text in zip(rows, map("".join, zip(*texts))):
@@ -267,34 +258,6 @@ def _complete_events(table: SpanTable, n: int, pid: str) -> list[str]:
 def _ids(column: Sequence[int]) -> list[str]:
     """An id column as JSON text, ``null`` for :data:`NONE_ID`."""
     return ["null" if i == NONE_ID else repr(i) for i in column]
-
-
-def _encoded(values: list, head: str = "") -> list[str]:
-    """One tag column as JSON text, each value after ``head``.
-
-    Each distinct value of a column of ``str``s, of ``int``s, or of lists
-    of ``int``s is encoded once.  A column of finite floats is written
-    with ``float.__repr__``, value by value (``-0.0 == 0.0``, so equal
-    floats may differ in text).  Any other value goes through the json
-    encoder after :func:`jsonable`.  Types are matched exactly, so a bool
-    or a float never shares the text of an equal int.
-    """
-    types = set(map(type, values))
-    if types == {float} and all(map(isfinite, values)):
-        return list(map(head.__add__, map(float.__repr__, values)))
-    if types == {int}:
-        keys, encode = values, int.__repr__
-    elif types == {str}:
-        keys, encode = values, _encode
-    elif types <= {list, tuple} and set(
-        map(type, chain.from_iterable(values))
-    ) <= {int}:
-        # A list of ints prints as its JSON text.
-        keys, encode = list(map(tuple, values)), lambda key: str(list(key))
-    else:
-        return [head + _encode(jsonable(value)) for value in values]
-    text = {key: head + encode(key) for key in set(keys)}
-    return list(map(text.__getitem__, keys))
 
 
 def save_trace(trace: Trace, path: str) -> None:

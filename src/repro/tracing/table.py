@@ -42,21 +42,30 @@ consumers of trace data should iterate rows and columns
 (``tag_columns``, ``iter_tags``, ``peek_logs``, ``pools``) and
 materialize views only at the API boundary.
 
-The table also owns its on-disk layout, the trace file's format v2
-(see :mod:`repro.tracing.export`): :meth:`SpanTable.to_columns` writes
-each stored column as a plain list next to the pools, the value list
-and the logs, and :meth:`SpanTable.extend_columns` checks such a
-document whole and then extends every column once.
+The table also owns its on-disk layout, the trace file's format v3
+(see :mod:`repro.tracing.export`): :meth:`SpanTable.to_columns` packs
+each stored integer column as the base64 of its little-endian bytes and
+the tag values as one pool of distinct values plus a packed column of
+codes, next to the name and schema pools and the logs.
+:meth:`SpanTable.extend_columns` decodes such a document (or a v2 one,
+one JSON list per column), checks it whole and then extends every column
+once.  Rows loaded from a v3 file share their pool values: equal lists
+are one object, which no reader mutates.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from array import array
+from base64 import b64decode, b64encode
 from itertools import accumulate, chain, islice
+from math import isfinite
 from operator import lt
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.tracing.span import Level, LogEntry, Span, SpanKind
 
@@ -72,6 +81,9 @@ _LEVEL_BY_CODE: dict[int, Level] = {int(lv): lv for lv in Level}
 #: Column sentinel for "no parent" / "no correlation id".
 NONE_ID = -1
 
+#: The trace file format :meth:`SpanTable.to_columns` writes.
+FORMAT_VERSION = 3
+
 #: The typed columns a trace file stores, in file order, with their
 #: ``array`` typecodes (``tag_start`` is rebuilt from schema widths).
 _STORED_COLUMNS: tuple[tuple[str, str], ...] = (
@@ -86,6 +98,10 @@ _STORED_COLUMNS: tuple[tuple[str, str], ...] = (
     ("name_id", "I"),
     ("tag_schema", "I"),
 )
+
+#: The typecodes a ``value_codes`` column may have; the writer picks the
+#: narrowest that numbers the whole value pool.
+_CODE_TYPECODES = "BHI"
 
 #: Value types JSON encodes as they are; others go through `jsonable`.
 JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
@@ -104,6 +120,98 @@ def jsonable(value: Any) -> Any:
             for k, v in value.items()
         }
     return repr(value)
+
+
+#: One value as JSON text, exactly as ``json.dumps`` writes it inside a
+#: document (ASCII-escaped, default separators).
+json_text = json.JSONEncoder(check_circular=False).encode
+
+
+def json_texts(values: list, head: str = "") -> list[str]:
+    """One tag column as JSON text, each value after ``head``.
+
+    Each distinct value of a column of ``str``s, of ``int``s, or of lists
+    of ``int``s is encoded once.  A column of finite floats is written
+    with ``float.__repr__``, value by value (``-0.0 == 0.0``, so equal
+    floats may differ in text).  Any other value goes through the json
+    encoder after :func:`jsonable`.  Types are matched exactly, so a bool
+    or a float never shares the text of an equal int.
+    """
+    types = set(map(type, values))
+    if types == {float} and all(map(isfinite, values)):
+        return list(map(head.__add__, map(float.__repr__, values)))
+    if types == {int}:
+        keys, encode = values, int.__repr__
+    elif types == {str}:
+        keys, encode = values, json_text
+    elif types <= {list, tuple} and set(
+        map(type, chain.from_iterable(values))
+    ) <= {int}:
+        # A list of ints prints as its JSON text.
+        keys, encode = list(map(tuple, values)), lambda key: str(list(key))
+    else:
+        return [head + json_text(jsonable(value)) for value in values]
+    text = {key: head + encode(key) for key in set(keys)}
+    return list(map(text.__getitem__, keys))
+
+
+def _pool_keys(values: list) -> list[str | int]:
+    """Keys that tell one tag column's values apart as their JSON texts
+    do: a column of finite floats is keyed by each value's bit pattern
+    (an ``int``), any other column by JSON text (:func:`json_texts`, as
+    the Chrome export encodes it)."""
+    if set(map(type, values)) == {float} and all(map(isfinite, values)):
+        return np.array(values, dtype=np.float64).view(np.int64).tolist()
+    return json_texts(values)
+
+
+def _packed(column: array) -> dict[str, Any]:
+    """A stored column as a trace file holds it: its typecode, its length
+    and the base64 of its items' little-endian bytes."""
+    if sys.byteorder == "big":
+        column = array(column.typecode, column)
+        column.byteswap()
+    return {"typecode": column.typecode, "length": len(column),
+            "data": b64encode(column).decode("ascii")}
+
+
+def _unpacked(name: str, typecodes: str, stored: Any) -> array:
+    """The ``array`` of one :func:`_packed` column, after checking that its
+    typecode is one of ``typecodes`` and that its base64 decodes to
+    exactly ``length`` items."""
+    if not isinstance(stored, Mapping):
+        raise ValueError(f"trace column {name!r} is not a packed column")
+    typecode, length, data = (stored.get("typecode"), stored.get("length"),
+                              stored.get("data"))
+    if type(typecode) is not str or typecode not in set(typecodes):
+        raise ValueError(f"trace column {name!r}: unknown typecode "
+                         f"{typecode!r} (expected {', '.join(typecodes)})")
+    try:
+        raw = b64decode(data, validate=True)
+    except (TypeError, ValueError):  # binascii.Error is a ValueError
+        raise ValueError(
+            f"trace column {name!r}: 'data' is not base64") from None
+    column = array(typecode)
+    if type(length) is not int or len(raw) != length * column.itemsize:
+        raise ValueError(f"trace column {name!r}: {len(raw)} bytes, not "
+                         f"{length} items of {column.itemsize} bytes")
+    column.frombytes(raw)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column
+
+
+def _ints(column: array) -> np.ndarray:
+    """A read-only numpy view of an integer ``array``."""
+    return np.frombuffer(column, dtype=column.typecode)
+
+
+def _listed(name: str, typecode: str, stored: Any) -> array:
+    """The ``array`` of one format-v2 column (a JSON list)."""
+    try:
+        return array(typecode, stored)
+    except (TypeError, OverflowError) as err:
+        raise ValueError(f"trace column {name!r}: {err}") from None
 
 
 def _check_order(starts: Sequence[int], ends: Sequence[int],
@@ -300,69 +408,110 @@ class SpanTable:
         self._complete = len(self.span_id)
 
     # -- on-disk layout ---------------------------------------------------
-    def to_columns(self) -> dict[str, list]:
-        """The rows below the watermark as JSON-ready columns.
+    def to_columns(self) -> dict[str, Any]:
+        """The rows below the watermark as a JSON-ready format-v3 table.
 
-        Each stored column is a plain list (``-1`` means none; ``level``
+        Each stored column is :func:`_packed` (``-1`` means none; ``level``
         and ``kind`` are column codes), next to the ``names`` and
-        ``schemas`` pools, the flat ``values`` list (values that are not
-        JSON scalars pass through :func:`jsonable`) and the sparse
-        ``logs`` as ``[row, [[timestamp_ns, fields], ...]]`` pairs.  The
-        pools stop at the highest code a row uses, so a row still being
-        appended leaves nothing behind.
+        ``schemas`` pools, the tag values (:meth:`_value_pool`: a
+        ``value_pool`` list and a packed ``value_codes`` column, one code
+        per value, rows back to back in key order) and the sparse ``logs``
+        as ``[row, [[timestamp_ns, fields], ...]]`` pairs.  The pools stop
+        at the highest code a row uses, so a row still being appended
+        leaves nothing behind.
         """
         n = self._complete
         document = {
-            name: getattr(self, name)[:n].tolist()
+            name: _packed(getattr(self, name)[:n])
             for name, _ in _STORED_COLUMNS
         }
-        schemas = self._schemas.by_code[
-            :max(document["tag_schema"], default=-1) + 1
-        ]
+        name_ids, tag_schema = self.name_id[:n], self.tag_schema[:n]
+        schemas = self._schemas.by_code[:max(tag_schema, default=-1) + 1]
         end = (
-            self.tag_start[n - 1] + len(schemas[self.tag_schema[n - 1]])
+            self.tag_start[n - 1] + len(schemas[tag_schema[n - 1]])
             if n else 0
         )
-        document["names"] = self._names.by_code[
-            :max(document["name_id"], default=-1) + 1
-        ]
+        document["names"] = self._names.by_code[:max(name_ids, default=-1) + 1]
         document["schemas"] = [[str(key) for key in keys] for keys in schemas]
-        document["values"] = [
-            value if type(value) in JSON_SCALARS else jsonable(value)
-            for value in self._values[:end]
-        ]
+        document["value_pool"], codes = self._value_pool(n, end)
+        document["value_codes"] = _packed(codes)
         document["logs"] = [
             [row, _logs_to_list(entries)]
             for row, entries in sorted(self._logs.items()) if row < n
         ]
         return document
 
-    def extend_columns(self, document: Mapping[str, Any]) -> None:
-        """Append the rows of a :meth:`to_columns` document.
+    def _value_pool(self, n: int, end: int) -> tuple[list, array]:
+        """The distinct tag values of the first ``n`` rows (``end`` value
+        cells), JSON-ready, and each cell's code in that pool.
+
+        Values share an entry only if their JSON texts are equal, so
+        ``1``/``1.0``/``true``, ``-0.0``/``0.0`` and ``[1]``/``[true]``
+        stay apart.  The values are keyed one (schema, key) column at a
+        time (:func:`_pool_keys`), and entries are numbered in order of
+        first appearance.
+        """
+        pool: dict[str | int, int] = {}
+        entries: list = []
+        codes = np.zeros(end, dtype=np.uint32)
+        starts = _ints(self.tag_start[:n])
+        for schema, rows in self.schema_groups(n):
+            first = starts[rows]
+            for i in range(len(schema)):
+                cells = first + i
+                column = list(map(self._values.__getitem__, cells.tolist()))
+                keys = _pool_keys(column)
+                for key, value in dict(zip(keys, column)).items():
+                    if key not in pool:
+                        pool[key] = len(entries)
+                        entries.append(jsonable(value))
+                codes[cells] = np.fromiter(
+                    map(pool.__getitem__, keys), np.uint32, len(keys))
+        typecode = next(code for code in _CODE_TYPECODES
+                        if len(entries) <= 1 << 8 * array(code).itemsize)
+        return entries, array(typecode, codes.astype(typecode).tobytes())
+
+    def schema_groups(self, n: int) -> Iterator[tuple[tuple, list[int]]]:
+        """Each tag schema with keys that the first ``n`` rows use, in code
+        order, with the rows that use it, in row order."""
+        codes = _ints(self.tag_schema[:n])
+        order = np.argsort(codes, kind="stable")
+        for rows in np.split(order, np.flatnonzero(np.diff(codes[order])) + 1):
+            keys = self._schemas.by_code[codes[rows[0]]] if len(rows) else ()
+            if keys:
+                yield keys, rows.tolist()
+
+    def extend_columns(self, document: Mapping[str, Any],
+                       version: int = FORMAT_VERSION) -> None:
+        """Append the rows of a :meth:`to_columns` table of format
+        ``version`` (3, or 2: plain JSON lists and a flat ``values`` list).
 
         The whole document is checked before the first column is
-        extended: any fault raises one ``ValueError`` and leaves the
-        table unchanged.  ``tag_start`` is rebuilt from the schema
-        widths, and name and schema codes are re-interned, so a
-        non-empty table can be extended too.
+        extended: any fault raises one ``ValueError`` naming the part at
+        fault, and leaves the table unchanged.  ``tag_start`` is rebuilt
+        from the schema widths, and name and schema codes are re-interned,
+        so a non-empty table can be extended too.  Rows of a v3 table
+        that hold equal values hold the same pool object, so tag values
+        are read-only.
         """
         if not isinstance(document, Mapping):
             raise ValueError("trace table is not a JSON object")
+        read = _unpacked if version >= 3 else _listed
         columns = {}
         for name, typecode in _STORED_COLUMNS:
             if name not in document:
                 raise ValueError(f"trace table has no {name!r} column")
-            try:
-                columns[name] = array(typecode, document[name])
-            except (TypeError, OverflowError) as err:
-                raise ValueError(f"trace column {name!r}: {err}") from None
+            columns[name] = read(name, typecode, document[name])
         n = len(columns["span_id"])
         if any(len(column) != n for column in columns.values()):
             raise ValueError("trace columns differ in length")
-        if not _LEVEL_BY_CODE.keys() >= set(columns["level"]):
+        level, kind, name_id, tag_schema, starts, ends = map(_ints, (
+            columns["level"], columns["kind"], columns["name_id"],
+            columns["tag_schema"], columns["start_ns"], columns["end_ns"],
+        ))
+        if not _LEVEL_BY_CODE.keys() >= set(np.unique(level).tolist()):
             raise ValueError("trace column 'level' holds an unknown level code")
-        kinds = columns["kind"]
-        if n and not 0 <= min(kinds) <= max(kinds) < len(KINDS):
+        if n and not 0 <= kind.min() <= kind.max() < len(KINDS):
             raise ValueError("trace column 'kind' holds an unknown kind code")
         names = document.get("names")
         if not isinstance(names, list) or any(type(x) is not str for x in names):
@@ -373,17 +522,31 @@ class SpanTable:
             for keys in schemas
         ):
             raise ValueError("trace 'schemas' is not a list of key lists")
-        if n and max(columns["name_id"]) >= len(names):
+        if n and name_id.max() >= len(names):
             raise ValueError("trace column 'name_id' is out of range")
-        if n and max(columns["tag_schema"]) >= len(schemas):
+        if n and tag_schema.max() >= len(schemas):
             raise ValueError("trace column 'tag_schema' is out of range")
-        values = document.get("values")
-        widths = list(map(len, schemas))
-        row_widths = [widths[code] for code in columns["tag_schema"]]
-        if not isinstance(values, list) or sum(row_widths) != len(values):
-            raise ValueError("trace 'values' do not match the schema widths")
-        _check_order(columns["start_ns"], columns["end_ns"],
-                     lambda row: names[columns["name_id"][row]])
+        widths = np.array(list(map(len, schemas)), dtype=np.int64)
+        row_widths = widths[tag_schema]
+        width = int(row_widths.sum())
+        if version >= 3:
+            pool = document.get("value_pool")
+            if not isinstance(pool, list):
+                raise ValueError("trace 'value_pool' is not a list")
+            codes = _ints(_unpacked("value_codes", _CODE_TYPECODES,
+                                    document.get("value_codes")))
+            if len(codes) != width:
+                raise ValueError(
+                    "trace 'value_codes' do not match the schema widths")
+            if width and codes.max() >= len(pool):
+                raise ValueError("trace column 'value_codes' is out of range")
+        else:
+            values = document.get("values")
+            if not isinstance(values, list) or len(values) != width:
+                raise ValueError("trace 'values' do not match the schema widths")
+        if (ends < starts).any():
+            _check_order(starts.tolist(), ends.tolist(),
+                         lambda row: names[name_id[row]])
         span_ids = set(columns["span_id"])
         if len(span_ids) != n or not span_ids.isdisjoint(
             self.span_id[:self._complete]
@@ -394,18 +557,23 @@ class SpanTable:
             raise ValueError("trace 'logs' is not a list")
         logs = dict(_logs_from_pair(item, n) for item in logs)
         # Checked; from here on nothing can fail.
+        if version >= 3:
+            pooled = np.empty(len(pool), dtype=object)
+            for code, value in enumerate(pool):
+                pooled[code] = value
+            values = pooled[codes].tolist()
         name_codes = [self._names[name] for name in names]
         schema_codes = [self._schemas[tuple(keys)] for keys in schemas]
-        for name, codes in (("name_id", name_codes),
-                            ("tag_schema", schema_codes)):
-            if codes != list(range(len(codes))):
-                columns[name] = array("I", map(codes.__getitem__, columns[name]))
+        for name, interned in (("name_id", name_codes),
+                               ("tag_schema", schema_codes)):
+            if interned != list(range(len(interned))):
+                columns[name] = array(
+                    "I", map(interned.__getitem__, columns[name]))
         base = len(self.span_id)
         for name, column in columns.items():
             getattr(self, name).extend(column)
-        self.tag_start.extend(
-            islice(accumulate(row_widths, initial=len(self._values)), n)
-        )
+        offsets = np.cumsum(row_widths) - row_widths + len(self._values)
+        self.tag_start.frombytes(offsets.tobytes())
         self._values.extend(values)
         for row, entries in logs.items():
             self._logs[base + row] = entries

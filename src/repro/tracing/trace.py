@@ -170,10 +170,6 @@ class Trace:
         table = self.table
         return [SpanView(table, row) for row in rows]
 
-    def sorted_spans(self) -> list[SpanView]:
-        """Spans sorted by (start, -duration) — parents before children."""
-        return self._views(self.index.rows_sorted())
-
     def at_level(self, level: Level) -> list[SpanView]:
         return self._views(self.index.level_rows().get(level, ()))
 
@@ -197,9 +193,6 @@ class Trace:
         rows = self.index.row_by_id()
         table = self.table
         return {span_id: SpanView(table, row) for span_id, row in rows.items()}
-
-    def children_of(self, span) -> list[SpanView]:
-        return self._views(self.index.children_rows().get(span.span_id, ()))
 
     def roots(self) -> list[SpanView]:
         return self._views(self.index.root_rows())

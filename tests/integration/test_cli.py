@@ -88,9 +88,20 @@ def test_bad_input_fails_in_one_line(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-#: The v1 capture of model 7 written before format v2 (tests/tracing/data).
-V1_FIXTURE = (Path(__file__).resolve().parents[1] / "tracing" / "data"
-              / "model7_library_level_v1.json.gz")
+#: Captures of model 7 written before formats v2 and v3 (tests/tracing/data).
+DATA = Path(__file__).resolve().parents[1] / "tracing" / "data"
+V1_FIXTURE = DATA / "model7_library_level_v1.json.gz"
+V2_FIXTURE = DATA / "model7_library_level_v2_tensorflow_like.json.gz"
+
+
+def _capture_text(version: str) -> str:
+    """The model-7 capture as a trace file of ``version``."""
+    if version == "v3":
+        from repro.tracing.export import trace_from_json, trace_to_json
+
+        return trace_to_json(trace_from_json(_capture_text("v2")))
+    fixture = V1_FIXTURE if version == "v1" else V2_FIXTURE
+    return gzip.decompress(fixture.read_bytes()).decode()
 
 
 def _v1_span(doc, key, value):
@@ -99,6 +110,10 @@ def _v1_span(doc, key, value):
 
 def _v2_column(doc, key, row, value):
     doc["table"][key][row] = value
+
+
+def _v3_column(doc, key, **fields):
+    doc["table"][key].update(fields)
 
 
 #: (format, fault) -> an edit of a good trace document that breaks it.
@@ -126,6 +141,14 @@ MALFORMED_TRACES = {
         lambda d: _v2_column(d, "correlation_id", 3, 10**30),
     ("v2", "duplicated span id"):
         lambda d: _v2_column(d, "span_id", 3, d["table"]["span_id"][2]),
+    ("v3", "bad base64"): lambda d: _v3_column(d, "start_ns", data="A*=="),
+    ("v3", "wrong byte length"): lambda d: _v3_column(
+        d, "end_ns", data=d["table"]["end_ns"]["data"][:-8]),
+    ("v3", "unknown typecode"): lambda d: _v3_column(d, "kind", typecode="d"),
+    ("v3", "code outside the pool"):
+        lambda d: d["table"]["value_pool"].pop(),
+    ("v3", "v2 lists in a v3 document"):
+        lambda d: d["table"].update(span_id=[1, 2]),
 }
 
 
@@ -133,14 +156,9 @@ MALFORMED_TRACES = {
 @pytest.mark.parametrize("version,fault", sorted(MALFORMED_TRACES))
 def test_malformed_trace_fails_in_one_line(version, fault, command,
                                            tmp_path, capsys):
-    """advise --from-trace and diff reject a broken trace file, v1 or v2,
-    with exit 2 and one stderr line."""
-    text = gzip.decompress(V1_FIXTURE.read_bytes()).decode()
-    if version == "v2":
-        from repro.tracing.export import trace_from_json, trace_to_json
-
-        text = trace_to_json(trace_from_json(text))
-    document = json.loads(text)
+    """advise --from-trace and diff reject a broken trace file, v1, v2 or
+    v3, with exit 2 and one stderr line."""
+    document = json.loads(_capture_text(version))
     MALFORMED_TRACES[version, fault](document)
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(document))
@@ -213,16 +231,11 @@ def test_malformed_profile_json_fails_in_one_line(fault, cnn_profile,
     assert field in captured.err
 
 
-@pytest.mark.parametrize("version", ["v1", "v2"])
+@pytest.mark.parametrize("version", ["v1", "v2", "v3"])
 def test_advise_and_diff_accept_both_trace_versions(version, tmp_path,
                                                     capsys):
-    text = gzip.decompress(V1_FIXTURE.read_bytes()).decode()
-    if version == "v2":
-        from repro.tracing.export import trace_from_json, trace_to_json
-
-        text = trace_to_json(trace_from_json(text))
     path = tmp_path / "capture.json"
-    path.write_text(text)
+    path.write_text(_capture_text(version))
     assert main(["advise", "--from-trace", str(path), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["insights"]
     assert main(["diff", str(path), str(path), "--json",

@@ -10,15 +10,16 @@ missing from the table, or an option that takes a value with no case
 from __future__ import annotations
 
 import argparse
+import json
 
 import pytest
 
 from repro.cli import build_parser, main
 
 #: Placeholders the test replaces with files under its ``tmp_path``.
-MISSING, MALFORMED, FOREIGN, A_FILE, NO_DIR = (
-    "<missing.json>", "<malformed.json>", "<foreign.json>", "<a-file>",
-    "<no-dir>/out.json")
+MISSING, MALFORMED, FOREIGN, BAD_V3, A_FILE, NO_DIR = (
+    "<missing.json>", "<malformed.json>", "<foreign.json>", "<bad-v3.json>",
+    "<a-file>", "<no-dir>/out.json")
 
 CASES: dict[str, list[list[str]]] = {
     # Reads no file and takes no number; argparse checks --task.
@@ -48,6 +49,7 @@ CASES: dict[str, list[list[str]]] = {
         ["--from-trace", MISSING],
         ["--from-trace", MALFORMED],
         ["--from-trace", FOREIGN],
+        ["--from-trace", BAD_V3],
         ["--model", "999"],
         ["--model", "53", "--batch", "0"],
         ["--model", "53", "--runs", "0"],
@@ -61,6 +63,8 @@ CASES: dict[str, list[list[str]]] = {
         [MISSING, "model=53"],
         ["model=53", MALFORMED],
         [FOREIGN, "model=53"],
+        [BAD_V3, "model=53"],
+        ["model=53", BAD_V3],
         ["model=53,batch=0", "model=53"],
         ["model=53", "model=53", "--runs", "0"],
         ["model=53", "model=53", "--min-severity", "-0.5"],
@@ -101,12 +105,26 @@ def test_every_value_option_has_a_case(command):
         assert names & (used | CHOICES_ONLY), f"{command} {names}: no case"
 
 
+def _bad_v3() -> str:
+    """A format-v3 trace file whose one tag value code is out of the pool."""
+    from repro.tracing import Level, Span, Trace
+    from repro.tracing.export import trace_to_json
+
+    trace = Trace(trace_id=1, metadata={"model": "m"})
+    trace.add(Span("predict", 0, 5, Level.MODEL, span_id=1, tags={"x": 1}))
+    document = json.loads(trace_to_json(trace))
+    document["table"]["value_pool"] = []
+    return json.dumps(document)
+
+
 def _materialize(arg: str, tmp_path) -> str:
     files = {
         MALFORMED: '{"format_version": 2, "spans": ',
         FOREIGN: '{"traceEvents": [], "displayTimeUnit": "ms"}',
         A_FILE: "not a directory",
     }
+    if arg == BAD_V3:
+        files[BAD_V3] = _bad_v3()
     if arg in files:
         path = tmp_path / arg.strip("<>")
         path.write_text(files[arg])

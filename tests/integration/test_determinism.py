@@ -6,7 +6,7 @@ from repro.core import ProfilingConfig, XSPSession
 def _span_signature(trace):
     return [
         (s.name, s.level.name, s.kind.value, s.start_ns, s.end_ns)
-        for s in trace.sorted_spans()
+        for s in map(trace.spans.__getitem__, trace.index.rows_sorted())
     ]
 
 

@@ -21,12 +21,6 @@ def test_advance_negative_rejected():
         VirtualClock().advance(-1)
 
 
-def test_advance_to_only_moves_forward():
-    c = VirtualClock(1000)
-    assert c.advance_to(500) == 1000
-    assert c.advance_to(2000) == 2000
-
-
 def test_advance_rounds_fractional_ns():
     c = VirtualClock()
     c.advance(0.6)

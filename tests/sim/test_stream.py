@@ -16,7 +16,7 @@ def _runtime() -> CudaRuntime:
 
 
 def _enqueue(rt: CudaRuntime, at_ns: int, duration_ns: int) -> tuple[int, int]:
-    rt.clock.advance_to(at_ns)
+    rt.clock.now_ns = max(rt.clock.now_ns, at_ns)
     record = rt.launch_kernel(SPEC, clean_ns=duration_ns)
     return record.device_start_ns, record.device_end_ns
 

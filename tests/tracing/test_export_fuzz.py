@@ -14,10 +14,12 @@ corpus of tuple, list, dict and typed-scalar tags, ingested through
 every path and captured by every converter, checks that ``peek_tags``,
 ``iter_tags`` and ``view.tags`` agree.
 
-The file format (v2, the table's columns) must round-trip to a fixpoint,
-a v1 document (one object per span) must load to the columns of its v2
-export, and a malformed v2 table must raise and leave the table as it
-was.
+The file format (v3: packed integer columns and one tag-value pool)
+must round-trip to a fixpoint, a v2 document (one JSON list per column,
+written by ``trace_v2_oracle``) must load to the same table, tags and
+Chrome trace as the v3 document of the same trace, a v1 document (one
+object per span) must load to the columns of its v2 export, and a
+malformed v2 or v3 table must raise and leave the table as it was.
 """
 
 from __future__ import annotations
@@ -25,8 +27,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+from array import array
+from base64 import b64decode, b64encode
 
 import pytest
+import trace_v2_oracle
 from rows import span_rows
 
 from repro.tracing import Level, Span, SpanKind, Trace, TracingServer
@@ -73,6 +78,8 @@ def _exotic_value(rng: random.Random):
         lambda: _Opaque(rng.randint(0, 99)),
         lambda: b"\x00raw-bytes",
         lambda: float("inf"),
+        # Equal values JSON tells apart: a value pool must too.
+        lambda: rng.choice((1, 1.0, True, -0.0, 0.0, [1], [True], (1.0,))),
     )
     return rng.choice(choices)()
 
@@ -236,9 +243,8 @@ def test_mutation_through_views_reaches_storage_and_export(seed):
     restored_views = list(restored.spans)
     for view in restored_views[1:]:
         assert view.parent_id == root.span_id
-    assert {v.span_id for v in trace.children_of(root)} == {
-        v.span_id for v in restored.children_of(restored_views[0])
-    }
+    assert trace.index.children_rows()[root.span_id] == \
+        restored.index.children_rows()[restored_views[0].span_id]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -249,11 +255,8 @@ def test_round_trip_preserves_hierarchy_queries(seed):
     assert {s.span_id for s in restored.roots()} == {
         s.span_id for s in original.roots()
     }
-    for span in original.spans:
-        restored_span = restored.by_id()[span.span_id]
-        assert {c.span_id for c in restored.children_of(restored_span)} == {
-            c.span_id for c in original.children_of(span)
-        }
+    # Rows keep their places in the file, so child rows compare as is.
+    assert restored.index.children_rows() == original.index.children_rows()
 
 
 # -- one tag store for every ingest path ---------------------------------------
@@ -405,18 +408,90 @@ def _mixed_trace(seed: int) -> Trace:
 
 
 @pytest.mark.parametrize("seed", range(25))
-def test_v2_round_trip_is_a_column_fixpoint(seed):
+def test_v3_round_trip_is_a_column_fixpoint(seed):
     once = trace_to_json(_mixed_trace(seed))
     restored = trace_from_json(once)
+    assert json.loads(once)["format_version"] == 3
     assert restored.table.to_columns() == json.loads(once)["table"]
     assert trace_to_json(restored) == once
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_v2_round_trip_is_a_column_fixpoint(seed):
+    """The v2 reader is lossless: a v2 file loads to the table the v2
+    writer wrote it from."""
+    once = trace_v2_oracle.trace_to_json(_mixed_trace(seed))
+    restored = trace_from_json(once)
+    assert trace_v2_oracle.table_to_columns(restored.table) == \
+        json.loads(once)["table"]
+    assert trace_v2_oracle.trace_to_json(restored) == once
+
+
+def _exact_tags(trace: Trace) -> list[str]:
+    """Every row's tags as ``repr`` text, which tells ``1``/``1.0``/
+    ``True``, ``-0.0``/``0.0`` and a list from a tuple apart, however
+    deep they sit."""
+    return [repr(trace.table.peek_tags(row)) for row in range(len(trace))]
+
+
+@pytest.mark.parametrize("seed", range(25))
+@pytest.mark.parametrize("make", [_random_trace, _mixed_trace])
+def test_v2_and_v3_files_load_alike(make, seed):
+    """The oracle's v2 file and the v3 file of one trace load to equal
+    columns, exactly typed tags and byte-equal Chrome traces."""
+    trace = make(seed)
+    from_v2 = trace_from_json(trace_v2_oracle.trace_to_json(trace))
+    from_v3 = trace_from_json(trace_to_json(trace))
+    assert from_v2.table.to_columns() == from_v3.table.to_columns()
+    assert _exact_tags(from_v2) == _exact_tags(from_v3)
+    assert trace_to_chrome(from_v2) == trace_to_chrome(from_v3)
+    assert trace_to_json(from_v2) == trace_to_json(from_v3)
+
+
+@pytest.mark.parametrize("values,pool", [
+    ([1, 1.0, True, -0.0, 0.0, [1], [True], [1.0], (1,), "1", None],
+     '[1, 1.0, true, -0.0, 0.0, [1], [true], [1.0], "1", null]'),
+    # A column of floats only is pooled by bit pattern.
+    ([0.0, -0.0, 0.0, 1.5, -0.0], "[0.0, -0.0, 1.5]"),
+])
+def test_the_pool_keeps_values_json_tells_apart(values, pool):
+    trace = Trace(trace_id=1)
+    trace.extend([
+        Span(f"s{i}", i, i + 1, Level.LAYER, span_id=i + 1, tags={"x": value})
+        for i, value in enumerate(values)
+    ])
+    text = trace_to_json(trace)
+    assert json.dumps(json.loads(text)["table"]["value_pool"]) == pool
+    loaded = trace_from_json(text).table
+    assert [repr(loaded.peek_tags(row)["x"]) for row in range(len(values))] \
+        == [repr(jsonable(value)) for value in values]
+
+
+def test_rows_of_a_v3_file_share_their_pool_values():
+    """Loading a v3 file builds each pool value once: rows whose tags
+    hold equal lists hold the same list object (tag values are
+    read-only), where a v2 file gives every row a list of its own."""
+    trace = Trace(trace_id=1)
+    trace.extend([
+        Span("k", i, i + 1, Level.GPU_KERNEL, span_id=i + 1,
+             tags={"grid": (8, 1, 1)})
+        for i in range(3)
+    ])
+    grids = [
+        [loaded.table.peek_tags(row)["grid"] for row in range(3)]
+        for loaded in (trace_from_json(trace_to_json(trace)),
+                       trace_from_json(trace_v2_oracle.trace_to_json(trace)))
+    ]
+    assert grids[0] == grids[1] == [[8, 1, 1]] * 3
+    assert len({id(grid) for grid in grids[0]}) == 1
+    assert len({id(grid) for grid in grids[1]}) == 3
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_v1_document_loads_to_the_columns_of_its_v2_export(seed):
     trace = _mixed_trace(seed)
     from_v1 = trace_from_dict(json.loads(json.dumps(_v1_document(trace))))
-    from_v2 = trace_from_json(trace_to_json(trace))
+    from_v2 = trace_from_json(trace_v2_oracle.trace_to_json(trace))
     assert _typed_columns(from_v1) == _typed_columns(from_v2)
     assert from_v1.metadata == from_v2.metadata
     assert trace_to_json(from_v1) == trace_to_json(from_v2)
@@ -463,11 +538,19 @@ def test_export_stops_at_the_watermark_of_a_half_appended_row():
     assert trace_to_chrome(trace) == chrome
 
 
-def _v2_table() -> dict:
+def _small_trace() -> Trace:
     trace = Trace(trace_id=1)
     trace.add(Span("a", 0, 5, Level.MODEL, span_id=1, tags={"x": 1}))
     trace.add(Span("b", 1, 2, Level.LAYER, span_id=2, parent_id=1))
-    return json.loads(trace_to_json(trace))["table"]
+    return trace
+
+
+def _v2_table() -> dict:
+    return trace_v2_oracle.table_to_columns(_small_trace().table)
+
+
+def _v3_table() -> dict:
+    return json.loads(trace_to_json(_small_trace()))["table"]
 
 
 #: Each fault a v2 ``table`` object can have, as an edit of a good one.
@@ -488,23 +571,96 @@ V2_FAULTS = {
 }
 
 
+def _packed(typecode: str, items: list) -> dict:
+    return {"typecode": typecode, "length": len(items),
+            "data": b64encode(array(typecode, items)).decode()}
+
+
+def _cut_a_byte(column: dict) -> None:
+    column["data"] = b64encode(b64decode(column["data"])[:-1]).decode()
+
+
+#: Each fault only a v3 ``table`` object can have, as an edit of a good
+#: one, with the part of the table its error must name.
+V3_FAULTS = {
+    "bad base64": (lambda t: t["start_ns"].update(
+        data="*" + t["start_ns"]["data"][1:]), "start_ns"),
+    "wrong byte length": (lambda t: _cut_a_byte(t["end_ns"]), "end_ns"),
+    "unknown typecode": (lambda t: t["level"].update(typecode="z"), "level"),
+    "length mismatch": (lambda t: t["span_id"].update(length=3), "span_id"),
+    "code outside the pool": (lambda t: t.update(value_codes=_packed(
+        "B", [len(t["value_pool"])])), "value_codes"),
+    "v2 lists in a v3 document": (lambda t: t.update(
+        parent_id=[-1, 1]), "parent_id"),
+}
+
+
+def _unchanged_by(trace: Trace, load) -> None:
+    """Run ``load`` (which must raise ``ValueError``) and check that the
+    table is as it was."""
+    def state():
+        return (trace_to_json(trace), trace.table.nbytes,
+                len(trace.table.span_id), len(trace.table.tag_start))
+
+    before = state()
+    with pytest.raises(ValueError) as raised:
+        load()
+    assert state() == before
+    return str(raised.value)
+
+
 @pytest.mark.parametrize("fault", sorted(V2_FAULTS))
 def test_a_malformed_v2_table_raises_and_leaves_the_table_unchanged(fault):
     document = _v2_table()
     V2_FAULTS[fault](document)
     trace = _random_trace(1)
-    before = (trace_to_json(trace), trace.table.nbytes,
-              len(trace.table.span_id), len(trace.table.tag_start))
-    with pytest.raises(ValueError):
-        trace.table.extend_columns(document)
-    assert (trace_to_json(trace), trace.table.nbytes,
-            len(trace.table.span_id), len(trace.table.tag_start)) == before
+    _unchanged_by(trace, lambda: trace.table.extend_columns(document, 2))
 
 
-def test_extend_columns_appends_to_a_non_empty_table():
+@pytest.mark.parametrize("fault", sorted(V3_FAULTS))
+def test_a_malformed_v3_table_raises_and_leaves_the_table_unchanged(fault):
+    document = _v3_table()
+    edit, part = V3_FAULTS[fault]
+    edit(document)
+    trace = _random_trace(1)
+    message = _unchanged_by(trace, lambda: trace.table.extend_columns(document))
+    assert repr(part) in message
+
+
+def _appends_to_a_non_empty_table(document: dict, version: int) -> None:
     trace = _random_trace(2)
     n = len(trace)
-    trace.table.extend_columns(_v2_table())
+    trace.table.extend_columns(document, version)
     assert [trace.spans[r].name for r in (n, n + 1)] == ["a", "b"]
     assert trace.table.peek_tags(n) == {"x": 1}
     assert trace.spans[n + 1].parent_id == 1
+
+
+def test_extend_columns_appends_to_a_non_empty_table():
+    _appends_to_a_non_empty_table(_v3_table(), 3)
+
+
+def test_extend_columns_appends_a_v2_table_to_a_non_empty_table():
+    _appends_to_a_non_empty_table(_v2_table(), 2)
+
+
+def test_reading_a_loaded_v3_trace_leaves_its_pool_unchanged():
+    """Profiling, advising, diffing, reporting and exporting a loaded
+    capture mutate none of the tag values its rows share."""
+    from repro.analysis.diff import diff_profiles
+    from repro.analysis.diff.sources import profile_from_trace
+    from repro.analysis.report import full_report
+    from repro.insights import advise
+
+    trace = trace_from_json(trace_to_json(_capture_with_every_converter()))
+    shared = {id(value): value for value in trace.table._values}
+    assert len(shared) < len(trace.table._values)
+    before = [repr(value) for value in shared.values()]
+    file = trace_to_json(trace)
+    profile = profile_from_trace(trace)
+    advise(profile)
+    diff_profiles(profile, profile).to_json()
+    full_report(profile)
+    trace_to_chrome(trace)
+    assert [repr(value) for value in shared.values()] == before
+    assert trace_to_json(trace) == file

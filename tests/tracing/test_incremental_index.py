@@ -52,12 +52,12 @@ def test_k_appends_and_queries_cost_one_cold_build(monkeypatch):
     for i in range(1, 201):
         trace.add(_span(i, 10 * i, 10 * i + 8))
     calls = _count_cold_builds(monkeypatch)
-    trace.sorted_spans()  # the one cold build
+    trace.index.rows_sorted()  # the one cold build
     assert calls["cold"] == 1
     index_before = trace.index
     for i in range(201, 251):
         trace.add(_span(i, 10 * i, 10 * i + 8))
-        assert trace.sorted_spans()[-1].span_id == i
+        assert trace.index.rows_sorted()[-1] == i - 1
         assert trace.index.row_by_id()[i] == i - 1
     assert calls["cold"] == 1  # 50 appendsx queries, zero extra rebuilds
     assert trace.index is index_before  # same index object, advanced
@@ -78,10 +78,10 @@ def test_append_then_query_matches_cold_rebuild():
             )
         )
         if i % 61 == 0:
-            trace.sorted_spans()  # keep the index live mid-growth
+            trace.index.rows_sorted()  # keep the index live mid-growth
             trace.gaps(Level.GPU_KERNEL)
     incremental = {
-        "sorted": [s.span_id for s in trace.sorted_spans()],
+        "sorted": list(trace.index.rows_sorted()),
         "gaps": trace.gaps(Level.GPU_KERNEL),
         "roots": [s.span_id for s in trace.roots()],
         "extent": trace.span_extent_ns(),
@@ -89,7 +89,7 @@ def test_append_then_query_matches_cold_rebuild():
     }
     trace.invalidate_index()
     cold = {
-        "sorted": [s.span_id for s in trace.sorted_spans()],
+        "sorted": list(trace.index.rows_sorted()),
         "gaps": trace.gaps(Level.GPU_KERNEL),
         "roots": [s.span_id for s in trace.roots()],
         "extent": trace.span_extent_ns(),
@@ -142,7 +142,7 @@ def test_new_span_id_resolves_dangling_parent_root():
     assert [s.span_id for s in trace.roots()] == [1]  # parent unknown
     trace.add(_span(99, 0, 100, Level.LAYER))
     assert [s.span_id for s in trace.roots()] == [99]
-    assert [c.span_id for c in trace.children_of(trace.by_id()[99])] == [1]
+    assert trace.index.children_rows()[99] == [0]
 
 
 def test_watermark_tracks_completed_appends():
@@ -206,7 +206,7 @@ def test_levels_present_follows_appends():
 
 def test_empty_trace_answers_every_query():
     trace = Trace(trace_id=1)
-    assert trace.sorted_spans() == []
+    assert trace.index.rows_sorted() == []
     assert trace.at_level(Level.LAYER) == []
     assert trace.by_id() == {} and trace.roots() == []
     assert trace.index.kind_rows() == {}
@@ -221,13 +221,12 @@ def test_query_results_are_new_lists_of_views():
     trace.extend([_span(1, 0, 100, Level.LAYER), _span(2, 10, 20)])
     trace.spans[1].parent_id = 1
     trace.touch_parents()
-    for query in (trace.sorted_spans, trace.roots, trace.by_id,
-                  lambda: trace.at_level(Level.LAYER),
-                  lambda: trace.children_of(trace.spans[0])):
+    for query in (trace.roots, trace.by_id,
+                  lambda: trace.at_level(Level.LAYER)):
         first = query()
         first.clear()
         assert query() and query() is not first
-    assert [s.span_id for s in trace.children_of(trace.spans[0])] == [2]
+    assert trace.index.children_rows()[1] == [1]
 
 
 # -- re-correlating a growing capture ---------------------------------------

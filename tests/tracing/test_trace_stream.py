@@ -239,9 +239,10 @@ def test_mid_capture_queries_advance_not_rebuild():
         _span(i, 100 * i, 100 * i + 50, Level.GPU_KERNEL) for i in range(1, 5)
     ))
     index = trace.index
-    assert len(trace.sorted_spans()) == 4
+    assert len(trace.index.rows_sorted()) == 4
     server.publish_many(span_rows(
         _span(i, 100 * i, 100 * i + 50, Level.GPU_KERNEL) for i in range(5, 9)
     ))
     assert trace.index is index  # advanced in place, not rebuilt
-    assert [s.span_id for s in trace.sorted_spans()] == list(range(1, 9))
+    assert [trace.spans[r].span_id for r in trace.index.rows_sorted()] == \
+        list(range(1, 9))
