@@ -8,6 +8,7 @@ Conv2D + DepthwiseConv2dNative share of total layer latency).
 from __future__ import annotations
 
 from collections import defaultdict
+from typing import Sequence
 
 from repro.analysis.tables import Column, Table
 from repro.core.pipeline import ModelProfile
@@ -16,27 +17,28 @@ from repro.core.pipeline import ModelProfile
 CONV_TYPES = ("Conv2D", "DepthwiseConv2dNative", "Convolution")
 
 
+def share_by_type(title: str, column: Column, layer_types: Sequence[str],
+                  values: Sequence[float]) -> Table:
+    """``values`` summed per layer type, largest first, each with its
+    percentage of the total (A6, A7)."""
+    totals: dict[str, float] = defaultdict(float)
+    for layer_type, value in zip(layer_types, values):
+        totals[layer_type] += value
+    grand = sum(totals.values())
+    table = Table(title=title, columns=[
+        Column("layer_type", "Layer Type", align="<"), column,
+        Column("percentage", "Percentage (%)", ".2f")])
+    for layer_type, value in sorted(totals.items(), key=lambda kv: -kv[1]):
+        table.add(**{"layer_type": layer_type, column.key: value,
+                     "percentage": 100.0 * value / grand if grand else 0.0})
+    return table
+
+
 def latency_by_type(profile: ModelProfile) -> Table:
     layers = profile.layer_table
-    totals: dict[str, float] = defaultdict(float)
-    for layer_type, latency in zip(layers.layer_type, layers.latency_ms):
-        totals[layer_type] += latency
-    grand = sum(totals.values())
-    table = Table(
-        title=f"A6 layer latency by type: {profile.model_name}",
-        columns=[
-            Column("layer_type", "Layer Type", align="<"),
-            Column("latency_ms", "Latency (ms)", ".2f"),
-            Column("percentage", "Percentage (%)", ".2f"),
-        ],
-    )
-    for layer_type, latency in sorted(totals.items(), key=lambda kv: -kv[1]):
-        table.add(
-            layer_type=layer_type,
-            latency_ms=latency,
-            percentage=100.0 * latency / grand if grand else 0.0,
-        )
-    return table
+    return share_by_type(f"A6 layer latency by type: {profile.model_name}",
+                         Column("latency_ms", "Latency (ms)", ".2f"),
+                         layers.layer_type, layers.latency_ms)
 
 
 def convolution_latency_percentage(profile: ModelProfile) -> float:

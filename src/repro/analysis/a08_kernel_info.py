@@ -10,6 +10,7 @@ from __future__ import annotations
 from heapq import nlargest
 from typing import Iterable
 
+from repro.analysis.roofline import aggregate_columns, aggregate_table_columns
 from repro.analysis.tables import Column, Table
 from repro.core.pipeline import KernelProfile, ModelProfile
 
@@ -26,28 +27,13 @@ def kernel_information_table(
             Column("name", "Kernel Name", align="<"),
             Column("layer_index", "Layer Index", "d"),
             Column("latency_ms", "Kernel Latency (ms)", ".2f"),
-            Column("gflops", "Kernel Gflops", ".2f"),
-            Column("dram_read_mb", "DRAM Reads (MB)", ".2f"),
-            Column("dram_write_mb", "DRAM Writes (MB)", ".2f"),
-            Column("occupancy_pct", "Achieved Occupancy (%)", ".2f"),
-            Column("arithmetic_intensity", "Arithmetic Intensity", ".2f"),
-            Column("throughput_tflops", "Throughput (Tflops/s)", ".2f"),
-            Column("memory_bound", "Memory Bound?"),
+            *aggregate_table_columns("Kernel Gflops"),
         ],
     )
     for kernel in profile.kernels if kernels is None else kernels:
-        table.add(
-            name=kernel.name,
-            layer_index=kernel.layer_index,
-            latency_ms=kernel.latency_ms,
-            gflops=kernel.flops / 1e9,
-            dram_read_mb=kernel.dram_read_bytes / 1e6,
-            dram_write_mb=kernel.dram_write_bytes / 1e6,
-            occupancy_pct=100.0 * kernel.achieved_occupancy,
-            arithmetic_intensity=kernel.arithmetic_intensity,
-            throughput_tflops=kernel.arithmetic_throughput_tflops,
-            memory_bound=kernel.memory_bound(gpu),
-        )
+        table.add(name=kernel.name, layer_index=kernel.layer_index,
+                  latency_ms=kernel.latency_ms,
+                  **aggregate_columns(kernel, gpu))
     return table
 
 

@@ -2,28 +2,19 @@
 
 from __future__ import annotations
 
-from operator import add
-
 from repro.analysis.roofline import RooflinePoint
-from repro.core.pipeline import ModelProfile, is_memory_bound
+from repro.core.pipeline import (ModelProfile, is_memory_bound,
+                                 roofline_coordinates)
 
 
 def kernel_coordinates(
     profile: ModelProfile,
 ) -> tuple[list[int], list[float], list[float]]:
     """The kernel table rows with DRAM traffic, and each one's arithmetic
-    intensity and throughput (Tflops/s), computed as a
-    :class:`~repro.core.pipeline.KernelProfile` computes them."""
+    intensity and throughput (Tflops/s)."""
     table = profile.kernel_table
-    coordinates = [
-        (row, flops / dram, 0.0 if latency <= 0
-         else flops / (latency / 1e3) / 1e12)
-        for row, (flops, dram, latency) in enumerate(zip(
-            table.flops, map(add, table.dram_read_bytes,
-                             table.dram_write_bytes), table.latency_ms))
-        if dram > 0
-    ]
-    return tuple(map(list, zip(*coordinates))) or ([], [], [])
+    return roofline_coordinates(table.flops, table.dram_read_bytes,
+                                table.dram_write_bytes, table.latency_ms)
 
 
 def kernel_roofline(profile: ModelProfile) -> list[RooflinePoint]:

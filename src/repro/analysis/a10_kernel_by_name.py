@@ -8,7 +8,7 @@ recomputed from those totals — the aggregation rules of Sec. III-D3.
 
 from __future__ import annotations
 
-from repro.analysis.roofline import aggregate_columns
+from repro.analysis.roofline import aggregate_columns, aggregate_table_columns
 from repro.analysis.tables import Column, Table
 from repro.core.pipeline import ModelProfile, kernels_by_name
 
@@ -25,13 +25,7 @@ def kernel_by_name_table(profile: ModelProfile) -> Table:
             Column("count", "Count", "d"),
             Column("latency_ms", "Latency (ms)", ".2f"),
             Column("latency_pct", "Latency (%)", ".2f"),
-            Column("gflops", "Gflops", ".2f"),
-            Column("dram_read_mb", "DRAM Reads (MB)", ".2f"),
-            Column("dram_write_mb", "DRAM Writes (MB)", ".2f"),
-            Column("occupancy_pct", "Achieved Occupancy (%)", ".2f"),
-            Column("arithmetic_intensity", "Arithmetic Intensity", ".2f"),
-            Column("throughput_tflops", "Throughput (Tflops/s)", ".2f"),
-            Column("memory_bound", "Memory Bound?"),
+            *aggregate_table_columns("Gflops"),
         ],
     )
     for name, group in kernels_by_name(profile.kernel_table).items():

@@ -10,7 +10,7 @@ from __future__ import annotations
 from heapq import nlargest
 from typing import Iterable
 
-from repro.analysis.roofline import aggregate_columns
+from repro.analysis.roofline import aggregate_columns, aggregate_table_columns
 from repro.analysis.tables import Column, Table
 from repro.core.pipeline import LayerProfile, ModelProfile
 
@@ -28,13 +28,7 @@ def kernel_by_layer_table(
             Column("index", "Layer Index", "d"),
             Column("latency_ms", "Layer Latency (ms)", ".2f"),
             Column("kernel_latency_ms", "Kernel Latency (ms)", ".2f"),
-            Column("gflops", "Layer Gflops", ".2f"),
-            Column("dram_read_mb", "DRAM Reads (MB)", ".2f"),
-            Column("dram_write_mb", "DRAM Writes (MB)", ".2f"),
-            Column("occupancy_pct", "Achieved Occupancy (%)", ".2f"),
-            Column("arithmetic_intensity", "Arithmetic Intensity", ".2f"),
-            Column("throughput_tflops", "Throughput (Tflops/s)", ".2f"),
-            Column("memory_bound", "Memory Bound?"),
+            *aggregate_table_columns("Layer Gflops"),
         ],
     )
     for layer in profile.layers if layers is None else layers:

@@ -38,14 +38,16 @@ def gpu_vs_nongpu_table(profile: ModelProfile) -> Table:
             Column("gpu_pct", "GPU (%)", ".1f"),
         ],
     )
-    for layer in profile.layers:
-        gpu_ms = layer.kernel_latency_ms
+    layers = profile.layer_table
+    for index, latency, gpu_ms, non_gpu_ms in zip(
+            layers.index, layers.latency_ms,
+            layers.totals.kernel_latency_ms, layers.non_gpu_latency_ms):
         table.add(
-            index=layer.index,
-            latency_ms=layer.latency_ms,
+            index=index,
+            latency_ms=latency,
             gpu_ms=gpu_ms,
-            non_gpu_ms=layer.non_gpu_latency_ms,
-            gpu_pct=100.0 * gpu_ms / layer.latency_ms if layer.latency_ms else 0.0,
+            non_gpu_ms=non_gpu_ms,
+            gpu_pct=100.0 * gpu_ms / latency if latency else 0.0,
         )
     return table
 

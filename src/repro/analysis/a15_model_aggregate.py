@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.analysis.roofline import RooflinePoint, aggregate_columns
+from repro.analysis.roofline import (RooflinePoint, aggregate_columns,
+                                     aggregate_table_columns)
 from repro.analysis.tables import Column, Table
 from repro.core.pipeline import ModelProfile
 
@@ -33,12 +34,8 @@ def model_aggregate_table(
             Column("batch", "Batch Size", "d"),
             Column("model_latency_ms", "Model Latency (ms)", ".2f"),
             Column("kernel_latency_ms", "Kernel Latency (ms)", ".2f"),
-            Column("gflops", "Model Gflops", ".2f"),
-            Column("dram_read_mb", "DRAM Reads (MB)", ".2f"),
-            Column("dram_write_mb", "DRAM Writes (MB)", ".2f"),
-            Column("occupancy_pct", "Achieved Occupancy (%)", ".2f"),
-            Column("arithmetic_intensity", "Arithmetic Intensity", ".2f"),
-            Column("memory_bound", "Memory Bound?"),
+            *(column for column in aggregate_table_columns("Model Gflops")
+              if column.key != "throughput_tflops"),
         ],
     )
     for batch in sorted(sweep):

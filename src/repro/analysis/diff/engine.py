@@ -40,6 +40,7 @@ from repro.core.pipeline import (
     KernelTable,
     LayerTable,
     ModelProfile,
+    dram_traffic,
     kernels_by_name,
 )
 from repro.insights.model import Evidence, ramp
@@ -112,8 +113,8 @@ def _groups(kernels: KernelTable, slot: int | None) -> dict[str, tuple]:
         latency, flops, _, _, weight = kernels.fold(rows)
         # Each kernel's reads + writes, summed: not the summed reads plus
         # the summed writes, which can differ in the last bit.
-        groups[name] = (len(rows), latency, flops,
-                        sum([reads[i] + writes[i] for i in rows], 0.0),
+        dram = sum([dram_traffic(reads[i], writes[i]) for i in rows], 0.0)
+        groups[name] = (len(rows), latency, flops, dram,
                         weight / latency if latency else 0.0)
     return groups
 

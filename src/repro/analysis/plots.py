@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from repro.core.pipeline import attainable_tflops
 from repro.sim.hardware import GPUSpec
 
 
@@ -56,7 +57,7 @@ def ascii_roofline(
     for col in range(width):
         x = 10 ** (math.log10(x_min) + col / (width - 1)
                    * (math.log10(x_max) - math.log10(x_min)))
-        ceiling = min(gpu.peak_tflops, x * gpu.memory_bandwidth / 1e12)
+        ceiling = attainable_tflops(x, gpu)
         row = to_row(ceiling)
         char = "-" if ceiling >= gpu.peak_tflops * 0.999 else "/"
         grid[row][col] = char

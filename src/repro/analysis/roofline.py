@@ -1,16 +1,13 @@
-"""Shared roofline math (paper Sec. III-D3, Figs. 6/9/10/12).
-
-A kernel/layer/model with arithmetic intensity below the device's ideal
-arithmetic intensity (peak FLOPS / memory bandwidth) is memory-bound;
-otherwise compute-bound.  Attainable throughput under the roofline is
-``min(peak, AI * bandwidth)``.
-"""
+"""Roofline points and tables (paper Sec. III-D3, Figs. 6/9/10/12), read
+through the one set of formulas in :mod:`repro.core.pipeline`."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.pipeline import KernelAggregate, is_memory_bound
+from repro.analysis.tables import Column
+from repro.core.pipeline import (KernelAggregate, KernelProfile,
+                                 attainable_tflops, is_memory_bound)
 from repro.sim.hardware import GPUSpec
 
 
@@ -28,10 +25,7 @@ class RooflinePoint:
 
     def attainable_tflops(self, gpu: GPUSpec) -> float:
         """Roofline ceiling at this point's arithmetic intensity."""
-        return min(
-            gpu.peak_tflops,
-            self.arithmetic_intensity * gpu.memory_bandwidth / 1e12,
-        )
+        return attainable_tflops(self.arithmetic_intensity, gpu)
 
     def efficiency(self, gpu: GPUSpec) -> float:
         """Achieved fraction of the attainable roofline throughput."""
@@ -49,14 +43,14 @@ def roofline_curve(
     gpu: GPUSpec, intensities: list[float]
 ) -> list[tuple[float, float]]:
     """(AI, attainable TFLOPS) samples of the device roofline."""
-    return [
-        (ai, min(gpu.peak_tflops, ai * gpu.memory_bandwidth / 1e12))
-        for ai in intensities
-    ]
+    return [(ai, attainable_tflops(ai, gpu)) for ai in intensities]
 
 
-def aggregate_columns(totals: KernelAggregate, gpu: GPUSpec) -> dict[str, object]:
-    """The columns Tables IV-VI (A10, A11, A15) show for one aggregate."""
+def aggregate_columns(
+    totals: KernelAggregate | KernelProfile, gpu: GPUSpec
+) -> dict[str, object]:
+    """The columns Tables III-VI (A8, A10, A11, A15) show for one kernel
+    or aggregate."""
     return {
         "gflops": totals.flops / 1e9,
         "dram_read_mb": totals.dram_read_bytes / 1e6,
@@ -66,3 +60,17 @@ def aggregate_columns(totals: KernelAggregate, gpu: GPUSpec) -> dict[str, object
         "throughput_tflops": totals.arithmetic_throughput_tflops,
         "memory_bound": totals.memory_bound(gpu),
     }
+
+
+def aggregate_table_columns(gflops: str) -> list[Column]:
+    """The table columns of :func:`aggregate_columns`; ``gflops`` heads
+    the flops column."""
+    return [
+        Column("gflops", gflops, ".2f"),
+        Column("dram_read_mb", "DRAM Reads (MB)", ".2f"),
+        Column("dram_write_mb", "DRAM Writes (MB)", ".2f"),
+        Column("occupancy_pct", "Achieved Occupancy (%)", ".2f"),
+        Column("arithmetic_intensity", "Arithmetic Intensity", ".2f"),
+        Column("throughput_tflops", "Throughput (Tflops/s)", ".2f"),
+        Column("memory_bound", "Memory Bound?"),
+    ]

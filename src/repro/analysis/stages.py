@@ -8,9 +8,9 @@ accesses within each interval and identify which interval dominates."
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
-from repro.core.pipeline import LayerProfile, ModelProfile
+from repro.core.pipeline import ModelProfile
 
 STAGES = ("B", "M", "E")  # beginning, middle, end
 
@@ -27,15 +27,10 @@ def stage_of(position: int, total: int) -> str:
     return "E"
 
 
-#: A per-layer quantity: a function of a layer, or a column of the
-#: profile's layer table (one value per slot).
-LayerValue = Callable[[LayerProfile], float] | Sequence[float]
-
-
-def stage_totals(profile: ModelProfile, value: LayerValue) -> dict[str, float]:
-    """Each stage's total of ``value``, summed in slot order."""
-    if callable(value):
-        value = list(map(value, profile.layers))
+def stage_totals(profile: ModelProfile,
+                 value: Sequence[float]) -> dict[str, float]:
+    """Each stage's total of ``value``, a column of the profile's layer
+    table (one value per slot), summed in slot order."""
     totals = {stage: 0.0 for stage in STAGES}
     n = len(profile.layer_table)
     for position, v in enumerate(value):
@@ -43,7 +38,7 @@ def stage_totals(profile: ModelProfile, value: LayerValue) -> dict[str, float]:
     return totals
 
 
-def dominant_stage(profile: ModelProfile, value: LayerValue) -> str:
+def dominant_stage(profile: ModelProfile, value: Sequence[float]) -> str:
     """The interval with the largest total of ``value`` ("B", "M" or "E")."""
     totals = stage_totals(profile, value)
     return max(STAGES, key=lambda stage: totals[stage])

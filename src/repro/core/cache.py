@@ -23,13 +23,13 @@ import json
 import os
 import re
 import tempfile
-from operator import attrgetter, itemgetter
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.core.pipeline import (KERNEL_FIELDS, LAYER_FIELDS, KernelProfile,
-                                 KernelTable, LayerProfile, LayerTable,
-                                 ModelProfile)
+from repro.core.pipeline import (KERNEL_FIELDS, LAYER_FIELDS, KernelTable,
+                                 LayerTable, ModelProfile)
 from repro.tracing.table import jsonable
 
 #: Bump on any change to the serialized profile shape or semantics.
@@ -53,11 +53,7 @@ class _Schema:
     def __init__(self, **kinds: Any) -> None:
         self.names = tuple(kinds)
         self.kinds = tuple(kinds.items())
-        self.attrs = attrgetter(*kinds)
         self.items = itemgetter(*kinds)
-
-    def to_dict(self, obj: object) -> dict[str, Any]:
-        return dict(zip(self.names, self.attrs(obj)))
 
     def values(
         self, data: Any, where: str, *, columns: bool = False
@@ -74,34 +70,71 @@ class _Schema:
             raise ValueError(f"{where.rstrip('.') or 'profile'}: expected "
                              f"an object, got {data!r:.40}") from None
         for (key, kind), value in zip(self.kinds, values):
-            if columns and type(value) is list:
-                if len(value) != len(values[0]):
-                    raise ValueError(f"{where}{key}: {len(value)} entries, "
-                                     f"expected {len(values[0])}")
-                if set(map(type, value)) <= set(kind):
-                    continue
-                at, value = next((at, cell) for at, cell in enumerate(value)
-                                 if type(cell) not in kind)
-                key = f"{key}[{at}]"
-            elif columns:
-                kind = _LIST
-            if type(value) not in kind:
-                raise ValueError(f"{where}{key}: expected {_TYPE_NAMES[kind]}"
-                                 f", got {value!r:.40}")
+            fault = (_column_fault(value, kind, values[0]) if columns
+                     else _fault(value, kind))
+            if fault:
+                raise ValueError(f"{where}{key}{fault}")
         return values
+
+
+def _fault(value: Any, kind: tuple) -> str | None:
+    """How ``value`` is not of ``kind``, after its path; None if it is."""
+    if type(value) not in kind:
+        return f": expected {_TYPE_NAMES[kind]}, got {value!r:.40}"
+    return kind.fault(value) if isinstance(kind, _Ints) else None
+
+
+def _column_fault(column: Any, kind: tuple, first: list) -> str | None:
+    """How ``column`` is not a list of ``kind`` values as long as ``first``,
+    checked a column at a time; the first bad cell names the fault."""
+    if type(column) is not list:
+        return f": expected a list, got {column!r:.40}"
+    if len(column) != len(first):
+        return f": {len(column)} entries, expected {len(first)}"
+    if set(map(type, column)) <= set(kind) and (
+            not isinstance(kind, _Ints) or kind.fits(column)):
+        return None
+    return next(f"[{at}]{fault}" for at, fault in enumerate(
+        map(_fault, column, repeat(kind))) if fault)
 
 
 _STR, _INT, _LIST, _DICT = (str,), (int,), (list,), (dict,)
 _NUMBER = (int, float)
 _TYPE_NAMES = {_STR: "a string", _INT: "an integer", _NUMBER: "a number",
                _LIST: "a list", _DICT: "an object"}
+
+
+class _Ints(tuple):
+    """The kind of a list of exact integers (a bool is none), ``length``
+    of them unless it is None."""
+
+    def __new__(cls, length: int | None = None) -> "_Ints":
+        kind = super().__new__(cls, _LIST)
+        kind.length = length
+        return kind
+
+    def fault(self, value: list) -> str | None:
+        """How the list ``value`` is not of this kind; None if it is."""
+        for at, cell in enumerate(value):
+            if type(cell) is not int:
+                return f"[{at}]: expected an integer, got {cell!r:.40}"
+        if self.length not in (None, len(value)):
+            return f": expected {self.length} integers, got {len(value)}"
+        return None
+
+    def fits(self, column: list[list]) -> bool:
+        """Whether every list of ``column`` is of this kind."""
+        return set(map(type, chain.from_iterable(column))) <= {int} and (
+            self.length is None or set(map(len, column)) <= {self.length})
+
+
 _KERNEL = _Schema(
     name=_STR, layer_index=_INT, position=_INT, latency_ms=_NUMBER,
     flops=_NUMBER, dram_read_bytes=_NUMBER, dram_write_bytes=_NUMBER,
-    achieved_occupancy=_NUMBER, grid=_LIST, block=_LIST,
+    achieved_occupancy=_NUMBER, grid=_Ints(3), block=_Ints(3),
 )
 _LAYER = _Schema(
-    index=_INT, name=_STR, layer_type=_STR, shape=_LIST, latency_ms=_NUMBER,
+    index=_INT, name=_STR, layer_type=_STR, shape=_Ints(), latency_ms=_NUMBER,
     alloc_bytes=_INT, kernels=_LIST,
 )
 _PROFILE = _Schema(
@@ -110,33 +143,42 @@ _PROFILE = _Schema(
 )
 
 
+_LAYER_COLUMNS = _Schema(**dict(_LAYER.kinds[:-1]), kernel_start=_INT)
+_COLUMNS_PROFILE = _Schema(**{**dict(_PROFILE.kinds), "layers": _DICT},
+                           kernels=_DICT)
+
+
+def _header(profile: ModelProfile, schema: _Schema) -> dict[str, Any]:
+    """The profile's fields in ``schema`` order and its metadata; the
+    writer fills in ``layers`` and ``kernels`` from the tables."""
+    header = {name: None if name in ("layers", "kernels")
+              else getattr(profile, name) for name in schema.names}
+    header["overheads"] = dict(profile.overheads)
+    header["metadata"] = {k: jsonable(v) for k, v in profile.metadata.items()}
+    return header
+
+
 def profile_to_dict(profile: ModelProfile) -> dict[str, Any]:
-    """Lossless JSON form of a merged profile (floats via repr round-trip)."""
-    return {
-        **_PROFILE.to_dict(profile),
-        "layers": [
-            {**_LAYER.to_dict(layer),
-             "kernels": [_KERNEL.to_dict(k) for k in layer.kernels]}
-            for layer in profile.layers
-        ],
-        "overheads": dict(profile.overheads),
-        "metadata": {k: jsonable(v) for k, v in profile.metadata.items()},
-    }
+    """Lossless JSON form of a merged profile (floats via repr round-trip),
+    an object per layer and kernel, written from the profile's tables."""
+    table = profile.kernel_table
+    kernels = [dict(zip(KERNEL_FIELDS, row)) for row in zip(*table.columns)]
+    starts = table.starts
+    return {**_header(profile, _PROFILE), "layers": [
+        {**dict(zip(LAYER_FIELDS, layer)), "kernels": kernels[lo:hi]}
+        for layer, lo, hi in zip(zip(*profile.layer_table.columns),
+                                 starts, starts[1:])]}
 
 
-def _kernel_from_dict(data: Any, where: str) -> KernelProfile:
-    *scalars, grid, block = _KERNEL.values(data, where)
-    return KernelProfile(*scalars, tuple(grid), tuple(block))
-
-
-def _layer_from_dict(data: Any, where: str) -> LayerProfile:
-    *scalars, shape, latency_ms, alloc_bytes, kernels = _LAYER.values(
-        data, where
-    )
-    return LayerProfile(*scalars, tuple(shape), latency_ms, alloc_bytes, tuple(
-        _kernel_from_dict(kernel, f"{where}kernels[{i}].")
-        for i, kernel in enumerate(kernels)
-    ))
+def profile_to_columns(profile: ModelProfile) -> dict[str, Any]:
+    """The v2 entry payload: the profile's scalars, one list per layer
+    field (``kernel_start`` is each layer's first kernel row) and one per
+    :data:`~repro.core.pipeline.KERNEL_FIELDS` column."""
+    table = profile.kernel_table
+    return {**_header(profile, _COLUMNS_PROFILE),
+            "layers": {**dict(zip(LAYER_FIELDS, profile.layer_table.columns)),
+                       "kernel_start": table.starts[:-1]},
+            "kernels": dict(zip(KERNEL_FIELDS, table.columns))}
 
 
 def _metadata(data: dict) -> dict:
@@ -146,39 +188,39 @@ def _metadata(data: dict) -> dict:
     return dict(metadata)
 
 
+def _profile(data: dict, scalars: list, overheads: dict, n_runs: int,
+             layers: list[list], kernels: list[list],
+             starts: list[int]) -> ModelProfile:
+    """The profile of checked JSON columns, their lists made tuples."""
+    layers[3] = list(map(tuple, layers[3]))  # shapes
+    kernels[-2:] = [list(map(tuple, column)) for column in kernels[-2:]]
+    return ModelProfile(*scalars, (), dict(overheads), n_runs, _metadata(data),
+                        layer_table=LayerTable(layers,
+                                               KernelTable(kernels, starts)))
+
+
+def _transpose(rows: list[tuple], fields: tuple[str, ...]) -> list[list]:
+    return [list(column) for column in zip(*rows)] or [[] for _ in fields]
+
+
 def profile_from_dict(data: Any) -> ModelProfile:
     """The profile :func:`profile_to_dict` wrote.
 
-    A missing or mistyped field raises one :class:`ValueError` that
-    names it, e.g. ``layers[2].kernels[0].flops: expected a number``.
+    The whole document is checked before the tables are filled: a
+    missing or mistyped field raises one :class:`ValueError` that names
+    it, e.g. ``layers[2].kernels[0].flops: expected a number``.
     """
     *scalars, layers, overheads, n_runs = _PROFILE.values(data, "")
-    return ModelProfile(*scalars, tuple(
-        _layer_from_dict(layer, f"layers[{i}].")
-        for i, layer in enumerate(layers)
-    ), dict(overheads), n_runs, _metadata(data))
-
-
-_LAYER_COLUMNS = _Schema(**dict(_LAYER.kinds[:-1]), kernel_start=_INT)
-_COLUMNS_PROFILE = _Schema(**{**dict(_PROFILE.kinds), "layers": _DICT},
-                           kernels=_DICT)
-
-
-def profile_to_columns(profile: ModelProfile) -> dict[str, Any]:
-    """The v2 entry payload: the profile's scalars, one list per layer
-    field (``kernel_start`` is each layer's first kernel row) and one per
-    :data:`~repro.core.pipeline.KERNEL_FIELDS` column."""
-    table = profile.kernel_table
-    return {
-        # The scalars in field order; reading ``layers`` would build them.
-        **{name: None if name == "layers" else getattr(profile, name)
-           for name in _PROFILE.names},
-        "layers": {**dict(zip(LAYER_FIELDS, profile.layer_table.columns)),
-                   "kernel_start": table.starts[:-1]},
-        "kernels": dict(zip(KERNEL_FIELDS, table.columns)),
-        "overheads": dict(profile.overheads),
-        "metadata": {k: jsonable(v) for k, v in profile.metadata.items()},
-    }
+    layer_rows, kernel_rows, starts = [], [], [0]
+    for i, layer in enumerate(layers):
+        *fields, kernels = _LAYER.values(layer, f"layers[{i}].")
+        layer_rows.append(fields)
+        kernel_rows += [_KERNEL.values(kernel, f"layers[{i}].kernels[{j}].")
+                        for j, kernel in enumerate(kernels)]
+        starts.append(len(kernel_rows))
+    return _profile(data, scalars, overheads, n_runs,
+                    _transpose(layer_rows, LAYER_FIELDS),
+                    _transpose(kernel_rows, KERNEL_FIELDS), starts)
 
 
 def profile_from_columns(data: Any) -> ModelProfile:
@@ -198,11 +240,8 @@ def profile_from_columns(data: Any) -> ModelProfile:
     if starts[0] != 0 or starts != sorted(starts):
         raise ValueError(f"layers.kernel_start: expected offsets rising from "
                          f"0 to the kernel count, {starts[-1]}")
-    columns[-2:] = [list(map(tuple, column)) for column in columns[-2:]]
-    layer_columns[3] = list(map(tuple, layer_columns[3]))  # shapes
-    return ModelProfile(*scalars, (), dict(overheads), n_runs, _metadata(data),
-                        layer_table=LayerTable(layer_columns,
-                                               KernelTable(columns, starts)))
+    return _profile(data, scalars, overheads, n_runs, layer_columns, columns,
+                    starts)
 
 
 # -- the store --------------------------------------------------------------

@@ -11,10 +11,13 @@ Profiles are frozen.  A profile keeps its layers in one
 :class:`LayerTable` and its kernels in one :class:`KernelTable`, a list
 per field; layer and kernel objects are views built on first read.
 Kernel totals (the rule of Sec. III-D3) are folded once per layer, in
-row order; :func:`kernels_by_name` groups same-named kernels for A10,
-the diff and the insight rules.  :func:`profile_from_trace` derives a
-single-run profile from a trace through its :class:`ProfileBuilder`,
-which advances over appended rows the way the trace index does.
+row order, into the layer table's one :class:`LayerTotals` columns;
+:func:`kernels_by_name` groups same-named kernels for A10, the diff and
+the insight rules.  The roofline formulas below are each written once
+and called by the row views and the column passes alike.
+:func:`profile_from_trace` derives a single-run profile from a trace
+through its :class:`ProfileBuilder`, which advances over appended rows
+the way the trace index does.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from operator import add, attrgetter, mul
+from operator import attrgetter, mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from repro.core.leveled import LeveledExperiment, LeveledResult
@@ -44,9 +47,54 @@ if TYPE_CHECKING:  # pragma: no cover - cache imports pipeline, not vice versa
     from repro.insights.engine import InsightReport
 
 
+# -- the roofline (paper Sec. III-D3): each formula once, for rows and columns
+
+
+def dram_traffic(reads: float, writes: float) -> float:
+    """DRAM bytes moved: reads plus writes."""
+    return reads + writes
+
+
+def flops_per_byte(flops: float, dram_bytes: float) -> float:
+    """Arithmetic intensity; ``inf`` for compute with no DRAM traffic."""
+    if dram_bytes == 0:
+        return float("inf") if flops > 0 else 0.0
+    return flops / dram_bytes
+
+
+def tflops_per_s(flops: float, latency_ms: float) -> float:
+    """Arithmetic throughput; 0.0 unless the latency is positive."""
+    return 0.0 if latency_ms <= 0 else flops / (latency_ms / 1e3) / 1e12
+
+
 def is_memory_bound(arithmetic_intensity: float, gpu: GPUSpec) -> bool:
     """The paper's roofline rule: below the GPU's ideal intensity."""
     return arithmetic_intensity < gpu.ideal_arithmetic_intensity
+
+
+def attainable_tflops(intensity: float, gpu: GPUSpec) -> float:
+    """The roofline ceiling at ``intensity``: min(peak, AI × bandwidth)."""
+    return min(gpu.peak_tflops, intensity * gpu.memory_bandwidth / 1e12)
+
+
+def roofline_rows(
+    flops: Sequence[float], reads: Sequence[float], writes: Sequence[float],
+) -> tuple[list[int], list[float]]:
+    """The rows of these columns the roofline places, those with DRAM
+    traffic, and each one's arithmetic intensity."""
+    dram = list(map(dram_traffic, reads, writes))
+    rows = [row for row, traffic in enumerate(dram) if traffic > 0]
+    return rows, [flops_per_byte(flops[row], dram[row]) for row in rows]
+
+
+def roofline_coordinates(
+    flops: Sequence[float], reads: Sequence[float], writes: Sequence[float],
+    latency_ms: Sequence[float],
+) -> tuple[list[int], list[float], list[float]]:
+    """:func:`roofline_rows` and each row's throughput (A9, A14)."""
+    rows, intensities = roofline_rows(flops, reads, writes)
+    return rows, intensities, [tflops_per_s(flops[row], latency_ms[row])
+                               for row in rows]
 
 
 class _Roofline:
@@ -55,21 +103,15 @@ class _Roofline:
 
     @property
     def dram_bytes(self) -> float:
-        return self.dram_read_bytes + self.dram_write_bytes
+        return dram_traffic(self.dram_read_bytes, self.dram_write_bytes)
 
     @property
     def arithmetic_intensity(self) -> float:
-        """Flops per DRAM byte; ``inf`` for compute with no DRAM traffic."""
-        dram_bytes = self.dram_bytes
-        if dram_bytes == 0:
-            return float("inf") if self.flops > 0 else 0.0
-        return self.flops / dram_bytes
+        return flops_per_byte(self.flops, self.dram_bytes)
 
     @property
     def arithmetic_throughput_tflops(self) -> float:
-        if self.latency_ms <= 0:
-            return 0.0
-        return self.flops / (self.latency_ms / 1e3) / 1e12
+        return tflops_per_s(self.flops, self.latency_ms)
 
     def memory_bound(self, gpu: GPUSpec) -> bool:
         return is_memory_bound(self.arithmetic_intensity, gpu)
@@ -253,9 +295,8 @@ class _KernelTotals:
 class LayerProfile(_KernelTotals):
     """One executed layer with accurate latency and correlated kernels:
     rows ``kernel_rows`` of its profile's ``kernel_table``.  A layer built
-    from ``kernels`` gets a one-layer table; ``kernel_table`` and
-    ``slot`` place it in an existing one instead, and a row of a
-    ``layer_table`` reads its totals from there."""
+    from ``kernels`` gets a one-layer table; row ``slot`` of a
+    ``layer_table`` reads its kernels and totals from there."""
 
     index: int
     name: str
@@ -269,13 +310,10 @@ class LayerProfile(_KernelTotals):
         self, index: int, name: str, layer_type: str,
         shape: tuple[int, ...], latency_ms: float, alloc_bytes: int,
         kernels: Sequence[KernelProfile] = (), *,
-        kernel_table: KernelTable | None = None, slot: int = 0,
-        layer_table: LayerTable | None = None,
+        layer_table: LayerTable | None = None, slot: int = 0,
     ) -> None:
-        if layer_table is not None:
-            kernel_table = layer_table.kernels
-        elif kernel_table is None:
-            kernel_table = KernelTable.from_kernels([kernels])
+        kernel_table = (KernelTable.from_kernels([kernels])
+                        if layer_table is None else layer_table.kernels)
         # One dict update instead of the generated frozen __init__'s
         # object.__setattr__ per field (about twice as slow): the first
         # read of a profile's layers builds every one.
@@ -310,7 +348,8 @@ class LayerProfile(_KernelTotals):
     @cached_property
     def totals(self) -> KernelAggregate:
         table = self.layer_table
-        known = None if table is None else table.slot_totals(self.slot)
+        known = None if table is None else [
+            column[self.slot] for column in table.totals]
         return self.kernel_table.aggregate(self.kernel_rows, known)
 
     @property
@@ -347,7 +386,8 @@ class LayerTotals(NamedTuple):
     @property
     def dram_bytes(self) -> list[float]:
         """Each slot's DRAM reads + writes."""
-        return list(map(add, self.dram_read_bytes, self.dram_write_bytes))
+        return list(map(dram_traffic, self.dram_read_bytes,
+                        self.dram_write_bytes))
 
 
 class LayerTable:
@@ -376,41 +416,36 @@ class LayerTable:
         """Each slot's allocation in MB, as :attr:`LayerProfile.alloc_mb`."""
         return [alloc / 1e6 for alloc in self.alloc_bytes]
 
+    @property
+    def non_gpu_latency_ms(self) -> list[float]:
+        """Each slot's :attr:`LayerProfile.non_gpu_latency_ms` (A13)."""
+        return [ms - gpu_ms if ms > gpu_ms else 0.0 for ms, gpu_ms in zip(
+            self.latency_ms, self.totals.kernel_latency_ms)]
+
     @cached_property
     def totals(self) -> LayerTotals:
-        folded = self.folded
-        return LayerTotals(*map(list, zip(*folded))) if folded else \
-            LayerTotals([], [], [], [], [])
-
-    @cached_property
-    def folded(self) -> list[tuple]:
-        """:attr:`totals` by slot: one :meth:`KernelTable.fold` each."""
         fold, starts = self.kernels.fold, self.kernels.starts
-        return [fold(range(lo, hi)) for lo, hi in zip(starts, starts[1:])]
-
-    def slot_totals(self, slot: int) -> Sequence[float]:
-        """Slot ``slot``'s totals, read from whichever form is at hand."""
-        if "totals" in self.__dict__ and "folded" not in self.__dict__:
-            return [column[slot] for column in self.totals]
-        return self.folded[slot]
+        folded = [fold(range(lo, hi)) for lo, hi in zip(starts, starts[1:])]
+        columns = list(zip(*folded)) or [()] * len(LayerTotals._fields)
+        return LayerTotals(*map(list, columns))
 
     def row(self, slot: int) -> LayerProfile:
         """Slot ``slot`` as a :class:`LayerProfile`, without the others."""
         return LayerProfile(*(column[slot] for column in self.columns),
                             layer_table=self, slot=slot)
 
+    @cached_property
+    def placed(self) -> tuple[list[int], list[float]]:
+        """:func:`roofline_rows` of the layers' kernel totals: the slots
+        the roofline places (A14) and their intensities."""
+        totals = self.totals
+        return roofline_rows(totals.flops, totals.dram_read_bytes,
+                             totals.dram_write_bytes)
+
     def roofline(self, gpu: GPUSpec) -> list[tuple[int, bool]]:
-        """``(slot, memory-bound)`` of each layer the roofline classifies
-        (A14): those with kernels and DRAM traffic."""
-        ideal, starts, totals = (gpu.ideal_arithmetic_intensity,
-                                 self.kernels.starts, self.totals)
-        return [
-            (slot, flops / (reads + writes) < ideal)
-            for slot, (lo, hi, flops, reads, writes) in enumerate(zip(
-                starts, starts[1:], totals.flops, totals.dram_read_bytes,
-                totals.dram_write_bytes))
-            if hi > lo and reads + writes > 0
-        ]
+        """``(slot, memory-bound)`` of each layer the roofline places."""
+        slots, intensities = self.placed
+        return list(zip(slots, map(is_memory_bound, intensities, repeat(gpu))))
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -495,17 +530,10 @@ class ModelProfile(_KernelTotals):
         """Latency, flops and DRAM add up the layer totals; the occupancy
         weight adds up every kernel.  Both orders keep the model's
         numbers bit-identical to what they have always been."""
-        layers = self.layer_table.totals
-        table = self.kernel_table
-        return KernelAggregate(
-            table,
-            range(len(table)),
-            sum(layers.kernel_latency_ms),
-            sum(layers.flops),
-            sum(layers.dram_read_bytes),
-            sum(layers.dram_write_bytes),
-            sum(map(mul, table.achieved_occupancy, table.latency_ms)),
-        )
+        layers, table = self.layer_table.totals, self.kernel_table
+        return table.aggregate(range(len(table)), (
+            *map(sum, layers[:4]),
+            sum(map(mul, table.achieved_occupancy, table.latency_ms))))
 
     @property
     def gpu_latency_percentage(self) -> float:

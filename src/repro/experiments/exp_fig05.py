@@ -23,8 +23,8 @@ def run() -> ExperimentResult:
     profile = context.model_profile(context.RESNET50_ID, 256)
     lat_series = layer_latency_series(profile)
     mem_series = layer_memory_series(profile)
-    lat_totals = stage_totals(profile, lambda l: l.latency_ms)
-    mem_totals = stage_totals(profile, lambda l: l.alloc_mb)
+    lat_totals = stage_totals(profile, profile.layer_table.latency_ms)
+    mem_totals = stage_totals(profile, profile.layer_table.alloc_mb)
 
     result = ExperimentResult(
         exp_id="Figure 5",

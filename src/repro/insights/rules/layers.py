@@ -11,7 +11,7 @@ from heapq import nlargest
 from itertools import groupby
 
 from repro.analysis.a13_gpu_vs_nongpu import model_non_gpu_latency_ms
-from repro.analysis.a14_layer_roofline import bound_by_layer_type
+from repro.analysis.a14_layer_roofline import majority_by_type
 from repro.core.pipeline import LayerTable
 from repro.insights.engine import InsightContext
 from repro.insights.model import Evidence, Insight, ramp
@@ -68,7 +68,7 @@ def memory_bound_layers(ctx: InsightContext) -> list[Insight]:
     mem_ms = sum(latency[slot] for slot in memory_bound)
     share = mem_ms / total_ms
 
-    per_type = bound_by_layer_type(profile)
+    per_type = majority_by_type(layers.layer_type, classified)
     mem_types = sorted(t for t, b in per_type.items() if b == "memory-bound")
     top_mem = [layers.row(slot) for slot in nlargest(
         TOP_LAYERS, memory_bound, key=latency.__getitem__)]
@@ -210,10 +210,7 @@ def host_gpu_imbalance(ctx: InsightContext) -> list[Insight]:
     non_gpu_ms = model_non_gpu_latency_ms(profile)
     share = non_gpu_ms / profile.model_latency_ms
     layers = profile.layer_table
-    latency = layers.latency_ms
-    # LayerProfile.non_gpu_latency_ms, by column: max(0.0, a - b).
-    non_gpu = [ms - gpu_ms if ms > gpu_ms else 0.0
-               for ms, gpu_ms in zip(latency, layers.totals.kernel_latency_ms)]
+    latency, non_gpu = layers.latency_ms, layers.non_gpu_latency_ms
     worst = [layers.row(slot) for slot in nlargest(
         TOP_LAYERS, [slot for slot, ms in enumerate(latency) if ms > 0],
         key=non_gpu.__getitem__)]

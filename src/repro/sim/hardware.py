@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class Architecture(enum.Enum):
@@ -62,7 +63,7 @@ class GPUSpec:
         """Global memory bandwidth in bytes/s."""
         return self.memory_bandwidth_gbps * 1e9
 
-    @property
+    @cached_property
     def ideal_arithmetic_intensity(self) -> float:
         """peak FLOPS / memory bandwidth, in flops/byte (Table VII)."""
         return self.peak_flops / self.memory_bandwidth

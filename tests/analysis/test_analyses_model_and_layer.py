@@ -84,7 +84,7 @@ def test_stage_of_partition():
 
 
 def test_stage_totals_cover_everything(cnn_profile):
-    totals = stage_totals(cnn_profile, lambda l: l.latency_ms)
+    totals = stage_totals(cnn_profile, cnn_profile.layer_table.latency_ms)
     assert sum(totals.values()) == pytest.approx(
         sum(l.latency_ms for l in cnn_profile.layers)
     )

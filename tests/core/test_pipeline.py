@@ -271,6 +271,94 @@ def test_zero_dram_traffic_with_flops_has_infinite_intensity():
     assert row["memory_bound"] is False
 
 
+def _edge_profile():
+    """Layers of one kernel each with zero DRAM traffic, zero latency,
+    ``-0.0`` flops and all three, a layer with none, and a mixed one."""
+    return _model((
+        _layer((_kernel(dram_read=0.0, dram_write=0.0),), 0),
+        _layer((_kernel(latency_ms=0.0),), 1),
+        _layer((_kernel(flops=-0.0),), 2),
+        _layer((_kernel(flops=-0.0, latency_ms=0.0, dram_read=0.0,
+                        dram_write=0.0),), 3),
+        _layer((), 4),
+        _layer((_kernel(dram_read=0.0, dram_write=3e5, latency_ms=0.0),
+                _kernel(flops=-0.0, dram_read=7e5, dram_write=0.0),
+                _kernel(flops=3e9, latency_ms=2.5, occupancy=0.9)), 5),
+    ))
+
+
+def _profiled(model, framework, batch, system):
+    from repro.core import AnalysisPipeline, XSPSession
+    from repro.models import get_model
+
+    return AnalysisPipeline(
+        XSPSession(system, framework), runs_per_level=1
+    ).profile_model(get_model(model).graph, batch)
+
+
+@pytest.mark.parametrize("point", [
+    None,
+    (53, "tensorflow_like", 1, "Tesla_V100"),
+    (15, "mxnet_like", 2, "Quadro_RTX"),
+], ids=["edges", "53-tf", "15-mx"])
+def test_roofline_views_match_the_reference_formulas(point):
+    """A9's kernel coordinates, A14's layer points and classes, and the
+    roofline ceiling are bit-identical to :func:`_roofline` and
+    ``min(peak, intensity * bandwidth)``."""
+    from repro.analysis import (RooflinePoint, kernel_coordinates,
+                                layer_roofline, roofline_curve)
+
+    profile = _edge_profile() if point is None else _profiled(*point)
+    gpu = profile.gpu
+
+    kernels = [
+        (row, _roofline(k.latency_ms, k.flops, k.dram_read_bytes,
+                        k.dram_write_bytes, k.achieved_occupancy))
+        for row, k in enumerate(profile.kernels)
+        if k.dram_read_bytes + k.dram_write_bytes > 0
+    ]
+    rows, intensities, throughputs = kernel_coordinates(profile)
+    assert rows == [row for row, _ in kernels]
+    assert _bits(intensities) == _bits(ref[6] for _, ref in kernels)
+    assert _bits(throughputs) == _bits(ref[7] for _, ref in kernels)
+
+    layers = [(slot, layer, _reference_layer(layer))
+              for slot, layer in enumerate(profile.layers)
+              if layer.kernels and _reference_layer(layer)[4] > 0]
+    points = layer_roofline(profile)
+    assert [p.label for p in points] == [
+        f"{layer.index}:{layer.layer_type}" for _, layer, _ in layers]
+    assert _bits(p.arithmetic_intensity for p in points) == _bits(
+        ref[6] for *_, ref in layers)
+    assert _bits(p.arithmetic_throughput_tflops for p in points) == _bits(
+        ref[7] for *_, ref in layers)
+    assert _bits(p.latency_ms for p in points) == _bits(
+        layer.latency_ms for _, layer, _ in layers)
+    assert profile.layer_table.roofline(gpu) == [
+        (slot, ref[6] < gpu.ideal_arithmetic_intensity)
+        for slot, _, ref in layers]
+
+    xs = [*intensities, *(ref[6] for *_, ref in layers), 0.0, -0.0,
+          gpu.ideal_arithmetic_intensity, float("inf")]
+    ceiling = [min(gpu.peak_tflops, x * gpu.memory_bandwidth / 1e12)
+               for x in xs]
+    assert [x for x, _ in roofline_curve(gpu, xs)] == xs
+    assert _bits(y for _, y in roofline_curve(gpu, xs)) == _bits(ceiling)
+    assert _bits(RooflinePoint("p", x, 1.0).attainable_tflops(gpu)
+                 for x in xs) == _bits(ceiling)
+
+
+def test_edge_rows_are_on_the_roofline_where_they_have_dram_traffic():
+    from repro.analysis import kernel_coordinates, layer_roofline
+
+    profile = _edge_profile()
+    assert kernel_coordinates(profile)[0] == [1, 2, 4, 5, 6]
+    assert [p.label for p in layer_roofline(profile)] == [
+        "1:Conv2D", "2:Conv2D", "5:Conv2D"]
+    (_, zero_latency, negative_zero, *_) = kernel_coordinates(profile)[2]
+    assert (zero_latency, negative_zero) == (0.0, -0.0)
+
+
 def test_profiles_are_frozen():
     from dataclasses import FrozenInstanceError
 

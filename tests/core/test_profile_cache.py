@@ -259,8 +259,12 @@ def test_v1_entry_is_a_miss(graph, store):
     lambda p: p["layers"]["kernel_start"].__setitem__(-1, 10**6),
     lambda p: p["layers"].pop("shape"),
     lambda p: p.update(kernels=None),
+    lambda p: p["kernels"]["grid"].__setitem__(0, ["x", None]),
+    lambda p: p["kernels"]["block"].__setitem__(0, [1.5, 1, 1]),
+    lambda p: p["layers"]["shape"].__setitem__(0, [True, 3]),
 ], ids=["short column", "string latency", "offset out of range",
-        "missing column", "kernels null"])
+        "missing column", "kernels null", "string in a grid",
+        "float in a block", "bool in a shape"])
 def test_corrupt_v2_entry_is_a_miss(graph, store, edit):
     profile = _pipeline(store).profile_model(graph, BATCH)
     path = _entry_path(store, profile)

@@ -197,6 +197,15 @@ MALFORMED_PROFILES = {
          "layers.kernel_start"),
     "v2 missing column": (lambda d: d["kernels"].pop("grid"), "kernels.grid"),
     "v2 kernels a list": (lambda d: d.update(kernels=[1]), "kernels"),
+    "v2 string and null in a grid":
+        (lambda d: d["kernels"]["grid"].__setitem__(0, ["x", None]),
+         "kernels.grid[0][0]"),
+    "v2 two-int block":
+        (lambda d: d["kernels"]["block"].__setitem__(2, [1, 1]),
+         "kernels.block[2]: expected 3 integers"),
+    "v2 bool and string in a shape":
+        (lambda d: d["layers"]["shape"].__setitem__(1, [True, "y"]),
+         "layers.shape[1][0]"),
     "string batch": (lambda d: d.update(batch="4"), "batch"),
     "string kernel flops":
         (lambda d: _first_kernel(d).update(flops="x"), "flops"),
@@ -206,6 +215,8 @@ MALFORMED_PROFILES = {
         (lambda d: d["layers"][0].update(kernels=5), "layers[0].kernels"),
     "layer a number": (lambda d: d["layers"].__setitem__(1, 1), "layers[1]"),
     "null shape": (lambda d: d["layers"][0].update(shape=None), "shape"),
+    "float in a block":
+        (lambda d: _first_kernel(d).update(block=[1.5]), "block[0]"),
     "overheads a list": (lambda d: d.update(overheads=[1, 2]), "overheads"),
 }
 

@@ -2,8 +2,9 @@
 with exactly one stderr line and no traceback.
 
 The table names each subcommand's failing inputs: a missing file,
-malformed JSON, a document of another format and an out-of-range
-number, wherever the subcommand takes that kind of input.  A subcommand
+malformed JSON, a document of another format, a bare profile payload
+with a bad cell and an out-of-range number, wherever the subcommand
+takes that kind of input.  A subcommand
 missing from the table, or an option that takes a value with no case
 (and no reason to have none), fails the test."""
 
@@ -17,9 +18,9 @@ import pytest
 from repro.cli import build_parser, main
 
 #: Placeholders the test replaces with files under its ``tmp_path``.
-MISSING, MALFORMED, FOREIGN, BAD_V3, A_FILE, NO_DIR = (
+MISSING, MALFORMED, FOREIGN, BAD_V3, BAD_PROFILE, A_FILE, NO_DIR = (
     "<missing.json>", "<malformed.json>", "<foreign.json>", "<bad-v3.json>",
-    "<a-file>", "<no-dir>/out.json")
+    "<bad-profile.json>", "<a-file>", "<no-dir>/out.json")
 
 CASES: dict[str, list[list[str]]] = {
     # Reads no file and takes no number; argparse checks --task.
@@ -65,6 +66,7 @@ CASES: dict[str, list[list[str]]] = {
         [FOREIGN, "model=53"],
         [BAD_V3, "model=53"],
         ["model=53", BAD_V3],
+        [BAD_PROFILE, "model=53"],
         ["model=53,batch=0", "model=53"],
         ["model=53", "model=53", "--runs", "0"],
         ["model=53", "model=53", "--min-severity", "-0.5"],
@@ -117,6 +119,21 @@ def _bad_v3() -> str:
     return json.dumps(document)
 
 
+def _bad_profile() -> str:
+    """A bare by-column profile payload whose one kernel's grid holds a
+    string."""
+    from repro.core.cache import profile_to_columns
+    from repro.core.pipeline import KernelProfile, LayerProfile, ModelProfile
+
+    kernel = KernelProfile("k", 0, 0, 1.0, 1e9, 1e6, 1e6, 0.5, (1, 1, 1),
+                           (32, 1, 1))
+    profile = ModelProfile("m", "Tesla_V100", "tensorflow_like", 1, 2.0, [
+        LayerProfile(0, "conv", "Conv2D", (1, 8), 1.5, 0, [kernel])])
+    document = profile_to_columns(profile)
+    document["kernels"]["grid"] = [["x", 1, 1]]
+    return json.dumps(document)
+
+
 def _materialize(arg: str, tmp_path) -> str:
     files = {
         MALFORMED: '{"format_version": 2, "spans": ',
@@ -125,6 +142,8 @@ def _materialize(arg: str, tmp_path) -> str:
     }
     if arg == BAD_V3:
         files[BAD_V3] = _bad_v3()
+    if arg == BAD_PROFILE:
+        files[BAD_PROFILE] = _bad_profile()
     if arg in files:
         path = tmp_path / arg.strip("<>")
         path.write_text(files[arg])
