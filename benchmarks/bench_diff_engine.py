@@ -58,14 +58,14 @@ sys.modules["diff_oracle"] = diff_oracle  # its dataclasses look it up
 _spec.loader.exec_module(diff_oracle)
 
 N_LAYERS = 2000
-#: Measured 2.05-2.15x on a 2-vCPU host (Python 3.11).  Every number of
-#: this pair is a fresh random draw, so formatting each distinct value
-#: once saves little here; the bound leaves room for a shared runner.
+#: Measured 1.89-2.06x in 10 runs of :func:`_best_s` on an idle 2-vCPU
+#: host (Python 3.11).  Every number of this pair is a fresh random
+#: draw, so formatting each distinct value once saves little here.
 MIN_JSON_SPEEDUP = 1.8
 #: The column table against the object one on the perturbed pair:
-#: measured 2.05-2.15x on a 2-vCPU host (Python 3.11), one
-#: ``KernelTable.fold`` per kernel group.  Both run the same
-#: SequenceMatcher, about a quarter of the column table's time here.
+#: measured 2.09-2.16x in the same 10 runs, one ``KernelTable.fold`` per
+#: kernel group.  Both run the same SequenceMatcher, about a quarter of
+#: the column table's time here.
 MIN_TABLE_SPEEDUP = 2.0
 
 
@@ -208,16 +208,23 @@ def _dict_json(diff: ProfileDiff) -> str:
     }, check_circular=False)
 
 
-def _best_s(calls, rounds: int = 7) -> list[float]:
-    """Best time of each call, alternating round by round, each after a
-    full collection."""
+def _best_s(calls, make_args=tuple, rounds: int = 15) -> list[float]:
+    """Best CPU time of each ``call(*make_args())``, alternating round by
+    round.  Each call runs after a full collection with the cyclic GC
+    off and is timed by this process's CPU time, so neither a collection
+    nor time another process holds the CPU lands in one side's time."""
     best = [float("inf")] * len(calls)
     for _ in range(rounds):
         for i, call in enumerate(calls):
+            args = make_args()
             gc.collect()
-            start = time.perf_counter()
-            call()
-            best[i] = min(best[i], time.perf_counter() - start)
+            gc.disable()
+            try:
+                start = time.process_time()
+                call(*args)
+                best[i] = min(best[i], time.process_time() - start)
+            finally:
+                gc.enable()
     return best
 
 
@@ -258,19 +265,6 @@ def _column_table(baseline: ModelProfile, candidate: ModelProfile) -> DiffTable:
     return _table(layers, other, align_layers(layers, other))
 
 
-def _best_unbuilt_s(calls, profiles, rounds: int = 7) -> list[float]:
-    """:func:`_best_s` of ``call(*profiles)``, each on unbuilt copies."""
-    best = [float("inf")] * len(calls)
-    for _ in range(rounds):
-        for i, call in enumerate(calls):
-            args = [_unbuilt(profile) for profile in profiles]
-            gc.collect()
-            start = time.perf_counter()
-            call(*args)
-            best[i] = min(best[i], time.perf_counter() - start)
-    return best
-
-
 def test_diff_table_from_columns_2k_layers(benchmark):
     """The diff table from the columns: equal to the object table, and
     faster."""
@@ -279,8 +273,9 @@ def test_diff_table_from_columns_2k_layers(benchmark):
     table = benchmark(lambda: _column_table(baseline, candidate))
     assert table.json_pieces() == diff_oracle.object_table(
         _unbuilt(baseline), _unbuilt(candidate)).json_pieces()
-    object_s, column_s = _best_unbuilt_s(
-        [diff_oracle.object_table, _column_table], (baseline, candidate))
+    object_s, column_s = _best_s(
+        [diff_oracle.object_table, _column_table],
+        lambda: [_unbuilt(baseline), _unbuilt(candidate)])
     speedup = object_s / column_s
     assert speedup >= MIN_TABLE_SPEEDUP, (
         f"the column table is only {speedup:.2f}x faster than the object "

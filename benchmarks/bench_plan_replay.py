@@ -62,9 +62,9 @@ def test_plan_replay_cold_ladder(benchmark, monkeypatch, model_id, framework):
     launches = []
     launch = CudaRuntime.launch_kernel
 
-    def counted(self, spec, stream_id=0, clean_ns=None):
+    def counted(self, spec, stream_id=0, clean_ns=None, layer_index=None):
         launches[-1] += 1
-        return launch(self, spec, stream_id, clean_ns)
+        return launch(self, spec, stream_id, clean_ns, layer_index)
 
     monkeypatch.setattr(CudaRuntime, "launch_kernel", counted)
     profile = XSPSession.profile

@@ -42,6 +42,7 @@ from repro.core.pipeline import (
     ModelProfile,
     dram_traffic,
     kernels_by_name,
+    weighted_occupancy,
 )
 from repro.insights.model import Evidence, ramp
 
@@ -90,8 +91,8 @@ def _layer_metrics(table: LayerTable) -> list[list[float]]:
         table.latency_ms,
         totals.flops,
         totals.dram_bytes,
-        [weight / latency if latency else 0.0 for weight, latency in zip(
-            totals.occupancy_weight, totals.kernel_latency_ms)],
+        list(map(weighted_occupancy, totals.occupancy_weight,
+                 totals.kernel_latency_ms)),
         table.alloc_bytes,
     )
     return [[*map(float, column), 0.0] for column in columns]
@@ -115,7 +116,7 @@ def _groups(kernels: KernelTable, slot: int | None) -> dict[str, tuple]:
         # the summed writes, which can differ in the last bit.
         dram = sum([dram_traffic(reads[i], writes[i]) for i in rows], 0.0)
         groups[name] = (len(rows), latency, flops, dram,
-                        weight / latency if latency else 0.0)
+                        weighted_occupancy(weight, latency))
     return groups
 
 

@@ -287,7 +287,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         written.append(chrome_path)
     destinations = f" -> {', '.join(written)}" if written else ""
     print(f"captured {len(run.trace)} spans "
-          f"({len(run.kernels)} kernels){destinations}")
+          f"({run.n_kernels} kernels){destinations}")
     if args.stats:
         _print_trace_stats(run.trace)
     return 0
@@ -334,11 +334,11 @@ def _advise_from_trace(args: argparse.Namespace) -> int:
 
     try:
         trace = load_trace(args.from_trace)
+        profile = profile_from_trace(trace)
     except (OSError, ValueError, KeyError) as err:
         print(f"error: --from-trace {args.from_trace!r}: {err}",
               file=sys.stderr)
         return 2
-    profile = profile_from_trace(trace)
     try:
         profile.gpu  # the rules size everything against the capture's GPU
     except KeyError as err:

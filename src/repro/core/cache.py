@@ -23,11 +23,12 @@ import json
 import os
 import re
 import tempfile
-from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterator
 
+from repro.core.cells import (DICT, INT, LIST, NUMBER, STR, Ints,
+                              column_fault, fault)
 from repro.core.pipeline import (KERNEL_FIELDS, LAYER_FIELDS, KernelTable,
                                  LayerTable, ModelProfile)
 from repro.tracing.table import jsonable
@@ -46,9 +47,8 @@ def _slug(value: object) -> str:
 
 
 class _Schema:
-    """One stored object's fields, in constructor order, with the exact
-    JSON type(s) each must have, as ``json.load`` makes them (so a bool
-    is no number)."""
+    """One stored object's fields, in constructor order, with the
+    :mod:`~repro.core.cells` kind each must have."""
 
     def __init__(self, **kinds: Any) -> None:
         self.names = tuple(kinds)
@@ -70,18 +70,11 @@ class _Schema:
             raise ValueError(f"{where.rstrip('.') or 'profile'}: expected "
                              f"an object, got {data!r:.40}") from None
         for (key, kind), value in zip(self.kinds, values):
-            fault = (_column_fault(value, kind, values[0]) if columns
-                     else _fault(value, kind))
-            if fault:
-                raise ValueError(f"{where}{key}{fault}")
+            how = (_column_fault(value, kind, values[0]) if columns
+                   else fault(value, kind))
+            if how:
+                raise ValueError(f"{where}{key}{how}")
         return values
-
-
-def _fault(value: Any, kind: tuple) -> str | None:
-    """How ``value`` is not of ``kind``, after its path; None if it is."""
-    if type(value) not in kind:
-        return f": expected {_TYPE_NAMES[kind]}, got {value!r:.40}"
-    return kind.fault(value) if isinstance(kind, _Ints) else None
 
 
 def _column_fault(column: Any, kind: tuple, first: list) -> str | None:
@@ -91,61 +84,28 @@ def _column_fault(column: Any, kind: tuple, first: list) -> str | None:
         return f": expected a list, got {column!r:.40}"
     if len(column) != len(first):
         return f": {len(column)} entries, expected {len(first)}"
-    if set(map(type, column)) <= set(kind) and (
-            not isinstance(kind, _Ints) or kind.fits(column)):
-        return None
-    return next(f"[{at}]{fault}" for at, fault in enumerate(
-        map(_fault, column, repeat(kind))) if fault)
-
-
-_STR, _INT, _LIST, _DICT = (str,), (int,), (list,), (dict,)
-_NUMBER = (int, float)
-_TYPE_NAMES = {_STR: "a string", _INT: "an integer", _NUMBER: "a number",
-               _LIST: "a list", _DICT: "an object"}
-
-
-class _Ints(tuple):
-    """The kind of a list of exact integers (a bool is none), ``length``
-    of them unless it is None."""
-
-    def __new__(cls, length: int | None = None) -> "_Ints":
-        kind = super().__new__(cls, _LIST)
-        kind.length = length
-        return kind
-
-    def fault(self, value: list) -> str | None:
-        """How the list ``value`` is not of this kind; None if it is."""
-        for at, cell in enumerate(value):
-            if type(cell) is not int:
-                return f"[{at}]: expected an integer, got {cell!r:.40}"
-        if self.length not in (None, len(value)):
-            return f": expected {self.length} integers, got {len(value)}"
-        return None
-
-    def fits(self, column: list[list]) -> bool:
-        """Whether every list of ``column`` is of this kind."""
-        return set(map(type, chain.from_iterable(column))) <= {int} and (
-            self.length is None or set(map(len, column)) <= {self.length})
+    bad = column_fault(column, kind)
+    return None if bad is None else f"[{bad[0]}]{bad[1]}"
 
 
 _KERNEL = _Schema(
-    name=_STR, layer_index=_INT, position=_INT, latency_ms=_NUMBER,
-    flops=_NUMBER, dram_read_bytes=_NUMBER, dram_write_bytes=_NUMBER,
-    achieved_occupancy=_NUMBER, grid=_Ints(3), block=_Ints(3),
+    name=STR, layer_index=INT, position=INT, latency_ms=NUMBER,
+    flops=NUMBER, dram_read_bytes=NUMBER, dram_write_bytes=NUMBER,
+    achieved_occupancy=NUMBER, grid=Ints(3), block=Ints(3),
 )
 _LAYER = _Schema(
-    index=_INT, name=_STR, layer_type=_STR, shape=_Ints(), latency_ms=_NUMBER,
-    alloc_bytes=_INT, kernels=_LIST,
+    index=INT, name=STR, layer_type=STR, shape=Ints(), latency_ms=NUMBER,
+    alloc_bytes=INT, kernels=LIST,
 )
 _PROFILE = _Schema(
-    model_name=_STR, system=_STR, framework=_STR, batch=_INT,
-    model_latency_ms=_NUMBER, layers=_LIST, overheads=_DICT, n_runs=_INT,
+    model_name=STR, system=STR, framework=STR, batch=INT,
+    model_latency_ms=NUMBER, layers=LIST, overheads=DICT, n_runs=INT,
 )
 
 
-_LAYER_COLUMNS = _Schema(**dict(_LAYER.kinds[:-1]), kernel_start=_INT)
-_COLUMNS_PROFILE = _Schema(**{**dict(_PROFILE.kinds), "layers": _DICT},
-                           kernels=_DICT)
+_LAYER_COLUMNS = _Schema(**dict(_LAYER.kinds[:-1]), kernel_start=INT)
+_COLUMNS_PROFILE = _Schema(**{**dict(_PROFILE.kinds), "layers": DICT},
+                           kernels=DICT)
 
 
 def _header(profile: ModelProfile, schema: _Schema) -> dict[str, Any]:

@@ -73,9 +73,8 @@ class LibraryTracer(Tracer):
         # layer_index].
         calls: list[list] = []
         for record in self._read_launches():
-            tags = record.spec.tags
             api = api_name_for(record)
-            layer_index = tags.get("layer_index")
+            layer_index = record.layer_index
             if calls and calls[-1][0] == api and calls[-1][5] == layer_index:
                 call = calls[-1]
                 call[2] = record.api_end_ns
@@ -83,7 +82,7 @@ class LibraryTracer(Tracer):
             else:
                 calls.append([
                     api, record.api_start_ns, record.api_end_ns,
-                    str(tags.get("library", "")), 1, layer_index,
+                    str(record.spec.tags.get("library", "")), 1, layer_index,
                 ])
         level = int(self.level)
         kind = _KIND_CODE[SpanKind.INTERNAL]

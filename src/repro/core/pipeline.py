@@ -32,6 +32,7 @@ from itertools import accumulate, chain, repeat
 from operator import attrgetter, mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
+from repro.core.cells import INT, INT_OR_NULL, NUMBER, STR, Ints, column_fault
 from repro.core.leveled import LeveledExperiment, LeveledResult
 from repro.core.session import ProfilingConfig, XSPSession
 from repro.core.stats import Statistic, trimmed_mean
@@ -65,6 +66,12 @@ def flops_per_byte(flops: float, dram_bytes: float) -> float:
 def tflops_per_s(flops: float, latency_ms: float) -> float:
     """Arithmetic throughput; 0.0 unless the latency is positive."""
     return 0.0 if latency_ms <= 0 else flops / (latency_ms / 1e3) / 1e12
+
+
+def weighted_occupancy(weight: float, latency_ms: float) -> float:
+    """Latency-weighted occupancy from its ``weight`` (occupancy times
+    latency, added up); 0.0 unless there is latency."""
+    return weight / latency_ms if latency_ms else 0.0
 
 
 def is_memory_bound(arithmetic_intensity: float, gpu: GPUSpec) -> bool:
@@ -249,7 +256,7 @@ class KernelAggregate(_Roofline):
     @property
     def achieved_occupancy(self) -> float:
         """Latency-weighted occupancy."""
-        return self.occupancy_weight / self.latency_ms if self.latency_ms else 0.0
+        return weighted_occupancy(self.occupancy_weight, self.latency_ms)
 
     @property
     def count(self) -> int:
@@ -609,6 +616,33 @@ def _splice(old: list, edits: list[tuple], new: list) -> list:
     return out
 
 
+#: The tags a layer span and a kernel execution span supply, each with
+#: its cell kind and the value an absent tag reads as.
+_LAYER_TAGS = (("layer_index", INT_OR_NULL, None),
+               ("layer_type", STR, "unknown"), ("shape", Ints(), ()),
+               ("alloc_bytes", INT, 0))
+_KERNEL_TAGS = (*((f"metric.{name}", NUMBER, 0.0) for name in (
+    "flop_count_sp", "dram_read_bytes", "dram_write_bytes",
+    "achieved_occupancy")),
+    ("grid", Ints(3), (1, 1, 1)), ("block", Ints(3), (1, 1, 1)))
+
+
+def _tag_columns(table: SpanTable, rows: list[int], tags: tuple) -> list[list]:
+    """Each tag's column over ``rows``, checked a column at a time against
+    its cell kind; a bad value raises one ValueError naming the tag and
+    the span."""
+    keys, kinds, defaults = zip(*tags)
+    columns = table.tag_columns(rows, keys, defaults)
+    for key, kind, column in zip(keys, kinds, columns):
+        bad = column_fault(column, kind)
+        if bad is not None:
+            at, how = bad
+            row = rows[at]
+            raise ValueError(f"span {table.name_of(row)!r} (span_id "
+                             f"{table.span_id[row]}): tag {key!r}{how}")
+    return columns
+
+
 class ProfileBuilder:
     """The one trace-to-profile derivation, advanced like the trace index.
 
@@ -623,7 +657,9 @@ class ProfileBuilder:
     kernel that lands ahead of held ones re-folds its layer.  Published
     lists are never changed, so a returned profile never changes.  A
     duplicated span id makes the builder ``cold``: ids then resolve
-    last-write-wins, so it derives from row 0 on every call.
+    last-write-wins, so it derives from row 0 on every call.  The tags
+    of the new rows are checked against their :mod:`~repro.core.cells`
+    kinds; a bad one raises ValueError and the builder starts over.
     """
 
     def __init__(self, table: SpanTable) -> None:
@@ -658,15 +694,20 @@ class ProfileBuilder:
             self.totals = self.last.totals
         level_rows = index.level_rows()
         layer_rows = level_rows.get(Level.LAYER, [])
-        self._add_layers(layer_rows[bisect_left(layer_rows, lo):])
         kernel_rows = level_rows.get(Level.GPU_KERNEL, [])
+        kernel_rows = kernel_rows[bisect_left(kernel_rows, lo):]
         kinds, execution = self.table.kind, _KIND_CODE[SpanKind.EXECUTION]
-        waiting = sorted(chain.from_iterable(map(
-            self.pending.pop, self.pending.keys() & self.table.span_id[lo:n]
-        ))) if self.pending else []
-        waiting += [row for row in kernel_rows[bisect_left(kernel_rows, lo):]
-                    if kinds[row] == execution]
-        self._add_kernels(waiting, row_by_id)
+        pending = self.pending
+        try:
+            self._add_layers(layer_rows[bisect_left(layer_rows, lo):])
+            waiting = sorted(chain.from_iterable(map(
+                pending.pop, pending.keys() & self.table.span_id[lo:n]
+            ))) if pending else []
+            waiting += [row for row in kernel_rows if kinds[row] == execution]
+            self._add_kernels(waiting, row_by_id)
+        except ValueError:  # a bad tag: keep no half-advanced state
+            self.__init__(self.table)
+            raise
         self.covered = n
 
         counts, columns = self.counts, self.layers
@@ -685,12 +726,11 @@ class ProfileBuilder:
             return
         table, m = self.table, len(rows)
         starts, ends, span_ids = table.start_ns, table.end_ns, table.span_id
-        new = sorted(zip(*table.tag_columns(
-            rows, ("layer_index", "layer_type", "shape", "alloc_bytes"),
-            (None, "unknown", (), 0)), rows), key=lambda layer: layer[0] or 0)
+        new = sorted(zip(*_tag_columns(table, rows, _LAYER_TAGS), rows),
+                     key=lambda layer: layer[0] or 0)
         rows = [layer[-1] for layer in new]
         self.layer_of.update(zip(map(span_ids.__getitem__, rows), rows))
-        tags = [None if layer[0] is None else int(layer[0]) for layer in new]
+        tags = [layer[0] for layer in new]
         self.untagged += tags.count(None)
         keys = [layer[0] or 0 for layer in new]
         old = self.keys
@@ -707,10 +747,10 @@ class ProfileBuilder:
                 (self.keys, self.layer_rows, self.counts, *self.layers,
                  *(self.totals or ())),
                 (keys, rows, [0] * m, tags, list(map(table.name_of, rows)),
-                 [str(layer[1]) for layer in new],
+                 [layer[1] for layer in new],
                  [tuple(layer[2]) for layer in new],
                  [(ends[row] - starts[row]) / 1e6 for row in rows],
-                 [int(layer[3]) for layer in new],
+                 [layer[3] for layer in new],
                  zeros, zeros, zeros, zeros, [0] * m))]
         self.keys, self.layer_rows, self.counts = spliced[:3]
         self.layers = spliced[3:9]
@@ -752,13 +792,8 @@ class ProfileBuilder:
             a = b
         table = self.table
         ends, begins = table.end_ns, table.start_ns
-        flops, reads, writes, occupancy, grid, block = table.tag_columns(
-            rows,
-            ("metric.flop_count_sp", "metric.dram_read_bytes",
-             "metric.dram_write_bytes", "metric.achieved_occupancy",
-             "grid", "block"),
-            (0.0, 0.0, 0.0, 0.0, (1, 1, 1), (1, 1, 1)),
-        )
+        flops, reads, writes, occupancy, grid, block = _tag_columns(
+            table, rows, _KERNEL_TAGS)
         added = KernelTable((
             list(map(table.name_of, rows)), layer_index, positions,
             [(ends[row] - begins[row]) / 1e6 for row in rows],

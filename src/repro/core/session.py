@@ -21,7 +21,7 @@ A session binds a system (GPU), a framework, and a tracing server.  Each
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.core.api import start_span
@@ -38,7 +38,6 @@ from repro.sim.cupti import SUPPORTED_METRICS, Cupti
 from repro.sim.hardware import GPUSpec, get_system
 from repro.tracing.correlation import (
     CorrelationResult,
-    MergedKernel,
     correlate_launch_execution,
     reconstruct_parents,
 )
@@ -94,7 +93,8 @@ class ProfiledRun:
     prediction: PredictionResult
     predict_span: Span
     correlation: CorrelationResult
-    kernels: list[MergedKernel] = field(default_factory=list)
+    #: Launch/execution pairs correlated in the trace.
+    n_kernels: int = 0
     #: True when this run is the serialized retry of an ambiguous run.
     was_serialized_retry: bool = False
 
@@ -110,7 +110,7 @@ class ProfiledRun:
             "levels": self.config.levels.label,
             "model_latency_ms": self.model_latency_ms,
             "n_spans": len(self.trace),
-            "n_kernels": len(self.kernels),
+            "n_kernels": self.n_kernels,
             "ambiguous": self.correlation.needs_serialized_rerun,
         }
 
@@ -217,7 +217,7 @@ class XSPSession:
             # server keeps no open trace.
             trace = self.server.end_trace(trace_id)
         correlation = reconstruct_parents(trace, strict=False)
-        kernels = correlate_launch_execution(trace)
+        n_kernels = correlate_launch_execution(trace)
 
         return ProfiledRun(
             trace=trace,
@@ -228,7 +228,7 @@ class XSPSession:
             prediction=prediction,
             predict_span=predict_span,
             correlation=correlation,
-            kernels=kernels,
+            n_kernels=n_kernels,
         )
 
     def profile_application(

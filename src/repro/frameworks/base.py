@@ -11,7 +11,7 @@ latency and its kernels' device time is the paper's "non-GPU latency"
 Leveled experimentation (Sec. III-C) runs the same compiled model on the
 same GPU and batch once per rung; only the attached profilers differ.
 Everything that does not depend on the profilers — each layer's output
-bytes, host cost in integer nanoseconds and tagged kernel specs, the
+bytes, host cost in integer nanoseconds and emitted kernel specs, the
 prediction's peak device memory, and the kernels' clean durations per run
 index — is therefore computed once into an :class:`ExecutionPlan` cached
 on the :class:`CompiledModel`, and every :meth:`Framework.predict`
@@ -94,9 +94,10 @@ class PlanStep(NamedTuple):
     out_bytes: int
     #: Host-side scheduling cost in whole nanoseconds (floor applied).
     host_ns: int
-    #: The layer's kernels, tagged with its index and name; ``None`` for
-    #: the ``Data`` layer, which copies the input to the device instead.
-    #: Shared by every replay, so consumers must only read their tags.
+    #: The layer's kernels as emitted, with no layer tag (each launch
+    #: carries ``layer.index``); ``None`` for the ``Data`` layer, which
+    #: copies the input to the device instead.  Shared by every replay,
+    #: so consumers must only read their tags.
     kernels: tuple[KernelSpec, ...] | None
 
 
@@ -295,8 +296,9 @@ class Framework(abc.ABC):
                 # Feeding the input: host-to-device copy of the input tensor.
                 rt.memcpy(step.out_shape.nbytes, kind="h2d")
             else:
+                index = step.layer.index
                 for spec, spec_ns in zip(step.kernels, clean_ns):
-                    rt.launch_kernel(spec, clean_ns=spec_ns)
+                    rt.launch_kernel(spec, clean_ns=spec_ns, layer_index=index)
                 rt.stream_synchronize()
             if profiling:
                 layer = step.layer
@@ -361,12 +363,8 @@ class Framework(abc.ABC):
                 + extra_per_mb * out_mb
                 + extra_per_image * out_shape.batch
             )
-            kernels = None
-            if layer.op != "Data":
-                kernels = tuple(
-                    spec.with_tags(layer_index=layer.index, layer_name=layer.name)
-                    for spec in self.emit_kernels(layer, shapes)
-                )
+            kernels = (None if layer.op == "Data"
+                       else tuple(self.emit_kernels(layer, shapes)))
             steps.append(PlanStep(
                 layer, out_shape, out_bytes,
                 int(round(max(0.5, host_us) * 1e3)), kernels,

@@ -51,6 +51,8 @@ class KernelLaunchRecord(NamedTuple):
     #: Device time the stream is actually occupied until (>= device_end_ns
     #: when profiling replays the kernel for metric collection).
     device_busy_until_ns: int
+    #: Index of the framework layer that launched the kernel, if any.
+    layer_index: int | None = None
 
     @property
     def duration_ns(self) -> int:
@@ -155,13 +157,15 @@ class CudaRuntime:
 
     # -- kernel launch -------------------------------------------------------
     def launch_kernel(
-        self, spec: KernelSpec, stream_id: int = 0, clean_ns: int | None = None
+        self, spec: KernelSpec, stream_id: int = 0,
+        clean_ns: int | None = None, layer_index: int | None = None,
     ) -> KernelLaunchRecord:
         """Launch a kernel asynchronously; returns its combined record.
 
         ``clean_ns`` is the kernel's single-pass device duration on this
         GPU at this run index when the caller already knows it (a
         framework replaying its execution plan); it is computed otherwise.
+        ``layer_index`` names the launching framework layer.
         """
         stream = self.stream(stream_id)
         clock = self.clock
@@ -179,7 +183,7 @@ class CudaRuntime:
         # tuple.__new__ skips the NamedTuple's generated (Python) __new__.
         record = tuple.__new__(KernelLaunchRecord, (
             correlation_id, spec, stream_id, api_start, api_end, start,
-            start + clean_ns, busy_until,
+            start + clean_ns, busy_until, layer_index,
         ))
         if self.launch_blocking and busy_until > api_end:
             clock.now_ns = busy_until

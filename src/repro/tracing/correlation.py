@@ -13,10 +13,12 @@ Two reconstruction problems are solved here, following paper Sec. III-A/B:
 
 2. **Launch/execution correlation.**  Asynchronous GPU kernels appear as a
    host-side *launch span* and a device-side *execution span* carrying the
-   same ``correlation_id``.  The merged kernel view takes its parent from
-   the launch span (the launch happens inside the layer; the execution may
-   complete after the layer returns) and its performance information from
-   the execution span.
+   same ``correlation_id``.  The execution span takes its parent from the
+   launch span (the launch happens inside the layer; the execution may
+   complete after the layer returns) and keeps the performance
+   information.  The merged kernel view is the profile's
+   :class:`~repro.core.pipeline.KernelTable`, derived from the execution
+   rows.
 
 Both passes consume the trace's columnar storage directly — row indices
 over ``(start_ns, end_ns, level, kind, parent_id)`` columns snapshotted
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, List
+from typing import List
 
 from repro.tracing.span import Level, SpanKind
 from repro.tracing.table import _KIND_CODE, NONE_ID, SpanTable, SpanView
@@ -60,31 +62,6 @@ class AmbiguousParentError(RuntimeError):
 
 
 @dataclass
-class MergedKernel:
-    """Launch + execution span pair merged into one logical kernel record."""
-
-    name: str
-    correlation_id: int
-    launch: SpanView
-    execution: SpanView
-    parent_id: int | None
-
-    @property
-    def duration_ns(self) -> int:
-        """Effective kernel duration comes from the execution span."""
-        return self.execution.duration_ns
-
-    @property
-    def metrics(self) -> dict[str, Any]:
-        """GPU metrics are attached as metadata on the execution span."""
-        return {
-            k: v
-            for k, v in self.execution.iter_tags()
-            if k.startswith("metric.")
-        }
-
-
-@dataclass
 class CorrelationResult:
     """Output of :func:`reconstruct_parents`."""
 
@@ -99,61 +76,44 @@ class CorrelationResult:
         return bool(self.ambiguous)
 
 
-def correlate_launch_execution(trace: Trace) -> list[MergedKernel]:
-    """Pair launch/execution spans by ``correlation_id``.
+def correlate_launch_execution(trace: Trace) -> int:
+    """Pair launch/execution spans by ``correlation_id``; returns the
+    number of pairs.
 
     Execution spans inherit the launch span's parent, mirroring how XSP
     "uses the launch span's parent as the parent of the asynchronous
     function and uses the execution span to get the performance
     information".  One pass over the correlation-id/kind columns up to
-    the trace's watermark; no intermediate span lists.  Returns every
-    merged kernel, sorted by correlation id.
+    the trace's watermark maps each kind's correlation ids to rows; a
+    correlation id on two launches or two executions raises ValueError.
     """
     table = trace.table
-    corr = table.correlation_id
-    kinds = table.kind
+    n = table.watermark
     launches: dict[int, int] = {}
     executions: dict[int, int] = {}
-    for row in range(table.watermark):
-        cid = corr[row]
-        if cid == NONE_ID:
+    of_kind = {_LAUNCH_CODE: launches, _EXECUTION_CODE: executions}
+    for row, cid, code in zip(range(n), table.correlation_id[:n],
+                              table.kind[:n]):
+        rows = of_kind.get(code)
+        if rows is None or cid == NONE_ID:
             continue
-        code = kinds[row]
-        if code == _LAUNCH_CODE:
-            if cid in launches:
-                raise ValueError(
-                    f"duplicate launch span for correlation_id={cid}"
-                )
-            launches[cid] = row
-        elif code == _EXECUTION_CODE:
-            if cid in executions:
-                raise ValueError(
-                    f"duplicate execution span for correlation_id={cid}"
-                )
-            executions[cid] = row
-
-    parents = table.parent_id
-    merged: list[MergedKernel] = []
-    for cid in sorted(launches.keys() & executions.keys()):
-        # Half-pairs are skipped: a lost activity record (CUPTI permits
-        # this) or, on a live capture, a counterpart yet to be published.
-        launch_row = launches[cid]
-        execution_row = executions[cid]
-        launch_parent = parents[launch_row]
-        merged.append(
-            MergedKernel(
-                name=table.name_of(execution_row),
-                correlation_id=cid,
-                launch=SpanView(table, launch_row),
-                execution=SpanView(table, execution_row),
-                parent_id=None if launch_parent == NONE_ID else launch_parent,
+        if cid in rows:
+            kind = "launch" if rows is launches else "execution"
+            raise ValueError(
+                f"duplicate {kind} span for correlation_id={cid}"
             )
-        )
-        # Propagate parent onto the execution span for downstream queries.
-        if parents[execution_row] == NONE_ID and launch_parent != NONE_ID:
-            parents[execution_row] = launch_parent
+        rows[cid] = row
+
+    # Half-pairs are skipped: a lost activity record (CUPTI permits this)
+    # or, on a live capture, a counterpart yet to be published.
+    paired = launches.keys() & executions.keys()
+    parents = table.parent_id
+    for cid in paired:
+        execution_row = executions[cid]
+        if parents[execution_row] == NONE_ID:
+            parents[execution_row] = parents[launches[cid]]
     trace.touch_parents()
-    return merged
+    return len(paired)
 
 
 def _parent_level_map(levels: list[Level]) -> dict[Level, Level | None]:

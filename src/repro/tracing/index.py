@@ -9,7 +9,7 @@ from it.
 
 Every index is built from — and answered as — row indices into the
 table's columns: timeline orderings, level/kind partitions, the id map,
-extents, the gap index and the parent-derived children/roots.  The
+extents, the gap index and the parent-derived roots.  The
 sweep-line correlator, the gap rules, and the exporters consume these
 directly; :class:`~repro.tracing.trace.Trace`'s query methods wrap rows
 in :class:`~repro.tracing.table.SpanView` flyweights at the API
@@ -30,10 +30,10 @@ identical to a cold rebuild over the grown table (fuzzed by
 build lazily over the full covered prefix later.  Rows remain immutable
 for indexing purposes with one exception — ``parent_id``, which the
 offline correlation pass assigns after capture.  The parent-derived
-indexes (children, roots) live behind the narrower epoch that
+index (roots) lives behind the narrower epoch that
 :func:`repro.tracing.correlation.reconstruct_parents` and
 :func:`~repro.tracing.correlation.correlate_launch_execution` bump via
-:meth:`Trace.touch_parents`; an append also drops them (a new span id can
+:meth:`Trace.touch_parents`; an append also drops it (a new span id can
 resolve a previously dangling parent).  Code that mutates
 ``span.parent_id`` by hand after querying a trace must call
 ``touch_parents`` as before.
@@ -212,7 +212,6 @@ class TraceIndex:
         "_extent",
         "_gaps",
         "_gap_state",
-        "_children_rows",
         "_root_rows",
     )
 
@@ -233,7 +232,6 @@ class TraceIndex:
             Tuple[Level, Optional[SpanKind]],
             Tuple[int, Tuple[int, int], int],
         ] = {}
-        self._children_rows: Optional[Dict[Optional[int], List[int]]] = None
         self._root_rows: Optional[List[int]] = None
 
     # -- cache validity ---------------------------------------------------
@@ -243,8 +241,7 @@ class TraceIndex:
         return self._n
 
     def invalidate_parents(self) -> None:
-        """Drop the parent-derived indexes (children, roots)."""
-        self._children_rows = None
+        """Drop the parent-derived index (roots)."""
         self._root_rows = None
 
     def advance(self, to_n: int | None = None) -> int:
@@ -256,7 +253,7 @@ class TraceIndex:
         folded into the gap caches — each result identical to a cold
         rebuild over the grown prefix.  Structures that were never built
         stay unbuilt (they build lazily over the full prefix later).
-        Parent-derived indexes are dropped: a new span id can resolve a
+        The parent-derived index is dropped: a new span id can resolve a
         dangling parent.  Returns the number of rows absorbed.
         """
         table = self.table
@@ -323,7 +320,7 @@ class TraceIndex:
             self._advance_gaps(level_tails)
 
         # A new span id can turn an existing "root" into a child, so the
-        # parent-derived indexes reset.
+        # parent-derived index resets.
         self.invalidate_parents()
         self._n = new_n
         return new_n - old_n
@@ -480,26 +477,7 @@ class TraceIndex:
                 )
         return cached
 
-    # -- parent-derived row indexes (see the invalidation model above) ----
-    def children_rows(self) -> Dict[Optional[int], List[int]]:
-        """Parent span id -> child rows, each bucket in start order."""
-        if self._children_rows is None:
-            table = self.table
-            buckets: Dict[Optional[int], List[int]] = {}
-            parents = table.parent_id
-            for row in range(self._n):
-                pid = parents[row]
-                key = None if pid == NONE_ID else pid
-                try:
-                    buckets[key].append(row)
-                except KeyError:
-                    buckets[key] = [row]
-            starts = table.start_ns
-            for kids in buckets.values():
-                kids.sort(key=starts.__getitem__)
-            self._children_rows = buckets
-        return self._children_rows
-
+    # -- the parent-derived row index (see the invalidation model above) -
     def root_rows(self) -> List[int]:
         """Rows with no (known) parent, in publication order."""
         if self._root_rows is None:

@@ -149,8 +149,8 @@ class Trace:
         self.builder = None
 
     def touch_parents(self) -> None:
-        """Signal that ``parent_id`` fields changed: children/roots are
-        stale and the profile builder starts over from row 0."""
+        """Signal that ``parent_id`` fields changed: the roots are stale
+        and the profile builder starts over from row 0."""
         if self._index is not None:
             self._index.invalidate_parents()
         self.builder = None

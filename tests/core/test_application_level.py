@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import ProfilingConfig, XSPSession
-from repro.tracing import Level, correlate_launch_execution
+from repro.tracing import Level, SpanKind, correlate_launch_execution
 
 
 @pytest.fixture(scope="module")
@@ -73,15 +73,17 @@ def test_application_capture_correlates(app):
     """Each evaluation numbers its launches from 1; the capture keeps one
     launch and one execution per correlation id."""
     trace, runs = app
-    kernels = correlate_launch_execution(trace)
-    assert len(kernels) == sum(len(run.kernels) for run in runs)
-    ids = [mk.correlation_id for mk in kernels]
-    assert len(set(ids)) == len(ids)
+    pairs = correlate_launch_execution(trace)
+    assert pairs == sum(run.n_kernels for run in runs)
+    gpu = trace.at_level(Level.GPU_KERNEL)
+    launches = {s.correlation_id: s for s in gpu if s.kind is SpanKind.LAUNCH}
+    executions = {s.correlation_id: s for s in gpu
+                  if s.kind is SpanKind.EXECUTION}
+    assert len(launches) == len(executions) == pairs
+    assert launches.keys() == executions.keys()
     predicts = [s for s in trace.at_level(Level.MODEL) if s.name == "predict"]
-    for mk in kernels:
-        assert mk.launch.correlation_id == mk.execution.correlation_id == \
-            mk.correlation_id
+    for cid, launch in launches.items():
         # Launch and execution come from the same evaluation.
-        (owner,) = [p for p in predicts if p.contains(mk.launch)]
-        assert owner.contains(mk.execution)
+        (owner,) = [p for p in predicts if p.contains(launch)]
+        assert owner.contains(executions[cid])
 

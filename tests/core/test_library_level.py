@@ -24,11 +24,18 @@ def test_library_spans_present(lib_run):
     assert "cublasSgemm" in names
 
 
+def _launches(run):
+    return [s for s in run.trace.at_level(Level.GPU_KERNEL)
+            if s.kind is SpanKind.LAUNCH]
+
+
 def test_four_level_hierarchy(lib_run):
     """launch -> LIBRARY -> LAYER -> MODEL via interval containment."""
     by_id = lib_run.trace.by_id()
-    for mk in lib_run.kernels:
-        library = by_id[mk.launch.parent_id]
+    launches = _launches(lib_run)
+    assert len(launches) == lib_run.n_kernels
+    for launch in launches:
+        library = by_id[launch.parent_id]
         assert library.level == Level.LIBRARY
         layer = by_id[library.parent_id]
         assert layer.level == Level.LAYER
@@ -38,9 +45,9 @@ def test_four_level_hierarchy(lib_run):
 
 def test_library_span_covers_its_kernels(lib_run):
     by_id = lib_run.trace.by_id()
-    for mk in lib_run.kernels:
-        library = by_id[mk.launch.parent_id]
-        assert library.contains(mk.launch)
+    for launch in _launches(lib_run):
+        library = by_id[launch.parent_id]
+        assert library.contains(launch)
 
 
 def test_conv_call_groups_helper_kernels(lib_run):
@@ -56,7 +63,7 @@ def test_library_call_table(lib_run):
     assert table.rows
     total = sum(r["latency_pct"] for r in table)
     assert total == pytest.approx(100.0)
-    assert sum(r["kernels"] for r in table) == len(lib_run.kernels)
+    assert sum(r["kernels"] for r in table) == lib_run.n_kernels
 
 
 def test_library_table_requires_library_level(v100_session, cnn_graph):
@@ -97,9 +104,9 @@ def test_tracer_groups_by_layer_and_api():
 
     def record(cid, klass, library, layer, t0):
         spec = KernelSpec(f"k{cid}", klass, 1.0, 1.0, 1.0, blocks=1,
-                          tags={"library": library, "layer_index": layer})
+                          tags={"library": library})
         return KernelLaunchRecord(cid, spec, 0, t0, t0 + 5, t0 + 10,
-                                  t0 + 20, t0 + 20)
+                                  t0 + 20, t0 + 20, layer)
 
     class Runtime:
         """Stands in for CudaRuntime's launch log."""
@@ -118,11 +125,14 @@ def test_tracer_groups_by_layer_and_api():
         record(2, KernelClass.CONV_PRECOMP_GEMM, "cudnn", 1, 10),
         record(3, KernelClass.ELEMENTWISE_EIGEN, "eigen", 2, 30),
         record(4, KernelClass.CONV_PRECOMP_GEMM, "cudnn", 3, 50),
+        # The same API in the next layer: a call of its own.
+        record(5, KernelClass.CONV_PRECOMP_GEMM, "cudnn", 4, 60),
     ]
     tracer.convert()
     spans = server.end_trace(tid).spans
-    assert [s.tags["n_kernels"] for s in spans] == [2, 1, 1]
+    assert [s.tags["n_kernels"] for s in spans] == [2, 1, 1, 1]
+    assert [s.tags["layer_index"] for s in spans] == [1, 2, 3, 4]
     assert [(s.start_ns, s.end_ns) for s in spans] == [
-        (0, 15), (30, 35), (50, 55)
+        (0, 15), (30, 35), (50, 55), (60, 65)
     ]
     assert spans[0].name == spans[2].name == "cudnnConvolutionForward"

@@ -194,3 +194,83 @@ def test_touch_parents_and_a_table_swap_start_over():
     trace.table = _copy(trace).table
     assert profile_from_trace(trace).kernel_table.name == ["k"]
     assert trace.builder.table is trace.table
+
+
+# -- tag values: each rule of the cell kinds ----------------------------------
+
+#: (span, tag, a value the builder rejects, the fault after the tag).
+BAD_TAGS = [
+    ("layer", "layer_index", "x", ": expected an integer or null, got 'x'"),
+    ("layer", "layer_index", True, ": expected an integer or null, got True"),
+    ("layer", "layer_index", 1.0, ": expected an integer or null, got 1.0"),
+    ("layer", "layer_type", 7, ": expected a string, got 7"),
+    ("layer", "shape", 5, ": expected a list, got 5"),
+    ("layer", "shape", (1, "2"), "[1]: expected an integer, got '2'"),
+    ("layer", "alloc_bytes", 1.5, ": expected an integer, got 1.5"),
+    ("kernel", "metric.flop_count_sp", False,
+     ": expected a number, got False"),
+    ("kernel", "metric.achieved_occupancy", "0.5",
+     ": expected a number, got '0.5'"),
+    ("kernel", "grid", 5, ": expected a list, got 5"),
+    ("kernel", "grid", "abc", ": expected a list, got 'abc'"),
+    ("kernel", "block", [1, 1], ": expected 3 integers, got 2"),
+    ("kernel", "block", (1, True, 1), "[1]: expected an integer, got True"),
+]
+
+
+def _tagged_capture(span: str, key: str, value) -> Trace:
+    layer_tags = {"layer_index": 0, "layer_type": "Conv2D",
+                  "shape": [1, 8], "alloc_bytes": 64}
+    kernel_tags = {"grid": [2, 1, 1], "block": (32, 1, 1),
+                   "metric.flop_count_sp": 5,
+                   "metric.achieved_occupancy": 0.25}
+    (layer_tags if span == "layer" else kernel_tags)[key] = value
+    trace = Trace(1)
+    trace.add_rows([
+        row_of("conv", 0, 100, Level.LAYER, 1, tags=layer_tags),
+        row_of("k", 10, 20, Level.GPU_KERNEL, 2, parent_id=1,
+               kind=SpanKind.EXECUTION, tags=kernel_tags),
+    ])
+    return trace
+
+
+@pytest.mark.parametrize("span,key,value,fault", BAD_TAGS)
+def test_a_bad_tag_raises_naming_the_tag_and_the_span(span, key, value,
+                                                      fault):
+    trace = _tagged_capture(span, key, value)
+    name, span_id = ("conv", 1) if span == "layer" else ("k", 2)
+    expected = f"span '{name}' (span_id {span_id}): tag '{key}'{fault}"
+    for _ in range(2):  # the builder kept no half-advanced state
+        with pytest.raises(ValueError) as err:
+            profile_from_trace(trace)
+        assert str(err.value) == expected
+
+
+def test_good_tags_pass_and_absent_tags_read_as_defaults():
+    trace = _tagged_capture("layer", "layer_index", None)
+    profile = profile_from_trace(trace)
+    assert profile.layer_table.shape == [(1, 8)]
+    assert profile.kernel_table.grid == [(2, 1, 1)]
+    assert profile.kernel_table.flops == [5.0]
+    assert profile.kernel_table.dram_read_bytes == [0.0]
+    _assert_same(profile, oracle_profile(trace))
+    trace = Trace(1)
+    trace.add_rows([row_of("bare", 0, 10, Level.LAYER, 1),
+                    _kernel("k", 2, 1, 1, 2)])
+    profile = profile_from_trace(trace)
+    assert (profile.layer_table.layer_type, profile.layer_table.shape,
+            profile.layer_table.alloc_bytes) == (["unknown"], [()], [0])
+    assert profile.kernel_table.grid == [(1, 1, 1)]
+
+
+def test_a_bad_kernel_after_a_good_prefix_leaves_no_half_state():
+    """A fault in a later batch raises on every call, and the profile
+    returned before it is unchanged."""
+    trace = _tagged_capture("kernel", "grid", [2, 1, 1])
+    before = profile_from_trace(trace)
+    trace.add_rows([row_of("k2", 30, 40, Level.GPU_KERNEL, 3, parent_id=1,
+                           kind=SpanKind.EXECUTION, tags={"grid": 5})])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="'k2' .*'grid'"):
+            profile_from_trace(trace)
+    assert before.kernel_table.name == ["k"]

@@ -2,9 +2,11 @@
 
 import pytest
 
+import repro.core.session as session_module
 from repro.core import M, ML, MLG, ProfilingConfig, XSPSession
 from repro.core.pipeline import profile_from_trace
-from repro.tracing import Level, SpanKind
+from repro.tracing import Level, SpanKind, correlate_launch_execution
+from repro.tracing.table import SpanView
 
 
 def _run(session, graph, batch=4, levels=MLG, **kw):
@@ -33,26 +35,44 @@ def test_mlg_level_full_stack(v100_session, cnn_graph):
     assert kernels
     launches = [s for s in kernels if s.kind is SpanKind.LAUNCH]
     executions = [s for s in kernels if s.kind is SpanKind.EXECUTION]
-    assert len(launches) == len(executions) == len(run.kernels)
+    assert len(launches) == len(executions) == run.n_kernels
 
 
 def test_kernels_correlated_to_layers(v100_session, cnn_graph):
     run = _run(v100_session, cnn_graph)
     profile = profile_from_trace(run.trace)
     # Every kernel found its layer.
-    assert len(profile.kernels) == len(run.kernels)
+    assert len(profile.kernels) == run.n_kernels
     # The first Conv2D layer owns at least one scudnn/implicit kernel.
     conv = next(l for l in profile.layers if l.layer_type == "Conv2D")
     conv_kernel_names = [k.name for k in conv.kernels]
     assert any("convolve" in n or "scudnn" in n for n in conv_kernel_names)
 
 
+def _kernel_spans(run, kind):
+    return [s for s in run.trace.at_level(Level.GPU_KERNEL) if s.kind is kind]
+
+
 def test_launch_spans_contained_in_their_layer(v100_session, cnn_graph):
     run = _run(v100_session, cnn_graph)
     by_id = run.trace.by_id()
-    for mk in run.kernels:
-        layer = by_id[mk.parent_id]
-        assert layer.contains(mk.launch)
+    launches = _kernel_spans(run, SpanKind.LAUNCH)
+    assert len(launches) == run.n_kernels
+    for launch in launches:
+        layer = by_id[launch.parent_id]
+        assert layer.level == Level.LAYER
+        assert layer.contains(launch)
+
+
+def test_execution_parent_is_its_launch_parent(v100_session, cnn_graph):
+    run = _run(v100_session, cnn_graph)
+    launch_parent = {s.correlation_id: s.parent_id
+                     for s in _kernel_spans(run, SpanKind.LAUNCH)}
+    executions = _kernel_spans(run, SpanKind.EXECUTION)
+    assert len(executions) == run.n_kernels
+    for execution in executions:
+        assert execution.parent_id == launch_parent[execution.correlation_id]
+        assert execution.parent_id is not None
 
 
 def test_layer_spans_nest_in_predict(v100_session, cnn_graph):
@@ -63,7 +83,8 @@ def test_layer_spans_nest_in_predict(v100_session, cnn_graph):
 
 def test_metrics_attached(v100_session, cnn_graph):
     run = _run(v100_session, cnn_graph)
-    flops = [k.metrics.get("metric.flop_count_sp") for k in run.kernels]
+    flops = [s.tags.get("metric.flop_count_sp")
+             for s in _kernel_spans(run, SpanKind.EXECUTION)]
     assert any(f and f > 0 for f in flops)
 
 
@@ -121,3 +142,34 @@ def test_failed_run_leaves_no_open_trace(cnn_graph):
         session.profile(get_model(16).graph, 4096)  # VGG16
     session.profile(cnn_graph, 1)
     assert session.server.traces() == []
+
+
+def test_capture_correlation_counts_pairs_and_builds_no_views(cnn_graph,
+                                                             monkeypatch):
+    """A cold M/L/G+metrics capture's launch/execution correlation returns
+    its pair count and constructs no SpanView."""
+    views = []
+    view_init = SpanView.__init__
+
+    def counted_init(self, table, row):
+        views.append(row)
+        view_init(self, table, row)
+
+    calls = []
+
+    def spy(trace):
+        before = len(views)
+        pairs = correlate_launch_execution(trace)
+        calls.append((pairs, len(views) - before))
+        return pairs
+
+    monkeypatch.setattr(SpanView, "__init__", counted_init)
+    monkeypatch.setattr(session_module, "correlate_launch_execution", spy)
+    session = XSPSession("Tesla_V100", "tensorflow_like")
+    run = session.profile(cnn_graph, 4, ProfilingConfig())
+    assert run.config.levels == MLG and run.config.metrics
+    [(pairs, built)] = calls
+    assert built == 0
+    assert pairs == run.n_kernels > 0
+    assert pairs == len(_kernel_spans(run, SpanKind.LAUNCH)) == len(
+        _kernel_spans(run, SpanKind.EXECUTION))

@@ -34,10 +34,12 @@ def test_trace_invariants_across_batches(cnn_graph, batch):
     # Launch/execution pairing is complete and 1:1.
     launches = [s for s in trace.spans if s.kind is SpanKind.LAUNCH]
     executions = [s for s in trace.spans if s.kind is SpanKind.EXECUTION]
-    assert len(launches) == len(executions) == len(run.kernels)
+    assert len(launches) == len(executions) == run.n_kernels
     assert {s.correlation_id for s in launches} == \
         {s.correlation_id for s in executions}
 
     # Kernel execution never precedes its launch.
-    for mk in run.kernels:
-        assert mk.execution.start_ns >= mk.launch.start_ns
+    launch_of = {s.correlation_id: s for s in launches}
+    for execution in executions:
+        launch = launch_of[execution.correlation_id]
+        assert execution.start_ns >= launch.start_ns

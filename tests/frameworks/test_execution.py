@@ -94,15 +94,24 @@ def test_latency_grows_with_batch(cnn_graph):
     assert lat64 > lat1
 
 
-def test_kernels_tagged_with_layer(cnn_graph):
-    rt, fw = make()
-    model = fw.load(cnn_graph)
-    read_launches = rt.launch_reader()
-    fw.predict(model, 4)
-    launches = read_launches()
-    assert launches
-    assert all("layer_index" in r.spec.tags for r in launches)
-    assert all("layer_name" in r.spec.tags for r in launches)
+def test_plan_specs_untagged_and_launches_carry_layer(cnn_graph):
+    """The plan keeps each spec as emitted; the launch record, not a spec
+    tag, names the launching layer."""
+    for cls in (TFSim, MXSim):
+        rt, fw = make(cls)
+        model = fw.load(cnn_graph)
+        plan = fw.execution_plan(model, 4)
+        read_launches = rt.launch_reader()
+        fw.predict(model, 4)
+        launches = iter(read_launches())
+        for step in plan.steps:
+            for spec in step.kernels or ():
+                assert "layer_index" not in spec.tags
+                assert "layer_name" not in spec.tags
+                record = next(launches)
+                assert record.spec is spec
+                assert record.layer_index == step.layer.index
+        assert next(launches, None) is None
 
 
 def test_data_layer_does_h2d_copy(cnn_graph):

@@ -17,6 +17,7 @@ from repro.core import (
 from repro.core.session import FRAMEWORKS
 from repro.frameworks import MXSim, TFSim
 from repro.sim import CudaRuntime, VirtualClock, eigen, get_system
+from repro.tracing import SpanKind
 
 
 @pytest.fixture()
@@ -83,9 +84,9 @@ def test_ladder_launches_each_plan_kernel_once_per_rung(
     launched = []
     launch = CudaRuntime.launch_kernel
 
-    def counted(self, spec, stream_id=0, clean_ns=None):
+    def counted(self, spec, stream_id=0, clean_ns=None, layer_index=None):
         launched.append(spec)
-        return launch(self, spec, stream_id, clean_ns)
+        return launch(self, spec, stream_id, clean_ns, layer_index)
 
     monkeypatch.setattr(CudaRuntime, "launch_kernel", counted)
     session = XSPSession("Tesla_V100", framework)
@@ -135,6 +136,13 @@ def test_negative_zero_work_is_its_own_duration(cnn_graph, counts):
                               for s in (plain, negative, plain))
 
 
+def _executions(run) -> list[tuple[str, int]]:
+    """(name, duration) of each kernel execution, in correlation-id order."""
+    return [(s.name, s.duration_ns) for s in sorted(
+        (s for s in run.trace.spans if s.kind is SpanKind.EXECUTION),
+        key=lambda s: s.correlation_id)]
+
+
 def test_serialized_run_replays_the_same_plan(cnn_graph, counts):
     layers, _, distinct = _plan_size("tensorflow_like", cnn_graph, 2)
     counts.update(emit=0, duration=0)
@@ -145,10 +153,8 @@ def test_serialized_run_replays_the_same_plan(cnn_graph, counts):
     )
     assert counts == {"emit": layers, "duration": distinct}
     # CUDA_LAUNCH_BLOCKING changes the timeline, not the kernels.
-    assert [mk.name for mk in retry.kernels] == [mk.name for mk in plain.kernels]
-    assert [mk.duration_ns for mk in retry.kernels] == [
-        mk.duration_ns for mk in plain.kernels
-    ]
+    assert _executions(retry) == _executions(plain)
+    assert retry.n_kernels == plain.n_kernels == len(_executions(plain))
 
 
 def test_new_batch_or_gpu_builds_its_own_plan(cnn_graph, counts):

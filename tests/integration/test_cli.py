@@ -152,6 +152,34 @@ MALFORMED_TRACES = {
 }
 
 
+def _v3_tag(doc, kind, key, value):
+    """Make ``doc`` the v3 file of the capture whose first layer span
+    (``kind`` "layer") or kernel execution span with tag ``key`` has it
+    set to ``value``.  A v3 file pools its tag values, so the tag is set
+    on the v1 spans and the file written from them."""
+    from repro.tracing.export import trace_from_json, trace_to_json
+
+    v1 = json.loads(_capture_text("v1"))
+    level, span_kind = (("LAYER", "internal") if kind == "layer"
+                        else ("GPU_KERNEL", "execution"))
+    span = next(s for s in v1["spans"] if key in s["tags"]
+                and (s["level"], s["kind"]) == (level, span_kind))
+    span["tags"][key] = value
+    doc.clear()
+    doc.update(json.loads(trace_to_json(trace_from_json(json.dumps(v1)))))
+
+
+#: Tags of a good v3 file that the profile readers reject.
+MALFORMED_TRACES.update({
+    ("v3", "string layer_index"):
+        lambda d: _v3_tag(d, "layer", "layer_index", "x"),
+    ("v3", "integer shape"): lambda d: _v3_tag(d, "layer", "shape", 5),
+    ("v3", "integer grid"): lambda d: _v3_tag(d, "execution", "grid", 5),
+    ("v3", "string grid"):
+        lambda d: _v3_tag(d, "execution", "grid", "abc"),
+})
+
+
 @pytest.mark.parametrize("command", ["advise", "diff"])
 @pytest.mark.parametrize("version,fault", sorted(MALFORMED_TRACES))
 def test_malformed_trace_fails_in_one_line(version, fault, command,

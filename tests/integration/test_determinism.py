@@ -1,6 +1,7 @@
 """Determinism guarantees: identical runs, stable hierarchies."""
 
 from repro.core import ProfilingConfig, XSPSession
+from repro.tracing import SpanKind
 
 
 def _span_signature(trace):
@@ -11,12 +12,13 @@ def _span_signature(trace):
 
 
 def _hierarchy_signature(run):
+    """(kernel, layer) per execution span in correlation-id order: the
+    execution's parent is its launch's."""
     by_id = run.trace.by_id()
-    out = []
-    for mk in sorted(run.kernels, key=lambda m: m.correlation_id):
-        layer = by_id[mk.parent_id]
-        out.append((mk.name, layer.name))
-    return out
+    executions = [s for s in run.trace.spans if s.kind is SpanKind.EXECUTION]
+    assert len(executions) == run.n_kernels
+    return [(s.name, by_id[s.parent_id].name)
+            for s in sorted(executions, key=lambda s: s.correlation_id)]
 
 
 def test_identical_runs_produce_identical_traces(cnn_graph):

@@ -23,6 +23,7 @@ from repro.frameworks.base import PredictionResult
 from repro.frameworks.profiler_format import LayerRecord
 from repro.frameworks.tensorflow_like import TFSim
 from repro.sim import eigen
+from repro.tracing import SpanKind
 
 
 class InterOpParallelTFSim(TFSim):
@@ -51,10 +52,9 @@ class InterOpParallelTFSim(TFSim):
             layer_start = clock.now()
             out = shapes[layer.source]
             launches.append(rt.launch_kernel(
-                eigen.max_kernel(out.elems).with_tags(
-                    layer_index=layer.index, layer_name=layer.name
-                ),
+                eigen.max_kernel(out.elems),
                 stream_id=thread + 1,
+                layer_index=layer.index,
             ))
             if serialized:
                 rt.stream_synchronize(thread + 1)
@@ -121,10 +121,10 @@ def test_async_run_is_ambiguous_then_serialized(parallel_session, branch_graph):
     assert not run.correlation.needs_serialized_rerun
     # After serialization every kernel resolves to exactly one layer.
     profile = profile_from_trace(run.trace)
-    assert len(profile.kernels) == len(run.kernels)
+    assert len(profile.kernels) == run.n_kernels
     assert sorted(len(l.kernels) for l in profile.layers if l.kernels) == [1, 1]
-    names = {run.trace.by_id()[mk.launch.parent_id].name
-             for mk in run.kernels}
+    names = {run.trace.by_id()[s.parent_id].name for s in run.trace.spans
+             if s.kind is SpanKind.LAUNCH}
     assert names == {"branch_a/Relu", "branch_b/Relu"}
 
 

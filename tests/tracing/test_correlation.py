@@ -1,5 +1,7 @@
 """Parent reconstruction + launch/execution correlation tests."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,12 +57,12 @@ def test_execution_spans_not_parented_by_interval():
 def test_correlate_launch_execution_merges_and_propagates_parent():
     t = _nested_trace()
     reconstruct_parents(t)
-    merged = correlate_launch_execution(t)
-    assert len(merged) == 2
-    kernel_a = next(m for m in merged if m.name == "kernelA")
-    assert kernel_a.parent_id == 2  # from the launch span
-    assert kernel_a.duration_ns == 200  # from the execution span
-    assert t.by_id()[6].parent_id == 2  # propagated onto the exec span
+    assert correlate_launch_execution(t) == 2
+    by_id = t.by_id()
+    # Each execution span takes its launch span's parent and keeps its
+    # own interval.
+    assert (by_id[6].parent_id, by_id[7].parent_id) == (2, 3)
+    assert by_id[6].duration_ns == 200
 
 
 def test_existing_parents_are_preserved():
@@ -127,7 +129,74 @@ def test_launch_without_execution_is_skipped():
     t = Trace(trace_id=1)
     t.add(Span("launch", 0, 10, Level.GPU_KERNEL, span_id=1,
                kind=SpanKind.LAUNCH, correlation_id=1))
-    assert correlate_launch_execution(t) == []
+    assert correlate_launch_execution(t) == 0
+
+
+# -- seeded fuzz: random launch/execution rows, half of them unpaired -------
+
+
+def _random_kernel_rows(rng):
+    """A trace of launch and execution rows in random order: each
+    correlation id has a launch, an execution or both; some executions
+    are parented already, and some rows of another kind carry an id."""
+    rows, launches, executions = [], {}, {}
+    for cid in rng.sample(range(1, 500), rng.randint(0, 60)):
+        side = rng.choice(("launch", "execution", "both", "both"))
+        if side != "execution":
+            launches[cid] = rng.choice((None, 1, 2, 3))
+            rows.append(("launch", cid, launches[cid]))
+        if side != "launch":
+            executions[cid] = rng.choice((None, None, None, 4))
+            rows.append(("execution", cid, executions[cid]))
+        if rng.random() < 0.1:
+            rows.append(("internal", cid, None))
+    rng.shuffle(rows)
+    kinds = {"launch": SpanKind.LAUNCH, "execution": SpanKind.EXECUTION,
+             "internal": SpanKind.INTERNAL}
+    t = Trace(trace_id=1)
+    for span_id, (kind, cid, parent) in enumerate(rows, start=10):
+        t.add(Span(f"{kind}{cid}", span_id, span_id + 1, Level.GPU_KERNEL,
+                   span_id=span_id, parent_id=parent, kind=kinds[kind],
+                   correlation_id=cid))
+    return t, launches, executions
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_correlation_fuzz_counts_pairs_and_copies_parents(seed):
+    rng = random.Random(seed)
+    t, launches, executions = _random_kernel_rows(rng)
+    before = {(s.kind, s.correlation_id): s.parent_id for s in t.spans}
+    paired = launches.keys() & executions.keys()
+    assert correlate_launch_execution(t) == len(paired)
+    for span in t.spans:
+        old = before[span.kind, span.correlation_id]
+        cid = span.correlation_id
+        if (span.kind is SpanKind.EXECUTION and cid in paired
+                and old is None):
+            assert span.parent_id == launches[cid]
+        else:
+            assert span.parent_id == old
+    # Pairing again finds the same pairs and changes nothing.
+    after = [s.parent_id for s in t.spans]
+    assert correlate_launch_execution(t) == len(paired)
+    assert [s.parent_id for s in t.spans] == after
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("kind", [SpanKind.LAUNCH, SpanKind.EXECUTION])
+def test_correlation_fuzz_rejects_a_duplicated_id(seed, kind):
+    rng = random.Random(seed)
+    t, launches, executions = _random_kernel_rows(rng)
+    ids = sorted(launches if kind is SpanKind.LAUNCH else executions)
+    cid = rng.choice(ids) if ids else 1
+    if not ids:
+        t.add(Span("first", 0, 1, Level.GPU_KERNEL, span_id=1, kind=kind,
+                   correlation_id=cid))
+    t.add(Span("again", 0, 1, Level.GPU_KERNEL, span_id=2, kind=kind,
+               correlation_id=cid))
+    with pytest.raises(ValueError, match=f"duplicate {kind.value} span "
+                                         f"for correlation_id={cid}$"):
+        correlate_launch_execution(t)
 
 
 # -- property-based: reconstruction yields a level-monotone forest ----------

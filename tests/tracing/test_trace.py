@@ -25,11 +25,14 @@ def test_sorted_spans_parents_first():
     assert t.table.name_of(t.index.rows_sorted()[0]) == "predict"
 
 
-def test_children_rows():
+def test_parent_id_column():
     t = _trace()
-    children = t.index.children_rows()
-    assert [t.table.name_of(row) for row in children[1]] == ["conv", "relu"]
-    assert [t.table.name_of(row) for row in children[2]] == ["kernel"]
+    parents = t.table.parent_id
+    assert [t.table.name_of(row) for row in range(len(t))
+            if parents[row] == 1] == ["conv", "relu"]
+    assert [t.table.name_of(row) for row in range(len(t))
+            if parents[row] == 2] == ["kernel"]
+    assert t.index.root_rows() == [0]
 
 
 def test_roots():

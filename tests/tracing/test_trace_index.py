@@ -4,6 +4,7 @@ import random
 
 from repro.tracing import Level, Span, SpanKind, Trace
 from repro.tracing.correlation import reconstruct_parents
+from repro.tracing.table import NONE_ID
 
 
 def _random_trace(n=120, seed=5):
@@ -42,13 +43,10 @@ def test_indexed_queries_match_naive_scans():
     assert t.roots() == [
         s for s in spans if s.parent_id is None or s.parent_id not in ids
     ]
-    for span in spans[:10]:
-        expected = sorted(
-            (s for s in spans if s.parent_id == span.span_id),
-            key=lambda s: s.start_ns,
-        )
-        assert [spans[r] for r in t.index.children_rows().get(
-            span.span_id, ())] == expected
+    assert [spans[r] for r in t.index.root_rows()] == t.roots()
+    assert [None if p == NONE_ID else p for p in t.table.parent_id] == [
+        s.parent_id for s in spans
+    ]
 
 
 def test_index_is_reused_across_queries():
@@ -94,19 +92,21 @@ def test_touch_parents_refreshes_children_and_roots():
     t.by_id()[2].parent_id = 1
     t.touch_parents()
     assert [s.span_id for s in t.roots()] == [1]
-    assert [t.spans[r].span_id for r in t.index.children_rows()[1]] == [2]
+    assert t.index.root_rows() == [0]
+    assert list(t.table.parent_id) == [NONE_ID, 1]
 
 
 def test_reconstruction_updates_parent_indexes_automatically():
     t = Trace(trace_id=1)
     t.add(Span("predict", 0, 1000, Level.MODEL, span_id=1))
     t.add(Span("conv", 100, 500, Level.LAYER, span_id=2))
-    # Query first so the index (including children/roots) is built...
+    # Query first so the index (including the roots) is built...
     assert len(t.roots()) == 2
     # ...then reconstruct: the correlation pass must invalidate it.
     reconstruct_parents(t)
     assert [s.span_id for s in t.roots()] == [1]
-    assert [t.spans[r].span_id for r in t.index.children_rows()[1]] == [2]
+    assert t.index.root_rows() == [0]
+    assert list(t.table.parent_id) == [NONE_ID, 1]
 
 
 def test_empty_trace_queries():

@@ -64,9 +64,9 @@ def _publish_library(server):
 
     def record(cid, klass, library, layer, t0):
         spec = KernelSpec(f"k{cid}", klass, 1.0, 1.0, 1.0, blocks=1,
-                          tags={"library": library, "layer_index": layer})
+                          tags={"library": library})
         return KernelLaunchRecord(cid, spec, 0, t0, t0 + 5, t0 + 10,
-                                  t0 + 20, t0 + 20)
+                                  t0 + 20, t0 + 20, layer)
 
     runtime.log = [
         record(1, KernelClass.CONV_PRECOMP_GEMM, "cudnn", 1, 0),
