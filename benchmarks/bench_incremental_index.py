@@ -107,7 +107,6 @@ def _index_snapshot(trace: Trace):
             (g.start_ns, g.end_ns, g.before_id, g.after_id)
             for g in index.gaps(Level.GPU_KERNEL, SpanKind.EXECUTION)
         ],
-        "roots": list(index.root_rows()),
     }
 
 

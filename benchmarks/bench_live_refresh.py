@@ -8,8 +8,9 @@ monitor refreshes: its trace's ``ProfileBuilder`` advances over the new
 rows and the incremental engine re-runs the rules whose ingredients
 changed.
 
-Asserted: the final live report equals a cold ``advise`` of the whole
-capture, and the summed refresh time is at least ``MIN_SPEEDUP``x lower
+Asserted: one ``ProfileBuilder`` serves the whole capture and never goes
+cold (so every refresh takes the incremental path), the final live report
+equals a cold ``advise`` of the whole capture, and the summed refresh time is at least ``MIN_SPEEDUP``x lower
 than refreshing the way every refresh used to: the cold derivation kept
 in ``tests/core/profile_oracle.py`` plus a fresh ``InsightEngine`` per
 chunk.
@@ -67,16 +68,19 @@ def _chunks(rows):
 
 
 def _live(rows) -> tuple[float, LiveMonitor]:
-    """Publish chunk by chunk; the summed time of the monitor's polls."""
+    """Publish chunk by chunk; the summed time of the monitor's polls.
+    One builder, never cold, serves every poll."""
     server = TracingServer()
     tid = server.begin_trace(**METADATA)
     monitor = LiveMonitor(server, tid)
-    spent = 0.0
+    spent, builder = 0.0, None
     for chunk in _chunks(rows):
         server.publish_many(chunk)
         start = time.perf_counter()
         assert monitor.poll(timeout=0) is not None
         spent += time.perf_counter() - start
+        builder = builder or monitor.trace.builder
+        assert monitor.trace.builder is builder and not builder.cold
     server.end_trace(tid)
     monitor.poll(timeout=0)
     return spent, monitor

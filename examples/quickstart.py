@@ -10,8 +10,7 @@ Sec. III-D of the paper.
 
 Set ``XSP_PROFILE_CACHE=/some/dir`` to persist merged profiles on disk:
 a repeat invocation is then served entirely from the warm cache and skips
-the leveled-experiment ladder.  Set ``XSP_PARALLEL_SWEEP=1`` to fan the
-batch sweep out over worker processes.
+the leveled-experiment ladder.
 
 Next step: ``python -m repro advise --model 7 --batch 256`` (or
 ``examples/advise.py``) turns this profile into ranked, evidence-backed
@@ -33,14 +32,13 @@ def main() -> None:
 
     cache_dir = os.environ.get("XSP_PROFILE_CACHE")
     store = ProfileStore(cache_dir) if cache_dir else None
-    parallel = bool(os.environ.get("XSP_PARALLEL_SWEEP"))
 
     session = XSPSession(system="Tesla_V100", framework="tensorflow_like")
     pipeline = AnalysisPipeline(session, runs_per_level=3, store=store)
 
     print(f"profiling {entry.name} at batch {batch} on Tesla_V100 ...")
     profile = pipeline.profile_model(entry.graph, batch)
-    sweep = pipeline.sweep(entry.graph, [1, 8, 32, batch], parallel=parallel)
+    sweep = pipeline.sweep(entry.graph, [1, 8, 32, batch])
 
     print()
     print(full_report(profile, sweep))

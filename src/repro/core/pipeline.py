@@ -22,10 +22,7 @@ the way the trace index does.
 
 from __future__ import annotations
 
-import os
-import pickle
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, repeat
@@ -39,7 +36,7 @@ from repro.core.stats import Statistic, trimmed_mean
 from repro.frameworks.graph import Graph
 from repro.sim.hardware import GPUSpec, get_system
 from repro.tracing.index import TraceIndex
-from repro.tracing.span import Level, SpanKind, seed_span_ids
+from repro.tracing.span import Level, SpanKind
 from repro.tracing.table import _KIND_CODE, NONE_ID, SpanTable
 from repro.tracing.trace import Trace
 
@@ -651,13 +648,13 @@ class ProfileBuilder:
     from one thread at a time.  Layers take their slot by a stable sort
     on the ``layer_index`` tag (``None`` sorts as 0 and takes its slot as
     its index).  A kernel execution row attaches through its ancestor
-    chain to the enclosing layer, in row order within it; a chain
-    through a span id not in the trace yet waits in ``pending``.  Each
-    layer's totals fold left to right as its kernels arrive, and a
-    kernel that lands ahead of held ones re-folds its layer.  Published
-    lists are never changed, so a returned profile never changes.  A
-    duplicated span id makes the builder ``cold``: ids then resolve
-    last-write-wins, so it derives from row 0 on every call.  The tags
+    chain to the enclosing layer, in row order within it, so new kernels
+    land after the ones their layer holds and its totals fold on left to
+    right.  Published lists are never changed, so a returned profile
+    never changes.  Two inputs make the builder ``cold``, so the next
+    call derives from row 0: a duplicated span id (ids then resolve
+    last-write-wins) and a chain that meets a span id not in the trace
+    yet (the kernel is left out until its ancestor lands).  The tags
     of the new rows are checked against their :mod:`~repro.core.cells`
     kinds; a bad one raises ValueError and the builder starts over.
     """
@@ -670,13 +667,10 @@ class ProfileBuilder:
         self.layers: list[list] = [[] for _ in LAYER_FIELDS]
         self.untagged = 0
         self.totals: LayerTotals | None = None  # folded on first need
-        # The KERNEL_FIELDS columns and each kernel's span row.
+        # The KERNEL_FIELDS columns.
         self.kernels: list[list] = [[] for _ in KERNEL_FIELDS]
-        self.kernel_rows: list[int] = []
-        # span id -> row of the enclosing layer span (None: no layer);
-        # a missing ancestor's span id -> the kernel rows waiting for it.
+        # span id -> row of the enclosing layer span (None: no layer).
         self.layer_of: dict[int, int | None] = {NONE_ID: None}
-        self.pending: dict[int, list[int]] = {}
         self.last: LayerTable | None = None
 
     def advance(self, index: TraceIndex) -> LayerTable:
@@ -695,16 +689,12 @@ class ProfileBuilder:
         level_rows = index.level_rows()
         layer_rows = level_rows.get(Level.LAYER, [])
         kernel_rows = level_rows.get(Level.GPU_KERNEL, [])
-        kernel_rows = kernel_rows[bisect_left(kernel_rows, lo):]
         kinds, execution = self.table.kind, _KIND_CODE[SpanKind.EXECUTION]
-        pending = self.pending
         try:
             self._add_layers(layer_rows[bisect_left(layer_rows, lo):])
-            waiting = sorted(chain.from_iterable(map(
-                pending.pop, pending.keys() & self.table.span_id[lo:n]
-            ))) if pending else []
-            waiting += [row for row in kernel_rows if kinds[row] == execution]
-            self._add_kernels(waiting, row_by_id)
+            self._add_kernels([
+                row for row in kernel_rows[bisect_left(kernel_rows, lo):]
+                if kinds[row] == execution], row_by_id)
         except ValueError:  # a bad tag: keep no half-advanced state
             self.__init__(self.table)
             raise
@@ -758,36 +748,31 @@ class ProfileBuilder:
             self.totals = LayerTotals(*spliced[9:])
 
     def _add_kernels(self, rows: list[int], row_by_id: dict[int, int]) -> None:
-        """Attach kernel rows (ascending) to their layers, each layer's in
-        row order."""
+        """Append kernel rows (ascending, after every row held) to their
+        layers."""
         layer_of, parents = self.layer_of, self.table.parent_id
         slot_of = dict(zip(self.layer_rows, range(len(self.layer_rows))))
-        slot_of[None] = None  # outside any layer, or pending
+        slot_of[None] = None  # outside any layer, or behind a missing id
         owned: dict[int, list[int]] = {}
         for row in rows:
             parent_id = parents[row]
             slot = slot_of[layer_of[parent_id] if parent_id in layer_of
-                           else self._enclosing(parent_id, row, row_by_id)]
+                           else self._enclosing(parent_id, row_by_id)]
             if slot is not None:
                 owned.setdefault(slot, []).append(row)
         if not owned:
             return
-        held, counts, index = self.kernel_rows, self.counts, self.layers[0]
-        starts = [0, *accumulate(counts)]
+        counts, index = self.counts, self.layers[0]
+        ends = list(accumulate(counts))
         slots, edits, rows, positions, layer_index = sorted(owned), [], [], [], []
         a = 0
         for slot in slots:
-            new, lo, hi = owned[slot], starts[slot], starts[slot + 1]
-            if lo < hi and new[0] < held[hi - 1]:
-                # Ahead of kernels the layer holds: re-read it.
-                new, keep = sorted(held[lo:hi] + new), lo
-            else:
-                keep = hi
+            new, count = owned[slot], counts[slot]
             b = a + len(new)
-            edits.append((keep, hi, a, b))
+            edits.append((ends[slot], ends[slot], a, b))
             rows += new
-            counts[slot] = count = keep - lo + b - a
-            positions += range(keep - lo, count)
+            counts[slot] = count + b - a
+            positions += range(count, count + b - a)
             layer_index += repeat(index[slot], b - a)
             a = b
         table = self.table
@@ -802,30 +787,26 @@ class ProfileBuilder:
             list(map(tuple, grid)), list(map(tuple, block))), [])
         self.kernels = [_splice(old, edits, values)
                         for old, values in zip(self.kernels, added.columns)]
-        self.kernel_rows = _splice(held, edits, rows)
         if self.totals is not None:
             totals = [column[:] for column in self.totals]
-            for slot, (keep, hi, a, b) in zip(slots, edits):
-                # An appended run continues the layer's fold; a re-read
-                # layer folds from zero.
-                folded = added.fold(range(a, b), (0.0, 0.0, 0.0, 0.0, 0)
-                                    if keep < hi else
+            for slot, (_, _, a, b) in zip(slots, edits):
+                folded = added.fold(range(a, b),
                                     tuple(column[slot] for column in totals))
                 for column, value in zip(totals, folded):
                     column[slot] = value
             self.totals = LayerTotals(*totals)
 
-    def _enclosing(self, parent_id: int, row: int,
+    def _enclosing(self, parent_id: int,
                    row_by_id: dict[int, int]) -> int | None:
-        """The layer row that ``row``'s ancestor chain from ``parent_id``
-        reaches; ``None`` when none does, or while the chain meets a span
-        id not in the trace yet (``row`` then waits for it)."""
+        """The layer row that the ancestor chain from ``parent_id``
+        reaches; ``None`` when none does, or when the chain meets a span
+        id not in the trace yet (the builder then goes ``cold``)."""
         layer_of, parents = self.layer_of, self.table.parent_id
         chain: list[int] = []
         while parent_id not in layer_of and parent_id not in chain:
             parent_row = row_by_id.get(parent_id)
             if parent_row is None:
-                self.pending.setdefault(parent_id, []).append(row)
+                self.cold = True
                 return None
             chain.append(parent_id)
             parent_id = parents[parent_row]
@@ -838,34 +819,6 @@ class ProfileBuilder:
 def _statistic_name(statistic: Statistic) -> str:
     """Identity of the merge statistic for cache keying."""
     return getattr(statistic, "__qualname__", None) or repr(statistic)
-
-
-def _seed_worker_span_ids() -> None:
-    """ProcessPoolExecutor initializer: give this worker its own id range.
-
-    Workers inherit a fresh module state, so every worker's span counter
-    would restart at 1 and spans profiled by different workers would
-    share ids.  Seeding from the worker's pid puts each worker in a
-    disjoint range (see :func:`repro.tracing.span.seed_span_ids`).
-    """
-    seed_span_ids(os.getpid())
-
-
-def _sweep_worker(
-    args: tuple[GPUSpec, str, int, Statistic, Graph, int],
-) -> tuple[int, ModelProfile]:
-    """Profile one batch size in a worker process (module-level: picklable).
-
-    The session is rebuilt from the full :class:`GPUSpec` (not its name)
-    so sweeps over custom, unregistered hardware specs profile the same
-    hardware the parent pipeline does.
-    """
-    system, framework, runs_per_level, statistic, graph, batch = args
-    session = XSPSession(system=system, framework=framework)
-    pipeline = AnalysisPipeline(
-        session, runs_per_level=runs_per_level, statistic=statistic
-    )
-    return batch, pipeline.profile_model(graph, batch)
 
 
 class AnalysisPipeline:
@@ -909,56 +862,10 @@ class AnalysisPipeline:
             )
         return profile
 
-    def sweep(
-        self,
-        graph: Graph,
-        batches: Sequence[int],
-        *,
-        parallel: bool = False,
-        max_workers: int | None = None,
-    ) -> dict[int, ModelProfile]:
-        """Profiles across batch sizes (A1 / Fig. 3 / Fig. 10 / Table VI).
-
-        ``parallel=True`` fans the uncached batch sizes out over worker
-        processes (the simulator is deterministic, so the profiles are
-        identical to a serial sweep).  Falls back to the serial path when
-        the workload cannot be shipped to workers (e.g. an unpicklable
-        custom statistic).
-        """
-        if not parallel or len(batches) < 2:
-            return {b: self.profile_model(graph, b) for b in batches}
-
-        cached = {b: self._cached(graph, b) for b in batches}
-        missing = [b for b in batches if cached[b] is None]
-        spec = (
-            self.session.gpu,
-            self.session.framework_cls.name,
-            self.experiment.runs_per_level,
-            self.statistic,
-            graph,
-        )
-        try:
-            pickle.dumps(spec)
-        except Exception:
-            return {b: self.profile_model(graph, b) for b in batches}
-        computed: dict[int, ModelProfile] = {}
-        if missing:
-            with ProcessPoolExecutor(
-                max_workers=min(max_workers or len(missing), len(missing)),
-                initializer=_seed_worker_span_ids,
-            ) as executor:
-                for batch, profile in executor.map(
-                    _sweep_worker, [spec + (b,) for b in missing]
-                ):
-                    computed[batch] = profile
-            if self.store is not None:
-                for profile in computed.values():
-                    self.store.put(
-                        profile,
-                        runs_per_level=self.experiment.runs_per_level,
-                        statistic=_statistic_name(self.statistic),
-                    )
-        return {b: cached[b] or computed[b] for b in batches}
+    def sweep(self, graph: Graph,
+              batches: Sequence[int]) -> dict[int, ModelProfile]:
+        """Profiles across batch sizes (A1 / Fig. 3 / Fig. 10 / Table VI)."""
+        return {b: self.profile_model(graph, b) for b in batches}
 
     # -- insights ---------------------------------------------------------------
     def advise(

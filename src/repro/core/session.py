@@ -317,7 +317,7 @@ class XSPSession:
         mappings.
 
         Streams straight from the run's columnar table — no intermediate
-        span list; model-level roots are re-parented under the (pending)
+        span list; model-level roots are re-parented under the (still open)
         application span, and correlation ids move up by
         ``correlation_offset``.
         """

@@ -44,7 +44,6 @@ from repro.sim.calibration import (
     HOST_CALIBRATION,
     PROFILING_CALIBRATION,
     HostCalibration,
-    ProfilingCalibration,
 )
 from repro.sim.cuda import CudaRuntime
 from repro.sim.hardware import GPUSpec
@@ -214,17 +213,11 @@ class Framework(abc.ABC):
         "Reshape": (-2.0, 0.0, 0.0),  # pure metadata update
     }
 
-    def __init__(
-        self,
-        runtime: CudaRuntime,
-        *,
-        profiling_calibration: ProfilingCalibration = PROFILING_CALIBRATION,
-    ) -> None:
+    def __init__(self, runtime: CudaRuntime) -> None:
         if not self.name:
             raise TypeError("Framework subclasses must set a registry name")
         self.runtime = runtime
         self.host: HostCalibration = HOST_CALIBRATION[self.name]
-        self.profiling_calibration = profiling_calibration
         self._profiler_state = False  # MXNet-style toggle
 
     # -- framework-specific hooks ------------------------------------------
@@ -286,7 +279,7 @@ class Framework(abc.ABC):
         rt.memory.replay(plan.allocations(), plan.peak_memory_bytes)
 
         records: list[LayerRecord] = []
-        layer_ns = int(round(self.profiling_calibration.framework_layer_us * 1e3))
+        layer_ns = int(round(PROFILING_CALIBRATION.framework_layer_us * 1e3))
         durations = plan.clean_durations(rt.run_index)
 
         for step, clean_ns in zip(plan.steps, durations):

@@ -36,7 +36,7 @@ from bisect import bisect_left
 from operator import itemgetter
 from typing import Callable, Iterable
 
-from repro.sim.calibration import PROFILING_CALIBRATION, ProfilingCalibration
+from repro.sim.calibration import PROFILING_CALIBRATION
 from repro.sim.cuda import CudaRuntime, KernelLaunchRecord, MemcpyRecord
 from repro.sim.hardware import GPUSpec
 from repro.sim.kernels import KernelSpec, achieved_occupancy
@@ -107,13 +107,8 @@ class Cupti:
     logged since the last read into the buffers.
     """
 
-    def __init__(
-        self,
-        runtime: CudaRuntime,
-        calibration: ProfilingCalibration = PROFILING_CALIBRATION,
-    ) -> None:
+    def __init__(self, runtime: CudaRuntime) -> None:
         self.runtime = runtime
-        self.calibration = calibration
         self._callbacks = CallbackBuffer()
         self._activities = ActivityBuffer()
         self._callbacks_enabled = False
@@ -168,23 +163,26 @@ class Cupti:
         """Total kernel replay passes implied by the enabled metrics.
 
         Counters are scheduled greedily into hardware counter slots; each
-        metric contributes its pass count (``calibration.passes_for``), and
-        at least one pass always runs (the real execution).
+        metric contributes its pass count
+        (``PROFILING_CALIBRATION.passes_for``), and at least one pass always
+        runs (the real execution).
         """
         if not self._metrics:
             return 1
-        return max(1, sum(self.calibration.passes_for(m) for m in self._metrics))
+        return max(1, sum(PROFILING_CALIBRATION.passes_for(m)
+                          for m in self._metrics))
 
     def _refresh_runtime_overheads(self) -> None:
+        cal = PROFILING_CALIBRATION
         per_kernel_ns = 0
         if self._callbacks_enabled:
-            per_kernel_ns += int(self.calibration.cupti_kernel_us * 500)
+            per_kernel_ns += int(cal.cupti_kernel_us * 500)
         if self._activities_enabled:
-            per_kernel_ns += int(self.calibration.cupti_kernel_us * 500)
+            per_kernel_ns += int(cal.cupti_kernel_us * 500)
         self.runtime.set_profiler_costs(
             per_kernel_ns,
             self.replay_passes(),
-            int(self.calibration.metric_pass_us * 1e3),
+            int(cal.metric_pass_us * 1e3),
         )
         # Nothing new to capture (the caller drained first): this sets
         # whether the log keeps launches for us under the new domains.

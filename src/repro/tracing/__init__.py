@@ -16,7 +16,6 @@ from repro.tracing.span import (
     SpanKind,
     new_span_id,
     new_trace_id,
-    seed_span_ids,
 )
 from repro.tracing.index import Gap, TraceIndex
 from repro.tracing.table import SpanTable, SpanView
@@ -50,5 +49,4 @@ __all__ = [
     "new_span_id",
     "new_trace_id",
     "reconstruct_parents",
-    "seed_span_ids",
 ]

@@ -9,7 +9,7 @@ from it.
 
 Every index is built from — and answered as — row indices into the
 table's columns: timeline orderings, level/kind partitions, the id map,
-extents, the gap index and the parent-derived roots.  The
+extents and the gap index.  The
 sweep-line correlator, the gap rules, and the exporters consume these
 directly; :class:`~repro.tracing.trace.Trace`'s query methods wrap rows
 in :class:`~repro.tracing.table.SpanView` flyweights at the API
@@ -22,21 +22,19 @@ Maintenance model (high-water mark, not invalidation)
 An index covers one *prefix* of its table — ``covered`` rows, the
 high-water mark it was last synchronized to.  Appending spans does **not**
 drop the index: the next query calls :meth:`TraceIndex.advance`, which
-merge-sorts the pending tail of new rows into every structure already
+merge-sorts the tail of new rows into every structure already
 built (orderings, partitions, id map, extent, gap folds) instead of
 rebuilding the world.  The merged state is, structure for structure,
 identical to a cold rebuild over the grown table (fuzzed by
 ``tests/tracing/test_span_table.py``); structures not yet built simply
 build lazily over the full covered prefix later.  Rows remain immutable
 for indexing purposes with one exception — ``parent_id``, which the
-offline correlation pass assigns after capture.  The parent-derived
-index (roots) lives behind the narrower epoch that
-:func:`repro.tracing.correlation.reconstruct_parents` and
-:func:`~repro.tracing.correlation.correlate_launch_execution` bump via
-:meth:`Trace.touch_parents`; an append also drops it (a new span id can
-resolve a previously dangling parent).  Code that mutates
-``span.parent_id`` by hand after querying a trace must call
-``touch_parents`` as before.
+offline correlation pass assigns after capture.  No index is derived
+from it; the trace's profile builder is, so
+:func:`repro.tracing.correlation.reconstruct_parents`,
+:func:`~repro.tracing.correlation.correlate_launch_execution` and any
+code that mutates ``span.parent_id`` by hand call
+:meth:`Trace.touch_parents`.
 
 Builders read bounded snapshot copies of the columns (``col[:n]``)
 rather than zero-copy buffer exports: a live (still-growing) table may be
@@ -55,7 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.tracing.span import Level, SpanKind
-from repro.tracing.table import KINDS, NONE_ID, SpanTable, _KIND_CODE
+from repro.tracing.table import KINDS, SpanTable, _KIND_CODE
 
 
 @dataclass(frozen=True)
@@ -212,7 +210,6 @@ class TraceIndex:
         "_extent",
         "_gaps",
         "_gap_state",
-        "_root_rows",
     )
 
     def __init__(self, table: SpanTable, n: int | None = None) -> None:
@@ -232,7 +229,6 @@ class TraceIndex:
             Tuple[Level, Optional[SpanKind]],
             Tuple[int, Tuple[int, int], int],
         ] = {}
-        self._root_rows: Optional[List[int]] = None
 
     # -- cache validity ---------------------------------------------------
     @property
@@ -240,21 +236,16 @@ class TraceIndex:
         """Number of table rows this index currently describes."""
         return self._n
 
-    def invalidate_parents(self) -> None:
-        """Drop the parent-derived index (roots)."""
-        self._root_rows = None
-
     def advance(self, to_n: int | None = None) -> int:
         """Merge rows ``[covered, to_n)`` into every built structure.
 
         The incremental-maintenance hot path: instead of rebuilding, the
-        pending tail is appended to the membership partitions, written
+        tail of new rows is appended to the membership partitions, written
         into the id map, merge-sorted into the timeline orderings, and
         folded into the gap caches — each result identical to a cold
         rebuild over the grown prefix.  Structures that were never built
         stay unbuilt (they build lazily over the full prefix later).
-        The parent-derived index is dropped: a new span id can resolve a
-        dangling parent.  Returns the number of rows absorbed.
+        Returns the number of rows absorbed.
         """
         table = self.table
         new_n = len(table) if to_n is None else to_n
@@ -319,9 +310,6 @@ class TraceIndex:
                     _merge_timeline(table, cached, lt)
             self._advance_gaps(level_tails)
 
-        # A new span id can turn an existing "root" into a child, so the
-        # parent-derived index resets.
-        self.invalidate_parents()
         self._n = new_n
         return new_n - old_n
 
@@ -476,16 +464,3 @@ class TraceIndex:
                     frontier,
                 )
         return cached
-
-    # -- the parent-derived row index (see the invalidation model above) -
-    def root_rows(self) -> List[int]:
-        """Rows with no (known) parent, in publication order."""
-        if self._root_rows is None:
-            ids = self.row_by_id()
-            parents = self.table.parent_id
-            self._root_rows = [
-                row
-                for row in range(self._n)
-                if parents[row] == NONE_ID or parents[row] not in ids
-            ]
-        return self._root_rows

@@ -22,37 +22,10 @@ from typing import Any, Iterator, Mapping
 _span_counter = itertools.count(1)
 _trace_counter = itertools.count(1)
 
-#: Bits reserved for the per-namespace span-id counter (see
-#: :func:`seed_span_ids`): each namespace owns 2**40 ids, far beyond any
-#: single process's span production.
-_NAMESPACE_SHIFT = 40
-_NAMESPACE_MASK = 0x3FFFFF  # 22 bits of namespace -> ids stay under 2**63
-
 
 def new_span_id() -> int:
     """Return a process-unique span identifier."""
     return next(_span_counter)
-
-
-def seed_span_ids(namespace: int) -> int:
-    """Restart the span-id counter in a namespace-disjoint range.
-
-    Worker processes (e.g. a parallel sweep's ``ProcessPoolExecutor``
-    workers) inherit a fresh module state, so without seeding every
-    worker's counter restarts at 1 and spans produced by different
-    workers collide.  Seeding with a per-process namespace (the pid)
-    gives each worker a disjoint ``2**40``-wide id range — disjoint from
-    every concurrently-live worker and from the parent process's small
-    counter-based ids.  Returns the first id of the range.
-    """
-    # Slot 0 is the parent process's unseeded range; a namespace hashing
-    # to it (e.g. a pid that is an exact multiple of 2**22) wraps to the
-    # top slot instead of colliding with the parent's counter.
-    slot = (namespace & _NAMESPACE_MASK) or _NAMESPACE_MASK
-    base = (slot << _NAMESPACE_SHIFT) | 1
-    global _span_counter
-    _span_counter = itertools.count(base)
-    return base
 
 
 def new_trace_id() -> int:

@@ -22,7 +22,7 @@ Queries are served by a lazily-built :class:`~repro.tracing.index.TraceIndex`
 every later query is a lookup.  The index holds row numbers; the query
 methods here wrap them in views for each caller.  Appending spans does
 **not** invalidate the index — the next query *advances* it,
-merge-sorting the pending tail of new rows into the built structures
+merge-sorting the tail of new rows into the built structures
 (the no-rebuild-on-append rule; see the index module's maintenance
 model).  The advance target is the table's
 :attr:`~repro.tracing.table.SpanTable.watermark` of completed rows,
@@ -149,10 +149,8 @@ class Trace:
         self.builder = None
 
     def touch_parents(self) -> None:
-        """Signal that ``parent_id`` fields changed: the roots are stale
-        and the profile builder starts over from row 0."""
-        if self._index is not None:
-            self._index.invalidate_parents()
+        """Signal that ``parent_id`` fields changed: the profile builder
+        starts over from row 0."""
         self.builder = None
 
     # -- queries ------------------------------------------------------------
@@ -193,9 +191,6 @@ class Trace:
         rows = self.index.row_by_id()
         table = self.table
         return {span_id: SpanView(table, row) for span_id, row in rows.items()}
-
-    def roots(self) -> list[SpanView]:
-        return self._views(self.index.root_rows())
 
     def levels_present(self) -> list[Level]:
         return self.index.levels_present()

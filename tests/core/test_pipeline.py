@@ -73,6 +73,32 @@ def test_sweep_contains_all_batches(resnet50_sweep):
         assert profile.batch == batch
 
 
+def test_sweep_profiles_a_custom_gpu_spec():
+    """A sweep profiles the session's GPUSpec itself, not a catalog entry
+    looked up by its name."""
+    from dataclasses import replace
+
+    from repro.core import AnalysisPipeline, XSPSession
+    from repro.models import get_model
+    from repro.sim.hardware import get_system
+
+    graph = get_model(53).graph
+    stock = get_system("Tesla_V100")
+    custom = replace(stock, name="Custom_V100_OC",
+                     peak_tflops=stock.peak_tflops * 4)
+    pipe = AnalysisPipeline(XSPSession(custom), runs_per_level=2)
+    sweep = pipe.sweep(graph, (1, 2, 4))
+    baseline = AnalysisPipeline(XSPSession(stock), runs_per_level=2).sweep(
+        graph, (1, 2, 4))
+    assert list(sweep) == [1, 2, 4]
+    for batch, profile in sweep.items():
+        assert profile.system == "Custom_V100_OC"
+        assert profile == pipe.profile_model(graph, batch)
+        assert profile.flops == baseline[batch].flops
+    assert any(sweep[b].model_latency_ms < baseline[b].model_latency_ms
+               for b in sweep)
+
+
 def test_merge_applies_statistic_per_position(cnn_graph):
     """Layer latencies merge M/L views, kernel latencies metric-run views."""
     from repro.core import AnalysisPipeline, XSPSession

@@ -130,9 +130,9 @@ def test_builder_equals_the_oracle_after_every_batch(seed):
         profile = profile_from_trace(trace)
         oracle = oracle_profile(trace)
         _assert_same(profile, oracle)
-        # The builder advances rather than starting over, unless a
-        # duplicated span id forces it to derive from row 0.
-        if builder is not None and not trace.builder.cold:
+        # The builder advances rather than starting over, unless it went
+        # cold (a duplicated span id or an ancestor not in the trace yet).
+        if builder is not None and not builder.cold:
             assert trace.builder is builder
         builder = trace.builder
         assert builder.covered == len(trace)
@@ -149,8 +149,9 @@ def _kernel(name, span_id, parent_id, start=10, end=20):
 
 
 def test_a_kernel_waits_for_its_api_span_and_lands_ahead():
-    """A kernel whose library span arrives late attaches then, ahead of
-    a later kernel its layer already holds, and the layer re-folds."""
+    """A kernel whose library span arrives late leaves the builder cold;
+    the next call derives from row 0 and puts it ahead of a later kernel
+    its layer already held."""
     trace = Trace(1)
     trace.add_rows([
         row_of("conv", 0, 100, Level.LAYER, 1, tags={"layer_index": 0}),
@@ -159,15 +160,36 @@ def test_a_kernel_waits_for_its_api_span_and_lands_ahead():
     ])
     first = profile_from_trace(trace)
     assert first.kernel_table.name == ["late"]
-    assert trace.builder.pending == {2: [1]}
+    assert trace.builder.cold
     trace.add_rows([row_of("cudnnConvolutionForward", 0, 60, Level.LIBRARY,
                            2, parent_id=1)])
     second = profile_from_trace(trace)
+    assert not trace.builder.cold
     assert second.kernel_table.name == ["early", "late"]
     assert second.kernel_table.position == [0, 1]
     assert second.layer_table.totals.dram_read_bytes == [3.0 + 4.0]
     assert first.kernel_table.name == ["late"]  # returned: never changes
     _assert_same(second, oracle_profile(trace))
+
+
+def test_a_kernel_whose_ancestor_never_arrives_keeps_the_builder_cold():
+    """Every call derives from row 0 and equals the oracle."""
+    trace = Trace(1)
+    trace.add_rows([
+        row_of("conv", 0, 100, Level.LAYER, 1, tags={"layer_index": 0}),
+        _kernel("held", 2, 1, 5, 8),
+        _kernel("orphan", 3, MISSING),
+    ])
+    builders = []
+    for start in (30, 50, 70):
+        _assert_same(profile_from_trace(trace), oracle_profile(trace))
+        assert trace.builder.cold
+        builders.append(trace.builder)
+        trace.add_rows([_kernel(f"k{start}", start, 1, start, start + 5)])
+    assert len(set(map(id, builders))) == len(builders)
+    profile = profile_from_trace(trace)
+    assert profile.kernel_table.name == ["held", "k30", "k50", "k70"]
+    _assert_same(profile, oracle_profile(trace))
 
 
 def test_a_duplicated_span_id_derives_from_row_zero():

@@ -159,6 +159,30 @@ def test_warm_cache_skips_leveled_experiment_entirely(
     assert warm.throughput == cold.throughput
 
 
+def test_sweep_fills_the_store(graph, store):
+    batches = (1, 2, 4)
+    _pipeline(store).sweep(graph, batches)
+    assert len(store) == len(batches)
+    for batch in batches:
+        assert store.get(graph.name, "Tesla_V100", "tensorflow_like", batch,
+                         RUNS) is not None
+
+
+def test_sweep_serves_stored_batches_without_profiling(graph, store,
+                                                       monkeypatch):
+    batches = (1, 2, 4)
+    cold = _pipeline(store).sweep(graph, batches)
+
+    def no_run(self, *args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("a stored sweep must not re-profile")
+
+    monkeypatch.setattr(LeveledExperiment, "run", no_run)
+    warm = _pipeline(store).sweep(graph, batches)
+    assert list(warm) == list(batches)
+    for batch in batches:
+        assert warm[batch] == cold[batch]
+
+
 def test_clear_and_entries(graph, store):
     _pipeline(store).profile_model(graph, BATCH)
     _pipeline(store).profile_model(graph, BATCH + 1)

@@ -61,7 +61,8 @@ def test_restored_trace_supports_analysis_queries():
 
     restored = trace_from_json(trace_to_json(sample_trace()))
     reconstruct_parents(restored)  # the launch span gets its layer parent
-    assert [s.name for s in restored.roots()] == ["predict"]
+    assert [s.name for s in restored.spans
+            if s.parent_id is None] == ["predict"]
     assert len(restored.at_level(Level.LAYER)) == 1
     assert restored.by_id()[3].parent_id == 2
 

@@ -243,21 +243,17 @@ def test_mutation_through_views_reaches_storage_and_export(seed):
     restored_views = list(restored.spans)
     for view in restored_views[1:]:
         assert view.parent_id == root.span_id
-    assert restored.index.root_rows() == trace.index.root_rows()
     assert restored.table.parent_id.tolist() == trace.table.parent_id.tolist()
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_round_trip_preserves_hierarchy_queries(seed):
-    """The roots and parent column of the restored trace match the
+    """The id map and parent column of the restored trace match the
     original's."""
     original = _random_trace(seed)
     restored = trace_from_json(trace_to_json(original))
-    assert {s.span_id for s in restored.roots()} == {
-        s.span_id for s in original.roots()
-    }
     # Rows keep their places in the file, so rows compare as is.
-    assert restored.index.root_rows() == original.index.root_rows()
+    assert restored.index.row_by_id() == original.index.row_by_id()
     assert restored.table.parent_id.tolist() == \
         original.table.parent_id.tolist()
 

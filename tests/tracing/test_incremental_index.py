@@ -16,6 +16,7 @@ import random
 import pytest
 
 import repro.tracing.index as index_mod
+from repro.core.pipeline import profile_from_trace
 from repro.tracing import (
     Level,
     Span,
@@ -83,7 +84,6 @@ def test_append_then_query_matches_cold_rebuild():
     incremental = {
         "sorted": list(trace.index.rows_sorted()),
         "gaps": trace.gaps(Level.GPU_KERNEL),
-        "roots": [s.span_id for s in trace.roots()],
         "extent": trace.span_extent_ns(),
         "levels": trace.levels_present(),
     }
@@ -91,7 +91,6 @@ def test_append_then_query_matches_cold_rebuild():
     cold = {
         "sorted": list(trace.index.rows_sorted()),
         "gaps": trace.gaps(Level.GPU_KERNEL),
-        "roots": [s.span_id for s in trace.roots()],
         "extent": trace.span_extent_ns(),
         "levels": trace.levels_present(),
     }
@@ -135,14 +134,14 @@ def test_out_of_order_append_rebuilds_gap_key_correctly():
 
 
 def test_new_span_id_resolves_dangling_parent_root():
-    """An append can turn an existing root into a child (its dangling
-    parent_id becomes a real span id) — the advance must notice."""
+    """An append can resolve an existing span's dangling parent_id (it
+    becomes a real span id) — the next profile must notice."""
     trace = Trace(trace_id=1)
-    trace.add(_span(1, 10, 20, parent_id=99))
-    assert [s.span_id for s in trace.roots()] == [1]  # parent unknown
+    trace.add(_span(1, 10, 20, parent_id=99, kind=SpanKind.EXECUTION))
+    assert len(profile_from_trace(trace).kernel_table) == 0  # parent unknown
     trace.add(_span(99, 0, 100, Level.LAYER))
-    assert [s.span_id for s in trace.roots()] == [99]
-    assert trace.index.root_rows() == [1]
+    assert profile_from_trace(trace).kernel_table.name == ["s1"]
+    assert trace.index.row_by_id() == {1: 0, 99: 1}
     assert trace.table.parent_id[0] == 99
 
 
@@ -209,7 +208,7 @@ def test_empty_trace_answers_every_query():
     trace = Trace(trace_id=1)
     assert trace.index.rows_sorted() == []
     assert trace.at_level(Level.LAYER) == []
-    assert trace.by_id() == {} and trace.roots() == []
+    assert trace.by_id() == {}
     assert trace.index.kind_rows() == {}
     assert trace.span_extent_ns() == (0, 0)
     assert trace.index.level_extent_ns(Level.LAYER) is None
@@ -222,12 +221,10 @@ def test_query_results_are_new_lists_of_views():
     trace.extend([_span(1, 0, 100, Level.LAYER), _span(2, 10, 20)])
     trace.spans[1].parent_id = 1
     trace.touch_parents()
-    for query in (trace.roots, trace.by_id,
-                  lambda: trace.at_level(Level.LAYER)):
+    for query in (trace.by_id, lambda: trace.at_level(Level.LAYER)):
         first = query()
         first.clear()
         assert query() and query() is not first
-    assert trace.index.root_rows() == [0]
     assert list(trace.table.parent_id) == [NONE_ID, 1]
 
 

@@ -279,7 +279,7 @@ def test_view_writes_parent_through():
     view.parent_id = 1
     trace.touch_parents()
     assert trace.table.parent_id[1] == 1
-    assert trace.index.root_rows() == [0]
+    assert trace.by_id()[2].parent_id == 1
 
 
 def test_view_equality_and_span_equality():
@@ -387,7 +387,6 @@ def _live_snapshot(trace: Trace):
             for lvl in (Level.GPU_KERNEL, Level.LAYER)
             for kind in (None, SpanKind.EXECUTION)
         },
-        "roots": index.root_rows()[:],
     }
 
 
@@ -459,7 +458,7 @@ def _fuzz_incremental_maintenance(seed: int, *,
             rng.choice(
                 (
                     lambda: trace.index.rows_sorted(),
-                    trace.roots,
+                    trace.levels_present,
                     trace.by_id,
                     trace.span_extent_ns,
                     lambda: trace.gaps(Level.GPU_KERNEL, SpanKind.EXECUTION),

@@ -32,12 +32,7 @@ def test_parent_id_column():
             if parents[row] == 1] == ["conv", "relu"]
     assert [t.table.name_of(row) for row in range(len(t))
             if parents[row] == 2] == ["kernel"]
-    assert t.index.root_rows() == [0]
-
-
-def test_roots():
-    t = _trace()
-    assert [s.name for s in t.roots()] == ["predict"]
+    assert [s.name for s in t.spans if s.parent_id is None] == ["predict"]
 
 
 def test_levels_present_sorted():

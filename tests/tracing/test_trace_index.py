@@ -2,6 +2,7 @@
 
 import random
 
+from repro.core.pipeline import profile_from_trace
 from repro.tracing import Level, Span, SpanKind, Trace
 from repro.tracing.correlation import reconstruct_parents
 from repro.tracing.table import NONE_ID
@@ -39,11 +40,6 @@ def test_indexed_queries_match_naive_scans():
         min(s.start_ns for s in spans),
         max(s.end_ns for s in spans),
     )
-    ids = {s.span_id for s in spans}
-    assert t.roots() == [
-        s for s in spans if s.parent_id is None or s.parent_id not in ids
-    ]
-    assert [spans[r] for r in t.index.root_rows()] == t.roots()
     assert [None if p == NONE_ID else p for p in t.table.parent_id] == [
         s.parent_id for s in spans
     ]
@@ -85,27 +81,30 @@ def test_returned_containers_are_copies():
 
 
 def test_touch_parents_refreshes_children_and_roots():
+    """A parent written by hand moves a root under its new parent: the
+    profile derived after ``touch_parents`` sees the kernel's layer."""
     t = Trace(trace_id=1)
-    t.add(Span("root", 0, 100, Level.MODEL, span_id=1))
-    t.add(Span("child", 10, 20, Level.LAYER, span_id=2))
-    assert [s.span_id for s in t.roots()] == [1, 2]
+    t.add(Span("layer", 0, 100, Level.LAYER, span_id=1))
+    t.add(Span("kernel", 10, 20, Level.GPU_KERNEL, span_id=2,
+               kind=SpanKind.EXECUTION))
+    assert len(profile_from_trace(t).kernel_table) == 0
     t.by_id()[2].parent_id = 1
     t.touch_parents()
-    assert [s.span_id for s in t.roots()] == [1]
-    assert t.index.root_rows() == [0]
+    assert t.builder is None
     assert list(t.table.parent_id) == [NONE_ID, 1]
+    assert profile_from_trace(t).kernel_table.name == ["kernel"]
 
 
 def test_reconstruction_updates_parent_indexes_automatically():
     t = Trace(trace_id=1)
     t.add(Span("predict", 0, 1000, Level.MODEL, span_id=1))
     t.add(Span("conv", 100, 500, Level.LAYER, span_id=2))
-    # Query first so the index (including the roots) is built...
-    assert len(t.roots()) == 2
-    # ...then reconstruct: the correlation pass must invalidate it.
+    # Derive a profile first so the trace holds a builder...
+    profile_from_trace(t)
+    assert t.builder is not None
+    # ...then reconstruct: the correlation pass must drop it.
     reconstruct_parents(t)
-    assert [s.span_id for s in t.roots()] == [1]
-    assert t.index.root_rows() == [0]
+    assert t.builder is None
     assert list(t.table.parent_id) == [NONE_ID, 1]
 
 
@@ -114,6 +113,5 @@ def test_empty_trace_queries():
     assert t.index.rows_sorted() == []
     assert t.at_level(Level.LAYER) == []
     assert t.by_id() == {}
-    assert t.roots() == []
     assert t.levels_present() == []
     assert t.span_extent_ns() == (0, 0)
