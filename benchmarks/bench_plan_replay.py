@@ -11,6 +11,11 @@ frameworks.  Asserted for each rung:
 * the trace holds the three model-level spans, one span per layer from
   M/L on, and from M/L/G on a launch/execution pair per kernel plus one
   span per memory copy.
+
+A second case times a cold plan build alone (``Framework.load`` plus
+``execution_plan``) and asserts that ``emit_kernels`` ran once per
+distinct emission input (op, attributes, output shape, input count and
+input shapes), not once per layer.
 """
 
 from __future__ import annotations
@@ -84,3 +89,39 @@ def test_plan_replay_cold_ladder(benchmark, monkeypatch, model_id, framework):
         assert not run.was_serialized_retry
         assert counted_launches == kernels, label
         assert Counter(span.level for span in run.trace) == spans, label
+
+
+def _emission_inputs(layer, shapes) -> tuple:
+    return (layer.op, repr(layer.attrs), shapes[layer.source].dims,
+            len(layer.inputs),
+            tuple(shapes[name].dims for name in layer.source_inputs))
+
+
+@pytest.mark.parametrize("framework", ["tensorflow_like", "mxnet_like"])
+@pytest.mark.parametrize("model_id", [7, 48])
+def test_plan_build_emits_once_per_distinct_layer(benchmark, monkeypatch,
+                                                  model_id, framework):
+    graph = get_model(model_id).graph
+    session = XSPSession("Tesla_V100", framework)
+    fw = session.framework_cls(CudaRuntime(session.gpu))
+
+    def cold_plan():
+        model = fw.load(graph)
+        return model, fw.execution_plan(model, BATCH)
+
+    benchmark.pedantic(cold_plan, rounds=5, iterations=1)
+
+    # Untimed: the same build again, counting emissions.
+    emitted = []
+    emit = type(fw).emit_kernels
+
+    def counted(self, layer, shapes):
+        emitted.append(layer)
+        return emit(self, layer, shapes)
+
+    monkeypatch.setattr(type(fw), "emit_kernels", counted)
+    model, plan = cold_plan()
+    shapes = model.shapes(BATCH)
+    distinct = {_emission_inputs(step.layer, shapes) for step in plan.steps
+                if step.kernels is not None}
+    assert len(emitted) == len(distinct) < len(plan.steps) / 2

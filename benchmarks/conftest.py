@@ -30,6 +30,7 @@ _SYNTHETIC_MODULES = {
     "bench_incremental_index",
     "bench_insights_engine",
     "bench_live_refresh",
+    "bench_native_format",
     "bench_plan_replay",
     "bench_profile_table",
     "bench_span_table",

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 from repro.core.cells import INT, INT_OR_NULL, NUMBER, STR, Ints, column_fault
 from repro.core.leveled import LeveledExperiment, LeveledResult
 from repro.core.session import ProfilingConfig, XSPSession
-from repro.core.stats import Statistic, trimmed_mean
+from repro.core.stats import Statistic, one_sample_form, trimmed_mean
 from repro.frameworks.graph import Graph
 from repro.sim.hardware import GPUSpec, get_system
 from repro.tracing.index import TraceIndex
@@ -1022,12 +1022,15 @@ class AnalysisPipeline:
                 or t.position != first.position for t in tables):
             raise ValueError("the leveled runs disagree on the kernels "
                              "each layer launched")
-        latency = [self.statistic(list(samples))
-                   for samples in zip(*(t.latency_ms for t in tables))]
+        one = (one_sample_form(self.statistic)
+               if len(views) == len(tables) == 1 else None)
+        latency = list(map(one, first.latency_ms)) if one else [
+            self.statistic(list(samples))
+            for samples in zip(*(t.latency_ms for t in tables))]
         kernels = KernelTable(
             (*first.columns[:3], latency, *first.columns[4:]), first.starts
         )
-        layer_latency = [
+        layer_latency = list(map(one, firsts.latency_ms)) if one else [
             self.statistic([v.latency_ms[slot] for v in views if slot < len(v)])
             for slot in range(len(firsts))
         ]

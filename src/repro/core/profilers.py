@@ -77,11 +77,11 @@ class LayerTracer(Tracer):
         parent = NONE_ID if parent_span_id is None else parent_span_id
         tracer = self.name
         rows = [
-            (record.name, record.start_ns, record.end_ns, level, _INTERNAL,
-             new_span_id(), parent, NONE_ID, _LAYER_KEYS,
-             (record.index, record.layer_type, record.shape,
-              record.alloc_bytes, tracer))
-            for record in parser(native_profile)
+            (name, start_ns, end_ns, level, _INTERNAL, new_span_id(), parent,
+             NONE_ID, _LAYER_KEYS,
+             (index, layer_type, shape, alloc_bytes, tracer))
+            for index, name, layer_type, shape, start_ns, end_ns, alloc_bytes
+            in parser(native_profile)
         ]
         self.server.publish_many(rows)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from operator import add
 from typing import Callable, Sequence
 
 Statistic = Callable[[Sequence[float]], float]
@@ -46,6 +48,15 @@ def median(values: Sequence[float]) -> float:
     if len(ordered) % 2:
         return ordered[mid]
     return (ordered[mid - 1] + ordered[mid]) / 2
+
+
+def one_sample_form(statistic: Statistic) -> Callable[[float], float] | None:
+    """``f`` with ``f(x) == statistic([x])`` bit for bit for this module's
+    statistics, else ``None``: a mean of ``[x]`` is ``sum([x]) / 1``, i.e.
+    ``0.0 + x`` (``-0.0`` becomes ``0.0``), and a median is ``x``."""
+    if statistic is trimmed_mean or statistic is mean:
+        return partial(add, 0.0)
+    return (lambda x: x) if statistic is median else None
 
 
 @dataclass(frozen=True)

@@ -95,8 +95,8 @@ class PlanStep(NamedTuple):
     host_ns: int
     #: The layer's kernels as emitted, with no layer tag (each launch
     #: carries ``layer.index``); ``None`` for the ``Data`` layer, which
-    #: copies the input to the device instead.  Shared by every replay,
-    #: so consumers must only read their tags.
+    #: copies the input to the device instead.  Shared by every replay (and
+    #: by like layers), so consumers must only read their tags.
     kernels: tuple[KernelSpec, ...] | None
 
 
@@ -145,11 +145,12 @@ class ExecutionPlan:
         """Per step, its kernels' clean device durations for one run.
 
         The run-to-run jitter is seeded by ``run_index``, so durations are
-        cached per run index.  Within a run, each distinct duration is
-        computed once: most kernels repeat another's inputs exactly.  The
-        key is every input :func:`kernel_duration_ns` reads, with flops
-        and DRAM bytes as the jitter formats them (``-0.0`` and ``0.0``
-        are equal keys but different jitter seeds).
+        cached per run index.  Within a run, each shared spec tuple is
+        timed once, and each distinct duration is computed once: specs
+        can also be equal without being shared.  That key is every input
+        :func:`kernel_duration_ns` reads, with flops and DRAM bytes as the
+        jitter formats them (``-0.0`` and ``0.0`` are equal keys but
+        different jitter seeds).
         """
         durations = self._durations.get(run_index)
         if durations is None:
@@ -167,9 +168,12 @@ class ExecutionPlan:
                     )
                 return ns
 
+            # By id: the steps hold every shared tuple for the plan's life.
+            timed = {id(step.kernels): step.kernels for step in self.steps}
+            for key, kernels in timed.items():
+                timed[key] = tuple(map(duration, kernels or ()))
             durations = self._durations[run_index] = tuple(
-                tuple(map(duration, step.kernels or ())) for step in self.steps
-            )
+                timed[id(step.kernels)] for step in self.steps)
         return durations
 
 
@@ -230,7 +234,9 @@ class Framework(abc.ABC):
     def emit_kernels(
         self, layer: PlanLayer, shapes: dict[str, TensorShape]
     ) -> list[Any]:
-        """GPU kernels launched by one layer (list of KernelSpec)."""
+        """GPU kernels launched by one layer (list of KernelSpec).  Reads
+        only its op, attrs, input count and output and input shapes: a
+        plan emits once per distinct combination and shares the result."""
 
     @abc.abstractmethod
     def serialize_profile(self, records: list[LayerRecord]) -> dict[str, Any]:
@@ -341,25 +347,26 @@ class Framework(abc.ABC):
     ) -> tuple[PlanStep, ...]:
         shapes = model.shapes(batch)
         host = self.host
+        # Memo local to this build (GPU and framework fixed): layers equal in
+        # all emit_kernels and the host cost read share one step body.
+        bodies: dict[tuple, tuple[int, int, tuple | None]] = {}
         steps = []
         for layer in model.plan:
             out_shape = shapes[layer.source]
-            out_bytes = 0 if layer.op == "Reshape" else out_shape.nbytes
-            extra_fixed, extra_per_mb, extra_per_image = self.HOST_EXTRA_US.get(
-                layer.op, (0.0, 0.0, 0.0)
-            )
-            out_mb = out_bytes / 1e6
-            host_us = (
-                host.layer_fixed_us
-                + host.layer_per_mb_us * out_mb
-                + extra_fixed
-                + extra_per_mb * out_mb
-                + extra_per_image * out_shape.batch
-            )
-            kernels = (None if layer.op == "Data"
-                       else tuple(self.emit_kernels(layer, shapes)))
-            steps.append(PlanStep(
-                layer, out_shape, out_bytes,
-                int(round(max(0.5, host_us) * 1e3)), kernels,
-            ))
+            key = (layer.op, layer.attrs_key, out_shape.dims, len(layer.inputs),
+                   *[shapes[name].dims for name in layer.source_inputs])
+            body = bodies.get(key)
+            if body is None:
+                out_bytes = 0 if layer.op == "Reshape" else out_shape.nbytes
+                extra_fixed, extra_per_mb, extra_per_image = (
+                    self.HOST_EXTRA_US.get(layer.op, (0.0, 0.0, 0.0)))
+                out_mb = out_bytes / 1e6
+                host_us = (host.layer_fixed_us + host.layer_per_mb_us * out_mb
+                           + extra_fixed + extra_per_mb * out_mb
+                           + extra_per_image * out_shape.batch)
+                body = bodies[key] = (
+                    out_bytes, int(round(max(0.5, host_us) * 1e3)),
+                    None if layer.op == "Data"
+                    else tuple(self.emit_kernels(layer, shapes)))
+            steps.append(PlanStep(layer, out_shape, *body))
         return tuple(steps)

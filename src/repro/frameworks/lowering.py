@@ -9,19 +9,11 @@ each framework lowers only its own element-wise, depthwise and dense ops.
 from __future__ import annotations
 
 from repro.frameworks.optimizer import PlanLayer
-from repro.frameworks.shapes import TensorShape, conv_padding_amount
+from repro.frameworks.shapes import TensorShape, _pair, conv_padding_amount
 from repro.sim import cudnn, tensorops
 from repro.sim.cudnn import ConvGeometry
 from repro.sim.hardware import GPUSpec
 from repro.sim.kernels import KernelSpec
-
-
-def _pair(value: object) -> tuple[int, int]:
-    if isinstance(value, int):
-        return (value, value)
-    if isinstance(value, (tuple, list)) and len(value) == 2:
-        return (int(value[0]), int(value[1]))
-    raise ValueError(f"expected int or pair, got {value!r}")
 
 
 def conv_geometry(

@@ -31,6 +31,11 @@ class PlanLayer:
     #: Graph node names whose shapes are this layer's input shapes.
     source_inputs: list[str] = field(default_factory=list)
     attrs: dict[str, Any] = field(default_factory=dict)
+    #: ``repr(attrs)`` at construction: the plan's emission-memo key part.
+    attrs_key: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.attrs_key = repr(self.attrs)
 
 
 @dataclass(frozen=True)
@@ -62,27 +67,11 @@ def build_plan(graph: Graph, rules: RewriteRules) -> list[PlanLayer]:
     # Graph node name -> plan layer name producing that node's value.
     produced_by: dict[str, str] = {}
 
-    def emit(
-        name: str,
-        layer_type: str,
-        op: str,
-        inputs: list[str],
-        source: str,
-        source_inputs: list[str],
-        attrs: dict[str, Any] | None = None,
-    ) -> PlanLayer:
-        layer = PlanLayer(
-            index=len(plan) + 1,
-            name=name,
-            layer_type=layer_type,
-            op=op,
-            inputs=inputs,
-            source=source,
-            source_inputs=source_inputs,
-            attrs=dict(attrs or {}),
-        )
-        plan.append(layer)
-        return layer
+    def emit(name: str, layer_type: str, op: str, inputs: list[str],
+             source: str, source_inputs: list[str],
+             attrs: dict[str, Any] | None) -> None:
+        plan.append(PlanLayer(len(plan) + 1, name, layer_type, op, inputs,
+                              source, source_inputs, dict(attrs or {})))
 
     def resolve_inputs(node: Node) -> list[str]:
         return [produced_by[i] for i in node.inputs]
@@ -116,7 +105,7 @@ def build_plan(graph: Graph, rules: RewriteRules) -> list[PlanLayer]:
             produced_by[node.name] = ba_name
             continue
 
-        neutral = _neutral_op(node)
+        neutral = _NEUTRAL_OPS.get(op, op)
         native = rules.type_map[neutral]
         name = _layer_name(node.name, native, slash=rules.slash_names)
         emit(name, native, neutral, resolve_inputs(node), node.name,
@@ -126,28 +115,14 @@ def build_plan(graph: Graph, rules: RewriteRules) -> list[PlanLayer]:
     return plan
 
 
-def _neutral_op(node: Node) -> str:
-    """Map a graph op to the neutral execution-op vocabulary."""
-    op = node.op
-    if op == "Input":
-        return "Data"
-    if op == "Add":
-        # Multi-tensor adds (residual connections) are N-ary sums; TF
-        # reports them as AddN, distinct from BN's broadcast Add.
-        return "EltAddN"
-    if op == "Mul":
-        return "EltMul"
-    if op == "Dense":
-        return "Dense"
-    if op == "BatchNorm":
-        return "BatchNormFused"
-    if op == "GlobalAvgPool":
-        return "Mean"
-    if op == "Flatten":
-        return "Reshape"
-    if op == "ResizeBilinear":
-        return "Resize"
-    return op  # Conv2D, DepthwiseConv2D, Relu, MaxPool, Softmax, Where, ...
+#: Graph ops whose neutral execution op has another name (the rest keep
+#: theirs).  Multi-tensor adds (residual connections) are N-ary sums; TF
+#: reports them as AddN, distinct from BN's broadcast Add.
+_NEUTRAL_OPS = {
+    "Input": "Data", "Add": "EltAddN", "Mul": "EltMul",
+    "BatchNorm": "BatchNormFused", "GlobalAvgPool": "Mean",
+    "Flatten": "Reshape", "ResizeBilinear": "Resize",
+}
 
 
 #: Neutral-op -> TensorFlow-native layer-type labels (paper's vocabulary:

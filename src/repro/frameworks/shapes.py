@@ -128,7 +128,7 @@ def _infer_node(node: Node, shapes: dict[str, TensorShape], batch: int) -> Tenso
         out_w = _conv_out(x.width, kw, sw, padding)
         return TensorShape((x.batch, x.channels * mult, out_h, out_w))
     if op in ("BatchNorm", "Relu", "Relu6", "Sigmoid", "Tanh", "LRN", "Softmax",
-              "Where", "Identity"):
+              "Where", "Identity", "BiasAdd", "Transpose"):
         return _in(node, shapes)
     if op in ("MaxPool", "AvgPool"):
         x = _in(node, shapes)
@@ -144,8 +144,6 @@ def _infer_node(node: Node, shapes: dict[str, TensorShape], batch: int) -> Tenso
     if op == "Dense":
         x = _in(node, shapes)
         return TensorShape((x.batch, a["units"]))
-    if op == "BiasAdd":
-        return _in(node, shapes)
     if op in ("Add", "Mul"):
         x = _in(node, shapes)
         for i in range(1, len(node.inputs)):
@@ -168,8 +166,6 @@ def _infer_node(node: Node, shapes: dict[str, TensorShape], batch: int) -> Tenso
         x = _in(node, shapes)
         ph, pw = _pair(a.get("pad", 1))
         return TensorShape((x.batch, x.channels, x.height + 2 * ph, x.width + 2 * pw))
-    if op == "Transpose":
-        return _in(node, shapes)
     if op == "ResizeBilinear":
         x = _in(node, shapes)
         scale = a.get("scale", 2)

@@ -535,3 +535,38 @@ def test_leveled_runs_with_different_kernels_do_not_merge(monkeypatch):
     monkeypatch.setattr(pipeline_mod, "_layer_table", drop_a_kernel)
     with pytest.raises(ValueError, match="disagree"):
         pipeline.merge(leveled)
+
+
+@pytest.mark.parametrize("name", ["trimmed_mean", "mean", "median"])
+def test_single_run_merge_equals_calling_the_statistic(cnn_graph, name):
+    """With one run per level, merge maps the statistic's one-sample form
+    over the columns; the profile equals, bit for bit, the one merged by
+    calling the statistic per value (a wrapper has no one-sample form)."""
+    import struct
+
+    from repro.core import AnalysisPipeline, XSPSession, stats
+
+    statistic = getattr(stats, name)
+    calls = []
+
+    def called(values):
+        calls.append(len(values))
+        return statistic(values)
+
+    session = XSPSession("Tesla_V100")
+    leveled = AnalysisPipeline(session, runs_per_level=1).experiment.run(
+        cnn_graph, 4)
+    mapped = AnalysisPipeline(session, runs_per_level=1,
+                              statistic=statistic).merge(leveled)
+    merged = AnalysisPipeline(session, runs_per_level=1,
+                              statistic=called).merge(leveled)
+    assert calls and set(calls) == {1}  # a user statistic is still called
+
+    def bits(column):
+        return [struct.pack("<d", value) for value in column]
+
+    assert mapped == merged
+    assert bits(mapped.layer_table.latency_ms) == bits(
+        merged.layer_table.latency_ms)
+    assert bits(mapped.kernel_table.latency_ms) == bits(
+        merged.kernel_table.latency_ms)

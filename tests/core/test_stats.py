@@ -1,10 +1,20 @@
 """Statistics tests (incl. hypothesis bounds)."""
 
+import functools
+import math
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.stats import Summary, mean, median, trimmed_mean
+from repro.core.stats import (
+    Summary,
+    mean,
+    median,
+    one_sample_form,
+    trimmed_mean,
+)
 
 
 def test_trimmed_mean_drops_outliers():
@@ -49,3 +59,27 @@ def test_trimmed_mean_bounded_by_extremes(values, proportion):
     tm = trimmed_mean(values, proportion)
     eps = 1e-9 * max(abs(v) for v in values)
     assert min(values) - eps <= tm <= max(values) + eps
+
+
+@pytest.mark.parametrize("statistic", [trimmed_mean, mean, median])
+@pytest.mark.parametrize("value", [-0.0, 0.0, math.nan, 5e-324, 2.5e-310,
+                                   -3.75, math.inf])
+def test_one_sample_form_is_the_statistic_bit_for_bit(statistic, value):
+    """``AnalysisPipeline.merge`` maps the one-sample form over a single
+    run's columns; it must equal calling the statistic on ``[x]``."""
+    form = one_sample_form(statistic)
+    expected = statistic([value])
+    assert struct.pack("<d", form(value)) == struct.pack("<d", expected)
+
+
+def test_one_sample_form_moves_negative_zero_only_for_the_means():
+    assert math.copysign(1.0, one_sample_form(mean)(-0.0)) == 1.0
+    assert math.copysign(1.0, one_sample_form(trimmed_mean)(-0.0)) == 1.0
+    assert math.copysign(1.0, one_sample_form(median)(-0.0)) == -1.0
+
+
+def test_other_statistics_have_no_one_sample_form():
+    assert one_sample_form(max) is None
+    assert one_sample_form(lambda values: trimmed_mean(values)) is None
+    assert one_sample_form(functools.partial(trimmed_mean,
+                                             proportion=0.1)) is None

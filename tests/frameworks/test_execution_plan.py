@@ -1,6 +1,7 @@
 """Execution-plan replay: each (compiled model, batch, GPU) is lowered to
-kernels once, and its clean kernel durations are computed once per run
-index and distinct duration input, however many leveled runs replay it."""
+kernels once per distinct emission input, and its clean kernel durations
+are computed once per run index and distinct duration input, however many
+leveled runs replay it."""
 
 from __future__ import annotations
 
@@ -51,27 +52,41 @@ def _duration_inputs(spec) -> tuple:
             spec.blocks, spec.threads_per_block, spec.eff_scale)
 
 
+def _emission_inputs(layer, shapes) -> tuple:
+    """What ``emit_kernels`` reads of a layer (the GPU is the plan's)."""
+    return (layer.op, repr(layer.attrs), shapes[layer.source].dims,
+            len(layer.inputs),
+            tuple(shapes[name].dims for name in layer.source_inputs))
+
+
 def _plan_size(framework: str, graph, batch: int) -> tuple[int, int, int]:
-    """(layers that emit kernels, kernels, distinct duration inputs) of
+    """(distinct emission inputs, kernels, distinct duration inputs) of
     one execution plan."""
     fw = FRAMEWORKS[framework](
         CudaRuntime(get_system("Tesla_V100"), VirtualClock())
     )
-    plan = fw.execution_plan(fw.load(graph), batch)
+    model = fw.load(graph)
+    plan = fw.execution_plan(model, batch)
+    shapes = model.shapes(batch)
     emitting = [step for step in plan.steps if step.kernels is not None]
     specs = [spec for step in emitting for spec in step.kernels]
-    return len(emitting), len(specs), len(set(map(_duration_inputs, specs)))
+    emissions = {_emission_inputs(step.layer, shapes) for step in emitting}
+    assert len(emissions) < len(emitting)  # the graph repeats layers
+    return (len(emissions), len(specs),
+            len(set(map(_duration_inputs, specs))))
 
 
 @pytest.mark.parametrize("framework", ["tensorflow_like", "mxnet_like"])
 def test_ladder_emits_each_layer_once(cnn_graph, framework, counts):
-    layers, kernels, distinct = _plan_size(framework, cnn_graph, 2)
+    """One ``emit_kernels`` call per distinct emission input, not per
+    layer, and none again for the later rungs."""
+    emissions, kernels, distinct = _plan_size(framework, cnn_graph, 2)
     assert distinct < kernels  # the graph repeats kernels
     counts.update(emit=0, duration=0)
     session = XSPSession("Tesla_V100", framework)
     AnalysisPipeline(session, runs_per_level=1).profile_model(cnn_graph, 2)
     # Four ladder runs (M, M/L, M/L/G, M/L/G+metrics), one plan.
-    assert counts == {"emit": layers, "duration": distinct}
+    assert counts == {"emit": emissions, "duration": distinct}
 
 
 @pytest.mark.parametrize("framework", ["tensorflow_like", "mxnet_like"])
@@ -97,11 +112,11 @@ def test_ladder_launches_each_plan_kernel_once_per_rung(
 
 
 def test_durations_computed_once_per_run_index(cnn_graph, counts):
-    layers, _, distinct = _plan_size("tensorflow_like", cnn_graph, 2)
+    emissions, _, distinct = _plan_size("tensorflow_like", cnn_graph, 2)
     counts.update(emit=0, duration=0)
     session = XSPSession("Tesla_V100", "tensorflow_like")
     AnalysisPipeline(session, runs_per_level=3).profile_model(cnn_graph, 2)
-    assert counts == {"emit": layers, "duration": 3 * distinct}
+    assert counts == {"emit": emissions, "duration": 3 * distinct}
 
 
 @pytest.mark.parametrize("run_index", [0, 1, 5])
@@ -144,32 +159,32 @@ def _executions(run) -> list[tuple[str, int]]:
 
 
 def test_serialized_run_replays_the_same_plan(cnn_graph, counts):
-    layers, _, distinct = _plan_size("tensorflow_like", cnn_graph, 2)
+    emissions, _, distinct = _plan_size("tensorflow_like", cnn_graph, 2)
     counts.update(emit=0, duration=0)
     session = XSPSession("Tesla_V100", "tensorflow_like")
     plain = session.profile(cnn_graph, 2, ProfilingConfig(metrics=()))
     retry = session.profile(
         cnn_graph, 2, ProfilingConfig(metrics=(), serialized=True)
     )
-    assert counts == {"emit": layers, "duration": distinct}
+    assert counts == {"emit": emissions, "duration": distinct}
     # CUDA_LAUNCH_BLOCKING changes the timeline, not the kernels.
     assert _executions(retry) == _executions(plain)
     assert retry.n_kernels == plain.n_kernels == len(_executions(plain))
 
 
 def test_new_batch_or_gpu_builds_its_own_plan(cnn_graph, counts):
-    layers, _, _ = _plan_size("tensorflow_like", cnn_graph, 2)
+    emissions, _, _ = _plan_size("tensorflow_like", cnn_graph, 2)
     counts.update(emit=0, duration=0)
     v100 = TFSim(CudaRuntime(get_system("Tesla_V100"), VirtualClock()))
     p100 = TFSim(CudaRuntime(get_system("Tesla_P100"), VirtualClock()))
     model = v100.load(cnn_graph)
     v100.predict(model, 2)
     v100.predict(model, 2)
-    assert counts["emit"] == layers
+    assert counts["emit"] == emissions
     v100.predict(model, 4)
-    assert counts["emit"] == 2 * layers
+    assert counts["emit"] == 2 * emissions
     p100.predict(model, 2)
-    assert counts["emit"] == 3 * layers
+    assert counts["emit"] == 3 * emissions
     plan = v100.execution_plan(model, 2)
     assert v100.execution_plan(model, 2) is plan
     assert p100.execution_plan(model, 2) is not plan

@@ -33,15 +33,28 @@ def test_mx_round_trip():
 
 
 def test_tf_format_is_step_stats_shaped():
+    """Step-stats fields and units, one column per field."""
     doc = tf_step_stats(records())
-    node = doc["step_stats"]["dev_stats"][0]["node_stats"][0]
-    assert {"node_name", "op", "all_start_micros", "op_end_rel_micros"} <= set(node)
+    nodes = doc["step_stats"]["dev_stats"][0]["node_stats"]
+    assert {"node_name", "op", "all_start_micros", "op_end_rel_micros",
+            "output_shape", "memory", "exec_index"} == set(nodes)
+    assert nodes["all_start_micros"] == [0.0, 100.0, 500.0]
+    assert nodes["op_end_rel_micros"] == [100.0, 400.0, 50.0]
+    assert nodes["output_shape"][1] == [8, 16, 32, 32]
+    assert nodes["memory"] == {"allocated_bytes": [0, 524_288, 524_288]}
+    assert nodes["exec_index"] == [1, 2, 3]
 
 
 def test_mx_format_is_event_list():
+    """MXNet dump fields and units, one column per field."""
     doc = mx_profile(records())
     assert doc["profile_version"].startswith("mxsim")
-    assert doc["events"][0]["operator"] == "Data"
+    events = doc["events"]
+    assert events["operator"][0] == "Data"
+    assert events["ts_us"] == [0.0, 100.0, 500.0]
+    assert events["dur_us"] == [100.0, 400.0, 50.0]
+    assert events["shape"][0] == "8x3x32x32"
+    assert events["seq"] == [1, 2, 3]
 
 
 def test_parsers_registry():
