@@ -17,6 +17,9 @@ reference here builds one dict per event and passes them all to
 * writing the v3 file is no slower than writing the v2 file, and
 * the Chrome export equals the dict-per-event reference byte for byte
   and is at least ``MIN_CHROME_SPEEDUP``x faster.
+
+The Chrome export is timed on the fresh capture (a value pool built on
+request) and on the loaded v3 file (the file's pool and codes).
 """
 
 from __future__ import annotations
@@ -219,6 +222,14 @@ def test_v3_writer_is_no_slower_than_v2(capture):
 def test_chrome_export_application_capture(benchmark, capture):
     text = benchmark(trace_to_chrome, capture)
     assert text == _dict_chrome(capture)
+
+
+def test_chrome_export_loaded_application_capture(benchmark, documents):
+    """The export of the loaded v3 file, whose tag text comes from the
+    value pool and codes the file holds."""
+    loaded = trace_from_json(documents[2])
+    text = benchmark(trace_to_chrome, loaded)
+    assert text == _dict_chrome(loaded)
 
 
 def test_chrome_export_is_faster_than_a_dict_per_event(capture):

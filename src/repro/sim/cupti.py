@@ -33,6 +33,7 @@ back among the kernels by correlation id.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable
 
@@ -216,36 +217,44 @@ class Cupti:
             return
         # Activities stay in correlation-id order: each memcpy goes
         # between the kernels launched before and after it.
-        at = 0
+        at, facts = 0, {}
         for memcpy in memcpys:
             cut = bisect_left(records, memcpy[2], at, key=_CORRELATION_ID)
-            self._append_kernels(records[at:cut])
+            self._append_kernels(records[at:cut], facts)
             at = cut
             for column, value in zip(ActivityBuffer.__slots__, memcpy):
                 getattr(self._activities, column).append(value)
-        self._append_kernels(records[at:])
+        self._append_kernels(records[at:], facts)
 
-    def _append_kernels(self, records: list[KernelLaunchRecord]) -> None:
+    def _append_kernels(self, records: list[KernelLaunchRecord],
+                        facts: dict[int, tuple]) -> None:
+        """``facts`` maps ``id(spec)`` to the grid, block and metric values
+        of each spec this drain has seen (pure functions of the spec and
+        the GPU; the records keep the specs alive): its launches share
+        them."""
         if not records:
             return
         act = self._activities
         metrics = self._metrics
+        gpu = self.runtime.gpu
+        values = [_METRIC_VALUE[m] for m in metrics]
         specs = [record[1] for record in records]
+        for key, spec in dict(zip(map(id, specs), specs)).items():
+            if key not in facts:
+                facts[key] = (spec.grid, spec.block,
+                              [value(spec, gpu) for value in values])
+        grids, blocks, metric_values = zip(*map(facts.__getitem__,
+                                                map(id, specs)))
         act.kind.extend(["kernel"] * len(records))
         act.name.extend([spec.name for spec in specs])
         act.correlation_id.extend(map(_CORRELATION_ID, records))
         act.stream_id.extend(map(_STREAM_ID, records))
         act.start_ns.extend(map(_DEVICE_START, records))
         act.end_ns.extend(map(_DEVICE_END, records))
-        act.grid.extend([spec.grid for spec in specs])
-        act.block.extend([spec.block for spec in specs])
+        act.grid.extend(grids)
+        act.block.extend(blocks)
         act.metric_names.extend([metrics] * len(records))
-        if metrics:
-            gpu = self.runtime.gpu
-            values = [_METRIC_VALUE[m] for m in metrics]
-            act.metric_values.extend(
-                [value(spec, gpu) for spec in specs for value in values]
-            )
+        act.metric_values.extend(chain.from_iterable(metric_values))
 
     # -- retrieval ----------------------------------------------------------------
     def flush(self) -> tuple[CallbackBuffer, ActivityBuffer]:

@@ -65,7 +65,6 @@ class AmbiguousParentError(RuntimeError):
 class CorrelationResult:
     """Output of :func:`reconstruct_parents`."""
 
-    trace: Trace
     #: span_id -> assigned parent span_id (only for spans assigned here)
     assigned: dict[int, int] = field(default_factory=dict)
     #: spans whose parentage was ambiguous (when ``strict=False``)
@@ -143,7 +142,7 @@ def reconstruct_parents(trace: Trace, *, strict: bool = True) -> CorrelationResu
     a grown capture assigns only the rows still orphaned — including a
     child that arrived before its parent on an earlier pass.
     """
-    result = CorrelationResult(trace=trace)
+    result = CorrelationResult()
     try:
         _reconstruct_sweep(trace, strict=strict, result=result)
     finally:

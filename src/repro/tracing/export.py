@@ -23,9 +23,11 @@ raises one ``ValueError``.
 The Chrome ``trace_event`` export writes exactly the bytes ``json.dumps``
 would write for one dict per event, without building those dicts: it
 encodes each column once (names per pool entry, levels and kinds per
-code, times and ids over the column slices, tags per (schema, key)
-column), writes each event from one template, and joins the events into
-the one document-sized string it allocates.
+code, times and ids over the column slices), takes the tag text from the
+table's value pool (each entry a (schema, key) column uses once; a
+loaded v3 file's own pool and codes), writes each event from one
+template, and joins the events into the one document-sized string it
+allocates.
 """
 
 from __future__ import annotations
@@ -186,9 +188,10 @@ def _complete_events(table: SpanTable, n: int, pid: str) -> list[str]:
     names once per pool entry, ``cat``/``tid`` once per level and
     ``kind`` once per kind code, each distinct duration once, start times
     with ``float.__repr__`` and ids with ``int.__repr__`` over the column,
-    and tags one (schema, key) column at a time
-    (:func:`~repro.tracing.table.json_texts`).  One fixed template then
-    writes each event (``pid`` is the encoded process id).
+    and tags one (schema, key) column at a time, each value-pool entry
+    the column uses once (the pool merges only values of equal JSON
+    text).  One fixed template then writes each event (``pid`` is the
+    encoded process id).
     """
     names = table.pools()[0]
     name_ids, levels, kinds = table.name_id[:n], table.level[:n], table.kind[:n]
@@ -222,6 +225,19 @@ def _complete_events(table: SpanTable, n: int, pid: str) -> list[str]:
             for r in rows
         ]):
             flows[row] = text
+    # Tags from the value pool: each entry a (schema, key) column uses is
+    # encoded once, after the column's head, and the codes pick the texts.
+    pool, codes = table.value_pool(n)
+    texts = np.empty(len(pool), dtype=object)
+    starts = np.frombuffer(table.tag_start[:n], dtype=np.int64)
+
+    def column_text(cells: np.ndarray, head: str) -> list[str]:
+        column = codes[cells]
+        used = np.unique(column)
+        texts[used] = list(map(head.__add__, json_texts(
+            list(map(pool.__getitem__, used.tolist())))))
+        return texts[column].tolist()
+
     tags = [""] * n
     for keys, rows in table.schema_groups(n):
         # Where each tag lands in ``args``: a key equal to a fixed field
@@ -229,18 +245,19 @@ def _complete_events(table: SpanTable, n: int, pid: str) -> list[str]:
         # place and its last value, as a dict update would.
         slot = dict.fromkeys(_ARGS)
         slot.update((key, i) for i, key in enumerate(keys))
-        values = table.tag_columns(rows, keys, [None] * len(keys))
+        first, rows = starts[rows], rows.tolist()
         for column, field in zip(args, _ARGS):
             if slot[field] is not None:
-                for row, text in zip(rows, json_texts(values[slot[field]])):
+                field_text = column_text(first + slot[field], "")
+                for row, text in zip(rows, field_text):
                     column[row] = text
         # `{key: 0}` as JSON, less the brace and the 0, is the key as
         # json writes it, colon included.
-        texts = [
-            json_texts(values[i], ", " + json_text({key: 0})[1:-2])
+        parts = [
+            column_text(first + i, ", " + json_text({key: 0})[1:-2])
             for key, i in list(slot.items())[len(_ARGS):]
         ]
-        for row, text in zip(rows, map("".join, zip(*texts))):
+        for row, text in zip(rows, map("".join, zip(*parts))):
             tags[row] = text
     return [
         f'{{"name": {name}, "cat": {cat}, "ph": "X", "ts": {start}, '

@@ -51,6 +51,10 @@ codes, next to the name and schema pools and the logs.
 one JSON list per column), checks it whole and then extends every column
 once.  Rows loaded from a v3 file share their pool values: equal lists
 are one object, which no reader mutates.
+
+:meth:`SpanTable.value_pool` is the one tag-value pool, read by the v3
+writer and the Chrome export: a table keeps the pool and codes of the
+v3 file it was loaded into, and any other builds one on request.
 """
 
 from __future__ import annotations
@@ -127,39 +131,30 @@ def jsonable(value: Any) -> Any:
 json_text = json.JSONEncoder(check_circular=False).encode
 
 
-def json_texts(values: list, head: str = "") -> list[str]:
-    """One tag column as JSON text, each value after ``head``.
+def json_texts(values: list) -> list[str]:
+    """Each of ``values`` as JSON text.
 
-    Each distinct value of a column of ``str``s, of ``int``s, or of lists
-    of ``int``s is encoded once.  A column of finite floats is written
-    with ``float.__repr__``, value by value (``-0.0 == 0.0``, so equal
-    floats may differ in text).  Any other value goes through the json
-    encoder after :func:`jsonable`.  Types are matched exactly, so a bool
-    or a float never shares the text of an equal int.
+    Finite floats and ints are written with their ``repr``, each list of
+    ints as its ``str`` (equal lists once), and any other value through
+    the json encoder after :func:`jsonable`.  Types are matched exactly,
+    so a bool or a float never shares the text of an equal int.
     """
     types = set(map(type, values))
-    if types == {float} and all(map(isfinite, values)):
-        return list(map(head.__add__, map(float.__repr__, values)))
-    if types == {int}:
-        keys, encode = values, int.__repr__
-    elif types == {str}:
-        keys, encode = values, json_text
-    elif types <= {list, tuple} and set(
+    if types == {int} or types == {float} and all(map(isfinite, values)):
+        return list(map(repr, values))
+    if types <= {list, tuple} and set(
         map(type, chain.from_iterable(values))
     ) <= {int}:
-        # A list of ints prints as its JSON text.
-        keys, encode = list(map(tuple, values)), lambda key: str(list(key))
-    else:
-        return [head + json_text(jsonable(value)) for value in values]
-    text = {key: head + encode(key) for key in set(keys)}
-    return list(map(text.__getitem__, keys))
+        keys = list(map(tuple, values))
+        text = {key: str(list(key)) for key in set(keys)}
+        return list(map(text.__getitem__, keys))
+    return [json_text(jsonable(value)) for value in values]
 
 
 def _pool_keys(values: list) -> list[str | int]:
     """Keys that tell one tag column's values apart as their JSON texts
     do: a column of finite floats is keyed by each value's bit pattern
-    (an ``int``), any other column by JSON text (:func:`json_texts`, as
-    the Chrome export encodes it)."""
+    (an ``int``), any other column by JSON text (:func:`json_texts`)."""
     if set(map(type, values)) == {float} and all(map(isfinite, values)):
         return np.array(values, dtype=np.float64).view(np.int64).tolist()
     return json_texts(values)
@@ -316,6 +311,7 @@ class SpanTable:
         "_values",
         "_logs",
         "_complete",
+        "_file_pool",
     )
 
     def __init__(self) -> None:
@@ -339,6 +335,9 @@ class SpanTable:
         self._logs: dict[int, list[LogEntry]] = {}
         # High-water mark of fully-appended rows (see `watermark`).
         self._complete = 0
+        # (rows, value pool, value codes) of the v3 file loaded into the
+        # empty table, if any (see `value_pool`).
+        self._file_pool: tuple[int, list, array] | None = None
 
     # -- ingest -----------------------------------------------------------
     def append(self, span: Span) -> int:
@@ -413,12 +412,12 @@ class SpanTable:
 
         Each stored column is :func:`_packed` (``-1`` means none; ``level``
         and ``kind`` are column codes), next to the ``names`` and
-        ``schemas`` pools, the tag values (:meth:`_value_pool`: a
-        ``value_pool`` list and a packed ``value_codes`` column, one code
-        per value, rows back to back in key order) and the sparse ``logs``
-        as ``[row, [[timestamp_ns, fields], ...]]`` pairs.  The pools stop
-        at the highest code a row uses, so a row still being appended
-        leaves nothing behind.
+        ``schemas`` pools, the tag values (:meth:`value_pool`: a
+        ``value_pool`` list and a ``value_codes`` column packed with the
+        narrowest typecode that numbers the pool) and the sparse ``logs``
+        as ``[row, [[timestamp_ns, fields], ...]]`` pairs.  The name and
+        schema pools stop at the highest code a row uses, so a row still
+        being appended leaves nothing behind.
         """
         n = self._complete
         document = {
@@ -427,30 +426,40 @@ class SpanTable:
         }
         name_ids, tag_schema = self.name_id[:n], self.tag_schema[:n]
         schemas = self._schemas.by_code[:max(tag_schema, default=-1) + 1]
-        end = (
-            self.tag_start[n - 1] + len(schemas[tag_schema[n - 1]])
-            if n else 0
-        )
         document["names"] = self._names.by_code[:max(name_ids, default=-1) + 1]
         document["schemas"] = [[str(key) for key in keys] for keys in schemas]
-        document["value_pool"], codes = self._value_pool(n, end)
-        document["value_codes"] = _packed(codes)
+        pool, codes = self.value_pool(n)
+        typecode = next(code for code in _CODE_TYPECODES
+                        if len(pool) <= 1 << 8 * array(code).itemsize)
+        document["value_pool"] = pool
+        document["value_codes"] = _packed(
+            array(typecode, codes.astype(typecode).tobytes()))
         document["logs"] = [
             [row, _logs_to_list(entries)]
             for row, entries in sorted(self._logs.items()) if row < n
         ]
         return document
 
-    def _value_pool(self, n: int, end: int) -> tuple[list, array]:
-        """The distinct tag values of the first ``n`` rows (``end`` value
-        cells), JSON-ready, and each cell's code in that pool.
+    def value_pool(self, n: int) -> tuple[list, np.ndarray]:
+        """The distinct tag values of the first ``n`` rows, JSON-ready, and
+        each value cell's code in that pool (rows back to back, in key
+        order); callers must not mutate either.
 
-        Values share an entry only if their JSON texts are equal, so
-        ``1``/``1.0``/``true``, ``-0.0``/``0.0`` and ``[1]``/``[true]``
-        stay apart.  The values are keyed one (schema, key) column at a
-        time (:func:`_pool_keys`), and entries are numbered in order of
+        A v3 file loaded into the empty table gives its pool and codes
+        while the rows are exactly the file's.  Otherwise the pool is
+        built and not stored: values share an entry only if their JSON
+        texts are equal (:func:`_pool_keys`, one (schema, key) column and
+        each distinct value object in it once), numbered in order of
         first appearance.
         """
+        if self._file_pool is not None and self._file_pool[0] == n:
+            return self._file_pool[1], _ints(self._file_pool[2])
+        values = self._values
+        end = (self.tag_start[n - 1]
+               + len(self._schemas.by_code[self.tag_schema[n - 1]])
+               if n else 0)
+        # Each cell's value object; a column keys each distinct one once.
+        ids = np.fromiter(map(id, values[:end]), np.int64, end)
         pool: dict[str | int, int] = {}
         entries: list = []
         codes = np.zeros(end, dtype=np.uint32)
@@ -459,19 +468,22 @@ class SpanTable:
             first = starts[rows]
             for i in range(len(schema)):
                 cells = first + i
-                column = list(map(self._values.__getitem__, cells.tolist()))
-                keys = _pool_keys(column)
-                for key, value in dict(zip(keys, column)).items():
+                _, at, inverse = np.unique(ids[cells], return_index=True,
+                                           return_inverse=True)
+                order = np.argsort(at)
+                objects = list(map(values.__getitem__,
+                                   cells[at[order]].tolist()))
+                keys = _pool_keys(objects)
+                for key, value in zip(keys, objects):
                     if key not in pool:
                         pool[key] = len(entries)
                         entries.append(jsonable(value))
-                codes[cells] = np.fromiter(
-                    map(pool.__getitem__, keys), np.uint32, len(keys))
-        typecode = next(code for code in _CODE_TYPECODES
-                        if len(entries) <= 1 << 8 * array(code).itemsize)
-        return entries, array(typecode, codes.astype(typecode).tobytes())
+                object_codes = np.empty(len(order), dtype=np.uint32)
+                object_codes[order] = list(map(pool.__getitem__, keys))
+                codes[cells] = object_codes[inverse]
+        return entries, codes
 
-    def schema_groups(self, n: int) -> Iterator[tuple[tuple, list[int]]]:
+    def schema_groups(self, n: int) -> Iterator[tuple[tuple, np.ndarray]]:
         """Each tag schema with keys that the first ``n`` rows use, in code
         order, with the rows that use it, in row order."""
         codes = _ints(self.tag_schema[:n])
@@ -479,7 +491,7 @@ class SpanTable:
         for rows in np.split(order, np.flatnonzero(np.diff(codes[order])) + 1):
             keys = self._schemas.by_code[codes[rows[0]]] if len(rows) else ()
             if keys:
-                yield keys, rows.tolist()
+                yield keys, rows
 
     def extend_columns(self, document: Mapping[str, Any],
                        version: int = FORMAT_VERSION) -> None:
@@ -533,8 +545,9 @@ class SpanTable:
             pool = document.get("value_pool")
             if not isinstance(pool, list):
                 raise ValueError("trace 'value_pool' is not a list")
-            codes = _ints(_unpacked("value_codes", _CODE_TYPECODES,
-                                    document.get("value_codes")))
+            code_column = _unpacked("value_codes", _CODE_TYPECODES,
+                                    document.get("value_codes"))
+            codes = _ints(code_column)
             if len(codes) != width:
                 raise ValueError(
                     "trace 'value_codes' do not match the schema widths")
@@ -570,6 +583,8 @@ class SpanTable:
                 columns[name] = array(
                     "I", map(interned.__getitem__, columns[name]))
         base = len(self.span_id)
+        if version >= 3 and not base:
+            self._file_pool = (n, pool, code_column)
         for name, column in columns.items():
             getattr(self, name).extend(column)
         offsets = np.cumsum(row_widths) - row_widths + len(self._values)
@@ -604,7 +619,8 @@ class SpanTable:
 
         A ``sys.getsizeof``-based estimate: typed column buffers, the
         interned name and schema pools, the flat value list with each
-        distinct value object counted once, and the sparse log store.
+        distinct value object counted once, the value pool and codes kept
+        from a loaded file, and the sparse log store.
         It grows with ingested rows only; reading rows back never
         changes it.
         """
@@ -631,6 +647,8 @@ class SpanTable:
         total += sys.getsizeof(self._values)
         distinct = {id(value): value for value in self._values}
         total += sum(map(sys.getsizeof, distinct.values()))
+        if self._file_pool is not None:
+            total += sum(map(sys.getsizeof, self._file_pool[1:]))
         total += sys.getsizeof(self._logs)
         for entries in self._logs.values():
             total += sys.getsizeof(entries)

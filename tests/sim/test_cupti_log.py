@@ -1,6 +1,10 @@
 """CUPTI reads the runtime's launch log when it flushes."""
 
+from itertools import accumulate
+
 from repro.sim import CudaRuntime, Cupti, KernelClass, KernelSpec, VirtualClock, get_system
+from repro.sim.cupti import SUPPORTED_METRICS
+from repro.sim.kernels import achieved_occupancy
 
 V100 = get_system("Tesla_V100")
 
@@ -89,3 +93,51 @@ def test_idle_cupti_does_not_cut_another_readers_launches():
     third = rt.launch_kernel(spec())
     assert read() == [third]
     assert not rt._launch_log
+
+
+def _per_launch_metrics(spec, gpu) -> list[float]:
+    """Each supported metric of one launch, computed for that launch."""
+    return [float(spec.flops), float(spec.dram_read_bytes),
+            float(spec.dram_write_bytes), achieved_occupancy(spec, gpu)]
+
+
+def test_drained_metric_values_equal_a_computation_per_launch():
+    """A drain reads each distinct spec's grid, block and metrics once
+    and shares them among its launches; every launch still reads what a
+    computation of its own gives, also across the memcpys that split a
+    drain, for equal specs that are not shared, and for ``-0.0``."""
+    from repro.core.session import FRAMEWORKS
+    from repro.models import get_model
+
+    rt = CudaRuntime(V100, VirtualClock())
+    cupti = Cupti(rt)
+    cupti.enable_activities()
+    cupti.enable_metrics(SUPPORTED_METRICS)
+    plan = FRAMEWORKS["tensorflow_like"](rt).execution_plan(
+        FRAMEWORKS["tensorflow_like"](rt).load(get_model(7).graph), 2)
+    specs = [kernel for step in plan.steps for kernel in step.kernels or ()]
+    specs += [spec("twin"), spec("twin"),
+              KernelSpec("zero", KernelClass.ELEMENTWISE_EIGEN, -0.0, 0.0, 0.0,
+                         blocks=3)]
+    launched = []
+    for i, kernel in enumerate(specs * 2):
+        if i % 97 == 0:
+            rt.memcpy(64, kind="h2d")
+        rt.launch_kernel(kernel)
+        launched.append(kernel)
+    _, act = cupti.flush()
+    kernels = [i for i, kind in enumerate(act.kind) if kind == "kernel"]
+    assert len(kernels) == len(launched) > 2 * 200
+    assert act.metric_names[kernels[0]] == SUPPORTED_METRICS
+    width = len(SUPPORTED_METRICS)
+    starts = list(accumulate(map(len, act.metric_names), initial=0))
+    for row, kernel in zip(kernels, launched):
+        values = act.metric_values[starts[row]:starts[row] + width]
+        expected = _per_launch_metrics(kernel, V100)
+        assert list(map(repr, values)) == list(map(repr, expected))
+        assert (act.grid[row], act.block[row]) == (kernel.grid, kernel.block)
+    assert repr(act.metric_values[starts[kernels[-1]]]) == "-0.0"
+    # The two launches of one spec object share its value objects.
+    first, again = kernels[0], kernels[len(specs)]
+    assert act.grid[first] is act.grid[again]
+    assert act.metric_values[starts[first]] is act.metric_values[starts[again]]

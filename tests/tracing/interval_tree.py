@@ -227,7 +227,7 @@ def tree_reconstruct_parents(
     including which span first trips ``AmbiguousParentError`` in strict
     mode.
     """
-    result = CorrelationResult(trace=trace)
+    result = CorrelationResult()
     index = trace.index
     table = trace.table
     levels = index.levels_present()

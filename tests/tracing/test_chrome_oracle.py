@@ -8,19 +8,30 @@ fresh and reloaded, and the cases where a template could drift from
 what ``json.dumps`` writes (equal values of different types, floats
 without a JSON literal, escapes, tag keys that clash with the fixed
 ``args`` fields, ids and times at the int64 limits).
+
+The tag text comes from the table's value pool: the pool and codes kept
+from a v3 file, or a pool built cold from the values.  Both must give
+the same bytes, also for a file whose pool is out of order or repeats a
+JSON text, and for rows appended after a load.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+from array import array
+from base64 import b64decode, b64encode
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
-from chrome_oracle import oracle_trace_to_chrome
-from test_export_fuzz import _mixed_trace, _Opaque, _random_trace
+from chrome_oracle import iter_rows, oracle_trace_to_chrome
+from test_export_fuzz import _mixed_trace, _Opaque, _random_trace, _typed_trace
 
 from repro.tracing import Level, Span, SpanKind, Trace
-from repro.tracing.export import trace_from_json, trace_to_chrome, trace_to_json
-from repro.tracing.table import KINDS, NONE_ID, row_of
+from repro.tracing.export import (trace_from_dict, trace_from_json,
+                                  trace_to_chrome, trace_to_json)
+from repro.tracing.table import KINDS, NONE_ID, json_text, json_texts, row_of
 
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 LAUNCH, EXECUTION = KINDS.index(SpanKind.LAUNCH), KINDS.index(SpanKind.EXECUTION)
@@ -199,3 +210,176 @@ def test_span_objects_with_logs_match_the_oracle():
     span.log(5, event="ignored by the export")
     trace.add(span)
     _assert_matches_oracle(trace)
+
+
+# -- the value pool: kept from a v3 file, or built cold ----------------------
+
+
+def _loaded(trace: Trace) -> Trace:
+    return trace_from_json(trace_to_json(trace))
+
+
+def _cold_copy(trace: Trace) -> Trace:
+    """The rows of ``trace`` ingested again through ``append_rows``, each
+    with its own trace id, so the copy's value pool is built cold."""
+    cold = Trace(trace_id=trace.trace_id, metadata=dict(trace.metadata))
+    table = trace.table
+    rows = zip(table.trace_id[:len(table)], iter_rows(table))
+    for trace_id, group in groupby(rows, key=itemgetter(0)):
+        cold.table.append_rows([row for _, row in group], trace_id)
+    return cold
+
+
+def _assert_pool_paths_agree(trace: Trace) -> None:
+    """The export of the loaded trace (the file's pool) equals the
+    oracle's and the export of its rows ingested cold."""
+    loaded = _loaded(trace)
+    n = len(loaded)
+    assert loaded.table.value_pool(n)[0] is loaded.table._file_pool[1]
+    text = trace_to_chrome(loaded)
+    assert text == oracle_trace_to_chrome(loaded)
+    assert text == trace_to_chrome(_cold_copy(loaded))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_loaded_and_cold_pools_export_alike(seed):
+    _assert_pool_paths_agree(_random_trace(seed))
+    _assert_pool_paths_agree(_mixed_trace(seed))
+    _assert_pool_paths_agree(_typed_trace(seed))
+
+
+@pytest.mark.parametrize("case", sorted(TAG_COLUMNS))
+def test_loaded_tag_columns_match_the_oracle(case):
+    """-0.0/0.0, 1/1.0/True, [1]/[True], NaN and ±inf, tuples next to
+    lists and mixed columns, through a file's pool."""
+    rows = [
+        row_of(f"s{i}", i, i + 1, Level.LAYER, span_id=i + 1,
+               tags={"value": value, "other": i, "same": value})
+        for i, value in enumerate(TAG_COLUMNS[case])
+    ]
+    _assert_pool_paths_agree(_rows_trace(rows))
+
+
+def test_loaded_tag_keys_that_clash_with_the_fixed_args_match_the_oracle():
+    schemas = [
+        (("kind", "x"), ("tagged-kind", 1.0)),
+        (("span_id", "correlation_id"), (_Opaque(1), [1, 2])),
+        (("parent_id",), (None,)),
+        (("parent_id", "kind"), (-0.0, [True])),
+        (("a", "b", "a"), (1, 2, 3)),
+        (("correlation_id", "y"), (float("nan"), (1, 2))),
+    ]
+    rows = [
+        ("s", i, i + 1, int(Level.LAYER), LAUNCH if i % 2 else EXECUTION,
+         i + 1, NONE_ID, 40 + i, keys, values)
+        for i, (keys, values) in enumerate(schemas * 3)
+    ]
+    _assert_pool_paths_agree(_rows_trace(rows))
+
+
+def test_rows_appended_to_a_loaded_table_export_from_a_cold_pool():
+    loaded = _loaded(_mixed_trace(4))
+    kept = loaded.table.value_pool(len(loaded))[0]
+    loaded.table.append(Span("late", 0, 1, Level.LAYER, span_id=10**7,
+                             tags={"shape": (1, 2), "x": -0.0, "y": True}))
+    # Each call now builds a pool of its own: none is stored.
+    pool = loaded.table.value_pool(len(loaded))[0]
+    assert pool is not kept
+    assert loaded.table.value_pool(len(loaded))[0] is not pool
+    _assert_matches_oracle(loaded)
+    assert trace_to_chrome(loaded) == trace_to_chrome(_cold_copy(loaded))
+
+
+def test_a_v3_file_loaded_into_a_non_empty_table_exports_from_a_cold_pool():
+    trace = _random_trace(5)
+    document = json.loads(trace_to_json(_typed_trace(5)))
+    trace.table.extend_columns(document["table"])
+    assert trace.table._file_pool is None
+    _assert_matches_oracle(trace)
+    assert trace_to_chrome(trace) == trace_to_chrome(_cold_copy(trace))
+
+
+def _handmade(trace: Trace) -> tuple[dict, dict]:
+    """The v3 document of ``trace`` and a copy whose pool is reversed
+    and repeats each entry's JSON text once more: the odd cells point at
+    the repeat."""
+    document = json.loads(trace_to_json(trace))
+    table = document["table"]
+    pool = table["value_pool"]
+    codes = array(table["value_codes"]["typecode"])
+    codes.frombytes(b64decode(table["value_codes"]["data"]))
+    size = len(pool)
+    odd = copy.deepcopy(document)
+    odd["table"]["value_pool"] = pool[::-1] + pool
+    odd["table"]["value_codes"] = {
+        "typecode": "I", "length": len(codes),
+        "data": b64encode(array("I", [
+            size - 1 - code if cell % 2 else size + code
+            for cell, code in enumerate(codes)
+        ])).decode(),
+    }
+    return document, odd
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_a_handmade_pool_out_of_order_with_repeats_loads_and_exports(seed):
+    document, odd = _handmade(_mixed_trace(seed))
+    canonical = trace_from_dict(document)
+    loaded = trace_from_dict(odd)
+    assert [repr(loaded.table.peek_tags(r)) for r in range(len(loaded))] == \
+        [repr(canonical.table.peek_tags(r)) for r in range(len(canonical))]
+    text = trace_to_chrome(loaded)
+    assert text == oracle_trace_to_chrome(loaded) == trace_to_chrome(canonical)
+    # A re-save keeps the file's numbering (narrowed codes), and loads
+    # back to the same rows; once a row is appended the pool is rebuilt
+    # in order of first appearance.
+    resaved = json.loads(trace_to_json(loaded))
+    assert json.dumps(resaved["table"]["value_pool"]) == \
+        json.dumps(odd["table"]["value_pool"])
+    assert resaved["table"]["value_codes"]["typecode"] in "BH"
+    assert trace_to_chrome(trace_from_dict(resaved)) == text
+    assert trace_to_json(trace_from_dict(resaved)) == json.dumps(resaved)
+    for trace in (loaded, canonical):
+        trace.table.append(Span("late", 0, 1, Level.LAYER, span_id=10**7))
+    assert trace_to_json(loaded) == trace_to_json(canonical)
+
+
+#: The models of a 20k-span application capture.
+APP_MODELS = (49, 9, 49, 49, 4, 6, 4, 9, 36, 37, 26)
+
+
+def test_the_export_encodes_each_used_pool_entry_once_per_column(monkeypatch):
+    """On a loaded application capture, the tag text encodes at most one
+    text per (schema, key) column and pool entry that column uses."""
+    import numpy as np
+
+    from repro.core import ProfilingConfig, XSPSession
+    from repro.models import get_model
+    from repro.tracing import export
+
+    trace, _ = XSPSession("Tesla_V100", "tensorflow_like").profile_application(
+        [(get_model(m).graph, 1) for m in APP_MODELS],
+        config=ProfilingConfig(metrics=()))
+    loaded = _loaded(trace)
+    table, n = loaded.table, len(loaded)
+    _, codes = table.value_pool(n)
+    starts = np.array(table.tag_start[:n])
+    used = [
+        len(np.unique(codes[starts[rows] + i]))
+        for keys, rows in table.schema_groups(n) for i in range(len(keys))
+    ]
+    encoded, texts = [], []
+    monkeypatch.setattr(export, "json_texts", lambda values: (
+        encoded.append(len(values)) or json_texts(values)))
+    monkeypatch.setattr(export, "json_text", lambda value: (
+        texts.append(value) or json_text(value)))
+    text = trace_to_chrome(loaded)
+    monkeypatch.undo()
+    assert text == trace_to_chrome(trace)
+    assert len(codes) > 90_000 and sum(used) < len(codes) / 50
+    assert sum(encoded) <= sum(used)
+    # Every other text is one per name, level (its "cat"), kind and key,
+    # plus the process id and the metadata events (two per level).
+    names, schemas = table.pools()
+    assert len(texts) <= (len(names) + 3 * len(set(table.level)) + len(KINDS)
+                          + sum(map(len, schemas)) + 2)
